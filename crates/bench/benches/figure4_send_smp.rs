@@ -9,15 +9,15 @@
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use embera::runtime::Fifo;
 use embera::Message;
-use embera_smp::{Mailbox, MailboxKind};
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("figure4_send_smp");
     for kb in embera_bench::FIGURE4_SIZES_KB {
         let size = (kb * 1024) as usize;
         let payload = Bytes::from(vec![0xA5u8; size]);
-        let mailbox = Mailbox::new("bench", MailboxKind::MutexCondvar);
+        let mailbox = Fifo::new(0);
         group.throughput(Throughput::Bytes(size as u64));
         group.bench_with_input(BenchmarkId::from_parameter(kb), &kb, |b, _| {
             b.iter(|| {

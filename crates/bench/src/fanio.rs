@@ -147,7 +147,7 @@ pub fn run_fanio_exec_observed(
         }
         let _log = app.with_observer(config);
     }
-    let workers = crate::resolve_exec_workers(workers);
+    let workers = embera_exec::resolve_workers(workers);
     let report: AppReport = ExecPlatform::with_workers(workers)
         .deploy(app.build().expect("valid fanio app"))
         .expect("deploy")

@@ -117,27 +117,9 @@ impl BenchBackend {
     pub fn worker_pool(self, workers: usize) -> Option<usize> {
         match self {
             BenchBackend::Smp => None,
-            BenchBackend::Exec => Some(resolve_exec_workers(workers)),
+            BenchBackend::Exec => Some(embera_exec::resolve_workers(workers)),
         }
     }
-}
-
-/// Resolve the executor pool size the same way `ExecConfig` does, so
-/// provenance matches what actually ran.
-pub fn resolve_exec_workers(workers: usize) -> usize {
-    if workers > 0 {
-        return workers;
-    }
-    if let Ok(v) = std::env::var("EMBERA_EXEC_WORKERS") {
-        if let Ok(n) = v.parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 /// Frame geometry of every experiment stream (18 blocks per image).
@@ -236,7 +218,7 @@ pub fn run_mjpeg_stream_on(
             .expect("deploy")
             .wait()
             .expect("run"),
-        BenchBackend::Exec => ExecPlatform::with_workers(resolve_exec_workers(workers))
+        BenchBackend::Exec => ExecPlatform::with_workers(workers)
             .deploy(spec)
             .expect("deploy")
             .wait()
@@ -274,7 +256,7 @@ pub fn run_mjpeg_stream_observed(
             .expect("deploy")
             .wait()
             .expect("run"),
-        BenchBackend::Exec => ExecPlatform::with_workers(resolve_exec_workers(workers))
+        BenchBackend::Exec => ExecPlatform::with_workers(workers)
             .deploy(spec)
             .expect("deploy")
             .wait()

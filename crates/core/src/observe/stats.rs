@@ -175,6 +175,16 @@ impl ComponentStats {
         &self.name
     }
 
+    /// The component's data provided interfaces.
+    pub fn provided(&self) -> &[String] {
+        &self.provided
+    }
+
+    /// The data required interfaces the component declared.
+    pub fn required(&self) -> &[String] {
+        &self.required
+    }
+
     /// Record behavior start at platform time `now_ns`. Also clears the
     /// supervision flags and the finished timestamp, so a restarted
     /// component reads as `Running` again.

@@ -6,28 +6,53 @@
 //! runtime, written once: introspection request draining and reply
 //! routing, queued-bytes gauge refresh, send/receive timing and counter
 //! recording, required-interface resolution with a uniform error
-//! contract, the behavior lifecycle, the post-behavior quiescent
-//! observation loop, and opt-in event tracing.
+//! contract, the behavior lifecycle, termination accounting, the
+//! post-behavior quiescent observation loop, and opt-in event tracing.
+//! Deployment and the final report are written once too ([`deploy`],
+//! [`Deployed`]).
 //!
-//! A platform backend contributes only a [`Transport`]: how messages
-//! move, what they cost, what time it is, and how an idle component
-//! waits. `embera-smp` implements it over mailboxes and host threads,
-//! `embera-os21` over EMBX distributed objects and simulated-kernel
-//! event waits, and `embera-inproc` over plain `VecDeque`s on a single
-//! thread — all three run behaviors through the same
+//! A platform backend contributes a [`Backend`] (make an endpoint,
+//! spawn a flow) and a [`Transport`]: how messages move, what they
+//! cost, what time it is, how an idle component waits, and how shutdown
+//! is signalled. All four backends run behaviors through the same
 //! [`ComponentRuntime`] and therefore expose byte-for-byte identical
-//! observation semantics.
+//! observation semantics. `embera-os21` implements `Transport` over
+//! EMBX distributed objects and simulated-kernel event waits,
+//! `embera-inproc` over plain `VecDeque`s on a single thread; the two
+//! host backends — `embera-smp` (one thread per component) and
+//! `embera-exec` (fibers on a worker pool) — share one
+//! [`HostTransport`] over [`Fifo`] mailboxes and differ only in their
+//! [`Parker`].
+//!
+//! # The waiting contract
+//!
+//! The runtime always checks a component's inboxes, its deadline and
+//! the shutdown flag *before* it parks, and re-checks them after every
+//! return from a park. A transport must therefore guarantee only this:
+//!
+//! * **no lost wake** — a message pushed to *any* inbox of a component
+//!   (data or introspection), or a shutdown request, that lands after
+//!   the component's last check makes its current or next park return;
+//! * **spurious wakes are allowed** — a park may return early or for
+//!   no reason;
+//! * a timed park returns once its deadline has passed.
+//!
+//! That is what lets an observer query a component that is blocked in
+//! `recv` or long since finished without any polling interval.
 //!
 //! # The error contract
 //!
 //! Every backend surfaces the same errors for the same misuse:
 //!
+//! * a connection whose source or target does not exist →
+//!   [`EmberaError::Validation`] from `deploy` (only reachable through
+//!   hand-built [`AppSpec`](crate::AppSpec)s);
 //! * send on an interface the component never declared as required →
 //!   [`EmberaError::UnknownInterface`];
 //! * send on a *declared* required interface that has no connection →
 //!   [`EmberaError::Disconnected`] (only reachable through hand-built
-//!   [`AppSpec`](crate::AppSpec)s — [`crate::AppBuilder`] validation
-//!   rejects unbound data required interfaces up front);
+//!   `AppSpec`s — [`crate::AppBuilder`] validation rejects unbound data
+//!   required interfaces up front);
 //! * send on the implicit `introspection` required interface with no
 //!   observer attached → silently dropped (`Ok`), because observation
 //!   wiring is optional by design;
@@ -38,10 +63,16 @@
 //!
 //! `tests/conformance.rs` in the workspace root pins this contract —
 //! plus FIFO ordering, introspection-while-blocked service, and counter
-//! conservation — against all three backends.
+//! conservation — against all four backends.
 
+mod deploy;
+mod fifo;
+mod host;
 mod trace;
 
+pub use deploy::{deploy, Backend, Completion, Deployed, Flow, Wiring};
+pub use fifo::Fifo;
+pub use host::{host_memory_bytes, HostTransport, Parker};
 pub use trace::{TraceConfig, TraceEventKind, TraceSink};
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -70,6 +101,12 @@ pub trait Transport {
 
     /// True once the application is shutting down.
     fn is_shutdown(&self) -> bool;
+
+    /// Signal application shutdown and wake every component, so peers
+    /// blocked in `recv` and quiescent service loops drain out. The
+    /// runtime calls this when the application completes or a failure
+    /// escalates ([`Completion`] decides); it may be called repeatedly.
+    fn request_shutdown(&mut self);
 
     /// Is this required interface connected to a peer?
     fn has_route(&self, required: &str) -> bool;
@@ -101,12 +138,12 @@ pub trait Transport {
     /// interfaces (the observer's queue-occupation gauge).
     fn queued_bytes(&self) -> u64;
 
-    /// Block briefly waiting for activity on `provided` (a message, a
-    /// shutdown, or — bounded by `deadline_ns` in platform time — a
-    /// timeout). May wake spuriously or early: the runtime re-checks
-    /// inboxes, deadline and shutdown around every park. Must not park
-    /// past the point where introspection requests would go unserved for
-    /// unbounded time.
+    /// Block waiting for activity: a message on *any* of this
+    /// component's inboxes, a shutdown, or — bounded by `deadline_ns` in
+    /// platform time — a timeout. May wake spuriously or early (see the
+    /// module's waiting contract). `provided` names the interface the
+    /// behavior is receiving on, for schedulers that start its producers
+    /// on demand.
     fn park_recv(&mut self, provided: &str, deadline_ns: Option<u64>);
 
     /// Block in the post-behavior quiescent loop until there may be
@@ -115,30 +152,17 @@ pub trait Transport {
     /// wait); `true` lets the loop re-check.
     fn park_quiescent(&mut self) -> bool;
 
-    /// Account a completed [`Work`] annotation (advances virtual time on
-    /// simulated backends; free on real silicon).
-    fn compute(&mut self, work: Work);
+    /// Account a completed [`Work`] annotation: advances virtual time on
+    /// simulated backends; free (the default) where real code runs on
+    /// real silicon.
+    fn compute(&mut self, _work: Work) {}
 
-    /// The behavior returned (with `error` if it failed): account
-    /// completion, trigger fail-fast shutdown, wake peers — whatever the
-    /// platform's termination protocol requires.
-    fn behavior_finished(&mut self, error: Option<EmberaError>);
-
-    /// Like [`Transport::behavior_finished`] with an error, but the
-    /// failure stays contained to this component
-    /// ([`Escalation::OneForOne`]): record it and account completion
-    /// *without* the fail-fast application shutdown. The default falls
-    /// back to the escalating path.
-    fn behavior_finished_contained(&mut self, error: EmberaError) {
-        self.behavior_finished(Some(error));
-    }
-
-    /// Messages (not bytes) currently queued across this component's
-    /// provided interfaces — the supervision layer's queue-depth gauge.
-    /// Backends without a cheap count may return 0.
-    fn queued_messages(&self) -> u64 {
-        0
-    }
+    /// The behavior returned for good (restarts exhausted or not
+    /// applicable): platform-side bookkeeping such as marking a
+    /// scheduler slot or sampling the task's CPU time. Errors and the
+    /// shutdown decision are the runtime's business, not the
+    /// transport's.
+    fn behavior_finished(&mut self) {}
 
     /// Best-effort pause of this execution flow for `ns` (restart
     /// backoff, injected message delays). Virtual-time backends advance
@@ -173,34 +197,22 @@ pub trait Transport {
 
     /// Messages currently queued on this component's provided interface
     /// `provided` — the per-inbox depth that queue-bound overload
-    /// policies enforce against. The default falls back to the
-    /// component-wide [`Transport::queued_messages`] count, which is
-    /// exact for single-inbox components.
-    fn inbox_depth(&self, _provided: &str) -> u64 {
-        self.queued_messages()
-    }
-
-    /// The component's execution flow is about to end (behavior done and
-    /// quiescent service finished).
-    fn on_exit(&mut self) {}
+    /// policies enforce against, and (summed over the data interfaces)
+    /// the supervision layer's queue-depth gauge.
+    fn inbox_depth(&self, provided: &str) -> u64;
 }
 
 /// The one per-component runtime shared by every backend: owns the
 /// observation machinery and the [`Ctx`] implementation, delegating all
 /// platform specifics to a [`Transport`].
 pub struct ComponentRuntime<T: Transport> {
-    name: String,
-    /// Data required interfaces the component *declared* — the line
-    /// between [`EmberaError::UnknownInterface`] and
-    /// [`EmberaError::Disconnected`] on unrouted sends.
-    required: Vec<String>,
     transport: T,
+    /// Also the component's name and declared interfaces.
     stats: Arc<ComponentStats>,
     engine: ObsEngine,
-    /// False disables observation recording and introspection service
-    /// (the overhead-ablation configuration).
-    observe: bool,
     trace: Option<Box<dyn TraceSink>>,
+    /// The application's termination accounting.
+    completion: Arc<Completion>,
     /// Supervision policy ([`crate::ComponentSpec::with_restart`]).
     restart: Option<RestartPolicy>,
     /// This component's slice of the application's fault-injection plan
@@ -212,26 +224,22 @@ pub struct ComponentRuntime<T: Transport> {
 }
 
 impl<T: Transport> ComponentRuntime<T> {
-    /// Runtime for one component. `required` is the component's declared
-    /// data required interfaces ([`crate::ComponentSpec::required`]);
-    /// `engine` answers introspection over the component's shared stats.
+    /// Runtime for the component whose shared stats `engine` answers
+    /// introspection over. Backends get theirs from the deploy skeleton
+    /// ([`Flow`]).
     pub fn new(
-        name: impl Into<String>,
-        required: Vec<String>,
         transport: T,
         engine: ObsEngine,
-        observe: bool,
         trace: Option<Box<dyn TraceSink>>,
+        completion: Arc<Completion>,
     ) -> Self {
         let stats = Arc::clone(engine.stats());
         ComponentRuntime {
-            name: name.into(),
-            required,
             transport,
             stats,
             engine,
-            observe,
             trace,
+            completion,
             restart: None,
             faults: None,
             overload: None,
@@ -240,31 +248,25 @@ impl<T: Transport> ComponentRuntime<T> {
 
     /// The component's name.
     pub fn name(&self) -> &str {
-        &self.name
+        self.stats.name()
     }
 
-    /// Attach the component's restart policy (backends thread
-    /// [`crate::ComponentSpec::restart`] through here at deployment).
+    /// Attach the component's restart policy
+    /// ([`crate::ComponentSpec::restart`]).
     pub fn set_restart_policy(&mut self, policy: Option<RestartPolicy>) {
         self.restart = policy;
     }
 
     /// Extract this component's slice of the application's
-    /// fault-injection plan (backends thread
-    /// [`crate::AppSpec::faults`](crate::AppSpec) through here).
+    /// fault-injection plan ([`crate::AppSpec::faults`](crate::AppSpec)).
     pub fn set_fault_plan(&mut self, plan: &FaultPlan) {
-        self.faults = plan.for_component(&self.name);
+        self.faults = plan.for_component(self.stats.name());
     }
 
-    /// Attach the component's overload policy (backends thread
-    /// [`crate::ComponentSpec::overload`] through here at deployment).
+    /// Attach the component's overload policy
+    /// ([`crate::ComponentSpec::overload`]).
     pub fn set_overload_policy(&mut self, policy: Option<OverloadPolicy>) {
         self.overload = policy;
-    }
-
-    /// The underlying transport.
-    pub fn transport(&self) -> &T {
-        &self.transport
     }
 
     fn emit(&self, ts_ns: u64, kind: TraceEventKind, a: u64, b: u64) {
@@ -289,9 +291,6 @@ impl<T: Transport> ComponentRuntime<T> {
     /// so an observer can query a component that is blocked in `recv` or
     /// long since finished.
     pub fn service_introspection(&mut self) {
-        if !self.observe || !self.transport.has_inbox(INTROSPECTION) {
-            return;
-        }
         while let Some(msg) = self.transport.poll_obs() {
             let Message::ObsRequest { from: _, request } = msg else {
                 continue; // stray traffic on the observation inbox
@@ -304,7 +303,7 @@ impl<T: Transport> ComponentRuntime<T> {
                 self.transport.push(
                     INTROSPECTION,
                     Message::ObsReply {
-                        from: self.name.clone(),
+                        from: self.name().to_string(),
                         reply: Box::new(reply),
                     },
                 );
@@ -317,8 +316,9 @@ impl<T: Transport> ComponentRuntime<T> {
 
     fn refresh_queued_gauge(&self) {
         self.stats.set_queued_bytes(self.transport.queued_bytes());
+        let depths = self.stats.provided().iter();
         self.stats
-            .set_queued_messages(self.transport.queued_messages());
+            .set_queued_messages(depths.map(|p| self.transport.inbox_depth(p)).sum());
     }
 
     /// Run the behavior under this runtime's [`Ctx`]: lifecycle marks,
@@ -336,7 +336,7 @@ impl<T: Transport> ComponentRuntime<T> {
         let result = match outcome {
             Ok(result) => result,
             Err(payload) => Err(EmberaError::BehaviorPanic {
-                component: self.name.clone(),
+                component: self.name().to_string(),
                 payload: panic_payload_string(payload.as_ref()),
             }),
         };
@@ -410,19 +410,23 @@ impl<T: Transport> ComponentRuntime<T> {
                 _ => break result,
             }
         };
-        match (result.err(), self.restart) {
-            // Budget exhausted under OneForOne: the failure is recorded
-            // but stays contained — no fail-fast application shutdown.
-            (Some(e), Some(policy))
-                if policy.escalation == Escalation::OneForOne
-                    && !matches!(e, EmberaError::Terminated) =>
-            {
-                self.transport.behavior_finished_contained(e);
-            }
-            (err, _) => self.transport.behavior_finished(err),
+        let error = result.err();
+        // Budget exhausted under OneForOne: the failure is recorded but
+        // stays contained — no fail-fast application shutdown.
+        let contained = matches!(
+            (&error, self.restart),
+            (Some(e), Some(policy)) if policy.escalation == Escalation::OneForOne
+                && !matches!(e, EmberaError::Terminated)
+        );
+        self.transport.behavior_finished();
+        let now = self.transport.now_ns();
+        if self
+            .completion
+            .component_finished(self.stats.name(), error, contained, now)
+        {
+            self.transport.request_shutdown();
         }
         self.serve_quiescent();
-        self.transport.on_exit();
     }
 
     /// Shared receive loop: service introspection, poll the inbox, honor
@@ -435,7 +439,7 @@ impl<T: Transport> ComponentRuntime<T> {
     ) -> Result<Option<Message>, EmberaError> {
         if !self.transport.has_inbox(provided) {
             return Err(EmberaError::UnknownInterface {
-                component: self.name.clone(),
+                component: self.name().to_string(),
                 interface: provided.to_string(),
             });
         }
@@ -494,7 +498,7 @@ impl<T: Transport> ComponentRuntime<T> {
                         }
                     }
                 }
-                if msg.is_data() && self.observe {
+                if msg.is_data() {
                     self.stats
                         .record_receive(provided, msg.data_len() as u64, cost);
                     self.stats.mark_progress();
@@ -536,7 +540,7 @@ impl<T: Transport> ComponentRuntime<T> {
                 }
                 return Ok(None);
             }
-            if self.observe && !parked {
+            if !parked {
                 parked = true;
                 self.stats.set_blocked(true);
             }
@@ -588,7 +592,7 @@ struct RuntimeCtx<'a, T: Transport> {
 
 impl<T: Transport> Ctx for RuntimeCtx<'_, T> {
     fn component(&self) -> &str {
-        &self.rt.name
+        self.rt.name()
     }
 
     fn send_message(&mut self, required: &str, msg: Message) -> Result<(), EmberaError> {
@@ -597,14 +601,15 @@ impl<T: Transport> Ctx for RuntimeCtx<'_, T> {
             if required == INTROSPECTION {
                 return Ok(()); // no observer attached: drop silently
             }
-            return Err(if rt.required.iter().any(|r| r == required) {
+            // Declared but unconnected, or never declared at all?
+            return Err(if rt.stats.required().iter().any(|r| r == required) {
                 EmberaError::Disconnected {
-                    component: rt.name.clone(),
+                    component: rt.name().to_string(),
                     interface: required.to_string(),
                 }
             } else {
                 EmberaError::UnknownInterface {
-                    component: rt.name.clone(),
+                    component: rt.name().to_string(),
                     interface: required.to_string(),
                 }
             });
@@ -655,7 +660,7 @@ impl<T: Transport> Ctx for RuntimeCtx<'_, T> {
         let t0 = rt.trace_now();
         rt.emit(t0, TraceEventKind::SendStart, bytes, 0);
         let cost = rt.transport.push(required, msg);
-        if is_data && rt.observe {
+        if is_data {
             rt.stats.record_send(required, bytes, cost);
             rt.stats.mark_progress();
         }
@@ -684,9 +689,7 @@ impl<T: Transport> Ctx for RuntimeCtx<'_, T> {
     fn compute(&mut self, work: Work) {
         let t0 = self.rt.trace_now();
         self.rt.transport.compute(work);
-        if self.rt.observe {
-            self.rt.stats.mark_progress();
-        }
+        self.rt.stats.mark_progress();
         let t1 = self.rt.trace_now();
         self.rt
             .emit(t1, TraceEventKind::Compute, work.ops, t1.saturating_sub(t0));
@@ -726,7 +729,6 @@ mod tests {
         route_to: HashMap<String, String>,
         clock: u64,
         shutdown: bool,
-        finished: Arc<parking_lot::Mutex<Option<Option<EmberaError>>>>,
     }
 
     impl Transport for Loopback {
@@ -735,6 +737,9 @@ mod tests {
         }
         fn is_shutdown(&self) -> bool {
             self.shutdown
+        }
+        fn request_shutdown(&mut self) {
+            self.shutdown = true;
         }
         fn has_route(&self, required: &str) -> bool {
             self.routes.iter().any(|r| r == required)
@@ -786,9 +791,6 @@ mod tests {
         fn compute(&mut self, work: Work) {
             self.clock += work.ops;
         }
-        fn behavior_finished(&mut self, error: Option<EmberaError>) {
-            *self.finished.lock() = Some(error);
-        }
     }
 
     fn runtime_with(transport: Loopback, required: &[&str]) -> ComponentRuntime<Loopback> {
@@ -798,14 +800,16 @@ mod tests {
             &declared,
             &required.iter().map(|s| s.to_string()).collect::<Vec<_>>(),
         ));
-        ComponentRuntime::new(
-            "c",
-            required.iter().map(|s| s.to_string()).collect(),
-            transport,
-            ObsEngine::new(stats),
-            true,
-            None,
-        )
+        ComponentRuntime::new(transport, ObsEngine::new(stats), None, Completion::new(1))
+    }
+
+    /// The error the application would report for component "c".
+    fn reported_error(completion: &Completion) -> Option<EmberaError> {
+        assert_eq!(completion.remaining(), 0, "completion was accounted");
+        completion.take_errors().pop().map(|(name, e)| {
+            assert_eq!(name, "c");
+            e
+        })
     }
 
     #[test]
@@ -881,30 +885,27 @@ mod tests {
     fn run_to_completion_reports_error_and_serves_quiescent() {
         let mut t = Loopback::default();
         t.inboxes.insert(INTROSPECTION.to_string(), VecDeque::new());
-        let finished = Arc::clone(&t.finished);
         let rt = runtime_with(t, &[]);
+        let completion = Arc::clone(&rt.completion);
         rt.run_to_completion(Box::new(behavior_fn(|_| {
             Err(EmberaError::Platform("boom".into()))
         })));
-        // The transport's termination hook saw the behavior's error, and
-        // the quiescent loop exited (Loopback's park_quiescent shuts the
-        // app down, or run_to_completion would never return).
-        let seen = finished.lock().take();
-        match seen {
-            Some(Some(EmberaError::Platform(msg))) => assert_eq!(msg, "boom"),
-            other => panic!("behavior_finished not called with error: {other:?}"),
+        // The termination accounting saw the behavior's error, and the
+        // quiescent loop exited (the escalating failure shut the app
+        // down, or run_to_completion would never return).
+        match reported_error(&completion) {
+            Some(EmberaError::Platform(msg)) => assert_eq!(msg, "boom"),
+            other => panic!("error not recorded: {other:?}"),
         }
     }
 
     #[test]
     fn panic_is_contained_and_attributed() {
-        let t = Loopback::default();
-        let finished = Arc::clone(&t.finished);
-        let rt = runtime_with(t, &[]);
+        let rt = runtime_with(Loopback::default(), &[]);
+        let completion = Arc::clone(&rt.completion);
         rt.run_to_completion(Box::new(behavior_fn(|_| panic!("kaboom"))));
-        let seen = finished.lock().take();
-        match seen {
-            Some(Some(EmberaError::BehaviorPanic { component, payload })) => {
+        match reported_error(&completion) {
+            Some(EmberaError::BehaviorPanic { component, payload }) => {
                 assert_eq!(component, "c");
                 assert!(payload.contains("kaboom"), "{payload}");
             }
@@ -914,14 +915,13 @@ mod tests {
 
     #[test]
     fn restart_policy_reruns_failed_behavior() {
-        let t = Loopback::default();
-        let finished = Arc::clone(&t.finished);
-        let mut rt = runtime_with(t, &[]);
+        let mut rt = runtime_with(Loopback::default(), &[]);
         rt.set_restart_policy(Some(RestartPolicy {
             max_restarts: 2,
             ..Default::default()
         }));
         let stats = Arc::clone(&rt.stats);
+        let completion = Arc::clone(&rt.completion);
         let mut attempts = 0u32;
         rt.run_to_completion(Box::new(behavior_fn(move |_ctx| {
             attempts += 1;
@@ -932,8 +932,8 @@ mod tests {
             }
         })));
         assert_eq!(
-            finished.lock().take(),
-            Some(None),
+            reported_error(&completion),
+            None,
             "second attempt succeeded, so the app sees no error"
         );
         assert_eq!(stats.restarts(), 1, "restarted exactly once");
@@ -945,23 +945,24 @@ mod tests {
 
     #[test]
     fn exhausted_one_for_one_budget_stays_contained() {
-        let t = Loopback::default();
-        let finished = Arc::clone(&t.finished);
-        let mut rt = runtime_with(t, &[]);
+        // Two application components, so this one finishing does not
+        // complete the application.
+        let mut rt = runtime_with(Loopback::default(), &[]);
+        rt.completion = Completion::new(2);
         rt.set_restart_policy(Some(RestartPolicy {
             max_restarts: 1,
             escalation: Escalation::OneForOne,
             ..Default::default()
         }));
         let stats = Arc::clone(&rt.stats);
+        let completion = Arc::clone(&rt.completion);
         rt.run_to_completion(Box::new(behavior_fn(|_| {
             Err(EmberaError::Platform("always".into()))
         })));
-        // Loopback has no contained override, so the default forwards to
-        // behavior_finished — the error is still recorded.
-        let seen = finished.lock().take();
-        match seen {
-            Some(Some(EmberaError::Platform(msg))) => assert_eq!(msg, "always"),
+        // The error is still recorded.
+        assert_eq!(completion.remaining(), 1);
+        match completion.take_errors().pop() {
+            Some((_, EmberaError::Platform(msg))) => assert_eq!(msg, "always"),
             other => panic!("{other:?}"),
         }
         assert_eq!(stats.restarts(), 1);
@@ -1006,9 +1007,9 @@ mod tests {
         let mut t = Loopback::default();
         t.routes.push("out".into());
         t.inboxes.insert("out".into(), VecDeque::new());
-        let finished = Arc::clone(&t.finished);
         let mut rt = runtime_with(t, &["out"]);
         rt.set_fault_plan(&FaultPlan::new().panic_on_iteration("c", 1));
+        let completion = Arc::clone(&rt.completion);
         rt.run_to_completion(Box::new(behavior_fn(|ctx| {
             for _ in 0..3 {
                 ctx.send("out", Bytes::from_static(b"m"))?;
@@ -1018,9 +1019,8 @@ mod tests {
             }
             Ok(())
         })));
-        let seen = finished.lock().take();
-        match seen {
-            Some(Some(EmberaError::BehaviorPanic { payload, .. })) => {
+        match reported_error(&completion) {
+            Some(EmberaError::BehaviorPanic { payload, .. }) => {
                 assert!(payload.contains("iteration 1"), "{payload}");
             }
             other => panic!("expected injected panic, got {other:?}"),

@@ -12,7 +12,9 @@
 //! tractable: the ROADMAP's "millions of users" shapes are bounded by
 //! heap stacks and queue slots, not OS thread limits.
 //!
-//! The backend contributes only scheduling and message movement. All
+//! The backend contributes only scheduling: a
+//! [`Parker`](embera::runtime::Parker) for the host transport it shares
+//! with `embera-smp` (same mailboxes, same send copy). All
 //! observation semantics — introspection service, statistics recording,
 //! the error contract, supervision (restarts, containment, watchdog,
 //! fault injection) — come verbatim from
@@ -23,10 +25,10 @@
 //!
 //! ## Scheduling model
 //!
-//! * N workers (default: available parallelism; override with
-//!   [`ExecConfig::workers`] or `EMBERA_EXEC_WORKERS`), each with a
-//!   local FIFO run deque plus one shared injector; idle workers steal
-//!   the older half of a victim's deque.
+//! * N workers (default: available parallelism; fix it with
+//!   [`ExecPlatform::with_workers`]), each with a local FIFO run deque
+//!   plus one shared injector; idle workers steal the older half of a
+//!   victim's deque.
 //! * Parking and waking follow a `QUEUED / RUNNING / NOTIFIED / PARKED /
 //!   FINISHED` state machine in which the *worker* completes the
 //!   `RUNNING → PARKED` transition only after the fiber's context is
@@ -49,13 +51,12 @@
 //! Use `embera-inproc` for byte-identical replay, `embera-exec` for
 //! scale.
 
-pub mod fiber;
 mod executor;
-mod mailbox;
+pub mod fiber;
+mod parker;
 pub mod platform;
-mod transport;
 
-pub use platform::{ExecConfig, ExecPlatform, ExecRunning};
+pub use platform::{resolve_workers, ExecPlatform, ExecRunning};
 
 #[cfg(test)]
 mod tests {

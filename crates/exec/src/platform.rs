@@ -1,237 +1,114 @@
 //! Deployment of EMBera applications onto the M:N executor.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
-use embera::observe::engine::ObsEngine;
-use embera::runtime::ComponentRuntime;
-use embera::{
-    is_observer_component, AppReport, AppSpec, ComponentStats, EmberaError, Platform, RunningApp,
-    INTROSPECTION,
+use embera::runtime::{
+    self, host_memory_bytes, Backend, Deployed, Fifo, Flow, HostTransport, Wiring,
 };
+use embera::{AppReport, AppSpec, ComponentSpec, EmberaError, Platform, RunningApp};
 
 use crate::executor::{worker_loop, ExecShared};
 use crate::fiber::Fiber;
-use crate::mailbox::ExecMailbox;
-use crate::transport::{ExecTransport, FinishState};
+use crate::parker::ExecParker;
 
-/// Configuration of the executor backend.
-#[derive(Debug, Clone)]
-pub struct ExecConfig {
-    /// Worker-pool size. `0` resolves to `EMBERA_EXEC_WORKERS` if set,
-    /// else the host's available parallelism.
-    pub workers: usize,
-    /// Accounted memory footprint of one provided-interface mailbox,
-    /// bytes — same paper constant as the thread backend so the Table 1
-    /// accounting is backend-independent.
-    pub iface_footprint_bytes: u64,
-    /// False disables all observation (ablation A1).
-    pub observe: bool,
-}
-
-impl Default for ExecConfig {
-    fn default() -> Self {
-        ExecConfig {
-            workers: 0,
-            iface_footprint_bytes: 1_229_000,
-            observe: true,
-        }
+/// The worker-pool size a request for `workers` resolves to: `0` means
+/// the host's available parallelism.
+pub fn resolve_workers(workers: usize) -> usize {
+    if workers > 0 {
+        return workers;
     }
-}
-
-impl ExecConfig {
-    /// Fixed worker-pool size.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
-    }
-
-    pub(crate) fn resolve_workers(&self) -> usize {
-        if self.workers > 0 {
-            return self.workers;
-        }
-        if let Ok(v) = std::env::var("EMBERA_EXEC_WORKERS") {
-            if let Ok(n) = v.parse::<usize>() {
-                if n > 0 {
-                    return n;
-                }
-            }
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    }
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
 }
 
 /// The M:N executor platform: components become fibers on a fixed
 /// work-stealing worker pool, so component count scales past OS thread
-/// limits (the 10k-component success bar of ROADMAP open item 1).
+/// limits (10 000+ components deploy and run).
 #[derive(Debug, Clone, Default)]
 pub struct ExecPlatform {
-    config: ExecConfig,
+    /// Requested pool size; see [`resolve_workers`].
+    workers: usize,
 }
 
 impl ExecPlatform {
-    /// Platform with default configuration (pool size ≈ cores).
+    /// Platform with a pool of one worker per available core.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Platform with explicit configuration.
-    pub fn with_config(config: ExecConfig) -> Self {
-        ExecPlatform { config }
-    }
-
-    /// Convenience: platform with a fixed worker-pool size.
+    /// Platform with a fixed worker-pool size.
     pub fn with_workers(workers: usize) -> Self {
-        ExecPlatform {
-            config: ExecConfig::default().with_workers(workers),
-        }
+        ExecPlatform { workers }
     }
 }
 
 /// A deployed executor application.
 pub struct ExecRunning {
-    app_name: String,
-    epoch: Instant,
+    deployed: Deployed,
     shared: Arc<ExecShared>,
     workers: Vec<JoinHandle<()>>,
-    engines: Vec<ObsEngine>,
-    app_component_count: usize,
-    finish: Arc<(Mutex<FinishState>, Condvar)>,
-    /// Resolved pool size, exposed for bench provenance.
-    pub worker_pool: usize,
+}
+
+/// One fiber per component, all running the unmodified shared runtime.
+struct FiberBackend {
+    shared: Arc<ExecShared>,
+    fibers: Vec<Mutex<Option<Fiber>>>,
+}
+
+impl Backend for FiberBackend {
+    type Endpoint = Fifo;
+
+    fn make_endpoint(
+        &mut self,
+        component: usize,
+        _spec: &ComponentSpec,
+        _iface: &str,
+    ) -> Result<Fifo, EmberaError> {
+        // Owned by the component's task id, so a push knows whom to wake.
+        Ok(Fifo::new(component))
+    }
+
+    fn memory_bytes(&self, spec: &ComponentSpec, has_observer: bool) -> u64 {
+        // Same paper formula as the thread backend, so reports agree.
+        host_memory_bytes(spec, has_observer)
+    }
+
+    fn spawn(&mut self, wiring: Wiring<Fifo>, flow: Flow) -> Result<(), EmberaError> {
+        let parker = ExecParker {
+            shared: Arc::clone(&self.shared),
+            task: wiring.index,
+            send_streak: 0,
+        };
+        let transport = HostTransport::new(wiring, parker);
+        self.fibers.push(Mutex::new(Some(Fiber::spawn(
+            flow.stack_bytes as usize,
+            move || flow.run(transport),
+        ))));
+        Ok(())
+    }
 }
 
 impl Platform for ExecPlatform {
     type Running = ExecRunning;
 
     fn deploy(&mut self, spec: AppSpec) -> Result<ExecRunning, EmberaError> {
-        let epoch = Instant::now();
-        let workers = self.config.resolve_workers();
-        let finish = Arc::new((
-            Mutex::new(FinishState {
-                finished: 0,
-                errors: Vec::new(),
-            }),
-            Condvar::new(),
-        ));
-
-        // 1. One task id per component, in spec order.
-        let task_ids: HashMap<String, usize> = spec
-            .components
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (c.name.clone(), i))
-            .collect();
+        let workers = resolve_workers(self.workers);
+        // One task id per component, in spec order.
         let names: Vec<String> = spec.components.iter().map(|c| c.name.clone()).collect();
-        let shared = Arc::new(ExecShared::new(workers, names, epoch));
-
-        // 2. Every provided-interface mailbox (data + introspection),
-        //    owned by its component's task id so a push knows whom to
-        //    wake.
-        let mut mailboxes: HashMap<(String, String), ExecMailbox> = HashMap::new();
-        for c in &spec.components {
-            let owner = task_ids[&c.name];
-            for iface in c.provided.iter().map(String::as_str).chain([INTROSPECTION]) {
-                mailboxes.insert((c.name.clone(), iface.to_string()), ExecMailbox::new(owner));
-            }
-        }
-
-        // 3. Resolve required-interface routes.
-        let mut routes_by_component: HashMap<String, HashMap<String, ExecMailbox>> =
-            HashMap::new();
-        for conn in &spec.connections {
-            let target = mailboxes
-                .get(&(conn.to.component.clone(), conn.to.interface.clone()))
-                .ok_or_else(|| {
-                    EmberaError::Validation(format!(
-                        "connection target {}::{} has no mailbox",
-                        conn.to.component, conn.to.interface
-                    ))
-                })?
-                .clone();
-            routes_by_component
-                .entry(conn.from.component.clone())
-                .or_default()
-                .insert(conn.from.interface.clone(), target);
-        }
-
-        // 4. One fiber per component running the unmodified shared
-        //    runtime (behavior + restarts + quiescent introspection
-        //    service).
-        let trace = spec.trace.clone();
-        let faults = spec.faults.clone();
-        let mut fibers: Vec<Mutex<Option<Fiber>>> = Vec::with_capacity(spec.components.len());
-        let mut all_engines = Vec::new();
-        let app_component_count = spec
-            .components
-            .iter()
-            .filter(|c| !is_observer_component(&c.name))
-            .count();
-        for c in spec.components {
-            let task = task_ids[&c.name];
-            let stats = Arc::new(ComponentStats::new(&c.name, &c.provided, &c.required));
-            // Paper memory formula, identical to the thread backend so
-            // reports agree across backends.
-            let provided_ifaces =
-                c.provided.len() as u64 + if spec.has_observer { 1 } else { 0 };
-            stats.set_memory_bytes(
-                c.stack_bytes + provided_ifaces * self.config.iface_footprint_bytes,
-            );
-            let engine = ObsEngine::with_metrics(Arc::clone(&stats), c.metrics.clone());
-            all_engines.push(engine.clone());
-
-            let provided: HashMap<String, ExecMailbox> = c
-                .provided
-                .iter()
-                .map(String::as_str)
-                .chain([INTROSPECTION])
-                .map(|iface| {
-                    (
-                        iface.to_string(),
-                        mailboxes[&(c.name.clone(), iface.to_string())].clone(),
-                    )
-                })
-                .collect();
-            let routes = routes_by_component.remove(&c.name).unwrap_or_default();
-
-            let transport = ExecTransport::new(
-                c.name.clone(),
-                task,
-                Arc::clone(&shared),
-                provided,
-                routes,
-                Arc::clone(&finish),
-                !is_observer_component(&c.name),
-                spec.pool.clone(),
-            );
-            let mut runtime = ComponentRuntime::new(
-                c.name.clone(),
-                c.required.clone(),
-                transport,
-                engine,
-                self.config.observe,
-                trace.as_ref().map(|t| t.sink_for(&c.name)),
-            );
-            runtime.set_restart_policy(c.restart);
-            runtime.set_overload_policy(c.overload);
-            if let Some(plan) = &faults {
-                runtime.set_fault_plan(plan);
-            }
-            let behavior = c.behavior;
-            fibers.push(Mutex::new(Some(Fiber::spawn(
-                c.stack_bytes as usize,
-                move || runtime.run_to_completion(behavior),
-            ))));
-        }
+        let mut backend = FiberBackend {
+            fibers: Vec::with_capacity(names.len()),
+            shared: Arc::new(ExecShared::new(workers, names, Instant::now())),
+        };
+        let deployed = runtime::deploy(&mut backend, spec)?;
+        let FiberBackend { shared, fibers } = backend;
         let fibers = Arc::new(fibers);
 
-        // 5. Seed the run queues, then start the fixed worker pool.
+        // Seed the run queues, then start the fixed worker pool.
         shared.seed_queues();
         let mut handles = Vec::with_capacity(workers);
         for wid in 0..workers {
@@ -241,56 +118,29 @@ impl Platform for ExecPlatform {
                 std::thread::Builder::new()
                     .name(format!("embera-exec:w{wid}"))
                     .spawn(move || worker_loop(shared, fibers, wid))
-                    .map_err(|e| {
-                        EmberaError::Platform(format!("worker spawn failed: {e}"))
-                    })?,
+                    .map_err(|e| EmberaError::Platform(format!("worker spawn failed: {e}")))?,
             );
         }
-
         Ok(ExecRunning {
-            app_name: spec.name,
-            epoch,
+            deployed,
             shared,
             workers: handles,
-            engines: all_engines,
-            app_component_count,
-            finish,
-            worker_pool: workers,
         })
     }
 }
 
 impl RunningApp for ExecRunning {
     fn wait(self) -> Result<AppReport, EmberaError> {
-        // Wait for every application component's behavior to finish.
-        {
-            let (lock, cvar) = &*self.finish;
-            let mut st = lock.lock();
-            while st.finished < self.app_component_count {
-                cvar.wait(&mut st);
-            }
-        }
-        // Stamp the wall clock before tearing down the observer and the
-        // introspection service loops (harness shutdown is not app time).
-        let wall_time_ns = self.epoch.elapsed().as_nanos() as u64;
+        let wall_time_ns = self
+            .deployed
+            .completion()
+            .wait_app_done()
+            .unwrap_or_else(|| self.shared.now_ns());
         self.shared.signal_shutdown();
         for h in self.workers {
             h.join()
                 .map_err(|_| EmberaError::Platform("executor worker panicked".into()))?;
         }
-        let errors = {
-            let (lock, _) = &*self.finish;
-            std::mem::take(&mut lock.lock().errors)
-        };
-        embera::supervise::fault_result(errors)?;
-        Ok(AppReport {
-            app_name: self.app_name,
-            wall_time_ns,
-            components: self
-                .engines
-                .iter()
-                .map(|e| e.full_report(wall_time_ns))
-                .collect(),
-        })
+        self.deployed.report(wall_time_ns)
     }
 }

@@ -47,4 +47,4 @@
 pub mod platform;
 mod transport;
 
-pub use platform::{InprocConfig, InprocPlatform, InprocRunning};
+pub use platform::{InprocPlatform, InprocRunning};

@@ -5,211 +5,121 @@ use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use embera::observe::engine::ObsEngine;
-use embera::runtime::ComponentRuntime;
+use embera::runtime::{self, Backend, Deployed, Flow, Wiring};
 use embera::{
-    is_observer_component, AppReport, AppSpec, ComponentStats, EmberaError, Platform, RunningApp,
+    is_observer_component, AppReport, AppSpec, ComponentSpec, EmberaError, Platform, RunningApp,
     INTROSPECTION,
 };
 
-use crate::transport::{start_component, InprocTransport, Queue, Servicer, Shared, Slot};
-
-/// Configuration of the in-process backend.
-#[derive(Debug, Clone)]
-pub struct InprocConfig {
-    /// False disables all observation (recording + introspection
-    /// service), mirroring the other backends' ablation switch.
-    pub observe: bool,
-}
-
-impl Default for InprocConfig {
-    fn default() -> Self {
-        InprocConfig { observe: true }
-    }
-}
+use crate::transport::{start_component, InprocTransport, Queue, Servicer, Shared};
 
 /// The in-process deterministic platform (see the crate docs for the
 /// scheduling model and its limitations).
 #[derive(Debug, Clone, Default)]
-pub struct InprocPlatform {
-    config: InprocConfig,
-}
+pub struct InprocPlatform;
 
 impl InprocPlatform {
-    /// Platform with default configuration.
+    /// The platform.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Platform with explicit configuration.
-    pub fn with_config(config: InprocConfig) -> Self {
-        InprocPlatform { config }
+        InprocPlatform
     }
 }
 
 /// A deployed in-process application. Nothing has executed yet:
 /// components run inside [`RunningApp::wait`] on the calling thread.
 pub struct InprocRunning {
-    app_name: String,
+    deployed: Deployed,
     shared: Rc<Shared>,
-    engines: Vec<ObsEngine>,
+}
+
+/// One scheduler slot and one introspection servicer per component,
+/// over shared `VecDeque` queues.
+struct SlotBackend {
+    shared: Rc<Shared>,
+}
+
+impl Backend for SlotBackend {
+    type Endpoint = Queue;
+
+    fn make_endpoint(
+        &mut self,
+        _component: usize,
+        _spec: &ComponentSpec,
+        _iface: &str,
+    ) -> Result<Queue, EmberaError> {
+        Ok(Queue::default())
+    }
+
+    fn memory_bytes(&self, spec: &ComponentSpec, _has_observer: bool) -> u64 {
+        // No threads, no mailbox structures: accounted memory is the
+        // declared stack reservation alone.
+        spec.stack_bytes
+    }
+
+    fn spawn(&mut self, wiring: Wiring<Queue>, flow: Flow) -> Result<(), EmberaError> {
+        let inbox = wiring.provided[INTROSPECTION].clone();
+        // Only the main flow accounts CPU time into the shared stats
+        // (the servicer would otherwise clobber it with its own).
+        let transport = |account_cpu, wiring| InprocTransport {
+            account_cpu,
+            wiring,
+            cpu_ns: 0,
+            shared: Rc::clone(&self.shared),
+            completion: Arc::clone(flow.completion()),
+        };
+        let side = transport(false, wiring.clone());
+        self.shared.servicers.borrow_mut().push(Servicer {
+            inbox,
+            runtime: RefCell::new(flow.servicer(side)),
+        });
+        let main = transport(true, wiring);
+        let (runtime, behavior) = flow.into_runtime(main);
+        self.shared
+            .slots
+            .borrow_mut()
+            .push(Some((Box::new(runtime), behavior)));
+        Ok(())
+    }
 }
 
 impl Platform for InprocPlatform {
     type Running = InprocRunning;
 
     fn deploy(&mut self, spec: AppSpec) -> Result<InprocRunning, EmberaError> {
-        // 1. One queue per provided interface (data + introspection).
-        let mut queues: HashMap<(String, String), Queue> = HashMap::new();
-        for c in &spec.components {
-            for iface in c.provided.iter().map(String::as_str).chain([INTROSPECTION]) {
-                queues.insert((c.name.clone(), iface.to_string()), Queue::default());
-            }
-        }
-
-        // 2. Resolve required-interface routes, and record who feeds
-        //    which inbox for the demand-driven scheduler.
-        let index_of: HashMap<&str, usize> = spec
-            .components
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (c.name.as_str(), i))
-            .collect();
-        let mut routes_by_component: HashMap<String, HashMap<String, Queue>> = HashMap::new();
+        // Record who feeds which inbox for the demand-driven scheduler.
         let mut producers: HashMap<(String, String), Vec<usize>> = HashMap::new();
         for conn in &spec.connections {
-            let target = queues
-                .get(&(conn.to.component.clone(), conn.to.interface.clone()))
-                .ok_or_else(|| {
-                    EmberaError::Validation(format!(
-                        "connection target {}::{} has no queue",
-                        conn.to.component, conn.to.interface
-                    ))
-                })?
-                .clone();
-            routes_by_component
-                .entry(conn.from.component.clone())
-                .or_default()
-                .insert(conn.from.interface.clone(), target);
-            if let Some(&from_idx) = index_of.get(conn.from.component.as_str()) {
+            if let Some(from_idx) = spec.component_index(&conn.from.component) {
                 producers
                     .entry((conn.to.component.clone(), conn.to.interface.clone()))
                     .or_default()
                     .push(from_idx);
             }
         }
-
         let observers: Vec<bool> = spec
             .components
             .iter()
             .map(|c| is_observer_component(&c.name))
             .collect();
-        let remaining = observers.iter().filter(|o| !**o).count();
         let shared = Rc::new(Shared {
             clock: Cell::new(0),
-            // With no application components there is nothing to wait
-            // for — start already shut down so an observer exits at once.
-            shutdown: Cell::new(remaining == 0),
-            remaining: Cell::new(remaining),
-            app_done_ns: Cell::new(None),
-            errors: RefCell::new(Vec::new()),
+            shutdown: Cell::new(false),
             // Pre-size from the component count: every component pushes
             // one slot and one servicer during deployment, so the
             // scheduler tables never reallocate mid-run.
             slots: RefCell::new(Vec::with_capacity(observers.len())),
             servicers: RefCell::new(Vec::with_capacity(observers.len())),
             producers,
-            observers: observers.clone(),
-            observe: self.config.observe,
+            observers,
         });
-
-        // 3. Build each component's runtime (and its introspection
-        //    servicer) over clones of the shared queues.
-        let trace = spec.trace.clone();
-        let faults = spec.faults.clone();
-        let mut engines = Vec::new();
-        for (idx, c) in spec.components.into_iter().enumerate() {
-            let stats = Arc::new(ComponentStats::new(&c.name, &c.provided, &c.required));
-            // No threads, no mailbox structures: accounted memory is the
-            // declared stack reservation alone.
-            stats.set_memory_bytes(c.stack_bytes);
-            let engine = ObsEngine::with_metrics(Arc::clone(&stats), c.metrics.clone());
-            engines.push(engine.clone());
-
-            let provided: HashMap<String, Queue> = c
-                .provided
-                .iter()
-                .map(String::as_str)
-                .chain([INTROSPECTION])
-                .map(|iface| {
-                    (
-                        iface.to_string(),
-                        queues[&(c.name.clone(), iface.to_string())].clone(),
-                    )
-                })
-                .collect();
-            let routes = routes_by_component.remove(&c.name).unwrap_or_default();
-            let inbox = provided[INTROSPECTION].clone();
-            let is_observer = observers[idx];
-
-            let main = InprocTransport {
-                idx,
-                name: c.name.clone(),
-                is_observer,
-                account_cpu: true,
-                provided: provided.clone(),
-                routes: routes.clone(),
-                stats: Arc::clone(&stats),
-                cpu_ns: 0,
-                shared: Rc::clone(&shared),
-            };
-            let mut runtime = ComponentRuntime::new(
-                c.name.clone(),
-                c.required.clone(),
-                main,
-                engine.clone(),
-                self.config.observe,
-                trace.as_ref().map(|t| t.sink_for(&c.name)),
-            );
-            runtime.set_restart_policy(c.restart);
-            runtime.set_overload_policy(c.overload);
-            if let Some(plan) = &faults {
-                runtime.set_fault_plan(plan);
-            }
-            shared.slots.borrow_mut().push(Slot::Unstarted {
-                runtime: Box::new(runtime),
-                behavior: c.behavior,
-            });
-
-            let side = InprocTransport {
-                idx,
-                name: c.name.clone(),
-                is_observer,
-                account_cpu: false,
-                provided,
-                routes,
-                stats,
-                cpu_ns: 0,
-                shared: Rc::clone(&shared),
-            };
-            shared.servicers.borrow_mut().push(Servicer {
-                inbox,
-                runtime: RefCell::new(ComponentRuntime::new(
-                    c.name,
-                    c.required,
-                    side,
-                    engine,
-                    self.config.observe,
-                    None,
-                )),
-            });
-        }
-
-        Ok(InprocRunning {
-            app_name: spec.name,
-            shared,
-            engines,
-        })
+        let mut backend = SlotBackend {
+            shared: Rc::clone(&shared),
+        };
+        let deployed = runtime::deploy(&mut backend, spec)?;
+        // With no application components there is nothing to wait for —
+        // start already shut down so an observer exits at once.
+        shared.shutdown.set(deployed.completion().remaining() == 0);
+        Ok(InprocRunning { deployed, shared })
     }
 }
 
@@ -218,38 +128,24 @@ impl RunningApp for InprocRunning {
         // Start components in deployment order; each nested park may
         // have started later ones already, so re-scan after every run.
         loop {
-            let next = {
-                let slots = self.shared.slots.borrow();
-                (0..slots.len()).find(|&i| matches!(slots[i], Slot::Unstarted { .. }))
-            };
+            let next = self.shared.slots.borrow().iter().position(Option::is_some);
             match next {
                 Some(i) => start_component(&self.shared, i),
                 None => break,
             }
         }
+        // Every behavior has returned, so this does not block.
         let wall_time_ns = self
-            .shared
-            .app_done_ns
-            .get()
+            .deployed
+            .completion()
+            .wait_app_done()
             .unwrap_or_else(|| self.shared.clock.get());
         self.shared.shutdown.set(true);
         // Slots and servicers hold transports that hold `shared` — clear
         // them to break the Rc cycles before dropping.
         self.shared.slots.borrow_mut().clear();
         self.shared.servicers.borrow_mut().clear();
-        let errors = std::mem::take(&mut *self.shared.errors.borrow_mut());
-        // Aggregate every originating failure (peers' secondary
-        // `Terminated` from the fail-fast drain rank last).
-        embera::supervise::fault_result(errors)?;
-        Ok(AppReport {
-            app_name: self.app_name,
-            wall_time_ns,
-            components: self
-                .engines
-                .iter()
-                .map(|e| e.full_report(wall_time_ns))
-                .collect(),
-        })
+        self.deployed.report(wall_time_ns)
     }
 }
 
@@ -258,7 +154,7 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use embera::behavior::behavior_fn;
-    use embera::{AppBuilder, ComponentSpec};
+    use embera::AppBuilder;
 
     fn pipe_app() -> AppSpec {
         let mut app = AppBuilder::new("pipe");
@@ -293,7 +189,11 @@ mod tests {
 
     #[test]
     fn pipeline_delivers_all_messages_in_order() {
-        let report = InprocPlatform::new().deploy(pipe_app()).unwrap().wait().unwrap();
+        let report = InprocPlatform::new()
+            .deploy(pipe_app())
+            .unwrap()
+            .wait()
+            .unwrap();
         assert_eq!(report.component("src").unwrap().app.total_sends, 100);
         assert_eq!(report.component("dst").unwrap().app.total_receives, 100);
     }
@@ -326,7 +226,11 @@ mod tests {
     #[test]
     fn runs_are_deterministic() {
         let run = || {
-            let r = InprocPlatform::new().deploy(pipe_app()).unwrap().wait().unwrap();
+            let r = InprocPlatform::new()
+                .deploy(pipe_app())
+                .unwrap()
+                .wait()
+                .unwrap();
             (
                 r.wall_time_ns,
                 r.total_sends(),
@@ -348,22 +252,26 @@ mod tests {
             .unwrap()
             .wait()
             .unwrap_err();
-        let EmberaError::Platform(msg) = err else { panic!() };
+        let EmberaError::Platform(msg) = err else {
+            panic!()
+        };
         assert!(msg.contains("deadlock") && msg.contains("alone"), "{msg}");
     }
 
     #[test]
     fn timed_recv_jumps_the_clock() {
         let mut app = AppBuilder::new("timer");
-        app.add(ComponentSpec::new(
-            "t",
-            behavior_fn(|ctx| {
-                assert!(ctx.recv_timeout("in", 5_000)?.is_none());
-                assert!(ctx.now_ns() >= 5_000);
-                Ok(())
-            }),
-        )
-        .with_provided("in"));
+        app.add(
+            ComponentSpec::new(
+                "t",
+                behavior_fn(|ctx| {
+                    assert!(ctx.recv_timeout("in", 5_000)?.is_none());
+                    assert!(ctx.now_ns() >= 5_000);
+                    Ok(())
+                }),
+            )
+            .with_provided("in"),
+        );
         InprocPlatform::new()
             .deploy(app.build().unwrap())
             .unwrap()

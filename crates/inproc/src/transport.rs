@@ -11,8 +11,8 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use embera::behavior::Behavior;
-use embera::runtime::{ComponentRuntime, Transport};
-use embera::{ComponentStats, EmberaError, Message, Work, INTROSPECTION};
+use embera::runtime::{Completion, ComponentRuntime, Transport, Wiring};
+use embera::{EmberaError, Message, Work, INTROSPECTION};
 
 /// Deterministic cost model: a send is a queue push plus an envelope
 /// hand-over, a receive is a pop; both scale mildly with payload size.
@@ -24,19 +24,10 @@ pub(crate) const RECV_BASE_NS: u64 = 100;
 /// One component's provided-interface queue.
 pub(crate) type Queue = Rc<RefCell<VecDeque<Message>>>;
 
-/// Execution state of one deployed component.
-pub(crate) enum Slot {
-    /// Not started: holds everything needed to run it (boxed so the
-    /// `Running`/`Finished` markers stay word-sized).
-    Unstarted {
-        runtime: Box<ComponentRuntime<InprocTransport>>,
-        behavior: Box<dyn Behavior>,
-    },
-    /// Behavior currently on the stack (possibly parked in `recv`).
-    Running,
-    /// Behavior returned.
-    Finished,
-}
+/// A deployed component that has not started yet: everything needed to
+/// run it. `None` once its behavior is on the stack (possibly parked in
+/// `recv`) or has returned.
+pub(crate) type Slot = Option<(Box<ComponentRuntime<InprocTransport>>, Box<dyn Behavior>)>;
 
 /// A per-component introspection servicer: a second [`ComponentRuntime`]
 /// over the same queues, engine and stats, used by the scheduler to
@@ -56,13 +47,6 @@ pub(crate) struct Shared {
     /// timed-receive deadline jumps — never by wall time.
     pub(crate) clock: Cell<u64>,
     pub(crate) shutdown: Cell<bool>,
-    /// Non-observer components whose behavior has not finished.
-    pub(crate) remaining: Cell<usize>,
-    /// Clock value when the last application component finished (the
-    /// report's wall time, excluding harness teardown — same convention
-    /// as the SMP backend).
-    pub(crate) app_done_ns: Cell<Option<u64>>,
-    pub(crate) errors: RefCell<Vec<(String, EmberaError)>>,
     /// One slot per component, in deployment order. Populated after
     /// `Rc::new(Shared)` because slots hold transports that hold this.
     pub(crate) slots: RefCell<Vec<Slot>>,
@@ -76,21 +60,13 @@ pub(crate) struct Shared {
     /// a parked component waits on an interface they feed — that is
     /// what pulls the observer tree through on this backend.
     pub(crate) observers: Vec<bool>,
-    pub(crate) observe: bool,
 }
 
 /// Run an unstarted component to completion on the current stack.
-/// No-op if it already started. On return the slot is `Finished`.
+/// No-op if it already started.
 pub(crate) fn start_component(shared: &Rc<Shared>, idx: usize) {
-    let taken = {
-        let mut slots = shared.slots.borrow_mut();
-        if !matches!(slots[idx], Slot::Unstarted { .. }) {
-            return;
-        }
-        std::mem::replace(&mut slots[idx], Slot::Running)
-    };
-    let Slot::Unstarted { runtime, behavior } = taken else {
-        unreachable!("checked Unstarted under the borrow above")
+    let Some((runtime, behavior)) = shared.slots.borrow_mut()[idx].take() else {
+        return;
     };
     // Depth-first: control returns only once this component's behavior
     // has finished (its own parks recurse into the scheduler).
@@ -104,26 +80,19 @@ fn next_unstarted_producer(shared: &Shared, consumer: &str, provided: &str) -> O
         .producers
         .get(&(consumer.to_string(), provided.to_string()))?;
     let slots = shared.slots.borrow();
-    producers
-        .iter()
-        .copied()
-        .find(|&i| matches!(slots[i], Slot::Unstarted { .. }))
+    producers.iter().copied().find(|&i| slots[i].is_some())
 }
 
 /// First not-yet-started application (non-observer) component.
 fn next_unstarted_app_component(shared: &Shared) -> Option<usize> {
     let slots = shared.slots.borrow();
-    (0..slots.len())
-        .find(|&i| !shared.observers[i] && matches!(slots[i], Slot::Unstarted { .. }))
+    (0..slots.len()).find(|&i| !shared.observers[i] && slots[i].is_some())
 }
 
 /// Answer every pending introspection request in the application via
 /// the per-component servicers. Returns true if any request was
 /// answered (progress a parked component may be waiting on).
 fn pump_introspection(shared: &Shared) -> bool {
-    if !shared.observe {
-        return false;
-    }
     let mut progressed = false;
     for s in shared.servicers.borrow().iter() {
         let pending = !s.inbox.borrow().is_empty();
@@ -136,20 +105,15 @@ fn pump_introspection(shared: &Shared) -> bool {
 }
 
 pub(crate) struct InprocTransport {
-    /// This component's slot index.
-    pub(crate) idx: usize,
-    pub(crate) name: String,
-    pub(crate) is_observer: bool,
     /// True on the component's main runtime, false on its introspection
-    /// servicer — only the main flow accounts CPU time into the shared
-    /// stats (the servicer would otherwise clobber it with its own).
+    /// servicer: whether `charge` accounts CPU time into the stats.
     pub(crate) account_cpu: bool,
-    pub(crate) provided: HashMap<String, Queue>,
-    pub(crate) routes: HashMap<String, Queue>,
-    pub(crate) stats: Arc<ComponentStats>,
+    pub(crate) wiring: Wiring<Queue>,
     /// Logical ns this component's own operations have consumed.
     pub(crate) cpu_ns: u64,
     pub(crate) shared: Rc<Shared>,
+    /// Where a diagnosed deadlock is reported.
+    pub(crate) completion: Arc<Completion>,
 }
 
 impl InprocTransport {
@@ -157,7 +121,7 @@ impl InprocTransport {
         self.shared.clock.set(self.shared.clock.get() + ns);
         self.cpu_ns += ns;
         if self.account_cpu {
-            self.stats.set_cpu_time_ns(self.cpu_ns);
+            self.wiring.stats.set_cpu_time_ns(self.cpu_ns);
         }
     }
 }
@@ -171,23 +135,32 @@ impl Transport for InprocTransport {
         self.shared.shutdown.get()
     }
 
+    fn request_shutdown(&mut self) {
+        self.shared.shutdown.set(true);
+    }
+
     fn has_route(&self, required: &str) -> bool {
-        self.routes.contains_key(required)
+        self.wiring.routes.contains_key(required)
     }
 
     fn has_inbox(&self, provided: &str) -> bool {
-        self.provided.contains_key(provided)
+        self.wiring.provided.contains_key(provided)
     }
 
     fn push(&mut self, required: &str, msg: Message) -> u64 {
         let ns = SEND_BASE_NS + msg.data_len() as u64 / 8;
         self.charge(ns);
-        self.routes[required].borrow_mut().push_back(msg);
+        self.wiring.routes[required].borrow_mut().push_back(msg);
         ns
     }
 
     fn try_pop(&mut self, provided: &str) -> Option<(Message, u64)> {
-        let msg = self.provided.get(provided)?.borrow_mut().pop_front()?;
+        let msg = self
+            .wiring
+            .provided
+            .get(provided)?
+            .borrow_mut()
+            .pop_front()?;
         // Introspection requests are drained by the runtime's observation
         // service, not the application — uncharged, as on the MPSoC
         // backend.
@@ -202,7 +175,8 @@ impl Transport for InprocTransport {
     }
 
     fn queued_bytes(&self) -> u64 {
-        self.provided
+        self.wiring
+            .provided
             .values()
             .map(|q| q.borrow().iter().map(|m| m.data_len() as u64).sum::<u64>())
             .sum()
@@ -211,7 +185,7 @@ impl Transport for InprocTransport {
     fn park_recv(&mut self, provided: &str, deadline_ns: Option<u64>) {
         // 1. Demand-start: run a not-yet-started producer of the parked
         //    interface to completion.
-        if let Some(p) = next_unstarted_producer(&self.shared, &self.name, provided) {
+        if let Some(p) = next_unstarted_producer(&self.shared, self.wiring.stats.name(), provided) {
             start_component(&self.shared, p);
             return;
         }
@@ -231,15 +205,15 @@ impl Transport for InprocTransport {
         match deadline_ns {
             Some(d) => self.shared.clock.set(self.shared.clock.get().max(d)),
             None => {
-                self.shared.errors.borrow_mut().push((
-                    self.name.clone(),
+                let name = self.wiring.stats.name();
+                self.completion.fail(
+                    name,
                     EmberaError::Platform(format!(
-                        "deadlock: component '{}' blocked in recv on '{}' with no \
-                         runnable producer (on embera-inproc, deploy a component \
-                         that blocks for a response before the component it queries)",
-                        self.name, provided
+                        "deadlock: component '{name}' blocked in recv on '{provided}' with \
+                         no runnable producer (on embera-inproc, deploy a component \
+                         that blocks for a response before the component it queries)"
                     )),
-                ));
+                );
                 self.shared.shutdown.set(true);
             }
         }
@@ -261,54 +235,6 @@ impl Transport for InprocTransport {
         }
     }
 
-    fn behavior_finished(&mut self, error: Option<EmberaError>) {
-        self.shared.slots.borrow_mut()[self.idx] = Slot::Finished;
-        let failed = error.is_some();
-        if let Some(e) = error {
-            self.shared.errors.borrow_mut().push((self.name.clone(), e));
-        }
-        if !self.is_observer {
-            let left = self.shared.remaining.get() - 1;
-            self.shared.remaining.set(left);
-            if left == 0 {
-                self.shared.app_done_ns.set(Some(self.shared.clock.get()));
-            }
-            if left == 0 || failed {
-                // Fail fast, like the other backends: peers blocked in
-                // recv drain out with `Terminated`.
-                self.shared.shutdown.set(true);
-            }
-        } else if failed {
-            self.shared.shutdown.set(true);
-        }
-    }
-
-    fn behavior_finished_contained(&mut self, error: EmberaError) {
-        // OneForOne containment: record the failure and account the
-        // completion, but skip the fail-fast shutdown so peers run on.
-        self.shared.slots.borrow_mut()[self.idx] = Slot::Finished;
-        self.shared
-            .errors
-            .borrow_mut()
-            .push((self.name.clone(), error));
-        if !self.is_observer {
-            let left = self.shared.remaining.get() - 1;
-            self.shared.remaining.set(left);
-            if left == 0 {
-                self.shared.app_done_ns.set(Some(self.shared.clock.get()));
-                self.shared.shutdown.set(true);
-            }
-        }
-    }
-
-    fn queued_messages(&self) -> u64 {
-        self.provided
-            .iter()
-            .filter(|(iface, _)| iface.as_str() != INTROSPECTION)
-            .map(|(_, q)| q.borrow().len() as u64)
-            .sum()
-    }
-
     fn delay(&mut self, ns: u64) {
         // Pure latency: the logical clock advances, CPU accounting does
         // not (the component is waiting, not working).
@@ -316,14 +242,15 @@ impl Transport for InprocTransport {
     }
 
     fn inbox_depth(&self, provided: &str) -> u64 {
-        self.provided
+        self.wiring
+            .provided
             .get(provided)
             .map(|q| q.borrow().len() as u64)
             .unwrap_or(0)
     }
 
     fn drain_inboxes(&mut self) {
-        for (iface, q) in &self.provided {
+        for (iface, q) in &self.wiring.provided {
             if iface != INTROSPECTION {
                 q.borrow_mut().clear();
             }

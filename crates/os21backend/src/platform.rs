@@ -1,55 +1,38 @@
 //! Deployment of EMBera applications onto the simulated STi7200.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use sim_kernel::{Kernel, KernelConfig, KernelStats};
 
-use embera::observe::engine::ObsEngine;
-use embera::runtime::ComponentRuntime;
-use embera::{
-    is_observer_component, AppReport, AppSpec, ComponentStats, EmberaError, Placement, Platform,
-    RunningApp, INTROSPECTION,
-};
+use embera::runtime::{self, Backend, Deployed, Flow, Wiring};
+use embera::{AppReport, AppSpec, ComponentSpec, EmberaError, Placement, Platform, RunningApp};
 use embx::{EmbxCostConfig, Transport};
 use mpsoc_sim::{CpuId, Machine};
 use os21::Rtos;
 
 use crate::transport::{AppShared, Endpoint, Os21Transport};
 
+/// Accounted per-task memory, bytes — the paper's "60 kB for the task
+/// data and component structure" (Table 3 discussion).
+const TASK_DATA_BYTES: u64 = 60_000;
+
+/// Accounted bytes per distributed object — the paper's "25 kB for one
+/// distributed object".
+const OBJECT_ACCOUNTED_BYTES: u64 = 25_000;
+
 /// Configuration of the MPSoC backend.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Os21Config {
     /// EMBX cost parameters.
     pub embx: EmbxCostConfig,
-    /// Accounted per-task memory, bytes — the paper's "60 kB for the
-    /// task data and component structure" (Table 3 discussion).
-    pub task_data_bytes: u64,
-    /// Accounted bytes per distributed object — the paper's "25 kB for
-    /// one distributed object".
-    pub object_accounted_bytes: u64,
-    /// False disables observation recording and introspection service.
-    pub observe: bool,
     /// Simulation-kernel configuration. The default is the sequential
     /// kernel; `KernelConfig::default().shards(n)` partitions the
     /// simulated processes across `n` event queues (tasks are pinned to
     /// the shard of their CPU), with the schedule guaranteed identical
     /// to the sequential one for any shard count.
     pub kernel: KernelConfig,
-}
-
-impl Default for Os21Config {
-    fn default() -> Self {
-        Os21Config {
-            embx: EmbxCostConfig::default(),
-            task_data_bytes: 60_000,
-            object_accounted_bytes: 25_000,
-            observe: true,
-            kernel: KernelConfig::default(),
-        }
-    }
 }
 
 /// The MPSoC platform (paper §5): deploys onto a simulated STi7200.
@@ -62,18 +45,12 @@ impl Os21Platform {
     /// Platform over the 3-CPU STi7200 the paper's experiments used
     /// (§5.3: "the software toolset … supports only three processors").
     pub fn three_cpu() -> Self {
-        Os21Platform {
-            machine: Machine::sti7200_three_cpu(),
-            config: Os21Config::default(),
-        }
+        Self::with_machine(Machine::sti7200_three_cpu(), Os21Config::default())
     }
 
     /// Platform over the full 5-CPU STi7200.
     pub fn five_cpu() -> Self {
-        Os21Platform {
-            machine: Machine::sti7200(),
-            config: Os21Config::default(),
-        }
+        Self::with_machine(Machine::sti7200(), Os21Config::default())
     }
 
     /// Platform over an explicit machine and configuration.
@@ -97,155 +74,117 @@ impl Os21Platform {
 /// A deployed MPSoC application: owns the simulation kernel; the
 /// simulation actually runs inside [`RunningApp::wait`].
 pub struct Os21Running {
-    app_name: String,
+    deployed: Deployed,
     kernel: Kernel,
     machine: Machine,
     rtos: Rtos,
-    engines: Vec<(String, ObsEngine)>,
-    errors: Arc<Mutex<Vec<(String, EmberaError)>>>,
+}
+
+/// One OS21 task per component, one EMBX distributed object per
+/// provided interface.
+struct TaskBackend {
+    kernel: Kernel,
+    rtos: Rtos,
+    transport: Transport,
+    machine: Machine,
+    /// CPU of each component, in deployment order.
+    placements: Vec<CpuId>,
+    app: Arc<AppShared>,
+}
+
+impl Backend for TaskBackend {
+    type Endpoint = Endpoint;
+
+    fn make_endpoint(
+        &mut self,
+        component: usize,
+        spec: &ComponentSpec,
+        iface: &str,
+    ) -> Result<Endpoint, EmberaError> {
+        self.transport
+            .create_object(
+                &self.kernel,
+                format!("{}::{}", spec.name, iface),
+                self.placements[component],
+            )
+            .map(Endpoint::new)
+            .map_err(EmberaError::Platform)
+    }
+
+    fn memory_bytes(&self, spec: &ComponentSpec, _has_observer: bool) -> u64 {
+        // Table 3 memory formula: task footprint + one object per *data*
+        // provided interface.
+        TASK_DATA_BYTES + spec.provided.len() as u64 * OBJECT_ACCOUNTED_BYTES
+    }
+
+    fn spawn(&mut self, wiring: Wiring<Endpoint>, flow: Flow) -> Result<(), EmberaError> {
+        let cpu = self.placements[wiring.index];
+        // One activity event per component; every provided object
+        // notifies it, and shutdown notifies it too.
+        let activity = self.kernel.alloc_event();
+        self.app.activity_events.lock().push(activity);
+        for ep in wiring.provided.values() {
+            ep.object.add_extra_notify(activity);
+        }
+        // Payload home region: the ST231's local memory, or SDRAM on
+        // the ST40 (which has no LMI).
+        let map = self.machine.memory_map();
+        let local_region = map.local_of(cpu).unwrap_or_else(|| map.sdram());
+        let app = Arc::clone(&self.app);
+        let name = flow.name().to_string();
+        self.rtos
+            .spawn_task(&mut self.kernel, cpu, name, 0, move |task| {
+                flow.run(Os21Transport {
+                    task,
+                    wiring,
+                    local_region,
+                    activity,
+                    app,
+                    mem_cursor: 0,
+                });
+            });
+        Ok(())
+    }
 }
 
 impl Platform for Os21Platform {
     type Running = Os21Running;
 
     fn deploy(&mut self, spec: AppSpec) -> Result<Os21Running, EmberaError> {
-        let mut kernel = Kernel::with_config(self.config.kernel.clone());
-        let rtos = Rtos::new(self.machine.clone());
-        let transport = Transport::open_with_cost(self.machine.clone(), self.config.embx);
-        let ncpus = self.machine.config().num_cpus();
-
         // Resolve placements: explicit CPUs must exist; `Any` lands on
         // the ST40 host (CPU 0), which is where the paper's I/O-ish and
         // auxiliary components live.
-        let mut placements: HashMap<String, CpuId> = HashMap::new();
+        let ncpus = self.machine.config().num_cpus();
+        let mut placements = Vec::with_capacity(spec.components.len());
         for c in &spec.components {
-            let cpu = match c.placement {
-                Placement::Cpu(cpu) => {
-                    if cpu >= ncpus {
-                        return Err(EmberaError::Validation(format!(
-                            "component '{}' placed on CPU {cpu}, machine has {ncpus}",
-                            c.name
-                        )));
-                    }
-                    cpu
+            placements.push(match c.placement {
+                Placement::Cpu(cpu) if cpu >= ncpus => {
+                    return Err(EmberaError::Validation(format!(
+                        "component '{}' placed on CPU {cpu}, machine has {ncpus}",
+                        c.name
+                    )));
                 }
+                Placement::Cpu(cpu) => cpu,
                 Placement::Any => 0,
-            };
-            placements.insert(c.name.clone(), cpu);
-        }
-
-        // Create a distributed object per provided interface.
-        let mut endpoints: HashMap<(String, String), Endpoint> = HashMap::new();
-        for c in &spec.components {
-            let cpu = placements[&c.name];
-            for iface in c.provided.iter().map(String::as_str).chain([INTROSPECTION]) {
-                let obj = transport
-                    .create_object(&kernel, format!("{}::{}", c.name, iface), cpu)
-                    .map_err(EmberaError::Platform)?;
-                endpoints.insert((c.name.clone(), iface.to_string()), Endpoint::new(obj));
-            }
-        }
-
-        // Routes.
-        let mut routes_by_component: HashMap<String, HashMap<String, Endpoint>> = HashMap::new();
-        for conn in &spec.connections {
-            let ep = endpoints
-                .get(&(conn.to.component.clone(), conn.to.interface.clone()))
-                .expect("validated connection endpoint missing")
-                .clone();
-            routes_by_component
-                .entry(conn.from.component.clone())
-                .or_default()
-                .insert(conn.from.interface.clone(), ep);
-        }
-
-        let app_shared = Arc::new(AppShared {
-            shutdown: Arc::new(AtomicBool::new(false)),
-            remaining: Arc::new(AtomicUsize::new(
-                spec.components
-                    .iter()
-                    .filter(|c| !is_observer_component(&c.name))
-                    .count(),
-            )),
-            activity_events: Arc::new(Mutex::new(Vec::new())),
-            errors: Arc::new(Mutex::new(Vec::new())),
-        });
-
-        let trace = spec.trace.clone();
-        let faults = spec.faults.clone();
-        let mut all_engines = Vec::new();
-        for c in spec.components {
-            let cpu = placements[&c.name];
-            let stats = Arc::new(ComponentStats::new(&c.name, &c.provided, &c.required));
-            // Table 3 memory formula: task footprint + one object per
-            // *data* provided interface.
-            stats.set_memory_bytes(
-                self.config.task_data_bytes
-                    + c.provided.len() as u64 * self.config.object_accounted_bytes,
-            );
-            let engine = ObsEngine::with_metrics(Arc::clone(&stats), c.metrics.clone());
-            all_engines.push((c.name.clone(), engine.clone()));
-
-            // One activity event per component; every provided object
-            // notifies it, and shutdown notifies it too.
-            let activity = kernel.alloc_event();
-            app_shared.activity_events.lock().push(activity);
-
-            let mut provided: HashMap<String, Endpoint> = HashMap::new();
-            for iface in c.provided.iter().map(String::as_str).chain([INTROSPECTION]) {
-                let ep = endpoints[&(c.name.clone(), iface.to_string())].clone();
-                ep.object.add_extra_notify(activity);
-                provided.insert(iface.to_string(), ep);
-            }
-            let routes = routes_by_component.remove(&c.name).unwrap_or_default();
-
-            // Payload home region: the ST231's local memory, or SDRAM on
-            // the ST40 (which has no LMI).
-            let map = self.machine.memory_map();
-            let local_region = map.local_of(cpu).unwrap_or_else(|| map.sdram());
-
-            let behavior = c.behavior;
-            let name = c.name.clone();
-            let required = c.required.clone();
-            let app = Arc::clone(&app_shared);
-            let observe = self.config.observe;
-            let is_observer = is_observer_component(&c.name);
-            let sink = trace.as_ref().map(|t| t.sink_for(&c.name));
-            let stats2 = Arc::clone(&stats);
-            let restart = c.restart;
-            let overload = c.overload;
-            let component_faults = faults.clone();
-            rtos.spawn_task(&mut kernel, cpu, c.name.clone(), 0, move |task| {
-                let transport = Os21Transport {
-                    name: name.clone(),
-                    task,
-                    provided,
-                    routes,
-                    stats: stats2,
-                    local_region,
-                    activity,
-                    app,
-                    is_observer,
-                    mem_cursor: 0,
-                };
-                let mut runtime =
-                    ComponentRuntime::new(name, required, transport, engine, observe, sink);
-                runtime.set_restart_policy(restart);
-                runtime.set_overload_policy(overload);
-                if let Some(plan) = &component_faults {
-                    runtime.set_fault_plan(plan);
-                }
-                runtime.run_to_completion(behavior);
             });
         }
-
-        Ok(Os21Running {
-            app_name: spec.name,
-            kernel,
+        let mut backend = TaskBackend {
+            kernel: Kernel::with_config(self.config.kernel.clone()),
+            rtos: Rtos::new(self.machine.clone()),
+            transport: Transport::open_with_cost(self.machine.clone(), self.config.embx),
             machine: self.machine.clone(),
-            rtos,
-            engines: all_engines,
-            errors: app_shared.errors.clone(),
+            placements,
+            app: Arc::new(AppShared {
+                shutdown: AtomicBool::new(false),
+                activity_events: Mutex::new(Vec::new()),
+            }),
+        };
+        let deployed = runtime::deploy(&mut backend, spec)?;
+        Ok(Os21Running {
+            deployed,
+            kernel: backend.kernel,
+            machine: backend.machine,
+            rtos: backend.rtos,
         })
     }
 }
@@ -260,9 +199,7 @@ impl Os21Running {
     pub fn rtos(&self) -> &Rtos {
         &self.rtos
     }
-}
 
-impl Os21Running {
     /// Like [`RunningApp::wait`], but also returns the simulation
     /// kernel's statistics — the differential tests use these to check
     /// that sharded execution reproduces the sequential schedule
@@ -271,27 +208,14 @@ impl Os21Running {
         self.kernel
             .run()
             .map_err(|e| EmberaError::Platform(e.to_string()))?;
-        let errors = std::mem::take(&mut *self.errors.lock());
-        // Aggregate every originating failure; secondary `Terminated`
-        // errors from the fail-fast drain rank last.
-        embera::supervise::fault_result(errors)?;
-        let wall = self.kernel.now();
+        // Fold in final RTOS CPU time.
+        for e in self.deployed.engines() {
+            if let Some(t) = self.rtos.task_time_ns(e.stats().name()) {
+                e.stats().set_cpu_time_ns(t);
+            }
+        }
         let stats = self.kernel.stats();
-        let report = AppReport {
-            app_name: self.app_name,
-            wall_time_ns: wall,
-            components: self
-                .engines
-                .iter()
-                .map(|(name, e)| {
-                    // Fold in final RTOS CPU time.
-                    if let Some(t) = self.rtos.task_time_ns(name) {
-                        e.stats().set_cpu_time_ns(t);
-                    }
-                    e.full_report(wall)
-                })
-                .collect(),
-        };
+        let report = self.deployed.report(self.kernel.now())?;
         Ok((report, stats))
     }
 }

@@ -4,84 +4,49 @@
 //! [`embera::runtime::ComponentRuntime`]; this module only moves
 //! messages, charges costs, and waits.
 
-use std::collections::HashMap;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use sim_kernel::EventId;
 
-use embera::runtime::Transport;
-use embera::{EmberaError, Message, ObsReply, Work, WorkClass, INTROSPECTION};
+use embera::runtime::{Fifo, Transport, Wiring};
+use embera::{Message, ObsReply, Work, WorkClass, INTROSPECTION};
 use embx::DistributedObject;
 use mpsoc_sim::{ComputeClass, RegionId};
 use os21::TaskCtx;
 
 /// A provided-interface endpoint: the EMBX distributed object carrying
-/// the bytes plus a typed sidecar queue carrying the [`Message`]
+/// the bytes plus a typed sidecar [`Fifo`] carrying the [`Message`]
 /// envelope. Both are pushed under the simulator's one-process-at-a-time
 /// guarantee, so they stay aligned — any misalignment is a runtime bug
 /// and panics rather than silently dropping a wire message.
 #[derive(Clone)]
 pub(crate) struct Endpoint {
     pub(crate) object: DistributedObject,
-    pub(crate) side: Arc<Mutex<VecDeque<Message>>>,
+    pub(crate) side: Fifo,
 }
 
 impl Endpoint {
     pub(crate) fn new(object: DistributedObject) -> Self {
         Endpoint {
             object,
-            side: Arc::new(Mutex::new(VecDeque::new())),
+            side: Fifo::new(0),
         }
     }
 }
 
 /// Shared application-level state on the MPSoC backend.
 pub(crate) struct AppShared {
-    pub(crate) shutdown: Arc<AtomicBool>,
-    /// Application (non-observer) components whose behavior has not
-    /// finished yet.
-    pub(crate) remaining: Arc<AtomicUsize>,
+    pub(crate) shutdown: AtomicBool,
     /// Activity events of every component, notified at shutdown so
     /// blocked service loops wake and exit.
-    pub(crate) activity_events: Arc<Mutex<Vec<EventId>>>,
-    pub(crate) errors: Arc<Mutex<Vec<(String, EmberaError)>>>,
-}
-
-/// Push a message through an endpoint: bytes through the distributed
-/// object (charging EMBX costs), the typed envelope through the sidecar.
-/// Returns the ns the EMBX send took.
-pub(crate) fn push_message(
-    ep: &Endpoint,
-    task: &TaskCtx,
-    src_region: RegionId,
-    msg: Message,
-) -> u64 {
-    let wire: Vec<u8> = match &msg {
-        Message::Data(b) => b.to_vec(),
-        Message::Deadlined {
-            payload,
-            deadline_ns,
-        } => {
-            let mut w = Vec::with_capacity(payload.len() + 8);
-            w.extend_from_slice(payload.as_ref());
-            w.extend_from_slice(&deadline_ns.to_le_bytes());
-            w
-        }
-        other => vec![0u8; other.wire_size()],
-    };
-    ep.side.lock().push_back(msg);
-    ep.object.send(task, src_region, &wire)
+    pub(crate) activity_events: Mutex<Vec<EventId>>,
 }
 
 pub(crate) struct Os21Transport {
-    pub(crate) name: String,
     pub(crate) task: TaskCtx,
-    pub(crate) provided: HashMap<String, Endpoint>,
-    pub(crate) routes: HashMap<String, Endpoint>,
-    pub(crate) stats: Arc<embera::ComponentStats>,
+    pub(crate) wiring: Wiring<Endpoint>,
     /// Region the component's payloads live in on its CPU (LMI for
     /// ST231, SDRAM for the ST40).
     pub(crate) local_region: RegionId,
@@ -89,7 +54,6 @@ pub(crate) struct Os21Transport {
     /// a message (and at shutdown).
     pub(crate) activity: EventId,
     pub(crate) app: Arc<AppShared>,
-    pub(crate) is_observer: bool,
     /// Rolling cursor through the component's working set; compute
     /// memory traffic streams through it so the L1 model sees realistic
     /// (partially reused, partially fresh) addresses.
@@ -105,25 +69,48 @@ impl Transport for Os21Transport {
         self.app.shutdown.load(Ordering::Acquire)
     }
 
+    fn request_shutdown(&mut self) {
+        self.app.shutdown.store(true, Ordering::Release);
+        for e in self.app.activity_events.lock().iter() {
+            self.task.sim().notify(*e);
+        }
+    }
+
     fn has_route(&self, required: &str) -> bool {
-        self.routes.contains_key(required)
+        self.wiring.routes.contains_key(required)
     }
 
     fn has_inbox(&self, provided: &str) -> bool {
-        self.provided.contains_key(provided)
+        self.wiring.provided.contains_key(provided)
     }
 
     fn push(&mut self, required: &str, msg: Message) -> u64 {
-        push_message(&self.routes[required], &self.task, self.local_region, msg)
+        // Bytes go through the distributed object (charging EMBX costs),
+        // the typed envelope through the sidecar.
+        let wire: Vec<u8> = match &msg {
+            Message::Data(b) => b.to_vec(),
+            Message::Deadlined {
+                payload,
+                deadline_ns,
+            } => {
+                let mut w = Vec::with_capacity(payload.len() + 8);
+                w.extend_from_slice(payload.as_ref());
+                w.extend_from_slice(&deadline_ns.to_le_bytes());
+                w
+            }
+            other => vec![0u8; other.wire_size()],
+        };
+        let ep = &self.wiring.routes[required];
+        ep.side.push(msg);
+        ep.object.send(&self.task, self.local_region, &wire)
     }
 
     fn try_pop(&mut self, provided: &str) -> Option<(Message, u64)> {
-        let ep = self.provided.get(provided)?;
+        let ep = self.wiring.provided.get(provided)?;
         let wire = ep.object.try_receive_uncosted()?;
         let msg = ep
             .side
-            .lock()
-            .pop_front()
+            .try_pop()
             .expect("sidecar out of sync with distributed object");
         // Charge the EMBX receive cost for the wire bytes. Introspection
         // requests are drained by the runtime itself — the paper's
@@ -139,9 +126,10 @@ impl Transport for Os21Transport {
     }
 
     fn queued_bytes(&self) -> u64 {
-        self.provided
+        self.wiring
+            .provided
             .values()
-            .map(|ep| ep.side.lock().iter().map(|m| m.data_len() as u64).sum::<u64>())
+            .map(|ep| ep.side.queued_bytes())
             .sum()
     }
 
@@ -193,54 +181,15 @@ impl Transport for Os21Transport {
         }
     }
 
-    fn behavior_finished(&mut self, error: Option<EmberaError>) {
-        self.stats.set_cpu_time_ns(self.task.task_time());
-        let failed = error.is_some();
-        if let Some(e) = error {
-            self.app.errors.lock().push((self.name.clone(), e));
-        }
-        if !self.is_observer {
-            let left = self.app.remaining.fetch_sub(1, Ordering::AcqRel) - 1;
-            // Shutdown when the application completes — or immediately on
-            // failure (fail fast: peers blocked in recv drain out with
-            // `Terminated` instead of deadlocking the simulation).
-            if left == 0 || failed {
-                self.app.shutdown.store(true, Ordering::Release);
-                for e in self.app.activity_events.lock().iter() {
-                    self.task.sim().notify(*e);
-                }
-            }
-        }
-    }
-
-    fn behavior_finished_contained(&mut self, error: EmberaError) {
-        // OneForOne containment: record the failure and account the
-        // completion, but skip the fail-fast shutdown so peers run on.
-        self.stats.set_cpu_time_ns(self.task.task_time());
-        self.app.errors.lock().push((self.name.clone(), error));
-        if !self.is_observer {
-            let left = self.app.remaining.fetch_sub(1, Ordering::AcqRel) - 1;
-            if left == 0 {
-                self.app.shutdown.store(true, Ordering::Release);
-                for e in self.app.activity_events.lock().iter() {
-                    self.task.sim().notify(*e);
-                }
-            }
-        }
-    }
-
-    fn queued_messages(&self) -> u64 {
-        self.provided
-            .iter()
-            .filter(|(iface, _)| iface.as_str() != INTROSPECTION)
-            .map(|(_, ep)| ep.side.lock().len() as u64)
-            .sum()
+    fn behavior_finished(&mut self) {
+        self.wiring.stats.set_cpu_time_ns(self.task.task_time());
     }
 
     fn inbox_depth(&self, provided: &str) -> u64 {
-        self.provided
+        self.wiring
+            .provided
             .get(provided)
-            .map(|ep| ep.side.lock().len() as u64)
+            .map(|ep| ep.side.len() as u64)
             .unwrap_or(0)
     }
 
@@ -253,7 +202,7 @@ impl Transport for Os21Transport {
     }
 
     fn drain_inboxes(&mut self) {
-        for (iface, ep) in &self.provided {
+        for (iface, ep) in &self.wiring.provided {
             if iface == INTROSPECTION {
                 continue;
             }
@@ -261,8 +210,7 @@ impl Transport for Os21Transport {
             // both in lock-step until the endpoint is empty.
             while ep.object.try_receive_uncosted().is_some() {
                 ep.side
-                    .lock()
-                    .pop_front()
+                    .try_pop()
                     .expect("sidecar out of sync with distributed object");
             }
         }
@@ -270,13 +218,9 @@ impl Transport for Os21Transport {
 
     fn refine_reply(&mut self, reply: &mut ObsReply) {
         // Keep RTOS CPU-time fresh in OS-level replies.
-        self.stats.set_cpu_time_ns(self.task.task_time());
+        self.wiring.stats.set_cpu_time_ns(self.task.task_time());
         if let ObsReply::Full(r) = reply {
             r.os.cpu_time_ns = self.task.task_time();
         }
-    }
-
-    fn on_exit(&mut self) {
-        self.stats.set_cpu_time_ns(self.task.task_time());
     }
 }

@@ -13,21 +13,24 @@
 //!
 //! * component → [`std::thread`] with the spec's stack size
 //!   (`pthread_attr_getstacksize` ↦ `thread::Builder::stack_size`),
-//! * provided interface → [`Mailbox`] (mutex + condvar FIFO; alternative
-//!   lock-free implementations are available for the ablation study),
+//! * provided interface → [`embera::runtime::Fifo`] (a mutex-guarded
+//!   FIFO, the same one the executor backend uses),
 //! * required interface → a cloneable handle to the target mailbox,
+//! * blocking → one parker per component: a push to *any* of its
+//!   mailboxes (or shutdown) unparks it, so a blocked or finished
+//!   component serves introspection without a polling interval,
 //! * `gettimeofday` timestamps → a monotonic epoch ([`std::time::Instant`]),
 //! * memory observation → the paper's formula: configured stack size
 //!   plus a per-provided-interface footprint (see
-//!   [`SmpConfig::iface_footprint_bytes`]).
+//!   [`embera::runtime::host_memory_bytes`]).
 //!
 //! Observation requests are served by the component runtime at every
 //! communication point and, after the behavior finishes, by a quiescent
 //! service loop — the application code is never modified (paper §4.2).
 
 pub mod mailbox;
+mod parker;
 pub mod platform;
-mod transport;
 
 pub use mailbox::{Mailbox, MailboxKind};
-pub use platform::{SmpConfig, SmpPlatform, SmpRunning};
+pub use platform::{SmpPlatform, SmpRunning};

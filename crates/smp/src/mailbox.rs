@@ -1,528 +1,45 @@
-//! Mailboxes: the FIFO data structure behind every provided interface
-//! (paper §4.1).
-//!
-//! The default implementation is a `parking_lot` mutex + condvar around a
-//! `VecDeque` — the closest analogue of the paper's pthread mailbox. A
-//! lock-free [`crossbeam::queue::SegQueue`] variant exists for the
-//! mailbox ablation benchmark; its blocking path spins briefly with
-//! [`crossbeam::utils::Backoff`] and then parks on a condvar that `push`
-//! only touches when a waiter has registered, so the uncontended send
-//! path stays lock-free.
+//! The names `benchmark/src/cells.rs` compiles against. The mailbox
+//! itself is [`embera::runtime::Fifo`], shared with the executor
+//! backend; new code should name that.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{fence, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use embera::runtime::Fifo;
 
-use crossbeam::queue::SegQueue;
-use crossbeam::utils::Backoff;
-use parking_lot::{Condvar, Mutex};
-
-use embera::Message;
-
-/// Which mailbox implementation to use (ablation A2).
+/// The one mailbox implementation left (a mutex-guarded FIFO; the
+/// receiver parks on its component's parker, not on the mailbox). Goes,
+/// with [`Mailbox`], at the next benchmark revision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MailboxKind {
-    /// Mutex + condvar FIFO (the paper-faithful default; unbounded, as
-    /// in the paper's asynchronous one-way mailboxes).
+    /// The paper-faithful unbounded FIFO.
     #[default]
     MutexCondvar,
-    /// Lock-free segmented queue with backoff polling.
-    SegQueue,
-    /// Bounded mutex + condvar FIFO: `push` blocks while the mailbox
-    /// holds `capacity` messages (backpressure — an extension over the
-    /// paper's unbounded design for memory-constrained deployments).
-    Bounded(usize),
 }
 
-enum Impl {
-    Mutex {
-        queue: Mutex<VecDeque<Message>>,
-        nonempty: Condvar,
-    },
-    Seg {
-        queue: SegQueue<Message>,
-        /// Receivers currently parked (or about to park) on `parked`.
-        /// `push` skips the lock entirely while this is zero.
-        waiters: AtomicUsize,
-        park: Mutex<()>,
-        parked: Condvar,
-    },
-    Bounded {
-        queue: Mutex<VecDeque<Message>>,
-        nonempty: Condvar,
-        nonfull: Condvar,
-        capacity: usize,
-    },
-}
-
-struct Inner {
-    name: String,
-    imp: Impl,
-    /// Bytes of data payload currently queued (dynamic-memory gauge for
-    /// the observation layer).
-    queued_bytes: std::sync::atomic::AtomicU64,
-}
-
-/// A mailbox: multiple senders (required interfaces pointing at it), one
-/// logical receiver (the owning component). Clones share the queue.
+/// A free-standing [`Fifo`] under its historical name.
 ///
 /// ```
 /// use embera::Message;
 /// use embera_smp::{Mailbox, MailboxKind};
 /// use bytes::Bytes;
 ///
-/// let mb = Mailbox::new("in", MailboxKind::MutexCondvar);
+/// let mb = Mailbox::new("in", MailboxKind::default());
 /// mb.push(Message::Data(Bytes::from_static(b"hello")));
-/// assert_eq!(mb.len(), 1);
 /// assert_eq!(mb.queued_bytes(), 5);
-/// let Some(Message::Data(payload)) = mb.try_pop() else { unreachable!() };
-/// assert_eq!(&payload[..], b"hello");
+/// assert!(mb.try_pop().is_some());
 /// ```
 #[derive(Clone)]
-pub struct Mailbox {
-    inner: Arc<Inner>,
-}
+pub struct Mailbox(Fifo);
 
 impl Mailbox {
-    /// Create a mailbox of the given kind.
-    pub fn new(name: impl Into<String>, kind: MailboxKind) -> Self {
-        let imp = match kind {
-            MailboxKind::MutexCondvar => Impl::Mutex {
-                // Pre-size the ring: queue depth past 64 means the
-                // receiver is already far behind, and the up-front
-                // capacity keeps the steady-state hot path free of
-                // reallocation (the bench crate's zero-allocation
-                // check counts on it).
-                queue: Mutex::new(VecDeque::with_capacity(64)),
-                nonempty: Condvar::new(),
-            },
-            MailboxKind::SegQueue => Impl::Seg {
-                queue: SegQueue::new(),
-                waiters: AtomicUsize::new(0),
-                park: Mutex::new(()),
-                parked: Condvar::new(),
-            },
-            MailboxKind::Bounded(capacity) => {
-                assert!(capacity >= 1, "bounded mailbox capacity must be >= 1");
-                Impl::Bounded {
-                    queue: Mutex::new(VecDeque::with_capacity(capacity)),
-                    nonempty: Condvar::new(),
-                    nonfull: Condvar::new(),
-                    capacity,
-                }
-            }
-        };
-        Mailbox {
-            inner: Arc::new(Inner {
-                name: name.into(),
-                imp,
-                queued_bytes: std::sync::atomic::AtomicU64::new(0),
-            }),
-        }
-    }
-
-    /// Mailbox (interface) name.
-    pub fn name(&self) -> &str {
-        &self.inner.name
-    }
-
-    /// Send: enqueue and wake a waiting receiver. Asynchronous for the
-    /// unbounded kinds; blocks while full for [`MailboxKind::Bounded`].
-    pub fn push(&self, msg: Message) {
-        self.inner
-            .queued_bytes
-            .fetch_add(msg.data_len() as u64, std::sync::atomic::Ordering::Relaxed);
-        match &self.inner.imp {
-            Impl::Mutex { queue, nonempty } => {
-                queue.lock().push_back(msg);
-                nonempty.notify_one();
-            }
-            Impl::Seg {
-                queue,
-                waiters,
-                park,
-                parked,
-            } => {
-                queue.push(msg);
-                // The fence orders the enqueue before the waiter check;
-                // a receiver registers (SeqCst) before its final empty
-                // probe, so either we see its registration here or it
-                // sees our message there — no lost wakeup.
-                fence(Ordering::SeqCst);
-                if waiters.load(Ordering::SeqCst) > 0 {
-                    let _g = park.lock();
-                    parked.notify_all();
-                }
-            }
-            Impl::Bounded {
-                queue,
-                nonempty,
-                nonfull,
-                capacity,
-            } => {
-                let mut q = queue.lock();
-                while q.len() >= *capacity {
-                    nonfull.wait(&mut q);
-                }
-                q.push_back(msg);
-                nonempty.notify_one();
-            }
-        }
-    }
-
-    /// Non-blocking receive.
-    pub fn try_pop(&self) -> Option<Message> {
-        let msg = match &self.inner.imp {
-            Impl::Mutex { queue, .. } => queue.lock().pop_front(),
-            Impl::Seg { queue, .. } => queue.pop(),
-            Impl::Bounded { queue, nonfull, .. } => {
-                let m = queue.lock().pop_front();
-                if m.is_some() {
-                    nonfull.notify_one();
-                }
-                m
-            }
-        };
-        if let Some(m) = &msg {
-            self.inner
-                .queued_bytes
-                .fetch_sub(m.data_len() as u64, std::sync::atomic::Ordering::Relaxed);
-        }
-        msg
-    }
-
-    /// Blocking receive with a deadline. `None` on timeout.
-    pub fn pop_timeout(&self, timeout: Duration) -> Option<Message> {
-        let msg = self.pop_timeout_inner(timeout);
-        if let Some(m) = &msg {
-            self.inner
-                .queued_bytes
-                .fetch_sub(m.data_len() as u64, std::sync::atomic::Ordering::Relaxed);
-        }
-        msg
-    }
-
-    fn pop_timeout_inner(&self, timeout: Duration) -> Option<Message> {
-        match &self.inner.imp {
-            Impl::Mutex { queue, nonempty } => {
-                let deadline = Instant::now() + timeout;
-                let mut q = queue.lock();
-                loop {
-                    if let Some(m) = q.pop_front() {
-                        return Some(m);
-                    }
-                    if nonempty.wait_until(&mut q, deadline).timed_out() {
-                        return q.pop_front();
-                    }
-                }
-            }
-            Impl::Bounded {
-                queue,
-                nonempty,
-                nonfull,
-                ..
-            } => {
-                let deadline = Instant::now() + timeout;
-                let mut q = queue.lock();
-                loop {
-                    if let Some(m) = q.pop_front() {
-                        nonfull.notify_one();
-                        return Some(m);
-                    }
-                    if nonempty.wait_until(&mut q, deadline).timed_out() {
-                        let m = q.pop_front();
-                        if m.is_some() {
-                            nonfull.notify_one();
-                        }
-                        return m;
-                    }
-                }
-            }
-            Impl::Seg {
-                queue,
-                waiters,
-                park,
-                parked,
-            } => {
-                let deadline = Instant::now() + timeout;
-                let backoff = Backoff::new();
-                loop {
-                    if let Some(m) = queue.pop() {
-                        return Some(m);
-                    }
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return queue.pop();
-                    }
-                    if !backoff.is_completed() {
-                        // Short spin/yield phase: a message in flight
-                        // lands within a few hundred nanoseconds.
-                        backoff.snooze();
-                        continue;
-                    }
-                    // Park until a sender notifies or the deadline
-                    // passes. Registration (SeqCst) happens before the
-                    // final empty probe; `push` enqueues before checking
-                    // `waiters`, so the probe sees the message or the
-                    // sender sees us and notifies under `park`.
-                    waiters.fetch_add(1, Ordering::SeqCst);
-                    fence(Ordering::SeqCst);
-                    let mut g = park.lock();
-                    if let Some(m) = queue.pop() {
-                        drop(g);
-                        waiters.fetch_sub(1, Ordering::SeqCst);
-                        return Some(m);
-                    }
-                    let _ = parked.wait_until(&mut g, deadline);
-                    drop(g);
-                    waiters.fetch_sub(1, Ordering::SeqCst);
-                }
-            }
-        }
-    }
-
-    /// Drain up to `max` queued messages into `out` (appended in FIFO
-    /// order), taking the queue lock once for the whole batch instead of
-    /// once per message. Returns how many messages were appended; never
-    /// blocks. The fast path for batched pipeline receivers.
-    pub fn pop_many(&self, out: &mut Vec<Message>, max: usize) -> usize {
-        if max == 0 {
-            return 0;
-        }
-        let start = out.len();
-        match &self.inner.imp {
-            Impl::Mutex { queue, .. } => {
-                let mut q = queue.lock();
-                let n = max.min(q.len());
-                out.extend(q.drain(..n));
-            }
-            Impl::Seg { queue, .. } => {
-                // The lock-free queue has no bulk drain; pop one at a
-                // time (each pop is a single CAS on the shim).
-                while out.len() - start < max {
-                    match queue.pop() {
-                        Some(m) => out.push(m),
-                        None => break,
-                    }
-                }
-            }
-            Impl::Bounded { queue, nonfull, .. } => {
-                let mut q = queue.lock();
-                let n = max.min(q.len());
-                out.extend(q.drain(..n));
-                if n > 0 {
-                    // Several pushers may have been blocked on capacity.
-                    nonfull.notify_all();
-                }
-            }
-        }
-        let drained = &out[start..];
-        let bytes: u64 = drained.iter().map(|m| m.data_len() as u64).sum();
-        if bytes > 0 {
-            self.inner
-                .queued_bytes
-                .fetch_sub(bytes, std::sync::atomic::Ordering::Relaxed);
-        }
-        drained.len()
-    }
-
-    /// Bytes of data payload currently queued.
-    pub fn queued_bytes(&self) -> u64 {
-        self.inner
-            .queued_bytes
-            .load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Messages currently queued.
-    pub fn len(&self) -> usize {
-        match &self.inner.imp {
-            Impl::Mutex { queue, .. } => queue.lock().len(),
-            Impl::Seg { queue, .. } => queue.len(),
-            Impl::Bounded { queue, .. } => queue.lock().len(),
-        }
-    }
-
-    /// Whether the mailbox is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// An empty mailbox. Name and kind are accepted for compatibility.
+    pub fn new(_name: impl Into<String>, _kind: MailboxKind) -> Self {
+        Mailbox(Fifo::new(0))
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use bytes::Bytes;
+impl std::ops::Deref for Mailbox {
+    type Target = Fifo;
 
-    fn data(v: &'static [u8]) -> Message {
-        Message::Data(Bytes::from_static(v))
-    }
-
-    fn payload(m: Message) -> Bytes {
-        match m {
-            Message::Data(b) => b,
-            other => panic!("expected data, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn fifo_order_both_kinds() {
-        for kind in [
-            MailboxKind::MutexCondvar,
-            MailboxKind::SegQueue,
-            MailboxKind::Bounded(2048),
-        ] {
-            let mb = Mailbox::new("m", kind);
-            mb.push(data(b"1"));
-            mb.push(data(b"2"));
-            mb.push(data(b"3"));
-            assert_eq!(&payload(mb.try_pop().unwrap())[..], b"1");
-            assert_eq!(&payload(mb.try_pop().unwrap())[..], b"2");
-            assert_eq!(&payload(mb.try_pop().unwrap())[..], b"3");
-            assert!(mb.try_pop().is_none());
-        }
-    }
-
-    #[test]
-    fn pop_timeout_times_out_when_empty() {
-        for kind in [
-            MailboxKind::MutexCondvar,
-            MailboxKind::SegQueue,
-            MailboxKind::Bounded(2048),
-        ] {
-            let mb = Mailbox::new("m", kind);
-            let t0 = Instant::now();
-            assert!(mb.pop_timeout(Duration::from_millis(20)).is_none());
-            assert!(t0.elapsed() >= Duration::from_millis(15));
-        }
-    }
-
-    #[test]
-    fn pop_timeout_wakes_on_push_from_other_thread() {
-        for kind in [
-            MailboxKind::MutexCondvar,
-            MailboxKind::SegQueue,
-            MailboxKind::Bounded(2048),
-        ] {
-            let mb = Mailbox::new("m", kind);
-            let tx = mb.clone();
-            let h = std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(10));
-                tx.push(data(b"late"));
-            });
-            let got = mb.pop_timeout(Duration::from_secs(5));
-            h.join().unwrap();
-            assert_eq!(&payload(got.unwrap())[..], b"late");
-        }
-    }
-
-    #[test]
-    fn bounded_mailbox_applies_backpressure() {
-        let mb = Mailbox::new("m", MailboxKind::Bounded(2));
-        mb.push(data(b"1"));
-        mb.push(data(b"2"));
-        let tx = mb.clone();
-        let t0 = Instant::now();
-        let h = std::thread::spawn(move || {
-            tx.push(data(b"3")); // blocks until a pop makes room
-            Instant::now()
-        });
-        std::thread::sleep(Duration::from_millis(30));
-        assert_eq!(mb.len(), 2, "third push must be blocked");
-        let _ = mb.try_pop();
-        let unblocked_at = h.join().unwrap();
-        assert!(unblocked_at.duration_since(t0) >= Duration::from_millis(25));
-        assert_eq!(mb.len(), 2);
-    }
-
-    #[test]
-    fn pop_many_drains_in_fifo_order_and_respects_max() {
-        for kind in [
-            MailboxKind::MutexCondvar,
-            MailboxKind::SegQueue,
-            MailboxKind::Bounded(2048),
-        ] {
-            let mb = Mailbox::new("m", kind);
-            for v in [b"1" as &[u8], b"22", b"333", b"4444"] {
-                mb.push(Message::Data(Bytes::copy_from_slice(v)));
-            }
-            assert_eq!(mb.queued_bytes(), 10);
-            let mut out = Vec::new();
-            assert_eq!(mb.pop_many(&mut out, 3), 3);
-            assert_eq!(out.len(), 3);
-            assert_eq!(&payload(out[0].clone())[..], b"1");
-            assert_eq!(&payload(out[2].clone())[..], b"333");
-            assert_eq!(mb.queued_bytes(), 4);
-            // Appends after existing contents, drains the remainder.
-            assert_eq!(mb.pop_many(&mut out, 16), 1);
-            assert_eq!(&payload(out[3].clone())[..], b"4444");
-            assert_eq!(mb.queued_bytes(), 0);
-            assert_eq!(mb.pop_many(&mut out, 16), 0);
-            assert_eq!(mb.pop_many(&mut out, 0), 0);
-        }
-    }
-
-    #[test]
-    fn pop_many_unblocks_bounded_pushers() {
-        let mb = Mailbox::new("m", MailboxKind::Bounded(2));
-        mb.push(data(b"1"));
-        mb.push(data(b"2"));
-        let tx = mb.clone();
-        let h = std::thread::spawn(move || {
-            tx.push(data(b"3"));
-            tx.push(data(b"4"));
-        });
-        std::thread::sleep(Duration::from_millis(20));
-        let mut out = Vec::new();
-        assert_eq!(mb.pop_many(&mut out, 2), 2);
-        h.join().unwrap();
-        assert_eq!(mb.len(), 2);
-    }
-
-    #[test]
-    fn seg_pop_timeout_parks_instead_of_spinning() {
-        // A long empty wait must not burn CPU: the receiver should park
-        // after the backoff phase and still wake promptly on push.
-        let mb = Mailbox::new("m", MailboxKind::SegQueue);
-        let tx = mb.clone();
-        let h = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(60));
-            tx.push(data(b"late"));
-        });
-        let t0 = Instant::now();
-        let got = mb.pop_timeout(Duration::from_secs(5));
-        let waited = t0.elapsed();
-        h.join().unwrap();
-        assert_eq!(&payload(got.unwrap())[..], b"late");
-        assert!(waited >= Duration::from_millis(40), "woke too early");
-        assert!(waited < Duration::from_secs(4), "missed the wakeup");
-    }
-
-    #[test]
-    fn concurrent_producers_lose_no_messages() {
-        for kind in [
-            MailboxKind::MutexCondvar,
-            MailboxKind::SegQueue,
-            MailboxKind::Bounded(2048),
-        ] {
-            let mb = Mailbox::new("m", kind);
-            let mut handles = Vec::new();
-            for p in 0..4u8 {
-                let tx = mb.clone();
-                handles.push(std::thread::spawn(move || {
-                    for i in 0..250u32 {
-                        tx.push(Message::Data(Bytes::copy_from_slice(&[p, i as u8])));
-                    }
-                }));
-            }
-            for h in handles {
-                h.join().unwrap();
-            }
-            let mut n = 0;
-            while mb.try_pop().is_some() {
-                n += 1;
-            }
-            assert_eq!(n, 1000);
-        }
+    fn deref(&self) -> &Fifo {
+        &self.0
     }
 }

@@ -1,243 +1,100 @@
 //! Deployment of EMBera applications onto host threads.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
 
-use parking_lot::{Condvar, Mutex};
-
-use embera::observe::engine::ObsEngine;
-use embera::runtime::ComponentRuntime;
-use embera::{
-    is_observer_component, AppReport, AppSpec, ComponentStats, EmberaError, Platform, RunningApp,
-    INTROSPECTION,
+use embera::runtime::{
+    self, host_memory_bytes, Backend, Deployed, Fifo, Flow, HostTransport, Wiring,
 };
+use embera::{AppReport, AppSpec, ComponentSpec, EmberaError, Platform, RunningApp};
 
-use crate::mailbox::{Mailbox, MailboxKind};
-use crate::transport::{FinishState, ShutdownSignal, SmpTransport};
-
-/// Configuration of the SMP backend.
-#[derive(Debug, Clone)]
-pub struct SmpConfig {
-    /// Mailbox implementation (ablation A2).
-    pub mailbox_kind: MailboxKind,
-    /// Accounted memory footprint of one provided-interface mailbox,
-    /// bytes. The paper's Table 1 implies 1 229 kB per provided
-    /// interface on their platform (IDCT carries two — data +
-    /// introspection — for 2 458 kB over the bare stack); this constant
-    /// reproduces that accounting.
-    pub iface_footprint_bytes: u64,
-    /// False disables all observation (recording + introspection
-    /// service) for the overhead ablation (A1).
-    pub observe: bool,
-}
-
-impl Default for SmpConfig {
-    fn default() -> Self {
-        SmpConfig {
-            mailbox_kind: MailboxKind::default(),
-            iface_footprint_bytes: 1_229_000,
-            observe: true,
-        }
-    }
-}
+use crate::parker::{SmpParker, SmpShared};
 
 /// The SMP platform (paper §4).
 #[derive(Debug, Clone, Default)]
-pub struct SmpPlatform {
-    config: SmpConfig,
-}
+pub struct SmpPlatform;
 
 impl SmpPlatform {
-    /// Platform with default configuration.
+    /// The platform.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Platform with explicit configuration.
-    pub fn with_config(config: SmpConfig) -> Self {
-        SmpPlatform { config }
+        SmpPlatform
     }
 }
 
 /// A deployed SMP application.
 pub struct SmpRunning {
-    app_name: String,
-    epoch: Instant,
-    shutdown: Arc<ShutdownSignal>,
+    deployed: Deployed,
+    shared: Arc<SmpShared>,
     handles: Vec<JoinHandle<()>>,
-    engines: Vec<ObsEngine>,
-    app_component_count: usize,
-    finish: Arc<(Mutex<FinishState>, Condvar)>,
+}
+
+/// One thread per component, parked and woken through [`SmpShared`].
+struct ThreadBackend {
+    shared: Arc<SmpShared>,
+    handles: Vec<JoinHandle<()>>,
+}
+
+impl Backend for ThreadBackend {
+    type Endpoint = Fifo;
+
+    fn make_endpoint(
+        &mut self,
+        component: usize,
+        _spec: &ComponentSpec,
+        _iface: &str,
+    ) -> Result<Fifo, EmberaError> {
+        Ok(Fifo::new(component))
+    }
+
+    fn memory_bytes(&self, spec: &ComponentSpec, has_observer: bool) -> u64 {
+        host_memory_bytes(spec, has_observer)
+    }
+
+    fn spawn(&mut self, wiring: Wiring<Fifo>, flow: Flow) -> Result<(), EmberaError> {
+        let shared = Arc::clone(&self.shared);
+        let handle = std::thread::Builder::new()
+            .name(format!("embera:{}", flow.name()))
+            .stack_size(flow.stack_bytes as usize)
+            .spawn(move || {
+                let parker = SmpParker::register(shared, wiring.index);
+                flow.run(HostTransport::new(wiring, parker))
+            })
+            .map_err(|e| EmberaError::Platform(format!("thread spawn failed: {e}")))?;
+        self.handles.push(handle);
+        Ok(())
+    }
 }
 
 impl Platform for SmpPlatform {
     type Running = SmpRunning;
 
     fn deploy(&mut self, spec: AppSpec) -> Result<SmpRunning, EmberaError> {
-        let epoch = Instant::now();
-        let shutdown = Arc::new(ShutdownSignal::new());
-        let finish = Arc::new((
-            Mutex::new(FinishState {
-                finished: 0,
-                errors: Vec::new(),
-            }),
-            Condvar::new(),
-        ));
-
-        // 1. Create every provided-interface mailbox (data +
-        //    introspection) so connections can be resolved up front.
-        let mut mailboxes: HashMap<(String, String), Mailbox> = HashMap::new();
-        for c in &spec.components {
-            for iface in c.provided.iter().map(String::as_str).chain([INTROSPECTION]) {
-                let key = (c.name.clone(), iface.to_string());
-                let label = format!("{}::{}", c.name, iface);
-                mailboxes.insert(key, Mailbox::new(label, self.config.mailbox_kind));
-            }
-        }
-
-        // 2. Resolve required-interface routes.
-        let mut routes_by_component: HashMap<String, HashMap<String, Mailbox>> = HashMap::new();
-        for conn in &spec.connections {
-            let target = mailboxes
-                .get(&(conn.to.component.clone(), conn.to.interface.clone()))
-                .ok_or_else(|| {
-                    EmberaError::Validation(format!(
-                        "connection target {}::{} has no mailbox",
-                        conn.to.component, conn.to.interface
-                    ))
-                })?
-                .clone();
-            routes_by_component
-                .entry(conn.from.component.clone())
-                .or_default()
-                .insert(conn.from.interface.clone(), target);
-        }
-
-        // 3. Spawn one thread per component.
-        let trace = spec.trace.clone();
-        let faults = spec.faults.clone();
-        let mut handles = Vec::new();
-        let mut all_engines = Vec::new();
-        let app_component_count = spec
-            .components
-            .iter()
-            .filter(|c| !is_observer_component(&c.name))
-            .count();
-        for c in spec.components {
-            let stats = Arc::new(ComponentStats::new(&c.name, &c.provided, &c.required));
-            // Paper memory formula: stack + footprint per provided
-            // interface (data interfaces + the introspection mailbox
-            // when an observer is attached and will exercise it).
-            let provided_ifaces =
-                c.provided.len() as u64 + if spec.has_observer { 1 } else { 0 };
-            stats.set_memory_bytes(
-                c.stack_bytes + provided_ifaces * self.config.iface_footprint_bytes,
-            );
-            let engine = ObsEngine::with_metrics(Arc::clone(&stats), c.metrics.clone());
-            all_engines.push(engine.clone());
-
-            let provided: HashMap<String, Mailbox> = c
-                .provided
-                .iter()
-                .map(String::as_str)
-                .chain([INTROSPECTION])
-                .map(|iface| {
-                    (
-                        iface.to_string(),
-                        mailboxes[&(c.name.clone(), iface.to_string())].clone(),
-                    )
-                })
-                .collect();
-            let routes = routes_by_component.remove(&c.name).unwrap_or_default();
-
-            let pending = provided
-                .keys()
-                .map(|k| (k.clone(), std::collections::VecDeque::new()))
-                .collect();
-            let transport = SmpTransport {
-                name: c.name.clone(),
-                provided,
-                routes,
-                pending,
-                scratch: Vec::with_capacity(16),
-                epoch,
-                shutdown: Arc::clone(&shutdown),
-                observe: self.config.observe,
-                finish: Arc::clone(&finish),
-                is_app_component: !is_observer_component(&c.name),
-                pool: spec.pool.clone(),
-            };
-            let mut runtime = ComponentRuntime::new(
-                c.name.clone(),
-                c.required.clone(),
-                transport,
-                engine,
-                self.config.observe,
-                trace.as_ref().map(|t| t.sink_for(&c.name)),
-            );
-            runtime.set_restart_policy(c.restart);
-            runtime.set_overload_policy(c.overload);
-            if let Some(plan) = &faults {
-                runtime.set_fault_plan(plan);
-            }
-            let handle = std::thread::Builder::new()
-                .name(format!("embera:{}", c.name))
-                .stack_size(c.stack_bytes as usize)
-                .spawn(move || runtime.run_to_completion(c.behavior))
-                .map_err(|e| EmberaError::Platform(format!("thread spawn failed: {e}")))?;
-            handles.push(handle);
-        }
-
+        let mut backend = ThreadBackend {
+            shared: SmpShared::new(spec.components.len()),
+            handles: Vec::with_capacity(spec.components.len()),
+        };
+        let deployed = runtime::deploy(&mut backend, spec)?;
         Ok(SmpRunning {
-            app_name: spec.name,
-            epoch,
-            shutdown,
-            handles,
-            engines: all_engines,
-            app_component_count,
-            finish,
+            deployed,
+            shared: backend.shared,
+            handles: backend.handles,
         })
     }
 }
 
 impl RunningApp for SmpRunning {
     fn wait(self) -> Result<AppReport, EmberaError> {
-        // Wait for every application component's behavior to finish.
-        {
-            let (lock, cvar) = &*self.finish;
-            let mut st = lock.lock();
-            while st.finished < self.app_component_count {
-                cvar.wait(&mut st);
-            }
-        }
-        // The application is done once its own components finish: stamp
-        // the wall clock now, before tearing down the observer and the
-        // introspection service loops (harness shutdown is not app time).
-        let wall_time_ns = self.epoch.elapsed().as_nanos() as u64;
-        // Terminate service loops and the observer, then join.
-        self.shutdown.signal();
+        let wall_time_ns = self
+            .deployed
+            .completion()
+            .wait_app_done()
+            .unwrap_or_else(|| self.shared.now_ns());
+        self.shared.request_shutdown();
         for h in self.handles {
             h.join()
                 .map_err(|_| EmberaError::Platform("component thread panicked".into()))?;
         }
-        let errors = {
-            let (lock, _) = &*self.finish;
-            std::mem::take(&mut lock.lock().errors)
-        };
-        // Aggregate every originating failure: secondary `Terminated`
-        // errors from peers drained by the fail-fast shutdown rank last.
-        embera::supervise::fault_result(errors)?;
-        Ok(AppReport {
-            app_name: self.app_name,
-            wall_time_ns,
-            components: self
-                .engines
-                .iter()
-                .map(|e| e.full_report(wall_time_ns))
-                .collect(),
-        })
+        self.deployed.report(wall_time_ns)
     }
 }
 
@@ -246,7 +103,7 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use embera::behavior::behavior_fn;
-    use embera::{AppBuilder, ComponentSpec, ObserverConfig};
+    use embera::{AppBuilder, ObserverConfig};
 
     #[test]
     fn pipeline_delivers_all_messages_in_order() {
@@ -307,11 +164,8 @@ mod tests {
     fn send_on_disconnected_interface_errors() {
         let mut app = AppBuilder::new("bad");
         app.add(
-            ComponentSpec::new(
-                "lonely",
-                behavior_fn(|ctx| ctx.send("ghost", Bytes::new())),
-            )
-            .with_stack_bytes(1 << 20),
+            ComponentSpec::new("lonely", behavior_fn(|ctx| ctx.send("ghost", Bytes::new())))
+                .with_stack_bytes(1 << 20),
         );
         let spec = app.build().unwrap();
         let err = SmpPlatform::new().deploy(spec).unwrap().wait().unwrap_err();
@@ -363,34 +217,5 @@ mod tests {
         assert!(latest.iter().any(|r| r.component == "worker"));
         // Final report still present and coherent.
         assert!(report.component("worker").unwrap().app.total_sends > 0);
-    }
-
-    #[test]
-    fn observation_disabled_records_nothing() {
-        let mut app = AppBuilder::new("dark");
-        app.add(
-            ComponentSpec::new(
-                "src",
-                behavior_fn(|ctx| ctx.send("out", Bytes::from_static(b"x"))),
-            )
-            .with_required("out")
-            .with_stack_bytes(1 << 20),
-        );
-        app.add(
-            ComponentSpec::new(
-                "dst",
-                behavior_fn(|ctx| ctx.recv("in").map(|_| ())),
-            )
-            .with_provided("in")
-            .with_stack_bytes(1 << 20),
-        );
-        app.connect(("src", "out"), ("dst", "in"));
-        let mut platform = SmpPlatform::with_config(SmpConfig {
-            observe: false,
-            ..Default::default()
-        });
-        let report = platform.deploy(app.build().unwrap()).unwrap().wait().unwrap();
-        assert_eq!(report.component("src").unwrap().app.total_sends, 0);
-        assert_eq!(report.component("src").unwrap().middleware.send.count, 0);
     }
 }

@@ -1,14 +1,15 @@
-//! Property-based tests of the SMP mailbox: FIFO per producer and no
-//! message loss, for both implementations.
+//! Property-based tests of the mailbox shared by the SMP and executor
+//! backends ([`embera::runtime::Fifo`]): FIFO per producer and no
+//! message loss under concurrent producers.
 
 use bytes::Bytes;
 use proptest::prelude::*;
 
+use embera::runtime::Fifo;
 use embera::Message;
-use embera_smp::{Mailbox, MailboxKind};
 
-fn run_producers(kind: MailboxKind, per_producer: Vec<u16>) -> Vec<(u8, u16)> {
-    let mb = Mailbox::new("p", kind);
+fn run_producers(per_producer: Vec<u16>) -> Vec<(u8, u16)> {
+    let mb = Fifo::new(0);
     let mut handles = Vec::new();
     for (p, count) in per_producer.iter().enumerate() {
         let tx = mb.clone();
@@ -37,10 +38,8 @@ proptest! {
     #[test]
     fn no_loss_and_per_producer_fifo(
         counts in prop::collection::vec(0u16..200, 1..5),
-        seg in any::<bool>(),
     ) {
-        let kind = if seg { MailboxKind::SegQueue } else { MailboxKind::MutexCondvar };
-        let drained = run_producers(kind, counts.clone());
+        let drained = run_producers(counts.clone());
         let expected_total: usize = counts.iter().map(|&c| c as usize).sum();
         prop_assert_eq!(drained.len(), expected_total, "no message may be lost");
         // Per-producer order must be preserved.

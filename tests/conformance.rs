@@ -9,8 +9,8 @@
 use bytes::Bytes;
 use embera::behavior::behavior_fn;
 use embera::{
-    AppBuilder, AppReport, AppSpec, ComponentSpec, EmberaError, Message, ObsRequest,
-    ObserverConfig, OverloadPolicy, Platform, RunningApp, INTROSPECTION,
+    AppBuilder, AppReport, AppSpec, ComponentSpec, Connection, EmberaError, Endpoint, Message,
+    ObsRequest, ObserverConfig, OverloadPolicy, Platform, RunningApp, INTROSPECTION,
 };
 use embera_exec::ExecPlatform;
 use embera_inproc::InprocPlatform;
@@ -301,6 +301,40 @@ fn error_contract_is_identical_on_every_backend() {
             pool: None,
         };
         run(spec).unwrap_or_else(|e| panic!("[{backend}] {e}"));
+    }
+}
+
+#[test]
+fn dangling_connection_is_a_validation_error_on_every_backend() {
+    // `AppBuilder` rejects this up front; a hand-edited `AppSpec` gets
+    // past it, and deployment must then refuse with the same error
+    // everywhere — before any component runs.
+    for (backend, run) in backends() {
+        let mut app = AppBuilder::new("dangling");
+        app.add(
+            ComponentSpec::new("src", behavior_fn(|ctx| ctx.send("out", Bytes::new())))
+                .with_required("out")
+                .with_stack_bytes(1 << 20)
+                .on_cpu(0),
+        );
+        app.add(
+            ComponentSpec::new("dst", behavior_fn(|ctx| ctx.recv("in").map(|_| ())))
+                .with_provided("in")
+                .with_stack_bytes(1 << 20)
+                .on_cpu(1),
+        );
+        app.connect(("src", "out"), ("dst", "in"));
+        let mut spec = app.build().unwrap();
+        spec.connections.push(Connection {
+            from: Endpoint::new("src", "extra"),
+            to: Endpoint::new("ghost", "in"),
+        });
+        match run(spec) {
+            Err(EmberaError::Validation(msg)) => {
+                assert!(msg.contains("ghost"), "[{backend}] {msg}");
+            }
+            other => panic!("[{backend}] expected Validation, got {other:?}"),
+        }
     }
 }
 
