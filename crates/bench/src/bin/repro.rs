@@ -1776,6 +1776,11 @@ fn overload(scale: &Scale, args: &[String]) {
 ///    shards, reporting host-wall events/second. The sequential and
 ///    windowed schedules are asserted identical at run time — the
 ///    benchmark refuses to publish numbers for diverging simulations.
+///    Simulated processes are fibers: at one shard the calling thread
+///    resumes them in place (no host thread or OS switch per event), at
+///    K shards every window starts K scoped workers, so at this ring's
+///    1 µs lookahead the windowed rows time worker start-up per window
+///    rather than event dispatch (EXPERIMENTS.md, PR 13).
 /// 2. **Sweep fan-out.** The same list of real-time-paced pipeline
 ///    cells dispatched through [`runner::run_cells`] at `--jobs 1` and
 ///    `--jobs N`. Pacing sleeps dominate each cell's wall clock and

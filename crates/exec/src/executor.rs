@@ -47,9 +47,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use embera_fiber::{fiber_yield, on_fiber, Fiber, Resume};
 use parking_lot::{Condvar, Mutex};
-
-use crate::fiber::{self, Fiber, Resume};
 
 pub(crate) const QUEUED: u8 = 0;
 pub(crate) const RUNNING: u8 = 1;
@@ -204,17 +203,17 @@ impl ExecShared {
     /// Park the calling fiber until woken. May return spuriously; the
     /// shared runtime re-checks around every park.
     pub(crate) fn park(&self, id: usize) {
-        debug_assert!(fiber::on_fiber(), "park outside a fiber");
+        debug_assert!(on_fiber(), "park outside a fiber");
         self.tasks[id].yield_kind.store(YIELD_PARK, Ordering::Relaxed);
-        fiber::fiber_yield();
+        fiber_yield();
     }
 
     /// Yield the calling fiber but stay runnable (cooperative fairness
     /// point for long send bursts).
     pub(crate) fn yield_coop(&self, id: usize) {
-        debug_assert!(fiber::on_fiber(), "yield outside a fiber");
+        debug_assert!(on_fiber(), "yield outside a fiber");
         self.tasks[id].yield_kind.store(YIELD_COOP, Ordering::Relaxed);
-        fiber::fiber_yield();
+        fiber_yield();
     }
 
     /// Arm (or move) this task's wakeup deadline, executor-epoch ns.

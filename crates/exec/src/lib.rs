@@ -52,7 +52,6 @@
 //! scale.
 
 mod executor;
-pub mod fiber;
 mod parker;
 pub mod platform;
 

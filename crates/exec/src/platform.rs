@@ -10,9 +10,9 @@ use embera::runtime::{
     self, host_memory_bytes, Backend, Deployed, Fifo, Flow, HostTransport, Wiring,
 };
 use embera::{AppReport, AppSpec, ComponentSpec, EmberaError, Platform, RunningApp};
+use embera_fiber::Fiber;
 
 use crate::executor::{worker_loop, ExecShared};
-use crate::fiber::Fiber;
 use crate::parker::ExecParker;
 
 /// The worker-pool size a request for `workers` resolves to: `0` means

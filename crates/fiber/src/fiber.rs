@@ -1,25 +1,9 @@
-//! Stackful fibers: the schedulable unit of the M:N executor.
+//! The two implementations behind [`Fiber`] and the switch between them.
 //!
-//! A component behavior is plain blocking Rust (`ctx.recv` loops), so it
-//! cannot be polled as a state machine. Instead each component runs on its
-//! own heap-allocated stack and yields control back to the worker thread
-//! with a user-space context switch whenever its transport would block
-//! (`park_recv`, `park_quiescent`, `delay`). The switch saves exactly the
-//! System V callee-saved register set (rsp, rbp, rbx, r12–r15) plus the
-//! MXCSR and x87 control words — everything else is caller-saved and dead
-//! across the `raw_switch` call boundary by the C ABI.
-//!
-//! Two implementations sit behind [`Fiber`]:
-//!
-//! * `StackFiber` — the x86_64 assembly switch described above. A switch
-//!   is ~20 instructions; 10 000 fibers cost one `Vec<u8>` stack each
-//!   (lazily committed pages, so resident memory stays proportional to
-//!   what the behavior actually touches).
-//! * `ThreadFiber` — a portable fallback that parks one OS thread per
-//!   fiber behind a condvar handoff. Semantically identical (only one of
-//!   worker/fiber ever runs at a time), used on non-x86_64 targets and
-//!   forceable with `EMBERA_EXEC_FIBER=thread` as a correctness oracle
-//!   for the assembly path.
+//! The assembly switch saves exactly the System V callee-saved register
+//! set (rsp, rbp, rbx, r12–r15) plus the MXCSR and x87 control words —
+//! everything else is caller-saved and dead across the `raw_switch` call
+//! boundary by the C ABI.
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -55,15 +39,15 @@ enum FiberImpl {
 
 /// A suspended computation with its own stack.
 ///
-/// Owned and resumed by exactly one worker thread at a time; the
-/// executor's task state machine provides that exclusion, which is what
-/// makes the `Send` impl below sound.
+/// Owned and resumed by exactly one thread at a time (`resume` takes
+/// `&mut self`), which is what makes the `Send` impl below sound.
 pub struct Fiber(FiberImpl);
 
-// SAFETY: a Fiber is only ever resumed by one thread at a time (executor
-// invariant: a task id lives in at most one run queue and the fiber slot
-// is emptied while running). The raw stack pointers it carries refer to
-// memory owned by the fiber itself.
+// SAFETY: `resume` takes `&mut self`, so a Fiber is only ever resumed by
+// one thread at a time, and the body it runs is `Send`. The raw stack
+// pointers it carries refer to memory owned by the fiber itself. What
+// the type cannot check is stated in the crate docs: a body must not
+// carry thread identity across a yield.
 unsafe impl Send for Fiber {}
 
 impl Fiber {
@@ -82,8 +66,8 @@ impl Fiber {
         Fiber(FiberImpl::Thread(ThreadFiber::spawn(f)))
     }
 
-    /// Run the fiber until it yields or finishes. Must be called from a
-    /// plain worker thread, never from inside another fiber.
+    /// Run the fiber until it yields or finishes (see the [crate-level
+    /// contract](crate) for who may call this).
     pub fn resume(&mut self) -> Resume {
         match &mut self.0 {
             #[cfg(target_arch = "x86_64")]
@@ -93,7 +77,7 @@ impl Fiber {
     }
 }
 
-/// Yield from inside a fiber back to the worker that resumed it.
+/// Yield from inside a fiber back to the thread that resumed it.
 /// Panics if called from a thread that is not currently running a fiber.
 pub fn fiber_yield() {
     match ACTIVE.get() {
@@ -258,6 +242,11 @@ mod stack_impl {
             }
         }
 
+        #[cfg(test)]
+        pub(super) fn canary_addr(&self) -> usize {
+            self.inner.canary as usize
+        }
+
         /// Called (indirectly) from inside the fiber via [`fiber_yield`].
         pub(super) unsafe fn yield_from(inner: *mut StackInner) {
             raw_switch(&mut (*inner).fiber_rsp, (*inner).worker_rsp);
@@ -327,9 +316,7 @@ mod stack_impl {
 
     unsafe extern "C" fn fiber_entry(inner: *mut StackInner) {
         let f = (*inner).entry.take().expect("fiber entry already taken");
-        // Safety net: behaviors are already caught inside the runtime;
-        // a panic escaping to here would otherwise unwind into the
-        // trampoline's ud2. Swallow it and report the fiber as finished.
+        // The safety net of the crate-level contract.
         let _ = catch_unwind(AssertUnwindSafe(f));
         (*inner).finished = true;
         // Final switch back to the worker; this fiber is never resumed
@@ -382,7 +369,7 @@ impl ThreadFiber {
         });
         let thread_shared = Arc::clone(&shared);
         std::thread::Builder::new()
-            .name("embera-exec:fiber".into())
+            .name("embera:fiber".into())
             .spawn(move || {
                 {
                     let mut st = thread_shared.state.lock();
@@ -511,6 +498,29 @@ mod tests {
     fn panic_inside_fiber_is_contained() {
         let mut f = Fiber::spawn(MIN_STACK_BYTES, || panic!("boom"));
         assert_eq!(f.resume(), Resume::Finished);
+    }
+
+    /// A real overflow scribbles over whatever lies below the stack, so
+    /// the body clobbers only the canary word, as the deepest push of an
+    /// overflowing frame would.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn clobbered_canary_fails_the_resume_loudly() {
+        let canary = Arc::new(AtomicUsize::new(0));
+        let c = Arc::clone(&canary);
+        let mut f = StackFiber::spawn(MIN_STACK_BYTES, move || {
+            let word = c.load(Ordering::SeqCst) as *mut u64;
+            // SAFETY: the address of this fiber's own canary word, which
+            // lies inside its live stack allocation.
+            unsafe { word.write_volatile(0) };
+            fiber_yield();
+        });
+        canary.store(f.canary_addr(), Ordering::SeqCst);
+        let failure = catch_unwind(AssertUnwindSafe(|| f.resume()))
+            .expect_err("resume returned from a fiber with a clobbered canary");
+        let message = failure.downcast_ref::<&str>().copied().unwrap_or_default();
+        assert!(message.contains("stack overflow"), "got {message:?}");
+        assert!(!on_fiber(), "the failed resume left ACTIVE set");
     }
 
     #[test]

@@ -43,17 +43,17 @@
 //! [`SimError::LookaheadViolation`].
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
+use embera_fiber::Fiber;
 use parking_lot::Mutex;
 
 use crate::error::{DeadlockInfo, SimError};
 use crate::process::{
-    process_main, Directory, EventId, Pid, Rendezvous, ResumeKind, SharedClock, SideEffects,
-    SimCtx, YieldReason,
+    process_fiber, Directory, EventId, Link, Pid, ProcessBody, ResumeKind, SharedClock, SimCtx,
+    Slice, SpawnRequest, YieldReason,
 };
 use crate::Time;
 
@@ -210,9 +210,9 @@ enum ProcState {
 struct ProcEntry {
     name: String,
     shard: usize,
-    rendezvous: Arc<Rendezvous>,
-    effects: Arc<SideEffects>,
-    handle: Option<JoinHandle<()>>,
+    link: Arc<Link>,
+    /// The process's stack; `None` once its body is over.
+    fiber: Option<Fiber>,
     state: ProcState,
     daemon: bool,
     /// Bumped every time the process blocks; stale timeout checks compare
@@ -315,6 +315,12 @@ pub struct Kernel {
     stats: KernelStats,
     /// Minimum latency declared by channels, the default lookahead.
     min_latency: Option<Time>,
+    /// Non-daemon processes that have not finished; the run is complete
+    /// at zero.
+    unfinished: usize,
+    /// The notifications of the slice being applied; kept so its buffer
+    /// is reused from one dispatch to the next.
+    notifications: VecDeque<(EventId, Time)>,
 }
 
 impl Default for Kernel {
@@ -343,6 +349,8 @@ impl Kernel {
             seq: 0,
             stats: KernelStats::default(),
             min_latency: None,
+            unfinished: 0,
+            notifications: VecDeque::new(),
             config,
         }
     }
@@ -422,7 +430,7 @@ impl Kernel {
     fn spawn_inner(
         &mut self,
         name: String,
-        body: Box<dyn FnOnce(SimCtx) + Send + 'static>,
+        body: ProcessBody,
         daemon: bool,
         reserved: Option<Pid>,
         shard_hint: Option<usize>,
@@ -434,34 +442,29 @@ impl Kernel {
         debug_assert_eq!(pid, self.procs.len(), "directory/kernel pid skew");
         let nshards = self.shard_clocks.len();
         let shard = shard_hint.map_or(pid % nshards, |s| s % nshards);
-        let rendezvous = Arc::new(Rendezvous::default());
-        let effects = Arc::new(SideEffects::default());
+        let link = Arc::new(Link::default());
         let ctx = SimCtx {
             pid,
             name: name.clone(),
-            rendezvous: Arc::clone(&rendezvous),
+            link: Arc::clone(&link),
             clock: Arc::clone(&self.clock),
             now_cell: Arc::clone(&self.shard_clocks[shard]),
-            effects: Arc::clone(&effects),
             directory: Arc::clone(&self.directory),
         };
-        let thread_name = format!("sim:{name}");
-        let handle = std::thread::Builder::new()
-            .name(thread_name)
-            .spawn(move || process_main(ctx, body))
-            .expect("failed to spawn simulated process thread");
         self.procs.push(ProcEntry {
             name,
             shard,
-            rendezvous,
-            effects,
-            handle: Some(handle),
+            link,
+            fiber: Some(process_fiber(ctx, body)),
             state: ProcState::Runnable,
             daemon,
             wait_epoch: 0,
             dispatch_count: 0,
         });
         self.stats.processes_spawned += 1;
+        if !daemon {
+            self.unfinished += 1;
+        }
         // Pre-size ahead of demand: each process typically keeps at most
         // a resume plus a timeout in flight.
         self.queue.ensure_capacity(self.procs.len() * 2);
@@ -516,51 +519,47 @@ impl Kernel {
         }
     }
 
-    fn drain_side_effects(&mut self, pid: Pid) {
-        let effects = Arc::clone(&self.procs[pid].effects);
+    /// Apply what the slice `pid` just ran left behind: the notifications
+    /// in `self.notifications`, then its spawn requests.
+    fn apply_side_effects(&mut self, pid: Pid, spawns: Vec<SpawnRequest>) {
         let shard = self.procs[pid].shard;
         let dispatch = self.procs[pid].dispatch_count;
         let now = self.now();
         // Notifications first: a process that notified an event during its
         // slice wakes waiters *registered before its slice*; its own
         // subsequent wait (handled by the caller) is not self-woken.
-        let mut effect_idx = 0u32;
-        loop {
-            let next = effects.notifications.lock().pop_front();
-            match next {
-                Some((event, 0)) => self.deliver_notification(event),
-                Some((event, dt)) => {
-                    self.timed.push(Reverse(TimedEntry {
-                        time: now.saturating_add(dt),
-                        tag: EffectTag {
-                            pid,
-                            dispatch,
-                            effect: effect_idx,
-                        },
-                        event,
-                    }));
-                }
-                None => break,
+        let mut notifications = std::mem::take(&mut self.notifications);
+        for (effect, (event, dt)) in (0u32..).zip(notifications.drain(..)) {
+            if dt == 0 {
+                self.deliver_notification(event);
+            } else {
+                self.timed.push(Reverse(TimedEntry {
+                    time: now.saturating_add(dt),
+                    tag: EffectTag {
+                        pid,
+                        dispatch,
+                        effect,
+                    },
+                    event,
+                }));
             }
-            effect_idx += 1;
         }
-        loop {
-            let next = effects.spawns.lock().pop_front();
-            match next {
-                Some((name, body, child)) => {
-                    // Children inherit their parent's shard so runtime
-                    // process trees stay local.
-                    self.spawn_inner(name, body, false, Some(child), Some(shard));
-                }
-                None => break,
-            }
+        self.notifications = notifications;
+        for child in spawns {
+            // Children inherit their parent's shard so runtime process
+            // trees stay local.
+            self.spawn_inner(child.name, child.body, false, Some(child.pid), Some(shard));
         }
     }
 
-    fn all_non_daemons_done(&self) -> bool {
-        self.procs
-            .iter()
-            .all(|p| p.daemon || p.state == ProcState::Done)
+    /// Mark `pid` finished and wake its joiners.
+    fn finish(&mut self, pid: Pid) {
+        self.procs[pid].state = ProcState::Done;
+        if !self.procs[pid].daemon {
+            self.unfinished -= 1;
+        }
+        let completion = self.directory.mark_finished(pid);
+        self.deliver_notification(completion);
     }
 
     fn blocked_names(&self) -> Vec<String> {
@@ -596,7 +595,7 @@ impl Kernel {
     /// representation).
     fn run_sequential(&mut self, horizon: Time) -> Result<RunOutcome, SimError> {
         loop {
-            if self.all_non_daemons_done() && !self.procs.is_empty() {
+            if self.unfinished == 0 && !self.procs.is_empty() {
                 return Ok(RunOutcome::Completed);
             }
             // Next source: the timed-notification heap or the event queue;
@@ -607,7 +606,7 @@ impl Kernel {
                 (Some(_), None) => true,
                 (None, Some(_)) => false,
                 (None, None) => {
-                    if self.all_non_daemons_done() {
+                    if self.unfinished == 0 {
                         return Ok(RunOutcome::Completed);
                     }
                     return Err(SimError::Deadlock(DeadlockInfo {
@@ -668,17 +667,20 @@ impl Kernel {
         }
     }
 
-    /// Resume `pid`, wait for its yield, then apply side effects and the
-    /// yield reason. `reg` is the `(time, seq)` of the dispatching entry,
-    /// recorded on any wait this slice registers.
+    /// Run `pid` until it switches back out, then apply side effects and
+    /// the yield reason. `reg` is the `(time, seq)` of the dispatching
+    /// entry, recorded on any wait this slice registers.
     fn dispatch(&mut self, pid: Pid, kind: ResumeKind, reg: (Time, u64)) -> Result<(), SimError> {
         self.stats.events_dispatched += 1;
-        self.procs[pid].dispatch_count += 1;
-        self.shard_clocks[self.procs[pid].shard].store(reg.0, Ordering::Release);
-        let reason = self.procs[pid].rendezvous.resume_and_wait(kind);
-        self.drain_side_effects(pid);
+        let proc = &mut self.procs[pid];
+        proc.dispatch_count += 1;
+        self.shard_clocks[proc.shard].store(reg.0, Ordering::Release);
+        let slice = proc
+            .link
+            .run_slice(&mut proc.fiber, kind, &mut self.notifications);
+        self.apply_side_effects(pid, slice.spawns);
         let now = self.now();
-        match reason {
+        match slice.reason {
             YieldReason::Advance(dt) => {
                 self.push(now.saturating_add(dt), QueueItem::Resume(pid, ResumeKind::Scheduled));
             }
@@ -702,22 +704,10 @@ impl Kernel {
                     .push(Waiter { pid, reg });
                 self.push(now.saturating_add(dt), QueueItem::Timeout(pid, epoch));
             }
-            YieldReason::Done => {
-                self.procs[pid].state = ProcState::Done;
-                let completion = self.directory.mark_finished(pid);
-                self.deliver_notification(completion);
-                if let Some(handle) = self.procs[pid].handle.take() {
-                    let _ = handle.join();
-                }
-            }
+            YieldReason::Done => self.finish(pid),
             YieldReason::Panicked(message) => {
-                self.procs[pid].state = ProcState::Done;
-                let completion = self.directory.mark_finished(pid);
-                self.deliver_notification(completion);
+                self.finish(pid);
                 let name = self.procs[pid].name.clone();
-                if let Some(handle) = self.procs[pid].handle.take() {
-                    let _ = handle.join();
-                }
                 return Err(SimError::ProcessPanicked { name, message });
             }
         }
@@ -742,12 +732,7 @@ impl Kernel {
         }
 
         let result = 'run: loop {
-            let unfinished_count = self
-                .procs
-                .iter()
-                .filter(|p| !p.daemon && p.state != ProcState::Done)
-                .count();
-            if unfinished_count == 0 && !self.procs.is_empty() {
+            if self.unfinished == 0 && !self.procs.is_empty() {
                 break 'run Ok(RunOutcome::Completed);
             }
             let next_queue = shard_heaps
@@ -760,7 +745,7 @@ impl Kernel {
                 (Some(q), None) => q,
                 (None, Some(d)) => d,
                 (None, None) => {
-                    if self.all_non_daemons_done() {
+                    if self.unfinished == 0 {
                         break 'run Ok(RunOutcome::Completed);
                     }
                     break 'run Err(SimError::Deadlock(DeadlockInfo {
@@ -823,7 +808,7 @@ impl Kernel {
             let directory = Arc::clone(&self.directory);
             let cells: Vec<Arc<AtomicU64>> = self.shard_clocks.clone();
             let waiters_mx = Mutex::new(std::mem::take(&mut self.waiters));
-            let unfinished = AtomicUsize::new(unfinished_count);
+            let unfinished = AtomicUsize::new(self.unfinished);
             let outcomes: Vec<ShardWindowOutcome> = {
                 let mut parts: Vec<Vec<(Pid, &mut ProcEntry)>> =
                     (0..nshards).map(|_| Vec::new()).collect();
@@ -862,6 +847,7 @@ impl Kernel {
                 })
             };
             self.waiters = waiters_mx.into_inner();
+            self.unfinished = unfinished.into_inner();
             self.seq = seq_base
                 .checked_add(nshards as u64 * SEQ_BLOCK)
                 .expect("sequence space exhausted");
@@ -972,6 +958,7 @@ fn run_shard_window(
     let mut procs: HashMap<Pid, &mut ProcEntry> = part.into_iter().collect();
     let mut seq = seq_start;
     let mut out = ShardWindowOutcome::default();
+    let mut notifications = VecDeque::new();
     let violation = |entry: &Entry, detail: String| {
         Some((
             (entry.time, entry.seq),
@@ -1022,18 +1009,15 @@ fn run_shard_window(
             }
         };
         out.dispatched += 1;
-        let (reason, dispatch_idx, effects) = {
+        let (Slice { reason, spawns }, dispatch_idx) = {
             let p = procs.get_mut(&pid).expect("dispatching pid");
             p.dispatch_count += 1;
-            let effects = Arc::clone(&p.effects);
-            (p.rendezvous.resume_and_wait(kind), p.dispatch_count, effects)
+            let slice = p.link.run_slice(&mut p.fiber, kind, &mut notifications);
+            (slice, p.dispatch_count)
         };
         // Side effects: zero-delay notifications deliver to local waiters
         // immediately; delayed ones (>= lookahead) defer to the boundary.
-        let mut effect_idx = 0u32;
-        loop {
-            let next = effects.notifications.lock().pop_front();
-            let Some((event, dt)) = next else { break };
+        for (effect, (event, dt)) in (0u32..).zip(notifications.drain(..)) {
             if dt == 0 {
                 if let Err(foreign) = wake_local_waiters(
                     event,
@@ -1069,14 +1053,13 @@ fn run_shard_window(
                     tag: EffectTag {
                         pid,
                         dispatch: dispatch_idx,
-                        effect: effect_idx,
+                        effect,
                     },
                     event,
                 });
             }
-            effect_idx += 1;
         }
-        if !effects.spawns.lock().is_empty() {
+        if !spawns.is_empty() {
             out.error = violation(
                 &entry,
                 format!(
@@ -1161,14 +1144,6 @@ fn run_shard_window(
                     );
                     break;
                 }
-                if let Some(handle) = procs
-                    .get_mut(&pid)
-                    .expect("dispatching pid")
-                    .handle
-                    .take()
-                {
-                    let _ = handle.join();
-                }
                 if let YieldReason::Panicked(message) = reason {
                     let name = procs.get(&pid).expect("dispatching pid").name.clone();
                     out.error =
@@ -1188,14 +1163,13 @@ fn run_shard_window(
 
 impl Drop for Kernel {
     fn drop(&mut self) {
-        // Unblock and join every process thread that is still parked.
+        // Take every process whose body is not over off its stack: a
+        // suspended one unwinds (dropping its locals), a never-started
+        // one drops its body unrun.
         self.clock.shutting_down.store(true, Ordering::Release);
         for proc in &mut self.procs {
-            if proc.state != ProcState::Done {
-                proc.rendezvous.kill();
-            }
-            if let Some(handle) = proc.handle.take() {
-                let _ = handle.join();
+            if let Some(fiber) = proc.fiber.take() {
+                proc.link.kill(fiber);
             }
         }
     }

@@ -3,9 +3,12 @@
 //! This crate provides the execution substrate for the simulated STi7200
 //! MPSoC used by the EMBera reproduction. It is a *conservative*,
 //! fully deterministic discrete-event kernel in which simulated processes
-//! are **thread-backed coroutines**: every process runs on a host thread,
-//! but the kernel only ever lets one process run at a time, handing control
-//! to the process whose next event fires earliest. Repeated runs of the
+//! are **stackful fibers** ([`embera_fiber`]): every process has a stack
+//! of its own ([`PROCESS_STACK_BYTES`]) but no host thread. The kernel
+//! resumes the process whose next event fires earliest in place, on the
+//! thread that called [`Kernel::run`], and gets control back with a
+//! user-space switch when the process blocks — no host scheduler is
+//! involved, and only one process runs at a time. Repeated runs of the
 //! same simulation therefore produce bit-identical schedules.
 //!
 //! Virtual time is measured in [`Time`] units (nanoseconds of a global
@@ -49,7 +52,7 @@ pub mod process;
 pub use channel::{BoundedSimChannel, LatentChannel, SimChannel};
 pub use error::{DeadlockInfo, SimError};
 pub use kernel::{Kernel, KernelConfig, KernelStats, RunOutcome};
-pub use process::{EventId, Pid, ResumeKind, SimCtx};
+pub use process::{EventId, Pid, ResumeKind, SimCtx, PROCESS_STACK_BYTES};
 
 /// Virtual time, in nanoseconds of the global reference clock.
 pub type Time = u64;

@@ -1,20 +1,34 @@
 //! Simulated processes and the [`SimCtx`] handle they run against.
 //!
-//! A simulated process is host thread that cooperates with the kernel in
-//! strict lock-step: the kernel resumes it, the process runs until it
-//! needs virtual time to pass (or an event to fire), then it yields back.
-//! At most one process executes per kernel *shard* at any instant (one in
-//! total under the default sequential configuration), and the dispatch
-//! order within and across shards is fully determined by virtual time,
-//! which is what makes the simulation deterministic.
+//! A simulated process is a stackful fiber ([`embera_fiber`]) that
+//! cooperates with the kernel in strict lock-step: the kernel resumes it
+//! in place — on the thread inside [`Kernel::run`](crate::Kernel::run),
+//! or on a shard worker under windowed execution — the process runs
+//! until it needs virtual time to pass (or an event to fire), then it
+//! switches back. At most one process executes per kernel *shard* at any
+//! instant (one in total under the default sequential configuration),
+//! and the dispatch order within and across shards is fully determined
+//! by virtual time, which is what makes the simulation deterministic.
+//!
+//! One rule of the [`embera_fiber`] contract reaches simulation code: a
+//! process body must not carry thread identity (thread-local values,
+//! `std::thread::current()`) across a blocking [`SimCtx`] call, because
+//! windowed execution resumes it on whichever worker thread runs its
+//! shard in that window.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
+use embera_fiber::{fiber_yield, Fiber, Resume};
+use parking_lot::Mutex;
 
 use crate::Time;
+
+/// Stack of every simulated process, in bytes. Allocated uninitialized,
+/// so a process only ever commits the pages it runs on; there is no
+/// guard page, only a canary word checked after each slice.
+pub const PROCESS_STACK_BYTES: usize = 1 << 20;
 
 /// Identifier of a simulated process.
 pub type Pid = usize;
@@ -56,84 +70,100 @@ pub(crate) enum YieldReason {
     Panicked(String),
 }
 
-/// Lock-step rendezvous between the kernel and one process thread.
-#[derive(Default)]
-pub(crate) struct Rendezvous {
-    state: Mutex<RendezvousState>,
-    cond: Condvar,
+/// Body of a simulated process.
+pub(crate) type ProcessBody = Box<dyn FnOnce(SimCtx) + Send + 'static>;
+
+/// A process created by [`SimCtx::spawn`], materialized by the kernel
+/// once the spawning slice ends.
+pub(crate) struct SpawnRequest {
+    pub(crate) name: String,
+    pub(crate) body: ProcessBody,
+    pub(crate) pid: Pid,
 }
 
+/// Everything one process and the kernel pass each other at a switch.
+/// Only one side runs at a time, so the mutex is never contended; it is
+/// what lets the other side — possibly another host thread under
+/// windowed execution or the thread-fiber oracle — read the words
+/// safely. One instance **per process**, which keeps each shard's effect
+/// stream private to the dispatching worker.
 #[derive(Default)]
-struct RendezvousState {
-    /// Set by the kernel to hand control to the process.
+pub(crate) struct Link(Mutex<LinkState>);
+
+#[derive(Default)]
+struct LinkState {
+    /// Set by the kernel before it switches the process in.
     go: Option<ResumeKind>,
-    /// Set by the process to hand control back.
+    /// Set by the process before it switches back out.
     yielded: Option<YieldReason>,
+    /// Notifications queued during the slice, with their delivery delay:
+    /// `0` means "wake current waiters when this slice ends" (the classic
+    /// [`SimCtx::notify`]), a positive delay defers delivery onto the
+    /// kernel's timed-notification queue ([`SimCtx::notify_after`]).
+    notifications: VecDeque<(EventId, Time)>,
+    spawns: Vec<SpawnRequest>,
 }
 
-impl Rendezvous {
-    /// Kernel side: resume the process and block until it yields.
-    pub(crate) fn resume_and_wait(&self, kind: ResumeKind) -> YieldReason {
-        let mut st = self.state.lock();
-        debug_assert!(st.go.is_none(), "double resume");
-        st.go = Some(kind);
-        self.cond.notify_all();
-        loop {
-            if let Some(reason) = st.yielded.take() {
-                return reason;
-            }
-            self.cond.wait(&mut st);
+/// What the kernel reads back when a slice ends. The slice's
+/// notifications are swapped into the caller's queue instead, so the
+/// buffers are reused from one dispatch to the next.
+pub(crate) struct Slice {
+    pub(crate) reason: YieldReason,
+    pub(crate) spawns: Vec<SpawnRequest>,
+}
+
+impl Link {
+    /// Kernel side: switch the process in with `kind` and, once it has
+    /// switched back out, collect what the slice produced. `notifications`
+    /// must be empty; it comes back holding the slice's notifications in
+    /// the order they were queued. `fiber` is cleared when the body is
+    /// over, so a fiber that is still there can always be resumed.
+    pub(crate) fn run_slice(
+        &self,
+        fiber: &mut Option<Fiber>,
+        kind: ResumeKind,
+        notifications: &mut VecDeque<(EventId, Time)>,
+    ) -> Slice {
+        debug_assert!(notifications.is_empty(), "undrained notifications");
+        {
+            let mut st = self.0.lock();
+            debug_assert!(st.go.is_none(), "double resume");
+            st.go = Some(kind);
+        }
+        let running = fiber
+            .as_mut()
+            .expect("dispatched a process whose body is over");
+        if running.resume() == Resume::Finished {
+            *fiber = None;
+        }
+        let mut st = self.0.lock();
+        std::mem::swap(&mut st.notifications, notifications);
+        let reason = st.yielded.take();
+        Slice {
+            reason: reason.expect("process switched out without a yield reason"),
+            spawns: std::mem::take(&mut st.spawns),
         }
     }
 
-    /// Process side: publish a yield reason and block until resumed.
-    fn yield_and_wait(&self, reason: YieldReason) -> ResumeKind {
-        let mut st = self.state.lock();
+    /// Kernel-shutdown path: resume the process one last time so that it
+    /// unwinds its own stack (or, if it never ran, drops its body unrun).
+    pub(crate) fn kill(&self, mut fiber: Fiber) {
+        self.0.lock().go = Some(ResumeKind::Killed);
+        fiber.resume();
+    }
+
+    /// Process side: take the kind of the resume that just switched us in.
+    fn take_go(&self) -> ResumeKind {
+        let go = self.0.lock().go.take();
+        go.expect("process resumed without a resume kind")
+    }
+
+    /// Process side: publish why we are about to switch out.
+    fn set_yielded(&self, reason: YieldReason) {
+        let mut st = self.0.lock();
         debug_assert!(st.yielded.is_none(), "double yield");
         st.yielded = Some(reason);
-        self.cond.notify_all();
-        loop {
-            if let Some(kind) = st.go.take() {
-                return kind;
-            }
-            self.cond.wait(&mut st);
-        }
     }
-
-    /// Kernel-shutdown path: hand the process a `Killed` resume without
-    /// waiting for a yield (the process thread exits instead of yielding).
-    pub(crate) fn kill(&self) {
-        let mut st = self.state.lock();
-        st.go = Some(ResumeKind::Killed);
-        self.cond.notify_all();
-    }
-
-    /// Process side: wait for the very first resume without yielding.
-    fn wait_first(&self) -> ResumeKind {
-        let mut st = self.state.lock();
-        loop {
-            if let Some(kind) = st.go.take() {
-                return kind;
-            }
-            self.cond.wait(&mut st);
-        }
-    }
-}
-
-/// Side-effect queues a running process fills and the kernel drains after
-/// each yield. One instance **per process**: in sharded execution several
-/// processes run concurrently (one per shard), and per-process queues keep
-/// each shard's effect stream private to the dispatching worker.
-/// Notifications carry a delivery delay: `0` means "wake current waiters
-/// when this slice ends" (the classic [`SimCtx::notify`]), a positive
-/// delay defers delivery onto the kernel's timed-notification queue
-/// ([`SimCtx::notify_after`]).
-#[derive(Default)]
-pub(crate) struct SideEffects {
-    pub(crate) notifications: Mutex<VecDeque<(EventId, Time)>>,
-    #[allow(clippy::type_complexity)]
-    pub(crate) spawns:
-        Mutex<VecDeque<(String, Box<dyn FnOnce(SimCtx) + Send + 'static>, Pid)>>,
 }
 
 /// Shared process directory: pid allocation, completion events and
@@ -174,7 +204,7 @@ impl Directory {
     }
 }
 
-/// Shared, lock-free view of kernel state readable from process threads.
+/// Shared, lock-free view of kernel state readable from inside processes.
 pub(crate) struct SharedClock {
     pub(crate) now: AtomicU64,
     pub(crate) next_event_id: AtomicU64,
@@ -191,26 +221,32 @@ impl SharedClock {
     }
 }
 
-/// Panic payload used to unwind a process thread when the kernel kills it.
-pub(crate) struct KilledToken;
+/// Unwind payload that takes a killed process off its stack.
+struct KilledToken;
+
+/// Unwind the calling process because the kernel is going away. Not a
+/// panic: `resume_unwind` skips the panic hook, so teardown prints
+/// nothing.
+fn unwind_killed() -> ! {
+    std::panic::resume_unwind(Box::new(KilledToken))
+}
 
 /// Handle through which a simulated process interacts with the kernel.
 ///
 /// All blocking operations (`advance`, `wait`, …) transfer control to the
 /// kernel and only return once the kernel schedules this process again.
-/// If the kernel is dropped mid-simulation the next blocking call unwinds
-/// the process thread; user code never observes this (the unwind is caught
-/// at the process boundary).
+/// If the kernel is dropped mid-simulation the blocking call the process
+/// is suspended in unwinds its stack, dropping its locals; user code never
+/// observes this (the unwind is caught at the process boundary).
 pub struct SimCtx {
     pub(crate) pid: Pid,
     pub(crate) name: String,
-    pub(crate) rendezvous: Arc<Rendezvous>,
+    pub(crate) link: Arc<Link>,
     pub(crate) clock: Arc<SharedClock>,
     /// Virtual time as seen by this process's shard. With one shard this
     /// tracks the global clock exactly; in windowed execution each shard
     /// advances its own copy inside the current time window.
     pub(crate) now_cell: Arc<AtomicU64>,
-    pub(crate) effects: Arc<SideEffects>,
     pub(crate) directory: Arc<Directory>,
 }
 
@@ -240,7 +276,7 @@ impl SimCtx {
     /// on it are woken (at the current virtual time) once this process
     /// next yields. Never blocks and never wakes the caller itself.
     pub fn notify(&self, event: EventId) {
-        self.effects.notifications.lock().push_back((event, 0));
+        self.notify_after(event, 0);
     }
 
     /// Queue a notification for `event` to be delivered `dt` virtual
@@ -250,7 +286,7 @@ impl SimCtx {
     /// parallelism `dt` must be at least the kernel's lookahead, or the
     /// run fails with a lookahead violation.
     pub fn notify_after(&self, event: EventId, dt: Time) {
-        self.effects.notifications.lock().push_back((event, dt));
+        self.link.0.lock().notifications.push_back((event, dt));
     }
 
     /// Let `dt` nanoseconds of virtual time pass.
@@ -289,10 +325,11 @@ impl SimCtx {
         F: FnOnce(SimCtx) + Send + 'static,
     {
         let pid = self.directory.reserve(self.alloc_event());
-        self.effects
-            .spawns
-            .lock()
-            .push_back((name.into(), Box::new(body), pid));
+        self.link.0.lock().spawns.push(SpawnRequest {
+            name: name.into(),
+            body: Box::new(body),
+            pid,
+        });
         pid
     }
 
@@ -321,44 +358,40 @@ impl SimCtx {
     }
 
     fn do_yield(&self, reason: YieldReason) -> ResumeKind {
+        // A body that caught the kill unwind and carried on is unwound
+        // again at its next blocking call.
         if self.clock.shutting_down.load(Ordering::Acquire) {
-            std::panic::panic_any(KilledToken);
+            unwind_killed();
         }
-        let kind = self.rendezvous.yield_and_wait(reason);
+        self.link.set_yielded(reason);
+        fiber_yield();
+        let kind = self.link.take_go();
         if kind == ResumeKind::Killed {
-            std::panic::panic_any(KilledToken);
+            unwind_killed();
         }
         kind
     }
 }
 
-/// Body of a process thread: wait for the initial resume, run the user
-/// closure under `catch_unwind`, and report the outcome.
-pub(crate) fn process_main(ctx: SimCtx, body: Box<dyn FnOnce(SimCtx) + Send + 'static>) {
-    let rendezvous = Arc::clone(&ctx.rendezvous);
-    let first = rendezvous.wait_first();
-    if first == ResumeKind::Killed {
-        return;
-    }
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || body(ctx)));
-    match result {
-        Ok(()) => {
-            // Final yield: the kernel sees Done and never resumes us.
-            let mut st = rendezvous.state.lock();
-            st.yielded = Some(YieldReason::Done);
-            rendezvous.cond.notify_all();
+/// The fiber a process runs on: take the initial resume, run the user
+/// closure under `catch_unwind`, and report the outcome as the final
+/// yield reason. A process killed before it ever ran drops its body
+/// unrun.
+pub(crate) fn process_fiber(ctx: SimCtx, body: ProcessBody) -> Fiber {
+    Fiber::spawn(PROCESS_STACK_BYTES, move || {
+        let link = Arc::clone(&ctx.link);
+        if link.take_go() == ResumeKind::Killed {
+            return;
         }
-        Err(payload) => {
-            if payload.downcast_ref::<KilledToken>().is_some() {
-                // Kernel shutdown: exit silently without reporting.
-                return;
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || body(ctx)));
+        link.set_yielded(match result {
+            Err(payload) if !payload.is::<KilledToken>() => {
+                YieldReason::Panicked(payload_to_string(&*payload))
             }
-            let message = payload_to_string(&*payload);
-            let mut st = rendezvous.state.lock();
-            st.yielded = Some(YieldReason::Panicked(message));
-            rendezvous.cond.notify_all();
-        }
-    }
+            // Returned — or killed, and then nobody reads the reason.
+            _ => YieldReason::Done,
+        });
+    })
 }
 
 fn payload_to_string(payload: &(dyn std::any::Any + Send)) -> String {
