@@ -61,6 +61,7 @@ pub mod behavior;
 pub mod component;
 pub mod error;
 pub mod message;
+mod names;
 pub mod observe;
 pub mod observer;
 pub mod overload;

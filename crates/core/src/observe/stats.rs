@@ -5,9 +5,9 @@
 //! receive costs a handful of relaxed atomic adds — the observation
 //! machinery must not distort the middleware timings it measures.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::names::NameTable;
 use crate::observe::report::{
     AppStats, HealthInfo, HealthState, IfaceCounterSnapshot, MiddlewareStats, ObservationReport,
     OsStats, SizeBucket, StructureInfo, TimingSnapshot,
@@ -97,7 +97,8 @@ pub struct ComponentStats {
     name: String,
     provided: Vec<String>,
     required: Vec<String>,
-    counters: HashMap<String, IfaceAtomic>,
+    /// One per declared interface, provided or required.
+    counters: NameTable<IfaceAtomic>,
     send_timing: TimingAtomic,
     recv_timing: TimingAtomic,
     send_buckets: Vec<BucketAtomic>,
@@ -134,13 +135,8 @@ pub struct ComponentStats {
 impl ComponentStats {
     /// Stats for a component with the given data interfaces.
     pub fn new(name: impl Into<String>, provided: &[String], required: &[String]) -> Self {
-        let mut counters = HashMap::new();
-        for p in provided {
-            counters.insert(p.clone(), IfaceAtomic::default());
-        }
-        for r in required {
-            counters.entry(r.clone()).or_default();
-        }
+        let declared = provided.iter().chain(required).cloned();
+        let counters = NameTable::new(declared.map(|iface| (iface, IfaceAtomic::default())));
         ComponentStats {
             name: name.into(),
             provided: provided.to_vec(),
@@ -404,7 +400,7 @@ impl ComponentStats {
             {
                 continue;
             }
-            let c = &self.counters[name];
+            let c = self.counters.get(name).expect("a declared interface");
             let sends = c.sends.load(Ordering::Relaxed);
             let receives = c.receives.load(Ordering::Relaxed);
             total_sends += sends;

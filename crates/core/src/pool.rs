@@ -14,8 +14,15 @@
 //! Recycling is safe by construction: a buffer is only reclaimed when
 //! its [`Bytes`] handle is *unique* (no clones or zero-copy slices
 //! outlive it), so a stale view can never observe a refill.
+//!
+//! The free list is sharded: a thread takes from and recycles into its
+//! own shard, so components on different threads do not serialise on
+//! the pool. Buffers flow one way through a pipeline (the first stage
+//! takes more than it recycles, the last recycles what it never took),
+//! so a thread whose shard has run dry moves up to half of another
+//! shard over in one go before the pool allocates anything.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -25,24 +32,62 @@ use parking_lot::Mutex;
 /// increasing except `free`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Buffers allocated on demand because the free list was empty.
-    /// A fully prewarmed steady state keeps this at 0.
+    /// Buffers allocated on demand because no shard of the free list
+    /// had one. A fully prewarmed steady state keeps this at 0.
     pub grown: u64,
     /// Buffers successfully returned to the free list.
     pub recycled: u64,
     /// Recycle attempts rejected (buffer still shared, or storage of
     /// the wrong size) plus oversize payloads served outside the pool.
     pub dropped: u64,
-    /// Buffers currently on the free list.
+    /// Buffers currently on the free list, summed over its shards.
     pub free: u64,
 }
 
+/// Shards of the free list. A thread takes from and recycles into one
+/// of them, so threads on different shards share no lock and no cache
+/// line.
+const SHARDS: usize = 8;
+
+/// Most buffers one steal moves between shards (the size of the stack
+/// buffer they cross in).
+const STEAL_MAX: usize = 32;
+
+/// One shard, alone on its cache lines (128 bytes: x86-64 prefetches
+/// lines in adjacent pairs).
+#[repr(align(128))]
+#[derive(Default)]
+struct Shard {
+    state: Mutex<ShardState>,
+}
+
+#[derive(Default)]
+struct ShardState {
+    free: Vec<Bytes>,
+    /// Buffers recycled into this shard. Counted here, under the lock
+    /// the recycle holds anyway: one counter for the whole pool would
+    /// be a cache line every recycling thread writes.
+    recycled: u64,
+}
+
 struct PoolInner {
-    free: Mutex<Vec<Bytes>>,
+    shards: [Shard; SHARDS],
     buf_len: usize,
+    /// The rare events are counted pool-wide.
     grown: AtomicU64,
-    recycled: AtomicU64,
     dropped: AtomicU64,
+}
+
+/// The calling thread's shard. Threads are dealt shards round-robin the
+/// first time they touch any pool. The thread-local is read and done
+/// with inside one `take`/`recycle`, so a fiber that is resumed on
+/// another worker simply uses that worker's shard from then on.
+fn home_shard() -> usize {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    thread_local! {
+        static HOME: usize = NEXT.fetch_add(1, Ordering::Relaxed) % SHARDS;
+    }
+    HOME.with(|home| *home)
 }
 
 /// A pool of fixed-size byte buffers shared across an application
@@ -71,10 +116,9 @@ impl BufferPool {
         assert!(buf_len > 0, "pool buffer length must be positive");
         BufferPool {
             inner: Arc::new(PoolInner {
-                free: Mutex::new(Vec::new()),
+                shards: Default::default(),
                 buf_len,
                 grown: AtomicU64::new(0),
-                recycled: AtomicU64::new(0),
                 dropped: AtomicU64::new(0),
             }),
         }
@@ -86,13 +130,70 @@ impl BufferPool {
     }
 
     /// Stock the free list with `n` fresh buffers up front, so steady
-    /// state never grows the pool ([`PoolStats::grown`] stays 0).
+    /// state never grows the pool ([`PoolStats::grown`] stays 0). They
+    /// go to the calling thread's shard, from where other threads move
+    /// them over as they need them; every shard gets room for all of
+    /// them, so that wherever they end up no shard reallocates.
     pub fn prewarm(&self, n: usize) {
-        let mut free = self.inner.free.lock();
-        free.reserve(n);
-        for _ in 0..n {
-            free.push(Bytes::from(vec![0u8; self.inner.buf_len]));
+        let stocked = self.stats().free as usize + n;
+        for shard in &self.inner.shards {
+            let mut shard = shard.state.lock();
+            let room = stocked.saturating_sub(shard.free.len());
+            shard.free.reserve(room);
         }
+        let mut home = self.inner.shards[home_shard()].state.lock();
+        for _ in 0..n {
+            home.free.push(Bytes::from(vec![0u8; self.inner.buf_len]));
+        }
+    }
+
+    /// A unique buffer of `buf_len` bytes: from the calling thread's
+    /// shard, else moved over from another shard together with up to
+    /// half of what that one holds, else — every shard empty — freshly
+    /// allocated (bumping `grown`).
+    fn take(&self) -> Bytes {
+        let home = home_shard();
+        let reclaimed = self.inner.shards[home].state.lock().free.pop();
+        reclaimed
+            .or_else(|| self.steal_into(home))
+            .unwrap_or_else(|| {
+                self.inner.grown.fetch_add(1, Ordering::Relaxed);
+                Bytes::from(vec![0u8; self.inner.buf_len])
+            })
+    }
+
+    /// Move up to half of the first non-empty other shard into `home`,
+    /// keeping one buffer back for the caller. One shard is locked at a
+    /// time and the buffers cross in an array on the stack, so a steal
+    /// neither deadlocks against a steal the other way nor allocates
+    /// (given `home` has room — see [`BufferPool::prewarm`]). Kept out
+    /// of line: the array would otherwise deepen the frame of every
+    /// `take`, and a thousand fibers' stacks each by a page now and then.
+    #[cold]
+    #[inline(never)]
+    fn steal_into(&self, home: usize) -> Option<Bytes> {
+        let mut loot: [Option<Bytes>; STEAL_MAX] = std::array::from_fn(|_| None);
+        for step in 1..SHARDS {
+            let victim = &self.inner.shards[(home + step) % SHARDS];
+            let moved = {
+                let mut victim = victim.state.lock();
+                let moved = victim.free.len().div_ceil(2).min(STEAL_MAX);
+                for slot in &mut loot[..moved] {
+                    *slot = victim.free.pop();
+                }
+                moved
+            };
+            if moved == 0 {
+                continue;
+            }
+            let mut stolen = loot[..moved].iter_mut().filter_map(Option::take);
+            let first = stolen.next();
+            if moved > 1 {
+                self.inner.shards[home].state.lock().free.extend(stolen);
+            }
+            return first;
+        }
+        None
     }
 
     /// A buffer holding a copy of `payload`: drawn from the free list
@@ -101,22 +202,9 @@ impl BufferPool {
     pub fn take_from(&self, payload: &[u8]) -> Bytes {
         if payload.len() > self.inner.buf_len {
             self.inner.dropped.fetch_add(1, Ordering::Relaxed);
-            return Bytes::from(payload.to_vec());
+            return Bytes::copy_from_slice(payload);
         }
-        let reclaimed = self.inner.free.lock().pop();
-        let mut buf = match reclaimed {
-            Some(b) => b,
-            None => {
-                self.inner.grown.fetch_add(1, Ordering::Relaxed);
-                Bytes::from(vec![0u8; self.inner.buf_len])
-            }
-        };
-        let storage = buf
-            .try_mut()
-            .expect("free-list buffer must be unique");
-        storage[..payload.len()].copy_from_slice(payload);
-        buf.reset_view(payload.len());
-        buf
+        self.take_with(payload.len(), |dst| dst.copy_from_slice(payload))
     }
 
     /// A buffer whose first `len` bytes are produced **in place** by
@@ -132,31 +220,23 @@ impl BufferPool {
             fill(&mut v);
             return Bytes::from(v);
         }
-        let reclaimed = self.inner.free.lock().pop();
-        let mut buf = match reclaimed {
-            Some(b) => b,
-            None => {
-                self.inner.grown.fetch_add(1, Ordering::Relaxed);
-                Bytes::from(vec![0u8; self.inner.buf_len])
-            }
-        };
-        let storage = buf
-            .try_mut()
-            .expect("free-list buffer must be unique");
+        let mut buf = self.take();
+        let storage = buf.try_mut().expect("free-list buffer must be unique");
         fill(&mut storage[..len]);
         buf.reset_view(len);
         buf
     }
 
-    /// Return a consumed buffer to the free list. Succeeds only when
-    /// the handle is unique (no live clones or slices) and the storage
-    /// came from this pool's size class; otherwise the buffer is simply
-    /// dropped and `false` returned.
+    /// Return a consumed buffer to the free list (the calling thread's
+    /// shard). Succeeds only when the handle is unique (no live clones
+    /// or slices) and the storage came from this pool's size class;
+    /// otherwise the buffer is simply dropped and `false` returned.
     pub fn recycle(&self, mut buf: Bytes) -> bool {
         if buf.is_unique() && buf.storage_len() == self.inner.buf_len {
             buf.reset_view(self.inner.buf_len);
-            self.inner.free.lock().push(buf);
-            self.inner.recycled.fetch_add(1, Ordering::Relaxed);
+            let mut shard = self.inner.shards[home_shard()].state.lock();
+            shard.free.push(buf);
+            shard.recycled += 1;
             true
         } else {
             self.inner.dropped.fetch_add(1, Ordering::Relaxed);
@@ -166,12 +246,18 @@ impl BufferPool {
 
     /// Current counters.
     pub fn stats(&self) -> PoolStats {
-        PoolStats {
+        let mut stats = PoolStats {
             grown: self.inner.grown.load(Ordering::Relaxed),
-            recycled: self.inner.recycled.load(Ordering::Relaxed),
+            recycled: 0,
             dropped: self.inner.dropped.load(Ordering::Relaxed),
-            free: self.inner.free.lock().len() as u64,
+            free: 0,
+        };
+        for shard in &self.inner.shards {
+            let shard = shard.state.lock();
+            stats.recycled += shard.recycled;
+            stats.free += shard.free.len() as u64;
         }
+        stats
     }
 }
 
@@ -253,6 +339,72 @@ mod tests {
         assert_eq!(big.len(), 32);
         assert_eq!(pool.stats().free, 1, "pool stock untouched");
         assert!(!pool.recycle(big), "wrong size class is rejected");
+    }
+
+    /// Run `f` on a fresh thread whose shard is not `other`, and
+    /// return that shard with `f`'s result. Threads are dealt shards
+    /// round-robin, so this takes a try or two.
+    fn on_another_shard<R: Send>(other: usize, f: impl Fn() -> R + Sync) -> (usize, R) {
+        loop {
+            let run = || (home_shard() != other).then(|| (home_shard(), f()));
+            let done = std::thread::scope(|s| s.spawn(run).join().expect("no panic"));
+            if let Some(done) = done {
+                return done;
+            }
+        }
+    }
+
+    #[test]
+    fn a_dry_shard_takes_half_of_another_before_the_pool_grows() {
+        let pool = BufferPool::new(8);
+        // One thread's shard ends up with six buffers...
+        let (a, ()) = on_another_shard(usize::MAX, || {
+            let taken: Vec<Bytes> = (0..6).map(|i| pool.take_from(&[i])).collect();
+            taken.into_iter().for_each(|b| assert!(pool.recycle(b)));
+        });
+        let grown = pool.stats().grown;
+        assert_eq!((grown, pool.stats().free), (6, 6));
+        // ...and a thread on an empty one gets three of them: one in
+        // hand, two in its own shard for next time.
+        let (b, held) = on_another_shard(a, || pool.take_from(b"b"));
+        let in_shard = |i: usize| pool.inner.shards[i].state.lock().free.len();
+        assert_eq!((in_shard(a), in_shard(b)), (3, 2));
+        let stats = pool.stats();
+        assert_eq!(
+            stats.grown, grown,
+            "taken from the other shard, not allocated"
+        );
+        assert_eq!(stats.free, 5, "`free` sums over the shards");
+        assert_eq!(&held[..], b"b");
+    }
+
+    #[test]
+    fn a_steal_moves_at_most_one_stack_buffer_and_a_lone_buffer_too() {
+        let pool = BufferPool::new(8);
+        pool.prewarm(4 * STEAL_MAX + 1);
+        let here = home_shard();
+        let in_shard = |i: usize| pool.inner.shards[i].state.lock().free.len();
+        let (there, held) = on_another_shard(here, || pool.take_from(b"x"));
+        assert_eq!(in_shard(here), 3 * STEAL_MAX + 1);
+        assert_eq!(in_shard(there), STEAL_MAX - 1);
+        drop(held);
+        // Half of one is one.
+        let single = BufferPool::new(8);
+        single.prewarm(1);
+        let (_, held) = on_another_shard(here, || single.take_from(b"y"));
+        assert_eq!((single.stats().grown, single.stats().free), (0, 0));
+        assert!(single.recycle(held));
+    }
+
+    #[test]
+    fn prewarm_leaves_room_for_every_buffer_in_every_shard() {
+        let pool = BufferPool::new(8);
+        pool.prewarm(10);
+        pool.prewarm(5);
+        for shard in &pool.inner.shards {
+            assert!(shard.state.lock().free.capacity() >= 15);
+        }
+        assert_eq!(pool.stats().free, 15);
     }
 
     #[test]

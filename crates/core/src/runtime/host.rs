@@ -4,7 +4,7 @@
 //! common. What they still differ in is how an execution flow waits
 //! and is woken, which is the [`Parker`] they plug in.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::time::Instant;
 
 use super::deploy::Wiring;
@@ -12,6 +12,7 @@ use super::fifo::Fifo;
 use super::Transport;
 use crate::component::{ComponentSpec, INTROSPECTION};
 use crate::message::Message;
+use crate::names::NameTable;
 use crate::pool::BufferPool;
 
 /// How many messages a single `recv` may drain from the mailbox ahead of
@@ -42,6 +43,14 @@ pub fn host_memory_bytes(spec: &ComponentSpec, has_observer: bool) -> u64 {
 /// *check-then-park* on the receiving side never lose a wakeup.
 /// Spurious returns from `park` are allowed — the runtime re-checks
 /// inboxes, deadline and shutdown around every park.
+///
+/// A mailbox is found empty on a load of its length, without its lock
+/// (see [`Fifo`]), so nothing but the parker orders a push against the
+/// owner's check. A `wake` that may leave the owner alone — because it
+/// is running, or yet to start, and will look by itself — has to reach
+/// that verdict with a `SeqCst` load or behind a `SeqCst` fence, and
+/// the owner has to publish the state that verdict rests on with a
+/// `SeqCst` store or fence before it looks at its inboxes.
 pub trait Parker {
     /// Platform time, ns (monotonic).
     fn now_ns(&self) -> u64;
@@ -65,17 +74,39 @@ pub trait Parker {
     fn after_send(&mut self) {}
 }
 
+/// One provided interface: its mailbox, and the messages drained from
+/// it in bulk (one lock per batch via [`Fifo::pop_many`]) but not yet
+/// handed to the behavior. The stash is allocated once at its final
+/// capacity (it is only refilled when empty), so the hot receive path
+/// never grows it.
+struct Inbox {
+    fifo: Fifo,
+    stash: VecDeque<Message>,
+}
+
+impl Inbox {
+    /// Messages the component has yet to see: bulk draining must not
+    /// hide queue depth from observers or overload policies.
+    fn depth(&self) -> usize {
+        self.stash.len() + self.fifo.len()
+    }
+}
+
 /// [`Transport`] over [`Fifo`] mailboxes, generic over the backend's
 /// [`Parker`].
+///
+/// Interface names are resolved against two tables built once from the
+/// component's [`Wiring`] — one per direction, hashed without SipHash
+/// (see `NameTable`). The introspection inbox, which the runtime polls
+/// at every communication point, is not in a table but a field, so
+/// that poll resolves no name and touches no table.
 pub struct HostTransport<P: Parker> {
-    provided: HashMap<String, Fifo>,
-    routes: HashMap<String, Fifo>,
-    /// Messages drained from a mailbox in bulk (one lock per batch via
-    /// [`Fifo::pop_many`]) but not yet handed to the behavior. Holds
-    /// every provided interface from the start, each at its final
-    /// capacity (a stash is only refilled when empty), so the hot
-    /// receive path allocates neither a key nor a bigger ring.
-    pending: HashMap<String, VecDeque<Message>>,
+    /// The data provided interfaces.
+    provided: NameTable<Inbox>,
+    /// The [`INTROSPECTION`] provided interface.
+    obs: Option<Inbox>,
+    /// Required interface → the connected peer's mailbox.
+    routes: NameTable<Fifo>,
     /// Reusable bulk-drain buffer (allocation-free steady state).
     scratch: Vec<Message>,
     /// Application-wide payload pool: the send-primitive copy is drawn
@@ -87,18 +118,26 @@ pub struct HostTransport<P: Parker> {
 
 impl<P: Parker> HostTransport<P> {
     /// The transport of the component wired by `wiring`.
-    pub fn new(wiring: Wiring<Fifo>, parker: P) -> Self {
+    pub fn new(mut wiring: Wiring<Fifo>, parker: P) -> Self {
+        let inbox = |fifo| Inbox {
+            fifo,
+            stash: VecDeque::with_capacity(DRAIN_BATCH),
+        };
         HostTransport {
-            pending: wiring
-                .provided
-                .keys()
-                .map(|k| (k.clone(), VecDeque::with_capacity(DRAIN_BATCH)))
-                .collect(),
-            provided: wiring.provided,
-            routes: wiring.routes,
+            obs: wiring.provided.remove(INTROSPECTION).map(inbox),
+            provided: NameTable::new(wiring.provided.into_iter().map(|(k, f)| (k, inbox(f)))),
+            routes: NameTable::new(wiring.routes),
             scratch: Vec::with_capacity(DRAIN_BATCH),
             pool: wiring.pool,
             parker,
+        }
+    }
+
+    fn inbox(&self, provided: &str) -> Option<&Inbox> {
+        if provided == INTROSPECTION {
+            self.obs.as_ref()
+        } else {
+            self.provided.get(provided)
         }
     }
 
@@ -114,7 +153,7 @@ impl<P: Parker> HostTransport<P> {
                 pool.recycle(payload);
                 copied
             }
-            None => bytes::Bytes::from(payload.as_ref().to_vec()),
+            None => bytes::Bytes::copy_from_slice(payload.as_ref()),
         }
     }
 }
@@ -133,11 +172,11 @@ impl<P: Parker> Transport for HostTransport<P> {
     }
 
     fn has_route(&self, required: &str) -> bool {
-        self.routes.contains_key(required)
+        self.routes.get(required).is_some()
     }
 
     fn has_inbox(&self, provided: &str) -> bool {
-        self.provided.contains_key(provided)
+        self.inbox(provided).is_some()
     }
 
     fn push(&mut self, required: &str, msg: Message) -> u64 {
@@ -153,7 +192,10 @@ impl<P: Parker> Transport for HostTransport<P> {
             },
             other => other,
         };
-        let route = &self.routes[required];
+        let route = self
+            .routes
+            .get(required)
+            .expect("the runtime checks `has_route` before every push");
         route.push(msg);
         let cost = t0.elapsed().as_nanos() as u64;
         // Push-then-wake: the message is visible before the receiver is.
@@ -163,41 +205,41 @@ impl<P: Parker> Transport for HostTransport<P> {
     }
 
     fn try_pop(&mut self, provided: &str) -> Option<(Message, u64)> {
-        let mb = self.provided.get(provided)?;
-        let buf = self.pending.get_mut(provided)?;
+        let inbox = if provided == INTROSPECTION {
+            self.obs.as_mut()?
+        } else {
+            self.provided.get_mut(provided)?
+        };
         let t0 = Instant::now();
-        if let Some(m) = buf.pop_front() {
+        if let Some(m) = inbox.stash.pop_front() {
             return Some((m, t0.elapsed().as_nanos() as u64));
         }
         self.scratch.clear();
-        if mb.pop_many(&mut self.scratch, DRAIN_BATCH) == 0 {
+        if inbox.fifo.pop_many(&mut self.scratch, DRAIN_BATCH) == 0 {
             return None;
         }
         let mut drained = self.scratch.drain(..);
         let first = drained.next().expect("pop_many reported non-zero drain");
-        buf.extend(drained);
+        inbox.stash.extend(drained);
         Some((first, t0.elapsed().as_nanos() as u64))
     }
 
     fn poll_obs(&mut self) -> Option<Message> {
-        // Clock- and allocation-free: this runs at every communication
-        // point and the common case is "no request pending". The stash
-        // comes first: a `recv` on the introspection inbox bulk-drains.
-        if let Some(m) = self.pending.get_mut(INTROSPECTION)?.pop_front() {
-            return Some(m);
-        }
-        self.provided.get(INTROSPECTION)?.try_pop()
+        // This runs at every communication point and the common case is
+        // "no request pending", which costs no name look-up, no clock,
+        // no lock: an empty stash and one load of the mailbox's length.
+        // The stash comes first: a `recv` on the introspection inbox
+        // bulk-drains.
+        let inbox = self.obs.as_mut()?;
+        inbox.stash.pop_front().or_else(|| inbox.fifo.try_pop())
     }
 
     fn queued_bytes(&self) -> u64 {
-        let in_flight: u64 = self
-            .pending
-            .values()
-            .flat_map(|q| q.iter())
-            .map(|m| m.data_len() as u64)
-            .sum();
-        let resident: u64 = self.provided.values().map(Fifo::queued_bytes).sum();
-        resident + in_flight
+        let of = |inbox: &Inbox| {
+            let in_flight: u64 = inbox.stash.iter().map(|m| m.data_len() as u64).sum();
+            inbox.fifo.queued_bytes() + in_flight
+        };
+        self.provided.values().chain(&self.obs).map(of).sum()
     }
 
     fn park_recv(&mut self, _provided: &str, deadline_ns: Option<u64>) {
@@ -228,23 +270,101 @@ impl<P: Parker> Transport for HostTransport<P> {
     }
 
     fn inbox_depth(&self, provided: &str) -> u64 {
-        // Messages drained ahead of the behavior plus those still in the
-        // mailbox: bulk draining must not hide queue depth from
-        // observers or overload policies.
-        let in_flight = self.pending.get(provided).map_or(0, VecDeque::len);
-        let resident = self.provided.get(provided).map_or(0, Fifo::len);
-        (in_flight + resident) as u64
+        self.inbox(provided).map_or(0, Inbox::depth) as u64
     }
 
     fn drain_inboxes(&mut self) {
-        for (iface, mb) in &self.provided {
-            if iface == INTROSPECTION {
-                continue;
-            }
-            if let Some(buf) = self.pending.get_mut(iface) {
-                buf.clear();
-            }
-            while mb.try_pop().is_some() {}
+        for inbox in self.provided.values_mut() {
+            inbox.stash.clear();
+            while inbox.fifo.try_pop().is_some() {}
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::HashMap;
+    use std::sync::Arc;
+
+    use super::*;
+    use crate::observe::protocol::ObsRequest;
+    use crate::observe::stats::ComponentStats;
+
+    /// Never blocks: these tests drive the transport from one thread.
+    struct NoParker;
+
+    impl Parker for NoParker {
+        fn now_ns(&self) -> u64 {
+            0
+        }
+        fn is_shutdown(&self) -> bool {
+            false
+        }
+        fn request_shutdown(&self) {}
+        fn wake(&self, _owner: usize) {}
+        fn park(&mut self, _deadline_ns: Option<u64>) {}
+    }
+
+    fn request(from: &str) -> Message {
+        Message::ObsRequest {
+            from: from.to_string(),
+            request: ObsRequest::Health,
+        }
+    }
+
+    fn requester(msg: Option<Message>) -> Option<String> {
+        match msg? {
+            Message::ObsRequest { from, .. } => Some(from),
+            other => panic!("expected a request, got {other:?}"),
+        }
+    }
+
+    /// A component providing `in` and `introspection`, and the sending
+    /// ends of both mailboxes.
+    fn transport() -> (HostTransport<NoParker>, Fifo, Fifo) {
+        let (data, obs) = (Fifo::new(0), Fifo::new(0));
+        let wiring = Wiring {
+            index: 0,
+            provided: HashMap::from([
+                ("in".to_string(), data.clone()),
+                (INTROSPECTION.to_string(), obs.clone()),
+            ]),
+            routes: HashMap::new(),
+            stats: Arc::new(ComponentStats::new("c", &["in".to_string()], &[])),
+            pool: None,
+        };
+        (HostTransport::new(wiring, NoParker), data, obs)
+    }
+
+    #[test]
+    fn requests_stay_in_order_across_a_bulk_drain_and_later_ones_are_seen() {
+        let (mut t, _data, obs) = transport();
+        for from in ["a", "b", "c"] {
+            obs.push(request(from));
+        }
+        // A `recv` on the introspection inbox drains all three into the
+        // stash and hands out the first; the poll continues from there.
+        let first = t.try_pop(INTROSPECTION).map(|(msg, _cost)| msg);
+        assert_eq!(requester(first).as_deref(), Some("a"));
+        assert!(obs.is_empty(), "the mailbox was drained in one go");
+        assert_eq!(t.inbox_depth(INTROSPECTION), 2);
+        obs.push(request("d"));
+        for from in ["b", "c", "d"] {
+            assert_eq!(requester(t.poll_obs()).as_deref(), Some(from));
+        }
+        assert!(t.poll_obs().is_none());
+    }
+
+    #[test]
+    fn introspection_is_an_inbox_by_name_too_and_survives_a_drain() {
+        let (mut t, data, obs) = transport();
+        assert!(t.has_inbox("in") && t.has_inbox(INTROSPECTION) && !t.has_inbox("out"));
+        data.push(Message::Data(bytes::Bytes::from_static(b"12345")));
+        obs.push(request("a"));
+        assert_eq!((t.inbox_depth("in"), t.inbox_depth(INTROSPECTION)), (1, 1));
+        assert_eq!(t.queued_bytes(), 5);
+        t.drain_inboxes();
+        assert_eq!((t.inbox_depth("in"), t.inbox_depth(INTROSPECTION)), (0, 1));
+        assert_eq!(requester(t.poll_obs()).as_deref(), Some("a"));
     }
 }

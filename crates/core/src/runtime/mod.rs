@@ -22,7 +22,10 @@
 //! host backends — `embera-smp` (one thread per component) and
 //! `embera-exec` (fibers on a worker pool) — share one
 //! [`HostTransport`] over [`Fifo`] mailboxes and differ only in their
-//! [`Parker`].
+//! [`Parker`]. Its steady-state send and receive take no
+//! application-wide lock (the payload pool is sharded by thread, a
+//! mailbox is shared by its two ends only) and hash no name with
+//! SipHash.
 //!
 //! # The waiting contract
 //!
@@ -129,7 +132,9 @@ pub trait Transport {
     /// `try_pop(INTROSPECTION)` minus the cost sample (observation
     /// traffic is never recorded); backends may override it with a
     /// cheaper clock-free path so the poll stays off the data plane's
-    /// critical path.
+    /// critical path. [`HostTransport`] does: it keeps the
+    /// introspection inbox as a field, so its poll resolves no name
+    /// and, with nothing pending, is one load of the mailbox's length.
     fn poll_obs(&mut self) -> Option<Message> {
         self.try_pop(INTROSPECTION).map(|(msg, _cost)| msg)
     }

@@ -32,7 +32,10 @@
 //!   thread-local storage or `std::thread::current()` is stale after
 //!   [`fiber_yield`] returns. For simulation code that means: across any
 //!   blocking `SimCtx` call (windowed execution resumes a process on
-//!   whichever shard worker the window spawned).
+//!   whichever shard worker the window spawned). A thread-local read
+//!   that is used up before the body can yield again is fine — that is
+//!   how `embera::BufferPool` picks the calling thread's shard inside
+//!   one `take` or `recycle`.
 //! * **A panic that escapes the body is swallowed.** The entry frame
 //!   catches it and reports the fiber as [`Resume::Finished`]; unwinding
 //!   further would run into the trampoline's `ud2`. Both runtimes catch

@@ -23,10 +23,11 @@ pub(crate) struct SmpShared {
     /// Each component's thread, indexed in deployment order (the mailbox
     /// owner ids); set by the thread itself as its first action. A wake
     /// that finds the slot empty needs no token, because the thread has
-    /// yet to make its first check: the mailbox lock orders its
-    /// registration before a check that misses the message, and the
-    /// fences in `register` and `request_shutdown` do the same for the
-    /// shutdown flag.
+    /// yet to make its first check: the fences in `register` and
+    /// `unpark` order its registration before a check that misses the
+    /// message (a mailbox is found empty without taking its lock, so
+    /// the lock orders nothing here), and those in `register` and
+    /// `request_shutdown` do the same for the shutdown flag.
     threads: Vec<OnceLock<Thread>>,
 }
 
@@ -44,7 +45,15 @@ impl SmpShared {
     }
 
     fn unpark(&self, component: usize) {
-        if let Some(thread) = self.threads[component].get() {
+        let slot = &self.threads[component];
+        let thread = slot.get().or_else(|| {
+            // Start-up only. Pairs with the fence in `register`: either
+            // the second look sees the thread's slot, or the thread's
+            // first check sees what the caller pushed before this wake.
+            fence(Ordering::SeqCst);
+            slot.get()
+        });
+        if let Some(thread) = thread {
             thread.unpark();
         }
     }
