@@ -12,7 +12,8 @@
 use bytes::Bytes;
 use embera::behavior::behavior_fn;
 use embera::{
-    AppBuilder, AppReport, AppSpec, ComponentSpec, FaultPlan, ObserverConfig, Platform,
+    AppBuilder, AppReport, AppSpec, ComponentSpec, FaultPlan, ObserverConfig, Platform, Work,
+    WorkClass,
 };
 use embera_bench::runner;
 use embera_os21::Os21Platform;
@@ -23,8 +24,12 @@ const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 /// Deploy on the simulated three-CPU STi7200 with the given kernel
 /// sharding and return the full run outcome.
 fn run_sharded(spec: AppSpec, shards: usize) -> (AppReport, KernelStats) {
+    run_configured(spec, KernelConfig::default().shards(shards))
+}
+
+fn run_configured(spec: AppSpec, kernel: KernelConfig) -> (AppReport, KernelStats) {
     Os21Platform::three_cpu()
-        .kernel_config(KernelConfig::default().shards(shards))
+        .kernel_config(kernel)
         .deploy(spec)
         .expect("deploy")
         .wait_with_stats()
@@ -153,12 +158,65 @@ fn timed_app() -> AppSpec {
     app.build().unwrap()
 }
 
+/// One message handed back and forth in strict turns between two
+/// components, `cpus` apart, each computing in many short pieces while
+/// it holds it: never more than one runnable task, so the sequential
+/// kernel runs ahead over nearly every event.
+fn turns_app(cpus: usize) -> AppSpec {
+    fn player(name: &str, serves: bool) -> ComponentSpec {
+        ComponentSpec::new(
+            name,
+            behavior_fn(move |ctx| {
+                for turn in 0..12u32 {
+                    if !serves || turn > 0 {
+                        ctx.recv("in")?;
+                    }
+                    for _ in 0..20 {
+                        ctx.compute(Work::ops(WorkClass::Control, 500));
+                    }
+                    ctx.send("out", Bytes::copy_from_slice(&turn.to_le_bytes()))?;
+                }
+                if serves {
+                    ctx.recv("in")?;
+                }
+                Ok(())
+            }),
+        )
+        .with_provided("in")
+        .with_required("out")
+        .with_stack_bytes(1 << 20)
+    }
+    let mut app = AppBuilder::new("shard-turns");
+    app.add(player("ping", true).on_cpu(0));
+    app.add(player("pong", false).on_cpu(cpus - 1));
+    app.connect(("ping", "out"), ("pong", "in"));
+    app.connect(("pong", "out"), ("ping", "in"));
+    app.build().unwrap()
+}
+
+#[test]
+fn a_run_ahead_schedule_matches_a_yielding_one() {
+    // Both tasks on CPU 0, hence in shard 0, which makes windowed
+    // execution legal for the zero-delay os21 stack — and with windows
+    // one nanosecond wide no `advance` fits inside one, so that kernel
+    // switches at every event where the sequential one runs ahead.
+    let (report, stats) = run_sharded(turns_app(1), 1);
+    let (yielding_report, yielding) =
+        run_configured(turns_app(1), KernelConfig::default().shards(2).lookahead(1));
+    assert_eq!(format!("{report:?}"), format!("{yielding_report:?}"));
+    // The queue-depth gauge included: with every process in shard 0 the
+    // shard-local queue is the whole queue.
+    assert_eq!(stats, yielding);
+    assert!(stats.events_dispatched > 500, "{stats:?}");
+}
+
 #[test]
 fn os21_runs_are_identical_for_any_shard_count() {
     for (name, build) in [
         ("pipeline", pipeline_app as fn() -> AppSpec),
         ("observed", observed_app),
         ("timed", timed_app),
+        ("turns", || turns_app(3)),
     ] {
         let reference = fingerprint(run_sharded(build(), 1));
         for shards in &SHARD_COUNTS[1..] {

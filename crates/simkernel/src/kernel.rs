@@ -44,6 +44,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -71,8 +72,8 @@ pub enum RunOutcome {
     Horizon,
 }
 
-/// How the kernel executes: number of shards, the conservative window
-/// width, and event-queue pre-sizing.
+/// How the kernel executes: number of shards and the conservative window
+/// width.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KernelConfig {
     /// Number of process shards. `1` (the default) is the sequential
@@ -85,10 +86,6 @@ pub struct KernelConfig {
     /// [`LatentChannel`](crate::channel::LatentChannel)); if latencies
     /// are declared *and* this is set, the smaller wins.
     pub lookahead: Time,
-    /// Initial capacity of the event queue. Spawning grows it ahead of
-    /// demand (twice the process count) so heap regrowth stays out of
-    /// alloc-sensitive measurement loops.
-    pub queue_capacity: usize,
 }
 
 impl Default for KernelConfig {
@@ -96,7 +93,6 @@ impl Default for KernelConfig {
         KernelConfig {
             shards: 1,
             lookahead: 0,
-            queue_capacity: 64,
         }
     }
 }
@@ -113,12 +109,6 @@ impl KernelConfig {
         self.lookahead = lookahead;
         self
     }
-
-    /// Set the initial event-queue capacity.
-    pub fn queue_capacity(mut self, cap: usize) -> Self {
-        self.queue_capacity = cap;
-        self
-    }
 }
 
 /// Aggregate statistics about a simulation run.
@@ -131,7 +121,10 @@ pub struct KernelStats {
     /// Number of event notifications delivered to waiters.
     pub notifications_delivered: u64,
     /// High-water mark of the event queue (per shard-local queue under
-    /// windowed execution), for sizing [`KernelConfig::queue_capacity`].
+    /// windowed execution); an event a process ran ahead over counts as
+    /// the push it stood for. The queue is pre-sized to twice the number
+    /// of processes — a resume and a timeout in flight each — and this
+    /// gauge says whether that sufficed.
     pub max_queue_depth: u64,
 }
 
@@ -200,6 +193,80 @@ struct Waiter {
     reg: (Time, u64),
 }
 
+/// Multiply-shift hasher for [`EventId`] keys: one multiply, the high
+/// half shifted down onto the low so that both the bucket index and the
+/// tag bits the table takes from either end are mixed. The ids are a
+/// counter the kernel itself hands out, so there is no crafted key to
+/// defend against and SipHash bought nothing.
+#[derive(Default)]
+struct EventIdHasher(u64);
+
+impl Hasher for EventIdHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("an EventId hashes as one u64");
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        let h = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Who waits on which event. A notification drains the event's whole
+/// waiter list; the emptied vectors go round through a small free list
+/// so the wait→notify cycle of a semaphore or a channel allocates
+/// nothing in steady state.
+#[derive(Default)]
+struct Waiters {
+    by_event: HashMap<EventId, Vec<Waiter>, BuildHasherDefault<EventIdHasher>>,
+    free: Vec<Vec<Waiter>>,
+}
+
+impl Waiters {
+    /// Emptied waiter vectors kept for reuse.
+    const FREE_LISTS: usize = 32;
+
+    fn register(&mut self, event: EventId, waiter: Waiter) {
+        self.by_event
+            .entry(event)
+            .or_insert_with(|| self.free.pop().unwrap_or_default())
+            .push(waiter);
+    }
+
+    /// Remove and return the waiters of `event` in canonical wake order.
+    /// Sequential registration already appends in `(time, seq)` order, so
+    /// the sort is a no-op there; it matters for waiters registered by
+    /// concurrent shards. Hand the vector back with
+    /// [`recycle`](Self::recycle) once drained.
+    fn take(&mut self, event: EventId) -> Option<Vec<Waiter>> {
+        let mut waiters = self.by_event.remove(&event)?;
+        waiters.sort_unstable_by_key(|w| w.reg);
+        Some(waiters)
+    }
+
+    fn recycle(&mut self, mut waiters: Vec<Waiter>) {
+        if self.free.len() < Self::FREE_LISTS {
+            waiters.clear();
+            self.free.push(waiters);
+        }
+    }
+
+    /// Withdraw `pid`'s registration on `event` (its timeout fired).
+    fn cancel(&mut self, event: EventId, pid: Pid) {
+        if let Some(waiters) = self.by_event.get_mut(&event) {
+            waiters.retain(|w| w.pid != pid);
+            if waiters.is_empty() {
+                let emptied = self.by_event.remove(&event).expect("just seen");
+                self.recycle(emptied);
+            }
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ProcState {
     Runnable,
@@ -231,11 +298,16 @@ enum EventQueue {
 }
 
 impl EventQueue {
-    fn new(shared: bool, capacity: usize) -> Self {
+    /// Entries the queue holds before its first regrowth; spawning keeps
+    /// it ahead of demand from there.
+    const INITIAL_CAPACITY: usize = 64;
+
+    fn new(shared: bool) -> Self {
+        let heap = BinaryHeap::with_capacity(Self::INITIAL_CAPACITY);
         if shared {
-            EventQueue::Shared(Arc::new(Mutex::new(BinaryHeap::with_capacity(capacity))))
+            EventQueue::Shared(Arc::new(Mutex::new(heap)))
         } else {
-            EventQueue::Local(BinaryHeap::with_capacity(capacity))
+            EventQueue::Local(heap)
         }
     }
 
@@ -306,7 +378,7 @@ pub struct Kernel {
     /// Deferred notifications ([`SimCtx::notify_after`]), delivered in
     /// canonical `(time, tag)` order.
     timed: BinaryHeap<Reverse<TimedEntry>>,
-    waiters: HashMap<EventId, Vec<Waiter>>,
+    waiters: Waiters,
     clock: Arc<SharedClock>,
     /// One virtual-time cell per shard, read by that shard's processes.
     shard_clocks: Vec<Arc<AtomicU64>>,
@@ -321,6 +393,8 @@ pub struct Kernel {
     /// The notifications of the slice being applied; kept so its buffer
     /// is reused from one dispatch to the next.
     notifications: VecDeque<(EventId, Time)>,
+    /// Fiber resumes so far, see [`Kernel::switches`].
+    switches: u64,
 }
 
 impl Default for Kernel {
@@ -340,9 +414,9 @@ impl Kernel {
         let shards = config.shards.max(1);
         Kernel {
             procs: Vec::new(),
-            queue: EventQueue::new(shards > 1, config.queue_capacity),
+            queue: EventQueue::new(shards > 1),
             timed: BinaryHeap::new(),
-            waiters: HashMap::new(),
+            waiters: Waiters::default(),
             clock: Arc::new(SharedClock::new()),
             shard_clocks: (0..shards).map(|_| Arc::new(AtomicU64::new(0))).collect(),
             directory: Arc::new(Directory::default()),
@@ -351,6 +425,7 @@ impl Kernel {
             min_latency: None,
             unfinished: 0,
             notifications: VecDeque::new(),
+            switches: 0,
             config,
         }
     }
@@ -368,6 +443,19 @@ impl Kernel {
     /// Statistics for the run so far.
     pub fn stats(&self) -> KernelStats {
         self.stats
+    }
+
+    /// How many times the kernel has switched a process in so far.
+    ///
+    /// A host-side gauge, not a simulation result: it counts the
+    /// dispatches that were real fiber resumes, so
+    /// `stats().events_dispatched - switches()` is the number of events
+    /// processes passed in place (see [`SimCtx::advance`]). That split
+    /// depends on the execution mode — a shard window is a tighter bound
+    /// than the sequential queue — which is why it is not a field of
+    /// [`KernelStats`], whose values are the same for every shard count.
+    pub fn switches(&self) -> u64 {
+        self.switches
     }
 
     /// Allocate a fresh event token from outside the simulation.
@@ -502,13 +590,9 @@ impl Kernel {
     }
 
     fn deliver_notification(&mut self, event: EventId) {
-        if let Some(mut waiters) = self.waiters.remove(&event) {
-            // Canonical wake order. Sequential registration already
-            // appends in (time, seq) order, so this is a no-op there; it
-            // matters for waiters registered by concurrent shards.
-            waiters.sort_unstable_by_key(|w| w.reg);
+        if let Some(mut waiters) = self.waiters.take(event) {
             let now = self.now();
-            for w in waiters {
+            for w in waiters.drain(..) {
                 // The waiter's epoch advances so stale timeout checks
                 // become no-ops.
                 self.procs[w.pid].wait_epoch += 1;
@@ -516,6 +600,7 @@ impl Kernel {
                 self.stats.notifications_delivered += 1;
                 self.push(now, QueueItem::Resume(w.pid, ResumeKind::Notified));
             }
+            self.waiters.recycle(waiters);
         }
     }
 
@@ -646,62 +731,86 @@ impl Kernel {
                         continue;
                     }
                     if let ProcState::Waiting { event, .. } = self.procs[pid].state {
-                        if let Some(ws) = self.waiters.get_mut(&event) {
-                            ws.retain(|w| w.pid != pid);
-                            if ws.is_empty() {
-                                self.waiters.remove(&event);
-                            }
-                        }
+                        self.waiters.cancel(event, pid);
                     }
                     self.procs[pid].wait_epoch += 1;
                     self.procs[pid].state = ProcState::Runnable;
-                    self.dispatch(pid, ResumeKind::TimedOut, (entry.time, entry.seq))?;
+                    self.dispatch(pid, ResumeKind::TimedOut, (entry.time, entry.seq), horizon)?;
                 }
                 QueueItem::Resume(pid, kind) => {
                     if self.procs[pid].state == ProcState::Done {
                         continue;
                     }
-                    self.dispatch(pid, kind, (entry.time, entry.seq))?;
+                    self.dispatch(pid, kind, (entry.time, entry.seq), horizon)?;
                 }
             }
         }
     }
 
+    /// The earliest instant at which the sequential loop would dispatch
+    /// something other than the process it is about to run: what that
+    /// process may run ahead to, exclusively (see
+    /// [`SimCtx::advance`]).
+    fn run_ahead_bound(&self, horizon: Time) -> Time {
+        let mut bound = horizon.saturating_add(1);
+        if let Some((time, _)) = self.queue.peek_key() {
+            bound = bound.min(time);
+        }
+        if let Some(Reverse(te)) = self.timed.peek() {
+            bound = bound.min(te.time);
+        }
+        bound
+    }
+
     /// Run `pid` until it switches back out, then apply side effects and
-    /// the yield reason. `reg` is the `(time, seq)` of the dispatching
+    /// the yield reason. `key` is the `(time, seq)` of the dispatching
     /// entry, recorded on any wait this slice registers.
-    fn dispatch(&mut self, pid: Pid, kind: ResumeKind, reg: (Time, u64)) -> Result<(), SimError> {
+    fn dispatch(
+        &mut self,
+        pid: Pid,
+        kind: ResumeKind,
+        mut key: (Time, u64),
+        horizon: Time,
+    ) -> Result<(), SimError> {
         self.stats.events_dispatched += 1;
+        self.switches += 1;
+        let bound = self.run_ahead_bound(horizon);
         let proc = &mut self.procs[pid];
         proc.dispatch_count += 1;
-        self.shard_clocks[proc.shard].store(reg.0, Ordering::Release);
+        let shard_clock = &self.shard_clocks[proc.shard];
+        shard_clock.store(key.0, Ordering::Release);
         let slice = proc
             .link
-            .run_slice(&mut proc.fiber, kind, &mut self.notifications);
+            .run_slice(&mut proc.fiber, kind, bound, &mut self.notifications);
+        if slice.ran_ahead > 0 {
+            // Each in-place advance stood in for pushing an entry with the
+            // next sequence number onto an otherwise unchanged queue,
+            // popping it straight back and dispatching it: account for
+            // exactly that, and carry on as the last of those dispatches.
+            let now = shard_clock.load(Ordering::Acquire);
+            self.clock.now.store(now, Ordering::Release);
+            self.stats.events_dispatched += slice.ran_ahead;
+            proc.dispatch_count += slice.ran_ahead;
+            let depth = self.queue.len() as u64 + 1;
+            self.stats.max_queue_depth = self.stats.max_queue_depth.max(depth);
+            self.seq += slice.ran_ahead;
+            key = (now, self.seq - 1);
+        }
         self.apply_side_effects(pid, slice.spawns);
         let now = self.now();
         match slice.reason {
             YieldReason::Advance(dt) => {
                 self.push(now.saturating_add(dt), QueueItem::Resume(pid, ResumeKind::Scheduled));
             }
-            YieldReason::YieldNow => {
-                self.push(now, QueueItem::Resume(pid, ResumeKind::Scheduled));
-            }
             YieldReason::Wait(event) => {
                 let epoch = self.procs[pid].wait_epoch;
                 self.procs[pid].state = ProcState::Waiting { event, epoch };
-                self.waiters
-                    .entry(event)
-                    .or_default()
-                    .push(Waiter { pid, reg });
+                self.waiters.register(event, Waiter { pid, reg: key });
             }
             YieldReason::WaitTimeout(event, dt) => {
                 let epoch = self.procs[pid].wait_epoch;
                 self.procs[pid].state = ProcState::Waiting { event, epoch };
-                self.waiters
-                    .entry(event)
-                    .or_default()
-                    .push(Waiter { pid, reg });
+                self.waiters.register(event, Waiter { pid, reg: key });
                 self.push(now.saturating_add(dt), QueueItem::Timeout(pid, epoch));
             }
             YieldReason::Done => self.finish(pid),
@@ -775,9 +884,8 @@ impl Kernel {
                 }
                 self.timed.pop();
                 self.clock.now.store(te.time, Ordering::Release);
-                if let Some(mut ws) = self.waiters.remove(&te.event) {
-                    ws.sort_unstable_by_key(|w| w.reg);
-                    for w in ws {
+                if let Some(mut ws) = self.waiters.take(te.event) {
+                    for w in ws.drain(..) {
                         self.procs[w.pid].wait_epoch += 1;
                         self.procs[w.pid].state = ProcState::Runnable;
                         self.stats.notifications_delivered += 1;
@@ -790,6 +898,7 @@ impl Kernel {
                             item: QueueItem::Resume(w.pid, ResumeKind::Notified),
                         }));
                     }
+                    self.waiters.recycle(ws);
                 }
             }
             // The window may not overrun the earliest still-pending
@@ -853,6 +962,7 @@ impl Kernel {
                 .expect("sequence space exhausted");
             let mut first_error: Option<((Time, u64), SimError)> = None;
             for o in outcomes {
+                self.switches += o.switches;
                 self.stats.events_dispatched += o.dispatched;
                 self.stats.notifications_delivered += o.notifications;
                 self.stats.max_queue_depth = self.stats.max_queue_depth.max(o.max_depth);
@@ -893,6 +1003,9 @@ impl Kernel {
 /// Per-window result of one shard worker.
 #[derive(Default)]
 struct ShardWindowOutcome {
+    /// Fiber resumes, for [`Kernel::switches`].
+    switches: u64,
+    /// Events dispatched: the resumes plus the events run ahead over.
     dispatched: u64,
     notifications: u64,
     max_depth: u64,
@@ -913,15 +1026,14 @@ fn wake_local_waiters(
     at: Time,
     procs: &mut HashMap<Pid, &mut ProcEntry>,
     heap: &mut BinaryHeap<Reverse<Entry>>,
-    waiters: &Mutex<HashMap<EventId, Vec<Waiter>>>,
+    waiters: &Mutex<Waiters>,
     seq: &mut u64,
     notifications: &mut u64,
 ) -> Result<(), Pid> {
-    let Some(mut ws) = waiters.lock().remove(&event) else {
+    let Some(mut ws) = waiters.lock().take(event) else {
         return Ok(());
     };
-    ws.sort_unstable_by_key(|w| w.reg);
-    for w in ws {
+    for w in ws.drain(..) {
         let Some(p) = procs.get_mut(&w.pid) else {
             return Err(w.pid);
         };
@@ -936,6 +1048,7 @@ fn wake_local_waiters(
             item: QueueItem::Resume(w.pid, ResumeKind::Notified),
         }));
     }
+    waiters.lock().recycle(ws);
     Ok(())
 }
 
@@ -950,7 +1063,7 @@ fn run_shard_window(
     seq_start: u64,
     heap: &mut BinaryHeap<Reverse<Entry>>,
     part: Vec<(Pid, &mut ProcEntry)>,
-    waiters: &Mutex<HashMap<EventId, Vec<Waiter>>>,
+    waiters: &Mutex<Waiters>,
     unfinished: &AtomicUsize,
     clock_cell: &AtomicU64,
     directory: &Directory,
@@ -959,14 +1072,8 @@ fn run_shard_window(
     let mut seq = seq_start;
     let mut out = ShardWindowOutcome::default();
     let mut notifications = VecDeque::new();
-    let violation = |entry: &Entry, detail: String| {
-        Some((
-            (entry.time, entry.seq),
-            SimError::LookaheadViolation {
-                at: entry.time,
-                detail,
-            },
-        ))
+    let violation = |key: (Time, u64), detail: String| {
+        Some((key, SimError::LookaheadViolation { at: key.0, detail }))
     };
     'window: loop {
         if unfinished.load(Ordering::Acquire) == 0 {
@@ -987,13 +1094,7 @@ fn run_shard_window(
                     continue;
                 }
                 if let ProcState::Waiting { event, .. } = p.state {
-                    let mut ws = waiters.lock();
-                    if let Some(v) = ws.get_mut(&event) {
-                        v.retain(|w| w.pid != pid);
-                        if v.is_empty() {
-                            ws.remove(&event);
-                        }
-                    }
+                    waiters.lock().cancel(event, pid);
                 }
                 p.wait_epoch += 1;
                 p.state = ProcState::Runnable;
@@ -1008,20 +1109,44 @@ fn run_shard_window(
                 (pid, kind)
             }
         };
+        out.switches += 1;
         out.dispatched += 1;
-        let (Slice { reason, spawns }, dispatch_idx) = {
+        // Nothing else runs on this shard before the local heap's head,
+        // nothing at all at or past the window's end.
+        let bound = heap
+            .peek()
+            .map_or(window_end, |Reverse(e)| e.time.min(window_end));
+        let mut key = (entry.time, entry.seq);
+        let (reason, spawns, dispatch_idx) = {
             let p = procs.get_mut(&pid).expect("dispatching pid");
             p.dispatch_count += 1;
-            let slice = p.link.run_slice(&mut p.fiber, kind, &mut notifications);
-            (slice, p.dispatch_count)
+            let Slice {
+                reason,
+                spawns,
+                ran_ahead,
+            } = p
+                .link
+                .run_slice(&mut p.fiber, kind, bound, &mut notifications);
+            if ran_ahead > 0 {
+                // As in `Kernel::dispatch`: every in-place advance was a
+                // push onto the unchanged local heap, a pop and a
+                // dispatch.
+                out.dispatched += ran_ahead;
+                p.dispatch_count += ran_ahead;
+                out.max_depth = out.max_depth.max(heap.len() as u64 + 1);
+                seq += ran_ahead;
+                key = (clock_cell.load(Ordering::Acquire), seq - 1);
+            }
+            (reason, spawns, p.dispatch_count)
         };
+        let now = key.0;
         // Side effects: zero-delay notifications deliver to local waiters
         // immediately; delayed ones (>= lookahead) defer to the boundary.
         for (effect, (event, dt)) in (0u32..).zip(notifications.drain(..)) {
             if dt == 0 {
                 if let Err(foreign) = wake_local_waiters(
                     event,
-                    entry.time,
+                    now,
                     &mut procs,
                     heap,
                     waiters,
@@ -1029,7 +1154,7 @@ fn run_shard_window(
                     &mut out.notifications,
                 ) {
                     out.error = violation(
-                        &entry,
+                        key,
                         format!(
                             "zero-delay notification from pid {pid} reached cross-shard \
                              waiter pid {foreign}; use notify_after(_, dt >= lookahead) \
@@ -1040,7 +1165,7 @@ fn run_shard_window(
                 }
             } else if dt < lookahead {
                 out.error = violation(
-                    &entry,
+                    key,
                     format!(
                         "notify_after delay {dt} from pid {pid} is shorter than the \
                          lookahead {lookahead}"
@@ -1049,7 +1174,7 @@ fn run_shard_window(
                 break 'window;
             } else {
                 out.timed.push(TimedEntry {
-                    time: entry.time.saturating_add(dt),
+                    time: now.saturating_add(dt),
                     tag: EffectTag {
                         pid,
                         dispatch: dispatch_idx,
@@ -1061,7 +1186,7 @@ fn run_shard_window(
         }
         if !spawns.is_empty() {
             out.error = violation(
-                &entry,
+                key,
                 format!(
                     "pid {pid} spawned a process inside a parallel window; spawn \
                      processes before running, or run with lookahead 0"
@@ -1074,16 +1199,7 @@ fn run_shard_window(
                 let s = seq;
                 seq += 1;
                 heap.push(Reverse(Entry {
-                    time: entry.time.saturating_add(dt),
-                    seq: s,
-                    item: QueueItem::Resume(pid, ResumeKind::Scheduled),
-                }));
-            }
-            YieldReason::YieldNow => {
-                let s = seq;
-                seq += 1;
-                heap.push(Reverse(Entry {
-                    time: entry.time,
+                    time: now.saturating_add(dt),
                     seq: s,
                     item: QueueItem::Resume(pid, ResumeKind::Scheduled),
                 }));
@@ -1092,10 +1208,7 @@ fn run_shard_window(
                 let p = procs.get_mut(&pid).expect("dispatching pid");
                 let epoch = p.wait_epoch;
                 p.state = ProcState::Waiting { event, epoch };
-                waiters.lock().entry(event).or_default().push(Waiter {
-                    pid,
-                    reg: (entry.time, entry.seq),
-                });
+                waiters.lock().register(event, Waiter { pid, reg: key });
             }
             YieldReason::WaitTimeout(event, dt) => {
                 let epoch = {
@@ -1104,14 +1217,11 @@ fn run_shard_window(
                     p.state = ProcState::Waiting { event, epoch };
                     epoch
                 };
-                waiters.lock().entry(event).or_default().push(Waiter {
-                    pid,
-                    reg: (entry.time, entry.seq),
-                });
+                waiters.lock().register(event, Waiter { pid, reg: key });
                 let s = seq;
                 seq += 1;
                 heap.push(Reverse(Entry {
-                    time: entry.time.saturating_add(dt),
+                    time: now.saturating_add(dt),
                     seq: s,
                     item: QueueItem::Timeout(pid, epoch),
                 }));
@@ -1128,7 +1238,7 @@ fn run_shard_window(
                 let completion = directory.mark_finished(pid);
                 if let Err(foreign) = wake_local_waiters(
                     completion,
-                    entry.time,
+                    now,
                     &mut procs,
                     heap,
                     waiters,
@@ -1136,7 +1246,7 @@ fn run_shard_window(
                     &mut out.notifications,
                 ) {
                     out.error = violation(
-                        &entry,
+                        key,
                         format!(
                             "completion of pid {pid} would wake cross-shard joiner \
                              pid {foreign}; pin joined processes to one shard"
@@ -1146,8 +1256,7 @@ fn run_shard_window(
                 }
                 if let YieldReason::Panicked(message) = reason {
                     let name = procs.get(&pid).expect("dispatching pid").name.clone();
-                    out.error =
-                        Some(((entry.time, entry.seq), SimError::ProcessPanicked { name, message }));
+                    out.error = Some((key, SimError::ProcessPanicked { name, message }));
                     break;
                 }
             }

@@ -11,6 +11,15 @@
 //! involved, and only one process runs at a time. Repeated runs of the
 //! same simulation therefore produce bit-identical schedules.
 //!
+//! A process gives way only when it has to: a [`SimCtx::advance`] that
+//! the kernel would answer by resuming the same process — nothing else
+//! is due before its wake-up time, the slice has no side effect waiting
+//! to be applied — moves the clock in place and returns without a
+//! switch, and the kernel books it as the dispatch it stands for
+//! (*run-ahead*, see the [`process`] module). Schedules and
+//! [`KernelStats`] do not depend on which path a call took;
+//! [`Kernel::switches`] counts the switches that did happen.
+//!
 //! Virtual time is measured in [`Time`] units (nanoseconds of a global
 //! reference clock). Processes interact with the kernel exclusively
 //! through a [`SimCtx`] handle:

@@ -15,6 +15,33 @@
 //! `std::thread::current()`) across a blocking [`SimCtx`] call, because
 //! windowed execution resumes it on whichever worker thread runs its
 //! shard in that window.
+//!
+//! # Run-ahead
+//!
+//! Lock-step does not mean one switch per call. Before each slice the
+//! kernel hands the process a *bound*: the earliest instant at which it
+//! would have to dispatch anything else — the head of the event queue,
+//! the head of the timed-notification heap, one past the horizon of
+//! [`run_until`](crate::Kernel::run_until), the end of the shard window.
+//! To a [`SimCtx::advance`] (or [`SimCtx::yield_now`]) whose wake-up
+//! time lies *strictly* below that bound, from a slice that has queued
+//! no notification and no spawn, the kernel's answer is known in
+//! advance: it would push an entry, pop the very same entry and switch
+//! the very same fiber back in. Such a call moves the process's clock
+//! itself, counts one *run-ahead* and returns. Every other call
+//! switches: at an equal time the entry already queued has the earlier
+//! sequence number and a timed delivery wins ties, a queued notification
+//! or spawn has to be applied at the old time, and a kernel that is
+//! shutting down resumes nothing.
+//!
+//! When the slice does end, the kernel folds the count into everything
+//! the skipped dispatches would have touched — events dispatched, the
+//! process's dispatch index, one sequence number each, the registration
+//! key of a wait that follows, the queue-depth gauge — so the schedule,
+//! [`KernelStats`](crate::KernelStats) and every tie-break are those of
+//! a kernel that switched each time.
+//! [`Kernel::switches`](crate::Kernel::switches) is the one number that
+//! tells the two apart.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -56,14 +83,13 @@ pub enum ResumeKind {
 /// What a process reports back to the kernel when it yields.
 #[derive(Debug)]
 pub(crate) enum YieldReason {
-    /// Resume me after `dt` virtual nanoseconds.
+    /// Resume me after `dt` virtual nanoseconds, behind everything
+    /// already queued for that instant.
     Advance(Time),
     /// Block me until `event` is notified.
     Wait(EventId),
     /// Block me until `event` is notified or `dt` elapses.
     WaitTimeout(EventId, Time),
-    /// Reschedule me at the current time, after already-queued events.
-    YieldNow,
     /// The process body returned.
     Done,
     /// The process body panicked with this message.
@@ -94,6 +120,12 @@ pub(crate) struct Link(Mutex<LinkState>);
 struct LinkState {
     /// Set by the kernel before it switches the process in.
     go: Option<ResumeKind>,
+    /// Set with `go`: the process may pass virtual time in place up to,
+    /// but excluding, this instant (see the [module docs](self)).
+    run_ahead_bound: Time,
+    /// In-place advances of the current slice, folded into the kernel's
+    /// counters when the slice ends.
+    ran_ahead: u64,
     /// Set by the process before it switches back out.
     yielded: Option<YieldReason>,
     /// Notifications queued during the slice, with their delivery delay:
@@ -110,18 +142,25 @@ struct LinkState {
 pub(crate) struct Slice {
     pub(crate) reason: YieldReason,
     pub(crate) spawns: Vec<SpawnRequest>,
+    /// Dispatches the slice stood in for by advancing in place, not
+    /// counting the one that started it.
+    pub(crate) ran_ahead: u64,
 }
 
 impl Link {
     /// Kernel side: switch the process in with `kind` and, once it has
-    /// switched back out, collect what the slice produced. `notifications`
-    /// must be empty; it comes back holding the slice's notifications in
-    /// the order they were queued. `fiber` is cleared when the body is
-    /// over, so a fiber that is still there can always be resumed.
+    /// switched back out, collect what the slice produced. The process
+    /// may pass virtual time in place below `run_ahead_bound`, the
+    /// earliest instant at which the caller would dispatch anything
+    /// else. `notifications` must be empty; it comes back holding the
+    /// slice's notifications in the order they were queued. `fiber` is
+    /// cleared when the body is over, so a fiber that is still there can
+    /// always be resumed.
     pub(crate) fn run_slice(
         &self,
         fiber: &mut Option<Fiber>,
         kind: ResumeKind,
+        run_ahead_bound: Time,
         notifications: &mut VecDeque<(EventId, Time)>,
     ) -> Slice {
         debug_assert!(notifications.is_empty(), "undrained notifications");
@@ -129,6 +168,7 @@ impl Link {
             let mut st = self.0.lock();
             debug_assert!(st.go.is_none(), "double resume");
             st.go = Some(kind);
+            st.run_ahead_bound = run_ahead_bound;
         }
         let running = fiber
             .as_mut()
@@ -142,6 +182,7 @@ impl Link {
         Slice {
             reason: reason.expect("process switched out without a yield reason"),
             spawns: std::mem::take(&mut st.spawns),
+            ran_ahead: std::mem::take(&mut st.ran_ahead),
         }
     }
 
@@ -156,6 +197,22 @@ impl Link {
     fn take_go(&self) -> ResumeKind {
         let go = self.0.lock().go.take();
         go.expect("process resumed without a resume kind")
+    }
+
+    /// Process side: may the running slice move its clock to `target`
+    /// without switching out? Yes iff the kernel would dispatch nothing
+    /// before resuming this process at `target` (strictly below the
+    /// bound: an entry already queued for `target` has the earlier
+    /// sequence number, a timed delivery wins ties) and has no side
+    /// effect of this slice to apply first. Counts the run-ahead.
+    fn run_ahead(&self, target: Time) -> bool {
+        let mut st = self.0.lock();
+        let in_place =
+            target < st.run_ahead_bound && st.notifications.is_empty() && st.spawns.is_empty();
+        if in_place {
+            st.ran_ahead += 1;
+        }
+        in_place
     }
 
     /// Process side: publish why we are about to switch out.
@@ -234,7 +291,9 @@ fn unwind_killed() -> ! {
 /// Handle through which a simulated process interacts with the kernel.
 ///
 /// All blocking operations (`advance`, `wait`, …) transfer control to the
-/// kernel and only return once the kernel schedules this process again.
+/// kernel and only return once the kernel schedules this process again —
+/// except an [`advance`](SimCtx::advance) the kernel would answer by
+/// scheduling this process straight away, which returns in place.
 /// If the kernel is dropped mid-simulation the blocking call the process
 /// is suspended in unwinds its stack, dropping its locals; user code never
 /// observes this (the unwind is caught at the process boundary).
@@ -289,16 +348,39 @@ impl SimCtx {
         self.link.0.lock().notifications.push_back((event, dt));
     }
 
-    /// Let `dt` nanoseconds of virtual time pass.
+    /// Let `dt` nanoseconds of virtual time pass: this process runs
+    /// again at `now + dt`, after everything already scheduled up to and
+    /// including that instant.
+    ///
+    /// The call switches to the kernel only if something has to happen
+    /// first: another event or timed notification is due at or before
+    /// `now + dt`, `now + dt` lies beyond the horizon of the current
+    /// [`run_until`](crate::Kernel::run_until) (or the current shard
+    /// window), this slice has queued a [`notify`](SimCtx::notify),
+    /// [`notify_after`](SimCtx::notify_after) or [`spawn`](SimCtx::spawn)
+    /// the kernel must apply, or the kernel is shutting down. Otherwise
+    /// the kernel would resume this very process next, so the clock
+    /// moves in place and the call returns; the kernel accounts for it as
+    /// the dispatch it replaces, which makes the two indistinguishable
+    /// (see the [module docs](crate::process)).
     pub fn advance(&self, dt: Time) {
-        self.do_yield(YieldReason::Advance(dt));
+        let target = self.now().saturating_add(dt);
+        // A kernel that is going away left the bound of a slice long
+        // over behind: only `do_yield` may answer then.
+        let shutting_down = self.clock.shutting_down.load(Ordering::Acquire);
+        if !shutting_down && self.link.run_ahead(target) {
+            self.now_cell.store(target, Ordering::Release);
+        } else {
+            self.do_yield(YieldReason::Advance(dt));
+        }
     }
 
     /// Yield the processor, re-queueing this process at the current time
     /// *after* all already-scheduled same-time events. Lets same-time
-    /// peers run.
+    /// peers run; it is `advance(0)`, so with nothing else due now it
+    /// returns without a switch.
     pub fn yield_now(&self) {
-        self.do_yield(YieldReason::YieldNow);
+        self.advance(0);
     }
 
     /// Block until `event` is notified.

@@ -9,12 +9,22 @@ use proptest::prelude::*;
 
 use sim_kernel::{Kernel, KernelStats, SimChannel, Time};
 
+/// `(worker, time)` of every worker step, in execution order.
+type StepLog = Vec<(usize, Time)>;
+
 /// Run a randomized workload: `workers` processes doing interleaved
 /// advances and notifications, one collector waiting for all events.
-fn run_workload(delays: &[Vec<u64>]) -> (Time, KernelStats, Vec<u64>) {
+fn run_workload(delays: &[Vec<u64>]) -> (Time, KernelStats, StepLog) {
+    let (kernel, log) = drive_workload(delays, |kernel| kernel.run().unwrap());
+    (kernel.now(), kernel.stats(), log)
+}
+
+/// [`run_workload`] with the caller deciding how the kernel is run to
+/// completion.
+fn drive_workload(delays: &[Vec<u64>], drive: impl FnOnce(&mut Kernel)) -> (Kernel, StepLog) {
     let mut kernel = Kernel::new();
     let event = kernel.alloc_event();
-    let log: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
+    let log: Arc<Mutex<StepLog>> = Arc::default();
     let total: usize = delays.iter().map(|d| d.len()).sum();
 
     for (i, seq) in delays.iter().enumerate() {
@@ -23,7 +33,7 @@ fn run_workload(delays: &[Vec<u64>]) -> (Time, KernelStats, Vec<u64>) {
         kernel.spawn(format!("w{i}"), move |ctx| {
             for d in seq {
                 ctx.advance(d + 1);
-                log.lock().push(ctx.now());
+                log.lock().push((i, ctx.now()));
                 ctx.notify(event);
             }
         });
@@ -38,9 +48,9 @@ fn run_workload(delays: &[Vec<u64>]) -> (Time, KernelStats, Vec<u64>) {
             w.fetch_add(1, Ordering::SeqCst);
         }
     });
-    kernel.run().unwrap();
-    let log = Arc::try_unwrap(log).ok().unwrap().into_inner();
-    (kernel.now(), kernel.stats(), log)
+    drive(&mut kernel);
+    let log = std::mem::take(&mut *log.lock());
+    (kernel, log)
 }
 
 proptest! {
@@ -59,6 +69,34 @@ proptest! {
     }
 
     #[test]
+    fn running_ahead_and_yielding_at_every_event_time_agree(
+        delays in prop::collection::vec(
+            prop::collection::vec(0u64..1000, 1..10), 1..6)
+    ) {
+        let (free, free_log) = drive_workload(&delays, |kernel| kernel.run().unwrap());
+        // The same workload with the horizon stepped through time 0 and
+        // every instant at which something happened: each slice then
+        // runs *at* the horizon, so every advance (all are >= 1) lands
+        // beyond it and has to yield — the maximally yielding schedule,
+        // on the same kernel.
+        let mut instants: Vec<Time> = free_log.iter().map(|&(_, t)| t).collect();
+        instants.push(0);
+        instants.sort_unstable();
+        instants.dedup();
+        let (stepped, stepped_log) = drive_workload(&delays, |kernel| {
+            for &t in &instants {
+                kernel.run_until(t).unwrap();
+                assert_eq!(kernel.switches(), kernel.stats().events_dispatched);
+            }
+            kernel.run().unwrap();
+        });
+        prop_assert_eq!(free_log, stepped_log, "execution order must match");
+        prop_assert_eq!(free.now(), stepped.now(), "final clock must match");
+        prop_assert_eq!(free.stats(), stepped.stats(), "statistics must match");
+        prop_assert!(free.switches() <= stepped.switches());
+    }
+
+    #[test]
     fn clock_is_monotone_and_bounded(
         delays in prop::collection::vec(
             prop::collection::vec(0u64..1000, 1..10), 1..6)
@@ -66,7 +104,7 @@ proptest! {
         let (end, _, log) = run_workload(&delays);
         // Each worker's own observations are monotone; the merged log is
         // bounded by the final clock.
-        prop_assert!(log.iter().all(|&t| t <= end));
+        prop_assert!(log.iter().all(|&(_, t)| t <= end));
         // Final clock equals the max per-worker cumulative delay
         // (workers run in parallel virtual time).
         let max_path: u64 = delays

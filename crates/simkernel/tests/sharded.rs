@@ -17,6 +17,23 @@ use sim_kernel::{Kernel, KernelConfig, KernelStats, LatentChannel, SimChannel, S
 /// therefore receives exactly `hops` tokens. Returns the final virtual
 /// time, the kernel stats, and each process's receive-time log.
 fn phold(shards: usize, procs: usize, hops: u32, lat: Time, work: Time) -> PholdRun {
+    ring(shards, procs, procs, hops, lat, work, 1).0
+}
+
+/// The ring behind [`phold`], with two more dials: only the first
+/// `injectors` processes start a token (each process then receives
+/// `injectors * hops / procs` of them), and a holder passes its `work`
+/// in `slices` equal advances. Also returns the kernel's fiber switches.
+fn ring(
+    shards: usize,
+    procs: usize,
+    injectors: usize,
+    hops: u32,
+    lat: Time,
+    work: Time,
+    slices: u32,
+) -> (PholdRun, u64) {
+    let receives = injectors as u32 * hops / procs as u32;
     let mut kernel = Kernel::with_config(KernelConfig::default().shards(shards));
     let channels: Vec<LatentChannel<u32>> = (0..procs)
         .map(|_| LatentChannel::new(&mut kernel, lat))
@@ -29,11 +46,15 @@ fn phold(shards: usize, procs: usize, hops: u32, lat: Time, work: Time) -> Phold
         let next = channels[(pid + 1) % procs].clone();
         let log = Arc::clone(&logs[pid]);
         kernel.spawn(format!("site{pid}"), move |ctx| {
-            next.send(&ctx, hops);
-            for _ in 0..hops {
+            if pid < injectors {
+                next.send(&ctx, hops);
+            }
+            for _ in 0..receives {
                 let remaining = inbox.recv(&ctx);
                 log.lock().push(ctx.now());
-                ctx.advance(work);
+                for _ in 0..slices {
+                    ctx.advance(work / Time::from(slices));
+                }
                 if remaining > 1 {
                     next.send(&ctx, remaining - 1);
                 }
@@ -41,11 +62,12 @@ fn phold(shards: usize, procs: usize, hops: u32, lat: Time, work: Time) -> Phold
         });
     }
     kernel.run().unwrap();
-    PholdRun {
+    let run = PholdRun {
         final_time: kernel.now(),
         stats: kernel.stats(),
         logs: logs.iter().map(|l| l.lock().clone()).collect(),
-    }
+    };
+    (run, kernel.switches())
 }
 
 #[derive(Debug, PartialEq, Eq)]
@@ -98,6 +120,35 @@ fn windowed_handles_work_exceeding_the_lookahead() {
     let reference = phold(1, 6, 8, 100, 7_777);
     let parallel = phold(3, 6, 8, 100, 7_777);
     assert_eq!(reference.comparable(), parallel.comparable());
+}
+
+/// One token walking a ring of four sites, each holder passing its time
+/// in 25 advances of 40 ns: a single active process, so the sequential
+/// kernel has nothing queued ahead of it and runs ahead over nearly
+/// every event.
+fn lone_token(shards: usize, lat: Time) -> (PholdRun, u64) {
+    ring(shards, 4, 1, 40, lat, 1_000, 25)
+}
+
+#[test]
+fn a_run_ahead_schedule_matches_a_yielding_one() {
+    // Sequential: one switch per hop, the 25 advances in place.
+    let (reference, switches) = lone_token(1, 30);
+    let events = reference.stats.events_dispatched;
+    assert!(events > 1_000, "{events} events");
+    assert!(switches < events / 10, "{switches} switches for {events} events");
+    // A window 30 ns wide ends before any 40 ns advance does, so there
+    // the same schedule is produced by yielding every time.
+    for shards in [2, 4] {
+        let (windowed, switches) = lone_token(shards, 30);
+        assert_eq!(reference.comparable(), windowed.comparable(), "shards={shards}");
+        assert_eq!(switches, events, "shards={shards}");
+    }
+    // Zero latency: the fallback runs the sequential loop on the shared
+    // queue and runs ahead exactly as far.
+    let sequential = lone_token(1, 0);
+    assert_eq!(sequential, lone_token(2, 0));
+    assert_eq!(sequential, lone_token(4, 0));
 }
 
 #[test]
