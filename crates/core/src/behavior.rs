@@ -6,6 +6,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::EmberaError;
 use crate::message::Message;
+use crate::observe::protocol::{ObsReply, ObsRequest};
 
 /// Class of computation, used by the simulated-MPSoC backend to pick
 /// per-CPU throughput (mirrors `mpsoc_sim::ComputeClass`; kept separate
@@ -99,6 +100,34 @@ pub trait Ctx {
     /// least-loaded lane; `None` means the information is unavailable.
     fn route_depth(&self, _required: &str) -> Option<u64> {
         None
+    }
+
+    /// Ask the component whose `introspection` interface `required` is
+    /// connected to for `request`.
+    ///
+    /// `Ok(Some(reply))`: the backend answered in place — it read the
+    /// target's shared statistics from this flow, stamped with this
+    /// flow's clock, without waking the target (the host backends,
+    /// `embera-smp` and `embera-exec`). `Ok(None)`: the request went out
+    /// as a [`Message::ObsRequest`] and the reply will arrive as a
+    /// [`Message::ObsReply`] on whatever provided interface the
+    /// target's `introspection` is connected back to (`observations`
+    /// for the auto-wired observers) — or `required` is the component's
+    /// own unbound `introspection`, and nothing was sent. A caller
+    /// written against both outcomes runs on every backend.
+    ///
+    /// Errors are those of a send: [`EmberaError::UnknownInterface`]
+    /// for an interface the component never declared,
+    /// [`EmberaError::Disconnected`] for a declared one with no
+    /// connection. The default implementation is the message path.
+    fn observe(
+        &mut self,
+        required: &str,
+        request: ObsRequest,
+    ) -> Result<Option<ObsReply>, EmberaError> {
+        let from = self.component().to_string();
+        self.send_message(required, Message::ObsRequest { from, request })?;
+        Ok(None)
     }
 
     /// Send a data payload on a required interface (the paper's `send`

@@ -1,13 +1,15 @@
 //! The observation engine: answers [`ObsRequest`]s from a component's
-//! statistics. Runs inside the component runtime, so observation needs
-//! no changes to application code (the paper's headline property).
+//! statistics. Runs inside the component runtime — or, on the host
+//! backends, on the observer's side of the introspection connection —
+//! so observation needs no changes to application code (the paper's
+//! headline property).
 
 use std::sync::Arc;
 
 use crate::observe::custom::{sample_all, MetricSource};
 use crate::observe::protocol::{ObsReply, ObsRequest};
 use crate::observe::report::ObservationReport;
-use crate::observe::stats::ComponentStats;
+use crate::observe::stats::{ComponentStats, Queued};
 
 /// Answers observation requests for one component.
 #[derive(Clone)]
@@ -40,21 +42,34 @@ impl ObsEngine {
 
     /// The component's full report including custom metrics.
     pub fn full_report(&self, now_ns: u64) -> ObservationReport {
-        let mut report = self.stats.full_report(now_ns);
+        self.full_report_with(now_ns, self.stats.queued())
+    }
+
+    fn full_report_with(&self, now_ns: u64, queued: Queued) -> ObservationReport {
+        let mut report = self.stats.full_report_with(now_ns, queued);
         report.custom = sample_all(&self.metrics);
         report
     }
 
-    /// Produce the reply for `request` at platform time `now_ns`.
+    /// Produce the reply for `request` at platform time `now_ns`, with
+    /// the queue gauges the component's runtime last stored.
     pub fn answer(&self, request: ObsRequest, now_ns: u64) -> ObsReply {
+        self.answer_with(request, now_ns, self.stats.queued())
+    }
+
+    /// [`ObsEngine::answer`] for a reader standing outside the
+    /// component: it looked at the mailboxes itself and hands the gauges
+    /// in, so nothing is written into the component's block on its
+    /// behalf.
+    pub(crate) fn answer_with(&self, request: ObsRequest, now_ns: u64, queued: Queued) -> ObsReply {
         match request {
-            ObsRequest::OsStats => ObsReply::Os(self.stats.os_stats(now_ns)),
+            ObsRequest::OsStats => ObsReply::Os(self.stats.os_stats_with(now_ns, queued)),
             ObsRequest::MiddlewareStats => ObsReply::Middleware(self.stats.middleware_stats()),
             ObsRequest::AppStats => ObsReply::App(self.stats.app_stats()),
             ObsRequest::Structure => ObsReply::Structure(self.stats.structure()),
             ObsRequest::Custom => ObsReply::Custom(sample_all(&self.metrics)),
-            ObsRequest::Health => ObsReply::Health(self.stats.health(now_ns)),
-            ObsRequest::Full => ObsReply::Full(Box::new(self.full_report(now_ns))),
+            ObsRequest::Health => ObsReply::Health(self.stats.health_with(now_ns, queued)),
+            ObsRequest::Full => ObsReply::Full(Box::new(self.full_report_with(now_ns, queued))),
         }
     }
 }

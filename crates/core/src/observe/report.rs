@@ -1,5 +1,7 @@
 //! Report data structures produced by observation.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 /// Operating-system-level observation (paper §4.2): "information about
@@ -122,8 +124,10 @@ pub struct StructureInfo {
     pub component: String,
     /// Interfaces: introspection provided, data provided (declaration
     /// order), introspection required, data required — the order of the
-    /// paper's Figure 5.
-    pub interfaces: Vec<InterfaceEntry>,
+    /// paper's Figure 5. The listing never changes while a component
+    /// lives, so every report of that component shares the one built at
+    /// deployment.
+    pub interfaces: Arc<[InterfaceEntry]>,
 }
 
 impl StructureInfo {
@@ -156,7 +160,7 @@ impl StructureInfo {
         }
         StructureInfo {
             component: component.into(),
-            interfaces,
+            interfaces: interfaces.into(),
         }
     }
 
@@ -176,7 +180,7 @@ impl StructureInfo {
         out.push_str(&format!("Interfaces component [{}]\n", self.component));
         out.push_str("----------------------------\n");
         out.push_str("[Interface] [Type]\n");
-        for e in &self.interfaces {
+        for e in self.interfaces.iter() {
             out.push_str(&format!("{} {}\n", e.name, e.role));
         }
         out

@@ -4,7 +4,36 @@
 //! The structure is lock-free (atomics only) so that recording a send or
 //! receive costs a handful of relaxed atomic adds — the observation
 //! machinery must not distort the middleware timings it measures.
+//!
+//! # Reading a block that is being written
+//!
+//! On the host backends an observer reads this block from its own
+//! execution flow while the component keeps running (see
+//! [`Transport::observe`](crate::runtime::Transport::observe)), so a
+//! snapshot may fall between two stores of one `record_send`. There is
+//! no lock and no sequence number; what a reader may rely on is this:
+//!
+//! * every field is one atomic, so no value is torn;
+//! * every counter is monotone — sends, receives, bytes, timing counts,
+//!   totals and maxima never decrease from one snapshot to the next,
+//!   minima never increase, `last_progress_ns` never goes back;
+//! * within one [`AppStats`] the totals are the sums of the
+//!   per-interface values of that same snapshot;
+//! * a [`TimingSnapshot`] covers *at least* the `count` operations it
+//!   reports: `count` is written last and read first, so `total_ns`,
+//!   `min_ns` and `max_ns` may already include one operation more;
+//! * a queue gauge computed by a reader outside the component (the
+//!   mailboxes' lengths, then what the transport says it stashed) counts
+//!   every message that waited from before the read to after it, and
+//!   may count a batch drained in between twice;
+//! * fields of different groups are not a cut: `middleware.send.count`
+//!   and `app.total_sends` may differ by the sends in flight, and a
+//!   sender's `total_sends` read before its receiver's
+//!   `total_receives` says nothing about messages queued in between.
+//!
+//! Once the component is quiescent every snapshot is exact.
 
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::names::NameTable;
@@ -47,14 +76,16 @@ impl TimingAtomic {
     }
 
     fn record(&self, dur_ns: u64) {
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.total_ns.fetch_add(dur_ns, Ordering::Relaxed);
         self.min_ns.fetch_min(dur_ns, Ordering::Relaxed);
         self.max_ns.fetch_max(dur_ns, Ordering::Relaxed);
+        // Last, and `Release`: a reader that counts this operation
+        // (`Acquire` in `snapshot`) also sees its duration.
+        self.count.fetch_add(1, Ordering::Release);
     }
 
     fn snapshot(&self) -> TimingSnapshot {
-        let count = self.count.load(Ordering::Relaxed);
+        let count = self.count.load(Ordering::Acquire);
         TimingSnapshot {
             count,
             total_ns: self.total_ns.load(Ordering::Relaxed),
@@ -91,12 +122,32 @@ pub enum LifeState {
     Finished,
 }
 
+/// Occupation of a component's data mailboxes at one instant: what the
+/// queue gauges of a report ([`HealthInfo::queued_messages`],
+/// [`HealthInfo::queued_bytes`], [`OsStats::queued_bytes`]) are filled
+/// from.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Queued {
+    /// Messages the behavior has yet to receive.
+    pub(crate) messages: u64,
+    /// Their data-payload bytes.
+    pub(crate) bytes: u64,
+}
+
 /// All observable statistics of one component. Shared between the
 /// component runtime (writer) and observation consumers (readers).
 pub struct ComponentStats {
     name: String,
     provided: Vec<String>,
     required: Vec<String>,
+    /// The order [`AppStats::interfaces`] lists the interfaces in:
+    /// required then provided, a name that is both listed once, where
+    /// it first appears. Worked out once, here, so a report is one
+    /// pass over it.
+    report_order: Vec<String>,
+    /// The Figure-5 listing, which never changes: built once, copied
+    /// into each answer.
+    structure: StructureInfo,
     /// One per declared interface, provided or required.
     counters: NameTable<IfaceAtomic>,
     send_timing: TimingAtomic,
@@ -111,6 +162,14 @@ pub struct ComponentStats {
     cpu_time_ns: AtomicU64,
     queued_bytes: AtomicU64,
     queued_messages: AtomicU64,
+    /// Data messages (and their payload bytes) the component's
+    /// transport has drained from its mailboxes in bulk and not handed
+    /// to the behavior yet. Written by the component's own flow only,
+    /// here — among the counters every receive writes anyway — and not
+    /// in the mailbox, whose cache line belongs to the senders (kept
+    /// there, `exec_fanio` lost 5 %).
+    stashed_messages: AtomicU64,
+    stashed_bytes: AtomicU64,
     /// Count of observable progress events (send push, data receive,
     /// compute). The hot path only bumps this counter — no clock read.
     progress_marks: AtomicU64,
@@ -137,10 +196,16 @@ impl ComponentStats {
     pub fn new(name: impl Into<String>, provided: &[String], required: &[String]) -> Self {
         let declared = provided.iter().chain(required).cloned();
         let counters = NameTable::new(declared.map(|iface| (iface, IfaceAtomic::default())));
+        let mut listed = HashSet::with_capacity(provided.len() + required.len());
+        let report_order = required.iter().chain(provided);
+        let report_order = report_order.filter(|iface| listed.insert(iface.as_str()));
+        let name = name.into();
         ComponentStats {
-            name: name.into(),
+            structure: StructureInfo::new(&name, provided, required),
+            name,
             provided: provided.to_vec(),
             required: required.to_vec(),
+            report_order: report_order.cloned().collect(),
             counters,
             send_timing: TimingAtomic::new(),
             recv_timing: TimingAtomic::new(),
@@ -156,6 +221,8 @@ impl ComponentStats {
             cpu_time_ns: AtomicU64::new(0),
             queued_bytes: AtomicU64::new(0),
             queued_messages: AtomicU64::new(0),
+            stashed_messages: AtomicU64::new(0),
+            stashed_bytes: AtomicU64::new(0),
             progress_marks: AtomicU64::new(0),
             progress_seen: AtomicU64::new(0),
             last_progress_ns: AtomicU64::new(0),
@@ -228,6 +295,30 @@ impl ComponentStats {
         self.queued_messages.store(count, Ordering::Release);
     }
 
+    /// The component's transport is stashing `messages` drained data
+    /// messages of `bytes` payload bytes.
+    pub(crate) fn stash(&self, messages: u64, bytes: u64) {
+        self.stashed_bytes.fetch_add(bytes, Ordering::Relaxed);
+        self.stashed_messages.fetch_add(messages, Ordering::Relaxed);
+    }
+
+    /// One stashed message of `bytes` payload bytes went to the
+    /// behavior (or was thrown away).
+    pub(crate) fn unstash(&self, bytes: u64) {
+        self.stashed_messages.fetch_sub(1, Ordering::Relaxed);
+        self.stashed_bytes.fetch_sub(bytes, Ordering::Relaxed);
+    }
+
+    /// What the transport holds stashed. A reader adds this to the
+    /// mailboxes' lengths, read *before* it: see
+    /// [`Fifo::pop_batch`](crate::runtime::Fifo).
+    pub(crate) fn stashed(&self) -> Queued {
+        Queued {
+            messages: self.stashed_messages.load(Ordering::Relaxed),
+            bytes: self.stashed_bytes.load(Ordering::Relaxed),
+        }
+    }
+
     /// Record observable progress. Deliberately clock-free (a single
     /// relaxed increment): this runs on every send, data receive and
     /// compute annotation, where an extra `now()` per message is
@@ -287,13 +378,37 @@ impl ComponentStats {
         self.expired_messages.load(Ordering::Relaxed)
     }
 
-    /// Supervision snapshot taken at platform time `now_ns`. Progress
-    /// marks accumulated since the previous snapshot are folded into
-    /// `last_progress_ns` here, with the caller's clock.
+    /// The queue gauges as the component's own runtime last stored
+    /// them.
+    pub(crate) fn queued(&self) -> Queued {
+        Queued {
+            messages: self.queued_messages.load(Ordering::Acquire),
+            bytes: self.queued_bytes.load(Ordering::Acquire),
+        }
+    }
+
+    /// Supervision snapshot taken at platform time `now_ns`, with the
+    /// queue gauges the runtime last stored. Progress marks accumulated
+    /// since the previous snapshot are folded into `last_progress_ns`
+    /// here, with the caller's clock.
     pub fn health(&self, now_ns: u64) -> HealthInfo {
+        self.health_with(now_ns, self.queued())
+    }
+
+    /// [`ComponentStats::health`] with the queue gauges supplied by the
+    /// caller — a reader that looked at the mailboxes itself.
+    ///
+    /// Any number of flows may fold progress marks at once (the
+    /// component's runtime, an observer reading in place, the final
+    /// report): each stamps `last_progress_ns` *before* it publishes
+    /// the mark count it saw, so a folder that finds nothing new knows
+    /// the stamp for it is already there, and both are only ever
+    /// raised, so a late folder cannot undo a newer one.
+    pub(crate) fn health_with(&self, now_ns: u64, queued: Queued) -> HealthInfo {
         let marks = self.progress_marks.load(Ordering::Relaxed);
-        if marks != self.progress_seen.swap(marks, Ordering::Relaxed) {
+        if marks > self.progress_seen.load(Ordering::Acquire) {
             self.last_progress_ns.fetch_max(now_ns, Ordering::Relaxed);
+            self.progress_seen.fetch_max(marks, Ordering::Release);
         }
         let flags = self.flags.load(Ordering::Acquire);
         let state = if flags & FLAG_RESTARTING != 0 {
@@ -311,8 +426,8 @@ impl ComponentStats {
         HealthInfo {
             state,
             last_progress_ns: self.last_progress_ns.load(Ordering::Relaxed),
-            queued_messages: self.queued_messages.load(Ordering::Acquire),
-            queued_bytes: self.queued_bytes.load(Ordering::Acquire),
+            queued_messages: queued.messages,
+            queued_bytes: queued.bytes,
             restarts: self.restarts(),
             shed_messages: self.shed_messages(),
             expired_messages: self.expired_messages(),
@@ -349,6 +464,11 @@ impl ComponentStats {
     /// OS-level snapshot; `now_ns` supplies "current time" for a
     /// still-running component.
     pub fn os_stats(&self, now_ns: u64) -> OsStats {
+        self.os_stats_with(now_ns, self.queued())
+    }
+
+    /// [`ComponentStats::os_stats`] with the caller's queue gauge.
+    pub(crate) fn os_stats_with(&self, now_ns: u64, queued: Queued) -> OsStats {
         let started = self.started_ns.load(Ordering::Acquire);
         let finished = self.finished_ns.load(Ordering::Acquire);
         let exec_time_ns = if started == u64::MAX {
@@ -362,7 +482,7 @@ impl ComponentStats {
             exec_time_ns,
             memory_bytes: self.memory_bytes.load(Ordering::Acquire),
             cpu_time_ns: self.cpu_time_ns.load(Ordering::Acquire),
-            queued_bytes: self.queued_bytes.load(Ordering::Acquire),
+            queued_bytes: queued.bytes,
         }
     }
 
@@ -390,16 +510,10 @@ impl ComponentStats {
 
     /// Application-level snapshot (Table 2's counters).
     pub fn app_stats(&self) -> AppStats {
-        let mut interfaces = Vec::new();
+        let mut interfaces = Vec::with_capacity(self.report_order.len());
         let mut total_sends = 0;
         let mut total_receives = 0;
-        for name in self.required.iter().chain(self.provided.iter()) {
-            if interfaces
-                .iter()
-                .any(|e: &IfaceCounterSnapshot| &e.interface == name)
-            {
-                continue;
-            }
+        for name in &self.report_order {
             let c = self.counters.get(name).expect("a declared interface");
             let sends = c.sends.load(Ordering::Relaxed);
             let receives = c.receives.load(Ordering::Relaxed);
@@ -420,19 +534,25 @@ impl ComponentStats {
 
     /// Structure listing (Figure 5).
     pub fn structure(&self) -> StructureInfo {
-        StructureInfo::new(&self.name, &self.provided, &self.required)
+        self.structure.clone()
     }
 
-    /// Full multi-level report.
+    /// Full multi-level report, with the queue gauges the runtime last
+    /// stored.
     pub fn full_report(&self, now_ns: u64) -> ObservationReport {
+        self.full_report_with(now_ns, self.queued())
+    }
+
+    /// [`ComponentStats::full_report`] with the caller's queue gauges.
+    pub(crate) fn full_report_with(&self, now_ns: u64, queued: Queued) -> ObservationReport {
         ObservationReport {
             component: self.name.clone(),
-            os: self.os_stats(now_ns),
+            os: self.os_stats_with(now_ns, queued),
             middleware: self.middleware_stats(),
             app: self.app_stats(),
             structure: self.structure(),
             custom: Vec::new(),
-            health: Some(self.health(now_ns)),
+            health: Some(self.health_with(now_ns, queued)),
         }
     }
 }

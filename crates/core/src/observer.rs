@@ -5,7 +5,11 @@
 //!
 //! The observer is an ordinary [`Behavior`]: it communicates exclusively
 //! through EMBera interfaces, so the same observer runs unchanged on the
-//! SMP backend and on the simulated MPSoC.
+//! SMP backend and on the simulated MPSoC. It asks through
+//! [`Ctx::observe`] on its `obs_<target>` required interfaces and is
+//! prepared for both outcomes: a reply on the spot, where the backend
+//! reads the target's statistics on the observer's side of the
+//! connection, or a reply message on `observations`.
 //!
 //! Observation can be arranged in two topologies
 //! ([`ObserverTopology`]): the paper's *flat* design — one observer
@@ -16,7 +20,7 @@
 //! for paper-parity runs; the hierarchy is what keeps observation
 //! affordable at 10k-component scale.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -24,6 +28,7 @@ use parking_lot::Mutex;
 use crate::behavior::{Behavior, Ctx};
 use crate::error::EmberaError;
 use crate::message::Message;
+use crate::names::NameTable;
 use crate::observe::protocol::{ObsReply, ObsRequest};
 use crate::observe::report::{HealthState, ObservationReport};
 use crate::observe::topology::{
@@ -80,10 +85,78 @@ pub struct StallRecord {
     pub state: HealthState,
 }
 
-/// Shared log of everything the observer collected.
+/// How many of the most recent records an [`ObservationLog`] retains.
+/// A constant, not an option: large enough that every run short of a
+/// long-lived back-to-back observer keeps all of its records, small
+/// enough that such an observer's memory stops growing.
+pub const LOG_CAPACITY: usize = 16_384;
+
+/// The retained records, and where each component's latest report is.
+#[derive(Default)]
+struct Records {
+    /// The most recent [`LOG_CAPACITY`] records, oldest first, each
+    /// with its component's entry in `latest`.
+    ring: VecDeque<(usize, ObservationRecord)>,
+    /// Records ever pushed; the ring's last one is number
+    /// `collected - 1`.
+    collected: u64,
+    /// Component name → its entry in `latest`.
+    index: HashMap<String, usize>,
+    /// One entry per component, in first-seen order.
+    latest: Vec<Latest>,
+}
+
+/// Where a component's latest report is: in the ring while record
+/// number `seq` is retained, moved to `evicted` when that record
+/// falls out (a report is never copied on the push path).
+struct Latest {
+    seq: u64,
+    evicted: Option<ObservationReport>,
+}
+
+impl Records {
+    fn push(&mut self, record: ObservationRecord) {
+        let seq = self.collected;
+        self.collected += 1;
+        let newest = Latest { seq, evicted: None };
+        let at = match self.index.get(&record.report.component) {
+            Some(&at) => {
+                self.latest[at] = newest;
+                at
+            }
+            None => {
+                let name = record.report.component.clone();
+                self.index.insert(name, self.latest.len());
+                self.latest.push(newest);
+                self.latest.len() - 1
+            }
+        };
+        if self.ring.len() == LOG_CAPACITY {
+            let (at, oldest) = self.ring.pop_front().expect("a full ring");
+            let entry = &mut self.latest[at];
+            if entry.seq == seq - LOG_CAPACITY as u64 {
+                entry.evicted = Some(oldest.report);
+            }
+        }
+        self.ring.push_back((at, record));
+    }
+
+    fn latest_by_component(&self) -> Vec<ObservationReport> {
+        let first_retained = self.collected - self.ring.len() as u64;
+        let report_of = |entry: &Latest| match entry.seq.checked_sub(first_retained) {
+            Some(at) => self.ring[at as usize].1.report.clone(),
+            None => entry.evicted.clone().expect("kept when its record left"),
+        };
+        self.latest.iter().map(report_of).collect()
+    }
+}
+
+/// Shared log of what the observer collected: the most recent
+/// [`LOG_CAPACITY`] records, the latest report of every component ever
+/// seen, and every stall and region summary.
 #[derive(Clone, Default)]
 pub struct ObservationLog {
-    records: Arc<Mutex<Vec<ObservationRecord>>>,
+    records: Arc<Mutex<Records>>,
     stalls: Arc<Mutex<Vec<StallRecord>>>,
     summaries: Arc<Mutex<Vec<RegionSummary>>>,
 }
@@ -94,24 +167,33 @@ impl ObservationLog {
         Self::default()
     }
 
-    /// Append a record.
+    /// Append a record, dropping the oldest one when
+    /// [`LOG_CAPACITY`] are retained already.
     pub fn push(&self, record: ObservationRecord) {
         self.records.lock().push(record);
     }
 
-    /// Snapshot of all records.
+    /// Snapshot of the retained records, oldest first: all of them
+    /// until [`ObservationLog::dropped`] turns non-zero.
     pub fn records(&self) -> Vec<ObservationRecord> {
-        self.records.lock().clone()
+        let records = self.records.lock();
+        records.ring.iter().map(|(_, r)| r.clone()).collect()
     }
 
-    /// Number of records collected.
+    /// Number of records collected — retained or not.
     pub fn len(&self) -> usize {
-        self.records.lock().len()
+        self.records.lock().collected as usize
     }
 
-    /// Whether the log is empty.
+    /// Whether nothing was ever collected.
     pub fn is_empty(&self) -> bool {
-        self.records.lock().is_empty()
+        self.len() == 0
+    }
+
+    /// Records collected but no longer retained.
+    pub fn dropped(&self) -> u64 {
+        let records = self.records.lock();
+        records.collected - records.ring.len() as u64
     }
 
     /// Append a watchdog violation.
@@ -137,19 +219,10 @@ impl ObservationLog {
         names
     }
 
-    /// Latest report per component, in first-seen order.
+    /// Latest report per component, in first-seen order — of every
+    /// component ever logged, retained record or not.
     pub fn latest_by_component(&self) -> Vec<ObservationReport> {
-        let records = self.records.lock();
-        let mut order: Vec<String> = Vec::new();
-        let mut latest: std::collections::HashMap<String, ObservationReport> =
-            std::collections::HashMap::new();
-        for r in records.iter() {
-            if !latest.contains_key(&r.report.component) {
-                order.push(r.report.component.clone());
-            }
-            latest.insert(r.report.component.clone(), r.report.clone());
-        }
-        order.into_iter().filter_map(|n| latest.remove(&n)).collect()
+        self.records.lock().latest_by_component()
     }
 
     /// Append a region summary received by the root observer.
@@ -406,41 +479,25 @@ pub fn decode_region_summary(buf: &[u8]) -> Option<RegionSummary> {
 /// Lift a (possibly partial) reply into a sparse report so every request
 /// kind lands in the same log. Region summaries are tree-internal
 /// traffic, not component reports.
-fn lift_reply(from: String, reply: ObsReply) -> Option<ObservationReport> {
+fn lift_reply(from: &str, reply: ObsReply) -> Option<ObservationReport> {
+    let mut report = match reply {
+        ObsReply::Full(report) => return Some(*report),
+        ObsReply::Region(_) => return None,
+        _ => ObservationReport {
+            component: from.to_string(),
+            ..Default::default()
+        },
+    };
     match reply {
-        ObsReply::Full(report) => Some(*report),
-        ObsReply::Os(os) => Some(ObservationReport {
-            component: from,
-            os,
-            ..Default::default()
-        }),
-        ObsReply::Middleware(middleware) => Some(ObservationReport {
-            component: from,
-            middleware,
-            ..Default::default()
-        }),
-        ObsReply::App(app) => Some(ObservationReport {
-            component: from,
-            app,
-            ..Default::default()
-        }),
-        ObsReply::Structure(structure) => Some(ObservationReport {
-            component: from,
-            structure,
-            ..Default::default()
-        }),
-        ObsReply::Custom(custom) => Some(ObservationReport {
-            component: from,
-            custom,
-            ..Default::default()
-        }),
-        ObsReply::Health(health) => Some(ObservationReport {
-            component: from,
-            health: Some(health),
-            ..Default::default()
-        }),
-        ObsReply::Region(_) => None,
+        ObsReply::Os(os) => report.os = os,
+        ObsReply::Middleware(middleware) => report.middleware = middleware,
+        ObsReply::App(app) => report.app = app,
+        ObsReply::Structure(structure) => report.structure = structure,
+        ObsReply::Custom(custom) => report.custom = custom,
+        ObsReply::Health(health) => report.health = Some(health),
+        ObsReply::Full(_) | ObsReply::Region(_) => unreachable!("returned above"),
     }
+    Some(report)
 }
 
 /// The sampler's view of a report.
@@ -459,9 +516,145 @@ fn health_signature(report: &ObservationReport) -> HealthSignature {
     }
 }
 
-/// The flat observer behavior: each round, sends the configured
-/// [`ObsRequest`] to every due target's observation interface and logs
-/// the replies.
+/// The shortest pause after a round in which the observer never waited
+/// for a reply, because the backend answered every poll in place. With
+/// a zero interval such an observer would not block at all, and on a
+/// cooperative scheduler whatever depends on a worker running dry —
+/// armed timers, tasks woken from outside the pool — would wait for it
+/// for ever. Long enough to be a real park, far below any interval in
+/// use.
+const IN_PLACE_MIN_PAUSE_NS: u64 = 1_000;
+
+/// The polling loop of the flat and the regional observer, written
+/// once: pace, fan the configured request out to every due target,
+/// take each reply — on the spot where the backend answers in place,
+/// off `observations` otherwise — through the watchdog, the adaptive
+/// sampler and into the log.
+struct Poller<'a> {
+    /// Label on this poller's stall records.
+    region: &'a str,
+    targets: &'a [String],
+    config: &'a ObserverConfig,
+    /// `obs_<target>` per target, built once.
+    ifaces: Vec<String>,
+    index: NameTable<usize>,
+    sampler: AdaptiveSampler,
+    /// Number of the round last started (0 before the first, too).
+    round: u64,
+    started: bool,
+    /// Whether the last round waited for at least one reply.
+    waited: bool,
+}
+
+impl<'a> Poller<'a> {
+    fn new(region: &'a str, targets: &'a [String], config: &'a ObserverConfig) -> Self {
+        let named = targets.iter().enumerate();
+        Poller {
+            region,
+            targets,
+            config,
+            ifaces: targets.iter().map(|t| format!("obs_{t}")).collect(),
+            index: NameTable::new(named.map(|(i, t)| (t.clone(), i))),
+            sampler: AdaptiveSampler::new(targets.len(), config.sampling),
+            round: 0,
+            started: false,
+            waited: false,
+        }
+    }
+
+    /// Run the next round. `Ok(Some(polled))`: it ran, number
+    /// `self.round`, and asked `polled` targets; `seen` was called with
+    /// `(target index, report, stalled)` for each report of a known
+    /// target. `Ok(None)`: the observer is to exit — the application is
+    /// shutting down or the configured rounds are used up.
+    fn next_round(
+        &mut self,
+        ctx: &mut dyn Ctx,
+        mut seen: impl FnMut(usize, &ObservationReport, bool),
+    ) -> Result<Option<usize>, EmberaError> {
+        let config = self.config;
+        if std::mem::replace(&mut self.started, true) {
+            self.round += 1;
+            // Pace the rounds; the timeout doubles as a sleep.
+            let mut pause = config.interval_ns;
+            if !self.waited {
+                pause = pause.max(IN_PLACE_MIN_PAUSE_NS);
+            }
+            let _ = ctx.recv_message_timeout("observations", pause)?;
+        }
+        if ctx.should_stop() || config.max_rounds.is_some_and(|max| self.round >= max) {
+            return Ok(None);
+        }
+        let due = self.sampler.due(self.round);
+        // Replies still to come as messages: the polls the backend did
+        // not answer in place.
+        let mut pending = 0;
+        for &i in &due {
+            match ctx.observe(&self.ifaces[i], config.request)? {
+                Some(reply) => self.take(ctx, self.targets[i].as_str(), reply, &mut seen),
+                None => pending += 1,
+            }
+        }
+        self.waited = pending > 0;
+        while pending > 0 {
+            if ctx.should_stop() {
+                return Ok(None);
+            }
+            match ctx.recv_message_timeout("observations", config.reply_timeout_ns)? {
+                Some(Message::ObsReply { from, reply }) => {
+                    self.take(ctx, &from, *reply, &mut seen);
+                    pending -= 1;
+                }
+                Some(_) => { /* ignore stray traffic */ }
+                None => break, // target quiesced; move on
+            }
+        }
+        Ok(Some(due.len()))
+    }
+
+    /// One reply from component `from`: watchdog, sampler, log.
+    fn take(
+        &mut self,
+        ctx: &mut dyn Ctx,
+        from: &str,
+        reply: ObsReply,
+        seen: &mut impl FnMut(usize, &ObservationReport, bool),
+    ) {
+        let Some(report) = lift_reply(from, reply) else {
+            return;
+        };
+        let at_ns = ctx.now_ns();
+        // Watchdog: any reply carrying health (Health or Full) is
+        // checked against the deadline.
+        let watchdog_ns = self.config.watchdog_ns;
+        let stalled = report
+            .health
+            .filter(|h| watchdog_ns > 0 && h.is_stalled(at_ns, watchdog_ns));
+        if let Some(h) = stalled {
+            self.config.log.push_stall(StallRecord {
+                region: self.region.to_string(),
+                component: report.component.clone(),
+                at_ns,
+                last_progress_ns: h.last_progress_ns,
+                state: h.state,
+            });
+        }
+        if let Some(&i) = self.index.get(&report.component) {
+            self.sampler
+                .observe(i, self.round, health_signature(&report));
+            seen(i, &report, stalled.is_some());
+        }
+        self.config.log.push(ObservationRecord {
+            at_ns,
+            round: self.round,
+            report,
+        });
+    }
+}
+
+/// The flat observer behavior: each round, asks every due target's
+/// observation interface for the configured [`ObsRequest`] and logs the
+/// replies.
 pub struct ObserverBehavior {
     targets: Vec<String>,
     config: ObserverConfig,
@@ -481,79 +674,9 @@ impl ObserverBehavior {
 
 impl Behavior for ObserverBehavior {
     fn run(&mut self, ctx: &mut dyn Ctx) -> Result<(), EmberaError> {
-        let index: HashMap<&str, usize> = self
-            .targets
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.as_str(), i))
-            .collect();
-        let mut sampler = AdaptiveSampler::new(self.targets.len(), self.config.sampling);
-        let mut round: u64 = 0;
-        loop {
-            if ctx.should_stop() {
-                return Ok(());
-            }
-            if let Some(max) = self.config.max_rounds {
-                if round >= max {
-                    return Ok(());
-                }
-            }
-            // Fan the configured request out to every due target.
-            let due = sampler.due(round);
-            for &i in &due {
-                let iface = format!("obs_{}", self.targets[i]);
-                ctx.send_message(
-                    &iface,
-                    Message::ObsRequest {
-                        from: OBSERVER_NAME.to_string(),
-                        request: self.config.request,
-                    },
-                )?;
-            }
-            // Collect the replies.
-            let mut pending = due.len();
-            while pending > 0 {
-                if ctx.should_stop() {
-                    return Ok(());
-                }
-                match ctx.recv_message_timeout("observations", self.config.reply_timeout_ns)? {
-                    Some(Message::ObsReply { from, reply }) => {
-                        if let Some(report) = lift_reply(from, *reply) {
-                            let at_ns = ctx.now_ns();
-                            // Watchdog: any reply carrying health (Health
-                            // or Full) is checked against the deadline.
-                            if self.config.watchdog_ns > 0 {
-                                if let Some(h) = &report.health {
-                                    if h.is_stalled(at_ns, self.config.watchdog_ns) {
-                                        self.config.log.push_stall(StallRecord {
-                                            region: ROOT_REGION.to_string(),
-                                            component: report.component.clone(),
-                                            at_ns,
-                                            last_progress_ns: h.last_progress_ns,
-                                            state: h.state,
-                                        });
-                                    }
-                                }
-                            }
-                            if let Some(&i) = index.get(report.component.as_str()) {
-                                sampler.observe(i, round, health_signature(&report));
-                            }
-                            self.config.log.push(ObservationRecord {
-                                at_ns,
-                                round,
-                                report,
-                            });
-                        }
-                        pending -= 1;
-                    }
-                    Some(_) => { /* ignore stray traffic */ }
-                    None => break, // target quiesced; move on
-                }
-            }
-            round += 1;
-            // Pace the next round; the timeout doubles as a sleep.
-            let _ = ctx.recv_message_timeout("observations", self.config.interval_ns)?;
-        }
+        let mut poller = Poller::new(ROOT_REGION, &self.targets, &self.config);
+        while poller.next_round(ctx, |_, _, _| {})?.is_some() {}
+        Ok(())
     }
 }
 
@@ -561,8 +684,8 @@ impl Behavior for ObserverBehavior {
 /// reports (exactly like the flat observer), and after every polling
 /// round sends a [`RegionSummary`] up its `rollup` interface to the
 /// root. Exits on its own once every member has reached a terminal
-/// state — final counters are safe to collect because the component
-/// runtime keeps answering introspection after a behavior finishes.
+/// state — final counters are safe to collect because a finished
+/// component stays observable until the application shuts down.
 pub struct RegionObserverBehavior {
     region: String,
     targets: Vec<String>,
@@ -583,122 +706,64 @@ impl RegionObserverBehavior {
 impl Behavior for RegionObserverBehavior {
     fn run(&mut self, ctx: &mut dyn Ctx) -> Result<(), EmberaError> {
         let n = self.targets.len();
-        let index: HashMap<&str, usize> = self
-            .targets
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (t.as_str(), i))
-            .collect();
-        let mut sampler = AdaptiveSampler::new(n, self.config.sampling);
+        let mut poller = Poller::new(&self.region, &self.targets, &self.config);
         let mut latest_health: Vec<Option<crate::observe::report::HealthInfo>> = vec![None; n];
         let mut latest_counters: Vec<(u64, u64)> = vec![(0, 0); n];
         let mut stalled: Vec<bool> = vec![false; n];
         let mut polls: u64 = 0;
-        let mut round: u64 = 0;
         loop {
-            if ctx.should_stop() {
+            let polled = poller.next_round(ctx, |i, report, stalled_now| {
+                if let Some(h) = &report.health {
+                    latest_health[i] = Some(*h);
+                }
+                stalled[i] |= stalled_now;
+                if report.app.total_sends > 0 || report.app.total_receives > 0 {
+                    latest_counters[i] = (report.app.total_sends, report.app.total_receives);
+                }
+            })?;
+            let Some(polled) = polled else {
+                return Ok(());
+            };
+            polls += polled as u64;
+            if polled == 0 {
+                continue;
+            }
+            // Roll the region's state up to the root.
+            let mut summary = RegionSummary {
+                region: self.region.clone(),
+                components: n as u64,
+                round: poller.round,
+                polls,
+                ..Default::default()
+            };
+            for (i, h) in latest_health.iter().enumerate() {
+                if let Some(h) = h {
+                    match h.state {
+                        HealthState::Finished => summary.finished += 1,
+                        HealthState::Faulted => summary.faulted += 1,
+                        _ => {}
+                    }
+                    summary.queued_messages += h.queued_messages;
+                    summary.shed_messages += h.shed_messages;
+                    summary.expired_messages += h.expired_messages;
+                }
+                if stalled[i] {
+                    summary.stalled += 1;
+                }
+                summary.total_sends += latest_counters[i].0;
+                summary.total_receives += latest_counters[i].1;
+            }
+            let complete = summary.all_terminal();
+            ctx.send_message(
+                "rollup",
+                Message::ObsReply {
+                    from: self.region.clone(),
+                    reply: Box::new(ObsReply::Region(summary)),
+                },
+            )?;
+            if complete {
                 return Ok(());
             }
-            if let Some(max) = self.config.max_rounds {
-                if round >= max {
-                    return Ok(());
-                }
-            }
-            let due = sampler.due(round);
-            for &i in &due {
-                let iface = format!("obs_{}", self.targets[i]);
-                ctx.send_message(
-                    &iface,
-                    Message::ObsRequest {
-                        from: self.region.clone(),
-                        request: self.config.request,
-                    },
-                )?;
-            }
-            polls += due.len() as u64;
-            let mut pending = due.len();
-            while pending > 0 {
-                if ctx.should_stop() {
-                    return Ok(());
-                }
-                match ctx.recv_message_timeout("observations", self.config.reply_timeout_ns)? {
-                    Some(Message::ObsReply { from, reply }) => {
-                        if let Some(report) = lift_reply(from, *reply) {
-                            let at_ns = ctx.now_ns();
-                            if let Some(&i) = index.get(report.component.as_str()) {
-                                if let Some(h) = &report.health {
-                                    latest_health[i] = Some(*h);
-                                    if self.config.watchdog_ns > 0
-                                        && h.is_stalled(at_ns, self.config.watchdog_ns)
-                                    {
-                                        stalled[i] = true;
-                                        self.config.log.push_stall(StallRecord {
-                                            region: self.region.clone(),
-                                            component: report.component.clone(),
-                                            at_ns,
-                                            last_progress_ns: h.last_progress_ns,
-                                            state: h.state,
-                                        });
-                                    }
-                                }
-                                if report.app.total_sends > 0 || report.app.total_receives > 0 {
-                                    latest_counters[i] =
-                                        (report.app.total_sends, report.app.total_receives);
-                                }
-                                sampler.observe(i, round, health_signature(&report));
-                            }
-                            self.config.log.push(ObservationRecord {
-                                at_ns,
-                                round,
-                                report,
-                            });
-                        }
-                        pending -= 1;
-                    }
-                    Some(_) => {}
-                    None => break,
-                }
-            }
-            if !due.is_empty() {
-                // Roll the region's state up to the root.
-                let mut summary = RegionSummary {
-                    region: self.region.clone(),
-                    components: n as u64,
-                    round,
-                    polls,
-                    ..Default::default()
-                };
-                for (i, h) in latest_health.iter().enumerate() {
-                    if let Some(h) = h {
-                        match h.state {
-                            HealthState::Finished => summary.finished += 1,
-                            HealthState::Faulted => summary.faulted += 1,
-                            _ => {}
-                        }
-                        summary.queued_messages += h.queued_messages;
-                        summary.shed_messages += h.shed_messages;
-                        summary.expired_messages += h.expired_messages;
-                    }
-                    if stalled[i] {
-                        summary.stalled += 1;
-                    }
-                    summary.total_sends += latest_counters[i].0;
-                    summary.total_receives += latest_counters[i].1;
-                }
-                let complete = summary.all_terminal();
-                ctx.send_message(
-                    "rollup",
-                    Message::ObsReply {
-                        from: self.region.clone(),
-                        reply: Box::new(ObsReply::Region(summary)),
-                    },
-                )?;
-                if complete {
-                    return Ok(());
-                }
-            }
-            round += 1;
-            let _ = ctx.recv_message_timeout("observations", self.config.interval_ns)?;
         }
     }
 }
@@ -791,6 +856,47 @@ mod tests {
         assert_eq!(latest.len(), 2);
         assert!(latest.iter().all(|r| r.os.exec_time_ns == 2));
         assert_eq!(latest[0].component, "a");
+    }
+
+    #[test]
+    fn log_retains_a_ring_and_every_components_latest() {
+        let log = ObservationLog::new();
+        let record = |component: &str, round: u64| {
+            let mut report = ObservationReport {
+                component: component.to_string(),
+                ..Default::default()
+            };
+            report.os.exec_time_ns = round;
+            ObservationRecord {
+                at_ns: round,
+                round,
+                report,
+            }
+        };
+        // Two components seen early and never again, then one that
+        // alone overflows the ring.
+        log.push(record("early", 0));
+        log.push(record("once", 1));
+        log.push(record("early", 2));
+        let pushes = LOG_CAPACITY as u64 + 10;
+        for round in 3..pushes {
+            log.push(record("busy", round));
+        }
+        assert_eq!(log.len() as u64, pushes, "collected, not retained");
+        assert_eq!(log.dropped(), 10);
+        let retained = log.records();
+        assert_eq!(retained.len(), LOG_CAPACITY);
+        assert_eq!(retained[0].round, 10);
+        assert_eq!(retained.last().unwrap().round, pushes - 1);
+        // First-seen order, latest report each — also of the components
+        // whose records all left the ring.
+        let latest: Vec<(String, u64)> = log
+            .latest_by_component()
+            .into_iter()
+            .map(|r| (r.component, r.os.exec_time_ns))
+            .collect();
+        let expected = [("early", 2), ("once", 1), ("busy", pushes - 1)];
+        assert_eq!(latest, expected.map(|(c, round)| (c.to_string(), round)));
     }
 
     #[test]
@@ -914,9 +1020,9 @@ mod tests {
 
     #[test]
     fn region_reply_is_not_a_component_report() {
-        assert!(lift_reply("region0".into(), ObsReply::Region(RegionSummary::default())).is_none());
+        assert!(lift_reply("region0", ObsReply::Region(RegionSummary::default())).is_none());
         assert!(lift_reply(
-            "a".into(),
+            "a",
             ObsReply::Health(crate::observe::report::HealthInfo::default())
         )
         .is_some());

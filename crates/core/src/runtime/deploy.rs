@@ -5,7 +5,10 @@
 //! introspection)` endpoint map, resolves required-interface routes
 //! (returning the one [`EmberaError::Validation`] for a connection
 //! whose end does not exist), creates each component's statistics and
-//! observation engine, and threads the restart / overload / fault /
+//! observation engine, hands every route that ends at a peer's
+//! `introspection` that peer's engine and data endpoints as well
+//! ([`Observed`]: what a backend that can answer a poll on the
+//! observer's side reads through), and threads the restart / overload / fault /
 //! trace configuration into its [`ComponentRuntime`]. [`Completion`]
 //! owns the error list, the count of unfinished application components
 //! and the fail-fast vs contained decision; [`Deployed::report`] folds
@@ -129,6 +132,21 @@ impl Completion {
     }
 }
 
+/// The far end of a connection into a component's [`INTROSPECTION`]
+/// interface, as a read handle: a transport that shares memory with
+/// the target answers an observation request through it where the
+/// observer stands ([`Transport::observe`]) instead of sending the
+/// request into the target's mailbox.
+#[derive(Clone)]
+pub struct Observed<E> {
+    /// The target's observation engine (its shared statistics and
+    /// registered metrics).
+    pub engine: ObsEngine,
+    /// Endpoints of the target's *data* provided interfaces: what its
+    /// queue gauges are computed from.
+    pub inboxes: Vec<E>,
+}
+
 /// One component's resolved connections, over the backend's endpoint
 /// type.
 #[derive(Clone)]
@@ -139,6 +157,9 @@ pub struct Wiring<E> {
     pub provided: HashMap<String, E>,
     /// Required interface → the connected peer's endpoint.
     pub routes: HashMap<String, E>,
+    /// Required interface → the read handle of the peer, for every
+    /// route that ends at a peer's [`INTROSPECTION`].
+    pub observed: HashMap<String, Observed<E>>,
     /// The component's statistics (named after it).
     pub stats: Arc<ComponentStats>,
     /// The application's payload pool ([`AppSpec::pool`]).
@@ -266,14 +287,19 @@ impl Deployed {
 
 /// Instantiate components, wire connections and launch execution flows
 /// on `backend` (the model's *deployment*, paper §4.1).
-pub fn deploy<B: Backend>(backend: &mut B, spec: AppSpec) -> Result<Deployed, EmberaError> {
+pub fn deploy<B: Backend>(backend: &mut B, mut spec: AppSpec) -> Result<Deployed, EmberaError> {
     let mut provided = Vec::with_capacity(spec.components.len());
-    for (i, c) in spec.components.iter().enumerate() {
+    let mut engines = Vec::with_capacity(spec.components.len());
+    for (i, c) in spec.components.iter_mut().enumerate() {
         let mut inboxes = HashMap::with_capacity(c.provided.len() + 1);
         for iface in c.provided.iter().map(String::as_str).chain([INTROSPECTION]) {
             inboxes.insert(iface.to_string(), backend.make_endpoint(i, c, iface)?);
         }
         provided.push(inboxes);
+        let stats = Arc::new(ComponentStats::new(&c.name, &c.provided, &c.required));
+        stats.set_memory_bytes(backend.memory_bytes(c, spec.has_observer));
+        let metrics = std::mem::take(&mut c.metrics);
+        engines.push(ObsEngine::with_metrics(stats, metrics));
     }
 
     let index_of: HashMap<&str, usize> = spec
@@ -283,6 +309,8 @@ pub fn deploy<B: Backend>(backend: &mut B, spec: AppSpec) -> Result<Deployed, Em
         .map(|(i, c)| (c.name.as_str(), i))
         .collect();
     let mut routes: Vec<HashMap<String, B::Endpoint>> =
+        spec.components.iter().map(|_| HashMap::new()).collect();
+    let mut observed: Vec<HashMap<String, Observed<B::Endpoint>>> =
         spec.components.iter().map(|_| HashMap::new()).collect();
     for conn in &spec.connections {
         let dangling = |end: &crate::app::Endpoint| {
@@ -294,11 +322,19 @@ pub fn deploy<B: Backend>(backend: &mut B, spec: AppSpec) -> Result<Deployed, Em
         let from = *index_of
             .get(conn.from.component.as_str())
             .ok_or_else(|| dangling(&conn.from))?;
-        let target = index_of
-            .get(conn.to.component.as_str())
-            .and_then(|&to| provided[to].get(&conn.to.interface))
+        let to = index_of.get(conn.to.component.as_str()).copied();
+        let target = to
+            .and_then(|to| provided[to].get(&conn.to.interface))
             .ok_or_else(|| dangling(&conn.to))?;
         routes[from].insert(conn.from.interface.clone(), target.clone());
+        if let (Some(to), INTROSPECTION) = (to, conn.to.interface.as_str()) {
+            let data = spec.components[to].provided.iter();
+            let handle = Observed {
+                engine: engines[to].clone(),
+                inboxes: data.map(|iface| provided[to][iface].clone()).collect(),
+            };
+            observed[from].insert(conn.from.interface.clone(), handle);
+        }
     }
 
     let completion = Completion::new(
@@ -308,18 +344,15 @@ pub fn deploy<B: Backend>(backend: &mut B, spec: AppSpec) -> Result<Deployed, Em
             .count(),
     );
     let faults = spec.faults.map(Arc::new);
-    let mut engines = Vec::with_capacity(spec.components.len());
     let wired = spec.components.into_iter().zip(provided).zip(routes);
-    for (index, ((c, provided), routes)) in wired.enumerate() {
-        let stats = Arc::new(ComponentStats::new(&c.name, &c.provided, &c.required));
-        stats.set_memory_bytes(backend.memory_bytes(&c, spec.has_observer));
-        let engine = ObsEngine::with_metrics(Arc::clone(&stats), c.metrics);
-        engines.push(engine.clone());
+    for (index, (((c, provided), routes), observed)) in wired.zip(observed).enumerate() {
+        let engine = engines[index].clone();
         let wiring = Wiring {
             index,
             provided,
             routes,
-            stats,
+            observed,
+            stats: Arc::clone(engine.stats()),
             pool: spec.pool.clone(),
         };
         let flow = Flow {

@@ -11,6 +11,15 @@
 //! point costs while nobody is observing — and depth gauges never
 //! contend with the data path.
 //!
+//! The owning transport drains in bulk and keeps what the behavior has
+//! not asked for yet in a private stash. Those messages are still
+//! queued as far as anybody watching the component is concerned, so
+//! the drain ([`Fifo::pop_batch`]) lets the owner publish what it is
+//! about to stash *before* the shorter length becomes visible: a reader
+//! that adds the length to the owner's stash gauge
+//! (`ComponentStats::stashed`), in that order, never finds a waiting
+//! message in neither.
+//!
 //! Blocking does not live here: a FIFO knows the [`owner`] of its
 //! receiving component, and the sender's transport wakes that owner
 //! *after* the push (push-then-wake), while the owner always re-checks
@@ -58,11 +67,13 @@ struct Inner {
 impl Inner {
     /// Mirror the queue's gauges; call before releasing its lock.
     /// `len_order` is `SeqCst` after a push (see the module docs) and
-    /// may be `Relaxed` after a pop: the popping side is the one that
-    /// reads the length to decide whether to park.
+    /// `Release` after a pop: the popping side is the one that reads
+    /// the length to decide whether to park, and what it said it moved
+    /// to its stash is visible to whoever sees the length drop (see
+    /// `pop_batch`).
     fn publish(&self, q: &Queue, len_order: Ordering) {
+        self.bytes.store(q.bytes, Ordering::Release);
         self.len.store(q.msgs.len(), len_order);
-        self.bytes.store(q.bytes, Ordering::Relaxed);
     }
 }
 
@@ -123,7 +134,7 @@ impl Fifo {
         let mut q = self.inner.queue.lock();
         let msg = q.msgs.pop_front()?;
         q.bytes -= msg.data_len() as u64;
-        self.inner.publish(&q, Ordering::Relaxed);
+        self.inner.publish(&q, Ordering::Release);
         Some(msg)
     }
 
@@ -131,6 +142,22 @@ impl Fifo {
     /// order) under one lock acquisition. Returns how many were
     /// appended; never blocks.
     pub fn pop_many(&self, out: &mut Vec<Message>, max: usize) -> usize {
+        self.pop_batch(out, max, |_, _| {})
+    }
+
+    /// [`Fifo::pop_many`] for an owner that hands the first drained
+    /// message to its behavior at once and stashes the rest:
+    /// `stashing(messages, payload bytes)` is called for that rest
+    /// (when there is one) while the queue is still locked, so what it
+    /// stores is visible — `Release` on the length, `Acquire` in
+    /// [`Fifo::len`] and [`Fifo::queued_bytes`] — to whoever sees the
+    /// queue shorter.
+    pub(super) fn pop_batch(
+        &self,
+        out: &mut Vec<Message>,
+        max: usize,
+        stashing: impl FnOnce(u64, u64),
+    ) -> usize {
         // No look at the length first: this is the drain after a wake,
         // there usually is something, and a load ahead of the lock
         // would fetch the sender's cache line twice (shared, then
@@ -140,18 +167,20 @@ impl Fifo {
         let n = max.min(q.msgs.len());
         if n > 0 {
             out.extend(q.msgs.drain(..n));
-            q.bytes -= out[start..]
-                .iter()
-                .map(|m| m.data_len() as u64)
-                .sum::<u64>();
-            self.inner.publish(&q, Ordering::Relaxed);
+            let first = out[start].data_len() as u64;
+            let rest: u64 = out[start + 1..].iter().map(|m| m.data_len() as u64).sum();
+            q.bytes -= first + rest;
+            if n > 1 {
+                stashing(n as u64 - 1, rest);
+            }
+            self.inner.publish(&q, Ordering::Release);
         }
         n
     }
 
     /// Bytes of data payload currently queued.
     pub fn queued_bytes(&self) -> u64 {
-        self.inner.bytes.load(Ordering::Relaxed)
+        self.inner.bytes.load(Ordering::Acquire)
     }
 
     /// Messages currently queued. Reads the mirrored length: the queue
@@ -212,6 +241,97 @@ mod tests {
         assert_eq!(mb.queued_bytes(), 0);
         assert_eq!(mb.pop_many(&mut out, 16), 0);
         assert_eq!(mb.pop_many(&mut out, 0), 0);
+    }
+
+    #[test]
+    fn a_batch_tells_the_owner_what_it_is_about_to_stash() {
+        let mb = Fifo::new(0);
+        for v in [b"1" as &[u8], b"22", b"333", b"4444"] {
+            mb.push(Message::Data(Bytes::copy_from_slice(v)));
+        }
+        let (mut out, mut stashing) = (Vec::new(), Vec::new());
+        // Three drained: one for the behavior, "22" and "333" stashed.
+        assert_eq!(
+            mb.pop_batch(&mut out, 3, |msgs, bytes| stashing.push((msgs, bytes))),
+            3
+        );
+        assert_eq!((mb.len(), mb.queued_bytes()), (1, 4));
+        // A batch of one stashes nothing, an empty drain neither.
+        assert_eq!(
+            mb.pop_batch(&mut out, 3, |msgs, bytes| stashing.push((msgs, bytes))),
+            1
+        );
+        assert_eq!(
+            mb.pop_batch(&mut out, 3, |msgs, bytes| stashing.push((msgs, bytes))),
+            0
+        );
+        assert_eq!(stashing, [(2, 5)]);
+    }
+
+    #[test]
+    fn a_message_that_waits_throughout_a_read_is_counted() {
+        // A producer, the owner draining in batches and handing its
+        // stash out, and a reader adding the mailbox's length to the
+        // owner's stash gauge, the way `HostTransport::observe` does.
+        // Whatever was pushed before the read began and not handed out
+        // by its end sat in the queue or the stash all along, so the
+        // sum has to count it — a drain, which moves messages from the
+        // one to the other, must not open a window in which they are in
+        // neither.
+        const MESSAGES: usize = 100_000;
+        let mb = Fifo::new(0);
+        let stats = crate::ComponentStats::new("owner", &["in".to_string()], &[]);
+        // Completed pushes / hand-outs announced (before they happen).
+        let (pushed, received) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let start = std::sync::Barrier::new(3);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                start.wait();
+                for _ in 0..MESSAGES {
+                    while mb.len() > 48 {
+                        std::hint::spin_loop();
+                    }
+                    mb.push(Message::Data(Bytes::from_static(b"xyz")));
+                    pushed.fetch_add(1, Ordering::SeqCst);
+                }
+            });
+            s.spawn(|| {
+                start.wait();
+                let mut out = Vec::new();
+                while received.load(Ordering::SeqCst) < MESSAGES {
+                    if mb.is_empty() {
+                        std::hint::spin_loop();
+                        continue;
+                    }
+                    // The first of a batch leaves with the drain.
+                    received.fetch_add(1, Ordering::SeqCst);
+                    out.clear();
+                    let stashed = mb.pop_batch(&mut out, 16, |m, b| stats.stash(m, b)) - 1;
+                    for _ in 0..stashed {
+                        received.fetch_add(1, Ordering::SeqCst);
+                        stats.unstash(3);
+                    }
+                }
+            });
+            start.wait();
+            let mut reads = 0u64;
+            while received.load(Ordering::SeqCst) < MESSAGES {
+                let before = pushed.load(Ordering::SeqCst);
+                let (queued, queued_bytes) = (mb.len() as u64, mb.queued_bytes());
+                let stashed = stats.stashed();
+                let waiting = before.saturating_sub(received.load(Ordering::SeqCst)) as u64;
+                let (msgs, bytes) = (queued + stashed.messages, queued_bytes + stashed.bytes);
+                assert!(msgs >= waiting, "{msgs} counted, {waiting} waited");
+                assert!(
+                    bytes >= 3 * waiting,
+                    "{bytes} bytes counted, {waiting} waited"
+                );
+                reads += 1;
+            }
+            assert!(reads > 0);
+        });
+        let stashed = stats.stashed();
+        assert_eq!((mb.len(), stashed.messages, stashed.bytes), (0, 0, 0));
     }
 
     #[test]

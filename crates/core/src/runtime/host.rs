@@ -5,14 +5,17 @@
 //! and is woken, which is the [`Parker`] they plug in.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 use std::time::Instant;
 
-use super::deploy::Wiring;
+use super::deploy::{Observed, Wiring};
 use super::fifo::Fifo;
 use super::Transport;
 use crate::component::{ComponentSpec, INTROSPECTION};
 use crate::message::Message;
 use crate::names::NameTable;
+use crate::observe::protocol::{ObsReply, ObsRequest};
+use crate::observe::stats::{ComponentStats, Queued};
 use crate::pool::BufferPool;
 
 /// How many messages a single `recv` may drain from the mailbox ahead of
@@ -69,8 +72,11 @@ pub trait Parker {
     /// time; a lower bound) passes.
     fn park(&mut self, deadline_ns: Option<u64>);
 
-    /// A send completed (cooperative schedulers yield here now and
-    /// then so a burst producer cannot starve its consumers).
+    /// A send — or an observation answered in place, which is a
+    /// communication point like any other — completed (cooperative
+    /// schedulers yield here now and then so a burst producer, or a
+    /// back-to-back observer, cannot starve the flows it shares a
+    /// worker with).
     fn after_send(&mut self) {}
 }
 
@@ -107,6 +113,13 @@ pub struct HostTransport<P: Parker> {
     obs: Option<Inbox>,
     /// Required interface → the connected peer's mailbox.
     routes: NameTable<Fifo>,
+    /// Required interface connected to a peer's [`INTROSPECTION`] → what
+    /// that peer is read through ([`Transport::observe`]).
+    observed: NameTable<Observed<Fifo>>,
+    /// This component's statistics: what its data stashes hold is
+    /// published there, for whoever reads its queue gauges from outside
+    /// ([`Transport::observe`] on an observer's transport).
+    stats: Arc<ComponentStats>,
     /// Reusable bulk-drain buffer (allocation-free steady state).
     scratch: Vec<Message>,
     /// Application-wide payload pool: the send-primitive copy is drawn
@@ -127,6 +140,8 @@ impl<P: Parker> HostTransport<P> {
             obs: wiring.provided.remove(INTROSPECTION).map(inbox),
             provided: NameTable::new(wiring.provided.into_iter().map(|(k, f)| (k, inbox(f)))),
             routes: NameTable::new(wiring.routes),
+            observed: NameTable::new(wiring.observed),
+            stats: wiring.stats,
             scratch: Vec::with_capacity(DRAIN_BATCH),
             pool: wiring.pool,
             parker,
@@ -205,17 +220,29 @@ impl<P: Parker> Transport for HostTransport<P> {
     }
 
     fn try_pop(&mut self, provided: &str) -> Option<(Message, u64)> {
-        let inbox = if provided == INTROSPECTION {
-            self.obs.as_mut()?
+        // Only data counts towards the queue gauges.
+        let (inbox, stats) = if provided == INTROSPECTION {
+            (self.obs.as_mut()?, None)
         } else {
-            self.provided.get_mut(provided)?
+            (self.provided.get_mut(provided)?, Some(&self.stats))
         };
         let t0 = Instant::now();
         if let Some(m) = inbox.stash.pop_front() {
+            if let Some(stats) = stats {
+                stats.unstash(m.data_len() as u64);
+            }
             return Some((m, t0.elapsed().as_nanos() as u64));
         }
         self.scratch.clear();
-        if inbox.fifo.pop_many(&mut self.scratch, DRAIN_BATCH) == 0 {
+        let stashing = |messages, bytes| {
+            if let Some(stats) = stats {
+                stats.stash(messages, bytes);
+            }
+        };
+        let drained = inbox
+            .fifo
+            .pop_batch(&mut self.scratch, DRAIN_BATCH, stashing);
+        if drained == 0 {
             return None;
         }
         let mut drained = self.scratch.drain(..);
@@ -232,6 +259,29 @@ impl<P: Parker> Transport for HostTransport<P> {
         // bulk-drains.
         let inbox = self.obs.as_mut()?;
         inbox.stash.pop_front().or_else(|| inbox.fifo.try_pop())
+    }
+
+    fn observe(&mut self, required: &str, request: ObsRequest) -> Option<ObsReply> {
+        let target = self.observed.get(required)?;
+        // The target's gauges, as its own runtime would compute them
+        // before answering — but from here, and written nowhere. The
+        // mailboxes first, then what the target says it stashed: its
+        // drains publish in the opposite order, so a message on its way
+        // from the one to the other is counted (twice, at worst), never
+        // missed.
+        let mut queued = Queued::default();
+        for inbox in &target.inboxes {
+            queued.messages += inbox.len() as u64;
+            queued.bytes += inbox.queued_bytes();
+        }
+        let stashed = target.engine.stats().stashed();
+        queued.messages += stashed.messages;
+        queued.bytes += stashed.bytes;
+        let reply = target
+            .engine
+            .answer_with(request, self.parker.now_ns(), queued);
+        self.parker.after_send();
+        Some(reply)
     }
 
     fn queued_bytes(&self) -> u64 {
@@ -275,7 +325,9 @@ impl<P: Parker> Transport for HostTransport<P> {
 
     fn drain_inboxes(&mut self) {
         for inbox in self.provided.values_mut() {
-            inbox.stash.clear();
+            for msg in inbox.stash.drain(..) {
+                self.stats.unstash(msg.data_len() as u64);
+            }
             while inbox.fifo.try_pop().is_some() {}
         }
     }
@@ -284,11 +336,8 @@ impl<P: Parker> Transport for HostTransport<P> {
 #[cfg(test)]
 mod tests {
     use std::collections::HashMap;
-    use std::sync::Arc;
 
     use super::*;
-    use crate::observe::protocol::ObsRequest;
-    use crate::observe::stats::ComponentStats;
 
     /// Never blocks: these tests drive the transport from one thread.
     struct NoParker;
@@ -330,6 +379,7 @@ mod tests {
                 (INTROSPECTION.to_string(), obs.clone()),
             ]),
             routes: HashMap::new(),
+            observed: HashMap::new(),
             stats: Arc::new(ComponentStats::new("c", &["in".to_string()], &[])),
             pool: None,
         };
@@ -353,6 +403,62 @@ mod tests {
             assert_eq!(requester(t.poll_obs()).as_deref(), Some(from));
         }
         assert!(t.poll_obs().is_none());
+    }
+
+    #[test]
+    fn a_poll_is_answered_in_place_with_gauges_that_count_the_stash() {
+        // The target: a component whose runtime has drained its `in`
+        // mailbox into its stash and handed out one message of three.
+        let (mut target, data, obs) = transport();
+        for payload in [b"1" as &'static [u8], b"22", b"333"] {
+            data.push(Message::Data(bytes::Bytes::from_static(payload)));
+        }
+        assert!(target.try_pop("in").is_some());
+        assert!(data.is_empty(), "all three left the mailbox");
+        // Stashed requests are no queued data.
+        obs.push(request("a"));
+        obs.push(request("b"));
+        assert!(target.try_pop(INTROSPECTION).is_some());
+        let stats = Arc::clone(&target.stats);
+        stats.mark_started(0);
+        // The observer: `obs_c` is wired to that component.
+        let handle = Observed {
+            engine: crate::observe::engine::ObsEngine::new(Arc::clone(&stats)),
+            inboxes: vec![data.clone()],
+        };
+        let wiring = Wiring {
+            index: 1,
+            provided: HashMap::new(),
+            routes: HashMap::from([("obs_c".to_string(), Fifo::new(0))]),
+            observed: HashMap::from([("obs_c".to_string(), handle)]),
+            stats: Arc::new(ComponentStats::new("Observer", &[], &["obs_c".to_string()])),
+            pool: None,
+        };
+        let mut observer = HostTransport::new(wiring, NoParker);
+        let Some(ObsReply::Health(health)) = observer.observe("obs_c", ObsRequest::Health) else {
+            panic!("not answered in place");
+        };
+        assert_eq!((health.queued_messages, health.queued_bytes), (2, 5));
+        // Nothing was written into the target's block on the way.
+        assert_eq!(stats.health(0).queued_messages, 0);
+        // The target's own count is the same number.
+        assert_eq!((target.inbox_depth("in"), target.queued_bytes()), (2, 5));
+        assert!(target.try_pop("in").is_some());
+        let Some(ObsReply::Full(report)) = observer.observe("obs_c", ObsRequest::Full) else {
+            panic!("not answered in place");
+        };
+        assert_eq!(report.os.queued_bytes, 3);
+        assert_eq!(report.health.unwrap().queued_messages, 1);
+        // A restart that drains the mailboxes empties the stash too.
+        target.drain_inboxes();
+        let Some(ObsReply::Health(health)) = observer.observe("obs_c", ObsRequest::Health) else {
+            panic!("not answered in place");
+        };
+        assert_eq!((health.queued_messages, health.queued_bytes), (0, 0));
+        // Not a connection into an introspection interface: the
+        // runtime sends a message (and reports a wrong name).
+        assert!(observer.observe("in", ObsRequest::Health).is_none());
+        assert!(target.observe("obs_c", ObsRequest::Health).is_none());
     }
 
     #[test]

@@ -43,6 +43,24 @@
 //! That is what lets an observer query a component that is blocked in
 //! `recv` or long since finished without any polling interval.
 //!
+//! # Two ways to answer a poll
+//!
+//! [`Ctx::observe`] asks a connected component for an [`ObsReply`]. A
+//! transport whose components share memory answers it *in place*
+//! ([`Transport::observe`]; [`HostTransport`] does): the observer's
+//! flow reads the target's shared statistics and mailbox gauges and
+//! builds the reply itself, so the target is neither woken nor sent
+//! anything. Every other transport — the default — sends the
+//! [`Message::ObsRequest`] into the target's `introspection` mailbox,
+//! the target's runtime answers at its next communication point
+//! ([`ComponentRuntime::service_introspection`]) and the reply arrives
+//! as a message. The simulated platforms keep that path on purpose:
+//! there the cost of observation traffic is part of what is measured.
+//! Either way the served poll is traced as
+//! [`TraceEventKind::ObsServed`] — by the target's runtime for a
+//! message, by the observer's for a read — and a component that is
+//! sent a `Message::ObsRequest` directly is answered as it always was.
+//!
 //! # The error contract
 //!
 //! Every backend surfaces the same errors for the same misuse:
@@ -59,6 +77,9 @@
 //! * send on the implicit `introspection` required interface with no
 //!   observer attached → silently dropped (`Ok`), because observation
 //!   wiring is optional by design;
+//! * [`Ctx::observe`] follows the send contract — undeclared →
+//!   `UnknownInterface`, declared but unconnected → `Disconnected`,
+//!   unbound `introspection` → `Ok(None)` with nothing sent;
 //! * receive on an undeclared provided interface →
 //!   [`EmberaError::UnknownInterface`];
 //! * blocking receive interrupted by application shutdown →
@@ -73,7 +94,7 @@ mod fifo;
 mod host;
 mod trace;
 
-pub use deploy::{deploy, Backend, Completion, Deployed, Flow, Wiring};
+pub use deploy::{deploy, Backend, Completion, Deployed, Flow, Observed, Wiring};
 pub use fifo::Fifo;
 pub use host::{host_memory_bytes, HostTransport, Parker};
 pub use trace::{TraceConfig, TraceEventKind, TraceSink};
@@ -86,7 +107,7 @@ use crate::component::INTROSPECTION;
 use crate::error::EmberaError;
 use crate::message::Message;
 use crate::observe::engine::ObsEngine;
-use crate::observe::protocol::ObsReply;
+use crate::observe::protocol::{ObsReply, ObsRequest};
 use crate::observe::stats::ComponentStats;
 use crate::overload::{OverloadKind, OverloadPolicy};
 use crate::supervise::{ComponentFaults, Escalation, FaultAction, FaultPlan, RestartPolicy};
@@ -137,6 +158,19 @@ pub trait Transport {
     /// and, with nothing pending, is one load of the mailbox's length.
     fn poll_obs(&mut self) -> Option<Message> {
         self.try_pop(INTROSPECTION).map(|(msg, _cost)| msg)
+    }
+
+    /// Answer `request` on behalf of the component whose
+    /// `introspection` interface `required` is connected to, without
+    /// involving it: read its shared statistics, compute its queue
+    /// gauges from its mailboxes, stamp the reply with *this* flow's
+    /// clock. `None` — the default — means this transport cannot (the
+    /// interface is not such a connection, or the backend's components
+    /// share no memory, or observation traffic is something it models);
+    /// the runtime then sends the request as a message, which is also
+    /// where a wrong interface name gets its error.
+    fn observe(&mut self, _required: &str, _request: ObsRequest) -> Option<ObsReply> {
+        None
     }
 
     /// Bytes currently queued across all of this component's provided
@@ -675,6 +709,25 @@ impl<T: Transport> Ctx for RuntimeCtx<'_, T> {
         Ok(())
     }
 
+    fn observe(
+        &mut self,
+        required: &str,
+        request: ObsRequest,
+    ) -> Result<Option<ObsReply>, EmberaError> {
+        let rt = &mut *self.rt;
+        if let Some(reply) = rt.transport.observe(required, request) {
+            // Served here, so traced here: the target never saw it.
+            rt.emit(rt.trace_now(), TraceEventKind::ObsServed, 1, 0);
+            // A communication point like a send: whoever observes this
+            // component is answered now.
+            rt.service_introspection();
+            return Ok(Some(reply));
+        }
+        let from = rt.name().to_string();
+        self.send_message(required, Message::ObsRequest { from, request })?;
+        Ok(None)
+    }
+
     fn recv_message(&mut self, provided: &str) -> Result<Message, EmberaError> {
         match self.rt.recv_inner(provided, None)? {
             Some(m) => Ok(m),
@@ -866,6 +919,37 @@ mod tests {
             }
         });
         rt.run_behavior(&mut b).unwrap();
+    }
+
+    #[test]
+    fn observe_without_a_read_handle_is_a_send_with_the_send_contract() {
+        // Loopback answers nothing in place (the `Transport` default).
+        let mut t = Loopback::default();
+        t.routes.push("obs_x".into());
+        t.inboxes.insert("obs_x".into(), VecDeque::new());
+        let mut rt = runtime_with(t, &["obs_x", "loose"]);
+        let mut b = behavior_fn(|ctx| {
+            assert_eq!(ctx.observe("obs_x", crate::ObsRequest::Health)?, None);
+            match ctx.observe("loose", crate::ObsRequest::Health) {
+                Err(EmberaError::Disconnected { interface, .. }) => assert_eq!(interface, "loose"),
+                other => panic!("declared-but-unbound must be Disconnected, got {other:?}"),
+            }
+            match ctx.observe("ghost", crate::ObsRequest::Health) {
+                Err(EmberaError::UnknownInterface { interface, .. }) => {
+                    assert_eq!(interface, "ghost");
+                }
+                other => panic!("undeclared must be UnknownInterface, got {other:?}"),
+            }
+            // Unbound introspection: nothing to ask, nothing sent.
+            assert_eq!(ctx.observe(INTROSPECTION, crate::ObsRequest::Health)?, None);
+            Ok(())
+        });
+        rt.run_behavior(&mut b).unwrap();
+        let sent: Vec<&Message> = rt.transport.inboxes.values().flatten().collect();
+        let [Message::ObsRequest { from, request }] = sent[..] else {
+            panic!("exactly the one request went out, got {sent:?}");
+        };
+        assert_eq!((from.as_str(), *request), ("c", crate::ObsRequest::Health));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use bytes::Bytes;
 
-use embera::{Behavior, Ctx, EmberaError, Message, Work};
+use embera::{Behavior, Ctx, EmberaError, Message, ObsReply, ObsRequest, Work};
 
 use crate::collector::TraceHandle;
 use crate::event::EventKind;
@@ -80,6 +80,16 @@ impl Ctx for TracingCtx<'_> {
 
     fn send(&mut self, required: &str, payload: Bytes) -> Result<(), EmberaError> {
         self.send_message(required, Message::Data(payload))
+    }
+
+    fn observe(
+        &mut self,
+        required: &str,
+        request: ObsRequest,
+    ) -> Result<Option<ObsReply>, EmberaError> {
+        // Not a data primitive: straight through, so the inner context
+        // may answer in place.
+        self.inner.observe(required, request)
     }
 }
 

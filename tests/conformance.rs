@@ -9,8 +9,9 @@
 use bytes::Bytes;
 use embera::behavior::behavior_fn;
 use embera::{
-    AppBuilder, AppReport, AppSpec, ComponentSpec, Connection, EmberaError, Endpoint, Message,
-    ObsRequest, ObserverConfig, OverloadPolicy, Platform, RunningApp, INTROSPECTION,
+    AppBuilder, AppReport, AppSpec, ComponentSpec, Connection, Ctx, EmberaError, Endpoint,
+    FnMetric, HealthState, Message, ObsReply, ObsRequest, ObserverConfig, OverloadPolicy, Platform,
+    RunningApp, INTROSPECTION,
 };
 use embera_exec::ExecPlatform;
 use embera_inproc::InprocPlatform;
@@ -182,6 +183,249 @@ fn introspection_answered_while_blocked_in_recv() {
         assert_eq!(blocked.app.total_receives, 1, "[{backend}]");
         assert_eq!(report.component("prober").unwrap().app.total_sends, 1, "[{backend}]");
     }
+}
+
+/// The next observation reply on `replies`: what the target's own
+/// runtime answered to a request that went into its mailbox.
+fn reply_by_message(ctx: &mut dyn Ctx) -> Result<ObsReply, EmberaError> {
+    match ctx.recv_message("replies")? {
+        Message::ObsReply { reply, .. } => Ok(*reply),
+        other => panic!("expected ObsReply, got {other:?}"),
+    }
+}
+
+/// `reply` without what differs between platforms by design: their
+/// clocks (execution and CPU time, primitive durations, the progress
+/// stamp) and their memory formula.
+fn timeless(mut reply: ObsReply) -> ObsReply {
+    fn os(os: &mut embera::OsStats) {
+        (os.exec_time_ns, os.cpu_time_ns, os.memory_bytes) = (0, 0, 0);
+    }
+    fn middleware(mw: &mut embera::MiddlewareStats) {
+        for timing in [&mut mw.send, &mut mw.recv] {
+            (timing.total_ns, timing.min_ns, timing.max_ns) = (0, 0, 0);
+        }
+        mw.send_by_size.iter_mut().for_each(|b| b.total_ns = 0);
+    }
+    match &mut reply {
+        ObsReply::Os(o) => os(o),
+        ObsReply::Middleware(mw) => middleware(mw),
+        ObsReply::Health(h) => h.last_progress_ns = 0,
+        ObsReply::Full(report) => {
+            os(&mut report.os);
+            middleware(&mut report.middleware);
+            let health = report.health.as_mut().expect("a full report");
+            health.last_progress_ns = 0;
+        }
+        _ => {}
+    }
+    reply
+}
+
+#[test]
+fn observe_in_place_equals_the_message_reply() {
+    // `Ctx::observe` may answer where the observer stands (smp, exec)
+    // or send the request (os21, inproc). For a quiesced target the
+    // two must be the same reply, for every kind of request — and,
+    // clocks and the memory formula aside, the same on every backend,
+    // with inproc as the oracle. The target is left with two unreceived
+    // messages which, on the host backends, sit in its runtime's
+    // private stash: the gauges an outside reader computes must count
+    // them.
+    const REQUESTS: [ObsRequest; 7] = [
+        ObsRequest::OsStats,
+        ObsRequest::MiddlewareStats,
+        ObsRequest::AppStats,
+        ObsRequest::Structure,
+        ObsRequest::Custom,
+        ObsRequest::Health,
+        ObsRequest::Full,
+    ];
+    type Replies = Vec<(Option<ObsReply>, ObsReply)>;
+    let mut by_backend: Vec<(&str, Replies)> = Vec::new();
+    for (backend, run) in backends() {
+        let collected = std::sync::Arc::new(std::sync::Mutex::new(Replies::new()));
+        let sink = std::sync::Arc::clone(&collected);
+        let mut app = AppBuilder::new("read-vs-message");
+        // First, so that on inproc its blocking receives demand-start
+        // the target.
+        app.add(
+            ComponentSpec::new(
+                "prober",
+                behavior_fn(move |ctx| {
+                    for i in 0..5u8 {
+                        ctx.send("feed", Bytes::from(vec![i; 10 + usize::from(i)]))?;
+                    }
+                    ctx.send("kick", Bytes::from_static(b"go"))?;
+                    ctx.recv("done")?;
+                    // The target's last act was that send; wait until
+                    // its behavior has returned as well.
+                    loop {
+                        let health = match ctx.observe("ask", ObsRequest::Health)? {
+                            Some(reply) => reply,
+                            None => reply_by_message(ctx)?,
+                        };
+                        let ObsReply::Health(health) = health else {
+                            panic!("expected Health, got {health:?}");
+                        };
+                        if health.state == HealthState::Finished {
+                            break;
+                        }
+                        assert!(ctx.recv_timeout("done", 100_000)?.is_none());
+                    }
+                    for request in REQUESTS {
+                        let in_place = ctx.observe("ask", request)?;
+                        if in_place.is_some() {
+                            // Answered here: now ask by hand as well.
+                            let from = ctx.component().to_string();
+                            ctx.send_message("ask", Message::ObsRequest { from, request })?;
+                        }
+                        let by_message = reply_by_message(ctx)?;
+                        sink.lock().unwrap().push((in_place, by_message));
+                    }
+                    Ok(())
+                }),
+            )
+            .with_required("feed")
+            .with_required("kick")
+            .with_required("ask")
+            .with_provided("replies")
+            .with_provided("done")
+            .with_stack_bytes(1 << 20)
+            .on_cpu(1),
+        );
+        app.add(
+            ComponentSpec::new(
+                "target",
+                behavior_fn(|ctx| {
+                    // All five are queued by now: one bulk drain.
+                    ctx.recv("go")?;
+                    for _ in 0..3 {
+                        ctx.recv("in")?;
+                    }
+                    ctx.send("done", Bytes::from_static(b"done"))
+                }),
+            )
+            .with_provided("in")
+            .with_provided("go")
+            .with_required("done")
+            .with_metric(FnMetric::new("gauge", || 7.5))
+            .with_stack_bytes(1 << 20)
+            .on_cpu(0),
+        );
+        app.connect(("prober", "feed"), ("target", "in"));
+        app.connect(("prober", "kick"), ("target", "go"));
+        app.connect(("prober", "ask"), ("target", INTROSPECTION));
+        app.connect(("target", INTROSPECTION), ("prober", "replies"));
+        app.connect(("target", "done"), ("prober", "done"));
+        run(app.build().unwrap()).unwrap_or_else(|e| panic!("[{backend}] {e}"));
+        let replies = std::mem::take(&mut *collected.lock().unwrap());
+        assert_eq!(replies.len(), REQUESTS.len(), "[{backend}]");
+        let reads_in_place = matches!(backend, "smp" | "exec");
+        for (request, (in_place, by_message)) in REQUESTS.iter().zip(&replies) {
+            match in_place {
+                // Same platform, same clock, nothing moving: identical.
+                Some(in_place) => assert_eq!(in_place, by_message, "[{backend}] {request:?}"),
+                None => assert!(!reads_in_place, "[{backend}] {request:?} went by message"),
+            }
+            let read = in_place.is_some();
+            assert_eq!(read, reads_in_place, "[{backend}] {request:?}");
+        }
+        by_backend.push((backend, replies));
+    }
+    let oracle = by_backend
+        .iter()
+        .find(|(backend, _)| *backend == "inproc")
+        .map(|(_, replies)| replies.clone())
+        .expect("inproc ran");
+    // What the oracle itself must say about the two stranded messages
+    // (13 and 14 bytes).
+    let ObsReply::Health(health) = &oracle[5].1 else {
+        panic!("not a health reply: {:?}", oracle[5].1);
+    };
+    assert_eq!((health.queued_messages, health.queued_bytes), (2, 27));
+    for (backend, replies) in by_backend {
+        for ((in_place, by_message), (_, expected)) in replies.into_iter().zip(&oracle) {
+            let expected = timeless(expected.clone());
+            assert_eq!(timeless(by_message), expected, "[{backend}]");
+            if let Some(in_place) = in_place {
+                assert_eq!(timeless(in_place), expected, "[{backend}] read in place");
+            }
+        }
+    }
+}
+
+#[test]
+fn back_to_back_observer_on_one_exec_worker_starves_nobody() {
+    // An observer whose rounds run back to back answers its polls in
+    // place, on the one worker the data path has: the application must
+    // still deliver every message, and the observer must still get a
+    // whole round in.
+    const RELAYS: usize = 50;
+    const PER_RELAY: u64 = 200;
+    let mut app = AppBuilder::new("one-worker");
+    let mut source = ComponentSpec::new(
+        "source",
+        behavior_fn(|ctx| {
+            for _ in 0..PER_RELAY {
+                for r in 0..RELAYS {
+                    ctx.send(&format!("out{r}"), Bytes::from_static(&[7; 64]))?;
+                }
+            }
+            Ok(())
+        }),
+    );
+    app.add(
+        ComponentSpec::new(
+            "sink",
+            behavior_fn(|ctx| {
+                for _ in 0..RELAYS as u64 * PER_RELAY {
+                    ctx.recv("in")?;
+                }
+                Ok(())
+            }),
+        )
+        .with_provided("in"),
+    );
+    for r in 0..RELAYS {
+        source = source.with_required(format!("out{r}"));
+        let relay = format!("relay{r}");
+        app.add(
+            ComponentSpec::new(
+                &relay,
+                behavior_fn(|ctx| {
+                    for _ in 0..PER_RELAY {
+                        let payload = ctx.recv("in")?;
+                        ctx.send("out", payload)?;
+                    }
+                    Ok(())
+                }),
+            )
+            .with_provided("in")
+            .with_required("out"),
+        );
+        let out = format!("out{r}");
+        app.connect(("source", out.as_str()), (relay.as_str(), "in"));
+        app.connect((relay.as_str(), "out"), ("sink", "in"));
+    }
+    app.add(source);
+    let log = app.with_observer(
+        ObserverConfig::default()
+            .interval_ns(0)
+            .request(ObsRequest::Full),
+    );
+    let report = ExecPlatform::with_workers(1)
+        .deploy(app.build().unwrap())
+        .unwrap()
+        .wait()
+        .unwrap();
+    let delivered = RELAYS as u64 * PER_RELAY;
+    let sink = report.component("sink").unwrap();
+    assert_eq!(sink.app.total_receives, delivered);
+    assert_eq!(report.total_sends(), 2 * delivered);
+    let observed = log.latest_by_component();
+    assert_eq!(observed.len(), RELAYS + 2, "a whole round was logged");
+    assert!(log.len() >= RELAYS + 2);
 }
 
 #[test]
