@@ -26,7 +26,6 @@ use embera_bench::{
 };
 use mjpeg::{ArrivalProcess, AutoscaleConfig, OverloadConfig, Pacing};
 use embera_os21::Os21Platform;
-use sim_kernel::{Kernel, KernelConfig, LatentChannel};
 use embera_repro::stats::linear_fit;
 use embera_repro::sweep::{mpsoc_send_sweep, smp_send_sweep, MpsocSender};
 use embera_repro::tables::{format_table1, format_table2, format_table3, table3_ratio};
@@ -122,7 +121,6 @@ const COMMANDS: &[Command] = &[
     Command { name: "alloc-check", help: "steady-state allocation proof (--assert-zero)", run: alloc_check, smoke_args: Some(&["--frames", "8"]) },
     Command { name: "obs-budget", help: "PR7 observation overhead gate -> BENCH_pr7.json", run: obs_budget, smoke_args: Some(&["--frames", "8", "--reps", "2", "--fanio-n", "0", "--out", "target/smoke/BENCH_pr7.json"]) },
     Command { name: "overload", help: "PR8 overload robustness curves -> BENCH_pr8.json", run: overload, smoke_args: Some(&["--frames", "32", "--out", "target/smoke/BENCH_pr8.json"]) },
-    Command { name: "shard-bench", help: "PR10 sharded-kernel + parallel-runner scaling -> BENCH_pr10.json", run: shard_bench, smoke_args: Some(&["--procs", "8", "--hops", "40", "--cells", "4", "--cell-frames", "24", "--out", "target/smoke/BENCH_pr10.json"]) },
     Command { name: "bench-validate", help: "schema-check every BENCH_*.json (--dir path)", run: |_, a| bench_validate(a), smoke_args: Some(&[]) },
     Command { name: "fuzz", help: "bounded deterministic fuzz of the byte-level parsers", run: |_, a| fuzz(a), smoke_args: Some(&["--iters", "200", "--replay-out", "target/smoke/fuzz_replay.bin"]) },
 ];
@@ -1765,181 +1763,6 @@ fn overload(scale: &Scale, args: &[String]) {
     }
 }
 
-// ---------------------------------------------------------------------
-// PR 10: sharded-kernel scaling + the parallel sweep runner.
-// ---------------------------------------------------------------------
-
-/// `shard-bench` — the two PR 10 measurements in one artifact:
-///
-/// 1. **Kernel sharding.** A PHOLD-style token ring (every hop crosses a
-///    shard boundary under round-robin placement) run at 1, 2, and 4
-///    shards, reporting host-wall events/second. The sequential and
-///    windowed schedules are asserted identical at run time — the
-///    benchmark refuses to publish numbers for diverging simulations.
-///    Simulated processes are fibers: at one shard the calling thread
-///    resumes them in place (no host thread or OS switch per event), at
-///    K shards every window starts K scoped workers, so at this ring's
-///    1 µs lookahead the windowed rows time worker start-up per window
-///    rather than event dispatch (EXPERIMENTS.md, PR 13).
-/// 2. **Sweep fan-out.** The same list of real-time-paced pipeline
-///    cells dispatched through [`runner::run_cells`] at `--jobs 1` and
-///    `--jobs N`. Pacing sleeps dominate each cell's wall clock and
-///    overlap when cells are co-scheduled, so the comparison measures
-///    the runner's fan-out even on a single-core host.
-fn shard_bench(scale: &Scale, args: &[String]) {
-    let _ = scale;
-    let out_path = arg_value(args, "--out").unwrap_or("BENCH_pr10.json");
-    let assert_speedup = args.iter().any(|a| a == "--assert-speedup");
-    let parse = |key: &str, default: u64| -> u64 {
-        arg_value(args, key).and_then(|s| s.parse().ok()).unwrap_or(default)
-    };
-    let procs = parse("--procs", 32) as usize;
-    let hops = parse("--hops", 600) as u32;
-    let lat = parse("--lat", 1_000);
-    let work = parse("--work", 250);
-    let cells = parse("--cells", 8) as usize;
-    let cell_frames = parse("--cell-frames", 96);
-    // Sleep-dominated cells overlap, so the fan-out defaults wider than
-    // a small host's core count; below 2 the comparison is meaningless.
-    let jobs = runner::resolve_jobs(args, runner::default_jobs().max(4)).max(2);
-    println!("=== shard-bench — sharded kernel + parallel sweep runner ===");
-
-    // 1. Kernel sharding: best-of-3 host wall per shard count.
-    let run_phold = |shards: usize| {
-        let mut kernel = Kernel::with_config(KernelConfig::default().shards(shards));
-        let channels: Vec<LatentChannel<u32>> = (0..procs)
-            .map(|_| LatentChannel::new(&mut kernel, lat))
-            .collect();
-        for pid in 0..procs {
-            let inbox = channels[pid].clone();
-            let next = channels[(pid + 1) % procs].clone();
-            kernel.spawn(format!("site{pid}"), move |ctx| {
-                next.send(&ctx, hops);
-                for _ in 0..hops {
-                    let remaining = inbox.recv(&ctx);
-                    ctx.advance(work);
-                    if remaining > 1 {
-                        next.send(&ctx, remaining - 1);
-                    }
-                }
-            });
-        }
-        let t0 = std::time::Instant::now();
-        kernel.run().expect("phold run");
-        let wall_s = t0.elapsed().as_secs_f64();
-        let stats = kernel.stats();
-        (kernel.now(), stats.events_dispatched, stats.notifications_delivered, wall_s)
-    };
-    let shard_counts = [1usize, 2, 4];
-    let mut kernel_rows: Vec<(usize, f64, u64, f64, u64)> = Vec::new();
-    let mut reference_schedule = None;
-    let mut schedules_identical = true;
-    for &k in &shard_counts {
-        let mut wall = f64::INFINITY;
-        let mut schedule = (0u64, 0u64, 0u64);
-        for _ in 0..3 {
-            let (now, events, notifs, w) = run_phold(k);
-            wall = wall.min(w);
-            schedule = (now, events, notifs);
-        }
-        let reference = *reference_schedule.get_or_insert(schedule);
-        // Hard stop, not a JSON flag alone: scaling numbers for a
-        // simulation that diverged from the sequential schedule are
-        // meaningless.
-        assert_eq!(
-            schedule, reference,
-            "shards={k} diverged from the sequential schedule"
-        );
-        schedules_identical &= schedule == reference;
-        let events_per_s = schedule.1 as f64 / wall;
-        println!(
-            "phold shards={k}: {:>10.0} events/s  ({} events, {:.4} s host wall, t_end {} ns)",
-            events_per_s, schedule.1, wall, schedule.0
-        );
-        kernel_rows.push((k, wall, schedule.1, events_per_s, schedule.0));
-    }
-
-    // 2. Sweep fan-out: identical cell list at jobs=1 and jobs=N.
-    let gap_ns = 4_000_000u64;
-    let base = overload_stream(5, 0x578);
-    let cell_cfg = |i: usize| OverloadConfig {
-        frames: cell_frames,
-        mean_gap_ns: gap_ns,
-        arrival: ArrivalProcess::Periodic,
-        seed: 0x0BAD_CAFE ^ i as u64,
-        deadline_budget_ns: 120_000_000_000,
-        max_workers: 2,
-        initial_workers: 2,
-        pacing: Pacing::RealTime,
-        ..OverloadConfig::default()
-    };
-    let run_sweep = |jobs: usize| {
-        let t0 = std::time::Instant::now();
-        let outs = runner::run_cells(jobs, cells, |i| run_overload_smp(base.clone(), &cell_cfg(i)));
-        let wall = t0.elapsed().as_secs_f64();
-        let completed: Vec<u64> = outs.iter().map(|o| o.completed).collect();
-        (wall, completed)
-    };
-    let (wall_seq, completed_seq) = run_sweep(1);
-    let (wall_par, completed_par) = run_sweep(jobs);
-    assert_eq!(
-        completed_seq, completed_par,
-        "sweep results depend on --jobs; the runner contract is broken"
-    );
-    let speedup = wall_seq / wall_par;
-    println!(
-        "sweep: {cells} cells x {cell_frames} frames  jobs=1 {wall_seq:.3} s  jobs={jobs} {wall_par:.3} s  speedup {speedup:.2}x"
-    );
-
-    let kernel_runs_json = kernel_rows
-        .iter()
-        .map(|(k, wall, events, eps, t_end)| {
-            format!(
-                concat!(
-                    "{{ \"shards\": {}, \"wall_s\": {:.6}, \"events_dispatched\": {}, ",
-                    "\"events_per_s\": {:.1}, \"final_time_ns\": {} }}"
-                ),
-                k, wall, events, eps, t_end
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n    ");
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"benchmark\": \"parallel_sim_and_sweep\",\n",
-            "  \"provenance\": {},\n",
-            "  \"phold\": {{ \"procs\": {}, \"hops\": {}, \"latency_ns\": {}, \"work_ns\": {} }},\n",
-            "  \"kernel_runs\": [\n    {}\n  ],\n",
-            "  \"kernel_schedules_identical\": {},\n",
-            "  \"sweep\": {{ \"cells\": {}, \"cell_frames\": {}, \"mean_gap_ms\": {}, ",
-            "\"jobs\": {}, \"wall_jobs1_s\": {:.4}, \"wall_jobsn_s\": {:.4}, \"speedup\": {:.3} }}\n",
-            "}}\n"
-        ),
-        provenance_json(None, 0, jobs),
-        procs,
-        hops,
-        lat,
-        work,
-        kernel_runs_json,
-        schedules_identical,
-        cells,
-        cell_frames,
-        gap_ns / 1_000_000,
-        jobs,
-        wall_seq,
-        wall_par,
-        speedup,
-    );
-    std::fs::write(out_path, json).expect("write shard-bench json");
-    println!("wrote {out_path}");
-
-    if assert_speedup && speedup < 2.0 {
-        eprintln!("shard-bench: sweep speedup {speedup:.2}x below the 2x gate");
-        std::process::exit(1);
-    }
-}
-
 /// `bench-validate` — schema-check every `BENCH_*.json` in the working
 /// directory (or `--dir <path>`): parseable JSON, the uniform
 /// `provenance` header, and the per-benchmark required fields. Exits
@@ -2143,44 +1966,6 @@ fn validate_bench_file(path: &std::path::Path) -> Vec<String> {
                         ("no_policy_p99_degrades", Ty::Bool),
                         ("autoscale_completes_95", Ty::Bool),
                         ("ledger_balances", Ty::Bool),
-                    ],
-                ));
-            }
-        }
-        "parallel_sim_and_sweep" => {
-            errs.extend(jsonv::require(
-                &doc,
-                &name,
-                &[
-                    ("phold", Ty::Obj),
-                    ("kernel_runs", Ty::Arr),
-                    ("kernel_schedules_identical", Ty::Bool),
-                    ("sweep", Ty::Obj),
-                ],
-            ));
-            for (i, run) in doc.get("kernel_runs").and_then(Json::arr).unwrap_or(&[]).iter().enumerate() {
-                errs.extend(jsonv::require(
-                    run,
-                    &format!("{name}.kernel_runs[{i}]"),
-                    &[
-                        ("shards", Ty::Num),
-                        ("wall_s", Ty::Num),
-                        ("events_dispatched", Ty::Num),
-                        ("events_per_s", Ty::Num),
-                    ],
-                ));
-            }
-            if let Some(sweep) = doc.get("sweep") {
-                errs.extend(jsonv::require(
-                    sweep,
-                    &format!("{name}.sweep"),
-                    &[
-                        ("cells", Ty::Num),
-                        ("cell_frames", Ty::Num),
-                        ("jobs", Ty::Num),
-                        ("wall_jobs1_s", Ty::Num),
-                        ("wall_jobsn_s", Ty::Num),
-                        ("speedup", Ty::Num),
                     ],
                 ));
             }

@@ -1,55 +1,35 @@
-//! Differential determinism of the full os21 stack under kernel
-//! sharding: the same application deployed at `shards` ∈ {1, 2, 4}
-//! must produce an identical report and identical kernel statistics.
-//!
-//! The os21 backend's EMBX transports declare no channel latency, so
-//! its effective lookahead is zero and `shards > 1` exercises the
-//! kernel's shared-queue fallback — the mode real platform workloads
-//! take today. The windowed mode's own differential coverage lives in
-//! `crates/simkernel/tests/sharded.rs`; this suite pins the contract
-//! end to end through deployment, scheduling, faults, and observation.
+//! Run-to-run determinism of the full os21 stack: the same application
+//! deployed twice on the simulated three-CPU STi7200 must produce an
+//! identical report and identical kernel statistics — through
+//! deployment, scheduling, observation, time-outs and faults.
 
 use bytes::Bytes;
 use embera::behavior::behavior_fn;
 use embera::{
-    AppBuilder, AppReport, AppSpec, ComponentSpec, FaultPlan, ObserverConfig, Platform, Work,
-    WorkClass,
+    AppBuilder, AppSpec, ComponentSpec, FaultPlan, ObserverConfig, Platform, Work, WorkClass,
 };
 use embera_bench::runner;
 use embera_os21::Os21Platform;
-use sim_kernel::{KernelConfig, KernelStats};
+use sim_kernel::KernelStats;
 
-const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
-
-/// Deploy on the simulated three-CPU STi7200 with the given kernel
-/// sharding and return the full run outcome.
-fn run_sharded(spec: AppSpec, shards: usize) -> (AppReport, KernelStats) {
-    run_configured(spec, KernelConfig::default().shards(shards))
-}
-
-fn run_configured(spec: AppSpec, kernel: KernelConfig) -> (AppReport, KernelStats) {
-    Os21Platform::three_cpu()
-        .kernel_config(kernel)
+/// Deploy on the simulated three-CPU STi7200 and return everything
+/// observable from the run in one comparable value. The report's Debug
+/// form covers every field deterministically (interface counters are
+/// declaration-ordered vectors, times are virtual), and `KernelStats`
+/// derives `PartialEq`.
+fn fingerprint(spec: AppSpec) -> (String, KernelStats) {
+    let (report, stats) = Os21Platform::three_cpu()
         .deploy(spec)
         .expect("deploy")
         .wait_with_stats()
-        .expect("run")
-}
-
-/// Everything observable from a run, in one comparable value. The
-/// report's Debug form covers every field deterministically (interface
-/// counters are declaration-ordered vectors, times are virtual), and
-/// `KernelStats` derives `PartialEq` — the fallback queue is gauged
-/// exactly like the sequential heap, so even `max_queue_depth` must
-/// agree.
-fn fingerprint((report, stats): (AppReport, KernelStats)) -> (String, KernelStats) {
+        .expect("run");
     (format!("{report:?}"), stats)
 }
 
 /// A three-stage pipeline spread over the three CPUs, with enough
 /// messages that any schedule divergence shows up in the counters.
 fn pipeline_app() -> AppSpec {
-    let mut app = AppBuilder::new("shard-pipe");
+    let mut app = AppBuilder::new("det-pipe");
     app.add(
         ComponentSpec::new(
             "src",
@@ -101,9 +81,9 @@ fn pipeline_app() -> AppSpec {
 }
 
 /// The pipeline with an observer polling every component — observation
-/// traffic rides the same kernel and must shard identically.
+/// traffic rides the same kernel.
 fn observed_app() -> AppSpec {
-    let mut app = AppBuilder::new("shard-observed");
+    let mut app = AppBuilder::new("det-observed");
     app.add(
         ComponentSpec::new(
             "src",
@@ -140,7 +120,7 @@ fn observed_app() -> AppSpec {
 /// Timed receives: the timeout path exercises `notify_after` wakeups,
 /// the schedule shape most sensitive to queue-order changes.
 fn timed_app() -> AppSpec {
-    let mut app = AppBuilder::new("shard-timed");
+    let mut app = AppBuilder::new("det-timed");
     app.add(
         ComponentSpec::new(
             "t",
@@ -159,10 +139,10 @@ fn timed_app() -> AppSpec {
 }
 
 /// One message handed back and forth in strict turns between two
-/// components, `cpus` apart, each computing in many short pieces while
-/// it holds it: never more than one runnable task, so the sequential
-/// kernel runs ahead over nearly every event.
-fn turns_app(cpus: usize) -> AppSpec {
+/// components on CPUs 0 and 2, each computing in many short pieces
+/// while it holds it: never more than one runnable task, so the kernel
+/// runs ahead over nearly every event.
+fn turns_app() -> AppSpec {
     fn player(name: &str, serves: bool) -> ComponentSpec {
         ComponentSpec::new(
             name,
@@ -186,56 +166,35 @@ fn turns_app(cpus: usize) -> AppSpec {
         .with_required("out")
         .with_stack_bytes(1 << 20)
     }
-    let mut app = AppBuilder::new("shard-turns");
+    let mut app = AppBuilder::new("det-turns");
     app.add(player("ping", true).on_cpu(0));
-    app.add(player("pong", false).on_cpu(cpus - 1));
+    app.add(player("pong", false).on_cpu(2));
     app.connect(("ping", "out"), ("pong", "in"));
     app.connect(("pong", "out"), ("ping", "in"));
     app.build().unwrap()
 }
 
 #[test]
-fn a_run_ahead_schedule_matches_a_yielding_one() {
-    // Both tasks on CPU 0, hence in shard 0, which makes windowed
-    // execution legal for the zero-delay os21 stack — and with windows
-    // one nanosecond wide no `advance` fits inside one, so that kernel
-    // switches at every event where the sequential one runs ahead.
-    let (report, stats) = run_sharded(turns_app(1), 1);
-    let (yielding_report, yielding) =
-        run_configured(turns_app(1), KernelConfig::default().shards(2).lookahead(1));
-    assert_eq!(format!("{report:?}"), format!("{yielding_report:?}"));
-    // The queue-depth gauge included: with every process in shard 0 the
-    // shard-local queue is the whole queue.
-    assert_eq!(stats, yielding);
-    assert!(stats.events_dispatched > 500, "{stats:?}");
-}
-
-#[test]
-fn os21_runs_are_identical_for_any_shard_count() {
+fn os21_runs_are_identical_from_run_to_run() {
     for (name, build) in [
         ("pipeline", pipeline_app as fn() -> AppSpec),
         ("observed", observed_app),
         ("timed", timed_app),
-        ("turns", || turns_app(3)),
+        ("turns", turns_app),
     ] {
-        let reference = fingerprint(run_sharded(build(), 1));
-        for shards in &SHARD_COUNTS[1..] {
-            let outcome = fingerprint(run_sharded(build(), *shards));
-            assert_eq!(
-                reference, outcome,
-                "[{name}] shards={shards} diverged from the sequential run"
-            );
-        }
+        let first = fingerprint(build());
+        assert!(first.1.events_dispatched > 0, "[{name}] nothing ran");
+        assert_eq!(first, fingerprint(build()), "[{name}] two runs diverged");
     }
 }
 
 #[test]
-fn fault_plan_runs_are_identical_for_any_shard_count() {
+fn fault_plan_runs_are_identical_from_run_to_run() {
     // A deterministic injected corruption: delivery still happens, so
     // the run completes, but the fault machinery (detection counters,
     // supervision bookkeeping) joins the compared surface.
     fn faulted() -> AppSpec {
-        let mut app = AppBuilder::new("shard-faulted");
+        let mut app = AppBuilder::new("det-faulted");
         app.add(
             ComponentSpec::new(
                 "src",
@@ -268,27 +227,25 @@ fn fault_plan_runs_are_identical_for_any_shard_count() {
         app.with_faults(FaultPlan::new().corrupt_message("src", "out", 3));
         app.build().unwrap()
     }
-    let reference = fingerprint(run_sharded(faulted(), 1));
-    for shards in &SHARD_COUNTS[1..] {
-        let outcome = fingerprint(run_sharded(faulted(), *shards));
-        assert_eq!(
-            reference, outcome,
-            "shards={shards} diverged from the sequential run under a fault plan"
-        );
-    }
+    assert_eq!(
+        fingerprint(faulted()),
+        fingerprint(faulted()),
+        "two runs diverged under a fault plan"
+    );
 }
 
 #[test]
-fn shard_sweep_through_the_job_pool_is_deterministic() {
-    // The bench runner fanning real platform runs: every cell is one
-    // shard count, dispatched on 3 worker threads. Results must land in
-    // cell order and agree with the inline sequential dispatch.
-    let fanned = runner::run_cells(3, SHARD_COUNTS.len(), |i| {
-        fingerprint(run_sharded(pipeline_app(), SHARD_COUNTS[i]))
-    });
-    let inline = runner::run_cells(1, SHARD_COUNTS.len(), |i| {
-        fingerprint(run_sharded(pipeline_app(), SHARD_COUNTS[i]))
-    });
+fn identical_cells_through_the_job_pool_are_deterministic() {
+    // The bench runner fanning real platform runs: three identical
+    // cells on 3 worker threads — three kernels running at once, each on
+    // a thread of its own. Results must land in cell order and agree
+    // with the inline dispatch and with each other.
+    const CELLS: usize = 3;
+    let fanned = runner::run_cells(3, CELLS, |_| fingerprint(pipeline_app()));
+    let inline = runner::run_cells(1, CELLS, |_| fingerprint(pipeline_app()));
     assert_eq!(fanned, inline, "job-pool dispatch changed the outcome");
-    assert!(fanned.windows(2).all(|w| w[0] == w[1]), "shard counts disagree");
+    assert!(
+        fanned.windows(2).all(|w| w[0] == w[1]),
+        "identical cells disagree"
+    );
 }

@@ -24,18 +24,17 @@
 //!
 //! * **Resume from a plain thread.** [`Fiber::resume`] is called by the
 //!   scheduler loop (an executor worker, the thread inside
-//!   `Kernel::run`, a shard worker), never from inside another fiber,
-//!   and by one thread at a time. Successive resumes may come from
-//!   different threads.
+//!   `Kernel::run`), never from inside another fiber, and by one thread
+//!   at a time. Successive resumes may come from different threads.
 //! * **A body may not cache thread identity across a yield.** Because
 //!   the next resume can happen on another thread, anything read from
 //!   thread-local storage or `std::thread::current()` is stale after
 //!   [`fiber_yield`] returns. For simulation code that means: across any
-//!   blocking `SimCtx` call (windowed execution resumes a process on
-//!   whichever shard worker the window spawned). A thread-local read
-//!   that is used up before the body can yield again is fine — that is
-//!   how `embera::BufferPool` picks the calling thread's shard inside
-//!   one `take` or `recycle`.
+//!   blocking `SimCtx` call (a kernel may be moved to another thread
+//!   between two `run_until` calls, its processes with it). A
+//!   thread-local read that is used up before the body can yield again
+//!   is fine — that is how `embera::BufferPool` picks the calling
+//!   thread's shard inside one `take` or `recycle`.
 //! * **A panic that escapes the body is swallowed.** The entry frame
 //!   catches it and reports the fiber as [`Resume::Finished`]; unwinding
 //!   further would run into the trampoline's `ud2`. Both runtimes catch

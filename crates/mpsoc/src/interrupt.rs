@@ -100,10 +100,6 @@ impl InterruptController {
     /// line is level-triggered), but blocked waiters are only notified
     /// once the delay elapses. With `delay == 0` this is [`raise`].
     ///
-    /// Under sharded kernel execution a non-zero delay at or above the
-    /// kernel's lookahead keeps cross-shard doorbells legal inside a
-    /// window; see the `sim-kernel` module docs.
-    ///
     /// [`raise`]: InterruptController::raise
     pub fn raise_after(&self, ctx: &SimCtx, line: IrqLine, delay: Time) {
         let event = {

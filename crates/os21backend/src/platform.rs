@@ -4,7 +4,7 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use sim_kernel::{Kernel, KernelConfig, KernelStats};
+use sim_kernel::{Kernel, KernelStats};
 
 use embera::runtime::{self, Backend, Deployed, Flow, Wiring};
 use embera::{AppReport, AppSpec, ComponentSpec, EmberaError, Placement, Platform, RunningApp};
@@ -27,12 +27,6 @@ const OBJECT_ACCOUNTED_BYTES: u64 = 25_000;
 pub struct Os21Config {
     /// EMBX cost parameters.
     pub embx: EmbxCostConfig,
-    /// Simulation-kernel configuration. The default is the sequential
-    /// kernel; `KernelConfig::default().shards(n)` partitions the
-    /// simulated processes across `n` event queues (tasks are pinned to
-    /// the shard of their CPU), with the schedule guaranteed identical
-    /// to the sequential one for any shard count.
-    pub kernel: KernelConfig,
 }
 
 /// The MPSoC platform (paper §5): deploys onto a simulated STi7200.
@@ -62,12 +56,6 @@ impl Os21Platform {
     /// cache misses and bus contention).
     pub fn machine(&self) -> &Machine {
         &self.machine
-    }
-
-    /// Replace the simulation-kernel configuration (builder style).
-    pub fn kernel_config(mut self, kernel: KernelConfig) -> Self {
-        self.config.kernel = kernel;
-        self
     }
 }
 
@@ -169,7 +157,7 @@ impl Platform for Os21Platform {
             });
         }
         let mut backend = TaskBackend {
-            kernel: Kernel::with_config(self.config.kernel.clone()),
+            kernel: Kernel::new(),
             rtos: Rtos::new(self.machine.clone()),
             transport: Transport::open_with_cost(self.machine.clone(), self.config.embx),
             machine: self.machine.clone(),
@@ -201,9 +189,8 @@ impl Os21Running {
     }
 
     /// Like [`RunningApp::wait`], but also returns the simulation
-    /// kernel's statistics — the differential tests use these to check
-    /// that sharded execution reproduces the sequential schedule
-    /// event-for-event.
+    /// kernel's statistics — the determinism tests compare them between
+    /// runs, the benchmark reports them.
     pub fn wait_with_stats(mut self) -> Result<(AppReport, KernelStats), EmberaError> {
         self.kernel
             .run()

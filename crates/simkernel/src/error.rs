@@ -24,15 +24,6 @@ pub enum SimError {
     /// A simulated process panicked; carries the process name and the
     /// panic payload rendered as a string.
     ProcessPanicked { name: String, message: String },
-    /// `run_until` hit its horizon before the simulation finished.
-    HorizonReached { at: Time },
-    /// Windowed parallel execution detected an interaction that violates
-    /// its conservative lookahead contract: a zero-delay notification
-    /// reaching a waiter in another shard, a `notify_after` delay shorter
-    /// than the lookahead, or a process spawned inside a window. The
-    /// simulation is aborted rather than allowed to diverge from the
-    /// sequential schedule.
-    LookaheadViolation { at: Time, detail: String },
 }
 
 impl fmt::Display for SimError {
@@ -46,12 +37,6 @@ impl fmt::Display for SimError {
             ),
             SimError::ProcessPanicked { name, message } => {
                 write!(f, "simulated process '{name}' panicked: {message}")
-            }
-            SimError::HorizonReached { at } => {
-                write!(f, "simulation horizon reached at t={at}ns")
-            }
-            SimError::LookaheadViolation { at, detail } => {
-                write!(f, "lookahead violation at t={at}ns: {detail}")
             }
         }
     }

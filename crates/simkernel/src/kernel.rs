@@ -1,67 +1,30 @@
-//! The discrete-event kernel: event queue, scheduling loop, determinism,
-//! and the sharded parallel execution modes.
+//! The discrete-event kernel: event queue, scheduling loop, determinism.
 //!
-//! # Execution modes
-//!
-//! The kernel picks one of three algorithms from its [`KernelConfig`]:
-//!
-//! * **Sequential** (`shards == 1`, the default): the classic single
-//!   `BinaryHeap` loop — one event popped at a time in `(time, seq)`
-//!   order.
-//! * **Threadsafe fallback** (`shards > 1`, lookahead `0`): the *same*
-//!   sequential algorithm running over a shared
-//!   `Mutex<BinaryHeap<Reverse<Entry>>>`. Whenever the minimum
-//!   cross-shard channel latency collapses to zero there is no sound
-//!   window to run shards concurrently in, so the kernel degrades to
-//!   this queue and stays byte-identical to sequential execution by
-//!   construction — correctness never depends on the partition.
-//! * **Windowed parallel** (`shards > 1`, lookahead `> 0`): conservative
-//!   parallel discrete-event simulation. Processes are partitioned into
-//!   shards, each shard owns a local event heap, and all shards advance
-//!   concurrently inside the time window `[T, T + lookahead)` where `T`
-//!   is the global minimum pending event time. Cross-shard communication
-//!   must use [`SimCtx::notify_after`] with `dt >= lookahead` (e.g. via
-//!   [`LatentChannel`](crate::channel::LatentChannel)); deliveries are
-//!   exchanged only at window boundaries and merged in the canonical
-//!   `(time, producer pid, dispatch index, effect index)` order, so the
-//!   schedule is independent of how shards interleave on the host.
-//!
-//! # Why determinism survives windowing
-//!
-//! Within a shard, events run in local `(time, seq)` order — the same
-//! relative order the sequential kernel would use for that subset,
-//! because a shard's pushes happen in its own dispatch order. Across
-//! shards, the only interactions are timed notifications, which carry a
-//! partition-independent tag and are applied single-threaded at window
-//! boundaries in tag order with fresh global sequence numbers. Per-window
-//! sequence numbers are drawn from disjoint per-shard blocks so no two
-//! shards can mint the same `(time, seq)` key, and the block base always
-//! exceeds every previously assigned number, preserving the global
-//! old-before-new tie-break at equal times. Violations of the protocol
-//! (zero-delay cross-shard wakeups, in-window spawns, `dt < lookahead`)
-//! are *errors*, not silent nondeterminism — see
-//! [`SimError::LookaheadViolation`].
+//! One loop on one thread. Pending work lives in two heaps: the event
+//! queue, popped in `(time, seq)` order — `seq` is the push order, so
+//! same-time entries dispatch first-in first-out — and the timed
+//! notifications of [`SimCtx::notify_after`], delivered in
+//! `(time, producer pid, dispatch index, effect index)` order and ahead
+//! of queue entries due at the same instant. The loop takes whichever
+//! head is earlier, moves the clock there and either wakes the waiters
+//! of an event or resumes one process until it gives way again. Nothing
+//! in that order depends on the host, which is what makes two runs of
+//! the same simulation the same schedule.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use embera_fiber::Fiber;
-use parking_lot::Mutex;
 
 use crate::error::{DeadlockInfo, SimError};
 use crate::process::{
     process_fiber, Directory, EventId, Link, Pid, ProcessBody, ResumeKind, SharedClock, SimCtx,
-    Slice, SpawnRequest, YieldReason,
+    SpawnRequest, YieldReason,
 };
 use crate::Time;
-
-/// Per-window sequence numbers are drawn from disjoint per-shard blocks
-/// of this size; the global counter jumps past all blocks at each window
-/// boundary.
-const SEQ_BLOCK: u64 = 1 << 32;
 
 /// Outcome of [`Kernel::run_until`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,45 +33,6 @@ pub enum RunOutcome {
     Completed,
     /// The horizon was reached with work still pending.
     Horizon,
-}
-
-/// How the kernel executes: number of shards and the conservative window
-/// width.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KernelConfig {
-    /// Number of process shards. `1` (the default) is the sequential
-    /// kernel; `> 1` enables the parallel modes described in the
-    /// [module docs](self).
-    pub shards: usize,
-    /// Conservative window width in virtual nanoseconds. `0` (the
-    /// default) derives the lookahead from the minimum latency declared
-    /// by [`Kernel::declare_latency`] (e.g. by
-    /// [`LatentChannel`](crate::channel::LatentChannel)); if latencies
-    /// are declared *and* this is set, the smaller wins.
-    pub lookahead: Time,
-}
-
-impl Default for KernelConfig {
-    fn default() -> Self {
-        KernelConfig {
-            shards: 1,
-            lookahead: 0,
-        }
-    }
-}
-
-impl KernelConfig {
-    /// Set the shard count (clamped to at least 1).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
-    /// Set an explicit lookahead window.
-    pub fn lookahead(mut self, lookahead: Time) -> Self {
-        self.lookahead = lookahead;
-        self
-    }
 }
 
 /// Aggregate statistics about a simulation run.
@@ -120,11 +44,10 @@ pub struct KernelStats {
     pub processes_spawned: u64,
     /// Number of event notifications delivered to waiters.
     pub notifications_delivered: u64,
-    /// High-water mark of the event queue (per shard-local queue under
-    /// windowed execution); an event a process ran ahead over counts as
-    /// the push it stood for. The queue is pre-sized to twice the number
-    /// of processes — a resume and a timeout in flight each — and this
-    /// gauge says whether that sufficed.
+    /// High-water mark of the event queue; an event a process ran ahead
+    /// over counts as the push it stood for. The queue is pre-sized to
+    /// twice the number of processes — a resume and a timeout in flight
+    /// each — and this gauge says whether that sufficed.
     pub max_queue_depth: u64,
 }
 
@@ -134,14 +57,6 @@ enum QueueItem {
     /// Timeout check for a process that issued `wait_timeout`; `epoch`
     /// invalidates the check if the process was notified first.
     Timeout(Pid, u64),
-}
-
-impl QueueItem {
-    fn pid(&self) -> Pid {
-        match *self {
-            QueueItem::Resume(pid, _) | QueueItem::Timeout(pid, _) => pid,
-        }
-    }
 }
 
 #[derive(PartialEq, Eq)]
@@ -162,11 +77,10 @@ impl PartialOrd for Entry {
     }
 }
 
-/// Partition-independent identity of one side effect: which process
-/// produced it, during which of its dispatches, at which position in the
-/// effect stream of that dispatch. Together with the delivery time this
-/// totally orders timed notifications the same way for every shard
-/// count.
+/// Identity of one side effect: which process produced it, during which
+/// of its dispatches, at which position in the effect stream of that
+/// dispatch. Together with the delivery time this totally orders timed
+/// notifications.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct EffectTag {
     pid: Pid,
@@ -181,16 +95,6 @@ struct TimedEntry {
     time: Time,
     tag: EffectTag,
     event: EventId,
-}
-
-/// A registered waiter, remembering the `(time, seq)` of the dispatch
-/// that registered it. Wakeups are applied in this order — which is
-/// exactly registration order under sequential execution, and the
-/// canonical cross-shard order under windowed execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Waiter {
-    pid: Pid,
-    reg: (Time, u64),
 }
 
 /// Multiply-shift hasher for [`EventId`] keys: one multiply, the high
@@ -216,39 +120,31 @@ impl Hasher for EventIdHasher {
     }
 }
 
-/// Who waits on which event. A notification drains the event's whole
-/// waiter list; the emptied vectors go round through a small free list
-/// so the wait→notify cycle of a semaphore or a channel allocates
-/// nothing in steady state.
+/// Who waits on which event, in registration order — which, with one
+/// queue, is the `(time, seq)` order of the dispatches that registered
+/// them. A notification drains the event's whole waiter list; the
+/// emptied vectors go round through a small free list so the
+/// wait→notify cycle of a semaphore or a channel allocates nothing in
+/// steady state.
 #[derive(Default)]
 struct Waiters {
-    by_event: HashMap<EventId, Vec<Waiter>, BuildHasherDefault<EventIdHasher>>,
-    free: Vec<Vec<Waiter>>,
+    by_event: HashMap<EventId, Vec<Pid>, BuildHasherDefault<EventIdHasher>>,
+    free: Vec<Vec<Pid>>,
 }
 
 impl Waiters {
     /// Emptied waiter vectors kept for reuse.
     const FREE_LISTS: usize = 32;
 
-    fn register(&mut self, event: EventId, waiter: Waiter) {
+    fn register(&mut self, event: EventId, pid: Pid) {
         self.by_event
             .entry(event)
             .or_insert_with(|| self.free.pop().unwrap_or_default())
-            .push(waiter);
+            .push(pid);
     }
 
-    /// Remove and return the waiters of `event` in canonical wake order.
-    /// Sequential registration already appends in `(time, seq)` order, so
-    /// the sort is a no-op there; it matters for waiters registered by
-    /// concurrent shards. Hand the vector back with
-    /// [`recycle`](Self::recycle) once drained.
-    fn take(&mut self, event: EventId) -> Option<Vec<Waiter>> {
-        let mut waiters = self.by_event.remove(&event)?;
-        waiters.sort_unstable_by_key(|w| w.reg);
-        Some(waiters)
-    }
-
-    fn recycle(&mut self, mut waiters: Vec<Waiter>) {
+    /// Take back the drained waiter vector of a delivered event.
+    fn recycle(&mut self, mut waiters: Vec<Pid>) {
         if self.free.len() < Self::FREE_LISTS {
             waiters.clear();
             self.free.push(waiters);
@@ -258,7 +154,7 @@ impl Waiters {
     /// Withdraw `pid`'s registration on `event` (its timeout fired).
     fn cancel(&mut self, event: EventId, pid: Pid) {
         if let Some(waiters) = self.by_event.get_mut(&event) {
-            waiters.retain(|w| w.pid != pid);
+            waiters.retain(|&w| w != pid);
             if waiters.is_empty() {
                 let emptied = self.by_event.remove(&event).expect("just seen");
                 self.recycle(emptied);
@@ -276,7 +172,6 @@ enum ProcState {
 
 struct ProcEntry {
     name: String,
-    shard: usize,
     link: Arc<Link>,
     /// The process's stack; `None` once its body is over.
     fiber: Option<Fiber>,
@@ -290,103 +185,21 @@ struct ProcEntry {
     dispatch_count: u64,
 }
 
-/// The event queue behind the sequential loop: a plain heap, or the
-/// shared mutex-protected heap the zero-lookahead fallback runs on.
-enum EventQueue {
-    Local(BinaryHeap<Reverse<Entry>>),
-    Shared(Arc<Mutex<BinaryHeap<Reverse<Entry>>>>),
-}
-
-impl EventQueue {
-    /// Entries the queue holds before its first regrowth; spawning keeps
-    /// it ahead of demand from there.
-    const INITIAL_CAPACITY: usize = 64;
-
-    fn new(shared: bool) -> Self {
-        let heap = BinaryHeap::with_capacity(Self::INITIAL_CAPACITY);
-        if shared {
-            EventQueue::Shared(Arc::new(Mutex::new(heap)))
-        } else {
-            EventQueue::Local(heap)
-        }
-    }
-
-    /// Push an entry, returning the queue depth after the push.
-    fn push(&mut self, entry: Entry) -> usize {
-        match self {
-            EventQueue::Local(h) => {
-                h.push(Reverse(entry));
-                h.len()
-            }
-            EventQueue::Shared(m) => {
-                let mut h = m.lock();
-                h.push(Reverse(entry));
-                h.len()
-            }
-        }
-    }
-
-    fn pop(&mut self) -> Option<Entry> {
-        match self {
-            EventQueue::Local(h) => h.pop().map(|Reverse(e)| e),
-            EventQueue::Shared(m) => m.lock().pop().map(|Reverse(e)| e),
-        }
-    }
-
-    fn peek_key(&self) -> Option<(Time, u64)> {
-        match self {
-            EventQueue::Local(h) => h.peek().map(|Reverse(e)| (e.time, e.seq)),
-            EventQueue::Shared(m) => m.lock().peek().map(|Reverse(e)| (e.time, e.seq)),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            EventQueue::Local(h) => h.len(),
-            EventQueue::Shared(m) => m.lock().len(),
-        }
-    }
-
-    /// Grow the backing heap so at least `want` entries fit without
-    /// reallocation.
-    fn ensure_capacity(&mut self, want: usize) {
-        match self {
-            EventQueue::Local(h) => {
-                if h.capacity() < want {
-                    h.reserve(want - h.len());
-                }
-            }
-            EventQueue::Shared(m) => {
-                let mut h = m.lock();
-                if h.capacity() < want {
-                    let len = h.len();
-                    h.reserve(want - len);
-                }
-            }
-        }
-    }
-}
-
 /// Deterministic discrete-event simulation kernel.
 ///
 /// See the [crate-level documentation](crate) for the execution model and
-/// the [module documentation](self) for the sharded modes.
+/// the [module documentation](self) for the order events are taken in.
 pub struct Kernel {
-    config: KernelConfig,
     procs: Vec<ProcEntry>,
-    queue: EventQueue,
+    queue: BinaryHeap<Reverse<Entry>>,
     /// Deferred notifications ([`SimCtx::notify_after`]), delivered in
-    /// canonical `(time, tag)` order.
+    /// `(time, tag)` order.
     timed: BinaryHeap<Reverse<TimedEntry>>,
     waiters: Waiters,
     clock: Arc<SharedClock>,
-    /// One virtual-time cell per shard, read by that shard's processes.
-    shard_clocks: Vec<Arc<AtomicU64>>,
     directory: Arc<Directory>,
     seq: u64,
     stats: KernelStats,
-    /// Minimum latency declared by channels, the default lookahead.
-    min_latency: Option<Time>,
     /// Non-daemon processes that have not finished; the run is complete
     /// at zero.
     unfinished: usize,
@@ -404,35 +217,25 @@ impl Default for Kernel {
 }
 
 impl Kernel {
-    /// Create an empty sequential kernel at virtual time zero.
-    pub fn new() -> Self {
-        Self::with_config(KernelConfig::default())
-    }
+    /// Entries the event queue holds before its first regrowth; spawning
+    /// keeps it ahead of demand from there.
+    const INITIAL_QUEUE_CAPACITY: usize = 64;
 
-    /// Create an empty kernel with an explicit execution configuration.
-    pub fn with_config(config: KernelConfig) -> Self {
-        let shards = config.shards.max(1);
+    /// Create an empty kernel at virtual time zero.
+    pub fn new() -> Self {
         Kernel {
             procs: Vec::new(),
-            queue: EventQueue::new(shards > 1),
+            queue: BinaryHeap::with_capacity(Self::INITIAL_QUEUE_CAPACITY),
             timed: BinaryHeap::new(),
             waiters: Waiters::default(),
             clock: Arc::new(SharedClock::new()),
-            shard_clocks: (0..shards).map(|_| Arc::new(AtomicU64::new(0))).collect(),
             directory: Arc::new(Directory::default()),
             seq: 0,
             stats: KernelStats::default(),
-            min_latency: None,
             unfinished: 0,
             notifications: VecDeque::new(),
             switches: 0,
-            config,
         }
-    }
-
-    /// The execution configuration this kernel was built with.
-    pub fn config(&self) -> &KernelConfig {
-        &self.config
     }
 
     /// Current virtual time.
@@ -451,9 +254,10 @@ impl Kernel {
     /// dispatches that were real fiber resumes, so
     /// `stats().events_dispatched - switches()` is the number of events
     /// processes passed in place (see [`SimCtx::advance`]). That split
-    /// depends on the execution mode — a shard window is a tighter bound
-    /// than the sequential queue — which is why it is not a field of
-    /// [`KernelStats`], whose values are the same for every shard count.
+    /// depends on how the run was driven — every horizon of
+    /// [`run_until`](Kernel::run_until) is a bound no process runs ahead
+    /// of — which is why it is not a field of [`KernelStats`], whose
+    /// values are the same however a run is cut into pieces.
     pub fn switches(&self) -> u64 {
         self.switches
     }
@@ -463,46 +267,13 @@ impl Kernel {
         EventId(self.clock.next_event_id.fetch_add(1, Ordering::Relaxed))
     }
 
-    /// Record that some channel in the simulation carries `latency`
-    /// nanoseconds of modeled delay. The minimum declared latency is the
-    /// default lookahead for windowed execution; declaring `0` collapses
-    /// the lookahead and forces the threadsafe fallback.
-    pub fn declare_latency(&mut self, latency: Time) {
-        self.min_latency = Some(match self.min_latency {
-            Some(cur) => cur.min(latency),
-            None => latency,
-        });
-    }
-
-    /// The window width windowed execution would use: the explicit
-    /// [`KernelConfig::lookahead`] and/or the minimum declared channel
-    /// latency, whichever is smaller (0 = no sound window, fallback).
-    pub fn effective_lookahead(&self) -> Time {
-        match (self.config.lookahead, self.min_latency) {
-            (0, Some(m)) => m,
-            (la, Some(m)) => la.min(m),
-            (la, None) => la,
-        }
-    }
-
     /// Spawn a simulated process; it becomes runnable at the current
-    /// virtual time. Returns its [`Pid`]. Processes are assigned to
-    /// shards round-robin (`pid % shards`); use [`Kernel::spawn_on`] to
-    /// pin placement.
+    /// virtual time. Returns its [`Pid`].
     pub fn spawn<F>(&mut self, name: impl Into<String>, body: F) -> Pid
     where
         F: FnOnce(SimCtx) + Send + 'static,
     {
-        self.spawn_inner(name.into(), Box::new(body), false, None, None)
-    }
-
-    /// Spawn a process pinned to a shard (`shard % shards`, so callers
-    /// may pass a natural affinity key such as a CPU index directly).
-    pub fn spawn_on<F>(&mut self, shard: usize, name: impl Into<String>, body: F) -> Pid
-    where
-        F: FnOnce(SimCtx) + Send + 'static,
-    {
-        self.spawn_inner(name.into(), Box::new(body), false, None, Some(shard))
+        self.spawn_inner(name.into(), Box::new(body), false, None)
     }
 
     /// Spawn a *daemon* process: the simulation is considered complete
@@ -512,7 +283,7 @@ impl Kernel {
     where
         F: FnOnce(SimCtx) + Send + 'static,
     {
-        self.spawn_inner(name.into(), Box::new(body), true, None, None)
+        self.spawn_inner(name.into(), Box::new(body), true, None)
     }
 
     fn spawn_inner(
@@ -521,27 +292,22 @@ impl Kernel {
         body: ProcessBody,
         daemon: bool,
         reserved: Option<Pid>,
-        shard_hint: Option<usize>,
     ) -> Pid {
         // Pids are allocated by the shared directory so runtime spawns
         // (which reserve before the kernel materializes them) stay
         // aligned with the kernel's process table.
         let pid = reserved.unwrap_or_else(|| self.directory.reserve(self.alloc_event()));
         debug_assert_eq!(pid, self.procs.len(), "directory/kernel pid skew");
-        let nshards = self.shard_clocks.len();
-        let shard = shard_hint.map_or(pid % nshards, |s| s % nshards);
         let link = Arc::new(Link::default());
         let ctx = SimCtx {
             pid,
             name: name.clone(),
             link: Arc::clone(&link),
             clock: Arc::clone(&self.clock),
-            now_cell: Arc::clone(&self.shard_clocks[shard]),
             directory: Arc::clone(&self.directory),
         };
         self.procs.push(ProcEntry {
             name,
-            shard,
             link,
             fiber: Some(process_fiber(ctx, body)),
             state: ProcState::Runnable,
@@ -555,7 +321,10 @@ impl Kernel {
         }
         // Pre-size ahead of demand: each process typically keeps at most
         // a resume plus a timeout in flight.
-        self.queue.ensure_capacity(self.procs.len() * 2);
+        let want = self.procs.len() * 2;
+        if self.queue.capacity() < want {
+            self.queue.reserve(want - self.queue.len());
+        }
         let now = self.now();
         self.push(now, QueueItem::Resume(pid, ResumeKind::Scheduled));
         pid
@@ -577,28 +346,23 @@ impl Kernel {
         &self.procs[pid].name
     }
 
-    /// Shard a process was assigned to.
-    pub fn shard_of(&self, pid: Pid) -> usize {
-        self.procs[pid].shard
-    }
-
     fn push(&mut self, time: Time, item: QueueItem) {
         let seq = self.seq;
         self.seq += 1;
-        let depth = self.queue.push(Entry { time, seq, item });
-        self.stats.max_queue_depth = self.stats.max_queue_depth.max(depth as u64);
+        self.queue.push(Reverse(Entry { time, seq, item }));
+        self.stats.max_queue_depth = self.stats.max_queue_depth.max(self.queue.len() as u64);
     }
 
     fn deliver_notification(&mut self, event: EventId) {
-        if let Some(mut waiters) = self.waiters.take(event) {
+        if let Some(mut waiters) = self.waiters.by_event.remove(&event) {
             let now = self.now();
-            for w in waiters.drain(..) {
+            for pid in waiters.drain(..) {
                 // The waiter's epoch advances so stale timeout checks
                 // become no-ops.
-                self.procs[w.pid].wait_epoch += 1;
-                self.procs[w.pid].state = ProcState::Runnable;
+                self.procs[pid].wait_epoch += 1;
+                self.procs[pid].state = ProcState::Runnable;
                 self.stats.notifications_delivered += 1;
-                self.push(now, QueueItem::Resume(w.pid, ResumeKind::Notified));
+                self.push(now, QueueItem::Resume(pid, ResumeKind::Notified));
             }
             self.waiters.recycle(waiters);
         }
@@ -607,7 +371,6 @@ impl Kernel {
     /// Apply what the slice `pid` just ran left behind: the notifications
     /// in `self.notifications`, then its spawn requests.
     fn apply_side_effects(&mut self, pid: Pid, spawns: Vec<SpawnRequest>) {
-        let shard = self.procs[pid].shard;
         let dispatch = self.procs[pid].dispatch_count;
         let now = self.now();
         // Notifications first: a process that notified an event during its
@@ -631,9 +394,7 @@ impl Kernel {
         }
         self.notifications = notifications;
         for child in spawns {
-            // Children inherit their parent's shard so runtime process
-            // trees stay local.
-            self.spawn_inner(child.name, child.body, false, Some(child.pid), Some(shard));
+            self.spawn_inner(child.name, child.body, false, Some(child.pid));
         }
     }
 
@@ -664,21 +425,10 @@ impl Kernel {
     }
 
     /// Run the simulation until all non-daemon processes complete or the
-    /// virtual clock would pass `horizon`.
+    /// next thing to happen lies beyond `horizon`. The clock is then at
+    /// `horizon` — unless it was already past it: virtual time never
+    /// moves backwards, so a horizon in the past pauses at once.
     pub fn run_until(&mut self, horizon: Time) -> Result<RunOutcome, SimError> {
-        let nshards = self.config.shards.max(1);
-        let lookahead = self.effective_lookahead();
-        if nshards > 1 && lookahead > 0 {
-            self.run_windowed(horizon, nshards, lookahead)
-        } else {
-            self.run_sequential(horizon)
-        }
-    }
-
-    /// The sequential scheduling loop, shared by the default mode and the
-    /// zero-lookahead threadsafe fallback (which only swaps the queue
-    /// representation).
-    fn run_sequential(&mut self, horizon: Time) -> Result<RunOutcome, SimError> {
         loop {
             if self.unfinished == 0 && !self.procs.is_empty() {
                 return Ok(RunOutcome::Completed);
@@ -686,10 +436,12 @@ impl Kernel {
             // Next source: the timed-notification heap or the event queue;
             // timed deliveries win ties so a wakeup at time t precedes the
             // seq-ordered entries it creates at t.
-            let take_timed = match (self.timed.peek(), self.queue.peek_key()) {
-                (Some(Reverse(t)), Some((qt, _))) => t.time <= qt,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
+            let timed = self.timed.peek().map(|Reverse(te)| te.time);
+            let queued = self.queue.peek().map(|Reverse(e)| e.time);
+            let (time, take_timed) = match (timed, queued) {
+                (Some(t), Some(q)) => (t.min(q), t <= q),
+                (Some(t), None) => (t, true),
+                (None, Some(q)) => (q, false),
                 (None, None) => {
                     if self.unfinished == 0 {
                         return Ok(RunOutcome::Completed);
@@ -700,29 +452,19 @@ impl Kernel {
                     }));
                 }
             };
+            if time > horizon {
+                // Nothing consumed: a later run_until resumes from here.
+                self.clock.now.fetch_max(horizon, Ordering::AcqRel);
+                return Ok(RunOutcome::Horizon);
+            }
+            debug_assert!(time >= self.now(), "time went backwards");
+            self.clock.now.store(time, Ordering::Release);
             if take_timed {
-                let time = self.timed.peek().map(|Reverse(t)| t.time).expect("peeked");
-                if time > horizon {
-                    self.clock.now.store(horizon, Ordering::Release);
-                    return Ok(RunOutcome::Horizon);
-                }
                 let Reverse(te) = self.timed.pop().expect("peeked");
-                self.clock.now.store(te.time, Ordering::Release);
                 self.deliver_notification(te.event);
                 continue;
             }
-            let entry = match self.queue.pop() {
-                Some(e) => e,
-                None => unreachable!("queue head vanished"),
-            };
-            if entry.time > horizon {
-                // Not consumed: push back so a later run_until can resume.
-                self.queue.push(entry);
-                self.clock.now.store(horizon, Ordering::Release);
-                return Ok(RunOutcome::Horizon);
-            }
-            debug_assert!(entry.time >= self.now(), "time went backwards");
-            self.clock.now.store(entry.time, Ordering::Release);
+            let Reverse(entry) = self.queue.pop().expect("peeked");
             match entry.item {
                 QueueItem::Timeout(pid, epoch) => {
                     let stale = self.procs[pid].wait_epoch != epoch
@@ -735,26 +477,25 @@ impl Kernel {
                     }
                     self.procs[pid].wait_epoch += 1;
                     self.procs[pid].state = ProcState::Runnable;
-                    self.dispatch(pid, ResumeKind::TimedOut, (entry.time, entry.seq), horizon)?;
+                    self.dispatch(pid, ResumeKind::TimedOut, horizon)?;
                 }
                 QueueItem::Resume(pid, kind) => {
                     if self.procs[pid].state == ProcState::Done {
                         continue;
                     }
-                    self.dispatch(pid, kind, (entry.time, entry.seq), horizon)?;
+                    self.dispatch(pid, kind, horizon)?;
                 }
             }
         }
     }
 
-    /// The earliest instant at which the sequential loop would dispatch
-    /// something other than the process it is about to run: what that
-    /// process may run ahead to, exclusively (see
-    /// [`SimCtx::advance`]).
+    /// The earliest instant at which the loop would dispatch something
+    /// other than the process it is about to run: what that process may
+    /// run ahead to, exclusively (see [`SimCtx::advance`]).
     fn run_ahead_bound(&self, horizon: Time) -> Time {
         let mut bound = horizon.saturating_add(1);
-        if let Some((time, _)) = self.queue.peek_key() {
-            bound = bound.min(time);
+        if let Some(Reverse(e)) = self.queue.peek() {
+            bound = bound.min(e.time);
         }
         if let Some(Reverse(te)) = self.timed.peek() {
             bound = bound.min(te.time);
@@ -763,22 +504,13 @@ impl Kernel {
     }
 
     /// Run `pid` until it switches back out, then apply side effects and
-    /// the yield reason. `key` is the `(time, seq)` of the dispatching
-    /// entry, recorded on any wait this slice registers.
-    fn dispatch(
-        &mut self,
-        pid: Pid,
-        kind: ResumeKind,
-        mut key: (Time, u64),
-        horizon: Time,
-    ) -> Result<(), SimError> {
+    /// the yield reason.
+    fn dispatch(&mut self, pid: Pid, kind: ResumeKind, horizon: Time) -> Result<(), SimError> {
         self.stats.events_dispatched += 1;
         self.switches += 1;
         let bound = self.run_ahead_bound(horizon);
         let proc = &mut self.procs[pid];
         proc.dispatch_count += 1;
-        let shard_clock = &self.shard_clocks[proc.shard];
-        shard_clock.store(key.0, Ordering::Release);
         let slice = proc
             .link
             .run_slice(&mut proc.fiber, kind, bound, &mut self.notifications);
@@ -786,15 +518,13 @@ impl Kernel {
             // Each in-place advance stood in for pushing an entry with the
             // next sequence number onto an otherwise unchanged queue,
             // popping it straight back and dispatching it: account for
-            // exactly that, and carry on as the last of those dispatches.
-            let now = shard_clock.load(Ordering::Acquire);
-            self.clock.now.store(now, Ordering::Release);
+            // exactly that, and carry on as the last of those dispatches
+            // (the process has moved the clock there itself).
             self.stats.events_dispatched += slice.ran_ahead;
             proc.dispatch_count += slice.ran_ahead;
             let depth = self.queue.len() as u64 + 1;
             self.stats.max_queue_depth = self.stats.max_queue_depth.max(depth);
             self.seq += slice.ran_ahead;
-            key = (now, self.seq - 1);
         }
         self.apply_side_effects(pid, slice.spawns);
         let now = self.now();
@@ -805,12 +535,12 @@ impl Kernel {
             YieldReason::Wait(event) => {
                 let epoch = self.procs[pid].wait_epoch;
                 self.procs[pid].state = ProcState::Waiting { event, epoch };
-                self.waiters.register(event, Waiter { pid, reg: key });
+                self.waiters.register(event, pid);
             }
             YieldReason::WaitTimeout(event, dt) => {
                 let epoch = self.procs[pid].wait_epoch;
                 self.procs[pid].state = ProcState::Waiting { event, epoch };
-                self.waiters.register(event, Waiter { pid, reg: key });
+                self.waiters.register(event, pid);
                 self.push(now.saturating_add(dt), QueueItem::Timeout(pid, epoch));
             }
             YieldReason::Done => self.finish(pid),
@@ -822,452 +552,6 @@ impl Kernel {
         }
         Ok(())
     }
-
-    /// Conservative windowed parallel execution (see the module docs).
-    fn run_windowed(
-        &mut self,
-        horizon: Time,
-        nshards: usize,
-        lookahead: Time,
-    ) -> Result<RunOutcome, SimError> {
-        // Pull the global queue apart into shard-local heaps; entries keep
-        // their (time, seq) keys so local order matches global order.
-        let mut shard_heaps: Vec<BinaryHeap<Reverse<Entry>>> = (0..nshards)
-            .map(|_| BinaryHeap::with_capacity(self.queue.len() / nshards + 8))
-            .collect();
-        while let Some(e) = self.queue.pop() {
-            let shard = self.procs[e.item.pid()].shard;
-            shard_heaps[shard].push(Reverse(e));
-        }
-
-        let result = 'run: loop {
-            if self.unfinished == 0 && !self.procs.is_empty() {
-                break 'run Ok(RunOutcome::Completed);
-            }
-            let next_queue = shard_heaps
-                .iter()
-                .filter_map(|h| h.peek().map(|Reverse(e)| e.time))
-                .min();
-            let next_timed = self.timed.peek().map(|Reverse(t)| t.time);
-            let t = match (next_queue, next_timed) {
-                (Some(q), Some(d)) => q.min(d),
-                (Some(q), None) => q,
-                (None, Some(d)) => d,
-                (None, None) => {
-                    if self.unfinished == 0 {
-                        break 'run Ok(RunOutcome::Completed);
-                    }
-                    break 'run Err(SimError::Deadlock(DeadlockInfo {
-                        at: self.now(),
-                        blocked: self.blocked_names(),
-                    }));
-                }
-            };
-            if t > horizon {
-                self.clock.now.store(horizon, Ordering::Release);
-                break 'run Ok(RunOutcome::Horizon);
-            }
-            debug_assert!(t < Time::MAX, "windowed execution requires event times < Time::MAX");
-
-            // Boundary phase (single-threaded): deliver the timed
-            // notifications whose time *is* the global minimum, in
-            // canonical (time, tag) order, pushing wakeups into the
-            // waiters' shard heaps with fresh global sequence numbers.
-            // Only the at-minimum entries are safe to deliver: every
-            // shard has simulated up to t, so the waiter registrations
-            // visible now are exactly the ones the sequential kernel
-            // would see at t. Later deliveries wait for their own
-            // boundary — and the window below never runs past them.
-            while let Some(&Reverse(te)) = self.timed.peek() {
-                if te.time > t {
-                    break;
-                }
-                self.timed.pop();
-                self.clock.now.store(te.time, Ordering::Release);
-                if let Some(mut ws) = self.waiters.take(te.event) {
-                    for w in ws.drain(..) {
-                        self.procs[w.pid].wait_epoch += 1;
-                        self.procs[w.pid].state = ProcState::Runnable;
-                        self.stats.notifications_delivered += 1;
-                        let seq = self.seq;
-                        self.seq += 1;
-                        let shard = self.procs[w.pid].shard;
-                        shard_heaps[shard].push(Reverse(Entry {
-                            time: te.time,
-                            seq,
-                            item: QueueItem::Resume(w.pid, ResumeKind::Notified),
-                        }));
-                    }
-                    self.waiters.recycle(ws);
-                }
-            }
-            // The window may not overrun the earliest still-pending
-            // delivery: its waiter set is only complete once the global
-            // clock reaches it.
-            let mut window_end = t
-                .saturating_add(lookahead)
-                .min(horizon.saturating_add(1));
-            if let Some(&Reverse(te)) = self.timed.peek() {
-                window_end = window_end.min(te.time);
-            }
-
-            // Window phase: one worker per shard, each running its local
-            // heap up to (but excluding) window_end.
-            let seq_base = self.seq;
-            let directory = Arc::clone(&self.directory);
-            let cells: Vec<Arc<AtomicU64>> = self.shard_clocks.clone();
-            let waiters_mx = Mutex::new(std::mem::take(&mut self.waiters));
-            let unfinished = AtomicUsize::new(self.unfinished);
-            let outcomes: Vec<ShardWindowOutcome> = {
-                let mut parts: Vec<Vec<(Pid, &mut ProcEntry)>> =
-                    (0..nshards).map(|_| Vec::new()).collect();
-                for (pid, p) in self.procs.iter_mut().enumerate() {
-                    parts[p.shard].push((pid, p));
-                }
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = parts
-                        .into_iter()
-                        .zip(shard_heaps.iter_mut())
-                        .enumerate()
-                        .map(|(shard, (part, heap))| {
-                            let cell = Arc::clone(&cells[shard]);
-                            let dir = Arc::clone(&directory);
-                            let waiters = &waiters_mx;
-                            let unfinished = &unfinished;
-                            s.spawn(move || {
-                                run_shard_window(
-                                    window_end,
-                                    lookahead,
-                                    seq_base + (shard as u64) * SEQ_BLOCK,
-                                    heap,
-                                    part,
-                                    waiters,
-                                    unfinished,
-                                    &cell,
-                                    &dir,
-                                )
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("shard worker panicked"))
-                        .collect()
-                })
-            };
-            self.waiters = waiters_mx.into_inner();
-            self.unfinished = unfinished.into_inner();
-            self.seq = seq_base
-                .checked_add(nshards as u64 * SEQ_BLOCK)
-                .expect("sequence space exhausted");
-            let mut first_error: Option<((Time, u64), SimError)> = None;
-            for o in outcomes {
-                self.switches += o.switches;
-                self.stats.events_dispatched += o.dispatched;
-                self.stats.notifications_delivered += o.notifications;
-                self.stats.max_queue_depth = self.stats.max_queue_depth.max(o.max_depth);
-                for te in o.timed {
-                    self.timed.push(Reverse(te));
-                }
-                if let Some((key, err)) = o.error {
-                    let better = first_error.as_ref().is_none_or(|(k, _)| key < *k);
-                    if better {
-                        first_error = Some((key, err));
-                    }
-                }
-            }
-            let max_cell = self
-                .shard_clocks
-                .iter()
-                .map(|c| c.load(Ordering::Acquire))
-                .max()
-                .unwrap_or(0);
-            self.clock.now.fetch_max(max_cell, Ordering::AcqRel);
-            if let Some((_, err)) = first_error {
-                break 'run Err(err);
-            }
-        };
-
-        // Fold the surviving shard-local entries back into the global
-        // queue (their keys are preserved, so the heap restores the
-        // canonical order) for a later run_until or drop.
-        for heap in &mut shard_heaps {
-            while let Some(Reverse(e)) = heap.pop() {
-                self.queue.push(e);
-            }
-        }
-        result
-    }
-}
-
-/// Per-window result of one shard worker.
-#[derive(Default)]
-struct ShardWindowOutcome {
-    /// Fiber resumes, for [`Kernel::switches`].
-    switches: u64,
-    /// Events dispatched: the resumes plus the events run ahead over.
-    dispatched: u64,
-    notifications: u64,
-    max_depth: u64,
-    /// Timed notifications produced this window, merged into the global
-    /// heap at the boundary.
-    timed: Vec<TimedEntry>,
-    /// First protocol violation or process failure, keyed by the
-    /// dispatching entry so the coordinator reports the canonically
-    /// earliest one.
-    error: Option<((Time, u64), SimError)>,
-}
-
-/// Wake the local waiters of `event` at time `at`. Returns the name-less
-/// pid of a foreign (cross-shard) waiter if one is registered — a
-/// protocol violation under windowed execution.
-fn wake_local_waiters(
-    event: EventId,
-    at: Time,
-    procs: &mut HashMap<Pid, &mut ProcEntry>,
-    heap: &mut BinaryHeap<Reverse<Entry>>,
-    waiters: &Mutex<Waiters>,
-    seq: &mut u64,
-    notifications: &mut u64,
-) -> Result<(), Pid> {
-    let Some(mut ws) = waiters.lock().take(event) else {
-        return Ok(());
-    };
-    for w in ws.drain(..) {
-        let Some(p) = procs.get_mut(&w.pid) else {
-            return Err(w.pid);
-        };
-        p.wait_epoch += 1;
-        p.state = ProcState::Runnable;
-        *notifications += 1;
-        let s = *seq;
-        *seq += 1;
-        heap.push(Reverse(Entry {
-            time: at,
-            seq: s,
-            item: QueueItem::Resume(w.pid, ResumeKind::Notified),
-        }));
-    }
-    waiters.lock().recycle(ws);
-    Ok(())
-}
-
-/// One shard's slice of a window: run local entries in `(time, seq)`
-/// order up to (excluding) `window_end`, delivering zero-delay
-/// notifications locally and deferring latency-bearing ones to the
-/// boundary.
-#[allow(clippy::too_many_arguments)]
-fn run_shard_window(
-    window_end: Time,
-    lookahead: Time,
-    seq_start: u64,
-    heap: &mut BinaryHeap<Reverse<Entry>>,
-    part: Vec<(Pid, &mut ProcEntry)>,
-    waiters: &Mutex<Waiters>,
-    unfinished: &AtomicUsize,
-    clock_cell: &AtomicU64,
-    directory: &Directory,
-) -> ShardWindowOutcome {
-    let mut procs: HashMap<Pid, &mut ProcEntry> = part.into_iter().collect();
-    let mut seq = seq_start;
-    let mut out = ShardWindowOutcome::default();
-    let mut notifications = VecDeque::new();
-    let violation = |key: (Time, u64), detail: String| {
-        Some((key, SimError::LookaheadViolation { at: key.0, detail }))
-    };
-    'window: loop {
-        if unfinished.load(Ordering::Acquire) == 0 {
-            break;
-        }
-        match heap.peek() {
-            Some(Reverse(e)) if e.time < window_end => {}
-            _ => break,
-        }
-        let Reverse(entry) = heap.pop().expect("peeked");
-        clock_cell.store(entry.time, Ordering::Release);
-        let (pid, kind) = match entry.item {
-            QueueItem::Timeout(pid, epoch) => {
-                let p = procs.get_mut(&pid).expect("foreign entry in shard heap");
-                let stale =
-                    p.wait_epoch != epoch || !matches!(p.state, ProcState::Waiting { .. });
-                if stale {
-                    continue;
-                }
-                if let ProcState::Waiting { event, .. } = p.state {
-                    waiters.lock().cancel(event, pid);
-                }
-                p.wait_epoch += 1;
-                p.state = ProcState::Runnable;
-                (pid, ResumeKind::TimedOut)
-            }
-            QueueItem::Resume(pid, kind) => {
-                if procs.get(&pid).expect("foreign entry in shard heap").state
-                    == ProcState::Done
-                {
-                    continue;
-                }
-                (pid, kind)
-            }
-        };
-        out.switches += 1;
-        out.dispatched += 1;
-        // Nothing else runs on this shard before the local heap's head,
-        // nothing at all at or past the window's end.
-        let bound = heap
-            .peek()
-            .map_or(window_end, |Reverse(e)| e.time.min(window_end));
-        let mut key = (entry.time, entry.seq);
-        let (reason, spawns, dispatch_idx) = {
-            let p = procs.get_mut(&pid).expect("dispatching pid");
-            p.dispatch_count += 1;
-            let Slice {
-                reason,
-                spawns,
-                ran_ahead,
-            } = p
-                .link
-                .run_slice(&mut p.fiber, kind, bound, &mut notifications);
-            if ran_ahead > 0 {
-                // As in `Kernel::dispatch`: every in-place advance was a
-                // push onto the unchanged local heap, a pop and a
-                // dispatch.
-                out.dispatched += ran_ahead;
-                p.dispatch_count += ran_ahead;
-                out.max_depth = out.max_depth.max(heap.len() as u64 + 1);
-                seq += ran_ahead;
-                key = (clock_cell.load(Ordering::Acquire), seq - 1);
-            }
-            (reason, spawns, p.dispatch_count)
-        };
-        let now = key.0;
-        // Side effects: zero-delay notifications deliver to local waiters
-        // immediately; delayed ones (>= lookahead) defer to the boundary.
-        for (effect, (event, dt)) in (0u32..).zip(notifications.drain(..)) {
-            if dt == 0 {
-                if let Err(foreign) = wake_local_waiters(
-                    event,
-                    now,
-                    &mut procs,
-                    heap,
-                    waiters,
-                    &mut seq,
-                    &mut out.notifications,
-                ) {
-                    out.error = violation(
-                        key,
-                        format!(
-                            "zero-delay notification from pid {pid} reached cross-shard \
-                             waiter pid {foreign}; use notify_after(_, dt >= lookahead) \
-                             or a latency-bearing channel"
-                        ),
-                    );
-                    break 'window;
-                }
-            } else if dt < lookahead {
-                out.error = violation(
-                    key,
-                    format!(
-                        "notify_after delay {dt} from pid {pid} is shorter than the \
-                         lookahead {lookahead}"
-                    ),
-                );
-                break 'window;
-            } else {
-                out.timed.push(TimedEntry {
-                    time: now.saturating_add(dt),
-                    tag: EffectTag {
-                        pid,
-                        dispatch: dispatch_idx,
-                        effect,
-                    },
-                    event,
-                });
-            }
-        }
-        if !spawns.is_empty() {
-            out.error = violation(
-                key,
-                format!(
-                    "pid {pid} spawned a process inside a parallel window; spawn \
-                     processes before running, or run with lookahead 0"
-                ),
-            );
-            break;
-        }
-        match reason {
-            YieldReason::Advance(dt) => {
-                let s = seq;
-                seq += 1;
-                heap.push(Reverse(Entry {
-                    time: now.saturating_add(dt),
-                    seq: s,
-                    item: QueueItem::Resume(pid, ResumeKind::Scheduled),
-                }));
-            }
-            YieldReason::Wait(event) => {
-                let p = procs.get_mut(&pid).expect("dispatching pid");
-                let epoch = p.wait_epoch;
-                p.state = ProcState::Waiting { event, epoch };
-                waiters.lock().register(event, Waiter { pid, reg: key });
-            }
-            YieldReason::WaitTimeout(event, dt) => {
-                let epoch = {
-                    let p = procs.get_mut(&pid).expect("dispatching pid");
-                    let epoch = p.wait_epoch;
-                    p.state = ProcState::Waiting { event, epoch };
-                    epoch
-                };
-                waiters.lock().register(event, Waiter { pid, reg: key });
-                let s = seq;
-                seq += 1;
-                heap.push(Reverse(Entry {
-                    time: now.saturating_add(dt),
-                    seq: s,
-                    item: QueueItem::Timeout(pid, epoch),
-                }));
-            }
-            YieldReason::Done | YieldReason::Panicked(_) => {
-                let daemon = {
-                    let p = procs.get_mut(&pid).expect("dispatching pid");
-                    p.state = ProcState::Done;
-                    p.daemon
-                };
-                if !daemon {
-                    unfinished.fetch_sub(1, Ordering::AcqRel);
-                }
-                let completion = directory.mark_finished(pid);
-                if let Err(foreign) = wake_local_waiters(
-                    completion,
-                    now,
-                    &mut procs,
-                    heap,
-                    waiters,
-                    &mut seq,
-                    &mut out.notifications,
-                ) {
-                    out.error = violation(
-                        key,
-                        format!(
-                            "completion of pid {pid} would wake cross-shard joiner \
-                             pid {foreign}; pin joined processes to one shard"
-                        ),
-                    );
-                    break;
-                }
-                if let YieldReason::Panicked(message) = reason {
-                    let name = procs.get(&pid).expect("dispatching pid").name.clone();
-                    out.error = Some((key, SimError::ProcessPanicked { name, message }));
-                    break;
-                }
-            }
-        }
-        debug_assert!(
-            seq - seq_start < SEQ_BLOCK,
-            "per-window sequence block exhausted"
-        );
-        out.max_depth = out.max_depth.max(heap.len() as u64);
-    }
-    out
 }
 
 impl Drop for Kernel {
@@ -1281,62 +565,6 @@ impl Drop for Kernel {
                 proc.link.kill(fiber);
             }
         }
-    }
-}
-
-/// Test-only surface over the kernel's internal ordering machinery, used
-/// by the merge-order property tests. Hidden from the public API.
-#[doc(hidden)]
-pub mod testkit {
-    use super::*;
-
-    /// Pop order of a single global heap holding every `(time, seq)` key.
-    pub fn global_pop_order(entries: &[(Time, u64)]) -> Vec<(Time, u64)> {
-        let mut heap = BinaryHeap::with_capacity(entries.len());
-        for &(time, seq) in entries {
-            heap.push(Reverse(Entry {
-                time,
-                seq,
-                item: QueueItem::Resume(0, ResumeKind::Scheduled),
-            }));
-        }
-        let mut out = Vec::with_capacity(entries.len());
-        while let Some(Reverse(e)) = heap.pop() {
-            out.push((e.time, e.seq));
-        }
-        out
-    }
-
-    /// The windowed kernel's boundary merge: K shard-local heaps folded
-    /// back into one global heap (exactly what `run_windowed` does on
-    /// exit), then popped. Must equal [`global_pop_order`] over the same
-    /// entries for any partition.
-    pub fn boundary_merge_order(shards: &[Vec<(Time, u64)>]) -> Vec<(Time, u64)> {
-        let mut local: Vec<BinaryHeap<Reverse<Entry>>> = shards
-            .iter()
-            .map(|batch| {
-                let mut h = BinaryHeap::with_capacity(batch.len());
-                for &(time, seq) in batch {
-                    h.push(Reverse(Entry {
-                        time,
-                        seq,
-                        item: QueueItem::Resume(0, ResumeKind::Scheduled),
-                    }));
-                }
-                h
-            })
-            .collect();
-        let mut global = BinaryHeap::new();
-        for heap in &mut local {
-            while let Some(entry) = heap.pop() {
-                global.push(entry);
-            }
-        }
-        let mut out = Vec::new();
-        while let Some(Reverse(e)) = global.pop() {
-            out.push((e.time, e.seq));
-        }
-        out
     }
 }
 
@@ -1565,6 +793,31 @@ mod tests {
     }
 
     #[test]
+    fn a_horizon_in_the_past_does_not_move_the_clock_back() {
+        let mut k = Kernel::new();
+        let e = k.alloc_event();
+        let woken_at = Arc::new(AtomicU64::new(0));
+        let w = Arc::clone(&woken_at);
+        k.spawn("p", |ctx| {
+            ctx.advance(100);
+            ctx.advance(100);
+        });
+        k.spawn("waiter", move |ctx| {
+            ctx.wait(e);
+            w.store(ctx.now(), AOrd::SeqCst);
+        });
+        assert_eq!(k.run_until(150).unwrap(), RunOutcome::Horizon);
+        assert_eq!(k.run_until(120).unwrap(), RunOutcome::Horizon);
+        assert_eq!(k.now(), 150);
+        // Woken at the instant the simulation is at, not one it had
+        // already passed.
+        k.notify(e);
+        k.run().unwrap();
+        assert_eq!(woken_at.load(AOrd::SeqCst), 150);
+        assert_eq!(k.now(), 200);
+    }
+
+    #[test]
     fn same_time_events_dispatch_in_fifo_order() {
         let mut k = Kernel::new();
         let order = Arc::new(parking_lot::Mutex::new(Vec::new()));
@@ -1611,46 +864,5 @@ mod tests {
         k.run().unwrap();
         let depth = k.stats().max_queue_depth;
         assert!(depth >= 16, "expected at least 16, got {depth}");
-    }
-
-    #[test]
-    fn shard_assignment_is_round_robin_and_pinnable() {
-        let mut k = Kernel::with_config(KernelConfig::default().shards(3));
-        let a = k.spawn("a", |_| {});
-        let b = k.spawn("b", |_| {});
-        let c = k.spawn("c", |_| {});
-        let d = k.spawn_on(7, "d", |_| {});
-        assert_eq!(k.shard_of(a), 0);
-        assert_eq!(k.shard_of(b), 1);
-        assert_eq!(k.shard_of(c), 2);
-        assert_eq!(k.shard_of(d), 7 % 3);
-        k.run().unwrap();
-    }
-
-    #[test]
-    fn fallback_mode_matches_sequential_exactly() {
-        fn run_with(shards: usize) -> (Time, KernelStats) {
-            let mut k = Kernel::with_config(KernelConfig::default().shards(shards));
-            let e = k.alloc_event();
-            for i in 0..12u64 {
-                k.spawn(format!("w{i}"), move |ctx| {
-                    ctx.advance(i * 5 + 1);
-                    ctx.notify(e);
-                    ctx.advance(2);
-                });
-            }
-            k.spawn("collector", move |ctx| {
-                for _ in 0..12 {
-                    ctx.wait(e);
-                }
-            });
-            k.run().unwrap();
-            (k.now(), k.stats())
-        }
-        // Zero lookahead: shards > 1 degrade to the shared-queue fallback
-        // and must be byte-identical to the sequential kernel, including
-        // the queue-depth gauge.
-        assert_eq!(run_with(1), run_with(2));
-        assert_eq!(run_with(1), run_with(4));
     }
 }

@@ -60,7 +60,7 @@ pub mod process;
 
 pub use channel::{BoundedSimChannel, LatentChannel, SimChannel};
 pub use error::{DeadlockInfo, SimError};
-pub use kernel::{Kernel, KernelConfig, KernelStats, RunOutcome};
+pub use kernel::{Kernel, KernelStats, RunOutcome};
 pub use process::{EventId, Pid, ResumeKind, SimCtx, PROCESS_STACK_BYTES};
 
 /// Virtual time, in nanoseconds of the global reference clock.

@@ -2,19 +2,18 @@
 //!
 //! A simulated process is a stackful fiber ([`embera_fiber`]) that
 //! cooperates with the kernel in strict lock-step: the kernel resumes it
-//! in place — on the thread inside [`Kernel::run`](crate::Kernel::run),
-//! or on a shard worker under windowed execution — the process runs
-//! until it needs virtual time to pass (or an event to fire), then it
-//! switches back. At most one process executes per kernel *shard* at any
-//! instant (one in total under the default sequential configuration),
-//! and the dispatch order within and across shards is fully determined
+//! in place, on the thread inside [`Kernel::run`](crate::Kernel::run),
+//! the process runs until it needs virtual time to pass (or an event to
+//! fire), then it switches back. At most one process of a kernel
+//! executes at any instant, and the dispatch order is fully determined
 //! by virtual time, which is what makes the simulation deterministic.
 //!
 //! One rule of the [`embera_fiber`] contract reaches simulation code: a
 //! process body must not carry thread identity (thread-local values,
-//! `std::thread::current()`) across a blocking [`SimCtx`] call, because
-//! windowed execution resumes it on whichever worker thread runs its
-//! shard in that window.
+//! `std::thread::current()`) across a blocking [`SimCtx`] call. A
+//! [`Kernel`](crate::Kernel) is `Send`: it may be run to a horizon on
+//! one thread and finished on another, and every suspended process
+//! moves with it.
 //!
 //! # Run-ahead
 //!
@@ -22,7 +21,7 @@
 //! kernel hands the process a *bound*: the earliest instant at which it
 //! would have to dispatch anything else — the head of the event queue,
 //! the head of the timed-notification heap, one past the horizon of
-//! [`run_until`](crate::Kernel::run_until), the end of the shard window.
+//! [`run_until`](crate::Kernel::run_until).
 //! To a [`SimCtx::advance`] (or [`SimCtx::yield_now`]) whose wake-up
 //! time lies *strictly* below that bound, from a slice that has queued
 //! no notification and no spawn, the kernel's answer is known in
@@ -36,10 +35,9 @@
 //!
 //! When the slice does end, the kernel folds the count into everything
 //! the skipped dispatches would have touched — events dispatched, the
-//! process's dispatch index, one sequence number each, the registration
-//! key of a wait that follows, the queue-depth gauge — so the schedule,
-//! [`KernelStats`](crate::KernelStats) and every tie-break are those of
-//! a kernel that switched each time.
+//! process's dispatch index, one sequence number each, the queue-depth
+//! gauge — so the schedule, [`KernelStats`](crate::KernelStats) and
+//! every tie-break are those of a kernel that switched each time.
 //! [`Kernel::switches`](crate::Kernel::switches) is the one number that
 //! tells the two apart.
 
@@ -107,12 +105,11 @@ pub(crate) struct SpawnRequest {
     pub(crate) pid: Pid,
 }
 
-/// Everything one process and the kernel pass each other at a switch.
-/// Only one side runs at a time, so the mutex is never contended; it is
-/// what lets the other side — possibly another host thread under
-/// windowed execution or the thread-fiber oracle — read the words
-/// safely. One instance **per process**, which keeps each shard's effect
-/// stream private to the dispatching worker.
+/// Everything one process and the kernel pass each other at a switch,
+/// one instance per process. Only one side runs at a time, so the mutex
+/// is never contended; it is what lets the other side read the words
+/// safely when it is another host thread, as it is on the thread-fiber
+/// oracle, where every process body runs on a carrier thread of its own.
 #[derive(Default)]
 pub(crate) struct Link(Mutex<LinkState>);
 
@@ -263,6 +260,8 @@ impl Directory {
 
 /// Shared, lock-free view of kernel state readable from inside processes.
 pub(crate) struct SharedClock {
+    /// Virtual time. The kernel moves it to each event it takes; the
+    /// running process moves it when it [runs ahead](self).
     pub(crate) now: AtomicU64,
     pub(crate) next_event_id: AtomicU64,
     pub(crate) shutting_down: AtomicBool,
@@ -302,10 +301,6 @@ pub struct SimCtx {
     pub(crate) name: String,
     pub(crate) link: Arc<Link>,
     pub(crate) clock: Arc<SharedClock>,
-    /// Virtual time as seen by this process's shard. With one shard this
-    /// tracks the global clock exactly; in windowed execution each shard
-    /// advances its own copy inside the current time window.
-    pub(crate) now_cell: Arc<AtomicU64>,
     pub(crate) directory: Arc<Directory>,
 }
 
@@ -320,10 +315,9 @@ impl SimCtx {
         &self.name
     }
 
-    /// Current virtual time in nanoseconds (this shard's view; identical
-    /// to the global clock under sequential execution).
+    /// Current virtual time in nanoseconds.
     pub fn now(&self) -> Time {
-        self.now_cell.load(Ordering::Acquire)
+        self.clock.now.load(Ordering::Acquire)
     }
 
     /// Allocate a fresh event token. Never blocks.
@@ -340,10 +334,8 @@ impl SimCtx {
 
     /// Queue a notification for `event` to be delivered `dt` virtual
     /// nanoseconds from now. Waiters registered at delivery time are
-    /// woken then. This is the latency-bearing form of [`SimCtx::notify`]
-    /// that gives sharded execution its lookahead: under windowed
-    /// parallelism `dt` must be at least the kernel's lookahead, or the
-    /// run fails with a lookahead violation.
+    /// woken then: the latency-bearing form of [`SimCtx::notify`], and
+    /// with `dt == 0` the same thing.
     pub fn notify_after(&self, event: EventId, dt: Time) {
         self.link.0.lock().notifications.push_back((event, dt));
     }
@@ -355,21 +347,21 @@ impl SimCtx {
     /// The call switches to the kernel only if something has to happen
     /// first: another event or timed notification is due at or before
     /// `now + dt`, `now + dt` lies beyond the horizon of the current
-    /// [`run_until`](crate::Kernel::run_until) (or the current shard
-    /// window), this slice has queued a [`notify`](SimCtx::notify),
-    /// [`notify_after`](SimCtx::notify_after) or [`spawn`](SimCtx::spawn)
-    /// the kernel must apply, or the kernel is shutting down. Otherwise
-    /// the kernel would resume this very process next, so the clock
-    /// moves in place and the call returns; the kernel accounts for it as
-    /// the dispatch it replaces, which makes the two indistinguishable
-    /// (see the [module docs](crate::process)).
+    /// [`run_until`](crate::Kernel::run_until), this slice has queued a
+    /// [`notify`](SimCtx::notify), [`notify_after`](SimCtx::notify_after)
+    /// or [`spawn`](SimCtx::spawn) the kernel must apply, or the kernel
+    /// is shutting down. Otherwise the kernel would resume this very
+    /// process next, so the clock moves in place and the call returns;
+    /// the kernel accounts for it as the dispatch it replaces, which
+    /// makes the two indistinguishable (see the
+    /// [module docs](crate::process)).
     pub fn advance(&self, dt: Time) {
         let target = self.now().saturating_add(dt);
         // A kernel that is going away left the bound of a slice long
         // over behind: only `do_yield` may answer then.
         let shutting_down = self.clock.shutting_down.load(Ordering::Acquire);
         if !shutting_down && self.link.run_ahead(target) {
-            self.now_cell.store(target, Ordering::Release);
+            self.clock.now.store(target, Ordering::Release);
         } else {
             self.do_yield(YieldReason::Advance(dt));
         }

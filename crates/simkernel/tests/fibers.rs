@@ -1,15 +1,11 @@
 //! What running simulated processes as fibers changes: process counts
 //! far beyond what host threads allow, a fixed stack per process, and
-//! processes that change host thread between windows.
+//! processes that change host thread when their kernel does.
 
-use std::collections::HashSet;
 use std::sync::Arc;
-use std::thread::ThreadId;
 
 use parking_lot::Mutex;
-use sim_kernel::{
-    Kernel, KernelConfig, KernelStats, LatentChannel, Pid, Time, PROCESS_STACK_BYTES,
-};
+use sim_kernel::{Kernel, KernelStats, LatentChannel, Pid, RunOutcome, Time, PROCESS_STACK_BYTES};
 
 /// True when processes run on the assembly switch, false on the
 /// thread-backed oracle (where a body never leaves its carrier thread).
@@ -95,34 +91,28 @@ fn process_can_use_half_its_stack() {
 }
 
 #[test]
-fn windowed_fibers_change_worker_thread_and_still_match_sequential() {
+fn a_kernel_moved_between_threads_mid_run_matches_an_unmoved_one() {
     type Log = Vec<Vec<(Time, u32)>>;
-    /// A latency-bearing ring as in `sharded.rs`; every process also
-    /// records which host thread it found itself on after each receive.
-    fn ring(shards: usize) -> (Time, u64, Log, Vec<usize>) {
+    /// A ring of latency-bearing channels, every process holding a
+    /// token. `drive` runs the kernel to completion.
+    fn ring(drive: impl FnOnce(Kernel) -> Kernel) -> (Time, u64, Log) {
         const PROCS: usize = 6;
         const HOPS: u32 = 10;
-        let mut kernel = Kernel::with_config(KernelConfig::default().shards(shards));
+        let mut kernel = Kernel::new();
         let channels: Vec<LatentChannel<u32>> = (0..PROCS)
             .map(|_| LatentChannel::new(&mut kernel, 1_000))
             .collect();
         let logs: Vec<_> = (0..PROCS)
             .map(|_| Arc::new(Mutex::new(Vec::new())))
             .collect();
-        let threads: Vec<_> = (0..PROCS)
-            .map(|_| Arc::new(Mutex::new(HashSet::<ThreadId>::new())))
-            .collect();
         for pid in 0..PROCS {
             let inbox = channels[pid].clone();
             let next = channels[(pid + 1) % PROCS].clone();
             let log = Arc::clone(&logs[pid]);
-            let seen = Arc::clone(&threads[pid]);
             kernel.spawn(format!("site{pid}"), move |ctx| {
                 next.send(&ctx, HOPS);
                 for _ in 0..HOPS {
                     let remaining = inbox.recv(&ctx);
-                    // Read afresh after the blocking call, never cached.
-                    seen.lock().insert(std::thread::current().id());
                     log.lock().push((ctx.now(), remaining));
                     ctx.advance(250);
                     if remaining > 1 {
@@ -131,31 +121,32 @@ fn windowed_fibers_change_worker_thread_and_still_match_sequential() {
                 }
             });
         }
-        kernel.run().unwrap();
+        let kernel = drive(kernel);
         (
             kernel.now(),
             kernel.stats().events_dispatched,
             logs.iter().map(|l| l.lock().clone()).collect(),
-            threads.iter().map(|t| t.lock().len()).collect(),
         )
     }
-    let (seq_time, seq_events, seq_logs, seq_threads) = ring(1);
-    let (par_time, par_events, par_logs, par_threads) = ring(2);
-    assert_eq!(
-        (seq_time, seq_events, &seq_logs),
-        (par_time, par_events, &par_logs)
-    );
-    // Sequentially every slice runs on (or, on the oracle, is carried by)
-    // one host thread.
-    assert_eq!(seq_threads, vec![1; seq_threads.len()]);
-    if stack_fibers() {
-        // Each window spawns fresh scoped workers, so a process that
-        // receives in several windows wakes up on several threads.
-        assert!(
-            par_threads.iter().all(|&n| n > 1),
-            "fibers stayed on one worker: {par_threads:?}"
-        );
-    }
+    let unmoved = ring(|mut kernel| {
+        kernel.run().unwrap();
+        kernel
+    });
+    // Every process is suspended mid-body, with deliveries in flight,
+    // when the kernel comes back from the thread that started it.
+    let moved = ring(|mut kernel| {
+        let mut kernel = std::thread::spawn(move || {
+            assert_eq!(kernel.run_until(4_600).unwrap(), RunOutcome::Horizon);
+            kernel
+        })
+        .join()
+        .unwrap();
+        assert_eq!(kernel.now(), 4_600);
+        kernel.run().unwrap();
+        kernel
+    });
+    assert!(unmoved.0 > 4_600, "the run ended before the move");
+    assert_eq!(unmoved, moved);
 }
 
 /// Compile-time: a kernel, suspended processes and all, may change host

@@ -10,9 +10,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use sim_kernel::{
-    EventId, Kernel, KernelConfig, KernelStats, RunOutcome, SimChannel, SimCtx, SimError, Time,
-};
+use sim_kernel::{EventId, Kernel, KernelStats, RunOutcome, SimChannel, SimCtx, SimError, Time};
 
 /// `(who, when)` in the order the processes got there.
 type Log = Arc<Mutex<Vec<(&'static str, Time)>>>;
@@ -311,8 +309,8 @@ impl Mixed {
 
 /// Digest of the whole run — every log entry in order, the final time,
 /// the statistics — and the kernel that ran it.
-fn mixed_workload(shards: usize, seed: u64) -> (u64, KernelStats, Kernel) {
-    let mut kernel = Kernel::with_config(KernelConfig::default().shards(shards));
+fn mixed_workload(seed: u64) -> (u64, KernelStats, Kernel) {
+    let mut kernel = Kernel::new();
     let mixed = Mixed {
         log: Arc::default(),
         own: Arc::new((0..WORKERS).map(|_| kernel.alloc_event()).collect()),
@@ -346,26 +344,22 @@ fn mixed_workload(shards: usize, seed: u64) -> (u64, KernelStats, Kernel) {
 }
 
 /// The mixed workload's digest on the kernel *before* run-ahead existed:
-/// recorded by running this file's `mixed_workload(1, MIXED_SEED)` —
-/// the same source, nothing in it refers to run-ahead — against commit
+/// recorded by running this file's `mixed_workload(MIXED_SEED)` — the
+/// same source, nothing in it refers to run-ahead — against commit
 /// `9b7d798` (PR 14), where every `advance` and every `yield_now` was a
-/// switch. 2 and 4 shards gave the same value there.
+/// switch.
 const MIXED_DIGEST_AT_9B7D798: u64 = 0x5551_a66e_571e_cfd2;
 const MIXED_SEED: u64 = 0x15_5EED;
 
 #[test]
 fn a_mixed_workload_is_the_schedule_it_was_before_run_ahead() {
-    let (digest, stats, kernel) = mixed_workload(1, MIXED_SEED);
+    let (digest, stats, kernel) = mixed_workload(MIXED_SEED);
     assert!(
         stats.events_dispatched > 2 * WORKERS as u64 * STEPS / 3,
         "the workload shrank: {stats:?}"
     );
     // Both paths are in it: some events were run ahead over, most not.
     assert!((stats.events_dispatched / 2..stats.events_dispatched).contains(&kernel.switches()));
-    for shards in [2, 4] {
-        let (sharded_digest, sharded_stats, _) = mixed_workload(shards, MIXED_SEED);
-        assert_eq!((sharded_digest, sharded_stats), (digest, stats), "shards={shards}");
-    }
     assert_eq!(
         digest, MIXED_DIGEST_AT_9B7D798,
         "digest {digest:#018x}: the schedule is not the yielding kernel's"

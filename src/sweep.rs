@@ -90,10 +90,7 @@ pub fn mpsoc_send_sweep_with_cost(
         .iter()
         .map(|&size| {
             let app = sweep_app_placed(size as usize, iterations, send_cpu, recv_cpu);
-            let config = embera_os21::Os21Config {
-                embx: embx_cost,
-                ..Default::default()
-            };
+            let config = embera_os21::Os21Config { embx: embx_cost };
             let mut platform = Os21Platform::with_machine(
                 mpsoc_sim::Machine::sti7200_three_cpu(),
                 config,
