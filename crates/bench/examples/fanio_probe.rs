@@ -44,7 +44,7 @@ fn main() {
     let (minflt0, majflt0, ut0, st0) = stat_fields();
     let (v0, nv0) = ctx_switches();
     let t0 = std::time::Instant::now();
-    let run = embera_bench::fanio::run_fanio_exec(n, m, 256, w);
+    let run = embera_bench::fanio::run_fanio_exec(n, m, 256, w, None);
     let wall = t0.elapsed();
     let (minflt1, majflt1, ut1, st1) = stat_fields();
     let (v1, nv1) = ctx_switches();

@@ -6,31 +6,30 @@
 //! cargo run --release -p embera-bench --bin repro -- table1|table2|figure4|figure5|table3|figure8
 //! cargo run --release -p embera-bench --bin repro -- cache|memseries|trace    # paper future work
 //! cargo run --release -p embera-bench --bin repro -- scaling|dot              # scaling study, graphs
-//! cargo run --release -p embera-bench --bin repro -- bench-sweep              # workers x batch x kernel -> BENCH_pr5.json
-//! cargo run --release -p embera-bench --bin repro -- bench-sweep --backend exec  # component-count scaling -> BENCH_pr6.json
-//! cargo run --release -p embera-bench --bin repro -- alloc-check --assert-zero [--backend smp|exec]  # steady-state allocation proof
-//! cargo run --release -p embera-bench --bin repro -- obs-budget [--assert]    # observation overhead gate -> BENCH_pr7.json
+//! cargo run --release -p embera-bench --bin repro -- alloc-check [--backend smp|exec]  # steady-state allocation proof
+//! cargo run --release -p embera-bench --bin repro -- overload|fuzz            # conservation ledger, parser fuzz
 //! ```
 //!
 //! Reduced scale keeps the default run under a minute; `--paper` uses
-//! the paper's exact stream lengths (578 and 3000 images).
+//! the paper's exact stream lengths (578 and 3000 images). Performance
+//! is measured by the `benchmark/` crate, not here.
 
 use embera::{ObserverConfig, OverloadPolicy, Platform, RunningApp};
-use embera_bench::jsonv::{self, Json, Ty};
 use embera_bench::loadgen::{overload_stream, run_overload_smp, OverloadOutcome};
-use embera_bench::provenance::provenance_json;
 use embera_bench::runner;
 use embera_bench::{
-    fanio, run_mjpeg_stream_observed, run_mjpeg_stream_on, run_mpsoc_mjpeg, run_smp_mjpeg,
-    run_smp_mjpeg_with, stream, BenchBackend, ObsMode, FIGURE4_SIZES_KB, FIGURE8_SIZES_KB,
+    run_mjpeg_stream_on, run_mpsoc_mjpeg, run_smp_mjpeg, stream, BenchBackend, FIGURE4_SIZES_KB,
+    FIGURE8_SIZES_KB, HEIGHT, WIDTH,
 };
-use mjpeg::{ArrivalProcess, AutoscaleConfig, OverloadConfig, Pacing};
 use embera_os21::Os21Platform;
 use embera_repro::stats::linear_fit;
 use embera_repro::sweep::{mpsoc_send_sweep, smp_send_sweep, MpsocSender};
 use embera_repro::tables::{format_table1, format_table2, format_table3, table3_ratio};
 use embera_smp::SmpPlatform;
-use mjpeg::{build_mpsoc_app, build_smp_app, DctKind, DispatchPolicy, MjpegAppConfig};
+use mjpeg::{
+    build_mpsoc_app, build_smp_app, ArrivalProcess, AutoscaleConfig, DctKind, MjpegAppConfig,
+    OverloadConfig, Pacing,
+};
 
 struct Scale {
     small: usize,
@@ -85,58 +84,143 @@ fn allocs_now() -> u64 {
     ALLOC_COUNT.load(std::sync::atomic::Ordering::SeqCst)
 }
 
+/// What the value after a flag must be. `main` checks it before any
+/// command runs, so a command reads its flags as already valid.
+#[derive(Clone, Copy)]
+enum Value {
+    /// An unsigned integer.
+    Count,
+    /// A [`BenchBackend`] name.
+    Backend,
+    /// A file path: anything.
+    Path,
+}
+
+impl Value {
+    fn accepts(self, s: &str) -> bool {
+        match self {
+            Value::Count => s.parse::<u64>().is_ok(),
+            Value::Backend => BenchBackend::parse(s).is_some(),
+            Value::Path => true,
+        }
+    }
+
+    /// How the listing and the usage errors write the value.
+    fn placeholder(self) -> &'static str {
+        match self {
+            Value::Count => "N",
+            Value::Backend => "smp|exec",
+            Value::Path => "FILE",
+        }
+    }
+}
+
 /// One `repro` subcommand. `repro all`, `repro help`, and the
 /// unknown-command listing all iterate this same table, so a command
-/// added here is automatically listed, documented, and covered by
-/// `all` — the previous hand-maintained `all` arm had silently drifted
-/// to run only half the commands.
+/// added here is automatically listed, documented with its flags, and
+/// covered by `all`.
 struct Command {
     name: &'static str,
     help: &'static str,
     run: fn(&Scale, &[String]),
-    /// Arguments appended for the cheap smoke form `repro all` runs.
-    /// `None` excludes the command from `all` (replay-style utilities);
-    /// `Some(&[])` means the full form is already cheap.
-    smoke_args: Option<&'static [&'static str]>,
+    /// Every flag the command reads; each takes one value. `main` finds
+    /// the command with this list (the token after a flag is its value,
+    /// never the command), rejects whatever is not on it, and `all`
+    /// forwards to a row only what the row declares.
+    flags: &'static [(&'static str, Value)],
+    /// Arguments appended for the cheap smoke form `repro all` runs;
+    /// empty where the full form is already cheap.
+    smoke_args: &'static [&'static str],
 }
 
-/// Smoke artifacts land under `target/smoke/` so `repro all` never
-/// clobbers the committed full-scale `BENCH_*.json` in the repo root.
+/// Where the smoke forms put what they write, so `repro all` leaves
+/// nothing in the working directory.
 const SMOKE_DIR: &str = "target/smoke";
 
 const COMMANDS: &[Command] = &[
-    Command { name: "table1", help: "Table 1: SMP execution time and memory", run: |s, _| table1_and_2(s, true, false), smoke_args: Some(&[]) },
-    Command { name: "table2", help: "Table 2: communication operation counts", run: |s, _| table1_and_2(s, false, true), smoke_args: Some(&[]) },
-    Command { name: "figure4", help: "Figure 4: SMP send time vs message size", run: |s, _| figure4(s), smoke_args: Some(&[]) },
-    Command { name: "figure5", help: "Figure 5: interfaces of component IDCT_1", run: |s, _| figure5(s), smoke_args: Some(&[]) },
-    Command { name: "table3", help: "Table 3: simulated STi7200 time and memory", run: |s, _| table3(s), smoke_args: Some(&[]) },
-    Command { name: "figure8", help: "Figure 8: STi7200 send time vs message size", run: |s, _| figure8(s), smoke_args: Some(&[]) },
-    Command { name: "cache", help: "X1: cache-miss observation (future work)", run: |s, _| cache(s), smoke_args: Some(&[]) },
-    Command { name: "memseries", help: "X2: memory evolution over execution", run: |s, _| memseries(s), smoke_args: Some(&[]) },
-    Command { name: "trace", help: "X3: event-trace support demo", run: |_, _| trace_demo(), smoke_args: Some(&[]) },
-    Command { name: "scaling", help: "S1: accelerator scaling study", run: |s, _| scaling(s), smoke_args: Some(&[]) },
-    Command { name: "dot", help: "GraphViz graphs of the paper's deployments", run: |_, _| dot(), smoke_args: Some(&[]) },
-    Command { name: "bench-json", help: "PR1 before/after throughput -> BENCH_pr1.json", run: bench_json, smoke_args: Some(&["--out", "target/smoke/BENCH_pr1.json"]) },
-    Command { name: "bench-sweep", help: "PR5/PR6 scaling sweeps -> BENCH_pr5/pr6.json (--backend exec, --jobs N)", run: bench_sweep, smoke_args: Some(&["--frames", "8", "--out", "target/smoke/BENCH_pr5.json"]) },
-    Command { name: "alloc-check", help: "steady-state allocation proof (--assert-zero)", run: alloc_check, smoke_args: Some(&["--frames", "8"]) },
-    Command { name: "obs-budget", help: "PR7 observation overhead gate -> BENCH_pr7.json", run: obs_budget, smoke_args: Some(&["--frames", "8", "--reps", "2", "--fanio-n", "0", "--out", "target/smoke/BENCH_pr7.json"]) },
-    Command { name: "overload", help: "PR8 overload robustness curves -> BENCH_pr8.json", run: overload, smoke_args: Some(&["--frames", "32", "--out", "target/smoke/BENCH_pr8.json"]) },
-    Command { name: "bench-validate", help: "schema-check every BENCH_*.json (--dir path)", run: |_, a| bench_validate(a), smoke_args: Some(&[]) },
-    Command { name: "fuzz", help: "bounded deterministic fuzz of the byte-level parsers", run: |_, a| fuzz(a), smoke_args: Some(&["--iters", "200", "--replay-out", "target/smoke/fuzz_replay.bin"]) },
+    Command { name: "table1", help: "Table 1: SMP execution time and memory", run: |s, _| table1_and_2(s, true, false), flags: &[], smoke_args: &[] },
+    Command { name: "table2", help: "Table 2: communication operation counts", run: |s, _| table1_and_2(s, false, true), flags: &[], smoke_args: &[] },
+    Command { name: "figure4", help: "Figure 4: SMP send time vs message size", run: |s, _| figure4(s), flags: &[], smoke_args: &[] },
+    Command { name: "figure5", help: "Figure 5: interfaces of component IDCT_1", run: |s, _| figure5(s), flags: &[], smoke_args: &[] },
+    Command { name: "table3", help: "Table 3: simulated STi7200 time and memory", run: |s, _| table3(s), flags: &[], smoke_args: &[] },
+    Command { name: "figure8", help: "Figure 8: STi7200 send time vs message size", run: |s, _| figure8(s), flags: &[], smoke_args: &[] },
+    Command { name: "cache", help: "X1: cache-miss observation (future work)", run: |s, _| cache(s), flags: &[], smoke_args: &[] },
+    Command { name: "memseries", help: "X2: memory evolution over execution", run: |s, _| memseries(s), flags: &[], smoke_args: &[] },
+    Command { name: "trace", help: "X3: event-trace support demo", run: |_, _| trace_demo(), flags: &[], smoke_args: &[] },
+    Command { name: "scaling", help: "S1: accelerator scaling study", run: |s, _| scaling(s), flags: &[], smoke_args: &[] },
+    Command { name: "dot", help: "GraphViz graphs of the paper's deployments", run: |_, _| dot(), flags: &[], smoke_args: &[] },
+    Command { name: "alloc-check", help: "steady-state allocation proof, exit 1 if it fails", run: alloc_check, flags: &[("--frames", Value::Count), ("--backend", Value::Backend), ("--workers", Value::Count)], smoke_args: &[] },
+    Command { name: "overload", help: "open-loop overload curves, exit 1 if the shed ledger is off", run: overload, flags: &[("--frames", Value::Count), ("--jobs", Value::Count)], smoke_args: &["--frames", "32"] },
+    Command { name: "fuzz", help: "bounded deterministic fuzz of the byte-level parsers", run: |_, a| fuzz(a), flags: &[("--iters", Value::Count), ("--seed", Value::Count), ("--replay", Value::Path), ("--replay-out", Value::Path)], smoke_args: &["--iters", "200", "--replay-out", "target/smoke/fuzz_replay.bin"] },
 ];
 
 fn print_command_list(out: &mut dyn std::io::Write) {
     let _ = writeln!(out, "usage: repro <command> [--paper] [command options]\n");
     for c in COMMANDS {
-        let _ = writeln!(out, "  {:<16} {}", c.name, c.help);
+        let flags: String = c
+            .flags
+            .iter()
+            .map(|(flag, value)| format!(" [{flag} {}]", value.placeholder()))
+            .collect();
+        let _ = writeln!(out, "  {:<16} {}{flags}", c.name, c.help);
     }
     let _ = writeln!(out, "  {:<16} every command above in its cheap smoke form", "all");
     let _ = writeln!(out, "  {:<16} this listing", "help");
 }
 
+/// A command line `repro` cannot act on: say why, print the listing,
+/// exit 2.
+fn usage_error(why: &str) -> ! {
+    eprintln!("{why}\n");
+    print_command_list(&mut std::io::stderr());
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let paper = args.iter().any(|a| a == "--paper");
+    let mut paper = false;
+    let mut list = false;
+    let mut cmd = None;
+    let mut given: Vec<(&str, &str)> = Vec::new();
+    let mut tokens = args.iter().map(String::as_str);
+    while let Some(token) = tokens.next() {
+        match token {
+            "--paper" => paper = true,
+            "--list" => list = true,
+            flag if flag.starts_with("--") => {
+                let Some((_, kind)) = COMMANDS
+                    .iter()
+                    .flat_map(|c| c.flags)
+                    .find(|(f, _)| *f == flag)
+                else {
+                    usage_error(&format!("unknown flag '{flag}'"));
+                };
+                match tokens.next() {
+                    Some(value) if kind.accepts(value) => given.push((flag, value)),
+                    _ => usage_error(&format!("expected {flag} {}", kind.placeholder())),
+                }
+            }
+            name if cmd.is_none() => cmd = Some(name),
+            extra => usage_error(&format!("unexpected argument '{extra}'")),
+        }
+    }
+    let cmd = cmd.unwrap_or("all");
+    if cmd == "help" || list {
+        print_command_list(&mut std::io::stdout());
+        return;
+    }
+    let all = cmd == "all";
+    let rows: Vec<&Command> = COMMANDS.iter().filter(|c| all || c.name == cmd).collect();
+    if rows.is_empty() {
+        usage_error(&format!("unknown experiment '{cmd}'"));
+    }
+    let declares = |c: &Command, flag: &str| c.flags.iter().any(|(f, _)| *f == flag);
+    if let Some((flag, _)) = given
+        .iter()
+        .find(|(f, _)| !rows.iter().any(|c| declares(c, f)))
+    {
+        usage_error(&format!("'{cmd}' takes no flag '{flag}'"));
+    }
     let scale = if paper {
         Scale {
             small: 578,
@@ -150,36 +234,22 @@ fn main() {
             sweep_iters: 50,
         }
     };
-    let cmd = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .unwrap_or("all");
-
-    if cmd == "help" || args.iter().any(|a| a == "--list") {
-        print_command_list(&mut std::io::stdout());
-        return;
-    }
-    if cmd == "all" {
+    if all {
         std::fs::create_dir_all(SMOKE_DIR).expect("create smoke dir");
-        for c in COMMANDS {
-            let Some(smoke) = c.smoke_args else { continue };
-            println!("--- repro {} (smoke) ---", c.name);
-            // User args first: an explicit `--frames` etc. overrides the
-            // smoke default (`arg_value` takes the first occurrence).
-            let mut combined = args.clone();
-            combined.extend(smoke.iter().map(|s| s.to_string()));
-            (c.run)(&scale, &combined);
-        }
-        return;
     }
-    match COMMANDS.iter().find(|c| c.name == cmd) {
-        Some(c) => (c.run)(&scale, &args),
-        None => {
-            eprintln!("unknown experiment '{cmd}'\n");
-            print_command_list(&mut std::io::stderr());
-            std::process::exit(2);
+    for c in rows {
+        // The user's flags first: an explicit `--frames` overrides the
+        // smoke default (`arg_value` takes the first occurrence).
+        let mut row_args: Vec<String> = given
+            .iter()
+            .filter(|(f, _)| declares(c, f))
+            .flat_map(|(f, v)| [f.to_string(), v.to_string()])
+            .collect();
+        if all {
+            println!("--- repro {} (smoke) ---", c.name);
+            row_args.extend(c.smoke_args.iter().map(|s| s.to_string()));
         }
+        (c.run)(&scale, &row_args);
     }
 }
 
@@ -423,22 +493,8 @@ fn scaling(scale: &Scale) {
     );
 }
 
-fn kernel_name(kind: DctKind) -> &'static str {
-    match kind {
-        DctKind::ReferenceFloat => "reference_float",
-        DctKind::FastAan => "fast_aan",
-        DctKind::FastSimd => "fast_simd",
-    }
-}
-
-fn dispatch_name(policy: DispatchPolicy) -> &'static str {
-    match policy {
-        DispatchPolicy::RoundRobin => "round_robin",
-        DispatchPolicy::LeastLoaded => "least_loaded",
-    }
-}
-
-/// `--key value` lookup in the raw argument list.
+/// `--key value` lookup in a command's arguments; the first occurrence
+/// wins.
 fn arg_value<'a>(args: &'a [String], key: &str) -> Option<&'a str> {
     args.iter()
         .position(|a| a == key)
@@ -446,190 +502,9 @@ fn arg_value<'a>(args: &'a [String], key: &str) -> Option<&'a str> {
         .map(String::as_str)
 }
 
-fn bad_backend(s: &str) -> ! {
-    eprintln!("unknown --backend '{s}' (available: smp exec)");
-    std::process::exit(2)
-}
-
-/// One measured pipeline configuration for `bench-json` / `bench-sweep`.
-struct BenchRun {
-    label: String,
-    blocks_per_msg: usize,
-    kernel: &'static str,
-    workers: usize,
-    dispatch: &'static str,
-    pooled: bool,
-    wall_s: f64,
-    frames_per_s: f64,
-    blocks_per_s: f64,
-    mean_send_us: f64,
-    sends: u64,
-}
-
-fn bench_run_from(
-    frames: usize,
-    cfg: &MjpegAppConfig,
-    label: String,
-    wall_ns: u64,
-    report: &embera::AppReport,
-) -> BenchRun {
-    let fetch = report.component("Fetch").expect("Fetch");
-    let forwarded = (frames - 1) as f64;
-    let blocks = forwarded * 18.0;
-    let wall_s = wall_ns as f64 / 1e9;
-    BenchRun {
-        label,
-        blocks_per_msg: cfg.blocks_per_msg,
-        kernel: kernel_name(cfg.kernel),
-        workers: cfg.idct_count,
-        dispatch: dispatch_name(cfg.dispatch),
-        pooled: cfg.payload_pool,
-        wall_s,
-        frames_per_s: forwarded / wall_s,
-        blocks_per_s: blocks / wall_s,
-        mean_send_us: fetch.middleware.send.mean_ns() as f64 / 1e3,
-        sends: fetch.app.total_sends,
-    }
-}
-
-/// Measure with the observer attached (the PR 1 `bench-json` protocol).
-fn measure_pipeline(frames: usize, cfg: &MjpegAppConfig, label: &str) -> BenchRun {
-    // Best of three runs: the pipeline is short enough that scheduler
-    // noise (not warm-up) dominates run-to-run variance.
-    let mut best: Option<(u64, embera::AppReport)> = None;
-    for run in 0..3 {
-        let (report, done) = run_smp_mjpeg_with(frames, 0x578 + run, cfg);
-        assert_eq!(done, frames as u64 - 1, "pipeline dropped frames");
-        if best.as_ref().map(|(t, _)| report.wall_time_ns < *t).unwrap_or(true) {
-            best = Some((report.wall_time_ns, report));
-        }
-    }
-    let (wall_ns, report) = best.unwrap();
-    bench_run_from(frames, cfg, label.to_string(), wall_ns, &report)
-}
-
-/// Measure observer-free on a pre-synthesized stream (the `bench-sweep`
-/// protocol: stream synthesis and observation stay out of the timed
-/// region, so the number is the pipeline's own throughput).
-fn measure_stream(frames: usize, cfg: &MjpegAppConfig, label: String) -> BenchRun {
-    measure_stream_on(BenchBackend::Smp, 0, frames, cfg, label)
-}
-
-/// Backend-generic `measure_stream`: identical protocol, selectable
-/// execution backend. `pool_workers` sizes the executor worker pool
-/// (`0` = auto) and is ignored by the thread-per-component backend.
-fn measure_stream_on(
-    backend: BenchBackend,
-    pool_workers: usize,
-    frames: usize,
-    cfg: &MjpegAppConfig,
-    label: String,
-) -> BenchRun {
-    // Synthesize the workload once and clone it per repetition: every
-    // rep decodes identical bytes, so best-of-N isolates run-to-run
-    // scheduling noise instead of workload variation.
-    let base = stream(frames, 0x578);
-    let mut best: Option<(u64, embera::AppReport)> = None;
-    for _ in 0..5 {
-        let (report, done) = run_mjpeg_stream_on(backend, pool_workers, base.clone(), cfg, None);
-        assert_eq!(done, frames as u64 - 1, "pipeline dropped frames");
-        if best.as_ref().map(|(t, _)| report.wall_time_ns < *t).unwrap_or(true) {
-            best = Some((report.wall_time_ns, report));
-        }
-    }
-    let (wall_ns, report) = best.unwrap();
-    bench_run_from(frames, cfg, label, wall_ns, &report)
-}
-
-/// `measure_stream_on` with an [`ObsMode`]-selected observer attached:
-/// identical best-of-5 protocol, the only variable is observation.
-fn measure_stream_observed(
-    backend: BenchBackend,
-    pool_workers: usize,
-    frames: usize,
-    cfg: &MjpegAppConfig,
-    mode: ObsMode,
-    interval_ns: u64,
-    label: String,
-) -> BenchRun {
-    let base = stream(frames, 0x578);
-    let mut best: Option<(u64, embera::AppReport)> = None;
-    for _ in 0..5 {
-        let (report, done) = run_mjpeg_stream_observed(
-            backend,
-            pool_workers,
-            base.clone(),
-            cfg,
-            mode,
-            interval_ns,
-        );
-        assert_eq!(done, frames as u64 - 1, "pipeline dropped frames");
-        if best.as_ref().map(|(t, _)| report.wall_time_ns < *t).unwrap_or(true) {
-            best = Some((report.wall_time_ns, report));
-        }
-    }
-    let (wall_ns, report) = best.unwrap();
-    bench_run_from(frames, cfg, label, wall_ns, &report)
-}
-
-fn bench_run_json(r: &BenchRun) -> String {
-    format!(
-        concat!(
-            "{{\n",
-            "    \"label\": \"{}\",\n",
-            "    \"blocks_per_msg\": {},\n",
-            "    \"kernel\": \"{}\",\n",
-            "    \"wall_s\": {:.6},\n",
-            "    \"frames_per_s\": {:.2},\n",
-            "    \"blocks_per_s\": {:.1},\n",
-            "    \"fetch_mean_send_us\": {:.3},\n",
-            "    \"fetch_sends\": {}\n",
-            "  }}"
-        ),
-        r.label, r.blocks_per_msg, r.kernel, r.wall_s, r.frames_per_s, r.blocks_per_s,
-        r.mean_send_us, r.sends
-    )
-}
-
-/// The richer per-run record used by `bench-sweep` (adds worker count,
-/// dispatch policy, and pooling to the PR 1 schema).
-fn sweep_run_json(r: &BenchRun) -> String {
-    format!(
-        concat!(
-            "{{\n",
-            "      \"label\": \"{}\",\n",
-            "      \"workers\": {},\n",
-            "      \"blocks_per_msg\": {},\n",
-            "      \"kernel\": \"{}\",\n",
-            "      \"dispatch\": \"{}\",\n",
-            "      \"pooled\": {},\n",
-            "      \"wall_s\": {:.6},\n",
-            "      \"frames_per_s\": {:.2},\n",
-            "      \"blocks_per_s\": {:.1},\n",
-            "      \"fetch_mean_send_us\": {:.3},\n",
-            "      \"fetch_sends\": {}\n",
-            "    }}"
-        ),
-        r.label, r.workers, r.blocks_per_msg, r.kernel, r.dispatch, r.pooled, r.wall_s,
-        r.frames_per_s, r.blocks_per_s, r.mean_send_us, r.sends
-    )
-}
-
-/// The `optimized.blocks_per_s` field of a previously written
-/// `BENCH_pr1.json`, if one exists next to the working directory.
-fn pr1_optimized_blocks_per_s() -> Option<f64> {
-    let text = std::fs::read_to_string("BENCH_pr1.json").ok()?;
-    // Everything from the top-level "optimized" key onward (`split`
-    // would stop at the next occurrence — the label string inside it).
-    let optimized = &text[text.find("\"optimized\"")?..];
-    let value = optimized.split("\"blocks_per_s\":").nth(1)?;
-    value
-        .trim()
-        .split([',', '\n', ' '])
-        .next()?
-        .trim()
-        .parse()
-        .ok()
+/// The value of a [`Value::Count`] flag.
+fn arg_count(args: &[String], key: &str) -> Option<u64> {
+    arg_value(args, key).map(|s| s.parse().expect("main checked every count flag"))
 }
 
 /// Marginal heap allocations per extra frame, measured differentially:
@@ -674,28 +549,30 @@ fn marginal_allocs(
 }
 
 /// `alloc-check` — prove the pooled pipeline decodes in steady state
-/// with **zero** heap allocations, via the counting global allocator.
-/// `--assert-zero` exits nonzero on failure (the CI smoke gate);
-/// `--frames N` overrides the base stream length; `--backend smp|exec`
-/// selects the execution backend (`--workers N` sizes the executor
-/// pool, `0` = auto).
+/// with **zero** heap allocations, via the counting global allocator;
+/// exits 1 if it does not. `--frames N` overrides the base stream
+/// length; `--backend smp|exec` selects the execution backend
+/// (`--workers N` sizes the executor pool, `0` = auto).
 fn alloc_check(scale: &Scale, args: &[String]) {
-    let assert_zero = args.iter().any(|a| a == "--assert-zero");
-    let backend = arg_value(args, "--backend")
-        .map(|s| BenchBackend::parse(s).unwrap_or_else(|| bad_backend(s)))
-        .unwrap_or(BenchBackend::Smp);
-    let pool_workers = arg_value(args, "--workers")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0usize);
-    let frames = arg_value(args, "--frames")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(scale.small)
-        .max(4);
+    let backend = arg_value(args, "--backend").map_or(BenchBackend::Smp, |s| {
+        BenchBackend::parse(s).expect("main checked the backend name")
+    });
+    let pool_workers = arg_count(args, "--workers").unwrap_or(0) as usize;
     let cfg = MjpegAppConfig {
         blocks_per_msg: 72,
         kernel: DctKind::FastSimd,
         ..Default::default()
     };
+    // A lane sends its first full batch once Fetch has dealt it
+    // `blocks_per_msg` blocks, and the first frame of a stream is not
+    // forwarded. A base run shorter than that only ever flushes
+    // stream-end remainders, so the 2x run's first full batches would
+    // be booked as marginal cost: that is warm-up, not a leak.
+    let blocks_per_frame = WIDTH * HEIGHT / mjpeg::dct::BLOCK_SIZE;
+    let lane_batch_frames = (cfg.blocks_per_msg * cfg.idct_count).div_ceil(blocks_per_frame);
+    let frames = arg_count(args, "--frames")
+        .map_or(scale.small, |n| n as usize)
+        .max(lane_batch_frames + 1);
     println!(
         "=== alloc-check — marginal heap allocations on {}, {frames}- vs {}-frame runs ===",
         backend.name(),
@@ -713,408 +590,12 @@ fn alloc_check(scale: &Scale, args: &[String]) {
         "pool: grown {} recycled {} dropped {} free {}",
         stats.grown, stats.recycled, stats.dropped, stats.free
     );
-    let zero = pooled <= 0 && stats.grown == 0;
-    if zero {
-        println!("steady state is allocation-free in the pooled configuration");
-    } else {
+    if pooled > 0 || stats.grown > 0 {
         println!("FAIL: pooled steady state still allocates");
-    }
-    println!();
-    if assert_zero && !zero {
         std::process::exit(1);
     }
-}
-
-/// `bench-sweep` — the PR 5 scaling matrix: IDCT worker count x batch
-/// size x kernel (plus least-loaded dispatch cells), measured
-/// observer-free on pre-synthesized streams, written to
-/// `BENCH_pr5.json` (or `--out <path>`) with full provenance: git
-/// revision, detected CPU features, host core count, dispatch policy,
-/// and the steady-state allocation proof.
-fn bench_sweep(scale: &Scale, args: &[String]) {
-    let backend = arg_value(args, "--backend")
-        .map(|s| BenchBackend::parse(s).unwrap_or_else(|| bad_backend(s)))
-        .unwrap_or(BenchBackend::Smp);
-    if backend == BenchBackend::Exec {
-        bench_sweep_exec(scale, args);
-        return;
-    }
-    let out_path = arg_value(args, "--out").unwrap_or("BENCH_pr5.json");
-    let frames = arg_value(args, "--frames")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(scale.small)
-        .max(4);
-    let jobs = runner::resolve_jobs(args, runner::default_jobs());
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!(
-        "=== bench-sweep — workers x batch x kernel, {frames}-frame stream, {cores} core(s), {jobs} job(s) ==="
-    );
-    // The cell list is built up front and fanned across the job pool;
-    // results come back in cell order, so the output (and the JSON) is
-    // identical for any `--jobs` modulo the wall-clock readings.
-    let mut cells: Vec<(String, MjpegAppConfig)> = Vec::new();
-    // Paper-faithful reference cell (one block per message, float IDCT,
-    // no pool) so the sweep records its own "before" point.
-    cells.push(("reference".into(), MjpegAppConfig::default()));
-    for workers in [1usize, 2, 3, 4, 6] {
-        for batch in [1usize, 18, 72, 288] {
-            for kernel in [DctKind::FastAan, DctKind::FastSimd] {
-                let cfg = MjpegAppConfig {
-                    idct_count: workers,
-                    blocks_per_msg: batch,
-                    kernel,
-                    payload_pool: true,
-                    ..Default::default()
-                };
-                cells.push((format!("w{workers}_b{batch}_{}", kernel_name(kernel)), cfg));
-            }
-        }
-    }
-    // Least-loaded dispatch at the fastest batch/kernel point.
-    for workers in [2usize, 3, 6] {
-        let cfg = MjpegAppConfig {
-            idct_count: workers,
-            blocks_per_msg: 72,
-            kernel: DctKind::FastSimd,
-            dispatch: DispatchPolicy::LeastLoaded,
-            payload_pool: true,
-            ..Default::default()
-        };
-        cells.push((format!("w{workers}_b72_fast_simd_ll"), cfg));
-    }
-    let mut runs = runner::run_cells(jobs, cells.len(), |i| {
-        let (label, cfg) = &cells[i];
-        measure_stream(frames, cfg, label.clone())
-    });
-    // Observation axis (opt-in): the fastest cell re-measured under
-    // every observer arrangement, so the sweep records what observation
-    // costs at the throughput-optimal configuration.
-    if args.iter().any(|a| a == "--obs") {
-        let cfg = MjpegAppConfig {
-            idct_count: 3,
-            blocks_per_msg: 72,
-            kernel: DctKind::FastSimd,
-            payload_pool: true,
-            ..Default::default()
-        };
-        for mode in ObsMode::ALL {
-            runs.push(measure_stream_observed(
-                BenchBackend::Smp,
-                0,
-                frames,
-                &cfg,
-                mode,
-                20_000_000,
-                format!("w3_b72_fast_simd_obs_{}", mode.name()),
-            ));
-        }
-    }
-    for r in &runs {
-        println!(
-            "{:<22} workers={} batch={:<3} kernel={:<15} dispatch={:<12} {:>10.0} blocks/s  ({:.4} s)",
-            r.label, r.workers, r.blocks_per_msg, r.kernel, r.dispatch, r.blocks_per_s, r.wall_s
-        );
-    }
-    let best = runs
-        .iter()
-        .max_by(|a, b| a.blocks_per_s.total_cmp(&b.blocks_per_s))
-        .expect("nonempty sweep");
-    println!("best: {} at {:.0} blocks/s", best.label, best.blocks_per_s);
-
-    // Allocation proof at a representative pooled cell.
-    let alloc_cfg = MjpegAppConfig {
-        blocks_per_msg: 72,
-        kernel: DctKind::FastSimd,
-        payload_pool: false, // the harness owns the pool below
-        ..Default::default()
-    };
-    let (marginal, per_frame, stats) =
-        marginal_allocs(BenchBackend::Smp, 0, frames, &alloc_cfg, true);
-    let stats = stats.expect("pooled run returns pool stats");
-    println!(
-        "steady-state marginal allocations: {marginal:+} ({per_frame:+.2}/frame), pool grown {}",
-        stats.grown
-    );
-
-    let pr1 = pr1_optimized_blocks_per_s();
-    if let Some(pr1) = pr1 {
-        println!(
-            "vs BENCH_pr1.json optimized ({:.0} blocks/s): {:.2}x",
-            pr1,
-            best.blocks_per_s / pr1
-        );
-    }
-    let runs_json = runs.iter().map(sweep_run_json).collect::<Vec<_>>().join(",\n    ");
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"benchmark\": \"smp_mjpeg_scaling_sweep\",\n",
-            "  \"workload\": \"table1\",\n",
-            "  \"provenance\": {},\n",
-            "  \"frames\": {},\n",
-            "  \"observer_attached\": false,\n",
-            "  \"steady_state_marginal_allocs\": {},\n",
-            "  \"steady_state_allocs_per_frame\": {:.4},\n",
-            "  \"pool\": {{ \"grown\": {}, \"recycled\": {}, \"dropped\": {} }},\n",
-            "  \"runs\": [\n    {}\n  ],\n",
-            "  \"best\": \"{}\",\n",
-            "  \"best_blocks_per_s\": {:.1},\n",
-            "  \"pr1_optimized_blocks_per_s\": {},\n",
-            "  \"speedup_vs_pr1_optimized\": {}\n",
-            "}}\n"
-        ),
-        provenance_json(Some(BenchBackend::Smp), 0, jobs),
-        frames,
-        marginal,
-        per_frame,
-        stats.grown,
-        stats.recycled,
-        stats.dropped,
-        runs_json,
-        best.label,
-        best.blocks_per_s,
-        pr1.map_or("null".into(), |v| format!("{v:.1}")),
-        pr1.map_or("null".into(), |v| format!("{:.3}", best.blocks_per_s / v)),
-    );
-    std::fs::write(out_path, json).expect("write sweep json");
-    println!("wrote {out_path}");
+    println!("steady state is allocation-free in the pooled configuration");
     println!();
-}
-
-fn fanio_run_json(r: &fanio::FanioRun) -> String {
-    format!(
-        concat!(
-            "{{\n",
-            "      \"components\": {},\n",
-            "      \"workers\": {},\n",
-            "      \"messages\": {},\n",
-            "      \"wall_s\": {:.6},\n",
-            "      \"msgs_per_s\": {:.1}\n",
-            "    }}"
-        ),
-        r.components,
-        r.workers,
-        r.messages,
-        r.wall_ns as f64 / 1e9,
-        r.msgs_per_s,
-    )
-}
-
-/// `bench-sweep --backend exec` — the PR 6 component-count scaling
-/// sweep on the M:N executor, written to `BENCH_pr6.json` (or
-/// `--out <path>`). Two experiments:
-///
-/// 1. **Table-1 parity** — the standard 3-IDCT-worker MJPEG pipeline
-///    on the executor vs thread-per-component, same stream. The
-///    executor must stay within ~10% of SMP blocks/s at this small
-///    component count (its payoff is scale, not small-N speed).
-/// 2. **Fan-in/fan-out scaling** — 100 / 1 000 / 10 000 relay
-///    components between one source and one fan-in sink, at a fixed
-///    per-cell message total so cells compare scheduler overhead per
-///    message, not workload size. Thread-per-component cannot run the
-///    10 002-component cell (10k stacks + 10k kernel threads); the
-///    executor runs it on a fixed worker pool.
-///
-/// `--workers N` sizes the executor pool (default 3, the paper's
-/// pipeline parallelism), `--fanio-total M` overrides the per-cell
-/// message budget (CI smoke uses a small one).
-fn bench_sweep_exec(scale: &Scale, args: &[String]) {
-    let out_path = arg_value(args, "--out").unwrap_or("BENCH_pr6.json");
-    let frames = arg_value(args, "--frames")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(scale.small)
-        .max(4);
-    let pool_workers: usize = arg_value(args, "--workers")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(3)
-        .max(1);
-    // Per-cell message budget: equal across component counts, so the
-    // msgs/s column isolates scheduler cost per message as N grows.
-    let fanio_total: usize = arg_value(args, "--fanio-total")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(scale.sweep_iters as usize * 3200);
-    // Default 1: the 10k-component cells are memory- and
-    // scheduler-heavy, so co-scheduling them is opt-in.
-    let jobs = runner::resolve_jobs(args, 1);
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!(
-        "=== bench-sweep (exec) — component-count scaling, {pool_workers}-worker pool, {cores} core(s), {jobs} job(s) ==="
-    );
-
-    // Experiment 1: Table-1 pipeline, executor vs thread-per-component.
-    let table1_cfg = MjpegAppConfig {
-        idct_count: 3,
-        blocks_per_msg: 72,
-        kernel: DctKind::FastSimd,
-        payload_pool: true,
-        ..Default::default()
-    };
-    let smp = measure_stream_on(BenchBackend::Smp, 0, frames, &table1_cfg, "table1_smp".into());
-    let exec = measure_stream_on(
-        BenchBackend::Exec,
-        pool_workers,
-        frames,
-        &table1_cfg,
-        "table1_exec".into(),
-    );
-    let parity = exec.blocks_per_s / smp.blocks_per_s;
-    for r in [&smp, &exec] {
-        println!(
-            "{:<12} {:>10.0} blocks/s  ({:.4} s)",
-            r.label, r.blocks_per_s, r.wall_s
-        );
-    }
-    println!(
-        "exec/smp parity at the {frames}-frame Table-1 workload: {parity:.3}x{}",
-        if parity < 0.9 { "  (below the 0.9 budget!)" } else { "" }
-    );
-
-    // Experiment 2: fan-in/fan-out component-count scaling, fanned
-    // across the job pool (results by cell index).
-    let worker_cells: Vec<usize> = if pool_workers == 1 {
-        vec![1]
-    } else {
-        vec![1, pool_workers]
-    };
-    let mut fanio_cells = Vec::new();
-    for n in [100usize, 1_000, 10_000] {
-        let m = (fanio_total / n).max(2);
-        for &workers in &worker_cells {
-            fanio_cells.push((n, m, workers));
-        }
-    }
-    let fanio_runs = runner::run_cells(jobs, fanio_cells.len(), |i| {
-        let (n, m, workers) = fanio_cells[i];
-        fanio::run_fanio_exec(n, m, 256, workers)
-    });
-    for ((n, _m, workers), run) in fanio_cells.iter().zip(&fanio_runs) {
-        println!(
-            "fanio n={n:<6} workers={workers} messages={:>8} {:>12.0} msgs/s  ({:.4} s)",
-            run.messages,
-            run.msgs_per_s,
-            run.wall_ns as f64 / 1e9
-        );
-    }
-    let max_components = fanio_runs.iter().map(|r| r.components).max().unwrap_or(0);
-
-    // Steady-state allocation proof on the executor hot path.
-    let alloc_cfg = MjpegAppConfig {
-        blocks_per_msg: 72,
-        kernel: DctKind::FastSimd,
-        payload_pool: false, // the harness owns the pool below
-        ..Default::default()
-    };
-    let (marginal, per_frame, stats) =
-        marginal_allocs(BenchBackend::Exec, pool_workers, frames, &alloc_cfg, true);
-    let stats = stats.expect("pooled run returns pool stats");
-    println!(
-        "steady-state marginal allocations (exec): {marginal:+} ({per_frame:+.2}/frame), pool grown {}",
-        stats.grown
-    );
-
-    let fanio_json = fanio_runs
-        .iter()
-        .map(fanio_run_json)
-        .collect::<Vec<_>>()
-        .join(",\n    ");
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"benchmark\": \"exec_component_scaling_sweep\",\n",
-            "  \"workload\": \"table1+fanio\",\n",
-            "  \"provenance\": {},\n",
-            "  \"frames\": {},\n",
-            "  \"fanio_message_budget\": {},\n",
-            "  \"observer_attached\": false,\n",
-            "  \"steady_state_marginal_allocs\": {},\n",
-            "  \"steady_state_allocs_per_frame\": {:.4},\n",
-            "  \"pool\": {{ \"grown\": {}, \"recycled\": {}, \"dropped\": {} }},\n",
-            "  \"table1_compare\": {{\n",
-            "    \"smp\": {},\n",
-            "    \"exec\": {},\n",
-            "    \"exec_over_smp\": {:.3}\n",
-            "  }},\n",
-            "  \"max_components\": {},\n",
-            "  \"fanio_runs\": [\n    {}\n  ]\n",
-            "}}\n"
-        ),
-        provenance_json(Some(BenchBackend::Exec), pool_workers, jobs),
-        frames,
-        fanio_total,
-        marginal,
-        per_frame,
-        stats.grown,
-        stats.recycled,
-        stats.dropped,
-        bench_run_json(&smp),
-        bench_run_json(&exec),
-        parity,
-        max_components,
-        fanio_json,
-    );
-    std::fs::write(out_path, json).expect("write exec sweep json");
-    println!("wrote {out_path}");
-    println!();
-}
-
-/// `bench-json` — machine-readable before/after throughput of the SMP
-/// MJPEG pipeline (the Table 1 workload). "Before" is the paper-faithful
-/// schedule (one message per block, reference float IDCT); "after" adds
-/// the fast fixed-point kernels and batched messaging. Writes
-/// `BENCH_pr1.json` (or `--out <path>`).
-fn bench_json(scale: &Scale, args: &[String]) {
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-        .unwrap_or("BENCH_pr1.json");
-    let frames = scale.small;
-    println!("=== bench-json — SMP pipeline throughput, {frames}-frame stream ===");
-    let baseline = measure_pipeline(frames, &MjpegAppConfig::default(), "baseline");
-    // Batch 72 = 12 frames per lane message: on the SMP pipeline batches
-    // span frame boundaries, so each thread wake-up amortizes over many
-    // frames (the sweep's sweet spot on a single-core host; larger
-    // batches trade nothing back until the stream-end remainder grows).
-    let optimized = measure_pipeline(
-        frames,
-        &MjpegAppConfig {
-            blocks_per_msg: 72,
-            kernel: DctKind::FastAan,
-            ..MjpegAppConfig::default()
-        },
-        "optimized",
-    );
-    let speedup = baseline.wall_s / optimized.wall_s;
-    for r in [&baseline, &optimized] {
-        println!(
-            "{:<10} batch={} kernel={:<16} {:>8.1} frames/s  {:>10.0} blocks/s  send {:>7.3} us  ({:.3} s)",
-            r.label, r.blocks_per_msg, r.kernel, r.frames_per_s, r.blocks_per_s,
-            r.mean_send_us, r.wall_s
-        );
-    }
-    println!("end-to-end speedup: {speedup:.2}x");
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"benchmark\": \"smp_mjpeg_pipeline\",\n",
-            "  \"workload\": \"table1\",\n",
-            "  \"provenance\": {},\n",
-            "  \"frames\": {},\n",
-            "  \"blocks_per_frame\": 18,\n",
-            "  \"baseline\": {},\n",
-            "  \"optimized\": {},\n",
-            "  \"speedup\": {:.3}\n",
-            "}}\n"
-        ),
-        provenance_json(Some(BenchBackend::Smp), 0, 1),
-        frames,
-        bench_run_json(&baseline),
-        bench_run_json(&optimized),
-        speedup
-    );
-    std::fs::write(out_path, json).expect("write bench json");
-    println!("wrote {out_path}");
 }
 
 fn trace_demo() {
@@ -1171,271 +652,6 @@ fn trace_demo() {
     );
 }
 
-/// One measured cell of the observation-overhead budget: best-of-N wall
-/// time per [`ObsMode`], interleaved so drift hits every mode equally.
-struct ObsCell {
-    name: &'static str,
-    modes: Vec<ObsMode>,
-    /// Best wall time per mode, ns (same order as `modes`).
-    best_ns: Vec<u64>,
-}
-
-impl ObsCell {
-    fn ratio(&self, mode: ObsMode) -> f64 {
-        let off = self.best_ns[0] as f64;
-        let i = self
-            .modes
-            .iter()
-            .position(|&m| m == mode)
-            .expect("mode measured");
-        self.best_ns[i] as f64 / off
-    }
-
-    fn print(&self) {
-        for (i, mode) in self.modes.iter().enumerate() {
-            let wall_s = self.best_ns[i] as f64 / 1e9;
-            println!(
-                "{:<10} obs={:<14} {:>9.4} s   x{:.4} vs unobserved",
-                self.name,
-                mode.name(),
-                wall_s,
-                self.ratio(*mode)
-            );
-        }
-    }
-
-    fn json(&self) -> String {
-        let runs = self
-            .modes
-            .iter()
-            .enumerate()
-            .map(|(i, mode)| {
-                format!(
-                    concat!(
-                        "{{ \"obs\": \"{}\", \"wall_s\": {:.6}, ",
-                        "\"ratio_vs_unobserved\": {:.4} }}"
-                    ),
-                    mode.name(),
-                    self.best_ns[i] as f64 / 1e9,
-                    self.ratio(*mode)
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n      ");
-        format!(
-            concat!(
-                "{{\n",
-                "    \"cell\": \"{}\",\n",
-                "    \"runs\": [\n      {}\n    ],\n",
-                "    \"hier_adaptive_overhead\": {:.4}\n",
-                "  }}"
-            ),
-            self.name,
-            runs,
-            self.ratio(ObsMode::HierAdaptive) - 1.0
-        )
-    }
-}
-
-/// `obs-budget` — the CI-enforced observation overhead gate. Measures
-/// observed-vs-unobserved wall time on two cells:
-///
-/// * the Table-1 SMP MJPEG pipeline (`--frames`, paper cell at 578), and
-/// * the 10k-component executor fan-in/fan-out topology,
-///
-/// each under every applicable [`ObsMode`], interleaved best-of-N, and
-/// writes `BENCH_pr7.json`. With `--assert`, exits nonzero if the
-/// hierarchical+adaptive overhead exceeds `--max-overhead` (default
-/// 0.05) on either cell.
-fn obs_budget(scale: &Scale, args: &[String]) {
-    let out_path = arg_value(args, "--out").unwrap_or("BENCH_pr7.json");
-    let assert_budget = args.iter().any(|a| a == "--assert");
-    let max_overhead: f64 = arg_value(args, "--max-overhead")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.05);
-    let frames = arg_value(args, "--frames")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(scale.small)
-        .max(4);
-    let reps: usize = arg_value(args, "--reps")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(20)
-        .max(1);
-    // The Table-1 runs are ~35 ms each, so reps are nearly free there;
-    // a fanio run is seconds, so its rep count is capped separately.
-    let fanio_reps: usize = arg_value(args, "--fanio-reps")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(reps.min(5))
-        .max(1);
-    // `--fanio-n 0` skips the fanio cell entirely: CI asserts the
-    // Table-1 cell (fast, low-variance); the 10k-component cell is
-    // measured at full scale when regenerating the committed JSON.
-    let fanio_n: usize = arg_value(args, "--fanio-n")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(10_000);
-    let fanio_m: usize = arg_value(args, "--fanio-m")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(100)
-        .max(2);
-    // 5 ms, not the Table-1 default 20 ms: observers notice that the
-    // app finished only at their next tick, so the poll interval
-    // quantizes observer shutdown. At 20 ms that tail is over half the
-    // ~30 ms 578-frame run and the cell measures phase alignment, not
-    // observation work; 5 ms polls 4x more often (a stricter budget)
-    // while keeping the tail small.
-    let interval_ns: u64 = arg_value(args, "--interval-ns")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(5_000_000);
-    // The fanio cell gets its own (longer) polling interval: a full
-    // sweep of 10k components costs ~2·n message-equivalents, so pacing
-    // rounds at the Table-1 cadence would measure the observer, not its
-    // overhead on the application.
-    let fanio_interval_ns: u64 = arg_value(args, "--fanio-interval-ns")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(500_000_000);
-    println!(
-        "=== obs-budget — observation overhead gate ({frames}-frame table1 cell, \
-         {fanio_n}x{fanio_m} fanio, interval {} ms, best of {reps}) ===",
-        interval_ns / 1_000_000
-    );
-
-    // Cell 1: the paper's Table-1 pipeline on SMP, all four modes.
-    // Default 1 job: overhead ratios compare wall times, so co-scheduled
-    // reps are opt-in (best-of-N absorbs most of the added noise).
-    let jobs = runner::resolve_jobs(args, 1);
-    let cfg = MjpegAppConfig::default();
-    let base = stream(frames, 0x578);
-    let modes = ObsMode::ALL.to_vec();
-    // rep-major cell order keeps the modes interleaved (drift hits every
-    // mode equally); results come back in cell order for any `--jobs`.
-    let walls = runner::run_cells(jobs, reps * modes.len(), |cell| {
-        let mode = modes[cell % modes.len()];
-        let (report, done) = run_mjpeg_stream_observed(
-            BenchBackend::Smp,
-            0,
-            base.clone(),
-            &cfg,
-            mode,
-            interval_ns,
-        );
-        assert_eq!(done, frames as u64 - 1, "pipeline dropped frames");
-        report.wall_time_ns
-    });
-    let mut best_ns = vec![u64::MAX; modes.len()];
-    for (cell, wall) in walls.iter().enumerate() {
-        let i = cell % modes.len();
-        println!(
-            "  table1 rep: obs={:<14} {:.4} s",
-            modes[i].name(),
-            *wall as f64 / 1e9
-        );
-        best_ns[i] = best_ns[i].min(*wall);
-    }
-    let table1 = ObsCell {
-        name: "table1",
-        modes,
-        best_ns,
-    };
-    table1.print();
-
-    // Cell 2: the 10k-component fan-in/fan-out scheduler stress on the
-    // executor. Flat is excluded: one observer polling 10k components
-    // every round is the design the hierarchy replaces, and at this
-    // scale it multiplies the runtime rather than perturbing it.
-    let fanio_cell = (fanio_n > 0).then(|| {
-        let fanio_modes = vec![ObsMode::Off, ObsMode::Hier, ObsMode::HierAdaptive];
-        let mut fanio_best = vec![u64::MAX; fanio_modes.len()];
-        // Untimed warmup: the first 10k-fiber deployment pays one-time
-        // page-fault and mapping costs that would otherwise land on
-        // whichever mode happens to run first.
-        let _ = fanio::run_fanio_exec_observed(fanio_n, 2, 256, 0, ObsMode::Off, 0);
-        for _ in 0..fanio_reps {
-            for (i, mode) in fanio_modes.iter().enumerate() {
-                let run = fanio::run_fanio_exec_observed(
-                    fanio_n,
-                    fanio_m,
-                    256,
-                    0,
-                    *mode,
-                    fanio_interval_ns,
-                );
-                println!(
-                    "  fanio rep: obs={:<14} {:.4} s",
-                    mode.name(),
-                    run.wall_ns as f64 / 1e9
-                );
-                fanio_best[i] = fanio_best[i].min(run.wall_ns);
-            }
-        }
-        let cell = ObsCell {
-            name: "fanio_10k",
-            modes: fanio_modes,
-            best_ns: fanio_best,
-        };
-        cell.print();
-        cell
-    });
-
-    let mut cells = vec![&table1];
-    if let Some(cell) = fanio_cell.as_ref() {
-        cells.push(cell);
-    }
-    let worst = cells
-        .iter()
-        .map(|c| c.ratio(ObsMode::HierAdaptive) - 1.0)
-        .fold(f64::MIN, f64::max);
-    println!(
-        "hier+adaptive worst-case overhead: {:.2}% (budget {:.2}%)",
-        worst * 100.0,
-        max_overhead * 100.0
-    );
-
-    let cells_json = cells.iter().map(|c| c.json()).collect::<Vec<_>>().join(",\n  ");
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"benchmark\": \"observation_overhead_budget\",\n",
-            "  \"provenance\": {},\n",
-            "  \"frames\": {},\n",
-            "  \"fanio\": {{ \"n\": {}, \"m\": {}, \"payload_bytes\": 256, ",
-            "\"interval_ms\": {} }},\n",
-            "  \"obs_interval_ms\": {},\n",
-            "  \"obs_request\": \"health\",\n",
-            "  \"reps\": {},\n",
-            "  \"max_overhead\": {:.4},\n",
-            "  \"worst_hier_adaptive_overhead\": {:.4},\n",
-            "  \"within_budget\": {},\n",
-            "  \"cells\": [\n  {}\n  ]\n",
-            "}}\n"
-        ),
-        // The budget cells mix the smp pipeline and the exec fanio
-        // topology, so the backend slot stays null here.
-        provenance_json(None, 0, jobs),
-        frames,
-        fanio_n,
-        fanio_m,
-        fanio_interval_ns / 1_000_000,
-        interval_ns / 1_000_000,
-        reps,
-        max_overhead,
-        worst,
-        worst <= max_overhead,
-        cells_json,
-    );
-    std::fs::write(out_path, json).expect("write obs-budget json");
-    println!("wrote {out_path}");
-
-    if assert_budget && worst > max_overhead {
-        eprintln!(
-            "obs-budget: hierarchical+adaptive observation overhead {:.2}% exceeds the \
-             {:.2}% budget",
-            worst * 100.0,
-            max_overhead * 100.0
-        );
-        std::process::exit(1);
-    }
-}
-
 // ---------------------------------------------------------------------
 // PR 8: overload robustness — open-loop traffic, shedding policies, and
 // the observation-driven autoscaler.
@@ -1469,75 +685,25 @@ impl OverloadMode {
     }
 }
 
-fn overload_run_json(mode: OverloadMode, offered_x: f64, offered_fps: f64, out: &OverloadOutcome) -> String {
-    format!(
-        concat!(
-            "{{\n",
-            "      \"policy\": \"{}\",\n",
-            "      \"offered_x\": {:.2},\n",
-            "      \"offered_fps\": {:.1},\n",
-            "      \"injected\": {},\n",
-            "      \"completed\": {},\n",
-            "      \"expired_frames\": {},\n",
-            "      \"shed_messages\": {},\n",
-            "      \"expired_messages\": {},\n",
-            "      \"incomplete\": {},\n",
-            "      \"idct_skipped_blocks\": {},\n",
-            "      \"completed_fraction\": {:.4},\n",
-            "      \"scale_events\": {},\n",
-            "      \"final_workers\": {},\n",
-            "      \"wall_s\": {:.6},\n",
-            "      \"p50_ms\": {:.4},\n",
-            "      \"p99_ms\": {:.4},\n",
-            "      \"p999_ms\": {:.4},\n",
-            "      \"ledger_ok\": {}\n",
-            "    }}"
-        ),
-        mode.name(),
-        offered_x,
-        offered_fps,
-        out.injected,
-        out.completed,
-        out.expired_frames,
-        out.shed_messages,
-        out.expired_messages,
-        out.incomplete,
-        out.idct_skipped,
-        out.completed_fraction(),
-        out.scale_history.len(),
-        out.scale_history.last().map_or("null".into(), |w| w.to_string()),
-        out.wall_s,
-        out.p50_ns as f64 / 1e6,
-        out.p99_ns as f64 / 1e6,
-        out.p999_ns as f64 / 1e6,
-        out.ledger_balances(),
-    )
-}
-
-/// `overload` — the PR 8 throughput-vs-p99 curves: an open-loop Poisson
-/// load generator drives the MJPEG pipeline at offered loads bracketing
-/// its calibrated capacity, under three policies (unbounded queueing,
+/// `overload` — the throughput-vs-p99 curves: an open-loop Poisson load
+/// generator drives the MJPEG pipeline at offered loads bracketing its
+/// calibrated capacity, under three policies (unbounded queueing,
 /// ingress deadline-drop with a tight budget, observation-driven worker
-/// autoscaling). Writes `BENCH_pr8.json` (or `--out <path>`).
+/// autoscaling), `--frames N` frames injected per run.
 ///
-/// `--frames N` frames injected per run; `--assert-accounting` exits
-/// nonzero if any run's shed ledger does not balance exactly;
-/// `--assert-curves` additionally enforces the robustness criteria
-/// (deadline-drop keeps completed-frame p99 within 5× the low-load p99
-/// at 2× saturation while the no-policy baseline degrades past it, and
-/// autoscale completes ≥95% of injected frames).
+/// Exits 1 if any run's shed ledger does not balance: the conservation
+/// law is exact. The robustness criteria are printed as verdicts, not
+/// enforced: deadline-drop keeps completed-frame p99 within 5× the
+/// low-load p99 at 2× saturation while the no-policy baseline degrades
+/// past it (at smoke scale it does not yet), and autoscale completes
+/// ≥95% of injected frames.
 fn overload(scale: &Scale, args: &[String]) {
-    let out_path = arg_value(args, "--out").unwrap_or("BENCH_pr8.json");
-    let assert_acct = args.iter().any(|a| a == "--assert-accounting");
-    let assert_curves = args.iter().any(|a| a == "--assert-curves");
-    let frames: u64 = arg_value(args, "--frames")
-        .and_then(|s| s.parse().ok())
+    let frames = arg_count(args, "--frames")
         .unwrap_or((scale.small as u64).clamp(48, 600) * 4)
         .max(32);
     // 96×48 frames (72 blocks): 4× the Table-1 service time, so offered
     // gaps stay well above the threaded backends' timer granularity.
     let base = overload_stream(5, 0x578);
-    let blocks_per_frame = 72u64;
     // Generous budget for runs that measure latency without shedding:
     // far beyond any queueing delay these runs can build, never hit.
     const GENEROUS_NS: u64 = 120_000_000_000;
@@ -1667,9 +833,6 @@ fn overload(scale: &Scale, args: &[String]) {
                 "overload: shed ledger does not balance for {} at {x}x: {out:?}",
                 mode.name()
             );
-            if assert_acct {
-                std::process::exit(1);
-            }
         }
         rows.push((mode, x, out));
     }
@@ -1699,280 +862,10 @@ fn overload(scale: &Scale, args: &[String]) {
         "verdicts: deadline_drop_p99_bounded={dd_bounded} none_degrades={none_degrades} autoscale_completes={autoscale_completes} ledger_all={ledger_all}"
     );
 
-    let runs_json = rows
-        .iter()
-        .map(|(m, x, o)| overload_run_json(*m, *x, capacity_fps * x, o))
-        .collect::<Vec<_>>()
-        .join(",\n    ");
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"benchmark\": \"overload_robustness\",\n",
-            "  \"workload\": \"openloop_mjpeg_96x48\",\n",
-            "  \"provenance\": {},\n",
-            "  \"frames\": {},\n",
-            "  \"blocks_per_frame\": {},\n",
-            "  \"arrival\": \"poisson\",\n",
-            "  \"capacity_fps\": {:.1},\n",
-            "  \"low_load_p99_ms\": {:.4},\n",
-            "  \"deadline_budget_ms\": {:.4},\n",
-            "  \"fixed_workers\": {},\n",
-            "  \"autoscale\": {{ \"min_workers\": 1, \"max_workers\": {}, \"high_queue\": {}, ",
-            "\"low_queue\": {}, \"hysteresis_rounds\": {}, \"interval_ms\": {} }},\n",
-            "  \"offered_x\": [0.5, 0.8, 1.2, 2.0],\n",
-            "  \"runs\": [\n    {}\n  ],\n",
-            "  \"curve_checks\": {{\n",
-            "    \"deadline_drop_p99_within_5x_low\": {},\n",
-            "    \"no_policy_p99_degrades\": {},\n",
-            "    \"autoscale_completes_95\": {},\n",
-            "    \"ledger_balances\": {}\n",
-            "  }}\n",
-            "}}\n"
-        ),
-        provenance_json(Some(BenchBackend::Smp), 0, jobs),
-        frames,
-        blocks_per_frame,
-        capacity_fps,
-        p99_low as f64 / 1e6,
-        tight_budget as f64 / 1e6,
-        fixed_workers,
-        2 * fixed_workers,
-        autoscale_cfg.high_queue,
-        autoscale_cfg.low_queue,
-        autoscale_cfg.hysteresis_rounds,
-        autoscale_cfg.interval_ns / 1_000_000,
-        runs_json,
-        dd_bounded,
-        none_degrades,
-        autoscale_completes,
-        ledger_all,
-    );
-    std::fs::write(out_path, json).expect("write overload json");
-    println!("wrote {out_path}");
-
-    if assert_acct && !ledger_all {
+    if !ledger_all {
         eprintln!("overload: shed accounting ledger violated");
         std::process::exit(1);
     }
-    if assert_curves && !(dd_bounded && none_degrades && autoscale_completes) {
-        eprintln!(
-            "overload: robustness criteria failed (deadline_drop_bounded={dd_bounded}, \
-             none_degrades={none_degrades}, autoscale_completes={autoscale_completes})"
-        );
-        std::process::exit(1);
-    }
-}
-
-/// `bench-validate` — schema-check every `BENCH_*.json` in the working
-/// directory (or `--dir <path>`): parseable JSON, the uniform
-/// `provenance` header, and the per-benchmark required fields. Exits
-/// nonzero listing every violation.
-fn bench_validate(args: &[String]) {
-    let dir = arg_value(args, "--dir").unwrap_or(".");
-    let mut files: Vec<std::path::PathBuf> = std::fs::read_dir(dir)
-        .unwrap_or_else(|e| {
-            eprintln!("bench-validate: cannot read {dir}: {e}");
-            std::process::exit(2);
-        })
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
-        })
-        .collect();
-    files.sort();
-    if files.is_empty() {
-        eprintln!("bench-validate: no BENCH_*.json found in {dir}");
-        std::process::exit(1);
-    }
-    let mut all_errs = Vec::new();
-    for path in &files {
-        let name = path.file_name().unwrap().to_string_lossy().to_string();
-        let mut errs = validate_bench_file(path);
-        if errs.is_empty() {
-            println!("{name}: ok");
-        } else {
-            println!("{name}: {} violation(s)", errs.len());
-            for e in &errs {
-                println!("  {e}");
-            }
-        }
-        all_errs.append(&mut errs);
-    }
-    if !all_errs.is_empty() {
-        eprintln!("bench-validate: {} violation(s) across {} file(s)", all_errs.len(), files.len());
-        std::process::exit(1);
-    }
-    println!("bench-validate: {} file(s) conform", files.len());
-}
-
-/// Schema of one benchmark artifact: the shared provenance header plus
-/// per-benchmark required fields (including per-element checks of the
-/// run arrays).
-fn validate_bench_file(path: &std::path::Path) -> Vec<String> {
-    let name = path.file_name().unwrap().to_string_lossy().to_string();
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => return vec![format!("{name}: unreadable: {e}")],
-    };
-    let doc = match jsonv::parse(&text) {
-        Ok(d) => d,
-        Err(e) => return vec![format!("{name}: invalid JSON: {e}")],
-    };
-    let mut errs = jsonv::require(&doc, &name, &[("benchmark", Ty::Str), ("provenance", Ty::Obj)]);
-    if let Some(prov) = doc.get("provenance") {
-        errs.extend(jsonv::require(
-            prov,
-            &format!("{name}.provenance"),
-            &[
-                ("git_rev", Ty::Str),
-                ("backend", Ty::StrOrNull),
-                ("worker_pool", Ty::NumOrNull),
-                ("simd_level", Ty::Str),
-                ("sse2", Ty::Bool),
-                ("avx2", Ty::Bool),
-                ("host_cores", Ty::Num),
-            ],
-        ));
-        // `jobs` joined the header in PR 10; artifacts committed before
-        // then lack it, so its type is checked only when present.
-        if prov.get("jobs").is_some() {
-            errs.extend(jsonv::require(
-                prov,
-                &format!("{name}.provenance"),
-                &[("jobs", Ty::Num)],
-            ));
-        }
-    }
-    let Some(benchmark) = doc.get("benchmark").and_then(Json::str) else {
-        return errs;
-    };
-    let run_fields: &[(&str, Ty)] = &[
-        ("label", Ty::Str),
-        ("wall_s", Ty::Num),
-        ("blocks_per_s", Ty::Num),
-    ];
-    match benchmark {
-        "smp_mjpeg_pipeline" => {
-            errs.extend(jsonv::require(
-                &doc,
-                &name,
-                &[
-                    ("frames", Ty::Num),
-                    ("baseline", Ty::Obj),
-                    ("optimized", Ty::Obj),
-                    ("speedup", Ty::Num),
-                ],
-            ));
-            for key in ["baseline", "optimized"] {
-                if let Some(run) = doc.get(key) {
-                    errs.extend(jsonv::require(run, &format!("{name}.{key}"), run_fields));
-                }
-            }
-        }
-        "smp_mjpeg_scaling_sweep" => {
-            errs.extend(jsonv::require(
-                &doc,
-                &name,
-                &[
-                    ("frames", Ty::Num),
-                    ("runs", Ty::Arr),
-                    ("best", Ty::Str),
-                    ("best_blocks_per_s", Ty::Num),
-                    ("steady_state_marginal_allocs", Ty::Num),
-                ],
-            ));
-            for (i, run) in doc.get("runs").and_then(Json::arr).unwrap_or(&[]).iter().enumerate() {
-                errs.extend(jsonv::require(run, &format!("{name}.runs[{i}]"), run_fields));
-            }
-        }
-        "exec_component_scaling_sweep" => {
-            errs.extend(jsonv::require(
-                &doc,
-                &name,
-                &[
-                    ("frames", Ty::Num),
-                    ("table1_compare", Ty::Obj),
-                    ("max_components", Ty::Num),
-                    ("fanio_runs", Ty::Arr),
-                ],
-            ));
-            for (i, run) in doc.get("fanio_runs").and_then(Json::arr).unwrap_or(&[]).iter().enumerate() {
-                errs.extend(jsonv::require(
-                    run,
-                    &format!("{name}.fanio_runs[{i}]"),
-                    &[("components", Ty::Num), ("msgs_per_s", Ty::Num), ("wall_s", Ty::Num)],
-                ));
-            }
-        }
-        "observation_overhead_budget" => {
-            errs.extend(jsonv::require(
-                &doc,
-                &name,
-                &[
-                    ("frames", Ty::Num),
-                    ("cells", Ty::Arr),
-                    ("max_overhead", Ty::Num),
-                    ("worst_hier_adaptive_overhead", Ty::Num),
-                    ("within_budget", Ty::Bool),
-                ],
-            ));
-            for (i, cell) in doc.get("cells").and_then(Json::arr).unwrap_or(&[]).iter().enumerate() {
-                errs.extend(jsonv::require(
-                    cell,
-                    &format!("{name}.cells[{i}]"),
-                    &[("cell", Ty::Str), ("runs", Ty::Arr), ("hier_adaptive_overhead", Ty::Num)],
-                ));
-            }
-        }
-        "overload_robustness" => {
-            errs.extend(jsonv::require(
-                &doc,
-                &name,
-                &[
-                    ("frames", Ty::Num),
-                    ("capacity_fps", Ty::Num),
-                    ("low_load_p99_ms", Ty::Num),
-                    ("deadline_budget_ms", Ty::Num),
-                    ("offered_x", Ty::Arr),
-                    ("runs", Ty::Arr),
-                    ("curve_checks", Ty::Obj),
-                ],
-            ));
-            for (i, run) in doc.get("runs").and_then(Json::arr).unwrap_or(&[]).iter().enumerate() {
-                errs.extend(jsonv::require(
-                    run,
-                    &format!("{name}.runs[{i}]"),
-                    &[
-                        ("policy", Ty::Str),
-                        ("offered_x", Ty::Num),
-                        ("injected", Ty::Num),
-                        ("completed", Ty::Num),
-                        ("shed_messages", Ty::Num),
-                        ("expired_messages", Ty::Num),
-                        ("p99_ms", Ty::Num),
-                        ("ledger_ok", Ty::Bool),
-                    ],
-                ));
-            }
-            if let Some(checks) = doc.get("curve_checks") {
-                errs.extend(jsonv::require(
-                    checks,
-                    &format!("{name}.curve_checks"),
-                    &[
-                        ("deadline_drop_p99_within_5x_low", Ty::Bool),
-                        ("no_policy_p99_degrades", Ty::Bool),
-                        ("autoscale_completes_95", Ty::Bool),
-                        ("ledger_balances", Ty::Bool),
-                    ],
-                ));
-            }
-        }
-        other => errs.push(format!("{name}: unknown benchmark kind \"{other}\"")),
-    }
-    errs
 }
 
 // ---------------------------------------------------------------------

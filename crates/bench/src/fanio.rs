@@ -1,4 +1,4 @@
-//! Fan-in/fan-out component-count scaling topology (the PR-6 sweep).
+//! Fan-in/fan-out component-count scaling topology.
 //!
 //! One source round-robins messages over `n` relay components, every
 //! relay forwards to a single fan-in sink:
@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use embera::behavior::behavior_fn;
-use embera::{AppBuilder, AppReport, ComponentSpec, Platform, RunningApp};
+use embera::{AppBuilder, AppReport, ComponentSpec, ObserverConfig, Platform, RunningApp};
 use embera_exec::ExecPlatform;
 
 /// Stack request for the `n` relay components.
@@ -108,43 +108,21 @@ pub struct FanioRun {
 }
 
 /// Deploy and run the fan-in/fan-out topology on `workers` executor
-/// workers (`0` = auto). Panics if any message goes missing — this
-/// doubles as the 10k-component completion check.
-pub fn run_fanio_exec(n: usize, m: usize, payload_bytes: usize, workers: usize) -> FanioRun {
-    run_fanio_exec_observed(n, m, payload_bytes, workers, crate::ObsMode::Off, 0)
-}
-
-/// [`run_fanio_exec`] with an [`ObsMode`](crate::ObsMode)-selected
-/// observer attached: the 10k-component cell of the observation
-/// overhead budget. The hierarchical modes shard the n+2 components
-/// over ~√(n+2) regional observers (≈100 regions of ≈100 components at
-/// n = 10 000); `interval_ns` paces the polling rounds.
-pub fn run_fanio_exec_observed(
+/// workers (`0` = auto), with `observer` attached if given. Panics if
+/// any message goes missing — this doubles as the 10k-component
+/// completion check.
+pub fn run_fanio_exec(
     n: usize,
     m: usize,
     payload_bytes: usize,
     workers: usize,
-    mode: crate::ObsMode,
-    interval_ns: u64,
+    observer: Option<ObserverConfig>,
 ) -> FanioRun {
     let (mut app, delivered) = build_fanio_app(n, m, payload_bytes);
     // Pooled payloads so relay forwarding stays allocation-free once the
     // pool is warm (scheduling cost, not allocator cost, is under test).
     app.with_buffer_pool(embera::BufferPool::new(payload_bytes.max(1)));
-    if let Some(mut config) = mode.observer_config(crate::obs_regions(n + 2), interval_ns) {
-        if mode == crate::ObsMode::HierAdaptive {
-            // Scale-tuned policy: at n = 10 000 every full sweep costs
-            // ~2·n message-equivalents, so the overhead budget is spent
-            // in whole sweeps. Start coarse (every 8th round) and let
-            // quiet relays back off to a 256-round stride so a run sees
-            // a logarithmic handful of sweeps, not one per round.
-            config = config.sampling(embera::SamplingPolicy {
-                base_stride: 8,
-                max_stride: 256,
-                quiet_after: 1,
-                hot_delta: 2,
-            });
-        }
+    if let Some(config) = observer {
         let _log = app.with_observer(config);
     }
     let workers = embera_exec::resolve_workers(workers);
@@ -171,24 +149,43 @@ pub fn run_fanio_exec_observed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use embera::{ObsRequest, SamplingPolicy};
 
     #[test]
     fn fanio_delivers_every_message() {
-        let run = run_fanio_exec(50, 4, 64, 2);
+        let run = run_fanio_exec(50, 4, 64, 2, None);
         assert_eq!(run.components, 52);
         assert_eq!(run.messages, 2 * 50 * 4);
         assert!(run.msgs_per_s > 0.0);
     }
 
     #[test]
+    fn ten_thousand_relays_deploy_and_complete_on_two_workers() {
+        // Thread-per-component cannot run this (10k stacks, 10k kernel
+        // threads); the executor does on a fixed pool.
+        let run = run_fanio_exec(10_000, 2, 256, 2, None);
+        assert_eq!(run.components, 10_002);
+        assert_eq!(run.messages, 40_000);
+    }
+
+    #[test]
     fn observed_fanio_delivers_every_message() {
-        // The hierarchical adaptive observer must never perturb the
-        // application's delivery guarantee (run_fanio_exec_observed
-        // asserts the sink count internally).
-        let run =
-            run_fanio_exec_observed(50, 4, 64, 2, crate::ObsMode::HierAdaptive, 1_000_000);
-        assert_eq!(run.messages, 2 * 50 * 4);
-        let flat = run_fanio_exec_observed(50, 4, 64, 2, crate::ObsMode::Flat, 1_000_000);
-        assert_eq!(flat.messages, 2 * 50 * 4);
+        // No observer arrangement may perturb the application's delivery
+        // guarantee (run_fanio_exec asserts the sink count): the paper's
+        // flat one, and ~√(n+2) adaptive regionals under a non-default
+        // sampling policy.
+        let base = ObserverConfig::default()
+            .interval_ns(1_000_000)
+            .request(ObsRequest::Health);
+        let sharded = base.clone().sharded(8).adaptive().sampling(SamplingPolicy {
+            base_stride: 8,
+            max_stride: 256,
+            quiet_after: 1,
+            hot_delta: 2,
+        });
+        for observer in [sharded, base] {
+            let run = run_fanio_exec(50, 4, 64, 2, Some(observer));
+            assert_eq!(run.messages, 2 * 50 * 4);
+        }
     }
 }

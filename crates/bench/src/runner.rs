@@ -1,10 +1,11 @@
-//! Deterministic job pool for independent benchmark cells.
+//! Deterministic job pool for independent experiment cells.
 //!
-//! Sweeps are embarrassingly parallel — every cell is an independent
-//! measurement — but a naive fan-out reintroduces the nondeterminism the
-//! repro protocol exists to kill: results arriving in completion order,
-//! a cell count silently truncated to the worker count, output files
-//! depending on thread timing. This pool fixes the contract instead:
+//! The cells of `repro overload` are embarrassingly parallel — every
+//! one is an independent run — but a naive fan-out reintroduces the
+//! nondeterminism the repro protocol exists to kill: results arriving
+//! in completion order, a cell count silently truncated to the worker
+//! count, output depending on thread timing. This pool fixes the
+//! contract instead:
 //!
 //! * cells are claimed from a shared atomic cursor, so any worker count
 //!   executes **every** cell exactly once;
@@ -16,15 +17,9 @@
 //!
 //! Wall-clock readings taken *inside* co-scheduled cells measure a
 //! shared machine; callers that publish per-cell timings should say at
-//! which `--jobs` they were taken (the provenance header's `jobs` field
-//! records it).
+//! which `--jobs` they were taken.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Host parallelism: the default cell fan-out of `bench-sweep`.
-pub fn default_jobs() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
 
 /// The `--jobs N` argument, or `default` when absent/unparseable.
 /// Always at least 1.

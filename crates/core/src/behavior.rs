@@ -2,7 +2,6 @@
 //! the runtime hands it.
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 
 use crate::error::EmberaError;
 use crate::message::Message;
@@ -11,7 +10,7 @@ use crate::observe::protocol::{ObsReply, ObsRequest};
 /// Class of computation, used by the simulated-MPSoC backend to pick
 /// per-CPU throughput (mirrors `mpsoc_sim::ComputeClass`; kept separate
 /// so the core model has no simulator dependency).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WorkClass {
     /// Branchy control/integer code (parsing, Huffman decoding).
     Control,
@@ -27,7 +26,7 @@ pub enum WorkClass {
 /// SMP backend the real code already consumed real time and
 /// [`Ctx::compute`] is a no-op; on the simulated STi7200 the annotation
 /// advances virtual time according to the machine cost model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Work {
     /// Class of the computation.
     pub class: WorkClass,

@@ -12,10 +12,8 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 /// One sampled custom metric.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CustomMetric {
     /// Metric name, e.g. `"frames_completed"`.
     pub name: String,

@@ -1,8 +1,6 @@
 //! The observation request/reply protocol carried over the
 //! `introspection` interfaces.
 
-use serde::{Deserialize, Serialize};
-
 use crate::observe::custom::CustomMetric;
 use crate::observe::report::{
     AppStats, HealthInfo, MiddlewareStats, ObservationReport, OsStats, StructureInfo,
@@ -12,7 +10,7 @@ use crate::observe::topology::RegionSummary;
 /// What an observer asks of a component (paper §3.3: "The observation
 /// interface may provide functions related to each level such as memory
 /// and system time, communication time, and application structure").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ObsRequest {
     /// OS-level: execution time and memory.
     OsStats,
@@ -34,7 +32,7 @@ pub enum ObsRequest {
 }
 
 /// The component runtime's answer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ObsReply {
     /// Answer to [`ObsRequest::OsStats`].
     Os(OsStats),

@@ -2,11 +2,9 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 /// Operating-system-level observation (paper §4.2): "information about
 /// the execution time and the memory occupation".
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OsStats {
     /// Time elapsed between the start of the component and the
     /// termination of its code execution, ns. For a still-running
@@ -27,7 +25,7 @@ pub struct OsStats {
 }
 
 /// Timing accumulator snapshot for one primitive (send or receive).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TimingSnapshot {
     /// Number of operations measured.
     pub count: u64,
@@ -47,7 +45,7 @@ impl TimingSnapshot {
 }
 
 /// One message-size histogram bucket of primitive timings.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SizeBucket {
     /// Inclusive lower bound of the bucket, bytes.
     pub lo: u64,
@@ -69,7 +67,7 @@ impl SizeBucket {
 /// Middleware-level observation (paper §4.2): "information about the
 /// execution time of send and receive operations by instrumenting send
 /// and receive primitives".
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MiddlewareStats {
     /// Timing of the `send` primitive.
     pub send: TimingSnapshot,
@@ -86,7 +84,7 @@ pub struct MiddlewareStats {
 }
 
 /// Per-interface communication counters.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IfaceCounterSnapshot {
     /// Interface name.
     pub interface: String,
@@ -98,7 +96,7 @@ pub struct IfaceCounterSnapshot {
 
 /// Application-level observation (paper §4.2): "the component structure
 /// and the total number of communication operations performed".
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AppStats {
     /// Per-interface counters, declaration order.
     pub interfaces: Vec<IfaceCounterSnapshot>,
@@ -109,7 +107,7 @@ pub struct AppStats {
 }
 
 /// One interface in a structure listing.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InterfaceEntry {
     /// Interface name.
     pub name: String,
@@ -118,7 +116,7 @@ pub struct InterfaceEntry {
 }
 
 /// The component-structure listing (paper Figure 5).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StructureInfo {
     /// Component name.
     pub component: String,
@@ -188,7 +186,7 @@ impl StructureInfo {
 }
 
 /// Liveness state of a component as seen by the supervision layer.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum HealthState {
     /// Deployed, behavior not yet started.
     #[default]
@@ -210,7 +208,7 @@ pub enum HealthState {
 /// Liveness and backlog signals travel over the same introspection
 /// channel as the paper's performance counters, so an unmodified
 /// observer can watch for stuck pipelines.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HealthInfo {
     /// Current liveness state.
     pub state: HealthState,
@@ -227,11 +225,9 @@ pub struct HealthInfo {
     pub restarts: u64,
     /// Messages shed at ingress by a queue-bound overload policy
     /// (absent in reports produced before the overload layer existed).
-    #[serde(default)]
     pub shed_messages: u64,
     /// Deadlined messages shed at ingress because their deadline had
     /// expired (the `DeadlineExceeded` count).
-    #[serde(default)]
     pub expired_messages: u64,
 }
 
@@ -247,7 +243,7 @@ impl HealthInfo {
 }
 
 /// The complete multi-level observation report of one component.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ObservationReport {
     /// Component name.
     pub component: String,
@@ -261,11 +257,9 @@ pub struct ObservationReport {
     pub structure: StructureInfo,
     /// Application-registered observation functions, sampled at report
     /// time (paper §6 extension).
-    #[serde(default)]
     pub custom: Vec<crate::observe::custom::CustomMetric>,
     /// Supervision-level liveness snapshot (absent in reports produced
     /// before the supervision layer existed).
-    #[serde(default)]
     pub health: Option<HealthInfo>,
 }
 

@@ -12,8 +12,6 @@
 //! remains the default and is wiring-identical to the seed design for
 //! paper-parity runs.
 
-use serde::{Deserialize, Serialize};
-
 /// How observer components are arranged over the application.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub enum ObserverTopology {
@@ -50,7 +48,7 @@ pub enum ObserverTopology {
 /// queued_messages)`. Ordinary `Running`↔`Blocked` flapping is normal
 /// scheduling, not a health event, and does not count as a delta;
 /// backlog growth, restarts, and terminal transitions do.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SamplingPolicy {
     /// Stride (in rounds) used for hot components. 1 = every round.
     pub base_stride: u64,
@@ -155,7 +153,7 @@ impl AdaptiveSampler {
 /// What a regional observer rolls up to the root each round: counts of
 /// member states plus the sum of the members' latest communication
 /// counters (when the configured request carries them).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RegionSummary {
     /// Region label (e.g. `region0`, or the `Grouped` name).
     pub region: String,
@@ -180,10 +178,8 @@ pub struct RegionSummary {
     pub queued_messages: u64,
     /// Sum of the members' messages shed by queue-bound overload
     /// policies (absent in summaries from before the overload layer).
-    #[serde(default)]
     pub shed_messages: u64,
     /// Sum of the members' deadline-expired shed messages.
-    #[serde(default)]
     pub expired_messages: u64,
 }
 

@@ -418,9 +418,9 @@ impl ObserverConfig {
 /// the [`ObserverConfig::actuate`] feed:
 /// `label_len u16 | label bytes | 11 × u64` (components, round, polls,
 /// finished, faulted, stalled, total_sends, total_receives,
-/// queued_messages, shed_messages, expired_messages). Deliberately not
-/// serde: controller components parse it allocation-light inside their
-/// control loop.
+/// queued_messages, shed_messages, expired_messages). Deliberately
+/// fixed-offset rather than self-describing: controller components parse
+/// it allocation-light inside their control loop.
 pub fn encode_region_summary(s: &RegionSummary) -> bytes::Bytes {
     let label = s.region.as_bytes();
     let mut out = Vec::with_capacity(2 + label.len() + 11 * 8);

@@ -33,10 +33,8 @@
 //!   observe remote queue depth (`route_depth` → `None`: inproc, os21)
 //!   degrade to the historical unbounded behavior.
 
-use serde::{Deserialize, Serialize};
-
 /// How a component responds to overload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OverloadKind {
     /// Bounded-queue backpressure at egress: sends block (poll + yield)
     /// while the destination mailbox is at or above `max_queue`.
@@ -54,7 +52,7 @@ pub enum OverloadKind {
 /// An overload policy for one component. Attach with
 /// [`ComponentSpec::with_overload`](crate::ComponentSpec::with_overload)
 /// or [`AppBuilder::overload_component`](crate::AppBuilder::overload_component).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OverloadPolicy {
     /// The response strategy.
     pub kind: OverloadKind,

@@ -1896,22 +1896,32 @@ mod tests {
 
     #[test]
     fn worker_counts_1_and_6_same_checksum() {
+        // Against the paper's 3-worker, one-block-per-message run: even
+        // and uneven lane shares (18 mod 4 != 0), batches within a frame,
+        // across frames and longer than the stream (108 blocks), with
+        // and without pooled payloads.
         let stream = small_stream(7);
         let (ref_app, ref_probe) = build_smp_app(stream.clone(), &MjpegAppConfig::default());
         SmpPlatform::new().deploy(ref_app.build().unwrap()).unwrap().wait().unwrap();
-        for n in [1usize, 6] {
-            let cfg = MjpegAppConfig {
-                idct_count: n,
-                ..MjpegAppConfig::default()
-            };
-            let (app, probe) = build_smp_app(stream.clone(), &cfg);
-            SmpPlatform::new().deploy(app.build().unwrap()).unwrap().wait().unwrap();
-            assert_eq!(probe.frames_completed.load(Ordering::SeqCst), 6);
-            assert_eq!(
-                probe.checksum.load(Ordering::SeqCst),
-                ref_probe.checksum.load(Ordering::SeqCst),
-                "{n}-worker topology changed the decoded pixels"
-            );
+        for n in [1usize, 2, 4, 6] {
+            for batch in [1usize, 18, 72, 288] {
+                for pooled in [false, true] {
+                    let cfg = MjpegAppConfig {
+                        idct_count: n,
+                        blocks_per_msg: batch,
+                        payload_pool: pooled,
+                        ..MjpegAppConfig::default()
+                    };
+                    let (app, probe) = build_smp_app(stream.clone(), &cfg);
+                    SmpPlatform::new().deploy(app.build().unwrap()).unwrap().wait().unwrap();
+                    assert_eq!(probe.frames_completed.load(Ordering::SeqCst), 6, "{cfg:?}");
+                    assert_eq!(
+                        probe.checksum.load(Ordering::SeqCst),
+                        ref_probe.checksum.load(Ordering::SeqCst),
+                        "topology changed the decoded pixels: {cfg:?}"
+                    );
+                }
+            }
         }
     }
 

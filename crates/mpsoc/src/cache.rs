@@ -8,10 +8,9 @@
 //! the EMBera observation interface (experiment X1).
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
 /// Geometry of an L1 cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total size in bytes.
     pub size_bytes: u32,
@@ -43,7 +42,7 @@ impl CacheConfig {
 }
 
 /// Hit/miss counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Number of line accesses that hit.
     pub hits: u64,

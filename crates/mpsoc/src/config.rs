@@ -1,14 +1,12 @@
 //! Machine configuration: CPUs, frequencies, cost-model parameters.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cache::CacheConfig;
 
 /// Index of a CPU in the machine (deployment target of a component).
 pub type CpuId = usize;
 
 /// Kind of processing element on the STi7200.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CpuKind {
     /// General-purpose RISC host CPU (450 MHz on the STi7200). Good at
     /// control code, designed to access peripherals; slow at DSP kernels
@@ -30,7 +28,7 @@ impl CpuKind {
 }
 
 /// Configuration of one CPU.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CpuConfig {
     /// Human-readable name, e.g. `"ST40"` or `"ST231_1"`.
     pub name: String,
@@ -54,7 +52,7 @@ impl CpuConfig {
 }
 
 /// Full machine configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MachineConfig {
     /// CPUs, indexed by [`CpuId`]. By convention CPU 0 is the host ST40.
     pub cpus: Vec<CpuConfig>,

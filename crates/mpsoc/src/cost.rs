@@ -10,15 +10,13 @@
 //! * Figure 8: `EMBX` copy time is linear in message size, with the ST231
 //!   strictly faster than the ST40 at every size.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::{CpuId, CpuKind, MachineConfig};
 use crate::memory::{MemoryKind, MemoryMap, RegionId};
 
 /// Class of computation a behavior performs, used to pick per-CPU
 /// throughput. Mirrors the instruction mixes that differentiate the ST40
 /// from the ST231 in the paper's Table 3 discussion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ComputeClass {
     /// Branchy control/integer code (file parsing, Huffman decoding).
     Control,

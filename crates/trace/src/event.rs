@@ -1,9 +1,7 @@
 //! Trace event records.
 
-use serde::{Deserialize, Serialize};
-
 /// What happened.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
     /// Behavior entered `run`.
     BehaviorStart,
@@ -38,7 +36,7 @@ pub enum EventKind {
 }
 
 /// One trace record. 32 bytes, `Copy`, cheap to move through rings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Platform timestamp, ns.
     pub ts_ns: u64,

@@ -71,7 +71,7 @@ fn main() {
     let report_small = run(small, 0x578);
     let report_large = run(large, 0x3000);
 
-    println!("\nThroughput configuration (PR 5 — repro -- bench-sweep explores the full matrix)");
+    println!("\nThroughput configuration (batched messages, SIMD kernel, pooled payloads)");
     run_fast(small, 0x578);
 
     println!("\nTable 1 — MJPEG components execution time and memory allocated");

@@ -613,7 +613,7 @@ fn unmodified_mjpeg_behaviors_deploy_on_inproc() {
 #[test]
 fn mjpeg_worker_counts_agree_across_backends() {
     // The N-worker generalization must be invisible to everything but
-    // the per-lane split: for N ∈ {1, 3, 6} IDCT workers, every backend
+    // the per-lane split: for N ∈ {1, 3, 4, 6} IDCT workers, every backend
     // must decode the same frames to the same checksum, the Table-2
     // count structure (Fetch sends 18·(F−1), each IDCT k handles its
     // round-robin share, Reorder receives 18·(F−1)) must hold exactly,
@@ -621,7 +621,7 @@ fn mjpeg_worker_counts_agree_across_backends() {
     const FRAMES: usize = 4;
     let fwd = (FRAMES - 1) as u64;
     let mut checksums = Vec::new();
-    for n in [1usize, 3, 6] {
+    for n in [1usize, 3, 4, 6] {
         let cfg = mjpeg::MjpegAppConfig {
             idct_count: n,
             ..mjpeg::MjpegAppConfig::default()
