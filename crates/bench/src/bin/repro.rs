@@ -603,7 +603,6 @@ fn trace_demo() {
     use bytes::Bytes;
     use embera::behavior::behavior_fn;
     use embera::{AppBuilder, ComponentSpec};
-    use embera_trace::instrument::TracedBehavior;
     use embera_trace::{analysis::TimelineStats, TraceCollector};
 
     let collector = TraceCollector::default();
@@ -611,34 +610,29 @@ fn trace_demo() {
     app.add(
         ComponentSpec::new(
             "src",
-            TracedBehavior::new(
-                behavior_fn(|ctx| {
-                    for i in 0..5_000u32 {
-                        ctx.send("out", Bytes::from(vec![i as u8; 256]))?;
-                    }
-                    Ok(())
-                }),
-                collector.register("src"),
-            ),
+            behavior_fn(|ctx| {
+                for i in 0..5_000u32 {
+                    ctx.send("out", Bytes::from(vec![i as u8; 256]))?;
+                }
+                Ok(())
+            }),
         )
         .with_required("out"),
     );
     app.add(
         ComponentSpec::new(
             "dst",
-            TracedBehavior::new(
-                behavior_fn(|ctx| {
-                    for _ in 0..5_000 {
-                        ctx.recv("in")?;
-                    }
-                    Ok(())
-                }),
-                collector.register("dst"),
-            ),
+            behavior_fn(|ctx| {
+                for _ in 0..5_000 {
+                    ctx.recv("in")?;
+                }
+                Ok(())
+            }),
         )
         .with_provided("in"),
     );
     app.connect(("src", "out"), ("dst", "in"));
+    app.with_tracing(collector.trace_config());
     SmpPlatform::new()
         .deploy(app.build().expect("valid app"))
         .expect("deploy")
@@ -837,9 +831,8 @@ fn overload(scale: &Scale, args: &[String]) {
         rows.push((mode, x, out));
     }
 
-    // 4. Robustness verdicts at the top offered load. The histogram
-    //    over-reports percentiles by at most one sub-bucket (6.25%), so
-    //    the 5× comparison carries that slack explicitly.
+    // 4. Robustness verdicts at the top offered load (percentiles are
+    //    exact, so the 5× comparison carries no slack).
     let top = *loads.last().expect("loads nonempty");
     let at = |mode: OverloadMode, x: f64| {
         &rows
@@ -848,11 +841,10 @@ fn overload(scale: &Scale, args: &[String]) {
             .expect("measured")
             .2
     };
-    let quant_slack = 1.07;
     let dd_top = at(OverloadMode::DeadlineDrop, top);
     let none_top = at(OverloadMode::NoPolicy, top);
     let dd_bounded = dd_top.completed > 0
-        && (dd_top.p99_ns as f64) <= 5.0 * p99_low as f64 * quant_slack;
+        && (dd_top.p99_ns as f64) <= 5.0 * p99_low as f64;
     let none_degrades = (none_top.p99_ns as f64) > 5.0 * p99_low as f64;
     let autoscale_completes = loads
         .iter()

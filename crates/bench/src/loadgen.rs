@@ -1,102 +1,11 @@
 //! Open-loop overload measurement: the driver that runs the MJPEG
 //! overload harness ([`mjpeg::build_overload_app`]) on the SMP backend
-//! at a configured offered load, plus the log-bucketed latency
-//! histogram its percentiles come from.
+//! at a configured offered load and reads exact latency percentiles
+//! off the samples the probe holds.
 
 use embera::{Platform, RunningApp};
 use embera_smp::SmpPlatform;
 use mjpeg::{synthesize_stream, MjpegStream, OverloadConfig};
-
-/// Buckets per octave: latency values are grouped by their top
-/// `log2(SUBBUCKETS)` mantissa bits, bounding the relative quantization
-/// error of any reported percentile to `1/SUBBUCKETS` (6.25%).
-const SUBBUCKETS: usize = 16;
-
-/// A log-bucketed (HDR-style) latency histogram: constant-time record,
-/// percentiles with bounded relative error, no per-sample storage.
-#[derive(Clone)]
-pub struct LatencyHistogram {
-    counts: Vec<u64>,
-    total: u64,
-    max_ns: u64,
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        // 64 octaves × SUBBUCKETS covers the full u64 range.
-        LatencyHistogram {
-            counts: vec![0; 64 * SUBBUCKETS],
-            total: 0,
-            max_ns: 0,
-        }
-    }
-}
-
-impl LatencyHistogram {
-    /// Histogram over `samples` (ns).
-    pub fn from_samples(samples: &[u64]) -> Self {
-        let mut h = Self::default();
-        for &s in samples {
-            h.record(s);
-        }
-        h
-    }
-
-    fn bucket(v: u64) -> usize {
-        if (v as usize) < SUBBUCKETS {
-            return v as usize;
-        }
-        let exp = 63 - v.leading_zeros() as usize;
-        let mantissa = ((v >> (exp - 4)) & 0xF) as usize;
-        (exp - 3) * SUBBUCKETS + mantissa
-    }
-
-    /// Upper bound of a bucket: every value in the bucket is ≤ this, so
-    /// percentiles never under-report.
-    fn bucket_max(idx: usize) -> u64 {
-        if idx < SUBBUCKETS {
-            return idx as u64;
-        }
-        let exp = idx / SUBBUCKETS + 3;
-        let mantissa = (idx % SUBBUCKETS) as u64;
-        ((SUBBUCKETS as u64 + mantissa) << (exp - 4)) + ((1u64 << (exp - 4)) - 1)
-    }
-
-    /// Record one latency sample (ns).
-    pub fn record(&mut self, ns: u64) {
-        self.counts[Self::bucket(ns)] += 1;
-        self.total += 1;
-        self.max_ns = self.max_ns.max(ns);
-    }
-
-    /// Recorded sample count.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Largest recorded sample, ns (exact).
-    pub fn max_ns(&self) -> u64 {
-        self.max_ns
-    }
-
-    /// Value at quantile `q` in [0, 1]: the smallest bucket upper bound
-    /// with at least `q × count` samples at or below it. 0 on an empty
-    /// histogram; the exact max for `q = 1`.
-    pub fn percentile(&self, q: f64) -> u64 {
-        if self.total == 0 {
-            return 0;
-        }
-        let rank = (q.clamp(0.0, 1.0) * self.total as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (idx, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return Self::bucket_max(idx).min(self.max_ns);
-            }
-        }
-        self.max_ns
-    }
-}
 
 /// Everything one overload run produced: the frame-level ledger, the
 /// message-level shed accounting from Fetch's health counters, and the
@@ -105,9 +14,9 @@ impl LatencyHistogram {
 pub struct OverloadOutcome {
     /// Frame tokens the generator injected.
     pub injected: u64,
-    /// Frames that folded within their deadline.
+    /// Frames that folded before their deadline.
     pub completed: u64,
-    /// Frames that folded past their deadline.
+    /// Frames that folded at or past their deadline.
     pub expired_frames: u64,
     /// Messages the queue-bound policy shed at Fetch's ingress.
     pub shed_messages: u64,
@@ -121,7 +30,8 @@ pub struct OverloadOutcome {
     pub scale_history: Vec<u32>,
     /// Application wall time, s.
     pub wall_s: f64,
-    /// Completed-frame latency percentiles, ns.
+    /// Median completed-frame latency, ns. The three percentiles are
+    /// nearest-rank over every sample; 0 when no frame completed.
     pub p50_ns: u64,
     /// 99th percentile, ns.
     pub p99_ns: u64,
@@ -179,7 +89,13 @@ pub fn run_overload_smp(stream: MjpegStream, cfg: &OverloadConfig) -> OverloadOu
         .health
         .expect("health info");
     let ord = std::sync::atomic::Ordering::SeqCst;
-    let hist = LatencyHistogram::from_samples(&probe.latencies());
+    let mut latencies = probe.latencies();
+    latencies.sort_unstable();
+    let percentile = |q: f64| {
+        let rank = (q * latencies.len() as f64).ceil() as usize;
+        let nearest = rank.clamp(1, latencies.len().max(1)) - 1;
+        latencies.get(nearest).copied().unwrap_or(0)
+    };
     OverloadOutcome {
         injected: probe.injected.load(ord),
         completed: probe.completed.load(ord),
@@ -190,9 +106,9 @@ pub fn run_overload_smp(stream: MjpegStream, cfg: &OverloadConfig) -> OverloadOu
         idct_skipped: probe.idct_skipped.load(ord),
         scale_history: probe.scale_history(),
         wall_s: report.wall_time_ns as f64 / 1e9,
-        p50_ns: hist.percentile(0.50),
-        p99_ns: hist.percentile(0.99),
-        p999_ns: hist.percentile(0.999),
+        p50_ns: percentile(0.50),
+        p99_ns: percentile(0.99),
+        p999_ns: percentile(0.999),
     }
 }
 
@@ -200,36 +116,6 @@ pub fn run_overload_smp(stream: MjpegStream, cfg: &OverloadConfig) -> OverloadOu
 mod tests {
     use super::*;
     use mjpeg::{ArrivalProcess, Pacing};
-
-    #[test]
-    fn histogram_percentiles_have_bounded_error() {
-        // 1..=10_000 uniformly: p50 ≈ 5000, p99 ≈ 9900, each within the
-        // 6.25% bucket quantization plus the exact-max clamp.
-        let samples: Vec<u64> = (1..=10_000).collect();
-        let h = LatencyHistogram::from_samples(&samples);
-        assert_eq!(h.count(), 10_000);
-        assert_eq!(h.max_ns(), 10_000);
-        for (q, exact) in [(0.50, 5_000.0), (0.99, 9_900.0), (0.999, 9_990.0)] {
-            let got = h.percentile(q) as f64;
-            assert!(
-                got >= exact * 0.999 && got <= exact * 1.07,
-                "p{q}: got {got}, exact {exact}"
-            );
-        }
-        assert_eq!(h.percentile(1.0), 10_000);
-        assert_eq!(LatencyHistogram::default().percentile(0.99), 0);
-    }
-
-    #[test]
-    fn histogram_buckets_are_monotone() {
-        let mut last = 0;
-        for v in [0u64, 1, 15, 16, 17, 100, 1_000, 1 << 20, 1 << 40, u64::MAX] {
-            let b = LatencyHistogram::bucket(v);
-            assert!(b >= last, "bucket({v}) = {b} < {last}");
-            assert!(LatencyHistogram::bucket_max(b) >= v);
-            last = b;
-        }
-    }
 
     #[test]
     fn smp_overload_run_completes_and_balances() {

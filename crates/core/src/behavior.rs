@@ -93,14 +93,6 @@ pub trait Ctx {
         None
     }
 
-    /// Queue depth at the far end of required interface `required`
-    /// (messages waiting in the peer's mailbox), when the backend can
-    /// observe it cheaply. Load-aware senders use it to pick the
-    /// least-loaded lane; `None` means the information is unavailable.
-    fn route_depth(&self, _required: &str) -> Option<u64> {
-        None
-    }
-
     /// Ask the component whose `introspection` interface `required` is
     /// connected to for `request`.
     ///

@@ -227,9 +227,10 @@ pub trait Transport {
     }
 
     /// Messages currently queued at the *far end* of required interface
-    /// `required` — the peer mailbox's depth, used by load-aware
-    /// dispatchers to pick the least-loaded lane. `None` (the default)
-    /// means the backend cannot observe peer queues cheaply.
+    /// `required` — the peer mailbox's depth, which the
+    /// [`Block`](crate::OverloadKind::Block) egress policy bounds before
+    /// every send. `None` (the default) means the backend cannot observe
+    /// peer queues cheaply, and the policy is inert there.
     fn route_depth(&self, _required: &str) -> Option<u64> {
         None
     }
@@ -763,10 +764,6 @@ impl<T: Transport> Ctx for RuntimeCtx<'_, T> {
 
     fn payload_pool(&self) -> Option<crate::pool::BufferPool> {
         self.rt.transport.payload_pool().cloned()
-    }
-
-    fn route_depth(&self, required: &str) -> Option<u64> {
-        self.rt.transport.route_depth(required)
     }
 }
 

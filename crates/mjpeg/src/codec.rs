@@ -16,8 +16,8 @@ use crate::huffman::{
     category, put_magnitude, read_magnitude, HuffDecoder, HuffEncoder, HuffSpec,
 };
 use crate::quant::{
-    dequantize_reorder, dequantize_reorder_scaled, fast_dequant_table, fast_quant_divisors,
-    quantize_zigzag, quantize_zigzag_fast, scaled_qtable,
+    dequantize_reorder, dequantize_reorder_scaled, fast_dequant_table, quantize_zigzag,
+    scaled_qtable,
 };
 
 /// End-of-block marker symbol.
@@ -42,7 +42,7 @@ pub fn encode_block_with(
 }
 
 /// Entropy-code an already-quantized zigzag block (the emission half of
-/// [`encode_block_with`], shared by the float and fast-AAN front ends).
+/// [`encode_block_with`]).
 pub fn encode_quantized_block(
     writer: &mut BitWriter,
     dc_enc: &HuffEncoder,
@@ -150,8 +150,6 @@ pub struct BlockEncoder {
     dc_enc: HuffEncoder,
     ac_enc: HuffEncoder,
     qtable: [u16; BLOCK_SIZE],
-    /// Folded AAN divisors, present when `kind` is [`DctKind::FastAan`].
-    fast_divisors: Option<[i64; BLOCK_SIZE]>,
     dc_pred: i32,
     writer: BitWriter,
 }
@@ -159,20 +157,10 @@ pub struct BlockEncoder {
 impl BlockEncoder {
     /// Encoder at the given quality (reference float kernel).
     pub fn new(quality: u8) -> Self {
-        Self::with_kind(quality, DctKind::ReferenceFloat)
-    }
-
-    /// Encoder at the given quality using the selected DCT kernel.
-    pub fn with_kind(quality: u8, kind: DctKind) -> Self {
-        let qtable = scaled_qtable(quality);
         BlockEncoder {
             dc_enc: HuffEncoder::new(&HuffSpec::luma_dc()),
             ac_enc: HuffEncoder::new(&HuffSpec::luma_ac()),
-            fast_divisors: match kind {
-                DctKind::ReferenceFloat => None,
-                DctKind::FastAan | DctKind::FastSimd => Some(fast_quant_divisors(&qtable)),
-            },
-            qtable,
+            qtable: scaled_qtable(quality),
             dc_pred: 0,
             writer: BitWriter::new(),
         }
@@ -180,22 +168,13 @@ impl BlockEncoder {
 
     /// Encode one 8×8 pixel block (row-major).
     pub fn push_block(&mut self, pixels: &[u8; BLOCK_SIZE]) {
-        let zz = match &self.fast_divisors {
-            None => quantize_zigzag(&fdct(&pixels_to_centered(pixels)), &self.qtable),
-            Some(div) => {
-                let mut centered = [0i32; BLOCK_SIZE];
-                for (d, &p) in centered.iter_mut().zip(pixels.iter()) {
-                    *d = p as i32 - 128;
-                }
-                quantize_zigzag_fast(&crate::dct::fdct_fast_scaled(&centered), div)
-            }
-        };
-        self.dc_pred = encode_quantized_block(
+        self.dc_pred = encode_block_with(
             &mut self.writer,
             &self.dc_enc,
             &self.ac_enc,
+            &self.qtable,
             self.dc_pred,
-            &zz,
+            pixels,
         );
     }
 
@@ -283,22 +262,9 @@ pub fn place_block(frame: &mut [u8], width: usize, bi: usize, block: &[u8; BLOCK
 /// assert!(psnr(&image, &decoded) > 25.0);
 /// ```
 pub fn encode_frame(pixels: &[u8], width: usize, height: usize, quality: u8) -> Vec<u8> {
-    encode_frame_with(pixels, width, height, quality, DctKind::ReferenceFloat)
-}
-
-/// [`encode_frame`] with an explicit DCT kernel. The fast kernel
-/// produces a slightly different (but equally valid) stream: quantized
-/// coefficients may differ by a rounding step.
-pub fn encode_frame_with(
-    pixels: &[u8],
-    width: usize,
-    height: usize,
-    quality: u8,
-    kind: DctKind,
-) -> Vec<u8> {
     assert!(width.is_multiple_of(N) && height.is_multiple_of(N), "dimensions must be 8-aligned");
     assert_eq!(pixels.len(), width * height);
-    let mut enc = BlockEncoder::with_kind(quality, kind);
+    let mut enc = BlockEncoder::new(quality);
     for by in (0..height).step_by(N) {
         for bx in (0..width).step_by(N) {
             let mut block = [0u8; BLOCK_SIZE];
@@ -470,16 +436,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn fast_kernel_encode_round_trips_faithfully() {
-        let (w, h) = (48, 24);
-        let img = test_image(w, h);
-        let data = encode_frame_with(&img, w, h, 85, DctKind::FastAan);
-        let dec = decode_frame_with(&data, w, h, 85, DctKind::FastAan).unwrap();
-        let p = psnr(&img, &dec);
-        assert!(p > 35.0, "fast-kernel PSNR {p:.1} dB too low");
     }
 
     #[test]

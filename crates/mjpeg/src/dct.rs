@@ -119,7 +119,7 @@ pub fn pixels_to_centered(pixels: &[u8; BLOCK_SIZE]) -> [f32; BLOCK_SIZE] {
 //
 // The 1-D 8-point transform is factored so only 5 multiplications
 // remain inside the butterfly network; the per-frequency output scales
-// aan[u]·aan[v] are constant and get folded into the (de)quantization
+// aan[u]·aan[v] are constant and get folded into the dequantization
 // tables, so the hot loop is adds, subs and a handful of fixed-point
 // multiplies. Arithmetic is i64 with AAN_FRAC_BITS fractional bits —
 // wide enough that the only precision loss is the final rounding, which
@@ -127,10 +127,11 @@ pub fn pixels_to_centered(pixels: &[u8; BLOCK_SIZE]) -> [f32; BLOCK_SIZE] {
 // ---------------------------------------------------------------------
 
 /// Fractional bits used by the fixed-point AAN kernels and the folded
-/// (de)quantization tables.
+/// dequantization tables.
 pub const AAN_FRAC_BITS: u32 = 12;
 
-/// Which DCT kernel a decode/encode path runs.
+/// Which DCT kernel a decode path runs (the encoder is the float
+/// reference only).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DctKind {
     /// The exact separable float transform (the seed implementation,
@@ -167,10 +168,6 @@ const FIX_1_414213562: i64 = 5793; // √2
 const FIX_1_847759065: i64 = 7568; // 2·cos(π/8)
 const FIX_1_082392200: i64 = 4433; // √2·cos(3π/8)/cos... (c2−c6 path)
 const FIX_2_613125930: i64 = 10703; // (c2+c6 path)
-const FIX_0_707106781: i64 = 2896; // 1/√2
-const FIX_0_382683433: i64 = 1568; // sin(π/8)
-const FIX_0_541196100: i64 = 2217;
-const FIX_1_306562965: i64 = 5352;
 
 #[inline(always)]
 fn fmul(a: i64, c: i64) -> i64 {
@@ -278,66 +275,6 @@ pub fn idct_fast_to_pixels(coeffs: &[i32; BLOCK_SIZE]) -> [u8; BLOCK_SIZE] {
     idct_scaled_to_pixels(&scaled)
 }
 
-/// One 1-D AAN forward pass over 8 values at stride `stride`.
-#[inline(always)]
-fn fdct_1d(data: &mut [i64; BLOCK_SIZE], base: usize, stride: usize) {
-    let at = |i: usize| base + i * stride;
-
-    let tmp0 = data[at(0)] + data[at(7)];
-    let tmp7 = data[at(0)] - data[at(7)];
-    let tmp1 = data[at(1)] + data[at(6)];
-    let tmp6 = data[at(1)] - data[at(6)];
-    let tmp2 = data[at(2)] + data[at(5)];
-    let tmp5 = data[at(2)] - data[at(5)];
-    let tmp3 = data[at(3)] + data[at(4)];
-    let tmp4 = data[at(3)] - data[at(4)];
-
-    // Even part.
-    let tmp10 = tmp0 + tmp3;
-    let tmp13 = tmp0 - tmp3;
-    let tmp11 = tmp1 + tmp2;
-    let tmp12 = tmp1 - tmp2;
-    data[at(0)] = tmp10 + tmp11;
-    data[at(4)] = tmp10 - tmp11;
-    let z1 = fmul(tmp12 + tmp13, FIX_0_707106781);
-    data[at(2)] = tmp13 + z1;
-    data[at(6)] = tmp13 - z1;
-
-    // Odd part.
-    let t10 = tmp4 + tmp5;
-    let t11 = tmp5 + tmp6;
-    let t12 = tmp6 + tmp7;
-    let z5 = fmul(t10 - t12, FIX_0_382683433);
-    let z2 = fmul(t10, FIX_0_541196100) + z5;
-    let z4 = fmul(t12, FIX_1_306562965) + z5;
-    let z3 = fmul(t11, FIX_0_707106781);
-    let z11 = tmp7 + z3;
-    let z13 = tmp7 - z3;
-    data[at(5)] = z13 + z2;
-    data[at(3)] = z13 - z2;
-    data[at(1)] = z11 + z4;
-    data[at(7)] = z11 - z4;
-}
-
-/// Fast integer forward DCT of a level-shifted block. Output
-/// coefficients are scaled by `8·aan[u]·aan[v]·2^AAN_FRAC_BITS` relative
-/// to the true DCT — [`crate::quant::fast_quant_divisors`] folds that
-/// scale into the quantization divisors so no separate descale pass
-/// runs.
-pub fn fdct_fast_scaled(block: &[i32; BLOCK_SIZE]) -> [i64; BLOCK_SIZE] {
-    let mut w = [0i64; BLOCK_SIZE];
-    for (dst, &src) in w.iter_mut().zip(block.iter()) {
-        *dst = (src as i64) << AAN_FRAC_BITS;
-    }
-    for row in 0..N {
-        fdct_1d(&mut w, row * N, 1);
-    }
-    for col in 0..N {
-        fdct_1d(&mut w, col, N);
-    }
-    w
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -422,34 +359,6 @@ mod tests {
         let px = idct_fast_to_pixels(&c);
         for &p in &px {
             assert!((p as i32 - 138).abs() <= 1, "expected ~138, got {p}");
-        }
-    }
-
-    #[test]
-    fn fast_fdct_agrees_with_float_fdct() {
-        let mut x: u64 = 0xD1B5_4A32_D192_ED03;
-        for _ in 0..100 {
-            let mut px = [0u8; BLOCK_SIZE];
-            for p in px.iter_mut() {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                *p = (x >> 56) as u8;
-            }
-            let float_coeffs = fdct(&pixels_to_centered(&px));
-            let mut centered = [0i32; BLOCK_SIZE];
-            for (d, &p) in centered.iter_mut().zip(px.iter()) {
-                *d = p as i32 - 128;
-            }
-            let scaled = fdct_fast_scaled(&centered);
-            let aan = aan_scales();
-            for v in 0..N {
-                for u in 0..N {
-                    let n = v * N + u;
-                    let denom = 8.0 * aan[u] * aan[v] * (1u32 << AAN_FRAC_BITS) as f64;
-                    let fast = scaled[n] as f64 / denom;
-                    let err = (float_coeffs[n] as f64 - fast).abs();
-                    assert!(err <= 0.75, "coeff ({u},{v}): {} vs {fast}", float_coeffs[n]);
-                }
-            }
         }
     }
 

@@ -14,7 +14,9 @@
 //! * a **baseline JPEG codec** (8×8 FDCT/IDCT, Annex-K quantization and
 //!   Huffman tables with IJG quality scaling, zigzag ordering, bit-level
 //!   entropy coding with 0xFF stuffing) — [`codec`], [`dct`], [`quant`],
-//!   [`huffman`], [`bitstream`];
+//!   [`huffman`], [`bitstream`]. The encoder is the reference float
+//!   path only — it produces every workload's input; the fast integer
+//!   and SIMD kernels exist on the decode side;
 //! * a **Motion-JPEG stream** container and a deterministic synthetic
 //!   video generator — [`frame`], [`workload`]. The default geometry is
 //!   48×24 grayscale = **18 blocks per image**, matching the paper's
@@ -24,7 +26,12 @@
 //! * the **componentized decoder** as EMBera behaviors — [`pipeline`]:
 //!   `Fetch` (entropy decode + dequantize + reorder), `IDCT` components,
 //!   `Reorder` (frame reassembly), and the merged `Fetch-Reorder` used
-//!   on the MPSoC deployment (paper §5.3, Figure 7).
+//!   on the MPSoC deployment (paper §5.3, Figure 7). The behaviors are
+//!   crate-private; applications are assembled by [`build_smp_app`] and
+//!   [`build_mpsoc_app`] from an [`MjpegAppConfig`];
+//! * the **open-loop overload harness** — [`overload`]: a load
+//!   generator, a judging Reorder and an autoscaler around the same
+//!   frame decode and IDCT lanes, assembled by [`build_overload_app`].
 
 pub mod bitstream;
 pub mod codec;
@@ -39,17 +46,15 @@ pub mod quant;
 pub mod simd;
 pub mod workload;
 
-pub use codec::{decode_frame, decode_frame_with, encode_frame, encode_frame_with};
+pub use codec::{decode_frame, decode_frame_with, encode_frame};
 pub use dct::DctKind;
 pub use jfif::{decode_jfif, encode_jfif_gray, encode_jfif_rgb, JfifImage, JfifPixels};
 pub use frame::{FrameHeader, MjpegStream};
 pub use pipeline::{
-    build_mpsoc_app, build_smp_app, pipeline_pool, BatchView, DispatchPolicy, FetchBehavior,
-    FetchReorderBehavior, IdctBehavior, MjpegAppConfig, ReorderBehavior, WorkProfile,
+    build_mpsoc_app, build_smp_app, pipeline_pool, BatchView, MjpegAppConfig, WorkProfile,
 };
 pub use overload::{
-    build_overload_app, ArrivalProcess, AutoscaleConfig, LoadGenBehavior, OverloadConfig,
-    OverloadProbe, Pacing,
+    build_overload_app, ArrivalProcess, AutoscaleConfig, OverloadConfig, OverloadProbe, Pacing,
 };
 pub use simd::{active_level, SimdLevel};
 pub use workload::synthesize_stream;

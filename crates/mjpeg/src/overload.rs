@@ -19,18 +19,21 @@
 //!   log-normal) from a seeded splitmix64 stream and sends one frame
 //!   token per arrival as a [`Message::Deadlined`](embera::Message)
 //!   envelope (`deadline = arrival + budget`), then an empty sentinel.
-//! * **Fetch** (open-loop variant of the pipeline's Fetch) decodes each
-//!   token's frame and deals its coefficient blocks round-robin over the
+//! * **Fetch** is token-driven but runs the pipeline's frame decode and
+//!   per-lane batching ([`crate::pipeline`]): it decodes each token's
+//!   frame and deals its coefficient blocks round-robin over the
 //!   currently *active* lanes, flushing one deadlined batch per lane per
 //!   frame. An [`OverloadPolicy`] attached to it
 //!   sheds at ingress (queue-bound drop-oldest, or deadline drop) with
 //!   full accounting in its health counters.
-//! * **IDCT** workers skip the transform for frames whose deadline
-//!   already passed (forwarding a zero block so reassembly stays
-//!   structural) — shed *work*, not messages.
-//! * **Reorder** reassembles and judges: a frame folding past its
-//!   deadline counts as expired, otherwise completed with latency
-//!   `fold − arrival` (arrival recovered as `deadline − budget`).
+//! * **IDCT** workers are the pipeline's IDCT lanes: they skip the
+//!   transform for frames whose deadline already passed (forwarding a
+//!   zero block so reassembly stays structural) — shed *work*, not
+//!   messages.
+//! * **Reorder** places no pixels; it counts blocks and judges: a frame
+//!   folding at or past its deadline counts as expired, otherwise
+//!   completed with latency `fold − arrival` (arrival recovered as
+//!   `deadline − budget`).
 //! * **ScaleController** consumes the root observer's encoded
 //!   [`RegionSummary`](embera::RegionSummary) stream, applies
 //!   hysteresis over total queued messages, and retargets Fetch's
@@ -48,16 +51,15 @@ use std::sync::{Arc, Mutex};
 use bytes::Bytes;
 
 use embera::{
-    AppBuilder, Behavior, ComponentSpec, Ctx, EmberaError, Message, ObserverConfig,
-    OverloadPolicy, Work, WorkClass,
+    AppBuilder, Behavior, ComponentSpec, Ctx, EmberaError, ObserverConfig, OverloadPolicy, Work,
+    WorkClass,
 };
 
-use crate::codec::EntropyDecoder;
-use crate::dct::{idct_scaled_to_pixels, idct_to_pixels, DctKind, BLOCK_SIZE};
+use crate::dct::{DctKind, BLOCK_SIZE};
 use crate::frame::MjpegStream;
-use crate::pipeline::{coeffs_from_bytes, encode_coeff_batch, encode_pixel_batch, BatchView, WorkProfile};
-use crate::quant::{
-    dequantize_reorder, dequantize_reorder_scaled, fast_dequant_table, scaled_qtable,
+use crate::pipeline::{
+    add_lanes, fetch_ifaces, is_late, reorder_ifaces, unwrap_data, BatchSender, BatchView,
+    FrameDecoder, IdctBehavior, LaneEnd, WorkProfile,
 };
 
 /// LoadGen's never-connected pacing interface: timed receives on it are
@@ -188,9 +190,9 @@ impl Default for OverloadConfig {
 pub struct OverloadProbe {
     /// Frame tokens LoadGen sent.
     pub injected: Arc<AtomicU64>,
-    /// Frames that folded within their deadline.
+    /// Frames that folded before their deadline.
     pub completed: Arc<AtomicU64>,
-    /// Frames that folded past their deadline.
+    /// Frames that folded at or past their deadline.
     pub expired: Arc<AtomicU64>,
     /// Blocks whose IDCT transform was skipped as already-late.
     pub idct_skipped: Arc<AtomicU64>,
@@ -278,48 +280,28 @@ fn decode_token(b: &[u8]) -> Option<(u32, u32)> {
 
 /// The open-loop load generator: one frame token per sampled arrival,
 /// deadline-stamped, then an empty sentinel.
-pub struct LoadGenBehavior {
-    frames: u64,
+struct LoadGenBehavior {
+    cfg: OverloadConfig,
+    /// Frames in the stream (frame 0 is the configuration frame and
+    /// never injected).
     stream_frames: u32,
-    mean_gap_ns: u64,
-    arrival: ArrivalProcess,
-    seed: u64,
-    deadline_budget_ns: u64,
-    pacing: Pacing,
     probe: OverloadProbe,
-}
-
-impl LoadGenBehavior {
-    /// Generator over a stream with `stream_frames` frames (frame 0 is
-    /// the configuration frame and never injected).
-    pub fn new(cfg: &OverloadConfig, stream_frames: usize, probe: OverloadProbe) -> Self {
-        assert!(stream_frames >= 2, "need at least one forwardable frame");
-        LoadGenBehavior {
-            frames: cfg.frames,
-            stream_frames: stream_frames as u32,
-            mean_gap_ns: cfg.mean_gap_ns,
-            arrival: cfg.arrival,
-            seed: cfg.seed,
-            deadline_budget_ns: cfg.deadline_budget_ns,
-            pacing: cfg.pacing,
-            probe,
-        }
-    }
 }
 
 impl Behavior for LoadGenBehavior {
     fn run(&mut self, ctx: &mut dyn Ctx) -> Result<(), EmberaError> {
-        let mut rng = SplitMix64(self.seed);
+        let cfg = &self.cfg;
+        let mut rng = SplitMix64(cfg.seed);
         let cycle = self.stream_frames - 1;
         // Absolute arrival schedule: each wait targets the *cumulative*
         // arrival time, so timer overshoot on one gap is recovered on
         // the next and the offered rate stays what was configured —
         // the defining property of an open-loop generator.
         let mut next = ctx.now_ns();
-        for seq in 0..self.frames {
-            let gap = sample_gap(&mut rng, self.arrival, self.mean_gap_ns);
+        for seq in 0..cfg.frames {
+            let gap = sample_gap(&mut rng, cfg.arrival, cfg.mean_gap_ns);
             next = next.saturating_add(gap);
-            match self.pacing {
+            match cfg.pacing {
                 Pacing::RealTime => {
                     // Sleep on a never-connected inbox; `Ok(None)` is
                     // the expected timeout, shutdown drains out the
@@ -349,7 +331,7 @@ impl Behavior for LoadGenBehavior {
             ctx.send_deadlined(
                 "frames",
                 encode_token(seq as u32, stream_frame),
-                now.saturating_add(self.deadline_budget_ns),
+                now.saturating_add(cfg.deadline_budget_ns),
             )?;
             self.probe.injected.fetch_add(1, Ordering::AcqRel);
         }
@@ -357,96 +339,40 @@ impl Behavior for LoadGenBehavior {
     }
 }
 
-/// Dequantization state for the configured kernel (mirrors the
-/// pipeline's private helper).
-enum Tables {
-    Reference([u16; BLOCK_SIZE]),
-    Fast([i32; BLOCK_SIZE]),
-}
-
-impl Tables {
-    fn for_kernel(kernel: DctKind, quality: u8) -> Self {
-        let q = scaled_qtable(quality);
-        match kernel {
-            DctKind::ReferenceFloat => Tables::Reference(q),
-            DctKind::FastAan | DctKind::FastSimd => Tables::Fast(fast_dequant_table(&q)),
-        }
-    }
-
-    fn apply(&self, zz: &[i16; BLOCK_SIZE]) -> [i32; BLOCK_SIZE] {
-        match self {
-            Tables::Reference(q) => dequantize_reorder(zz, q),
-            Tables::Fast(f) => dequantize_reorder_scaled(zz, f),
-        }
-    }
-}
-
 /// The open-loop Fetch: consumes frame tokens (its attached
 /// [`OverloadPolicy`] sheds at this inbox), decodes the referenced
-/// frame, and deals its blocks over the currently active lanes — one
-/// deadlined coefficient batch per lane per frame.
-pub struct OpenLoopFetchBehavior {
+/// frame with the pipeline's [`FrameDecoder`], and deals its blocks over
+/// the currently active lanes — one deadlined coefficient batch per
+/// lane per frame.
+struct OpenLoopFetchBehavior {
     stream: MjpegStream,
-    out_ifaces: Vec<String>,
-    active: usize,
-    profile: WorkProfile,
-    kernel: DctKind,
-    probe: OverloadProbe,
+    cfg: OverloadConfig,
 }
 
-impl OpenLoopFetchBehavior {
-    /// Open-loop Fetch over `stream`, dealing to `out_ifaces` with the
-    /// first `initial_active` lanes live.
-    pub fn new(
-        stream: MjpegStream,
-        out_ifaces: Vec<String>,
-        initial_active: usize,
-        profile: WorkProfile,
-        kernel: DctKind,
-        probe: OverloadProbe,
-    ) -> Self {
-        let n = out_ifaces.len();
-        OpenLoopFetchBehavior {
-            stream,
-            out_ifaces,
-            active: initial_active.clamp(1, n.max(1)),
-            profile,
-            kernel,
-            probe,
+/// Drain pending scale retargets without blocking.
+fn drain_scale(ctx: &mut dyn Ctx, sender: &mut BatchSender) -> Result<(), EmberaError> {
+    while let Some(m) = ctx.recv_timeout(SCALE_IFACE, 0)? {
+        if m.len() == 4 {
+            let want = u32::from_le_bytes(m[0..4].try_into().unwrap()) as usize;
+            sender.active = want.clamp(1, sender.ifaces().len());
         }
     }
-
-    /// Drain pending scale retargets without blocking.
-    fn drain_scale(&mut self, ctx: &mut dyn Ctx) -> Result<(), EmberaError> {
-        while let Some(m) = ctx.recv_timeout(SCALE_IFACE, 0)? {
-            if m.len() == 4 {
-                let want = u32::from_le_bytes(m[0..4].try_into().unwrap()) as usize;
-                self.active = want.clamp(1, self.out_ifaces.len());
-            }
-        }
-        Ok(())
-    }
+    Ok(())
 }
 
 impl Behavior for OpenLoopFetchBehavior {
     fn run(&mut self, ctx: &mut dyn Ctx) -> Result<(), EmberaError> {
-        if self.stream.is_empty() {
-            return Ok(());
-        }
+        let cfg = &self.cfg;
         let header = self.stream.frames[0].header;
-        let tables = Tables::for_kernel(self.kernel, header.quality);
-        let blocks = header.blocks();
-        let mut lanes: Vec<Vec<(u32, u32, [i32; BLOCK_SIZE])>> =
-            vec![Vec::with_capacity(blocks); self.out_ifaces.len()];
+        let decoder = FrameDecoder::new(header, cfg.kernel, cfg.profile);
+        // Always counted batches, and a lane can hold a whole frame: it
+        // is flushed at frame end, once, if it was dealt anything.
+        let mut sender = BatchSender::new(&*ctx, cfg.max_workers, header.blocks(), true);
+        sender.active = cfg.initial_workers.clamp(1, cfg.max_workers);
         loop {
-            self.drain_scale(ctx)?;
+            drain_scale(ctx, &mut sender)?;
             let (payload, deadline) = match ctx.recv_message(FRAMES_IFACE) {
-                Ok(Message::Deadlined {
-                    payload,
-                    deadline_ns,
-                }) => (payload, Some(deadline_ns)),
-                Ok(Message::Data(b)) => (b, None),
-                Ok(_) => continue,
+                Ok(msg) => unwrap_data(msg, FRAMES_IFACE)?,
                 Err(EmberaError::Terminated) => break,
                 Err(e) => return Err(e),
             };
@@ -460,186 +386,64 @@ impl Behavior for OpenLoopFetchBehavior {
                 )));
             };
             let frame = &self.stream.frames[stream_frame as usize % self.stream.frames.len()];
-            ctx.compute(Work::ops(
-                WorkClass::Control,
-                self.profile.file_mgmt_ops_per_frame,
-            ));
-            let mut dec = match self.kernel {
-                DctKind::ReferenceFloat => EntropyDecoder::reference(&frame.data),
-                DctKind::FastAan | DctKind::FastSimd => EntropyDecoder::new(&frame.data),
-            };
-            let mut bits_before = 0u64;
-            for bi in 0..blocks {
-                let zz = dec.next_block().map_err(|e| {
-                    EmberaError::Platform(format!("frame {stream_frame} block {bi}: {e}"))
-                })?;
-                let bits = dec.bits_consumed() - bits_before;
-                bits_before = dec.bits_consumed();
-                ctx.compute(
-                    Work::ops(
-                        WorkClass::Control,
-                        bits * self.profile.huffman_ops_per_bit
-                            + BLOCK_SIZE as u64 * self.profile.dequant_ops_per_coeff,
-                    )
-                    .with_mem(BLOCK_SIZE as u64 * 4),
-                );
-                lanes[bi % self.active].push((seq, bi as u32, tables.apply(&zz)));
-            }
-            for (lane, buf) in lanes.iter_mut().enumerate() {
-                if buf.is_empty() {
-                    continue;
-                }
-                let msg = encode_coeff_batch(buf);
-                buf.clear();
-                match deadline {
-                    Some(d) => ctx.send_deadlined(&self.out_ifaces[lane], msg, d)?,
-                    None => ctx.send(&self.out_ifaces[lane], msg)?,
-                }
-            }
+            sender.deadline = deadline;
+            decoder.decode(ctx, frame, stream_frame, false, |ctx, bi, coeffs| {
+                sender.push(ctx, seq, bi, coeffs)
+            })?;
+            sender.flush_all(ctx)?;
         }
         // End of load: sentinel every lane (active or not) so each IDCT
         // — and through it each Reorder lane — terminates.
-        for iface in &self.out_ifaces.clone() {
+        for iface in sender.ifaces() {
             ctx.send(iface, Bytes::new())?;
         }
-        let _ = &self.probe;
         Ok(())
     }
 }
 
-/// A deadline-aware IDCT lane: transforms on-time batches, forwards
-/// zero blocks for already-late ones (structural completeness without
-/// the work), and passes the sentinel through.
-pub struct OverloadIdctBehavior {
-    in_iface: String,
-    out_iface: String,
-    profile: WorkProfile,
-    kernel: DctKind,
-    probe: OverloadProbe,
-}
-
-impl OverloadIdctBehavior {
-    /// Lane from `in_iface` to `out_iface`.
-    pub fn new(
-        in_iface: impl Into<String>,
-        out_iface: impl Into<String>,
-        profile: WorkProfile,
-        kernel: DctKind,
-        probe: OverloadProbe,
-    ) -> Self {
-        OverloadIdctBehavior {
-            in_iface: in_iface.into(),
-            out_iface: out_iface.into(),
-            profile,
-            kernel,
-            probe,
-        }
-    }
-
-    fn transform(&self, coeffs: &[i32; BLOCK_SIZE]) -> [u8; BLOCK_SIZE] {
-        match self.kernel {
-            DctKind::ReferenceFloat => idct_to_pixels(coeffs),
-            DctKind::FastAan => idct_scaled_to_pixels(coeffs),
-            DctKind::FastSimd => crate::simd::idct_scaled_to_pixels_simd(coeffs),
-        }
-    }
-}
-
-impl Behavior for OverloadIdctBehavior {
-    fn run(&mut self, ctx: &mut dyn Ctx) -> Result<(), EmberaError> {
-        let mut out: Vec<(u32, u32, [u8; BLOCK_SIZE])> = Vec::new();
-        loop {
-            let (payload, deadline) = match ctx.recv_message(&self.in_iface) {
-                Ok(Message::Deadlined {
-                    payload,
-                    deadline_ns,
-                }) => (payload, Some(deadline_ns)),
-                Ok(Message::Data(b)) => (b, None),
-                Ok(_) => continue,
-                Err(EmberaError::Terminated) => return Ok(()),
-                Err(e) => return Err(e),
-            };
-            if payload.is_empty() {
-                return ctx.send(&self.out_iface, Bytes::new());
-            }
-            let view = BatchView::coeffs(&payload)?;
-            out.clear();
-            let late = deadline.is_some_and(|d| ctx.now_ns() >= d);
-            if late {
-                // Already past deadline: shed the *work*, keep the
-                // structure, so Reorder can complete and judge the
-                // frame instead of waiting on blocks that never come.
-                for i in 0..view.len() {
-                    let (f, bi, _) = view.block(i);
-                    out.push((f, bi, [0u8; BLOCK_SIZE]));
-                }
-                self.probe
-                    .idct_skipped
-                    .fetch_add(view.len() as u64, Ordering::AcqRel);
-            } else {
-                for i in 0..view.len() {
-                    let (f, bi, payload) = view.block(i);
-                    let coeffs = coeffs_from_bytes(&payload)?;
-                    out.push((f, bi, self.transform(&coeffs)));
-                }
-                ctx.compute(
-                    Work::ops(
-                        WorkClass::Dsp,
-                        self.profile.idct_ops_per_block * view.len() as u64,
-                    )
-                    .with_mem(BLOCK_SIZE as u64 * 5 * view.len() as u64),
-                );
-            }
-            let msg = encode_pixel_batch(&out);
-            match deadline {
-                Some(d) => ctx.send_deadlined(&self.out_iface, msg, d)?,
-                None => ctx.send(&self.out_iface, msg)?,
-            }
-        }
-    }
-}
-
-/// The judging Reorder: reassembles frames by block count and scores
-/// each completed frame against its deadline.
-pub struct ReorderJudgeBehavior {
-    in_ifaces: Vec<String>,
+/// The judging Reorder: counts each frame's blocks as they arrive — it
+/// places no pixels, its product is a verdict — and scores every
+/// completed frame against its deadline.
+struct ReorderJudgeBehavior {
+    cfg: OverloadConfig,
     blocks_per_frame: usize,
-    deadline_budget_ns: u64,
-    profile: WorkProfile,
     probe: OverloadProbe,
 }
+
+/// Blocks seen so far and envelope deadline, per partially arrived frame.
+type Partial = HashMap<u32, (usize, Option<u64>)>;
 
 impl ReorderJudgeBehavior {
-    /// Judge draining `in_ifaces`, completing frames of
-    /// `blocks_per_frame` blocks.
-    pub fn new(
-        in_ifaces: Vec<String>,
-        blocks_per_frame: usize,
-        deadline_budget_ns: u64,
-        profile: WorkProfile,
-        probe: OverloadProbe,
-    ) -> Self {
-        ReorderJudgeBehavior {
-            in_ifaces,
-            blocks_per_frame,
-            deadline_budget_ns,
-            profile,
-            probe,
+    /// Book a frame whose last block arrived at `now`: late by the
+    /// pipeline's one definition ([`is_late`]) it is expired, otherwise
+    /// completed with latency `now − arrival`.
+    fn judge(&self, now: u64, deadline: Option<u64>) {
+        if is_late(deadline, || now) {
+            self.probe.expired.fetch_add(1, Ordering::AcqRel);
+            return;
         }
+        self.probe.completed.fetch_add(1, Ordering::AcqRel);
+        let arrival = deadline.map_or(now, |d| d.saturating_sub(self.cfg.deadline_budget_ns));
+        self.probe
+            .latencies
+            .lock()
+            .unwrap()
+            .push(now.saturating_sub(arrival));
     }
 
     fn absorb(
         &self,
         ctx: &mut dyn Ctx,
-        partial: &mut HashMap<u32, (usize, u64)>,
+        partial: &mut Partial,
         payload: &Bytes,
         deadline: Option<u64>,
     ) -> Result<(), EmberaError> {
         let view = BatchView::pixels(payload)?;
+        let profile = &self.cfg.profile;
         ctx.compute(
             Work::ops(
                 WorkClass::MemCopy,
-                BLOCK_SIZE as u64 * self.profile.reorder_ops_per_pixel * view.len() as u64,
+                BLOCK_SIZE as u64 * profile.reorder_ops_per_pixel * view.len() as u64,
             )
             .with_mem(BLOCK_SIZE as u64 * 2 * view.len() as u64),
         );
@@ -651,10 +455,10 @@ impl ReorderJudgeBehavior {
             if !seen.contains(&frame) {
                 seen.push(frame);
             }
-            let entry = partial.entry(frame).or_insert((0, u64::MAX));
+            let entry = partial.entry(frame).or_insert((0, None));
             entry.0 += 1;
-            if let Some(d) = deadline {
-                entry.1 = d;
+            if deadline.is_some() {
+                entry.1 = deadline;
             }
         }
         for frame in seen {
@@ -665,22 +469,7 @@ impl ReorderJudgeBehavior {
                 continue;
             }
             partial.remove(&frame);
-            let now = ctx.now_ns();
-            if d != u64::MAX && now > d {
-                self.probe.expired.fetch_add(1, Ordering::AcqRel);
-            } else {
-                self.probe.completed.fetch_add(1, Ordering::AcqRel);
-                let arrival = if d == u64::MAX {
-                    now
-                } else {
-                    d.saturating_sub(self.deadline_budget_ns)
-                };
-                self.probe
-                    .latencies
-                    .lock()
-                    .unwrap()
-                    .push(now.saturating_sub(arrival));
-            }
+            self.judge(ctx.now_ns(), d);
         }
         Ok(())
     }
@@ -688,41 +477,31 @@ impl ReorderJudgeBehavior {
 
 impl Behavior for ReorderJudgeBehavior {
     fn run(&mut self, ctx: &mut dyn Ctx) -> Result<(), EmberaError> {
-        let n = self.in_ifaces.len();
-        let mut partial: HashMap<u32, (usize, u64)> = HashMap::new();
-        let mut done = vec![false; n];
+        let in_ifaces = reorder_ifaces(self.cfg.max_workers);
+        let mut partial = Partial::new();
+        let mut done = vec![false; in_ifaces.len()];
         'drain: while done.iter().any(|d| !d) {
             if ctx.should_stop() {
                 break;
             }
-            #[allow(clippy::needless_range_loop)] // `done[lane]` is also written below
-            for lane in 0..n {
-                if done[lane] {
+            for (iface, done) in in_ifaces.iter().zip(done.iter_mut()) {
+                if *done {
                     continue;
                 }
                 // Greedily drain this lane, then hop to the next; the
                 // short poll keeps fold timestamps close to delivery.
                 loop {
-                    let iface = self.in_ifaces[lane].clone();
-                    match ctx.recv_message_timeout(&iface, JUDGE_POLL_NS) {
+                    let (payload, deadline) = match ctx.recv_message_timeout(iface, JUDGE_POLL_NS) {
                         Ok(None) => break,
-                        Ok(Some(Message::Data(b))) if b.is_empty() => {
-                            done[lane] = true;
-                            break;
-                        }
-                        Ok(Some(Message::Data(b))) => {
-                            self.absorb(ctx, &mut partial, &b, None)?;
-                        }
-                        Ok(Some(Message::Deadlined {
-                            payload,
-                            deadline_ns,
-                        })) => {
-                            self.absorb(ctx, &mut partial, &payload, Some(deadline_ns))?;
-                        }
-                        Ok(Some(_)) => {}
+                        Ok(Some(msg)) => unwrap_data(msg, iface)?,
                         Err(EmberaError::Terminated) => break 'drain,
                         Err(e) => return Err(e),
+                    };
+                    if payload.is_empty() {
+                        *done = true;
+                        break;
                     }
+                    self.absorb(ctx, &mut partial, &payload, deadline)?;
                 }
             }
         }
@@ -737,23 +516,11 @@ impl Behavior for ReorderJudgeBehavior {
 /// The observation-driven autoscaler: folds the root observer's region
 /// summaries into a total queued-message gauge and retargets Fetch's
 /// active lane count with hysteresis.
-pub struct ScaleControllerBehavior {
+struct ScaleControllerBehavior {
     cfg: AutoscaleConfig,
     max_workers: usize,
     active: usize,
     probe: OverloadProbe,
-}
-
-impl ScaleControllerBehavior {
-    /// Controller starting at `initial` active workers, capped at `max`.
-    pub fn new(cfg: AutoscaleConfig, max: usize, initial: usize, probe: OverloadProbe) -> Self {
-        ScaleControllerBehavior {
-            cfg,
-            max_workers: max.max(1),
-            active: initial.clamp(cfg.min_workers.max(1), max.max(1)),
-            probe,
-        }
-    }
 }
 
 impl Behavior for ScaleControllerBehavior {
@@ -819,14 +586,17 @@ pub fn build_overload_app(stream: MjpegStream, cfg: &OverloadConfig) -> (AppBuil
     assert!(cfg.max_workers >= 1);
     assert!(stream.len() >= 2, "need a config frame plus payload frames");
     let probe = OverloadProbe::default();
-    let header = stream.frames[0].header;
-    let blocks_per_frame = header.blocks();
+    let blocks_per_frame = stream.frames[0].header.blocks();
 
     let mut app = AppBuilder::new("MJPEG-overload");
 
     let mut loadgen = ComponentSpec::new(
         "LoadGen",
-        LoadGenBehavior::new(cfg, stream.len(), probe.clone()),
+        LoadGenBehavior {
+            cfg: cfg.clone(),
+            stream_frames: stream.len() as u32,
+            probe: probe.clone(),
+        },
     )
     .with_required("frames")
     .with_stack_bytes(cfg.stack_bytes);
@@ -835,90 +605,55 @@ pub fn build_overload_app(stream: MjpegStream, cfg: &OverloadConfig) -> (AppBuil
     }
     app.add(loadgen);
 
-    let lane_ifaces: Vec<String> = (1..=cfg.max_workers)
-        .map(|k| format!("fetchIdct{k}"))
-        .collect();
     let mut fetch = ComponentSpec::new(
         "Fetch",
-        OpenLoopFetchBehavior::new(
+        OpenLoopFetchBehavior {
             stream,
-            lane_ifaces.clone(),
-            cfg.initial_workers,
-            cfg.profile,
-            cfg.kernel,
-            probe.clone(),
-        ),
+            cfg: cfg.clone(),
+        },
     )
     .with_provided(FRAMES_IFACE)
     .with_provided(SCALE_IFACE)
     .with_stack_bytes(cfg.stack_bytes);
-    for iface in &lane_ifaces {
-        fetch = fetch.with_required(iface);
-    }
+    fetch.required = fetch_ifaces(cfg.max_workers);
     if let Some(policy) = cfg.fetch_policy {
         fetch = fetch.with_overload(policy);
     }
     app.add(fetch);
     app.connect(("LoadGen", "frames"), ("Fetch", FRAMES_IFACE));
 
-    for k in 1..=cfg.max_workers {
-        app.add(
-            ComponentSpec::new(
-                format!("IDCT_{k}"),
-                OverloadIdctBehavior::new(
-                    format!("_fetchIdct{k}"),
-                    "idctReorder",
-                    cfg.profile,
-                    cfg.kernel,
-                    probe.clone(),
-                ),
-            )
-            .with_provided(format!("_fetchIdct{k}"))
-            .with_required("idctReorder")
-            .with_stack_bytes(cfg.stack_bytes)
-            .on_cpu(k),
-        );
-        app.connect(
-            ("Fetch", &format!("fetchIdct{k}")),
-            (&format!("IDCT_{k}"), &format!("_fetchIdct{k}")),
-        );
-    }
-
-    let reorder_ins: Vec<String> = (1..=cfg.max_workers)
-        .map(|k| format!("_idct{k}Reorder"))
-        .collect();
     let mut reorder = ComponentSpec::new(
         "Reorder",
-        ReorderJudgeBehavior::new(
-            reorder_ins.clone(),
+        ReorderJudgeBehavior {
+            cfg: cfg.clone(),
             blocks_per_frame,
-            cfg.deadline_budget_ns,
-            cfg.profile,
-            probe.clone(),
-        ),
+            probe: probe.clone(),
+        },
     )
     .with_stack_bytes(cfg.stack_bytes);
-    for iface in &reorder_ins {
-        reorder = reorder.with_provided(iface);
-    }
-    app.add(reorder);
-    for k in 1..=cfg.max_workers {
-        app.connect(
-            (&format!("IDCT_{k}"), "idctReorder"),
-            ("Reorder", &format!("_idct{k}Reorder")),
-        );
-    }
+    reorder.provided = reorder_ifaces(cfg.max_workers);
+    let lanes = (1..=cfg.max_workers).map(|k| IdctBehavior {
+        lane: k,
+        end: LaneEnd::Sentinel,
+        kernel: cfg.kernel,
+        profile: cfg.profile,
+        counted: true,
+        skipped: Arc::clone(&probe.idct_skipped),
+    });
+    add_lanes(&mut app, "Fetch", Some(reorder), cfg.stack_bytes, lanes);
 
     if let Some(auto) = cfg.autoscale {
         app.add(
             ComponentSpec::new(
                 "ScaleController",
-                ScaleControllerBehavior::new(
-                    auto,
-                    cfg.max_workers,
-                    cfg.initial_workers,
-                    probe.clone(),
-                ),
+                ScaleControllerBehavior {
+                    cfg: auto,
+                    max_workers: cfg.max_workers,
+                    active: cfg
+                        .initial_workers
+                        .clamp(auto.min_workers.max(1), cfg.max_workers),
+                    probe: probe.clone(),
+                },
             )
             .with_provided(FEED_IFACE)
             .with_required("scale")
@@ -1054,6 +789,43 @@ mod tests {
         assert_eq!(health.expired_messages, 10);
         assert_eq!(probe.completed.load(Ordering::SeqCst), 0);
         assert_eq!(probe.injected.load(Ordering::SeqCst), health.expired_messages);
+    }
+
+    #[test]
+    fn a_frame_folding_exactly_at_its_deadline_is_expired() {
+        // One frame, ample budget: its latency is fold − arrival. With
+        // exactly that latency as the budget the same frame folds at
+        // `now == deadline` — late by the definition the runtime's
+        // ingress shedding and the IDCT lanes use, so the judge must
+        // book it expired, with no latency sample.
+        let run = |budget: u64| {
+            let mut c = cfg(1);
+            c.deadline_budget_ns = budget;
+            let (app, probe) = build_overload_app(stream(), &c);
+            InprocPlatform::new()
+                .deploy(app.build().unwrap())
+                .unwrap()
+                .wait()
+                .unwrap();
+            probe
+        };
+        let ample = run(1_000_000_000);
+        assert_eq!(ample.completed.load(Ordering::SeqCst), 1);
+        let latency = ample.latencies()[0];
+        let exact = run(latency);
+        assert_eq!(exact.idct_skipped.load(Ordering::SeqCst), 0);
+        assert_eq!(exact.expired.load(Ordering::SeqCst), 1);
+        assert_eq!(exact.completed.load(Ordering::SeqCst), 0);
+        assert!(exact.latencies().is_empty());
+        // One nanosecond more and it is on time.
+        assert_eq!(run(latency + 1).completed.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn no_deadline_is_never_late() {
+        assert!(!is_late(None, || u64::MAX));
+        assert!(!is_late(Some(10), || 9));
+        assert!(is_late(Some(10), || 10));
     }
 
     #[test]

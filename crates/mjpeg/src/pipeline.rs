@@ -3,6 +3,10 @@
 //! SMP deployment (paper Figure 3): `Fetch → 3 × IDCT → Reorder`.
 //! MPSoC deployment (paper Figure 7): `Fetch-Reorder ⇄ 2 × IDCT`, the
 //! Fetch and Reorder functionalities merged on the general-purpose ST40.
+//! The open-loop harness ([`crate::overload`]) is a third assembly of
+//! the same parts: everything the three share — the frame decode, the
+//! kernel selection, the per-lane batching, the IDCT lane, the wire
+//! formats and their reader, the lane wiring — is written once, here.
 //!
 //! Two structural details reproduce the paper's Table 2 exactly:
 //!
@@ -15,17 +19,19 @@
 //! component knows its message budget from the stream length, so the
 //! communication counters contain data messages only.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
 
-use embera::{AppBuilder, Behavior, BufferPool, ComponentSpec, Ctx, EmberaError, Work, WorkClass};
+use embera::{
+    AppBuilder, Behavior, BufferPool, ComponentSpec, Ctx, EmberaError, Message, Work, WorkClass,
+};
 
 use crate::codec::{place_block, EntropyDecoder};
 use crate::dct::{idct_scaled_to_pixels, idct_to_pixels, DctKind, BLOCK_SIZE};
-use crate::frame::MjpegStream;
+use crate::frame::{EncodedFrame, FrameHeader, MjpegStream};
 use crate::quant::{
     dequantize_reorder, dequantize_reorder_scaled, fast_dequant_table, scaled_qtable,
 };
@@ -62,6 +68,26 @@ impl Default for WorkProfile {
     }
 }
 
+// ---------------------------------------------------------------------
+// Wire formats. Four of them — a bare coefficient or pixel record, and
+// a counted batch of either — each written by one exact-size slice
+// writer, so a sender can serialize straight into a pool-owned window
+// ([`BufferPool::take_with`]). The `encode_*` functions are the same
+// writers over a fresh allocation.
+// ---------------------------------------------------------------------
+
+/// A coefficient block in flight: frame, block index, 64 natural-order
+/// coefficients.
+type CoeffBlock = (u32, u32, [i32; BLOCK_SIZE]);
+/// A pixel block in flight: frame, block index, 64 pixels.
+type PixelBlock = (u32, u32, [u8; BLOCK_SIZE]);
+
+/// Bytes per block record in a coefficient batch:
+/// frame u32 | block u32 | 64 × i32.
+const COEFF_REC: usize = 8 + BLOCK_SIZE * 4;
+/// Bytes per block record in a pixel batch: frame u32 | block u32 | 64 × u8.
+const PIXEL_REC: usize = 8 + BLOCK_SIZE;
+
 /// Stage a coefficient body (64 × i32 LE) in a fixed array: one bulk
 /// append instead of 64 four-byte appends. The fixed-bound staging loop
 /// lowers to straight vector stores on little-endian targets.
@@ -73,141 +99,6 @@ fn coeff_bytes(coeffs: &[i32; BLOCK_SIZE]) -> [u8; BLOCK_SIZE * 4] {
     raw
 }
 
-/// Serialize a coefficient block into a caller-owned scratch buffer
-/// (cleared first). The hot path reuses one scratch `Vec` per component
-/// so steady-state serialization never allocates.
-fn encode_coeff_into(v: &mut Vec<u8>, frame: u32, block: u32, coeffs: &[i32; BLOCK_SIZE]) {
-    v.clear();
-    v.reserve(8 + BLOCK_SIZE * 4);
-    v.extend_from_slice(&frame.to_le_bytes());
-    v.extend_from_slice(&block.to_le_bytes());
-    v.extend_from_slice(&coeff_bytes(coeffs));
-}
-
-/// Wire format of a coefficient block: frame u32 | block u32 | 64 × i32.
-pub fn encode_coeff_msg(frame: u32, block: u32, coeffs: &[i32; BLOCK_SIZE]) -> Bytes {
-    let mut v = Vec::new();
-    encode_coeff_into(&mut v, frame, block, coeffs);
-    Bytes::from(v)
-}
-
-/// Parse a coefficient block message.
-pub fn decode_coeff_msg(b: &[u8]) -> Result<(u32, u32, [i32; BLOCK_SIZE]), EmberaError> {
-    if b.len() != 8 + BLOCK_SIZE * 4 {
-        return Err(EmberaError::Platform(format!(
-            "bad coefficient message length {}",
-            b.len()
-        )));
-    }
-    let frame = u32::from_le_bytes(b[0..4].try_into().unwrap());
-    let block = u32::from_le_bytes(b[4..8].try_into().unwrap());
-    let mut coeffs = [0i32; BLOCK_SIZE];
-    for (i, c) in coeffs.iter_mut().enumerate() {
-        let o = 8 + i * 4;
-        *c = i32::from_le_bytes(b[o..o + 4].try_into().unwrap());
-    }
-    Ok((frame, block, coeffs))
-}
-
-/// Serialize a pixel block into a caller-owned scratch buffer.
-fn encode_pixel_into(v: &mut Vec<u8>, frame: u32, block: u32, pixels: &[u8; BLOCK_SIZE]) {
-    v.clear();
-    v.reserve(8 + BLOCK_SIZE);
-    v.extend_from_slice(&frame.to_le_bytes());
-    v.extend_from_slice(&block.to_le_bytes());
-    v.extend_from_slice(pixels);
-}
-
-/// Wire format of a pixel block: frame u32 | block u32 | 64 × u8.
-pub fn encode_pixel_msg(frame: u32, block: u32, pixels: &[u8; BLOCK_SIZE]) -> Bytes {
-    let mut v = Vec::new();
-    encode_pixel_into(&mut v, frame, block, pixels);
-    Bytes::from(v)
-}
-
-/// Parse a pixel block message.
-pub fn decode_pixel_msg(b: &[u8]) -> Result<(u32, u32, [u8; BLOCK_SIZE]), EmberaError> {
-    if b.len() != 8 + BLOCK_SIZE {
-        return Err(EmberaError::Platform(format!(
-            "bad pixel message length {}",
-            b.len()
-        )));
-    }
-    let frame = u32::from_le_bytes(b[0..4].try_into().unwrap());
-    let block = u32::from_le_bytes(b[4..8].try_into().unwrap());
-    let mut px = [0u8; BLOCK_SIZE];
-    px.copy_from_slice(&b[8..]);
-    Ok((frame, block, px))
-}
-
-/// Bytes per block record in a coefficient batch:
-/// frame u32 | block u32 | 64 × i32.
-const COEFF_REC: usize = 8 + BLOCK_SIZE * 4;
-/// Bytes per block record in a pixel batch: frame u32 | block u32 | 64 × u8.
-const PIXEL_REC: usize = 8 + BLOCK_SIZE;
-
-/// Idle deadline for tolerant-mode receives. Tolerant components cannot
-/// rely on a fixed message budget (frames may be dropped upstream), so
-/// they stop once their inputs stay silent this long. On the in-process
-/// backend this is logical time — the scheduler only reports a timeout
-/// once no producer can make progress, which keeps tolerant runs
-/// deterministic. On the threaded backend it is wall-clock time and is
-/// sized generously above any scheduling hiccup.
-const TOLERANT_IDLE_NS: u64 = 500_000_000;
-
-/// Wire format of a coefficient **batch**: `count u32 | count ×
-/// (frame u32 | block u32 | 64 × i32)`. Used when `blocks_per_msg > 1`;
-/// the single-block formats above stay the wire format at batch size 1
-/// so the paper's Table 2 byte counts are untouched by default. Each
-/// record carries its own frame tag so a batch may span frame
-/// boundaries — the SMP Fetch flushes a lane only when it is full,
-/// which is what lets one thread wake-up amortize over many frames.
-pub fn encode_coeff_batch(blocks: &[(u32, u32, [i32; BLOCK_SIZE])]) -> Bytes {
-    let mut v = Vec::new();
-    encode_coeff_batch_into(&mut v, blocks);
-    Bytes::from(v)
-}
-
-/// Serialize a coefficient batch into a caller-owned scratch buffer.
-fn encode_coeff_batch_into(v: &mut Vec<u8>, blocks: &[(u32, u32, [i32; BLOCK_SIZE])]) {
-    v.clear();
-    v.reserve(4 + blocks.len() * COEFF_REC);
-    v.extend_from_slice(&(blocks.len() as u32).to_le_bytes());
-    for (frame, bi, coeffs) in blocks {
-        v.extend_from_slice(&frame.to_le_bytes());
-        v.extend_from_slice(&bi.to_le_bytes());
-        v.extend_from_slice(&coeff_bytes(coeffs));
-    }
-}
-
-/// Wire format of a pixel **batch**: `count u32 | count ×
-/// (frame u32 | block u32 | 64 × u8)`.
-pub fn encode_pixel_batch(blocks: &[(u32, u32, [u8; BLOCK_SIZE])]) -> Bytes {
-    let mut v = Vec::new();
-    encode_pixel_batch_into(&mut v, blocks);
-    Bytes::from(v)
-}
-
-/// Serialize a pixel batch into a caller-owned scratch buffer.
-fn encode_pixel_batch_into(v: &mut Vec<u8>, blocks: &[(u32, u32, [u8; BLOCK_SIZE])]) {
-    v.clear();
-    v.reserve(4 + blocks.len() * PIXEL_REC);
-    v.extend_from_slice(&(blocks.len() as u32).to_le_bytes());
-    for (frame, bi, px) in blocks {
-        v.extend_from_slice(&frame.to_le_bytes());
-        v.extend_from_slice(&bi.to_le_bytes());
-        v.extend_from_slice(px);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Exact-size slice writers: the pooled senders serialize directly into
-// a pool-owned window ([`BufferPool::take_with`]) instead of staging
-// through a scratch `Vec` and copying — same wire formats as the Vec
-// serializers above (the pooled-vs-unpooled checksum tests pin the two
-// paths to identical bytes), one full memcpy pass fewer per message.
-// ---------------------------------------------------------------------
-
 /// Write a single-block coefficient message into `dst` (`COEFF_REC` bytes).
 fn write_coeff_msg(dst: &mut [u8], frame: u32, block: u32, coeffs: &[i32; BLOCK_SIZE]) {
     dst[0..4].copy_from_slice(&frame.to_le_bytes());
@@ -216,7 +107,7 @@ fn write_coeff_msg(dst: &mut [u8], frame: u32, block: u32, coeffs: &[i32; BLOCK_
 }
 
 /// Write a coefficient batch into `dst` (`4 + n * COEFF_REC` bytes).
-fn write_coeff_batch(dst: &mut [u8], blocks: &[(u32, u32, [i32; BLOCK_SIZE])]) {
+fn write_coeff_batch(dst: &mut [u8], blocks: &[CoeffBlock]) {
     dst[0..4].copy_from_slice(&(blocks.len() as u32).to_le_bytes());
     for (i, (frame, bi, coeffs)) in blocks.iter().enumerate() {
         let rec = &mut dst[4 + i * COEFF_REC..4 + (i + 1) * COEFF_REC];
@@ -232,7 +123,7 @@ fn write_pixel_msg(dst: &mut [u8], frame: u32, block: u32, pixels: &[u8; BLOCK_S
 }
 
 /// Write a pixel batch into `dst` (`4 + n * PIXEL_REC` bytes).
-fn write_pixel_batch(dst: &mut [u8], blocks: &[(u32, u32, [u8; BLOCK_SIZE])]) {
+fn write_pixel_batch(dst: &mut [u8], blocks: &[PixelBlock]) {
     dst[0..4].copy_from_slice(&(blocks.len() as u32).to_le_bytes());
     for (i, (frame, bi, px)) in blocks.iter().enumerate() {
         let rec = &mut dst[4 + i * PIXEL_REC..4 + (i + 1) * PIXEL_REC];
@@ -240,14 +131,84 @@ fn write_pixel_batch(dst: &mut [u8], blocks: &[(u32, u32, [u8; BLOCK_SIZE])]) {
     }
 }
 
-/// Give a fully consumed message buffer back to the pool (no-op without
-/// one). Callers must drop any [`BatchView`] over the message first, or
-/// the pool will refuse the still-shared buffer.
-fn recycle_msg(pool: Option<&BufferPool>, msg: Bytes) {
-    if let Some(p) = pool {
-        p.recycle(msg);
-    }
+/// A freshly allocated message of `len` bytes produced by `write`.
+fn encoded(len: usize, write: impl FnOnce(&mut [u8])) -> Bytes {
+    let mut v = vec![0u8; len];
+    write(&mut v);
+    Bytes::from(v)
 }
+
+/// Wire format of a coefficient block: frame u32 | block u32 | 64 × i32.
+pub fn encode_coeff_msg(frame: u32, block: u32, coeffs: &[i32; BLOCK_SIZE]) -> Bytes {
+    encoded(COEFF_REC, |dst| write_coeff_msg(dst, frame, block, coeffs))
+}
+
+/// Wire format of a pixel block: frame u32 | block u32 | 64 × u8.
+pub fn encode_pixel_msg(frame: u32, block: u32, pixels: &[u8; BLOCK_SIZE]) -> Bytes {
+    encoded(PIXEL_REC, |dst| write_pixel_msg(dst, frame, block, pixels))
+}
+
+/// Wire format of a coefficient **batch**: `count u32 | count ×
+/// (frame u32 | block u32 | 64 × i32)`. Used when `blocks_per_msg > 1`;
+/// the single-block formats above stay the wire format at batch size 1
+/// so the paper's Table 2 byte counts are untouched by default. Each
+/// record carries its own frame tag so a batch may span frame
+/// boundaries — the SMP Fetch flushes a lane only when it is full,
+/// which is what lets one thread wake-up amortize over many frames.
+pub fn encode_coeff_batch(blocks: &[(u32, u32, [i32; BLOCK_SIZE])]) -> Bytes {
+    encoded(4 + blocks.len() * COEFF_REC, |dst| {
+        write_coeff_batch(dst, blocks)
+    })
+}
+
+/// Wire format of a pixel **batch**: `count u32 | count ×
+/// (frame u32 | block u32 | 64 × u8)`.
+pub fn encode_pixel_batch(blocks: &[(u32, u32, [u8; BLOCK_SIZE])]) -> Bytes {
+    encoded(4 + blocks.len() * PIXEL_REC, |dst| {
+        write_pixel_batch(dst, blocks)
+    })
+}
+
+fn bad_length(what: &str, len: usize) -> EmberaError {
+    EmberaError::Platform(format!("bad {what} message length {len}"))
+}
+
+/// The frame and block tags that lead every record.
+fn record_tags(rec: &[u8]) -> (u32, u32) {
+    (
+        u32::from_le_bytes(rec[0..4].try_into().unwrap()),
+        u32::from_le_bytes(rec[4..8].try_into().unwrap()),
+    )
+}
+
+/// Parse a coefficient block message.
+pub fn decode_coeff_msg(b: &[u8]) -> Result<(u32, u32, [i32; BLOCK_SIZE]), EmberaError> {
+    if b.len() != COEFF_REC {
+        return Err(bad_length("coefficient", b.len()));
+    }
+    let (frame, block) = record_tags(b);
+    Ok((frame, block, coeffs_from_bytes(&b[8..])?))
+}
+
+/// Parse a pixel block message.
+pub fn decode_pixel_msg(b: &[u8]) -> Result<(u32, u32, [u8; BLOCK_SIZE]), EmberaError> {
+    if b.len() != PIXEL_REC {
+        return Err(bad_length("pixel", b.len()));
+    }
+    let (frame, block) = record_tags(b);
+    let mut px = [0u8; BLOCK_SIZE];
+    px.copy_from_slice(&b[8..]);
+    Ok((frame, block, px))
+}
+
+/// Idle deadline for tolerant-mode receives. Tolerant components cannot
+/// rely on a fixed message budget (frames may be dropped upstream), so
+/// they stop once their inputs stay silent this long. On the in-process
+/// backend this is logical time — the scheduler only reports a timeout
+/// once no producer can make progress, which keeps tolerant runs
+/// deterministic. On the threaded backend it is wall-clock time and is
+/// sized generously above any scheduling hiccup.
+const TOLERANT_IDLE_NS: u64 = 500_000_000;
 
 /// A parsed batch header over a refcounted message payload. Per-block
 /// accessors hand out [`Bytes`] views into the original buffer, so a
@@ -256,6 +217,9 @@ pub struct BatchView {
     data: Bytes,
     count: usize,
     rec: usize,
+    /// Offset of the first record: past the count of a batch, 0 for a
+    /// bare record read as a batch of one.
+    first: usize,
 }
 
 impl BatchView {
@@ -277,6 +241,25 @@ impl BatchView {
             data: data.clone(),
             count,
             rec,
+            first: 4,
+        })
+    }
+
+    /// The blocks of one pipeline message, whichever layout the
+    /// pipeline runs: a counted batch, or — at one block per message,
+    /// the paper's schedule — a bare record.
+    fn records(data: &Bytes, rec: usize, what: &str, counted: bool) -> Result<Self, EmberaError> {
+        if counted {
+            return Self::parse(data, rec, what);
+        }
+        if data.len() != rec {
+            return Err(bad_length(what, data.len()));
+        }
+        Ok(BatchView {
+            data: data.clone(),
+            count: 1,
+            rec,
+            first: 0,
         })
     }
 
@@ -305,9 +288,8 @@ impl BatchView {
     /// record.
     pub fn block(&self, i: usize) -> (u32, u32, Bytes) {
         assert!(i < self.count);
-        let off = 4 + i * self.rec;
-        let frame = u32::from_le_bytes(self.data[off..off + 4].try_into().unwrap());
-        let bi = u32::from_le_bytes(self.data[off + 4..off + 8].try_into().unwrap());
+        let off = self.first + i * self.rec;
+        let (frame, bi) = record_tags(&self.data[off..]);
         (frame, bi, self.data.slice(off + 8..off + self.rec))
     }
 }
@@ -326,6 +308,106 @@ pub fn coeffs_from_bytes(b: &[u8]) -> Result<[i32; BLOCK_SIZE], EmberaError> {
         *c = i32::from_le_bytes(b[i * 4..i * 4 + 4].try_into().unwrap());
     }
     Ok(coeffs)
+}
+
+/// One stage's end of the wire: which layout the pipeline's messages
+/// have, and where the buffers of the ones it sends come from — the
+/// application's payload pool where the backend has one, a reused
+/// scratch buffer and one allocation per message otherwise.
+struct Wire {
+    /// `count | records` when set; a bare record per message otherwise.
+    counted: bool,
+    pool: Option<BufferPool>,
+    scratch: Vec<u8>,
+}
+
+impl Wire {
+    fn new(ctx: &dyn Ctx, counted: bool) -> Self {
+        Wire {
+            counted,
+            pool: ctx.payload_pool(),
+            scratch: Vec::new(),
+        }
+    }
+
+    /// A message of `len` bytes produced by `write`. The pooled path
+    /// serializes straight into the pool-owned buffer: no scratch
+    /// staging, no extra memcpy pass.
+    fn message(&mut self, len: usize, write: impl FnOnce(&mut [u8])) -> Bytes {
+        match &self.pool {
+            Some(pool) => pool.take_with(len, write),
+            None => {
+                self.scratch.resize(len, 0);
+                write(&mut self.scratch);
+                Bytes::copy_from_slice(&self.scratch)
+            }
+        }
+    }
+
+    fn coeffs(&mut self, blocks: &[CoeffBlock]) -> Bytes {
+        if self.counted {
+            return self.message(4 + blocks.len() * COEFF_REC, |dst| {
+                write_coeff_batch(dst, blocks)
+            });
+        }
+        let (frame, bi, coeffs) = &blocks[0];
+        self.message(COEFF_REC, |dst| write_coeff_msg(dst, *frame, *bi, coeffs))
+    }
+
+    fn pixels(&mut self, blocks: &[PixelBlock]) -> Bytes {
+        if self.counted {
+            return self.message(4 + blocks.len() * PIXEL_REC, |dst| {
+                write_pixel_batch(dst, blocks)
+            });
+        }
+        let (frame, bi, px) = &blocks[0];
+        self.message(PIXEL_REC, |dst| write_pixel_msg(dst, *frame, *bi, px))
+    }
+
+    /// Give a fully consumed message buffer back to the pool (no-op
+    /// without one). Callers must drop any [`BatchView`] over the
+    /// message first, or the pool will refuse the still-shared buffer.
+    fn recycle(&self, msg: Bytes) {
+        if let Some(p) = &self.pool {
+            p.recycle(msg);
+        }
+    }
+}
+
+/// Payload and envelope deadline of a data message — the [`Ctx::recv`]
+/// contract, with the deadline kept instead of stripped.
+pub(crate) fn unwrap_data(msg: Message, iface: &str) -> Result<(Bytes, Option<u64>), EmberaError> {
+    match msg {
+        Message::Data(payload) => Ok((payload, None)),
+        Message::Deadlined {
+            payload,
+            deadline_ns,
+        } => Ok((payload, Some(deadline_ns))),
+        _ => Err(EmberaError::UnexpectedMessage {
+            interface: iface.to_string(),
+        }),
+    }
+}
+
+/// Send `payload` under the deadline it arrived with, if it had one.
+fn send_under(
+    ctx: &mut dyn Ctx,
+    iface: &str,
+    payload: Bytes,
+    deadline: Option<u64>,
+) -> Result<(), EmberaError> {
+    match deadline {
+        Some(d) => ctx.send_deadlined(iface, payload, d),
+        None => ctx.send(iface, payload),
+    }
+}
+
+/// The pipeline's one definition of "late", matching the runtime's
+/// ingress shedding: work is late from the instant of its deadline on,
+/// and work without a deadline never is. `now_ns` is only read when
+/// there is a deadline to hold it against.
+pub(crate) fn is_late(deadline: Option<u64>, now_ns: impl FnOnce() -> u64) -> bool {
+    deadline.is_some_and(|d| now_ns() >= d)
 }
 
 /// Blocks dealt round-robin: how many of `blocks` land on `lane` of `n`.
@@ -387,536 +469,372 @@ impl PipelineProbe {
     }
 }
 
-/// The Fetch component: "file management, Huffman decoding and pixel
-/// reordering" (§3.2). Distributes coefficient blocks round-robin over
-/// the IDCT components.
-pub struct FetchBehavior {
-    stream: MjpegStream,
-    out_ifaces: Vec<String>,
-    profile: WorkProfile,
-    blocks_per_msg: usize,
-    kernel: DctKind,
-    dispatch: DispatchPolicy,
-    /// Tolerant mode: a corrupt frame is decoded in full *before* any of
-    /// its blocks is sent, so a mid-frame decode error drops the whole
-    /// frame atomically (counted on the probe) instead of failing the
-    /// component after a partial send.
-    tolerant: Option<PipelineProbe>,
-}
-
-/// Dequantization state for whichever kernel the pipeline runs.
-enum DequantTables {
+/// Everything a pipeline selects by [`DctKind`], in one place: the
+/// entropy decoder, the dequantization table and the inverse transform
+/// that belongs to it.
+enum Kernel {
+    /// The paper's path: bit-serial Huffman decoder, plain quantizer
+    /// steps, separable float IDCT.
     Reference([u16; BLOCK_SIZE]),
+    /// Two-level LUT Huffman decoder and the quantizer steps folded
+    /// with the AAN scales, for the integer butterflies (scalar or SIMD).
     Fast([i32; BLOCK_SIZE]),
 }
 
-/// Entropy decoder matching the kernel choice: the reference kernel
-/// pairs with the paper's bit-serial Huffman decoder, the fast kernel
-/// with the two-level LUT decoder.
-fn entropy_decoder(kernel: DctKind, data: &[u8]) -> EntropyDecoder<'_> {
-    match kernel {
-        DctKind::ReferenceFloat => EntropyDecoder::reference(data),
-        DctKind::FastAan | DctKind::FastSimd => EntropyDecoder::new(data),
-    }
-}
-
-impl DequantTables {
-    fn for_kernel(kernel: DctKind, quality: u8) -> Self {
+impl Kernel {
+    fn new(kind: DctKind, quality: u8) -> Self {
         let qtable = scaled_qtable(quality);
-        match kernel {
-            DctKind::ReferenceFloat => DequantTables::Reference(qtable),
-            DctKind::FastAan | DctKind::FastSimd => {
-                DequantTables::Fast(fast_dequant_table(&qtable))
-            }
+        match kind {
+            DctKind::ReferenceFloat => Kernel::Reference(qtable),
+            DctKind::FastAan | DctKind::FastSimd => Kernel::Fast(fast_dequant_table(&qtable)),
         }
     }
 
-    fn apply(&self, zz: &[i16; BLOCK_SIZE]) -> [i32; BLOCK_SIZE] {
+    fn entropy_decoder<'a>(&self, data: &'a [u8]) -> EntropyDecoder<'a> {
         match self {
-            DequantTables::Reference(q) => dequantize_reorder(zz, q),
-            DequantTables::Fast(f) => dequantize_reorder_scaled(zz, f),
+            Kernel::Reference(_) => EntropyDecoder::reference(data),
+            Kernel::Fast(_) => EntropyDecoder::new(data),
+        }
+    }
+
+    fn dequantize(&self, zz: &[i16; BLOCK_SIZE]) -> [i32; BLOCK_SIZE] {
+        match self {
+            Kernel::Reference(q) => dequantize_reorder(zz, q),
+            Kernel::Fast(f) => dequantize_reorder_scaled(zz, f),
+        }
+    }
+
+    /// The inverse transform for coefficients `kind` dequantized.
+    fn idct(kind: DctKind) -> fn(&[i32; BLOCK_SIZE]) -> [u8; BLOCK_SIZE] {
+        match kind {
+            DctKind::ReferenceFloat => idct_to_pixels,
+            DctKind::FastAan => idct_scaled_to_pixels,
+            DctKind::FastSimd => crate::simd::idct_scaled_to_pixels_simd,
         }
     }
 }
 
-/// How the Fetch side assigns coefficient blocks to IDCT lanes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DispatchPolicy {
-    /// Strict round-robin by block index — the paper's schedule. Every
-    /// lane's message budget is computable from the stream length, which
-    /// is what keeps the Table 2 communication counts exact.
-    #[default]
-    RoundRobin,
-    /// Queue-depth credit: each block goes to the lane with the fewest
-    /// outstanding blocks (transport-reported mailbox depth × batch size
-    /// plus locally buffered blocks, ties broken rotating). Per-lane
-    /// budgets become data-dependent, so the pipeline switches to
-    /// dynamic termination: Fetch ends each lane with an empty sentinel
-    /// message and Reorder drains by total block count. The sentinels
-    /// add one send per lane to the Fetch counters — Table 2 exactness
-    /// is a [`DispatchPolicy::RoundRobin`] property.
-    LeastLoaded,
+/// The Fetch work every assembly shares: "file management, Huffman
+/// decoding and pixel reordering" (§3.2) of one frame at a time.
+pub(crate) struct FrameDecoder {
+    kernel: Kernel,
+    blocks: usize,
+    profile: WorkProfile,
 }
 
-/// Per-lane coefficient batch buffers for the Fetch side. A lane is
-/// flushed when it holds `blocks_per_msg` blocks; batch size 1
-/// degenerates to the paper's one-message-per-block schedule
-/// (single-block wire format). The free-running SMP Fetch lets batches
-/// span frame boundaries and flushes remainders once at stream end;
-/// the MPSoC merged component round-trips every frame and therefore
-/// flushes at each frame end ([`BatchSender::flush_all`]).
-struct BatchSender {
-    batch: usize,
-    lanes: Vec<Vec<(u32, u32, [i32; BLOCK_SIZE])>>,
-    dispatch: DispatchPolicy,
-    /// Rotating tie-break start for least-loaded lane picks, so an idle
-    /// pipeline does not funnel every block into lane 0.
-    next_lane: usize,
-    scratch: Vec<u8>,
-    pool: Option<BufferPool>,
-}
-
-impl BatchSender {
-    fn new(
-        n_lanes: usize,
-        batch: usize,
-        dispatch: DispatchPolicy,
-        pool: Option<BufferPool>,
-    ) -> Self {
-        BatchSender {
-            batch: batch.max(1),
-            lanes: vec![Vec::with_capacity(batch.max(1)); n_lanes],
-            dispatch,
-            next_lane: 0,
-            scratch: Vec::new(),
-            pool,
-        }
-    }
-
-    fn flush_lane(
-        &mut self,
-        ctx: &mut dyn Ctx,
-        ifaces: &[String],
-        lane: usize,
-    ) -> Result<(), EmberaError> {
-        if self.lanes[lane].is_empty() {
-            return Ok(());
-        }
-        let msg = if let Some(pool) = self.pool.as_ref() {
-            // Pooled path serializes straight into the pool-owned buffer:
-            // no scratch staging, no extra memcpy pass.
-            let blocks = &self.lanes[lane];
-            if self.batch == 1 {
-                let (frame, bi, coeffs) = &blocks[0];
-                pool.take_with(COEFF_REC, |dst| write_coeff_msg(dst, *frame, *bi, coeffs))
-            } else {
-                pool.take_with(4 + blocks.len() * COEFF_REC, |dst| {
-                    write_coeff_batch(dst, blocks)
-                })
-            }
-        } else {
-            if self.batch == 1 {
-                let (frame, bi, coeffs) = self.lanes[lane][0];
-                encode_coeff_into(&mut self.scratch, frame, bi, &coeffs);
-            } else {
-                encode_coeff_batch_into(&mut self.scratch, &self.lanes[lane]);
-            }
-            Bytes::copy_from_slice(&self.scratch)
-        };
-        self.lanes[lane].clear();
-        ctx.send(&ifaces[lane], msg)
-    }
-
-    /// Lane choice for one block, per the dispatch policy. Least-loaded
-    /// weighs the transport's queue depth (in messages, scaled by the
-    /// batch size) plus blocks buffered locally; backends that cannot
-    /// report depth (no [`Ctx::route_depth`]) degrade to the local
-    /// buffer counts, which rotation then keeps balanced.
-    fn pick_lane(&mut self, ctx: &mut dyn Ctx, ifaces: &[String], bi: u32) -> usize {
-        let n = self.lanes.len();
-        match self.dispatch {
-            DispatchPolicy::RoundRobin => bi as usize % n,
-            DispatchPolicy::LeastLoaded => {
-                let mut best = self.next_lane % n;
-                let mut best_load = u64::MAX;
-                for off in 0..n {
-                    let lane = (self.next_lane + off) % n;
-                    let queued = ctx.route_depth(&ifaces[lane]).unwrap_or(0);
-                    let load = queued * self.batch as u64 + self.lanes[lane].len() as u64;
-                    if load < best_load {
-                        best_load = load;
-                        best = lane;
-                    }
-                }
-                self.next_lane = (best + 1) % n;
-                best
-            }
-        }
-    }
-
-    fn push(
-        &mut self,
-        ctx: &mut dyn Ctx,
-        ifaces: &[String],
-        frame: u32,
-        bi: u32,
-        coeffs: [i32; BLOCK_SIZE],
-    ) -> Result<(), EmberaError> {
-        let lane = self.pick_lane(ctx, ifaces, bi);
-        self.lanes[lane].push((frame, bi, coeffs));
-        if self.lanes[lane].len() >= self.batch {
-            self.flush_lane(ctx, ifaces, lane)?;
-        }
-        Ok(())
-    }
-
-    /// Flush every lane's remainder (frame end on MPSoC, stream end on
-    /// SMP).
-    fn flush_all(&mut self, ctx: &mut dyn Ctx, ifaces: &[String]) -> Result<(), EmberaError> {
-        for lane in 0..self.lanes.len() {
-            self.flush_lane(ctx, ifaces, lane)?;
-        }
-        Ok(())
-    }
-
-    /// End-of-stream sentinels for dynamic termination: one empty
-    /// message per lane, telling each IDCT its input is exhausted.
-    fn send_sentinels(&mut self, ctx: &mut dyn Ctx, ifaces: &[String]) -> Result<(), EmberaError> {
-        for iface in ifaces {
-            ctx.send(iface, Bytes::new())?;
-        }
-        Ok(())
-    }
-}
-
-impl FetchBehavior {
-    /// Fetch over `stream`, sending to the given required interfaces
-    /// (one message per block, reference kernel — the paper's schedule).
-    pub fn new(stream: MjpegStream, out_ifaces: Vec<String>, profile: WorkProfile) -> Self {
-        Self::with_options(stream, out_ifaces, profile, 1, DctKind::ReferenceFloat)
-    }
-
-    /// Fetch with an explicit batch size and (de)quantization kernel.
-    pub fn with_options(
-        stream: MjpegStream,
-        out_ifaces: Vec<String>,
-        profile: WorkProfile,
-        blocks_per_msg: usize,
-        kernel: DctKind,
-    ) -> Self {
-        FetchBehavior {
-            stream,
-            out_ifaces,
+impl FrameDecoder {
+    /// Decoder for a stream whose configuration frame reads `header`.
+    pub(crate) fn new(header: FrameHeader, kind: DctKind, profile: WorkProfile) -> Self {
+        FrameDecoder {
+            kernel: Kernel::new(kind, header.quality),
+            blocks: header.blocks(),
             profile,
-            blocks_per_msg: blocks_per_msg.max(1),
-            kernel,
-            dispatch: DispatchPolicy::RoundRobin,
-            tolerant: None,
         }
     }
 
-    /// Enable graceful degradation: a frame whose entropy data fails to
-    /// decode is skipped (and counted on `probe.dropped_frames`) instead
-    /// of aborting the component.
-    pub fn tolerant(mut self, probe: PipelineProbe) -> Self {
-        self.tolerant = Some(probe);
-        self
-    }
-
-    /// Select the lane dispatch policy (default strict round-robin).
-    /// Least-loaded dispatch appends one empty sentinel message per lane
-    /// at stream end so dynamically terminated IDCTs know to stop.
-    pub fn dispatch(mut self, policy: DispatchPolicy) -> Self {
-        self.dispatch = policy;
-        self
-    }
-
-    fn run_inner(&mut self, ctx: &mut dyn Ctx) -> Result<(), EmberaError> {
-        let n_idct = self.out_ifaces.len();
-        if self.stream.is_empty() {
-            return Ok(());
-        }
-        // Frame 0: configuration probe — read geometry, prime tables.
-        let header = self.stream.frames[0].header;
-        let tables = DequantTables::for_kernel(self.kernel, header.quality);
-        let blocks = header.blocks();
+    /// Charge one frame's file management.
+    fn file_management(&self, ctx: &mut dyn Ctx) {
         ctx.compute(Work::ops(
             WorkClass::Control,
             self.profile.file_mgmt_ops_per_frame,
         ));
+    }
 
-        let mut sender = BatchSender::new(
-            n_idct,
-            self.blocks_per_msg,
-            self.dispatch,
-            ctx.payload_pool(),
-        );
-        for (t, frame) in self.stream.frames.iter().enumerate().skip(1) {
-            ctx.compute(Work::ops(
-                WorkClass::Control,
-                self.profile.file_mgmt_ops_per_frame,
-            ));
-            let mut dec = entropy_decoder(self.kernel, &frame.data);
-            let mut bits_before = 0u64;
-            if let Some(probe) = &self.tolerant {
-                // Decode the whole frame before sending any of it: a
-                // corrupt frame is dropped atomically, never half-sent.
-                let mut buffered = Vec::with_capacity(blocks);
-                let decoded = (0..blocks).try_for_each(|_| {
-                    let zz = dec.next_block()?;
-                    let bits = dec.bits_consumed() - bits_before;
-                    bits_before = dec.bits_consumed();
-                    buffered.push((bits, tables.apply(&zz)));
-                    Ok::<(), crate::bitstream::OutOfBits>(())
-                });
-                if decoded.is_err() {
-                    probe.dropped_frames.fetch_add(1, Ordering::AcqRel);
-                    continue;
-                }
-                for (bi, (bits, coeffs)) in buffered.into_iter().enumerate() {
-                    ctx.compute(
-                        Work::ops(
-                            WorkClass::Control,
-                            bits * self.profile.huffman_ops_per_bit
-                                + BLOCK_SIZE as u64 * self.profile.dequant_ops_per_coeff,
-                        )
-                        .with_mem(BLOCK_SIZE as u64 * 4),
-                    );
-                    sender.push(ctx, &self.out_ifaces, t as u32, bi as u32, coeffs)?;
-                }
-                continue;
+    /// Decode `frame` and hand each dequantized block to `emit`, which
+    /// sends or buffers it. A block's Huffman and dequantization work is
+    /// charged just before it is emitted, so on a simulated platform it
+    /// leaves when that work is done. `label` names the frame in errors.
+    ///
+    /// `atomic` decodes the whole frame before emitting any of it: a
+    /// corrupt frame is then dropped whole — nothing charged for its
+    /// blocks, nothing half-sent — and `Ok(false)` returned. Otherwise
+    /// blocks stream out as they are decoded and a decode error fails
+    /// the component.
+    pub(crate) fn decode(
+        &self,
+        ctx: &mut dyn Ctx,
+        frame: &EncodedFrame,
+        label: u32,
+        atomic: bool,
+        mut emit: impl FnMut(&mut dyn Ctx, u32, [i32; BLOCK_SIZE]) -> Result<(), EmberaError>,
+    ) -> Result<bool, EmberaError> {
+        self.file_management(ctx);
+        let mut dec = self.kernel.entropy_decoder(&frame.data);
+        let mut bits_before = 0u64;
+        let mut next = |bi: usize| {
+            let zz = dec
+                .next_block()
+                .map_err(|e| EmberaError::Platform(format!("frame {label} block {bi}: {e}")))?;
+            let bits = dec.bits_consumed() - bits_before;
+            bits_before = dec.bits_consumed();
+            Ok::<_, EmberaError>((bits, self.kernel.dequantize(&zz)))
+        };
+        let mut forward = |ctx: &mut dyn Ctx, bi: usize, bits: u64, coeffs| {
+            ctx.compute(
+                Work::ops(
+                    WorkClass::Control,
+                    bits * self.profile.huffman_ops_per_bit
+                        + BLOCK_SIZE as u64 * self.profile.dequant_ops_per_coeff,
+                )
+                .with_mem(BLOCK_SIZE as u64 * 4),
+            );
+            emit(ctx, bi as u32, coeffs)
+        };
+        if atomic {
+            let Ok(whole) = (0..self.blocks).map(next).collect::<Result<Vec<_>, _>>() else {
+                return Ok(false);
+            };
+            for (bi, (bits, coeffs)) in whole.into_iter().enumerate() {
+                forward(ctx, bi, bits, coeffs)?;
             }
-            for bi in 0..blocks {
-                let zz = dec.next_block().map_err(|e| {
-                    EmberaError::Platform(format!("frame {t} block {bi}: {e}"))
-                })?;
-                let bits = dec.bits_consumed() - bits_before;
-                bits_before = dec.bits_consumed();
-                let coeffs = tables.apply(&zz);
-                ctx.compute(
-                    Work::ops(
-                        WorkClass::Control,
-                        bits * self.profile.huffman_ops_per_bit
-                            + BLOCK_SIZE as u64 * self.profile.dequant_ops_per_coeff,
-                    )
-                    .with_mem(BLOCK_SIZE as u64 * 4),
-                );
-                sender.push(ctx, &self.out_ifaces, t as u32, bi as u32, coeffs)?;
+        } else {
+            for bi in 0..self.blocks {
+                let (bits, coeffs) = next(bi)?;
+                forward(ctx, bi, bits, coeffs)?;
             }
         }
-        // Stream end: flush partially filled lanes. Batches span frame
-        // boundaries, so this is the only remainder flush of the run.
-        sender.flush_all(ctx, &self.out_ifaces)?;
-        if self.dispatch == DispatchPolicy::LeastLoaded {
-            sender.send_sentinels(ctx, &self.out_ifaces)?;
+        Ok(true)
+    }
+}
+
+/// Names of the Fetch side's required lane interfaces, in lane order.
+pub(crate) fn fetch_ifaces(lanes: usize) -> Vec<String> {
+    (1..=lanes).map(|k| format!("fetchIdct{k}")).collect()
+}
+
+/// Names of the Reorder side's provided lane interfaces, in lane order.
+pub(crate) fn reorder_ifaces(lanes: usize) -> Vec<String> {
+    (1..=lanes).map(|k| format!("_idct{k}Reorder")).collect()
+}
+
+/// Per-lane coefficient batch buffers for the Fetch side: blocks are
+/// dealt round-robin by block index — the paper's schedule, which is
+/// what makes every lane's message budget computable from the stream
+/// length and keeps the Table 2 communication counts exact. A lane is
+/// flushed when it holds `batch` blocks; batch size 1 degenerates to
+/// the paper's one-message-per-block schedule. The free-running SMP
+/// Fetch lets batches span frame boundaries and flushes remainders once
+/// at stream end; the MPSoC merged component and the open loop
+/// round-trip every frame and therefore flush at each frame end
+/// ([`BatchSender::flush_all`]).
+pub(crate) struct BatchSender {
+    ifaces: Vec<String>,
+    batch: usize,
+    lanes: Vec<Vec<CoeffBlock>>,
+    /// Lanes currently dealt to: all of them in the closed loop; the
+    /// open loop's autoscaler retargets this between frames.
+    pub(crate) active: usize,
+    /// Envelope deadline of what is flushed next: none in the closed
+    /// loop, the frame token's in the open loop.
+    pub(crate) deadline: Option<u64>,
+    wire: Wire,
+}
+
+impl BatchSender {
+    pub(crate) fn new(ctx: &dyn Ctx, lanes: usize, batch: usize, counted: bool) -> Self {
+        BatchSender {
+            ifaces: fetch_ifaces(lanes),
+            batch: batch.max(1),
+            lanes: vec![Vec::with_capacity(batch.max(1)); lanes],
+            active: lanes,
+            deadline: None,
+            wire: Wire::new(ctx, counted),
+        }
+    }
+
+    /// The lane interfaces, in lane order.
+    pub(crate) fn ifaces(&self) -> &[String] {
+        &self.ifaces
+    }
+
+    fn flush_lane(&mut self, ctx: &mut dyn Ctx, lane: usize) -> Result<(), EmberaError> {
+        if self.lanes[lane].is_empty() {
+            return Ok(());
+        }
+        let msg = self.wire.coeffs(&self.lanes[lane]);
+        self.lanes[lane].clear();
+        send_under(ctx, &self.ifaces[lane], msg, self.deadline)
+    }
+
+    pub(crate) fn push(
+        &mut self,
+        ctx: &mut dyn Ctx,
+        frame: u32,
+        bi: u32,
+        coeffs: [i32; BLOCK_SIZE],
+    ) -> Result<(), EmberaError> {
+        let lane = bi as usize % self.active;
+        self.lanes[lane].push((frame, bi, coeffs));
+        if self.lanes[lane].len() >= self.batch {
+            self.flush_lane(ctx, lane)?;
         }
         Ok(())
     }
+
+    /// Flush every lane's remainder (frame end on MPSoC and in the open
+    /// loop, stream end on SMP).
+    pub(crate) fn flush_all(&mut self, ctx: &mut dyn Ctx) -> Result<(), EmberaError> {
+        for lane in 0..self.lanes.len() {
+            self.flush_lane(ctx, lane)?;
+        }
+        Ok(())
+    }
+}
+
+/// The Fetch component: "file management, Huffman decoding and pixel
+/// reordering" (§3.2). Distributes coefficient blocks round-robin over
+/// the IDCT components. With `tolerate_corrupt_frames` a frame whose
+/// entropy data fails to decode is skipped whole (and counted on
+/// `probe.dropped_frames`) instead of failing the component.
+struct FetchBehavior {
+    stream: MjpegStream,
+    cfg: MjpegAppConfig,
+    probe: PipelineProbe,
 }
 
 impl Behavior for FetchBehavior {
     fn run(&mut self, ctx: &mut dyn Ctx) -> Result<(), EmberaError> {
-        self.run_inner(ctx)
+        let Some(config_frame) = self.stream.frames.first() else {
+            return Ok(());
+        };
+        let cfg = &self.cfg;
+        let decoder = FrameDecoder::new(config_frame.header, cfg.kernel, cfg.profile);
+        // Frame 0: configuration probe — read geometry, prime tables.
+        decoder.file_management(ctx);
+        let mut sender =
+            BatchSender::new(&*ctx, cfg.idct_count, cfg.blocks_per_msg, cfg.counted());
+        for (t, frame) in self.stream.frames.iter().enumerate().skip(1) {
+            let t = t as u32;
+            let forwarded = decoder.decode(
+                ctx,
+                frame,
+                t,
+                cfg.tolerate_corrupt_frames,
+                |ctx, bi, coeffs| sender.push(ctx, t, bi, coeffs),
+            )?;
+            if !forwarded {
+                self.probe.dropped_frames.fetch_add(1, Ordering::AcqRel);
+            }
+        }
+        // Stream end: flush partially filled lanes. Batches span frame
+        // boundaries, so this is the only remainder flush of the run.
+        sender.flush_all(ctx)
     }
+}
+
+/// How an IDCT lane learns that its input is exhausted.
+pub(crate) enum LaneEnd {
+    /// After this many messages — the paper's schedule: the budget
+    /// follows from the stream length. A shutdown before the budget is
+    /// met is an error (`Terminated` propagates).
+    Budget(u64),
+    /// Once the input stays idle (or at shutdown): the tolerant
+    /// pipeline, where frames may be dropped upstream and a restarted
+    /// lane resumes mid-stream without deadlocking on messages its
+    /// first incarnation already consumed.
+    Idle,
+    /// On the sender's empty sentinel message, which is forwarded so the
+    /// judge's lane ends too (or at shutdown): the open loop, whose lane
+    /// loads follow the autoscaler.
+    Sentinel,
 }
 
 /// An IDCT component: receives coefficient blocks, applies the inverse
-/// DCT, forwards pixel blocks.
-pub struct IdctBehavior {
-    in_iface: String,
-    out_iface: String,
-    /// Messages (single blocks at batch 1, batches otherwise) expected.
-    expected: u64,
-    profile: WorkProfile,
-    blocks_per_msg: usize,
-    kernel: DctKind,
-    /// Tolerant mode: instead of a fixed message budget, drain the input
-    /// until it stays idle (or shutdown). A restarted IDCT then resumes
-    /// mid-stream without deadlocking on messages its first incarnation
-    /// already consumed.
-    tolerant: bool,
-    /// Dynamic termination (least-loaded dispatch): the per-lane message
-    /// budget is data-dependent, so ignore `expected` and drain until
-    /// the sender's empty sentinel message arrives.
-    dynamic: bool,
+/// DCT, forwards pixel blocks — one pixel message per coefficient
+/// message, under the same deadline. A message that is already late
+/// when the lane gets to it is answered with zero blocks instead:
+/// shed the *work*, keep the structure, so the Reorder side can
+/// complete and judge the frame instead of waiting on blocks that never
+/// come. Closed-loop messages carry no deadline and are never late.
+pub(crate) struct IdctBehavior {
+    /// 1-based lane number `k`: the component is `IDCT_k`.
+    pub(crate) lane: usize,
+    pub(crate) end: LaneEnd,
+    pub(crate) kernel: DctKind,
+    pub(crate) profile: WorkProfile,
+    /// Whether messages are counted batches (else bare records).
+    pub(crate) counted: bool,
+    /// Blocks whose transform was skipped as already late.
+    pub(crate) skipped: Arc<AtomicU64>,
 }
 
-impl IdctBehavior {
-    /// IDCT expecting `expected` single-block messages on `in_iface`,
-    /// forwarding to `out_iface` (reference kernel).
-    pub fn new(
-        in_iface: impl Into<String>,
-        out_iface: impl Into<String>,
-        expected: u64,
-        profile: WorkProfile,
-    ) -> Self {
-        Self::with_options(in_iface, out_iface, expected, profile, 1, DctKind::ReferenceFloat)
-    }
-
-    /// IDCT with an explicit batch size and kernel; `expected` counts
-    /// *messages*, each carrying up to `blocks_per_msg` blocks.
-    pub fn with_options(
-        in_iface: impl Into<String>,
-        out_iface: impl Into<String>,
-        expected: u64,
-        profile: WorkProfile,
-        blocks_per_msg: usize,
-        kernel: DctKind,
-    ) -> Self {
-        IdctBehavior {
-            in_iface: in_iface.into(),
-            out_iface: out_iface.into(),
-            expected,
-            profile,
-            blocks_per_msg: blocks_per_msg.max(1),
-            kernel,
-            tolerant: false,
-            dynamic: false,
-        }
-    }
-
-    /// Enable graceful degradation: drain the input until idle instead
-    /// of expecting a fixed message count.
-    pub fn tolerant(mut self) -> Self {
-        self.tolerant = true;
-        self
-    }
-
-    /// Enable dynamic termination (for least-loaded dispatch): drain the
-    /// input until the sender's empty sentinel message instead of
-    /// expecting a fixed message count.
-    pub fn dynamic(mut self) -> Self {
-        self.dynamic = true;
-        self
-    }
-
-    fn transform(&self, coeffs: &[i32; BLOCK_SIZE]) -> [u8; BLOCK_SIZE] {
-        match self.kernel {
-            DctKind::ReferenceFloat => idct_to_pixels(coeffs),
-            DctKind::FastAan => idct_scaled_to_pixels(coeffs),
-            DctKind::FastSimd => crate::simd::idct_scaled_to_pixels_simd(coeffs),
-        }
-    }
-
-    fn process_message(
-        &self,
-        ctx: &mut dyn Ctx,
-        msg: &Bytes,
-        out: &mut Vec<(u32, u32, [u8; BLOCK_SIZE])>,
-        scratch: &mut Vec<u8>,
-        pool: Option<&BufferPool>,
-    ) -> Result<(), EmberaError> {
-        if self.blocks_per_msg == 1 {
-            let (frame, block, coeffs) = decode_coeff_msg(msg)?;
-            let pixels = self.transform(&coeffs);
-            ctx.compute(
-                Work::ops(WorkClass::Dsp, self.profile.idct_ops_per_block)
-                    .with_mem(BLOCK_SIZE as u64 * 5),
-            );
-            let msg = match pool {
-                Some(p) => {
-                    p.take_with(PIXEL_REC, |dst| write_pixel_msg(dst, frame, block, &pixels))
-                }
-                None => {
-                    encode_pixel_into(scratch, frame, block, &pixels);
-                    Bytes::copy_from_slice(scratch)
-                }
-            };
-            return ctx.send(&self.out_iface, msg);
-        }
-        // Batched path: split the batch into zero-copy block views,
-        // transform each, and answer with one pixel batch carrying
-        // the same (frame, block) tags.
-        let view = BatchView::coeffs(msg)?;
-        out.clear();
-        for i in 0..view.len() {
-            let (frame, bi, payload) = view.block(i);
-            let coeffs = coeffs_from_bytes(&payload)?;
-            out.push((frame, bi, self.transform(&coeffs)));
-        }
-        ctx.compute(
-            Work::ops(
-                WorkClass::Dsp,
-                self.profile.idct_ops_per_block * view.len() as u64,
-            )
-            .with_mem(BLOCK_SIZE as u64 * 5 * view.len() as u64),
-        );
-        let msg = match pool {
-            Some(p) => {
-                p.take_with(4 + out.len() * PIXEL_REC, |dst| write_pixel_batch(dst, out))
-            }
-            None => {
-                encode_pixel_batch_into(scratch, out);
-                Bytes::copy_from_slice(scratch)
-            }
-        };
-        ctx.send(&self.out_iface, msg)
-    }
-}
+/// The required interface every lane forwards on.
+const LANE_OUT: &str = "idctReorder";
 
 impl Behavior for IdctBehavior {
     fn run(&mut self, ctx: &mut dyn Ctx) -> Result<(), EmberaError> {
-        let mut out = Vec::with_capacity(self.blocks_per_msg);
-        let mut scratch = Vec::new();
-        let pool = ctx.payload_pool();
-        if self.tolerant {
-            loop {
-                let msg = match ctx.recv_timeout(&self.in_iface, TOLERANT_IDLE_NS) {
+        let in_iface = format!("_fetchIdct{}", self.lane);
+        let idct = Kernel::idct(self.kernel);
+        let mut wire = Wire::new(&*ctx, self.counted);
+        let mut out: Vec<PixelBlock> = Vec::new();
+        let mut received = 0u64;
+        loop {
+            let msg = match self.end {
+                LaneEnd::Budget(expected) if received == expected => return Ok(()),
+                LaneEnd::Budget(_) => ctx.recv_message(&in_iface)?,
+                LaneEnd::Idle => match ctx.recv_message_timeout(&in_iface, TOLERANT_IDLE_NS) {
                     Ok(Some(m)) => m,
                     Ok(None) | Err(EmberaError::Terminated) => return Ok(()),
                     Err(e) => return Err(e),
-                };
-                if msg.is_empty() {
-                    // Stream-end sentinel (tolerant + least-loaded runs).
-                    recycle_msg(pool.as_ref(), msg);
-                    return Ok(());
-                }
-                self.process_message(ctx, &msg, &mut out, &mut scratch, pool.as_ref())?;
-                recycle_msg(pool.as_ref(), msg);
+                },
+                LaneEnd::Sentinel => match ctx.recv_message(&in_iface) {
+                    Ok(m) => m,
+                    Err(EmberaError::Terminated) => return Ok(()),
+                    Err(e) => return Err(e),
+                },
+            };
+            received += 1;
+            let (payload, deadline) = unwrap_data(msg, &in_iface)?;
+            if payload.is_empty() && matches!(self.end, LaneEnd::Sentinel) {
+                return ctx.send(LANE_OUT, payload);
             }
-        }
-        if self.dynamic {
-            loop {
-                let msg = ctx.recv(&self.in_iface)?;
-                if msg.is_empty() {
-                    // Stream-end sentinel from the dispatching sender.
-                    recycle_msg(pool.as_ref(), msg);
-                    return Ok(());
+            // Split the message into zero-copy block views, transform
+            // each, and answer with one pixel message carrying the same
+            // (frame, block) tags.
+            let view = BatchView::records(&payload, COEFF_REC, "coefficient", self.counted)?;
+            let blocks = view.len() as u64;
+            out.clear();
+            if is_late(deadline, || ctx.now_ns()) {
+                out.extend((0..view.len()).map(|i| {
+                    let (frame, bi, _) = view.block(i);
+                    (frame, bi, [0u8; BLOCK_SIZE])
+                }));
+                self.skipped.fetch_add(blocks, Ordering::AcqRel);
+            } else {
+                for i in 0..view.len() {
+                    let (frame, bi, coeffs) = view.block(i);
+                    out.push((frame, bi, idct(&coeffs_from_bytes(&coeffs)?)));
                 }
-                self.process_message(ctx, &msg, &mut out, &mut scratch, pool.as_ref())?;
-                recycle_msg(pool.as_ref(), msg);
+                ctx.compute(
+                    Work::ops(WorkClass::Dsp, self.profile.idct_ops_per_block * blocks)
+                        .with_mem(BLOCK_SIZE as u64 * 5 * blocks),
+                );
             }
+            drop(view);
+            send_under(ctx, LANE_OUT, wire.pixels(&out), deadline)?;
+            wire.recycle(payload);
         }
-        for _ in 0..self.expected {
-            let msg = ctx.recv(&self.in_iface)?;
-            self.process_message(ctx, &msg, &mut out, &mut scratch, pool.as_ref())?;
-            recycle_msg(pool.as_ref(), msg);
-        }
-        Ok(())
     }
 }
 
 /// Frame reassembly state shared by Reorder and Fetch-Reorder.
 ///
-/// Frames fold into the checksum strictly in frame order via the
-/// `next_out` watermark: under round-robin dispatch frames complete in
-/// order anyway, and under least-loaded dispatch (where lanes drift) a
-/// completed frame parks in `pending` until its predecessors fold — so
-/// the checksum is identical across dispatch policies. Retired frame
-/// buffers go on a free list and are reused, so steady-state reassembly
-/// allocates nothing: every block of a frame is written exactly once
-/// before the frame folds, which is what makes the unzeroed reuse safe.
+/// A frame folds into the checksum the moment its last block is placed.
+/// Blocks are dealt round-robin over FIFO lanes, so in every lane the
+/// records of frame *t* precede those of frame *t + 1*: frames complete
+/// in frame order on their own, a frame lost upstream holds no later
+/// frame back, and the checksum needs no reordering buffer. Retired
+/// frame buffers go on a free list and are reused, so steady-state
+/// reassembly allocates nothing: every block of a frame is written
+/// exactly once before the frame folds, which is what makes the
+/// unzeroed reuse safe.
 struct Assembler {
     width: usize,
     height: usize,
     blocks: usize,
     partial: HashMap<u32, (Vec<u8>, usize)>,
-    /// Completed frames waiting on a slower predecessor, keyed by frame
-    /// index. Empty for the whole run under round-robin dispatch.
-    pending: BTreeMap<u32, Vec<u8>>,
     /// Retired frame buffers for reuse.
     free: Vec<Vec<u8>>,
-    next_out: u32,
     probe: PipelineProbe,
 }
 
@@ -927,18 +845,9 @@ impl Assembler {
             height,
             blocks: (width / 8) * (height / 8),
             partial: HashMap::new(),
-            pending: BTreeMap::new(),
             free: Vec::new(),
-            next_out: 1,
             probe,
         }
-    }
-
-    /// Fold one completed frame and retire its buffer to the free list.
-    fn fold(&mut self, pixels: Vec<u8>) {
-        self.probe.fold_frame(&pixels);
-        self.free.push(pixels);
-        self.next_out += 1;
     }
 
     fn add(&mut self, frame: u32, block: u32, pixels: &[u8; BLOCK_SIZE]) {
@@ -954,157 +863,75 @@ impl Assembler {
         entry.1 += 1;
         if entry.1 == self.blocks {
             let (pixels, _) = self.partial.remove(&frame).unwrap();
-            if frame == self.next_out {
-                self.fold(pixels);
-                // A completed frame may have unblocked its successors.
-                while let Some(parked) = self.pending.remove(&self.next_out) {
-                    self.fold(parked);
-                }
-            } else {
-                self.pending.insert(frame, pixels);
-            }
+            self.probe.fold_frame(&pixels);
+            self.free.push(pixels);
         }
     }
 
-    /// Fold every parked frame in frame order, skipping over gaps. Used
-    /// at end of a tolerant run: a frame dropped upstream leaves a hole
-    /// the watermark would otherwise wait on forever.
-    fn flush(&mut self) {
-        while let Some((&frame, _)) = self.pending.iter().next() {
-            self.next_out = frame;
-            let pixels = self.pending.remove(&frame).unwrap();
-            self.fold(pixels);
-        }
-    }
-}
-
-/// The Reorder component: "reassembles images and eventually sends data
-/// to an output display" (§3.2). Receives pixel blocks from the IDCT
-/// components round-robin.
-pub struct ReorderBehavior {
-    in_ifaces: Vec<String>,
-    total_blocks: u64,
-    width: usize,
-    height: usize,
-    profile: WorkProfile,
-    probe: PipelineProbe,
-    blocks_per_msg: usize,
-    /// Tolerant mode: drain lanes until they stay idle instead of
-    /// expecting `total_blocks`; frames still incomplete at exit are
-    /// counted on `probe.dropped_frames` rather than deadlocking.
-    tolerant: bool,
-    /// Dynamic termination (least-loaded dispatch): per-lane message
-    /// budgets are data-dependent, so poll lanes round-robin and stop
-    /// once `total_blocks` blocks have arrived.
-    dynamic: bool,
-}
-
-/// Lane poll slice for dynamically terminated Reorder: long enough to
-/// park rather than spin, short enough to hop to a busier lane quickly.
-const DYNAMIC_POLL_NS: u64 = 200_000;
-
-impl ReorderBehavior {
-    /// Reorder expecting `total_blocks` pixel blocks distributed
-    /// round-robin over `in_ifaces`, one block per message.
-    pub fn new(
-        in_ifaces: Vec<String>,
-        total_blocks: u64,
-        width: usize,
-        height: usize,
-        profile: WorkProfile,
-        probe: PipelineProbe,
-    ) -> Self {
-        Self::with_options(in_ifaces, total_blocks, width, height, profile, probe, 1)
-    }
-
-    /// Reorder with an explicit batch size (must match the Fetch side).
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_options(
-        in_ifaces: Vec<String>,
-        total_blocks: u64,
-        width: usize,
-        height: usize,
-        profile: WorkProfile,
-        probe: PipelineProbe,
-        blocks_per_msg: usize,
-    ) -> Self {
-        ReorderBehavior {
-            in_ifaces,
-            total_blocks,
-            width,
-            height,
-            profile,
-            probe,
-            blocks_per_msg: blocks_per_msg.max(1),
-            tolerant: false,
-            dynamic: false,
-        }
-    }
-
-    /// Enable graceful degradation: drain lanes until idle and count
-    /// incomplete frames as dropped instead of requiring the full block
-    /// budget.
-    pub fn tolerant(mut self) -> Self {
-        self.tolerant = true;
-        self
-    }
-
-    /// Enable dynamic termination (for least-loaded dispatch): poll
-    /// lanes and stop after `total_blocks` blocks instead of following
-    /// the round-robin quota schedule.
-    pub fn dynamic(mut self) -> Self {
-        self.dynamic = true;
-        self
-    }
-
-    /// Fold one pixel message (single block or batch, per the configured
-    /// wire format) into the assembler, charging reorder work. Consumes
-    /// the message and gives its buffer back to the pool; returns the
-    /// number of blocks it carried.
+    /// Place the blocks of one pixel message (bare record or batch, per
+    /// `wire`), charging reorder work. Consumes the message and gives
+    /// its buffer back to the pool; returns the number of blocks it
+    /// carried.
     fn absorb(
-        &self,
+        &mut self,
         ctx: &mut dyn Ctx,
-        asm: &mut Assembler,
+        wire: &Wire,
+        profile: &WorkProfile,
         msg: Bytes,
-        pool: Option<&BufferPool>,
     ) -> Result<u64, EmberaError> {
-        let blocks = if self.blocks_per_msg == 1 {
-            let (frame, block, pixels) = decode_pixel_msg(&msg)?;
-            asm.add(frame, block, &pixels);
-            1u64
-        } else {
-            let view = BatchView::pixels(&msg)?;
-            for i in 0..view.len() {
-                let (frame, bi, payload) = view.block(i);
-                let mut px = [0u8; BLOCK_SIZE];
-                px.copy_from_slice(&payload);
-                asm.add(frame, bi, &px);
-            }
-            view.len() as u64
-        };
-        recycle_msg(pool, msg);
+        let view = BatchView::records(&msg, PIXEL_REC, "pixel", wire.counted)?;
+        for i in 0..view.len() {
+            let (frame, bi, payload) = view.block(i);
+            let mut px = [0u8; BLOCK_SIZE];
+            px.copy_from_slice(&payload);
+            self.add(frame, bi, &px);
+        }
+        let blocks = view.len() as u64;
+        drop(view);
+        wire.recycle(msg);
         ctx.compute(
             Work::ops(
                 WorkClass::MemCopy,
-                BLOCK_SIZE as u64 * self.profile.reorder_ops_per_pixel * blocks,
+                BLOCK_SIZE as u64 * profile.reorder_ops_per_pixel * blocks,
             )
             .with_mem(BLOCK_SIZE as u64 * 2 * blocks),
         );
         Ok(blocks)
     }
+}
 
+/// The Reorder component: "reassembles images and eventually sends data
+/// to an output display" (§3.2). Receives pixel blocks from the IDCT
+/// components round-robin. With `tolerate_corrupt_frames` it drains the
+/// lanes until they stay idle instead of expecting `total_blocks`, and
+/// frames still incomplete at exit are counted on
+/// `probe.dropped_frames` rather than deadlocking.
+struct ReorderBehavior {
+    cfg: MjpegAppConfig,
+    total_blocks: u64,
+    width: usize,
+    height: usize,
+    probe: PipelineProbe,
+}
+
+impl ReorderBehavior {
     /// Tolerant drain: poll lanes round-robin with an idle deadline and
     /// stop after one full round of silence (or shutdown). Whatever is
     /// still partially assembled then was lost upstream — count it.
-    fn run_tolerant(&mut self, ctx: &mut dyn Ctx, asm: &mut Assembler) -> Result<(), EmberaError> {
-        let pool = ctx.payload_pool();
+    fn run_tolerant(
+        &self,
+        ctx: &mut dyn Ctx,
+        asm: &mut Assembler,
+        wire: &Wire,
+        in_ifaces: &[String],
+    ) -> Result<(), EmberaError> {
         'drain: loop {
             let mut got_any = false;
-            for lane in 0..self.in_ifaces.len() {
-                match ctx.recv_timeout(&self.in_ifaces[lane], TOLERANT_IDLE_NS) {
+            for iface in in_ifaces {
+                match ctx.recv_timeout(iface, TOLERANT_IDLE_NS) {
                     Ok(Some(msg)) => {
                         got_any = true;
-                        self.absorb(ctx, asm, msg, pool.as_ref())?;
+                        asm.absorb(ctx, wire, &self.cfg.profile, msg)?;
                     }
                     Ok(None) => {}
                     Err(EmberaError::Terminated) => break 'drain,
@@ -1115,37 +942,11 @@ impl ReorderBehavior {
                 break;
             }
         }
-        // A frame dropped upstream leaves a hole in the frame sequence;
-        // fold the completed frames parked behind it before counting
-        // what is still partial.
-        asm.flush();
         let leftover = asm.partial.len() as u64;
         if leftover > 0 {
-            self.probe.dropped_frames.fetch_add(leftover, Ordering::AcqRel);
-        }
-        Ok(())
-    }
-
-    /// Dynamic drain (least-loaded dispatch): lanes owe no fixed quota,
-    /// so poll them round-robin with a short slice until the stream's
-    /// full block count has arrived.
-    fn run_dynamic(&mut self, ctx: &mut dyn Ctx, asm: &mut Assembler) -> Result<(), EmberaError> {
-        let pool = ctx.payload_pool();
-        let mut received = 0u64;
-        'drain: while received < self.total_blocks {
-            for lane in 0..self.in_ifaces.len() {
-                match ctx.recv_timeout(&self.in_ifaces[lane], DYNAMIC_POLL_NS) {
-                    Ok(Some(msg)) => {
-                        received += self.absorb(ctx, asm, msg, pool.as_ref())?;
-                        if received >= self.total_blocks {
-                            break 'drain;
-                        }
-                    }
-                    Ok(None) => {}
-                    Err(EmberaError::Terminated) => break 'drain,
-                    Err(e) => return Err(e),
-                }
-            }
+            self.probe
+                .dropped_frames
+                .fetch_add(leftover, Ordering::AcqRel);
         }
         Ok(())
     }
@@ -1153,22 +954,21 @@ impl ReorderBehavior {
 
 impl Behavior for ReorderBehavior {
     fn run(&mut self, ctx: &mut dyn Ctx) -> Result<(), EmberaError> {
+        let cfg = &self.cfg;
         let mut asm = Assembler::new(self.width, self.height, self.probe.clone());
-        let n = self.in_ifaces.len();
+        let wire = Wire::new(&*ctx, cfg.counted());
+        let n = cfg.idct_count;
+        let in_ifaces = reorder_ifaces(n);
         let per_frame = asm.blocks;
-        if self.tolerant {
-            return self.run_tolerant(ctx, &mut asm);
+        if cfg.tolerate_corrupt_frames {
+            return self.run_tolerant(ctx, &mut asm, &wire, &in_ifaces);
         }
-        if self.dynamic {
-            return self.run_dynamic(ctx, &mut asm);
-        }
-        let pool = ctx.payload_pool();
-        if self.blocks_per_msg == 1 {
+        if !wire.counted {
             for i in 0..self.total_blocks {
                 // Global block index within its frame selects the lane.
                 let lane = (i as usize % per_frame) % n;
-                let msg = ctx.recv(&self.in_ifaces[lane])?;
-                self.absorb(ctx, &mut asm, msg, pool.as_ref())?;
+                let msg = ctx.recv(&in_ifaces[lane])?;
+                asm.absorb(ctx, &wire, &cfg.profile, msg)?;
             }
             return Ok(());
         }
@@ -1187,7 +987,7 @@ impl Behavior for ReorderBehavior {
                 lane_msgs_total(
                     lane_share(per_frame as u64, n, lane),
                     frames,
-                    self.blocks_per_msg,
+                    cfg.blocks_per_msg,
                 )
             })
             .collect();
@@ -1197,8 +997,8 @@ impl Behavior for ReorderBehavior {
                 if round >= lane_quota {
                     continue;
                 }
-                let msg = ctx.recv(&self.in_ifaces[lane])?;
-                self.absorb(ctx, &mut asm, msg, pool.as_ref())?;
+                let msg = ctx.recv(&in_ifaces[lane])?;
+                asm.absorb(ctx, &wire, &cfg.profile, msg)?;
             }
         }
         Ok(())
@@ -1208,147 +1008,55 @@ impl Behavior for ReorderBehavior {
 /// The merged Fetch-Reorder component of the MPSoC deployment (§5.3):
 /// per frame, decodes and sends all blocks to the IDCTs, then receives
 /// and reassembles that frame's pixel blocks.
-pub struct FetchReorderBehavior {
+struct FetchReorderBehavior {
     stream: MjpegStream,
-    out_ifaces: Vec<String>,
-    in_ifaces: Vec<String>,
-    profile: WorkProfile,
+    cfg: MjpegAppConfig,
     probe: PipelineProbe,
-    blocks_per_msg: usize,
-    kernel: DctKind,
-}
-
-impl FetchReorderBehavior {
-    /// Build the merged component (one block per message, reference
-    /// kernel — the paper's schedule).
-    pub fn new(
-        stream: MjpegStream,
-        out_ifaces: Vec<String>,
-        in_ifaces: Vec<String>,
-        profile: WorkProfile,
-        probe: PipelineProbe,
-    ) -> Self {
-        Self::with_options(stream, out_ifaces, in_ifaces, profile, probe, 1, DctKind::ReferenceFloat)
-    }
-
-    /// Merged component with an explicit batch size and kernel.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_options(
-        stream: MjpegStream,
-        out_ifaces: Vec<String>,
-        in_ifaces: Vec<String>,
-        profile: WorkProfile,
-        probe: PipelineProbe,
-        blocks_per_msg: usize,
-        kernel: DctKind,
-    ) -> Self {
-        FetchReorderBehavior {
-            stream,
-            out_ifaces,
-            in_ifaces,
-            profile,
-            probe,
-            blocks_per_msg: blocks_per_msg.max(1),
-            kernel,
-        }
-    }
 }
 
 impl Behavior for FetchReorderBehavior {
     fn run(&mut self, ctx: &mut dyn Ctx) -> Result<(), EmberaError> {
-        if self.stream.is_empty() {
+        let Some(config_frame) = self.stream.frames.first() else {
             return Ok(());
-        }
-        let n = self.out_ifaces.len();
-        let batch = self.blocks_per_msg;
-        let header = self.stream.frames[0].header;
-        let tables = DequantTables::for_kernel(self.kernel, header.quality);
+        };
+        let cfg = &self.cfg;
+        let header = config_frame.header;
+        let n = cfg.idct_count;
         let blocks = header.blocks();
+        let decoder = FrameDecoder::new(header, cfg.kernel, cfg.profile);
         let mut asm = Assembler::new(
             header.width as usize,
             header.height as usize,
             self.probe.clone(),
         );
-        ctx.compute(Work::ops(
-            WorkClass::Control,
-            self.profile.file_mgmt_ops_per_frame,
-        ));
-        let pool = ctx.payload_pool();
-        // The merged component's per-frame round trip is inherently a
-        // full-barrier schedule; least-loaded dispatch is an SMP-builder
-        // feature, so the sender always deals round-robin here.
-        let mut sender = BatchSender::new(n, batch, DispatchPolicy::RoundRobin, pool.clone());
+        decoder.file_management(ctx);
+        let mut sender = BatchSender::new(&*ctx, n, cfg.blocks_per_msg, cfg.counted());
+        let in_ifaces = reorder_ifaces(n);
         for (t, frame) in self.stream.frames.iter().enumerate().skip(1) {
-            ctx.compute(Work::ops(
-                WorkClass::Control,
-                self.profile.file_mgmt_ops_per_frame,
-            ));
             // Fetch half: decode + distribute this frame's blocks.
-            let mut dec = entropy_decoder(self.kernel, &frame.data);
-            let mut bits_before = 0u64;
-            for bi in 0..blocks {
-                let zz = dec.next_block().map_err(|e| {
-                    EmberaError::Platform(format!("frame {t} block {bi}: {e}"))
-                })?;
-                let bits = dec.bits_consumed() - bits_before;
-                bits_before = dec.bits_consumed();
-                let coeffs = tables.apply(&zz);
-                ctx.compute(
-                    Work::ops(
-                        WorkClass::Control,
-                        bits * self.profile.huffman_ops_per_bit
-                            + BLOCK_SIZE as u64 * self.profile.dequant_ops_per_coeff,
-                    )
-                    .with_mem(BLOCK_SIZE as u64 * 4),
-                );
-                sender.push(ctx, &self.out_ifaces, t as u32, bi as u32, coeffs)?;
-            }
+            let t = t as u32;
+            decoder.decode(ctx, frame, t, false, |ctx, bi, coeffs| {
+                sender.push(ctx, t, bi, coeffs)
+            })?;
             // The merged component round-trips each frame (send all its
             // blocks, then collect its pixels), so remainders flush at
             // frame end — batches never span frames on MPSoC.
-            sender.flush_all(ctx, &self.out_ifaces)?;
+            sender.flush_all(ctx)?;
             // Reorder half: collect this frame's pixel blocks. The IDCTs
             // answer each coefficient message with one pixel message, so
             // each lane owes its per-frame batch count.
-            if batch == 1 {
-                for bi in 0..blocks {
-                    let lane = bi % n;
-                    let msg = ctx.recv(&self.in_ifaces[lane])?;
-                    let (f, b, pixels) = decode_pixel_msg(&msg)?;
-                    recycle_msg(pool.as_ref(), msg);
-                    ctx.compute(
-                        Work::ops(
-                            WorkClass::MemCopy,
-                            BLOCK_SIZE as u64 * self.profile.reorder_ops_per_pixel,
-                        )
-                        .with_mem(BLOCK_SIZE as u64 * 2),
-                    );
-                    asm.add(f, b, &pixels);
+            if cfg.counted() {
+                for (lane, in_iface) in in_ifaces.iter().enumerate() {
+                    let share = lane_share(blocks as u64, n, lane);
+                    for _ in 0..lane_msgs_per_frame(share, cfg.blocks_per_msg) {
+                        let msg = ctx.recv(in_iface)?;
+                        asm.absorb(ctx, &sender.wire, &cfg.profile, msg)?;
+                    }
                 }
             } else {
-                for (lane, in_iface) in self.in_ifaces.iter().enumerate() {
-                    let msgs = lane_msgs_per_frame(lane_share(blocks as u64, n, lane), batch);
-                    for _ in 0..msgs {
-                        let msg = ctx.recv(in_iface)?;
-                        let count = {
-                            let view = BatchView::pixels(&msg)?;
-                            for i in 0..view.len() {
-                                let (f, bi, payload) = view.block(i);
-                                let mut px = [0u8; BLOCK_SIZE];
-                                px.copy_from_slice(&payload);
-                                asm.add(f, bi, &px);
-                            }
-                            view.len() as u64
-                        };
-                        recycle_msg(pool.as_ref(), msg);
-                        ctx.compute(
-                            Work::ops(
-                                WorkClass::MemCopy,
-                                BLOCK_SIZE as u64 * self.profile.reorder_ops_per_pixel * count,
-                            )
-                            .with_mem(BLOCK_SIZE as u64 * 2 * count),
-                        );
-                    }
+                for bi in 0..blocks {
+                    let msg = ctx.recv(&in_ifaces[bi % n])?;
+                    asm.absorb(ctx, &sender.wire, &cfg.profile, msg)?;
                 }
             }
         }
@@ -1376,13 +1084,6 @@ pub struct MjpegAppConfig {
     /// [`DctKind::FastSimd`] adds runtime-detected SSE2/AVX2 vectors on
     /// top of the same arithmetic.
     pub kernel: DctKind,
-    /// How Fetch deals blocks over the IDCT lanes. The round-robin
-    /// default is the paper's schedule with exact Table 2 counts;
-    /// [`DispatchPolicy::LeastLoaded`] balances by queue depth and
-    /// switches the SMP pipeline to dynamic (sentinel / block-count)
-    /// termination. The MPSoC merged builder ignores this (its
-    /// per-frame round trip is already a barrier schedule).
-    pub dispatch: DispatchPolicy,
     /// Attach a shared payload [`BufferPool`] sized to the configured
     /// batch so steady-state messaging allocates nothing on backends
     /// that support pooling (the threaded SMP transport). Default off:
@@ -1400,6 +1101,15 @@ pub struct MjpegAppConfig {
     pub tolerate_corrupt_frames: bool,
 }
 
+impl MjpegAppConfig {
+    /// Whether messages are counted batches. At one block per message
+    /// they are bare records — the paper's wire format, which keeps the
+    /// Table 2 byte counts untouched by default.
+    fn counted(&self) -> bool {
+        self.blocks_per_msg > 1
+    }
+}
+
 impl Default for MjpegAppConfig {
     fn default() -> Self {
         MjpegAppConfig {
@@ -1408,7 +1118,6 @@ impl Default for MjpegAppConfig {
             stack_bytes: 8_392_000,
             blocks_per_msg: 1,
             kernel: DctKind::ReferenceFloat,
-            dispatch: DispatchPolicy::default(),
             payload_pool: false,
             tolerate_corrupt_frames: false,
         }
@@ -1426,6 +1135,53 @@ pub fn pipeline_pool(cfg: &MjpegAppConfig) -> BufferPool {
     pool
 }
 
+/// Add the IDCT lanes `IDCT_1..` behind the already-added `source`,
+/// each connected from `source`'s `fetchIdct{k}`, in the order every
+/// builder has always added and connected them. `reorder` is the
+/// component that collects the lanes' output, added after them; `None`
+/// when `source` collects it itself (the merged Fetch-Reorder), in which
+/// case each lane is connected back as soon as it is added.
+pub(crate) fn add_lanes(
+    app: &mut AppBuilder,
+    source: &str,
+    reorder: Option<ComponentSpec>,
+    stack_bytes: u64,
+    lanes: impl IntoIterator<Item = IdctBehavior>,
+) {
+    let connect_out = |app: &mut AppBuilder, k: usize, sink: &str| {
+        app.connect(
+            (&format!("IDCT_{k}"), LANE_OUT),
+            (sink, &format!("_idct{k}Reorder")),
+        );
+    };
+    let mut added = Vec::new();
+    for lane in lanes {
+        let k = lane.lane;
+        app.add(
+            ComponentSpec::new(format!("IDCT_{k}"), lane)
+                .with_provided(format!("_fetchIdct{k}"))
+                .with_required(LANE_OUT)
+                .with_stack_bytes(stack_bytes)
+                .on_cpu(k),
+        );
+        app.connect(
+            (source, &format!("fetchIdct{k}")),
+            (&format!("IDCT_{k}"), &format!("_fetchIdct{k}")),
+        );
+        if reorder.is_none() {
+            connect_out(app, k, source);
+        }
+        added.push(k);
+    }
+    if let Some(reorder) = reorder {
+        let sink = reorder.name.clone();
+        app.add(reorder);
+        for k in added {
+            connect_out(app, k, &sink);
+        }
+    }
+}
+
 /// Build the SMP application (paper Figures 1 & 3): Fetch, `idct_count`
 /// IDCTs, Reorder. Returns the builder (so callers can attach an
 /// observer) plus a [`PipelineProbe`].
@@ -1435,100 +1191,63 @@ pub fn build_smp_app(stream: MjpegStream, cfg: &MjpegAppConfig) -> (AppBuilder, 
     let header = stream.frames.first().map(|f| f.header);
     let blocks = header.map(|h| h.blocks()).unwrap_or(0) as u64;
     let frames_forwarded = stream.len().saturating_sub(1) as u64;
-    let total_blocks = frames_forwarded * blocks;
+    let (width, height) = header
+        .map(|h| (h.width as usize, h.height as usize))
+        .unwrap_or((8, 8));
 
     let mut app = AppBuilder::new("MJPEG");
     if cfg.payload_pool {
         app.with_buffer_pool(pipeline_pool(cfg));
     }
-    let fetch_outs: Vec<String> = (1..=cfg.idct_count)
-        .map(|k| format!("fetchIdct{k}"))
-        .collect();
-    let mut fetch_behavior = FetchBehavior::with_options(
-        stream,
-        fetch_outs.clone(),
-        cfg.profile,
-        cfg.blocks_per_msg,
-        cfg.kernel,
+    let mut fetch = ComponentSpec::new(
+        "Fetch",
+        FetchBehavior {
+            stream,
+            cfg: cfg.clone(),
+            probe: probe.clone(),
+        },
     )
-    .dispatch(cfg.dispatch);
-    if cfg.tolerate_corrupt_frames {
-        fetch_behavior = fetch_behavior.tolerant(probe.clone());
-    }
-    let mut fetch = ComponentSpec::new("Fetch", fetch_behavior).with_stack_bytes(cfg.stack_bytes);
-    for iface in &fetch_outs {
-        fetch = fetch.with_required(iface);
-    }
+    .with_stack_bytes(cfg.stack_bytes);
+    fetch.required = fetch_ifaces(cfg.idct_count);
     app.add(fetch);
 
-    for k in 1..=cfg.idct_count {
-        // Per-IDCT share: blocks are dealt round-robin, so lane k-1 gets
-        // the blocks with index ≡ k-1 (mod idct_count) in every frame.
-        // Batches span frames on SMP, so the message count is the lane's
-        // whole-run block total divided by the batch size (rounded up
-        // for the stream-end remainder flush).
-        let per_frame = lane_share(blocks, cfg.idct_count, k - 1);
-        let expected = lane_msgs_total(per_frame, frames_forwarded, cfg.blocks_per_msg);
-        let mut idct = IdctBehavior::with_options(
-            format!("_fetchIdct{k}"),
-            "idctReorder",
-            expected,
-            cfg.profile,
-            cfg.blocks_per_msg,
-            cfg.kernel,
-        );
-        if cfg.dispatch == DispatchPolicy::LeastLoaded {
-            idct = idct.dynamic();
-        }
-        if cfg.tolerate_corrupt_frames {
-            idct = idct.tolerant();
-        }
-        app.add(
-            ComponentSpec::new(format!("IDCT_{k}"), idct)
-                .with_provided(format!("_fetchIdct{k}"))
-                .with_required("idctReorder")
-                .with_stack_bytes(cfg.stack_bytes)
-                .on_cpu(k),
-        );
-        app.connect(
-            ("Fetch", &format!("fetchIdct{k}")),
-            (&format!("IDCT_{k}"), &format!("_fetchIdct{k}")),
-        );
-    }
+    let mut reorder = ComponentSpec::new(
+        "Reorder",
+        ReorderBehavior {
+            cfg: cfg.clone(),
+            total_blocks: frames_forwarded * blocks,
+            width,
+            height,
+            probe: probe.clone(),
+        },
+    )
+    .with_stack_bytes(cfg.stack_bytes);
+    reorder.metrics = probe.metrics();
+    reorder.provided = reorder_ifaces(cfg.idct_count);
 
-    let reorder_ins: Vec<String> = (1..=cfg.idct_count)
-        .map(|k| format!("_idct{k}Reorder"))
-        .collect();
-    let (w, h) = header.map(|h| (h.width as usize, h.height as usize)).unwrap_or((8, 8));
-    let mut reorder_behavior = ReorderBehavior::with_options(
-        reorder_ins.clone(),
-        total_blocks,
-        w,
-        h,
-        cfg.profile,
-        probe.clone(),
-        cfg.blocks_per_msg,
-    );
-    if cfg.dispatch == DispatchPolicy::LeastLoaded {
-        reorder_behavior = reorder_behavior.dynamic();
-    }
-    if cfg.tolerate_corrupt_frames {
-        reorder_behavior = reorder_behavior.tolerant();
-    }
-    let mut reorder = ComponentSpec::new("Reorder", reorder_behavior).with_stack_bytes(cfg.stack_bytes);
-    for m in probe.metrics() {
-        reorder = reorder.with_metric(m);
-    }
-    for iface in &reorder_ins {
-        reorder = reorder.with_provided(iface);
-    }
-    app.add(reorder);
-    for k in 1..=cfg.idct_count {
-        app.connect(
-            (&format!("IDCT_{k}"), "idctReorder"),
-            ("Reorder", &format!("_idct{k}Reorder")),
-        );
-    }
+    let lanes = (1..=cfg.idct_count).map(|k| IdctBehavior {
+        lane: k,
+        end: if cfg.tolerate_corrupt_frames {
+            LaneEnd::Idle
+        } else {
+            // Per-IDCT share: blocks are dealt round-robin, so lane k-1
+            // gets the blocks with index ≡ k-1 (mod idct_count) in every
+            // frame. Batches span frames on SMP, so the message count is
+            // the lane's whole-run block total divided by the batch size
+            // (rounded up for the stream-end remainder flush).
+            let per_frame = lane_share(blocks, cfg.idct_count, k - 1);
+            LaneEnd::Budget(lane_msgs_total(
+                per_frame,
+                frames_forwarded,
+                cfg.blocks_per_msg,
+            ))
+        },
+        kernel: cfg.kernel,
+        profile: cfg.profile,
+        counted: cfg.counted(),
+        skipped: Arc::default(),
+    });
+    add_lanes(&mut app, "Fetch", Some(reorder), cfg.stack_bytes, lanes);
     (app, probe)
 }
 
@@ -1546,66 +1265,35 @@ pub fn build_mpsoc_app(stream: MjpegStream, cfg: &MjpegAppConfig) -> (AppBuilder
     if cfg.payload_pool {
         app.with_buffer_pool(pipeline_pool(cfg));
     }
-    let outs: Vec<String> = (1..=cfg.idct_count)
-        .map(|k| format!("fetchIdct{k}"))
-        .collect();
-    let ins: Vec<String> = (1..=cfg.idct_count)
-        .map(|k| format!("_idct{k}Reorder"))
-        .collect();
     let mut fr = ComponentSpec::new(
         "Fetch-Reorder",
-        FetchReorderBehavior::with_options(
+        FetchReorderBehavior {
             stream,
-            outs.clone(),
-            ins.clone(),
-            cfg.profile,
-            probe.clone(),
-            cfg.blocks_per_msg,
-            cfg.kernel,
-        ),
+            cfg: cfg.clone(),
+            probe: probe.clone(),
+        },
     )
     .with_stack_bytes(16 * 1024)
     .on_cpu(0);
-    for m in probe.metrics() {
-        fr = fr.with_metric(m);
-    }
-    for iface in &outs {
-        fr = fr.with_required(iface);
-    }
-    for iface in &ins {
-        fr = fr.with_provided(iface);
-    }
+    fr.metrics = probe.metrics();
+    fr.required = fetch_ifaces(cfg.idct_count);
+    fr.provided = reorder_ifaces(cfg.idct_count);
     app.add(fr);
 
-    for k in 1..=cfg.idct_count {
+    let lanes = (1..=cfg.idct_count).map(|k| {
         let per_frame = lane_share(blocks, cfg.idct_count, k - 1);
-        let expected = frames_forwarded * lane_msgs_per_frame(per_frame, cfg.blocks_per_msg);
-        app.add(
-            ComponentSpec::new(
-                format!("IDCT_{k}"),
-                IdctBehavior::with_options(
-                    format!("_fetchIdct{k}"),
-                    "idctReorder",
-                    expected,
-                    cfg.profile,
-                    cfg.blocks_per_msg,
-                    cfg.kernel,
-                ),
-            )
-            .with_provided(format!("_fetchIdct{k}"))
-            .with_required("idctReorder")
-            .with_stack_bytes(16 * 1024)
-            .on_cpu(k),
-        );
-        app.connect(
-            ("Fetch-Reorder", &format!("fetchIdct{k}")),
-            (&format!("IDCT_{k}"), &format!("_fetchIdct{k}")),
-        );
-        app.connect(
-            (&format!("IDCT_{k}"), "idctReorder"),
-            ("Fetch-Reorder", &format!("_idct{k}Reorder")),
-        );
-    }
+        IdctBehavior {
+            lane: k,
+            end: LaneEnd::Budget(
+                frames_forwarded * lane_msgs_per_frame(per_frame, cfg.blocks_per_msg),
+            ),
+            kernel: cfg.kernel,
+            profile: cfg.profile,
+            counted: cfg.counted(),
+            skipped: Arc::default(),
+        }
+    });
+    add_lanes(&mut app, "Fetch-Reorder", None, 16 * 1024, lanes);
     (app, probe)
 }
 
@@ -1864,34 +1552,24 @@ mod tests {
     }
 
     #[test]
-    fn least_loaded_dispatch_same_checksum_as_round_robin() {
-        // Least-loaded dispatch reshuffles which lane carries which
-        // block, but every block is position-tagged and the assembler
-        // folds frames in frame order — the checksum must be identical.
-        let stream = small_stream(9);
-        let (ref_app, ref_probe) = build_smp_app(stream.clone(), &MjpegAppConfig::default());
-        SmpPlatform::new().deploy(ref_app.build().unwrap()).unwrap().wait().unwrap();
-
-        for batch in [1usize, 5] {
-            let cfg = MjpegAppConfig {
-                dispatch: DispatchPolicy::LeastLoaded,
-                blocks_per_msg: batch,
-                payload_pool: true,
-                ..MjpegAppConfig::default()
-            };
-            let (app, probe) = build_smp_app(stream.clone(), &cfg);
-            SmpPlatform::new().deploy(app.build().unwrap()).unwrap().wait().unwrap();
-            assert_eq!(
-                probe.frames_completed.load(Ordering::SeqCst),
-                8,
-                "batch {batch}: least-loaded run lost frames"
-            );
-            assert_eq!(
-                probe.checksum.load(Ordering::SeqCst),
-                ref_probe.checksum.load(Ordering::SeqCst),
-                "batch {batch}: least-loaded dispatch changed the decoded pixels"
-            );
+    fn a_frame_lost_upstream_holds_no_later_frame_back() {
+        // Frame 2 never completes (dropped by a tolerant Fetch, or short
+        // a block a restarted IDCT consumed). Frames 3 and 4 must fold
+        // when they complete — `frames_completed` is what an observer
+        // reads during the run — in completion order.
+        let probe = PipelineProbe::default();
+        let mut asm = Assembler::new(8, 8, probe.clone());
+        let expected = PipelineProbe::default();
+        for frame in [1u32, 3, 4] {
+            let block = [frame as u8; BLOCK_SIZE];
+            asm.add(frame, 0, &block);
+            expected.fold_frame(&block);
         }
+        assert_eq!(probe.frames_completed.load(Ordering::SeqCst), 3);
+        assert_eq!(
+            probe.checksum.load(Ordering::SeqCst),
+            expected.checksum.load(Ordering::SeqCst)
+        );
     }
 
     #[test]

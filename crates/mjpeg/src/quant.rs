@@ -123,41 +123,6 @@ pub fn dequantize_reorder_scaled(
     out
 }
 
-/// Quantization divisors for the fast forward DCT: the quantizer step,
-/// the AAN output scales and the transform's 8·2^AAN_FRAC_BITS gain in
-/// one divisor per coefficient (natural order), matching
-/// [`crate::dct::fdct_fast_scaled`]'s output domain.
-pub fn fast_quant_divisors(qtable: &[u16; BLOCK_SIZE]) -> [i64; BLOCK_SIZE] {
-    let aan = crate::dct::aan_scales();
-    let gain = (8u32 << crate::dct::AAN_FRAC_BITS) as f64;
-    let mut out = [0i64; BLOCK_SIZE];
-    for v in 0..8 {
-        for u in 0..8 {
-            let n = v * 8 + u;
-            out[n] = (qtable[n] as f64 * aan[u] * aan[v] * gain).round() as i64;
-        }
-    }
-    out
-}
-
-/// Quantize AAN-scaled forward-DCT output and emit it in zigzag order
-/// (the integer counterpart of [`quantize_zigzag`]).
-pub fn quantize_zigzag_fast(
-    coeffs: &[i64; BLOCK_SIZE],
-    divisors: &[i64; BLOCK_SIZE],
-) -> [i16; BLOCK_SIZE] {
-    let mut out = [0i16; BLOCK_SIZE];
-    for (k, dst) in out.iter_mut().enumerate() {
-        let n = ZIGZAG[k];
-        let c = coeffs[n];
-        let d = divisors[n];
-        // Round-to-nearest division, symmetric around zero.
-        let q = if c >= 0 { (c + d / 2) / d } else { (c - d / 2) / d };
-        *dst = q as i16;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

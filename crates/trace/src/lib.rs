@@ -15,14 +15,13 @@
 //!   never blocks the traced component,
 //! * [`TraceCollector`] — registers per-component rings and drains them
 //!   into a global, time-ordered trace,
-//! * [`sink`] — the bridge to the runtime's first-class tracing: a
-//!   [`TraceCollector`] doubles as the [`embera::TraceConfig`] sink
-//!   factory (see [`TraceCollector::trace_config`]), so tracing is a
-//!   one-line application opt-in and also captures runtime-internal
-//!   events such as served introspection requests,
-//! * [`TracingCtx`] — the original decorator over any [`embera::Ctx`],
-//!   retained for tracing a single behavior ad hoc without touching the
-//!   application description,
+//! * [`sink`] — the bridge to the runtime's first-class tracing, the
+//!   one way a run is traced: a [`TraceCollector`] doubles as the
+//!   [`embera::TraceConfig`] sink factory (see
+//!   [`TraceCollector::trace_config`]), so tracing is a one-line
+//!   application opt-in that leaves behaviors untouched and also
+//!   captures runtime-internal events such as served introspection
+//!   requests,
 //! * [`analysis`] — timeline statistics: per-component activity spans,
 //!   communication matrix, utilization,
 //! * [`export`] — a line-oriented text format with round-trip parsing,
@@ -35,7 +34,6 @@ pub mod analysis;
 pub mod collector;
 pub mod event;
 pub mod export;
-pub mod instrument;
 pub mod ring;
 pub mod sink;
 pub mod stream;
@@ -43,6 +41,5 @@ pub mod stream;
 pub use analysis::{ComponentActivity, TimelineStats};
 pub use collector::{TraceCollector, TraceHandle};
 pub use event::{EventKind, TraceEvent};
-pub use instrument::TracingCtx;
 pub use ring::SpscRing;
 pub use stream::{ChannelEndpoint, FileEndpoint, StreamEndpoint, StreamStats, TraceStream};

@@ -3,12 +3,12 @@
 //! The component runtime emits [`embera::TraceEventKind`] events through
 //! an [`embera::TraceSink`]; this module maps them onto this crate's
 //! [`EventKind`] vocabulary and lets a [`TraceCollector`] act as the
-//! per-application sink factory. Unlike the [`TracingCtx`] decorator,
-//! first-class tracing also sees runtime-internal activity — notably
-//! [`EventKind::ObsServed`], the introspection requests the runtime
-//! answers on the component's behalf.
-//!
-//! [`TracingCtx`]: crate::instrument::TracingCtx
+//! per-application sink factory. Because the events come from inside
+//! the runtime, a behavior is traced against the very [`embera::Ctx`]
+//! it would otherwise run on (payload pool and in-place observation
+//! included), and the trace also holds runtime-internal activity —
+//! notably [`EventKind::ObsServed`], the introspection requests the
+//! runtime answers on the component's behalf.
 
 use embera::{TraceConfig, TraceEventKind, TraceSink};
 

@@ -5,7 +5,6 @@ use bytes::Bytes;
 use embera::behavior::behavior_fn;
 use embera::{AppBuilder, ComponentSpec, ObserverConfig, Platform, RunningApp};
 use embera_smp::SmpPlatform;
-use embera_trace::instrument::TracedBehavior;
 use embera_trace::{analysis, export, TraceCollector};
 use mjpeg::{build_smp_app, synthesize_stream, MjpegAppConfig};
 
@@ -31,15 +30,12 @@ fn chrome_trace_from_real_run_is_consistent() {
     app.add(
         ComponentSpec::new(
             "src",
-            TracedBehavior::new(
-                behavior_fn(|ctx| {
-                    for _ in 0..50 {
-                        ctx.send("out", Bytes::from_static(&[0u8; 128]))?;
-                    }
-                    Ok(())
-                }),
-                collector.register("src"),
-            ),
+            behavior_fn(|ctx| {
+                for _ in 0..50 {
+                    ctx.send("out", Bytes::from_static(&[0u8; 128]))?;
+                }
+                Ok(())
+            }),
         )
         .with_required("out")
         .with_stack_bytes(1 << 20),
@@ -47,20 +43,18 @@ fn chrome_trace_from_real_run_is_consistent() {
     app.add(
         ComponentSpec::new(
             "dst",
-            TracedBehavior::new(
-                behavior_fn(|ctx| {
-                    for _ in 0..50 {
-                        ctx.recv("in")?;
-                    }
-                    Ok(())
-                }),
-                collector.register("dst"),
-            ),
+            behavior_fn(|ctx| {
+                for _ in 0..50 {
+                    ctx.recv("in")?;
+                }
+                Ok(())
+            }),
         )
         .with_provided("in")
         .with_stack_bytes(1 << 20),
     );
     app.connect(("src", "out"), ("dst", "in"));
+    app.with_tracing(collector.trace_config());
     SmpPlatform::new()
         .deploy(app.build().unwrap())
         .unwrap()

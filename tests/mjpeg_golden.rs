@@ -1,0 +1,464 @@
+//! What "the same pipeline" means, pinned: every deterministic output
+//! of the three MJPEG builders — platform time, per-component CPU time,
+//! message and byte counts, the probes, and the whole sorted trace —
+//! over fixed seeded streams on the two deterministic backends.
+//!
+//! The expected texts below were recorded at commit `6a399fb`, the
+//! parent of the PR that merged the open-loop stages into the one
+//! pipeline, and are **not to be re-recorded** by a change that claims
+//! to leave the pipeline alone: a mismatch is the finding. To read one,
+//! start with `streams_are_the_recorded_input` — if that still passes,
+//! the input is what it was and the pipeline moved; the first differing
+//! line of a fingerprint then names the component and the quantity
+//! (`tx`/`rx` are bytes on the wire, `s`/`r` message counts, `cpu` the
+//! charged `compute` annotations, `wall` the platform clock, `trace`
+//! the order and timing of every primitive).
+
+use std::fmt::Write as _;
+use std::sync::atomic::Ordering;
+
+use embera::{AppBuilder, AppReport, OverloadPolicy, Platform, RunningApp};
+use embera_inproc::InprocPlatform;
+use embera_os21::Os21Platform;
+use embera_trace::{TraceCollector, TraceEvent};
+use mjpeg::pipeline::PipelineProbe;
+use mjpeg::{
+    build_mpsoc_app, build_overload_app, build_smp_app, synthesize_stream, ArrivalProcess,
+    AutoscaleConfig, DctKind, MjpegAppConfig, MjpegStream, OverloadConfig, OverloadProbe, Pacing,
+};
+
+fn fnv(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// The closed-loop input: 7 frames of 48×24 (6 forwarded, 18 blocks each).
+fn closed_stream() -> MjpegStream {
+    synthesize_stream(7, 48, 24, 75, 0x601D)
+}
+
+/// The open-loop input: 96×48 (72 blocks), frame 0 for configuration
+/// and three payload frames the load generator cycles over.
+fn open_stream() -> MjpegStream {
+    synthesize_stream(4, 96, 48, 75, 0x601D)
+}
+
+fn trace_digest(trace: &[TraceEvent]) -> u64 {
+    trace.iter().fold(FNV_OFFSET, |h, e| {
+        let h = fnv(h, &e.ts_ns.to_le_bytes());
+        let h = fnv(h, &e.component.to_le_bytes());
+        let h = fnv(h, format!("{:?}", e.kind).as_bytes());
+        let h = fnv(h, &e.a.to_le_bytes());
+        fnv(h, &e.b.to_le_bytes())
+    })
+}
+
+/// Deploy with tracing attached and render everything the report and
+/// the trace hold that a deterministic backend must reproduce.
+fn run<P: Platform>(mut platform: P, mut app: AppBuilder) -> (AppReport, String) {
+    let collector = TraceCollector::new(1 << 16);
+    app.with_tracing(collector.trace_config());
+    let report = platform
+        .deploy(app.build().unwrap())
+        .unwrap()
+        .wait()
+        .unwrap();
+    let mut out = format!("wall {}\n", report.wall_time_ns);
+    for c in &report.components {
+        writeln!(
+            out,
+            "{} cpu {} s {} r {} tx {} rx {}",
+            c.component,
+            c.os.cpu_time_ns,
+            c.app.total_sends,
+            c.app.total_receives,
+            c.middleware.bytes_sent,
+            c.middleware.bytes_received
+        )
+        .unwrap();
+    }
+    let trace = collector.drain_sorted();
+    writeln!(out, "trace {} {:#018x}", trace.len(), trace_digest(&trace)).unwrap();
+    (report, out)
+}
+
+fn closed_probe_line(probe: &PipelineProbe) -> String {
+    format!(
+        "completed {} dropped {} checksum {:#018x}\n",
+        probe.frames_completed.load(Ordering::SeqCst),
+        probe.dropped_frames.load(Ordering::SeqCst),
+        probe.checksum.load(Ordering::SeqCst)
+    )
+}
+
+fn smp_on_inproc(stream: MjpegStream, cfg: &MjpegAppConfig) -> String {
+    let (app, probe) = build_smp_app(stream, cfg);
+    let (_, text) = run(InprocPlatform::new(), app);
+    text + &closed_probe_line(&probe)
+}
+
+fn mpsoc_on_os21(cfg: &MjpegAppConfig) -> String {
+    let (app, probe) = build_mpsoc_app(closed_stream(), cfg);
+    let (_, text) = run(Os21Platform::three_cpu(), app);
+    text + &closed_probe_line(&probe)
+}
+
+fn open_probe_lines(report: &AppReport, probe: &OverloadProbe) -> String {
+    let health = report.component("Fetch").unwrap().health.unwrap();
+    let latencies = probe.latencies();
+    let digest = latencies
+        .iter()
+        .fold(FNV_OFFSET, |h, l| fnv(h, &l.to_le_bytes()));
+    format!(
+        "injected {} completed {} expired {} skipped {} incomplete {} shed {} ingress_expired {}\n\
+         latencies {} {:#018x}\nscale {:?}\n",
+        probe.injected.load(Ordering::SeqCst),
+        probe.completed.load(Ordering::SeqCst),
+        probe.expired.load(Ordering::SeqCst),
+        probe.idct_skipped.load(Ordering::SeqCst),
+        probe.incomplete.load(Ordering::SeqCst),
+        health.shed_messages,
+        health.expired_messages,
+        latencies.len(),
+        digest,
+        probe.scale_history()
+    )
+}
+
+fn overload_on_inproc(cfg: &OverloadConfig) -> String {
+    let (app, probe) = build_overload_app(open_stream(), cfg);
+    let (report, text) = run(InprocPlatform::new(), app);
+    text + &open_probe_lines(&report, &probe)
+}
+
+/// The open-loop base: 24 frames, Poisson, virtual pacing (the offered
+/// schedule lives on the logical clock), well past what Reorder drains.
+fn open_cfg() -> OverloadConfig {
+    OverloadConfig {
+        frames: 24,
+        mean_gap_ns: 400_000,
+        arrival: ArrivalProcess::Poisson,
+        seed: 0x601D,
+        deadline_budget_ns: 60_000_000_000,
+        pacing: Pacing::Virtual,
+        ..OverloadConfig::default()
+    }
+}
+
+#[track_caller]
+fn check(case: &str, actual: String, expected: &str) {
+    assert!(
+        actual == expected,
+        "golden mismatch in `{case}` — recorded at 6a399fb, not to be re-recorded \
+         (see the module docs for how to read this)\n--- expected\n{expected}--- actual\n{actual}"
+    );
+}
+
+#[test]
+fn streams_are_the_recorded_input() {
+    assert_eq!(fnv(FNV_OFFSET, &closed_stream().to_bytes()), CLOSED_STREAM_FNV);
+    assert_eq!(fnv(FNV_OFFSET, &open_stream().to_bytes()), OPEN_STREAM_FNV);
+}
+
+#[test]
+fn smp_default() {
+    let text = smp_on_inproc(closed_stream(), &MjpegAppConfig::default());
+    check("smp default", text, SMP_DEFAULT);
+}
+
+#[test]
+fn smp_five_blocks_fast_aan_pooled() {
+    let cfg = MjpegAppConfig {
+        blocks_per_msg: 5,
+        kernel: DctKind::FastAan,
+        payload_pool: true,
+        ..MjpegAppConfig::default()
+    };
+    check(
+        "smp 5 blocks/msg FastAan pooled",
+        smp_on_inproc(closed_stream(), &cfg),
+        SMP_FIVE_AAN_POOLED,
+    );
+}
+
+#[test]
+fn smp_seventy_two_blocks_two_lanes() {
+    let cfg = MjpegAppConfig {
+        blocks_per_msg: 72,
+        idct_count: 2,
+        ..MjpegAppConfig::default()
+    };
+    check(
+        "smp 72 blocks/msg 2 lanes",
+        smp_on_inproc(closed_stream(), &cfg),
+        SMP_72_TWO_LANES,
+    );
+}
+
+#[test]
+fn smp_tolerant_with_frame_3_truncated() {
+    let mut stream = closed_stream();
+    let data = &mut stream.frames[3].data;
+    data.truncate(data.len() / 4);
+    let cfg = MjpegAppConfig {
+        tolerate_corrupt_frames: true,
+        ..MjpegAppConfig::default()
+    };
+    check(
+        "smp tolerant, frame 3 truncated",
+        smp_on_inproc(stream, &cfg),
+        SMP_TOLERANT_TRUNCATED,
+    );
+}
+
+#[test]
+fn mpsoc_default_two_idcts() {
+    let cfg = MjpegAppConfig {
+        idct_count: 2,
+        ..MjpegAppConfig::default()
+    };
+    check("mpsoc default 2 IDCTs", mpsoc_on_os21(&cfg), MPSOC_DEFAULT);
+}
+
+#[test]
+fn mpsoc_four_blocks_fast_aan_pooled() {
+    let cfg = MjpegAppConfig {
+        idct_count: 2,
+        blocks_per_msg: 4,
+        kernel: DctKind::FastAan,
+        payload_pool: true,
+        ..MjpegAppConfig::default()
+    };
+    check(
+        "mpsoc 4 blocks/msg FastAan pooled",
+        mpsoc_on_os21(&cfg),
+        MPSOC_FOUR_AAN_POOLED,
+    );
+}
+
+#[test]
+fn open_loop_tight_budget_skips_late_blocks() {
+    // The last lane to run finds part of the load already late: a mix
+    // of transformed and zeroed batches, every frame expired.
+    let cfg = OverloadConfig {
+        deadline_budget_ns: 40_000_000,
+        ..open_cfg()
+    };
+    check("open loop, tight budget", overload_on_inproc(&cfg), OPEN_TIGHT);
+}
+
+#[test]
+fn open_loop_budget_the_judge_splits() {
+    // Nothing is late at the lanes; the judge completes the frames it
+    // folds before their deadline and expires the rest.
+    let cfg = OverloadConfig {
+        deadline_budget_ns: 140_000_000,
+        ..open_cfg()
+    };
+    check("open loop, judge splits", overload_on_inproc(&cfg), OPEN_JUDGE_SPLITS);
+}
+
+#[test]
+fn open_loop_generous_budget_records_latencies() {
+    check(
+        "open loop, generous budget",
+        overload_on_inproc(&open_cfg()),
+        OPEN_GENEROUS,
+    );
+}
+
+#[test]
+fn open_loop_drop_oldest() {
+    let cfg = OverloadConfig {
+        fetch_policy: Some(OverloadPolicy::drop_oldest(3)),
+        ..open_cfg()
+    };
+    check("open loop, drop_oldest(3)", overload_on_inproc(&cfg), OPEN_DROP_OLDEST);
+}
+
+#[test]
+fn open_loop_deadline_drop_fast_simd() {
+    let cfg = OverloadConfig {
+        fetch_policy: Some(OverloadPolicy::deadline_drop()),
+        deadline_budget_ns: 8_000_000,
+        kernel: DctKind::FastSimd,
+        ..open_cfg()
+    };
+    check(
+        "open loop, deadline_drop + FastSimd",
+        overload_on_inproc(&cfg),
+        OPEN_DEADLINE_DROP_SIMD,
+    );
+}
+
+#[test]
+fn open_loop_autoscale_walks_down() {
+    // The configuration of `overload_determinism.rs`'s autoscale test:
+    // quiet queues walk the worker count from 3 to the floor.
+    let cfg = OverloadConfig {
+        frames: 32,
+        mean_gap_ns: 30_000,
+        arrival: ArrivalProcess::LogNormal { sigma: 0.8 },
+        deadline_budget_ns: 10_000_000_000,
+        max_workers: 3,
+        initial_workers: 3,
+        autoscale: Some(AutoscaleConfig {
+            high_queue: 1_000,
+            low_queue: 10,
+            hysteresis_rounds: 1,
+            min_workers: 1,
+            interval_ns: 50_000,
+        }),
+        pacing: Pacing::Virtual,
+        ..OverloadConfig::default()
+    };
+    check("open loop, autoscale", overload_on_inproc(&cfg), OPEN_AUTOSCALE);
+}
+
+// ---------------------------------------------------------------------
+// Recorded at 6a399fb. Do not edit.
+// ---------------------------------------------------------------------
+
+const CLOSED_STREAM_FNV: u64 = 0xf0e5_6f21_2f63_5b00;
+const OPEN_STREAM_FNV: u64 = 0x2158_607f_097b_2a8b;
+
+const SMP_DEFAULT: &str = "\
+wall 9424868\n\
+Fetch cpu 991688 s 108 r 0 tx 28512 rx 0\n\
+IDCT_1 cpu 733140 s 36 r 36 tx 2592 rx 9504\n\
+IDCT_2 cpu 733140 s 36 r 36 tx 2592 rx 9504\n\
+IDCT_3 cpu 733140 s 36 r 36 tx 2592 rx 9504\n\
+Reorder cpu 6233760 s 0 r 108 tx 0 rx 7776\n\
+trace 989 0x048a2bc75272c49f\n\
+completed 6 dropped 0 checksum 0xd28180b3b8829c17\n\
+";
+const SMP_FIVE_AAN_POOLED: &str = "\
+wall 9374552\n\
+Fetch cpu 974888 s 24 r 0 tx 28608 rx 0\n\
+IDCT_1 cpu 724754 s 8 r 8 tx 2624 rx 9536\n\
+IDCT_2 cpu 724754 s 8 r 8 tx 2624 rx 9536\n\
+IDCT_3 cpu 724754 s 8 r 8 tx 2624 rx 9536\n\
+Reorder cpu 6225402 s 0 r 24 tx 0 rx 7872\n\
+trace 317 0x529b39dc542f85ac\n\
+completed 6 dropped 0 checksum 0x6a10653411c2ec04\n\
+";
+const SMP_72_TWO_LANES: &str = "\
+wall 9361376\n\
+Fetch cpu 970488 s 2 r 0 tx 28520 rx 0\n\
+IDCT_1 cpu 1083837 s 1 r 1 tx 3892 rx 14260\n\
+IDCT_2 cpu 1083837 s 1 r 1 tx 3892 rx 14260\n\
+Reorder cpu 6223214 s 0 r 2 tx 0 rx 7784\n\
+trace 139 0x59dd4da8a570aacb\n\
+completed 6 dropped 0 checksum 0xd28180b3b8829c17\n\
+";
+const SMP_TOLERANT_TRUNCATED: &str = "\
+wall 1507850940\n\
+Fetch cpu 823290 s 90 r 0 tx 23760 rx 0\n\
+IDCT_1 cpu 610950 s 30 r 30 tx 2160 rx 7920\n\
+IDCT_2 cpu 610950 s 30 r 30 tx 2160 rx 7920\n\
+IDCT_3 cpu 610950 s 30 r 30 tx 2160 rx 7920\n\
+Reorder cpu 5194800 s 0 r 90 tx 0 rx 6480\n\
+trace 827 0xa2cf79c6c93ea6b5\n\
+completed 5 dropped 1 checksum 0xfbf634023cec19cb\n\
+";
+const MPSOC_DEFAULT: &str = "\
+wall 65913405\n\
+Fetch-Reorder cpu 64617405 s 108 r 108 tx 28512 rx 7776\n\
+IDCT_1 cpu 5727726 s 54 r 54 tx 3888 rx 14256\n\
+IDCT_2 cpu 5727726 s 54 r 54 tx 3888 rx 14256\n\
+trace 985 0x10df8003e836ddf0\n\
+completed 6 dropped 0 checksum 0xd28180b3b8829c17\n\
+";
+const MPSOC_FOUR_AAN_POOLED: &str = "\
+wall 58707513\n\
+Fetch-Reorder cpu 58275513 s 36 r 36 tx 28656 rx 7920\n\
+IDCT_1 cpu 3610260 s 18 r 18 tx 3960 rx 14328\n\
+IDCT_2 cpu 3610339 s 18 r 18 tx 3960 rx 14328\n\
+trace 409 0xbbc5fb710b3d0d8b\n\
+completed 6 dropped 0 checksum 0x6a10653411c2ec04\n\
+";
+const OPEN_TIGHT: &str = "\
+wall 150293132\n\
+LoadGen cpu 10329376 s 25 r 0 tx 192 rx 0\n\
+Fetch cpu 10982908 s 75 r 25 tx 456480 rx 192\n\
+IDCT_1 cpu 11565228 s 25 r 25 tx 41568 rx 152160\n\
+IDCT_2 cpu 11565228 s 25 r 25 tx 41568 rx 152160\n\
+IDCT_3 cpu 6274668 s 25 r 25 tx 41568 rx 152160\n\
+Reorder cpu 99575724 s 0 r 75 tx 0 rx 124704\n\
+trace 2446 0x730f36bd7790dc9a\n\
+injected 24 completed 0 expired 24 skipped 264 incomplete 0 shed 0 ingress_expired 0\n\
+latencies 0 0xcbf29ce484222325\n\
+scale []\n\
+";
+const OPEN_JUDGE_SPLITS: &str = "\
+wall 155583692\n\
+LoadGen cpu 10329376 s 25 r 0 tx 192 rx 0\n\
+Fetch cpu 10982908 s 75 r 25 tx 456480 rx 192\n\
+IDCT_1 cpu 11565228 s 25 r 25 tx 41568 rx 152160\n\
+IDCT_2 cpu 11565228 s 25 r 25 tx 41568 rx 152160\n\
+IDCT_3 cpu 11565228 s 25 r 25 tx 41568 rx 152160\n\
+Reorder cpu 99575724 s 0 r 75 tx 0 rx 124704\n\
+trace 2457 0x305dcfc988798eb4\n\
+injected 24 completed 19 expired 5 skipped 0 incomplete 0 shed 0 ingress_expired 0\n\
+latencies 19 0x6717711936c88861\n\
+scale []\n\
+";
+const OPEN_GENEROUS: &str = "\
+wall 155583692\n\
+LoadGen cpu 10329376 s 25 r 0 tx 192 rx 0\n\
+Fetch cpu 10982908 s 75 r 25 tx 456480 rx 192\n\
+IDCT_1 cpu 11565228 s 25 r 25 tx 41568 rx 152160\n\
+IDCT_2 cpu 11565228 s 25 r 25 tx 41568 rx 152160\n\
+IDCT_3 cpu 11565228 s 25 r 25 tx 41568 rx 152160\n\
+Reorder cpu 99575724 s 0 r 75 tx 0 rx 124704\n\
+trace 2457 0x305dcfc988798eb4\n\
+injected 24 completed 24 expired 0 skipped 0 incomplete 0 shed 0 ingress_expired 0\n\
+latencies 24 0xcbd2bb2345958e40\n\
+scale []\n\
+";
+const OPEN_DROP_OLDEST: &str = "\
+wall 22452344\n\
+LoadGen cpu 10329376 s 25 r 0 tx 192 rx 0\n\
+Fetch cpu 932584 s 9 r 3 tx 38040 rx 16\n\
+IDCT_1 cpu 964044 s 3 r 3 tx 3464 rx 12680\n\
+IDCT_2 cpu 964044 s 3 r 3 tx 3464 rx 12680\n\
+IDCT_3 cpu 964044 s 3 r 3 tx 3464 rx 12680\n\
+Reorder cpu 8298252 s 0 r 9 tx 0 rx 10392\n\
+trace 323 0x46b7f9a2ddaf5d82\n\
+injected 24 completed 2 expired 0 skipped 0 incomplete 0 shed 22 ingress_expired 0\n\
+latencies 2 0x322b7f4dd310a562\n\
+scale []\n\
+";
+const OPEN_DEADLINE_DROP_SIMD: &str = "\
+wall 93317948\n\
+LoadGen cpu 10329376 s 25 r 0 tx 192 rx 0\n\
+Fetch cpu 8256556 s 57 r 19 tx 342360 rx 144\n\
+IDCT_1 cpu 16716 s 19 r 19 tx 31176 rx 114120\n\
+IDCT_2 cpu 16716 s 19 r 19 tx 31176 rx 114120\n\
+IDCT_3 cpu 16716 s 19 r 19 tx 31176 rx 114120\n\
+Reorder cpu 74681868 s 0 r 57 tx 0 rx 93528\n\
+trace 1821 0x59aa8cce2761d2cd\n\
+injected 24 completed 0 expired 18 skipped 1296 incomplete 0 shed 0 ingress_expired 6\n\
+latencies 0 0xcbf29ce484222325\n\
+scale []\n\
+";
+const OPEN_AUTOSCALE: &str = "\
+wall 194589622\n\
+LoadGen cpu 916998 s 33 r 0 tx 256 rx 0\n\
+Fetch cpu 14639544 s 99 r 33 tx 608640 rx 256\n\
+IDCT_1 cpu 15420204 s 33 r 33 tx 55424 rx 202880\n\
+IDCT_2 cpu 15420204 s 33 r 33 tx 55424 rx 202880\n\
+IDCT_3 cpu 15420204 s 33 r 33 tx 55424 rx 202880\n\
+Reorder cpu 132767532 s 0 r 99 tx 0 rx 166272\n\
+ScaleController cpu 712 s 2 r 3 tx 8 rx 193\n\
+Observer.region0 cpu 800 s 0 r 0 tx 0 rx 0\n\
+Observer.region1 cpu 1400 s 0 r 0 tx 0 rx 0\n\
+Observer cpu 824 s 3 r 0 tx 193 rx 0\n\
+trace 3310 0x96d114d904f9d5ce\n\
+injected 32 completed 32 expired 0 skipped 0 incomplete 0 shed 0 ingress_expired 0\n\
+latencies 32 0x752fd3e0d935340e\n\
+scale [2, 1]\n\
+";
