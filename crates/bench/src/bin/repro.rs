@@ -470,10 +470,7 @@ fn scaling(scale: &Scale) {
                 ..Default::default()
             };
             let (app, _probe) = build_mpsoc_app(embera_bench::stream(frames, 0x578), &cfg);
-            let mut platform = Os21Platform::with_machine(
-                mpsoc_sim::Machine::with_accelerators(n),
-                embera_os21::Os21Config::default(),
-            );
+            let mut platform = Os21Platform::with_machine(mpsoc_sim::Machine::with_accelerators(n));
             let report = platform
                 .deploy(app.build().expect("valid app"))
                 .expect("deploy")

@@ -24,15 +24,6 @@ pub struct EmbxCostConfig {
     /// Software operations per extra chunk handshake beyond the
     /// pipelined window.
     pub per_chunk_handshake_ops: u64,
-    /// Offload transfers of at least this many bytes to the DMA engine
-    /// instead of the CPU copy loop (`None` = always CPU copy, the
-    /// behaviour of the paper's EMBX build). With DMA the sending CPU
-    /// only programs the descriptor and sleeps: large sends get faster
-    /// *and* stop consuming task time — the ablation bench A3 quantifies
-    /// both effects.
-    pub dma_threshold: Option<u64>,
-    /// Control operations to program one DMA descriptor.
-    pub dma_setup_ops: u64,
 }
 
 impl Default for EmbxCostConfig {
@@ -44,8 +35,6 @@ impl Default for EmbxCostConfig {
             recv_ops_per_byte: 13,
             per_message_ops: 6_000,
             per_chunk_handshake_ops: 220_000,
-            dma_threshold: None,
-            dma_setup_ops: 3_000,
         }
     }
 }
@@ -94,21 +83,6 @@ pub fn charge_send(
     bytes: u64,
 ) -> u64 {
     let before = task.now_ns();
-    if let Some(threshold) = cfg.dma_threshold {
-        if bytes >= threshold {
-            // DMA path: program the descriptor (CPU), then sleep while
-            // the engine streams the payload into the object's SDRAM
-            // slots; the doorbell is raised by the DMA completion.
-            task.compute(ComputeClass::Control, cfg.dma_setup_ops + cfg.per_message_ops);
-            let map = machine.memory_map();
-            let dst = map
-                .region_of_addr(object_addr)
-                .unwrap_or_else(|| map.sdram());
-            machine.dma_copy(task.sim(), src_region, dst, bytes, None);
-            task.delay(machine.cost().interrupt_ns());
-            return task.now_ns() - before;
-        }
-    }
     // Software path on the sending CPU.
     task.compute(ComputeClass::MemCopy, cfg.send_sw_ops(bytes));
     // Hardware copy: read from the sender's region, write into SDRAM
@@ -181,51 +155,5 @@ mod tests {
     fn recv_ops_cheaper_than_send() {
         let cfg = EmbxCostConfig::default();
         assert!(cfg.recv_sw_ops(100_000) < cfg.send_sw_ops(100_000));
-    }
-
-    #[test]
-    fn dma_offload_speeds_up_large_sends_and_frees_cpu() {
-        use mpsoc_sim::Machine;
-        use os21::Rtos;
-        use sim_kernel::Kernel;
-
-        // Same 150 kB send, CPU-copy vs DMA-offloaded EMBX.
-        let run = |dma: bool| -> (u64, u64) {
-            let machine = Machine::sti7200();
-            let mut kernel = Kernel::new();
-            let rtos = Rtos::new(machine.clone());
-            let cfg = EmbxCostConfig {
-                dma_threshold: if dma { Some(64 * 1024) } else { None },
-                ..Default::default()
-            };
-            let sdram = machine.memory_map().sdram();
-            let m2 = machine.clone();
-            rtos.spawn_task(&mut kernel, 0, "sender", 0, move |t| {
-                charge_send(&m2, &t, &cfg, 0, sdram, 0x8000_0000, 150 * 1024);
-            });
-            kernel.run().unwrap();
-            (kernel.now(), rtos.task_time_ns("sender").unwrap())
-        };
-        let (cpu_wall, cpu_task) = run(false);
-        let (dma_wall, dma_task) = run(true);
-        assert!(
-            dma_wall < cpu_wall,
-            "DMA transfer must beat the CPU copy: {dma_wall} vs {cpu_wall}"
-        );
-        assert!(
-            dma_task < cpu_task / 10,
-            "DMA must free the CPU: task time {dma_task} vs {cpu_task}"
-        );
-    }
-
-    #[test]
-    fn dma_threshold_leaves_small_sends_on_cpu_path() {
-        let with_dma = EmbxCostConfig {
-            dma_threshold: Some(64 * 1024),
-            ..Default::default()
-        };
-        let without = EmbxCostConfig::default();
-        // Below the threshold the software op counts are identical.
-        assert_eq!(with_dma.send_sw_ops(10_000), without.send_sw_ops(10_000));
     }
 }

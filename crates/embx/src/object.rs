@@ -11,17 +11,6 @@ use mpsoc_sim::{CpuId, IrqLine, Machine, RegionId, SdramBlock};
 
 use crate::cost::{charge_receive, charge_send, EmbxCostConfig};
 
-/// Statistics of one distributed object.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ObjectStats {
-    /// Messages sent into the object.
-    pub sends: u64,
-    /// Messages received out of the object.
-    pub receives: u64,
-    /// Total payload bytes sent.
-    pub bytes_sent: u64,
-}
-
 pub(crate) struct ObjectShared {
     pub(crate) name: String,
     pub(crate) owner_cpu: CpuId,
@@ -34,7 +23,6 @@ pub(crate) struct ObjectShared {
 
 struct ObjectState {
     queue: VecDeque<Vec<u8>>,
-    stats: ObjectStats,
     /// Additional events notified on every send (lets a receiver block on
     /// "any of my objects" through one shared event).
     extra_notify: Vec<EventId>,
@@ -45,9 +33,13 @@ struct ObjectState {
 /// is represented by a distributed object").
 ///
 /// `send` is asynchronous (enqueue + doorbell), `receive` synchronous
-/// (blocks in virtual time). Message *data* really moves: payload bytes
-/// travel through the object's SDRAM slots, so corruption bugs would be
-/// observable, while *timing* comes from the machine cost model.
+/// (blocks in virtual time). The payload is carried in the object's
+/// queue, one copy per send; *timing* comes from the machine cost model.
+/// `send` also writes the payload's first slot window into the object's
+/// [`SdramBlock`], but no receive path takes its bytes from there: the
+/// deployed one ([`DistributedObject::try_receive_uncosted`]) never reads
+/// the block, and the blocking [`DistributedObject::receive`] reads it
+/// back only into a length check that cannot fail.
 pub struct DistributedObject {
     shared: Arc<ObjectShared>,
     state: Arc<Mutex<ObjectState>>,
@@ -68,7 +60,6 @@ impl DistributedObject {
             shared: Arc::new(shared),
             state: Arc::new(Mutex::new(ObjectState {
                 queue: VecDeque::new(),
-                stats: ObjectStats::default(),
                 extra_notify: Vec::new(),
             })),
         }
@@ -89,16 +80,11 @@ impl DistributedObject {
         self.shared.line
     }
 
-    /// Synthetic SDRAM address of the object's buffer.
-    pub fn addr(&self) -> u64 {
-        self.shared.block.addr
-    }
-
     /// `EMBX_Send`: asynchronously write `data` into the object from
     /// `task` (running on the sending CPU, whose local `src_region`
-    /// holds the payload). Charges the modeled transfer cost, moves the
-    /// bytes through the SDRAM slots, raises the owner CPU's doorbell,
-    /// and returns the ns the send took.
+    /// holds the payload). Charges the modeled transfer cost, enqueues a
+    /// copy of the bytes, raises the owner CPU's doorbell, and returns
+    /// the ns the send took.
     pub fn send(&self, task: &os21::TaskCtx, src_region: RegionId, data: &[u8]) -> u64 {
         let ns = charge_send(
             &self.shared.machine,
@@ -109,9 +95,8 @@ impl DistributedObject {
             self.shared.block.addr,
             data.len() as u64,
         );
-        // Functionally move the bytes through the shared slots: write
-        // through SDRAM slot 0 (wrapping writes model slot reuse), then
-        // enqueue the descriptor.
+        // Write the first slot window into the SDRAM block (nothing on
+        // the receive side depends on it), then enqueue the payload.
         let slot = self.shared.block.size as usize;
         if slot > 0 {
             let window = data.len().min(slot);
@@ -120,8 +105,6 @@ impl DistributedObject {
         let extra = {
             let mut st = self.state.lock();
             st.queue.push_back(data.to_vec());
-            st.stats.sends += 1;
-            st.stats.bytes_sent += data.len() as u64;
             st.extra_notify.clone()
         };
         self.shared.machine.interrupts().raise(task.sim(), self.shared.line);
@@ -141,14 +124,13 @@ impl DistributedObject {
             {
                 let mut st = self.state.lock();
                 if let Some(d) = st.queue.pop_front() {
-                    st.stats.receives += 1;
                     break d;
                 }
             }
             task.sim().wait(self.shared.nonempty);
         };
-        // Re-materialize the slot-window bytes from SDRAM: verifies the
-        // shared-memory data path end-to-end.
+        // Read the slot window back from the SDRAM block; the payload
+        // returned is the queued copy.
         let slot = self.shared.block.size as usize;
         if slot > 0 && !data.is_empty() {
             let window = data.len().min(slot);
@@ -193,22 +175,7 @@ impl DistributedObject {
     /// Non-blocking receive of the payload only (no cost charged); used
     /// by polling service loops.
     pub fn try_receive_uncosted(&self) -> Option<Vec<u8>> {
-        let mut st = self.state.lock();
-        let d = st.queue.pop_front();
-        if d.is_some() {
-            st.stats.receives += 1;
-        }
-        d
-    }
-
-    /// Messages currently queued.
-    pub fn pending(&self) -> usize {
-        self.state.lock().queue.len()
-    }
-
-    /// The wakeup event receivers block on (for multiplexed waits).
-    pub fn nonempty_event(&self) -> EventId {
-        self.shared.nonempty
+        self.state.lock().queue.pop_front()
     }
 
     /// Register an additional event to notify on every send. Used by the
@@ -216,11 +183,6 @@ impl DistributedObject {
     /// of its provided objects.
     pub fn add_extra_notify(&self, event: EventId) {
         self.state.lock().extra_notify.push(event);
-    }
-
-    /// Usage statistics.
-    pub fn stats(&self) -> ObjectStats {
-        self.state.lock().stats
     }
 }
 
@@ -264,10 +226,6 @@ mod tests {
         kernel.run().unwrap();
         let expected: Vec<u8> = (0..1000u32).map(|i| (i % 251) as u8).collect();
         assert_eq!(*got.lock(), expected);
-        let st = obj.stats();
-        assert_eq!(st.sends, 1);
-        assert_eq!(st.receives, 1);
-        assert_eq!(st.bytes_sent, 1000);
     }
 
     #[test]

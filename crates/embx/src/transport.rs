@@ -14,7 +14,6 @@ use crate::object::{DistributedObject, ObjectShared};
 struct TransportInner {
     machine: Machine,
     cost: EmbxCostConfig,
-    objects: Mutex<Vec<String>>,
     next_irq_line: Mutex<u32>,
 }
 
@@ -26,18 +25,12 @@ pub struct Transport {
 }
 
 impl Transport {
-    /// Open a transport over `machine` with default cost parameters.
+    /// Open a transport over `machine`.
     pub fn open(machine: Machine) -> Self {
-        Self::open_with_cost(machine, EmbxCostConfig::default())
-    }
-
-    /// Open with explicit cost parameters.
-    pub fn open_with_cost(machine: Machine, cost: EmbxCostConfig) -> Self {
         Transport {
             inner: Arc::new(TransportInner {
                 machine,
-                cost,
-                objects: Mutex::new(Vec::new()),
+                cost: EmbxCostConfig::default(),
                 next_irq_line: Mutex::new(0),
             }),
         }
@@ -46,11 +39,6 @@ impl Transport {
     /// The machine this transport runs on.
     pub fn machine(&self) -> &Machine {
         &self.inner.machine
-    }
-
-    /// Cost parameters.
-    pub fn cost_config(&self) -> &EmbxCostConfig {
-        &self.inner.cost
     }
 
     /// Create a distributed object owned (received) by `owner_cpu`.
@@ -65,7 +53,6 @@ impl Transport {
         name: impl Into<String>,
         owner_cpu: CpuId,
     ) -> Result<DistributedObject, String> {
-        let name = name.into();
         let cfg = self.inner.cost;
         let buffer_bytes = cfg.slot_bytes * cfg.pipelined_slots;
         let block = self.inner.machine.sdram_alloc().alloc(buffer_bytes)?;
@@ -80,9 +67,8 @@ impl Transport {
         };
         self.inner.machine.interrupts().register_line(kernel, line);
         let nonempty = kernel.alloc_event();
-        self.inner.objects.lock().push(name.clone());
         Ok(DistributedObject::new(ObjectShared {
-            name,
+            name: name.into(),
             owner_cpu,
             block,
             line,
@@ -90,18 +76,6 @@ impl Transport {
             machine: self.inner.machine.clone(),
             cost: cfg,
         }))
-    }
-
-    /// Names of all objects created through this transport.
-    pub fn object_names(&self) -> Vec<String> {
-        self.inner.objects.lock().clone()
-    }
-
-    /// Accounted SDRAM bytes per distributed object (the paper's "25 kB
-    /// for one distributed object" — we account the full double-buffered
-    /// allocation).
-    pub fn object_footprint_bytes(&self) -> u64 {
-        self.inner.cost.slot_bytes * self.inner.cost.pipelined_slots
     }
 }
 
@@ -118,7 +92,7 @@ mod tests {
         let obj = tp.create_object(&kernel, "fetch_to_idct1", 1).unwrap();
         assert!(machine.sdram_alloc().used() > used_before);
         assert_eq!(obj.owner_cpu(), 1);
-        assert_eq!(tp.object_names(), vec!["fetch_to_idct1".to_string()]);
+        assert_eq!(obj.name(), "fetch_to_idct1");
     }
 
     #[test]

@@ -100,19 +100,6 @@ impl CostModel {
         c.cycles_to_ns(lines.saturating_mul(line_cycles(c.kind, kind)))
     }
 
-    /// Virtual nanoseconds for `cpu` to copy `bytes` from `src` to `dst`
-    /// (read + write), excluding bus contention and interrupts.
-    pub fn copy_ns(
-        &self,
-        map: &MemoryMap,
-        cpu: CpuId,
-        src: RegionId,
-        dst: RegionId,
-        bytes: u64,
-    ) -> u64 {
-        self.mem_ns(map, cpu, src, bytes) + self.mem_ns(map, cpu, dst, bytes)
-    }
-
     /// Number of SDRAM bus transactions a transfer of `bytes` requires.
     pub fn bus_bursts(&self, bytes: u64) -> u64 {
         bytes.div_ceil(self.cfg.bus_burst_bytes).max(1)
@@ -180,17 +167,18 @@ mod tests {
 
     #[test]
     fn copy_cost_is_linear_in_size() {
+        // The two streams of an EMBX copy (local side, SDRAM side) are
+        // each affine within rounding: doubling size ~doubles cost.
         let (m, map) = model();
-        let sdram = map.sdram();
-        let lmi = map.local_of(1).unwrap();
-        let t1 = m.copy_ns(&map, 1, lmi, sdram, 10_000);
-        let t2 = m.copy_ns(&map, 1, lmi, sdram, 20_000);
-        let t4 = m.copy_ns(&map, 1, lmi, sdram, 40_000);
-        // Affine within rounding: doubling size ~doubles cost.
-        let r21 = t2 as f64 / t1 as f64;
-        let r42 = t4 as f64 / t2 as f64;
-        assert!((1.9..2.1).contains(&r21), "r21={r21}");
-        assert!((1.9..2.1).contains(&r42), "r42={r42}");
+        for region in [map.local_of(1).unwrap(), map.sdram()] {
+            let t1 = m.mem_ns(&map, 1, region, 10_000);
+            let t2 = m.mem_ns(&map, 1, region, 20_000);
+            let t4 = m.mem_ns(&map, 1, region, 40_000);
+            let r21 = t2 as f64 / t1 as f64;
+            let r42 = t4 as f64 / t2 as f64;
+            assert!((1.9..2.1).contains(&r21), "{region:?}: r21={r21}");
+            assert!((1.9..2.1).contains(&r42), "{region:?}: r42={r42}");
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use std::collections::HashMap;
 
 use parking_lot::Mutex;
-use sim_kernel::{EventId, Kernel, SimCtx, Time};
+use sim_kernel::{EventId, Kernel, SimCtx};
 
 use crate::config::CpuId;
 
@@ -26,7 +26,6 @@ struct IcState {
     /// Pending counts per line: an interrupt raised while nobody is
     /// waiting stays pending (level-triggered latch).
     pending: HashMap<IrqLine, u64>,
-    raised: u64,
 }
 
 /// The interrupt controller. Cloneable handles share state.
@@ -41,7 +40,6 @@ impl InterruptController {
             state: Mutex::new(IcState {
                 events: HashMap::new(),
                 pending: HashMap::new(),
-                raised: 0,
             }),
         }
     }
@@ -62,7 +60,6 @@ impl InterruptController {
         let event = {
             let mut st = self.state.lock();
             *st.pending.entry(line).or_insert(0) += 1;
-            st.raised += 1;
             st.events.get(&line).copied()
         };
         if let Some(e) = event {
@@ -93,46 +90,6 @@ impl InterruptController {
             }
             ctx.wait(event);
         }
-    }
-
-    /// Raise an interrupt on `line` whose wakeup propagates after
-    /// `delay` ns of wire latency. The latch is set immediately (the
-    /// line is level-triggered), but blocked waiters are only notified
-    /// once the delay elapses. With `delay == 0` this is [`raise`].
-    ///
-    /// [`raise`]: InterruptController::raise
-    pub fn raise_after(&self, ctx: &SimCtx, line: IrqLine, delay: Time) {
-        let event = {
-            let mut st = self.state.lock();
-            *st.pending.entry(line).or_insert(0) += 1;
-            st.raised += 1;
-            st.events.get(&line).copied()
-        };
-        if let Some(e) = event {
-            if delay == 0 {
-                ctx.notify(e);
-            } else {
-                ctx.notify_after(e, delay);
-            }
-        }
-    }
-
-    /// Non-blocking check-and-consume. Returns `true` if an interrupt was
-    /// pending and consumed.
-    pub fn try_take(&self, line: IrqLine) -> bool {
-        let mut st = self.state.lock();
-        let pending = st.pending.entry(line).or_insert(0);
-        if *pending > 0 {
-            *pending -= 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Total interrupts raised since construction.
-    pub fn total_raised(&self) -> u64 {
-        self.state.lock().raised
     }
 }
 
@@ -169,7 +126,6 @@ mod tests {
         });
         k.run().unwrap();
         assert_eq!(woke_at.load(Ordering::SeqCst), 500);
-        assert_eq!(ic.total_raised(), 1);
     }
 
     #[test]
@@ -217,43 +173,5 @@ mod tests {
         });
         k.run().unwrap();
         assert_eq!(count.load(Ordering::SeqCst), 3);
-    }
-
-    #[test]
-    fn raise_after_wakes_waiter_at_the_delayed_time() {
-        let mut k = Kernel::new();
-        let ic = Arc::new(InterruptController::new());
-        let line = IrqLine { cpu: 1, line: 2 };
-        ic.register_line(&k, line);
-        let woke_at = Arc::new(AtomicU64::new(0));
-
-        let ic2 = Arc::clone(&ic);
-        let w = Arc::clone(&woke_at);
-        k.spawn("handler", move |ctx| {
-            ic2.wait(&ctx, line);
-            w.store(ctx.now(), Ordering::SeqCst);
-        });
-        let ic3 = Arc::clone(&ic);
-        k.spawn("raiser", move |ctx| {
-            ctx.advance(100);
-            ic3.raise_after(&ctx, line, 250);
-        });
-        k.run().unwrap();
-        assert_eq!(woke_at.load(Ordering::SeqCst), 350);
-        assert_eq!(ic.total_raised(), 1);
-    }
-
-    #[test]
-    fn try_take_consumes_once() {
-        let k = Kernel::new();
-        let ic = InterruptController::new();
-        let line = IrqLine { cpu: 0, line: 0 };
-        ic.register_line(&k, line);
-        assert!(!ic.try_take(line));
-        // Raise requires a ctx; emulate the latch directly via pending.
-        ic.state.lock().pending.insert(line, 2);
-        assert!(ic.try_take(line));
-        assert!(ic.try_take(line));
-        assert!(!ic.try_take(line));
     }
 }

@@ -22,7 +22,6 @@
 //! * an **interrupt controller** with per-CPU doorbell lines (EMBX uses
 //!   one shared memory block "associated with one interruption
 //!   controller" — paper §5),
-//! * a **DMA engine** for block copies,
 //! * optional per-CPU **L1 cache models** with miss counters — these back
 //!   the paper's announced future work of observing cache misses (§6).
 //!
@@ -35,7 +34,6 @@ pub mod bus;
 pub mod cache;
 pub mod config;
 pub mod cost;
-pub mod dma;
 pub mod interrupt;
 pub mod machine;
 pub mod memory;
@@ -44,7 +42,6 @@ pub use bus::{Bus, BusStats};
 pub use cache::{CacheConfig, CacheStats, L1Cache};
 pub use config::{CpuConfig, CpuId, CpuKind, MachineConfig};
 pub use cost::{ComputeClass, CostModel};
-pub use dma::{Dma, DmaStats};
 pub use interrupt::{InterruptController, IrqLine};
 pub use machine::Machine;
 pub use memory::{MemoryKind, MemoryMap, RegionId, SdramAllocator, SdramBlock};

@@ -1,6 +1,6 @@
 //! The composed machine: configuration + memory map + cost model + bus +
-//! interrupt controller + DMA + per-CPU caches, behind one cloneable
-//! handle shared by the RTOS and middleware layers.
+//! interrupt controller + per-CPU caches, behind one cloneable handle
+//! shared by the RTOS and middleware layers.
 
 use std::sync::Arc;
 
@@ -10,7 +10,6 @@ use crate::bus::{Bus, BusStats};
 use crate::cache::{CacheStats, L1Cache};
 use crate::config::{CpuId, MachineConfig};
 use crate::cost::{ComputeClass, CostModel};
-use crate::dma::Dma;
 use crate::interrupt::InterruptController;
 use crate::memory::{MemoryMap, RegionId, SdramAllocator};
 
@@ -19,7 +18,6 @@ struct MachineInner {
     map: MemoryMap,
     bus: Bus,
     ic: InterruptController,
-    dma: Dma,
     sdram_alloc: SdramAllocator,
     dcaches: Vec<Option<L1Cache>>,
 }
@@ -50,7 +48,6 @@ impl Machine {
                 map,
                 bus: Bus::new(),
                 ic: InterruptController::new(),
-                dma: Dma::new(),
                 sdram_alloc,
                 dcaches,
             }),
@@ -90,11 +87,6 @@ impl Machine {
     /// Interrupt controller.
     pub fn interrupts(&self) -> &InterruptController {
         &self.inner.ic
-    }
-
-    /// DMA engine.
-    pub fn dma(&self) -> &Dma {
-        &self.inner.dma
     }
 
     /// SDRAM allocator (used by EMBX for distributed objects).
@@ -167,49 +159,6 @@ impl Machine {
             ctx.advance(ns);
         }
         ns
-    }
-
-    /// DMA-driven copy: the engine moves `bytes` at bus speed without
-    /// occupying any CPU; the calling process sleeps in virtual time for
-    /// the programming + transfer (+ optional completion interrupt)
-    /// duration. Returns the ns consumed.
-    pub fn dma_copy(
-        &self,
-        ctx: &SimCtx,
-        src_region: RegionId,
-        dst_region: RegionId,
-        bytes: u64,
-        irq: Option<crate::interrupt::IrqLine>,
-    ) -> u64 {
-        self.inner.dma.copy(
-            ctx,
-            &self.inner.bus,
-            &self.inner.cost,
-            &self.inner.map,
-            irq.map(|line| (&self.inner.ic, line)),
-            src_region,
-            dst_region,
-            bytes,
-        )
-    }
-
-    /// CPU-driven copy of `bytes` from (`src_region`, `src_addr`) to
-    /// (`dst_region`, `dst_addr`): read + write streams, each feeding the
-    /// cache and bus models. Returns the ns consumed.
-    #[allow(clippy::too_many_arguments)]
-    pub fn copy(
-        &self,
-        ctx: &SimCtx,
-        cpu: CpuId,
-        src_region: RegionId,
-        src_addr: Option<u64>,
-        dst_region: RegionId,
-        dst_addr: Option<u64>,
-        bytes: u64,
-    ) -> u64 {
-        let a = self.mem_access_region(ctx, cpu, src_region, src_addr, bytes);
-        let b = self.mem_access_region(ctx, cpu, dst_region, dst_addr, bytes);
-        a + b
     }
 }
 
@@ -285,27 +234,5 @@ mod tests {
             duo > solo,
             "contended run ({duo} ns) must exceed solo run ({solo} ns)"
         );
-    }
-
-    #[test]
-    fn copy_charges_both_sides() {
-        let m = Machine::sti7200();
-        let mut k = Kernel::new();
-        let m2 = m.clone();
-        let map = m.memory_map();
-        let lmi = map.local_of(1).unwrap();
-        let sdram = map.sdram();
-        k.spawn("p", move |ctx| {
-            let one_way = {
-                let t0 = ctx.now();
-                m2.mem_access_region(&ctx, 1, sdram, None, 10_000);
-                ctx.now() - t0
-            };
-            let t0 = ctx.now();
-            m2.copy(&ctx, 1, sdram, None, lmi, None, 10_000);
-            let both = ctx.now() - t0;
-            assert!(both > one_way);
-        });
-        k.run().unwrap();
     }
 }

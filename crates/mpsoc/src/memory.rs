@@ -109,8 +109,8 @@ impl MemoryMap {
 /// A block of simulated SDRAM handed out by the [`SdramAllocator`].
 ///
 /// The block carries both a synthetic address (for the cache/cost models)
-/// and real backing storage (EMBX moves actual bytes through it, so the
-/// data path is functionally real, not just timed).
+/// and real backing storage (EMBX writes the head of every payload into
+/// it; messages themselves travel in the object's queue).
 #[derive(Clone)]
 pub struct SdramBlock {
     /// Synthetic start address inside the SDRAM region.

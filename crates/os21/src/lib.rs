@@ -13,11 +13,13 @@
 //!   in CPU ticks — the paper's middleware timestamps use it (§5.2),
 //! * **`task_time`** ([`TaskCtx::task_time`]): accumulated CPU time of
 //!   the task — the paper's RTOS-level execution-time observation (§5.2),
-//! * **synchronization** ([`Semaphore`], [`OsMutex`]) and bounded
-//!   **message queues** ([`MessageQueue`]),
-//! * **memory partitions** ([`Partition`]): fixed-size memory pools with
-//!   used/free accounting — the paper's RTOS memory observation reads
-//!   "the tasks memory size and the amount of memory currently used".
+//! * **synchronization** ([`Semaphore`]): the counting semaphore tasks
+//!   block on in virtual time.
+//!
+//! The paper's RTOS memory observation ("the tasks memory size and the
+//! amount of memory currently used") is not modelled here: the Mem
+//! column of Table 3 is the paper's own accounting, two constants in
+//! `embera-os21`'s platform.
 //!
 //! The scheduler is cooperative (tasks yield at compute/communication
 //! points). Task priorities are accepted for API fidelity but do not
@@ -25,16 +27,10 @@
 //! §5.1: "the current implementation supports one component per CPU"),
 //! so preemption never arises in the reproduced experiments.
 
-pub mod partition;
-pub mod queue;
 pub mod rtos;
 pub mod sync;
 pub mod task;
-pub mod timer;
 
-pub use partition::{Partition, PartitionStatus};
-pub use queue::MessageQueue;
 pub use rtos::{Rtos, TaskInfo};
-pub use sync::{OsMutex, Semaphore};
+pub use sync::Semaphore;
 pub use task::TaskCtx;
-pub use timer::{EventFlags, FlagMode, PeriodicTimer};

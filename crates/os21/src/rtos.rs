@@ -22,22 +22,17 @@ pub struct TaskInfo {
     pub priority: i32,
     /// Simulation process id backing the task.
     pub pid: Pid,
-    /// Configured stack size in bytes (OS21 tasks have fixed stacks).
-    pub stack_bytes: u64,
 }
 
 pub(crate) struct CpuSched {
     /// Virtual time until which the CPU's pipeline is occupied; compute
     /// segments of same-CPU tasks serialize through it.
     pub(crate) busy_until: AtomicU64,
-    /// Total CPU time consumed on this core (ns).
-    pub(crate) busy_ns: AtomicU64,
 }
 
 struct RtosInner {
     machine: Machine,
     cpus: Vec<CpuSched>,
-    tasks: Mutex<Vec<TaskInfo>>,
     /// Per-task accumulated CPU time, keyed by task name.
     task_time: Mutex<HashMap<String, Arc<AtomicU64>>>,
 }
@@ -60,10 +55,8 @@ impl Rtos {
                 cpus: (0..ncpus)
                     .map(|_| CpuSched {
                         busy_until: AtomicU64::new(0),
-                        busy_ns: AtomicU64::new(0),
                     })
                     .collect(),
-                tasks: Mutex::new(Vec::new()),
                 task_time: Mutex::new(HashMap::new()),
             }),
         }
@@ -75,30 +68,13 @@ impl Rtos {
     }
 
     /// Spawn a task pinned to `cpu`. The body receives a [`TaskCtx`]
-    /// exposing the OS21-flavoured API. Default stack: 16 KiB, matching
-    /// typical OS21 task creation on the ST231.
+    /// exposing the OS21-flavoured API.
     pub fn spawn_task<F>(
         &self,
         kernel: &mut Kernel,
         cpu: CpuId,
         name: impl Into<String>,
         priority: i32,
-        body: F,
-    ) -> TaskInfo
-    where
-        F: FnOnce(TaskCtx) + Send + 'static,
-    {
-        self.spawn_task_with_stack(kernel, cpu, name, priority, 16 * 1024, body)
-    }
-
-    /// Spawn a task with an explicit stack size.
-    pub fn spawn_task_with_stack<F>(
-        &self,
-        kernel: &mut Kernel,
-        cpu: CpuId,
-        name: impl Into<String>,
-        priority: i32,
-        stack_bytes: u64,
         body: F,
     ) -> TaskInfo
     where
@@ -123,20 +99,12 @@ impl Rtos {
             let tctx = TaskCtx::new(ctx, rtos, cpu, task_name, cpu_time);
             body(tctx);
         });
-        let info = TaskInfo {
+        TaskInfo {
             name,
             cpu,
             priority,
             pid,
-            stack_bytes,
-        };
-        self.inner.tasks.lock().push(info.clone());
-        info
-    }
-
-    /// All tasks spawned so far.
-    pub fn tasks(&self) -> Vec<TaskInfo> {
-        self.inner.tasks.lock().clone()
+        }
     }
 
     /// Accumulated CPU time (ns) of a task, by name — the external view
@@ -149,11 +117,6 @@ impl Rtos {
             .map(|t| t.load(Ordering::Acquire))
     }
 
-    /// Total CPU time consumed on `cpu` (ns).
-    pub fn cpu_busy_ns(&self, cpu: CpuId) -> Time {
-        self.inner.cpus[cpu].busy_ns.load(Ordering::Acquire)
-    }
-
     pub(crate) fn sched(&self, cpu: CpuId) -> &CpuSched {
         &self.inner.cpus[cpu]
     }
@@ -163,19 +126,6 @@ impl Rtos {
 mod tests {
     use super::*;
     use mpsoc_sim::ComputeClass;
-
-    #[test]
-    fn tasks_register_in_table() {
-        let mut kernel = Kernel::new();
-        let rtos = Rtos::new(Machine::sti7200());
-        rtos.spawn_task(&mut kernel, 0, "host", 0, |_t| {});
-        rtos.spawn_task(&mut kernel, 1, "acc", 5, |_t| {});
-        kernel.run().unwrap();
-        let tasks = rtos.tasks();
-        assert_eq!(tasks.len(), 2);
-        assert_eq!(tasks[0].cpu, 0);
-        assert_eq!(tasks[1].priority, 5);
-    }
 
     #[test]
     fn same_cpu_compute_serializes() {

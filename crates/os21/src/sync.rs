@@ -1,5 +1,5 @@
-//! Synchronization primitives: counting semaphores and mutexes, in the
-//! style of OS21's `semaphore_*` / `mutex_*` APIs.
+//! Synchronization: the counting semaphore, in the style of OS21's
+//! `semaphore_*` API.
 
 use std::sync::Arc;
 
@@ -8,24 +8,17 @@ use sim_kernel::EventId;
 
 use crate::task::TaskCtx;
 
-struct SemState {
-    count: i64,
-    /// Number of signal/wait operations, for observation.
-    signals: u64,
-    waits: u64,
-}
-
 /// A counting semaphore between simulated tasks. Cloneable; clones share
 /// state.
 pub struct Semaphore {
-    state: Arc<HostMutex<SemState>>,
+    count: Arc<HostMutex<i64>>,
     event: EventId,
 }
 
 impl Clone for Semaphore {
     fn clone(&self) -> Self {
         Semaphore {
-            state: Arc::clone(&self.state),
+            count: Arc::clone(&self.count),
             event: self.event,
         }
     }
@@ -34,24 +27,13 @@ impl Clone for Semaphore {
 impl Semaphore {
     /// Create a semaphore with an initial count (`semaphore_create_fifo`).
     pub fn new(task: &TaskCtx, initial: i64) -> Self {
-        Semaphore {
-            state: Arc::new(HostMutex::new(SemState {
-                count: initial,
-                signals: 0,
-                waits: 0,
-            })),
-            event: task.sim().alloc_event(),
-        }
+        Self::with_event(task.sim().alloc_event(), initial)
     }
 
     /// Create from a raw event (for construction outside any task).
     pub fn with_event(event: EventId, initial: i64) -> Self {
         Semaphore {
-            state: Arc::new(HostMutex::new(SemState {
-                count: initial,
-                signals: 0,
-                waits: 0,
-            })),
+            count: Arc::new(HostMutex::new(initial)),
             event,
         }
     }
@@ -61,10 +43,9 @@ impl Semaphore {
     pub fn wait(&self, task: &TaskCtx) {
         loop {
             {
-                let mut st = self.state.lock();
-                if st.count > 0 {
-                    st.count -= 1;
-                    st.waits += 1;
+                let mut count = self.count.lock();
+                if *count > 0 {
+                    *count -= 1;
                     return;
                 }
             }
@@ -74,70 +55,13 @@ impl Semaphore {
 
     /// `semaphore_signal`: increment and wake waiters.
     pub fn signal(&self, task: &TaskCtx) {
-        {
-            let mut st = self.state.lock();
-            st.count += 1;
-            st.signals += 1;
-        }
+        *self.count.lock() += 1;
         task.sim().notify(self.event);
-    }
-
-    /// Non-blocking wait; `true` on success.
-    pub fn try_wait(&self) -> bool {
-        let mut st = self.state.lock();
-        if st.count > 0 {
-            st.count -= 1;
-            st.waits += 1;
-            true
-        } else {
-            false
-        }
     }
 
     /// Current count.
     pub fn count(&self) -> i64 {
-        self.state.lock().count
-    }
-}
-
-/// A mutex between simulated tasks (`mutex_create_fifo`), built on a
-/// binary semaphore.
-pub struct OsMutex {
-    sem: Semaphore,
-}
-
-impl Clone for OsMutex {
-    fn clone(&self) -> Self {
-        OsMutex {
-            sem: self.sem.clone(),
-        }
-    }
-}
-
-impl OsMutex {
-    /// Create an unlocked mutex.
-    pub fn new(task: &TaskCtx) -> Self {
-        OsMutex {
-            sem: Semaphore::new(task, 1),
-        }
-    }
-
-    /// `mutex_lock`.
-    pub fn lock(&self, task: &TaskCtx) {
-        self.sem.wait(task);
-    }
-
-    /// `mutex_release`.
-    pub fn unlock(&self, task: &TaskCtx) {
-        self.sem.signal(task);
-    }
-
-    /// Run `f` with the mutex held.
-    pub fn with<R>(&self, task: &TaskCtx, f: impl FnOnce() -> R) -> R {
-        self.lock(task);
-        let r = f();
-        self.unlock(task);
-        r
+        *self.count.lock()
     }
 }
 
@@ -188,18 +112,10 @@ mod tests {
     }
 
     #[test]
-    fn try_wait_does_not_block() {
-        let kernel = Kernel::new();
-        let sem = Semaphore::with_event(kernel.alloc_event(), 1);
-        assert!(sem.try_wait());
-        assert!(!sem.try_wait());
-    }
-
-    #[test]
-    fn mutex_provides_exclusion() {
-        // Two tasks increment a shared (host-side) counter under the
-        // mutex with a delay inside the critical section; exclusion means
-        // the second task's section starts after the first finishes.
+    fn binary_semaphore_provides_exclusion() {
+        // Two tasks run a critical section with a delay inside under a
+        // semaphore of count 1; exclusion means the second task's section
+        // starts after the first finishes.
         let mut kernel = Kernel::new();
         let rtos = Rtos::new(Machine::sti7200());
         let sem = Semaphore::with_event(kernel.alloc_event(), 1);

@@ -115,24 +115,6 @@ impl TaskCtx {
         ns
     }
 
-    /// CPU-driven copy between regions (both sides charged to this CPU).
-    pub fn copy(
-        &self,
-        src: RegionId,
-        src_addr: Option<u64>,
-        dst: RegionId,
-        dst_addr: Option<u64>,
-        bytes: u64,
-    ) -> Time {
-        let before = self.sim.now();
-        self.rtos
-            .machine()
-            .copy(&self.sim, self.cpu, src, src_addr, dst, dst_addr, bytes);
-        let ns = self.sim.now() - before;
-        self.account_cpu(ns);
-        ns
-    }
-
     /// Occupy this task's CPU for `ns`, queueing behind same-CPU peers.
     fn occupy_cpu(&self, ns: Time) {
         if ns == 0 {
@@ -149,10 +131,6 @@ impl TaskCtx {
 
     fn account_cpu(&self, ns: Time) {
         self.cpu_time.fetch_add(ns, Ordering::AcqRel);
-        self.rtos
-            .sched(self.cpu)
-            .busy_ns
-            .fetch_add(ns, Ordering::AcqRel);
     }
 }
 

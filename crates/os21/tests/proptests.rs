@@ -7,38 +7,41 @@ use parking_lot::Mutex;
 use proptest::prelude::*;
 
 use mpsoc_sim::Machine;
-use os21::{MessageQueue, Rtos};
+use os21::{Rtos, Semaphore};
 use sim_kernel::Kernel;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn message_queue_fifo_for_any_delays_and_capacity(
+    fn semaphore_wakes_once_per_signal_in_signal_order(
         delays in prop::collection::vec(0u64..200, 1..40),
-        capacity in 1usize..8,
     ) {
         let mut kernel = Kernel::new();
         let rtos = Rtos::new(Machine::sti7200());
-        let q: MessageQueue<usize> =
-            MessageQueue::with_events(capacity, kernel.alloc_event(), kernel.alloc_event());
-        let n = delays.len();
-        let tx = q.clone();
-        rtos.spawn_task(&mut kernel, 1, "producer", 0, move |t| {
-            for (i, d) in delays.iter().enumerate() {
-                t.delay(*d);
-                tx.send(&t, i);
+        let sem = Semaphore::with_event(kernel.alloc_event(), 0);
+        let k = delays.len();
+        let woke = Arc::new(Mutex::new(Vec::new()));
+        let (s, w) = (sem.clone(), Arc::clone(&woke));
+        rtos.spawn_task(&mut kernel, 0, "waiter", 0, move |t| {
+            for _ in 0..k {
+                s.wait(&t);
+                w.lock().push(t.now_ns());
             }
         });
-        let got = Arc::new(Mutex::new(Vec::new()));
-        let g = Arc::clone(&got);
-        rtos.spawn_task(&mut kernel, 2, "consumer", 0, move |t| {
-            for _ in 0..n {
-                g.lock().push(q.receive(&t));
-            }
-        });
+        for (i, d) in delays.iter().copied().enumerate() {
+            let s = sem.clone();
+            rtos.spawn_task(&mut kernel, 1 + i % 4, format!("signaler{i}"), 0, move |t| {
+                t.delay(d);
+                s.signal(&t);
+            });
+        }
         kernel.run().unwrap();
-        prop_assert_eq!(got.lock().clone(), (0..n).collect::<Vec<_>>());
+        prop_assert_eq!(sem.count(), 0);
+        // The j-th wake-up happens at the j-th smallest signal time.
+        let mut signal_times = delays;
+        signal_times.sort_unstable();
+        prop_assert_eq!(woke.lock().clone(), signal_times);
     }
 
     #[test]

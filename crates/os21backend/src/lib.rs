@@ -34,4 +34,4 @@
 pub mod platform;
 mod transport;
 
-pub use platform::{Os21Config, Os21Platform, Os21Running};
+pub use platform::{Os21Platform, Os21Running};

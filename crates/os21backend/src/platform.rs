@@ -8,7 +8,7 @@ use sim_kernel::{Kernel, KernelStats};
 
 use embera::runtime::{self, Backend, Deployed, Flow, Wiring};
 use embera::{AppReport, AppSpec, ComponentSpec, EmberaError, Placement, Platform, RunningApp};
-use embx::{EmbxCostConfig, Transport};
+use embx::Transport;
 use mpsoc_sim::{CpuId, Machine};
 use os21::Rtos;
 
@@ -22,34 +22,21 @@ const TASK_DATA_BYTES: u64 = 60_000;
 /// distributed object".
 const OBJECT_ACCOUNTED_BYTES: u64 = 25_000;
 
-/// Configuration of the MPSoC backend.
-#[derive(Debug, Clone, Default)]
-pub struct Os21Config {
-    /// EMBX cost parameters.
-    pub embx: EmbxCostConfig,
-}
-
 /// The MPSoC platform (paper §5): deploys onto a simulated STi7200.
 pub struct Os21Platform {
     machine: Machine,
-    config: Os21Config,
 }
 
 impl Os21Platform {
     /// Platform over the 3-CPU STi7200 the paper's experiments used
     /// (§5.3: "the software toolset … supports only three processors").
     pub fn three_cpu() -> Self {
-        Self::with_machine(Machine::sti7200_three_cpu(), Os21Config::default())
+        Self::with_machine(Machine::sti7200_three_cpu())
     }
 
-    /// Platform over the full 5-CPU STi7200.
-    pub fn five_cpu() -> Self {
-        Self::with_machine(Machine::sti7200(), Os21Config::default())
-    }
-
-    /// Platform over an explicit machine and configuration.
-    pub fn with_machine(machine: Machine, config: Os21Config) -> Self {
-        Os21Platform { machine, config }
+    /// Platform over an explicit machine.
+    pub fn with_machine(machine: Machine) -> Self {
+        Os21Platform { machine }
     }
 
     /// The simulated machine (for post-run hardware statistics such as
@@ -159,7 +146,7 @@ impl Platform for Os21Platform {
         let mut backend = TaskBackend {
             kernel: Kernel::new(),
             rtos: Rtos::new(self.machine.clone()),
-            transport: Transport::open_with_cost(self.machine.clone(), self.config.embx),
+            transport: Transport::open(self.machine.clone()),
             machine: self.machine.clone(),
             placements,
             app: Arc::new(AppShared {
@@ -181,11 +168,6 @@ impl Os21Running {
     /// The simulated machine (cache/bus statistics).
     pub fn machine(&self) -> &Machine {
         &self.machine
-    }
-
-    /// The RTOS instance (per-task CPU time).
-    pub fn rtos(&self) -> &Rtos {
-        &self.rtos
     }
 
     /// Like [`RunningApp::wait`], but also returns the simulation

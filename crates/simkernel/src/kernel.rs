@@ -29,7 +29,7 @@ use crate::Time;
 /// Outcome of [`Kernel::run_until`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunOutcome {
-    /// All non-daemon processes completed.
+    /// All processes completed.
     Completed,
     /// The horizon was reached with work still pending.
     Horizon,
@@ -176,7 +176,6 @@ struct ProcEntry {
     /// The process's stack; `None` once its body is over.
     fiber: Option<Fiber>,
     state: ProcState,
-    daemon: bool,
     /// Bumped every time the process blocks; stale timeout checks compare
     /// against it.
     wait_epoch: u64,
@@ -200,8 +199,7 @@ pub struct Kernel {
     directory: Arc<Directory>,
     seq: u64,
     stats: KernelStats,
-    /// Non-daemon processes that have not finished; the run is complete
-    /// at zero.
+    /// Processes that have not finished; the run is complete at zero.
     unfinished: usize,
     /// The notifications of the slice being applied; kept so its buffer
     /// is reused from one dispatch to the next.
@@ -273,26 +271,10 @@ impl Kernel {
     where
         F: FnOnce(SimCtx) + Send + 'static,
     {
-        self.spawn_inner(name.into(), Box::new(body), false, None)
+        self.spawn_inner(name.into(), Box::new(body), None)
     }
 
-    /// Spawn a *daemon* process: the simulation is considered complete
-    /// once every non-daemon process has finished, even if daemons are
-    /// still blocked or have pending events.
-    pub fn spawn_daemon<F>(&mut self, name: impl Into<String>, body: F) -> Pid
-    where
-        F: FnOnce(SimCtx) + Send + 'static,
-    {
-        self.spawn_inner(name.into(), Box::new(body), true, None)
-    }
-
-    fn spawn_inner(
-        &mut self,
-        name: String,
-        body: ProcessBody,
-        daemon: bool,
-        reserved: Option<Pid>,
-    ) -> Pid {
+    fn spawn_inner(&mut self, name: String, body: ProcessBody, reserved: Option<Pid>) -> Pid {
         // Pids are allocated by the shared directory so runtime spawns
         // (which reserve before the kernel materializes them) stay
         // aligned with the kernel's process table.
@@ -311,14 +293,11 @@ impl Kernel {
             link,
             fiber: Some(process_fiber(ctx, body)),
             state: ProcState::Runnable,
-            daemon,
             wait_epoch: 0,
             dispatch_count: 0,
         });
         self.stats.processes_spawned += 1;
-        if !daemon {
-            self.unfinished += 1;
-        }
+        self.unfinished += 1;
         // Pre-size ahead of demand: each process typically keeps at most
         // a resume plus a timeout in flight.
         let want = self.procs.len() * 2;
@@ -334,16 +313,6 @@ impl Kernel {
     /// Waiters are woken at the current virtual time.
     pub fn notify(&mut self, event: EventId) {
         self.deliver_notification(event);
-    }
-
-    /// Has the process finished?
-    pub fn is_done(&self, pid: Pid) -> bool {
-        self.procs[pid].state == ProcState::Done
-    }
-
-    /// Name of a process.
-    pub fn process_name(&self, pid: Pid) -> &str {
-        &self.procs[pid].name
     }
 
     fn push(&mut self, time: Time, item: QueueItem) {
@@ -394,16 +363,14 @@ impl Kernel {
         }
         self.notifications = notifications;
         for child in spawns {
-            self.spawn_inner(child.name, child.body, false, Some(child.pid));
+            self.spawn_inner(child.name, child.body, Some(child.pid));
         }
     }
 
     /// Mark `pid` finished and wake its joiners.
     fn finish(&mut self, pid: Pid) {
         self.procs[pid].state = ProcState::Done;
-        if !self.procs[pid].daemon {
-            self.unfinished -= 1;
-        }
+        self.unfinished -= 1;
         let completion = self.directory.mark_finished(pid);
         self.deliver_notification(completion);
     }
@@ -411,12 +378,12 @@ impl Kernel {
     fn blocked_names(&self) -> Vec<String> {
         self.procs
             .iter()
-            .filter(|p| matches!(p.state, ProcState::Waiting { .. }) && !p.daemon)
+            .filter(|p| matches!(p.state, ProcState::Waiting { .. }))
             .map(|p| p.name.clone())
             .collect()
     }
 
-    /// Run the simulation until all non-daemon processes complete.
+    /// Run the simulation until all processes complete.
     pub fn run(&mut self) -> Result<(), SimError> {
         match self.run_until(Time::MAX)? {
             RunOutcome::Completed => Ok(()),
@@ -424,7 +391,7 @@ impl Kernel {
         }
     }
 
-    /// Run the simulation until all non-daemon processes complete or the
+    /// Run the simulation until all processes complete or the
     /// next thing to happen lies beyond `horizon`. The clock is then at
     /// `horizon` — unless it was already past it: virtual time never
     /// moves backwards, so a horizon in the past pauses at once.
@@ -695,18 +662,6 @@ mod tests {
             }
             other => panic!("expected deadlock, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn daemon_does_not_block_completion() {
-        let mut k = Kernel::new();
-        let e = k.alloc_event();
-        k.spawn_daemon("idle", move |ctx| {
-            ctx.wait(e); // never notified
-        });
-        k.spawn("work", |ctx| ctx.advance(5));
-        k.run().unwrap();
-        assert_eq!(k.now(), 5);
     }
 
     #[test]

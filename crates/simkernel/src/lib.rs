@@ -31,7 +31,7 @@
 //! * [`SimCtx::now`] — read the virtual clock.
 //!
 //! Higher layers (the OS21-like RTOS, the EMBX middleware) build
-//! semaphores, message queues and interrupt delivery from these
+//! semaphores, distributed objects and interrupt delivery from these
 //! primitives.
 //!
 //! ## Example
@@ -58,17 +58,10 @@ pub mod error;
 pub mod kernel;
 pub mod process;
 
-pub use channel::{BoundedSimChannel, LatentChannel, SimChannel};
+pub use channel::{LatentChannel, SimChannel};
 pub use error::{DeadlockInfo, SimError};
 pub use kernel::{Kernel, KernelStats, RunOutcome};
 pub use process::{EventId, Pid, ResumeKind, SimCtx, PROCESS_STACK_BYTES};
 
 /// Virtual time, in nanoseconds of the global reference clock.
 pub type Time = u64;
-
-/// One microsecond in [`Time`] units.
-pub const MICROSECOND: Time = 1_000;
-/// One millisecond in [`Time`] units.
-pub const MILLISECOND: Time = 1_000_000;
-/// One second in [`Time`] units.
-pub const SECOND: Time = 1_000_000_000;

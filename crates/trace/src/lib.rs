@@ -24,11 +24,7 @@
 //!   requests,
 //! * [`analysis`] — timeline statistics: per-component activity spans,
 //!   communication matrix, utilization,
-//! * [`export`] — a line-oriented text format with round-trip parsing,
-//! * [`stream`] — incremental export during the run: a [`TraceStream`]
-//!   background thread drains the rings into a pluggable
-//!   [`StreamEndpoint`] (file or channel) instead of one post-mortem
-//!   dump.
+//! * [`export`] — a line-oriented text format with round-trip parsing.
 
 pub mod analysis;
 pub mod collector;
@@ -36,10 +32,8 @@ pub mod event;
 pub mod export;
 pub mod ring;
 pub mod sink;
-pub mod stream;
 
 pub use analysis::{ComponentActivity, TimelineStats};
 pub use collector::{TraceCollector, TraceHandle};
 pub use event::{EventKind, TraceEvent};
 pub use ring::SpscRing;
-pub use stream::{ChannelEndpoint, FileEndpoint, StreamEndpoint, StreamStats, TraceStream};

@@ -63,22 +63,6 @@ pub fn mpsoc_send_sweep(
     iterations: u32,
     sender: MpsocSender,
 ) -> Vec<SweepPoint> {
-    mpsoc_send_sweep_with_cost(
-        sizes_bytes,
-        iterations,
-        sender,
-        embx::EmbxCostConfig::default(),
-    )
-}
-
-/// Like [`mpsoc_send_sweep`] but with explicit EMBX cost parameters
-/// (used by the DMA-offload ablation, A3).
-pub fn mpsoc_send_sweep_with_cost(
-    sizes_bytes: &[u64],
-    iterations: u32,
-    sender: MpsocSender,
-    embx_cost: embx::EmbxCostConfig,
-) -> Vec<SweepPoint> {
     // ST40 (CPU 0) sends to an object owned by CPU 1; the ST231 sender
     // (CPU 1) sends to an object owned by CPU 0 — mirroring the two
     // directions of the paper's Fetch-Reorder ⇄ IDCT traffic.
@@ -90,12 +74,7 @@ pub fn mpsoc_send_sweep_with_cost(
         .iter()
         .map(|&size| {
             let app = sweep_app_placed(size as usize, iterations, send_cpu, recv_cpu);
-            let config = embera_os21::Os21Config { embx: embx_cost };
-            let mut platform = Os21Platform::with_machine(
-                mpsoc_sim::Machine::sti7200_three_cpu(),
-                config,
-            );
-            let report = platform
+            let report = Os21Platform::three_cpu()
                 .deploy(app.build().expect("valid sweep app"))
                 .expect("deploy")
                 .wait()

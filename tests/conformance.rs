@@ -659,12 +659,9 @@ fn mjpeg_worker_counts_agree_across_backends() {
         // The 3-worker SMP topology needs CPUs 0..=3; give the simulated
         // MPSoC one ST231 accelerator per IDCT worker.
         let os21 = run(&|spec| {
-            Os21Platform::with_machine(
-                mpsoc_sim::Machine::with_accelerators(n),
-                embera_os21::Os21Config::default(),
-            )
-            .deploy(spec)?
-            .wait()
+            Os21Platform::with_machine(mpsoc_sim::Machine::with_accelerators(n))
+                .deploy(spec)?
+                .wait()
         });
         let inp = run(&|spec| InprocPlatform::new().deploy(spec)?.wait());
         // A 3-worker executor pool multiplexes the 5-component pipeline
