@@ -64,15 +64,62 @@ pub trait Ctx {
     fn send_message(&mut self, required: &str, msg: Message) -> Result<(), EmberaError>;
 
     /// Receive the next raw message from a provided interface, blocking
-    /// until one arrives.
-    fn recv_message(&mut self, provided: &str) -> Result<Message, EmberaError>;
+    /// until one arrives; [`EmberaError::Terminated`] if the application
+    /// shuts down first.
+    fn recv_message(&mut self, provided: &str) -> Result<Message, EmberaError> {
+        match self.recv_any_message(&[provided], None)? {
+            Some((_, msg)) => Ok(msg),
+            None => Err(EmberaError::Terminated),
+        }
+    }
 
     /// Receive with a deadline in nanoseconds; `Ok(None)` on timeout.
     fn recv_message_timeout(
         &mut self,
         provided: &str,
         timeout_ns: u64,
-    ) -> Result<Option<Message>, EmberaError>;
+    ) -> Result<Option<Message>, EmberaError> {
+        let got = self.recv_any_message(&[provided], Some(timeout_ns))?;
+        Ok(got.map(|(_, msg)| msg))
+    }
+
+    /// Receive the next raw message from whichever of several provided
+    /// interfaces has one: `Ok(Some((i, msg)))` means `provided[i]`
+    /// delivered `msg`. This is the one receive a runtime implements;
+    /// the single-interface forms above are its one-element case.
+    ///
+    /// A component is one execution flow behind all of its provided
+    /// interfaces, and the runtime parks that flow, not an interface:
+    /// a push to any inbox wakes it. This is the receive that waits on
+    /// exactly that. The listed inboxes are scanned **in listed
+    /// order** and the first non-empty one delivers; with all of them
+    /// empty the component parks as a single receive does (answering
+    /// its observers meanwhile) and scans again, from the first, on
+    /// every wake. Within one interface messages arrive in FIFO order.
+    /// Fairness between interfaces is the caller's list order and
+    /// nothing else: an interface listed early that never runs dry
+    /// starves the later ones, so a caller that wants round-robin
+    /// rotates its list. A message is counted, traced, shed and
+    /// fault-injected as a receive on the interface that delivered it.
+    ///
+    /// `timeout_ns: Some(t)` bounds the wait to `t` ns of platform
+    /// time (`Some(0)` is a non-blocking scan); `None` waits until a
+    /// message or shutdown. `Ok(None)` is returned only when the
+    /// timeout passed or the application is shutting down with every
+    /// listed inbox empty — unlike [`Ctx::recv_message`], an untimed
+    /// wait ended by shutdown is `Ok(None)` too, not
+    /// [`EmberaError::Terminated`] — or at once, without waiting, when
+    /// `provided` is empty.
+    ///
+    /// Errors are those of a receive: any name in `provided` that is
+    /// not a provided interface of this component is
+    /// [`EmberaError::UnknownInterface`], reported before anything is
+    /// taken or blocks.
+    fn recv_any_message(
+        &mut self,
+        provided: &[&str],
+        timeout_ns: Option<u64>,
+    ) -> Result<Option<(usize, Message)>, EmberaError>;
 
     /// Annotate completed work (drives virtual time on simulators).
     fn compute(&mut self, work: Work);
@@ -151,13 +198,7 @@ pub trait Ctx {
     /// `receive` primitive). Deadlined payloads are accepted; the
     /// deadline is stripped (use [`Ctx::recv_message`] to see it).
     fn recv(&mut self, provided: &str) -> Result<Bytes, EmberaError> {
-        match self.recv_message(provided)? {
-            Message::Data(b) => Ok(b),
-            Message::Deadlined { payload, .. } => Ok(payload),
-            _ => Err(EmberaError::UnexpectedMessage {
-                interface: provided.to_string(),
-            }),
-        }
+        data_payload(self.recv_message(provided)?, provided)
     }
 
     /// Receive a data payload with a deadline; `Ok(None)` on timeout.
@@ -166,14 +207,34 @@ pub trait Ctx {
         provided: &str,
         timeout_ns: u64,
     ) -> Result<Option<Bytes>, EmberaError> {
-        match self.recv_message_timeout(provided, timeout_ns)? {
-            None => Ok(None),
-            Some(Message::Data(b)) => Ok(Some(b)),
-            Some(Message::Deadlined { payload, .. }) => Ok(Some(payload)),
-            Some(_) => Err(EmberaError::UnexpectedMessage {
-                interface: provided.to_string(),
-            }),
-        }
+        let msg = self.recv_message_timeout(provided, timeout_ns)?;
+        msg.map(|m| data_payload(m, provided)).transpose()
+    }
+
+    /// Receive a data payload from whichever of several provided
+    /// interfaces has one ([`Ctx::recv_any_message`] has the order,
+    /// timeout and shutdown rules); deadlines are stripped as in
+    /// [`Ctx::recv`].
+    fn recv_any(
+        &mut self,
+        provided: &[&str],
+        timeout_ns: Option<u64>,
+    ) -> Result<Option<(usize, Bytes)>, EmberaError> {
+        let got = self.recv_any_message(provided, timeout_ns)?;
+        got.map(|(i, m)| Ok((i, data_payload(m, provided[i])?)))
+            .transpose()
+    }
+}
+
+/// The payload of a data message received on `interface`, deadline
+/// stripped; anything else is not what a data receive expects.
+fn data_payload(msg: Message, interface: &str) -> Result<Bytes, EmberaError> {
+    match msg {
+        Message::Data(b) => Ok(b),
+        Message::Deadlined { payload, .. } => Ok(payload),
+        _ => Err(EmberaError::UnexpectedMessage {
+            interface: interface.to_string(),
+        }),
     }
 }
 

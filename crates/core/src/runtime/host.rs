@@ -54,6 +54,18 @@ pub fn host_memory_bytes(spec: &ComponentSpec, has_observer: bool) -> u64 {
 /// that verdict with a `SeqCst` load or behind a `SeqCst` fence, and
 /// the owner has to publish the state that verdict rests on with a
 /// `SeqCst` store or fence before it looks at its inboxes.
+///
+/// The owner's check is N such loads, not one: its introspection
+/// inbox, then every inbox a receive lists
+/// ([`Ctx::recv_any_message`](crate::Ctx::recv_any_message)), one
+/// after the other, then the park. The token is the component's, not
+/// an inbox's, and that is what covers the set: a push that lands in
+/// an inbox *already scanned* — the first of three, while the owner
+/// loads the third — is followed by a `wake` of the owner like any
+/// other, so the park that follows the scan returns at once and the
+/// next scan, which starts from the first inbox again, finds it. No
+/// inbox may be given a wake path of its own, and the publication
+/// above must precede the first of the N loads, not the last.
 pub trait Parker {
     /// Platform time, ns (monotonic).
     fn now_ns(&self) -> u64;
@@ -292,7 +304,7 @@ impl<P: Parker> Transport for HostTransport<P> {
         self.provided.values().chain(&self.obs).map(of).sum()
     }
 
-    fn park_recv(&mut self, _provided: &str, deadline_ns: Option<u64>) {
+    fn park_recv(&mut self, _provided: &[&str], deadline_ns: Option<u64>) {
         self.parker.park(deadline_ns);
     }
 

@@ -41,7 +41,11 @@
 //! * a timed park returns once its deadline has passed.
 //!
 //! That is what lets an observer query a component that is blocked in
-//! `recv` or long since finished without any polling interval.
+//! `recv` or long since finished without any polling interval — and
+//! what lets a behavior wait on several of its interfaces at once
+//! ([`Ctx::recv_any_message`]): the check before the park is then a
+//! scan of the listed inboxes in listed order, the park is the same
+//! one, and every receive is that loop with a set of one or more.
 //!
 //! # Two ways to answer a poll
 //!
@@ -80,10 +84,12 @@
 //! * [`Ctx::observe`] follows the send contract — undeclared →
 //!   `UnknownInterface`, declared but unconnected → `Disconnected`,
 //!   unbound `introspection` → `Ok(None)` with nothing sent;
-//! * receive on an undeclared provided interface →
-//!   [`EmberaError::UnknownInterface`];
+//! * receive on an undeclared provided interface — or on a set that
+//!   names one — → [`EmberaError::UnknownInterface`], before anything
+//!   is taken or blocks;
 //! * blocking receive interrupted by application shutdown →
-//!   [`EmberaError::Terminated`] (a timed receive reports `Ok(None)`).
+//!   [`EmberaError::Terminated`] (a timed receive, and a receive on a
+//!   set with or without a timeout, report `Ok(None)`).
 //!
 //! `tests/conformance.rs` in the workspace root pins this contract —
 //! plus FIFO ordering, introspection-while-blocked service, and counter
@@ -180,10 +186,11 @@ pub trait Transport {
     /// Block waiting for activity: a message on *any* of this
     /// component's inboxes, a shutdown, or — bounded by `deadline_ns` in
     /// platform time — a timeout. May wake spuriously or early (see the
-    /// module's waiting contract). `provided` names the interface the
-    /// behavior is receiving on, for schedulers that start its producers
-    /// on demand.
-    fn park_recv(&mut self, provided: &str, deadline_ns: Option<u64>);
+    /// module's waiting contract). `provided` names the interfaces the
+    /// behavior is receiving on, in the order it scans them (one for
+    /// `recv`, several for [`Ctx::recv_any_message`]), for schedulers
+    /// that start their producers on demand; it is never empty.
+    fn park_recv(&mut self, provided: &[&str], deadline_ns: Option<u64>);
 
     /// Block in the post-behavior quiescent loop until there may be
     /// introspection work or shutdown. Returning `false` ends the
@@ -469,19 +476,26 @@ impl<T: Transport> ComponentRuntime<T> {
         self.serve_quiescent();
     }
 
-    /// Shared receive loop: service introspection, poll the inbox, honor
-    /// deadline and shutdown, park. `Ok(None)` means the deadline passed
-    /// (or shutdown ended a timed wait) without a message.
+    /// The one receive loop: service introspection, scan the listed
+    /// inboxes in order (the first non-empty one delivers), honor
+    /// deadline and shutdown, park — the component, not an inbox, so a
+    /// push to any of them is the wake. A single-interface receive is
+    /// the one-element set. `Ok(Some((i, msg)))`: `provided[i]`
+    /// delivered `msg`; `Ok(None)`: the deadline passed, or shutdown
+    /// ended the wait, or the set was empty.
     fn recv_inner(
         &mut self,
-        provided: &str,
+        provided: &[&str],
         deadline_ns: Option<u64>,
-    ) -> Result<Option<Message>, EmberaError> {
-        if !self.transport.has_inbox(provided) {
+    ) -> Result<Option<(usize, Message)>, EmberaError> {
+        if let Some(unknown) = provided.iter().find(|p| !self.transport.has_inbox(p)) {
             return Err(EmberaError::UnknownInterface {
                 component: self.name().to_string(),
-                interface: provided.to_string(),
+                interface: unknown.to_string(),
             });
+        }
+        if provided.is_empty() {
+            return Ok(None); // nothing to wait for: not a wait
         }
         let t0 = self.trace_now();
         // Health: flag the component Blocked only once it actually parks,
@@ -489,7 +503,13 @@ impl<T: Transport> ComponentRuntime<T> {
         let mut parked = false;
         loop {
             self.service_introspection();
-            if let Some((msg, cost)) = self.transport.try_pop(provided) {
+            let transport = &mut self.transport;
+            let popped = provided.iter().enumerate().find_map(|(i, iface)| {
+                let (msg, cost) = transport.try_pop(iface)?;
+                Some((i, msg, cost))
+            });
+            if let Some((lane, msg, cost)) = popped {
+                let iface = provided[lane];
                 if parked {
                     self.stats.set_blocked(false);
                     parked = false;
@@ -507,7 +527,7 @@ impl<T: Transport> ComponentRuntime<T> {
                                 // Depth including the popped message
                                 // exceeds the bound: this message is the
                                 // oldest — shed it, keep the newest.
-                                if self.transport.inbox_depth(provided) >= policy.max_queue {
+                                if self.transport.inbox_depth(iface) >= policy.max_queue {
                                     self.stats.record_shed();
                                     self.stats.mark_progress();
                                     self.emit(
@@ -540,7 +560,7 @@ impl<T: Transport> ComponentRuntime<T> {
                 }
                 if msg.is_data() {
                     self.stats
-                        .record_receive(provided, msg.data_len() as u64, cost);
+                        .record_receive(iface, msg.data_len() as u64, cost);
                     self.stats.mark_progress();
                 }
                 let t1 = self.trace_now();
@@ -562,7 +582,7 @@ impl<T: Transport> ComponentRuntime<T> {
                         }
                     }
                 }
-                return Ok(Some(msg));
+                return Ok(Some((lane, msg)));
             }
             if let Some(d) = deadline_ns {
                 if self.transport.now_ns() >= d {
@@ -574,7 +594,7 @@ impl<T: Transport> ComponentRuntime<T> {
             }
             if self.transport.is_shutdown() {
                 // A timed wait reports the timeout path; a blocking wait
-                // becomes `Terminated` in `recv_message`.
+                // becomes `Terminated` in `Ctx::recv_message`.
                 if parked {
                     self.stats.set_blocked(false);
                 }
@@ -729,20 +749,13 @@ impl<T: Transport> Ctx for RuntimeCtx<'_, T> {
         Ok(None)
     }
 
-    fn recv_message(&mut self, provided: &str) -> Result<Message, EmberaError> {
-        match self.rt.recv_inner(provided, None)? {
-            Some(m) => Ok(m),
-            None => Err(EmberaError::Terminated),
-        }
-    }
-
-    fn recv_message_timeout(
+    fn recv_any_message(
         &mut self,
-        provided: &str,
-        timeout_ns: u64,
-    ) -> Result<Option<Message>, EmberaError> {
-        let deadline = self.rt.transport.now_ns().saturating_add(timeout_ns);
-        self.rt.recv_inner(provided, Some(deadline))
+        provided: &[&str],
+        timeout_ns: Option<u64>,
+    ) -> Result<Option<(usize, Message)>, EmberaError> {
+        let deadline = timeout_ns.map(|t| self.rt.transport.now_ns().saturating_add(t));
+        self.rt.recv_inner(provided, deadline)
     }
 
     fn compute(&mut self, work: Work) {
@@ -824,7 +837,7 @@ mod tests {
                 .map(|m| m.data_len() as u64)
                 .sum()
         }
-        fn park_recv(&mut self, _provided: &str, deadline_ns: Option<u64>) {
+        fn park_recv(&mut self, _provided: &[&str], deadline_ns: Option<u64>) {
             self.clock = match deadline_ns {
                 Some(d) => self.clock.max(d),
                 None => {

@@ -17,7 +17,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use embera::behavior::behavior_fn;
-use embera::{AppBuilder, ComponentSpec, Platform, RunningApp};
+use embera::{AppBuilder, AppSpec, ComponentSpec, Platform, RunningApp};
 use embera_exec::ExecPlatform;
 
 /// Round trips per ping-pong app. Every round parks both components
@@ -27,6 +27,7 @@ const ROUNDS: u32 = if cfg!(debug_assertions) { 2_000 } else { 20_000 };
 /// Fresh-deploy repetitions (the deploy/teardown edges have their own
 /// races: initial QUEUED wakes, shutdown wake-all).
 const DEPLOYS: usize = if cfg!(debug_assertions) { 3 } else { 10 };
+const STACK: u64 = 256 * 1024;
 
 /// Run `f` to completion or fail the test after `secs`: a lost wakeup
 /// manifests as a hang, which must become a red test, not a stuck CI job.
@@ -45,7 +46,7 @@ where
     }
 }
 
-fn ping_pong_app(rounds: u32) -> embera::AppSpec {
+fn ping_pong_app(rounds: u32) -> AppSpec {
     let mut app = AppBuilder::new("ping-pong");
     app.add(
         ComponentSpec::new(
@@ -61,7 +62,7 @@ fn ping_pong_app(rounds: u32) -> embera::AppSpec {
         )
         .with_provided("in")
         .with_required("out")
-        .with_stack_bytes(256 * 1024),
+        .with_stack_bytes(STACK),
     );
     app.add(
         ComponentSpec::new(
@@ -76,7 +77,7 @@ fn ping_pong_app(rounds: u32) -> embera::AppSpec {
         )
         .with_provided("in")
         .with_required("out")
-        .with_stack_bytes(256 * 1024),
+        .with_stack_bytes(STACK),
     );
     app.connect(("ping", "out"), ("pong", "in"));
     app.connect(("pong", "out"), ("ping", "in"));
@@ -144,7 +145,7 @@ fn fan_in_burst_never_strands_the_consumer() {
                     }),
                 )
                 .with_required("out")
-                .with_stack_bytes(256 * 1024),
+                .with_stack_bytes(STACK),
             );
             app.connect((format!("prod{p}").as_str(), "out"), ("sink", "in"));
         }
@@ -160,7 +161,7 @@ fn fan_in_burst_never_strands_the_consumer() {
                 }),
             )
             .with_provided("in")
-            .with_stack_bytes(256 * 1024),
+            .with_stack_bytes(STACK),
         );
         let report = ExecPlatform::with_workers(3)
             .deploy(app.build().unwrap())
@@ -192,7 +193,7 @@ fn timer_and_send_wakes_compose() {
                 }),
             )
             .with_required("out")
-            .with_stack_bytes(256 * 1024),
+            .with_stack_bytes(STACK),
         );
         app.add(
             ComponentSpec::new(
@@ -211,7 +212,7 @@ fn timer_and_send_wakes_compose() {
                 }),
             )
             .with_provided("in")
-            .with_stack_bytes(256 * 1024),
+            .with_stack_bytes(STACK),
         );
         app.connect(("prod", "out"), ("cons", "in"));
         let report = ExecPlatform::with_workers(2)
@@ -223,5 +224,95 @@ fn timer_and_send_wakes_compose() {
             report.component("cons").unwrap().app.total_receives,
             msgs as u64
         );
+    });
+}
+
+/// A consumer blocked in `recv_any` over two inboxes, scanned `a` then
+/// `b`, and two producers that push one message each per round and
+/// take turns pushing last (the first hands the turn over with a
+/// message, both then wait for the consumer's acknowledgement, so
+/// every round starts from two empty inboxes). The consumer's second
+/// receive of a round has found both inboxes empty and is somewhere
+/// between its scan and its park when the last push lands — every
+/// other round in `a`, the inbox it looked at *first*. One wake token
+/// per component, not per inbox, is what must cover that.
+fn two_inbox_app(rounds: u32) -> AppSpec {
+    let mut app = AppBuilder::new("recv-any");
+    for (name, leads_on) in [("pa", 0), ("pb", 1)] {
+        app.add(
+            ComponentSpec::new(
+                name,
+                behavior_fn(move |ctx| {
+                    for r in 0..rounds {
+                        if r % 2 != leads_on {
+                            ctx.recv("turn")?;
+                        }
+                        ctx.send("out", Bytes::copy_from_slice(&r.to_le_bytes()))?;
+                        if r % 2 == leads_on {
+                            ctx.send("pass", Bytes::new())?;
+                        }
+                        ctx.recv("ack")?;
+                    }
+                    Ok(())
+                }),
+            )
+            .with_provided("turn")
+            .with_provided("ack")
+            .with_required("out")
+            .with_required("pass")
+            .with_stack_bytes(STACK),
+        );
+    }
+    app.add(
+        ComponentSpec::new(
+            "cons",
+            behavior_fn(move |ctx| {
+                for r in 0..rounds {
+                    let mut seen = [false; 2];
+                    for _ in 0..2 {
+                        let (lane, msg) = ctx
+                            .recv_any(&["a", "b"], None)?
+                            .expect("nothing shuts down before the last round");
+                        assert_eq!(msg.as_ref(), r.to_le_bytes());
+                        assert!(!std::mem::replace(&mut seen[lane], true));
+                    }
+                    ctx.send("ack_a", Bytes::new())?;
+                    ctx.send("ack_b", Bytes::new())?;
+                }
+                Ok(())
+            }),
+        )
+        .with_provided("a")
+        .with_provided("b")
+        .with_required("ack_a")
+        .with_required("ack_b")
+        .with_stack_bytes(STACK),
+    );
+    app.connect(("pa", "out"), ("cons", "a"));
+    app.connect(("pb", "out"), ("cons", "b"));
+    app.connect(("pa", "pass"), ("pb", "turn"));
+    app.connect(("pb", "pass"), ("pa", "turn"));
+    app.connect(("cons", "ack_a"), ("pa", "ack"));
+    app.connect(("cons", "ack_b"), ("pb", "ack"));
+    app.build().unwrap()
+}
+
+/// The set form of the receive parks the same one task: a push to the
+/// inbox scanned before the park must wake it like any other — with
+/// the pushers on another worker, and sharing the consumer's.
+#[test]
+fn push_to_the_inbox_scanned_first_is_not_lost_by_recv_any() {
+    with_watchdog("recv_any", 120, || {
+        for workers in [2, 1] {
+            let report = ExecPlatform::with_workers(workers)
+                .deploy(two_inbox_app(ROUNDS))
+                .unwrap()
+                .wait()
+                .unwrap();
+            assert_eq!(
+                report.component("cons").unwrap().app.total_receives,
+                2 * ROUNDS as u64
+            );
+        }
     });
 }

@@ -182,10 +182,15 @@ impl Transport for InprocTransport {
             .sum()
     }
 
-    fn park_recv(&mut self, provided: &str, deadline_ns: Option<u64>) {
-        // 1. Demand-start: run a not-yet-started producer of the parked
-        //    interface to completion.
-        if let Some(p) = next_unstarted_producer(&self.shared, self.wiring.stats.name(), provided) {
+    fn park_recv(&mut self, provided: &[&str], deadline_ns: Option<u64>) {
+        // 1. Demand-start: run a not-yet-started producer of a parked
+        //    interface to completion — of the first listed one that
+        //    still has such a producer.
+        let name = self.wiring.stats.name();
+        let unstarted = provided
+            .iter()
+            .find_map(|iface| next_unstarted_producer(&self.shared, name, iface));
+        if let Some(p) = unstarted {
             start_component(&self.shared, p);
             return;
         }
@@ -209,9 +214,10 @@ impl Transport for InprocTransport {
                 self.completion.fail(
                     name,
                     EmberaError::Platform(format!(
-                        "deadlock: component '{name}' blocked in recv on '{provided}' with \
+                        "deadlock: component '{name}' blocked in recv on '{}' with \
                          no runnable producer (on embera-inproc, deploy a component \
-                         that blocks for a response before the component it queries)"
+                         that blocks for a response before the component it queries)",
+                        provided.join("', '")
                     )),
                 );
                 self.shared.shutdown.set(true);

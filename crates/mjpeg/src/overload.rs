@@ -71,8 +71,6 @@ const FRAMES_IFACE: &str = "_frames";
 const SCALE_IFACE: &str = "_scale";
 /// Controller's region-summary inbox (fed by the root observer).
 const FEED_IFACE: &str = "feed";
-/// Reorder's lane poll slice while waiting for stragglers.
-const JUDGE_POLL_NS: u64 = 200_000;
 
 /// How arrivals are spaced.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -479,31 +477,21 @@ impl Behavior for ReorderJudgeBehavior {
     fn run(&mut self, ctx: &mut dyn Ctx) -> Result<(), EmberaError> {
         let in_ifaces = reorder_ifaces(self.cfg.max_workers);
         let mut partial = Partial::new();
-        let mut done = vec![false; in_ifaces.len()];
-        'drain: while done.iter().any(|d| !d) {
-            if ctx.should_stop() {
+        // Lanes that have not sent their sentinel yet. Blocking on all
+        // of them at once is what makes a fold timestamp the arrival of
+        // the frame's last block, whichever lane carries it; `None` is
+        // shutdown.
+        let mut open: Vec<&str> = in_ifaces.iter().map(String::as_str).collect();
+        while !open.is_empty() {
+            let Some((lane, msg)) = ctx.recv_any_message(&open, None)? else {
                 break;
+            };
+            let (payload, deadline) = unwrap_data(msg, open[lane])?;
+            if payload.is_empty() {
+                open.remove(lane);
+                continue;
             }
-            for (iface, done) in in_ifaces.iter().zip(done.iter_mut()) {
-                if *done {
-                    continue;
-                }
-                // Greedily drain this lane, then hop to the next; the
-                // short poll keeps fold timestamps close to delivery.
-                loop {
-                    let (payload, deadline) = match ctx.recv_message_timeout(iface, JUDGE_POLL_NS) {
-                        Ok(None) => break,
-                        Ok(Some(msg)) => unwrap_data(msg, iface)?,
-                        Err(EmberaError::Terminated) => break 'drain,
-                        Err(e) => return Err(e),
-                    };
-                    if payload.is_empty() {
-                        *done = true;
-                        break;
-                    }
-                    self.absorb(ctx, &mut partial, &payload, deadline)?;
-                }
-            }
+            self.absorb(ctx, &mut partial, &payload, deadline)?;
         }
         let leftover = partial.len() as u64;
         if leftover > 0 {

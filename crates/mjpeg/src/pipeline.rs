@@ -918,6 +918,13 @@ impl ReorderBehavior {
     /// Tolerant drain: poll lanes round-robin with an idle deadline and
     /// stop after one full round of silence (or shutdown). Whatever is
     /// still partially assembled then was lost upstream — count it.
+    ///
+    /// The silent round waits out the idle deadline once *per lane*. One
+    /// wait over all lanes ([`Ctx::recv_any`]) would end a run with a
+    /// lost frame lanes × sooner, but on the in-process backend each
+    /// idle wait is a jump of the logical clock, and the wall time and
+    /// trace digest recorded for the tolerant case of
+    /// `tests/mjpeg_golden.rs` count one jump per lane.
     fn run_tolerant(
         &self,
         ctx: &mut dyn Ctx,

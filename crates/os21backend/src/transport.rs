@@ -133,7 +133,7 @@ impl Transport for Os21Transport {
             .sum()
     }
 
-    fn park_recv(&mut self, _provided: &str, deadline_ns: Option<u64>) {
+    fn park_recv(&mut self, _provided: &[&str], deadline_ns: Option<u64>) {
         match deadline_ns {
             Some(d) => {
                 let now = self.task.now_ns();

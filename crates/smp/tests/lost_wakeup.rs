@@ -206,3 +206,86 @@ fn wake_before_first_park_is_not_lost() {
         }
     });
 }
+
+/// A consumer blocked in `recv_any` over two inboxes, scanned `a` then
+/// `b`, and two producers that push one message each per round and
+/// take turns pushing last (the first hands the turn over with a
+/// message, both then wait for the consumer's acknowledgement, so
+/// every round starts from two empty inboxes). The consumer's second
+/// receive of a round has found both inboxes empty and is somewhere
+/// between its scan and its park when the last push lands — every
+/// other round in `a`, the inbox it looked at *first*. One wake token
+/// per component, not per inbox, is what must cover that.
+fn two_inbox_app(rounds: u32) -> AppSpec {
+    let mut app = AppBuilder::new("recv-any");
+    for (name, leads_on) in [("pa", 0), ("pb", 1)] {
+        app.add(
+            ComponentSpec::new(
+                name,
+                behavior_fn(move |ctx| {
+                    for r in 0..rounds {
+                        if r % 2 != leads_on {
+                            ctx.recv("turn")?;
+                        }
+                        ctx.send("out", Bytes::copy_from_slice(&r.to_le_bytes()))?;
+                        if r % 2 == leads_on {
+                            ctx.send("pass", Bytes::new())?;
+                        }
+                        ctx.recv("ack")?;
+                    }
+                    Ok(())
+                }),
+            )
+            .with_provided("turn")
+            .with_provided("ack")
+            .with_required("out")
+            .with_required("pass")
+            .with_stack_bytes(STACK),
+        );
+    }
+    app.add(
+        ComponentSpec::new(
+            "cons",
+            behavior_fn(move |ctx| {
+                for r in 0..rounds {
+                    let mut seen = [false; 2];
+                    for _ in 0..2 {
+                        let (lane, msg) = ctx
+                            .recv_any(&["a", "b"], None)?
+                            .expect("nothing shuts down before the last round");
+                        assert_eq!(msg.as_ref(), r.to_le_bytes());
+                        assert!(!std::mem::replace(&mut seen[lane], true));
+                    }
+                    ctx.send("ack_a", Bytes::new())?;
+                    ctx.send("ack_b", Bytes::new())?;
+                }
+                Ok(())
+            }),
+        )
+        .with_provided("a")
+        .with_provided("b")
+        .with_required("ack_a")
+        .with_required("ack_b")
+        .with_stack_bytes(STACK),
+    );
+    app.connect(("pa", "out"), ("cons", "a"));
+    app.connect(("pb", "out"), ("cons", "b"));
+    app.connect(("pa", "pass"), ("pb", "turn"));
+    app.connect(("pb", "pass"), ("pa", "turn"));
+    app.connect(("cons", "ack_a"), ("pa", "ack"));
+    app.connect(("cons", "ack_b"), ("pb", "ack"));
+    app.build().unwrap()
+}
+
+/// The set form of the receive parks on the same one parker: a push
+/// to the inbox scanned before the park must wake it like any other.
+#[test]
+fn push_to_the_inbox_scanned_first_is_not_lost_by_recv_any() {
+    with_watchdog("recv_any", 120, || {
+        let report = run(two_inbox_app(ROUNDS)).unwrap();
+        assert_eq!(
+            report.component("cons").unwrap().app.total_receives,
+            2 * ROUNDS as u64
+        );
+    });
+}

@@ -4,7 +4,8 @@
 //! Every test here runs the *same* application description on all four
 //! and pins the shared-runtime guarantees: FIFO delivery, the error
 //! contract, introspection service while blocked, termination
-//! semantics, and counter conservation.
+//! semantics, counter conservation, and the order and timing of a
+//! receive that waits on several interfaces.
 
 use bytes::Bytes;
 use embera::behavior::behavior_fn;
@@ -492,6 +493,99 @@ fn counters_are_conserved_across_a_pipeline() {
             report.total_receives(),
             "[{backend}] send/receive conservation"
         );
+    }
+}
+
+#[test]
+fn recv_any_delivers_in_listed_order_and_waits_on_the_whole_set() {
+    // Two producers, one consumer that waits on both of its inboxes at
+    // once. `pa` queues 7 messages into `a`, `pb` 5 into `b`, and each
+    // then says so on `ready` — so when the consumer starts taking,
+    // both inboxes are full and which one delivers is the receive's
+    // rule alone: the *listed* order, here `b` before `a`, against the
+    // order of declaration.
+    const WAIT_NS: u64 = 2_000_000;
+    for (backend, run) in backends() {
+        let mut app = AppBuilder::new("recv-any");
+        // The component that blocks first comes first (inproc).
+        app.add(
+            ComponentSpec::new(
+                "cons",
+                behavior_fn(|ctx| {
+                    // Nothing to wait for is not a wait.
+                    let t0 = ctx.now_ns();
+                    assert!(ctx.recv_any_message(&[], None)?.is_none());
+                    assert!(ctx.recv_any(&[], Some(u64::MAX))?.is_none());
+                    // One bad name spoils the set, before anything
+                    // blocks or is taken.
+                    match ctx.recv_any(&["a", "ghost", "b"], None) {
+                        Err(EmberaError::UnknownInterface { interface, .. }) => {
+                            assert_eq!(interface, "ghost");
+                        }
+                        other => panic!("expected UnknownInterface, got {other:?}"),
+                    }
+                    // A timed wait on inboxes nobody feeds lasts its
+                    // timeout on the platform clock (logical on inproc
+                    // and os21), whatever else wakes the component.
+                    assert!(ctx.recv_any(&["idle1", "idle2"], Some(WAIT_NS))?.is_none());
+                    assert!(ctx.now_ns() - t0 >= WAIT_NS);
+                    ctx.recv("ready")?;
+                    ctx.recv("ready")?;
+                    let lanes = ["b", "a"];
+                    let mut next = [0u32; 2];
+                    let mut order = Vec::new();
+                    for _ in 0..12 {
+                        let (lane, msg) = ctx.recv_any(&lanes, None)?.expect("12 are queued");
+                        assert_eq!(msg.as_ref(), next[lane].to_le_bytes(), "FIFO per interface");
+                        next[lane] += 1;
+                        order.push(lanes[lane]);
+                    }
+                    assert_eq!(order[..5], ["b"; 5], "the listed-first inbox wins");
+                    assert_eq!(order[5..], ["a"; 7]);
+                    // Both dry: a zero timeout is a scan, not a wait.
+                    assert!(ctx.recv_any_message(&lanes, Some(0))?.is_none());
+                    Ok(())
+                }),
+            )
+            .with_provided("a")
+            .with_provided("b")
+            .with_provided("ready")
+            .with_provided("idle1")
+            .with_provided("idle2")
+            .with_stack_bytes(1 << 20)
+            .on_cpu(0),
+        );
+        for (name, lane, count, cpu) in [("pa", "a", 7u32, 1), ("pb", "b", 5, 2)] {
+            app.add(
+                ComponentSpec::new(
+                    name,
+                    behavior_fn(move |ctx| {
+                        for i in 0..count {
+                            ctx.send("out", Bytes::copy_from_slice(&i.to_le_bytes()))?;
+                        }
+                        ctx.send("ready", Bytes::new())
+                    }),
+                )
+                .with_required("out")
+                .with_required("ready")
+                .with_stack_bytes(1 << 20)
+                .on_cpu(cpu),
+            );
+            app.connect((name, "out"), ("cons", lane));
+            app.connect((name, "ready"), ("cons", "ready"));
+        }
+        let report = run(app.build().unwrap()).unwrap_or_else(|e| panic!("[{backend}] {e}"));
+        // Each receive is booked on the interface that delivered it.
+        let cons = &report.component("cons").unwrap().app;
+        let received: Vec<(&str, u64)> = cons
+            .interfaces
+            .iter()
+            .map(|i| (i.interface.as_str(), i.receives))
+            .filter(|(_, n)| *n > 0)
+            .collect();
+        assert_eq!(received, [("a", 7), ("b", 5), ("ready", 2)], "[{backend}]");
+        assert_eq!(cons.total_receives, 14, "[{backend}]");
+        assert_eq!(report.total_sends(), 14, "[{backend}]");
     }
 }
 
