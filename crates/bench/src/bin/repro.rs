@@ -369,14 +369,11 @@ fn cache(scale: &Scale) {
         ..Default::default()
     };
     let (app, _probe) = build_mpsoc_app(stream(scale.small, 0x578), &cfg);
-    let platform = Os21Platform::three_cpu();
-    let machine = platform.machine().clone();
-    let mut platform = platform;
-    platform
+    let running = Os21Platform::three_cpu()
         .deploy(app.build().expect("valid app"))
-        .expect("deploy")
-        .wait()
-        .expect("run");
+        .expect("deploy");
+    let machine = running.machine().clone();
+    running.wait().expect("run");
     println!(
         "per-CPU L1D statistics after the MJPEG run ({} frames):",
         scale.small
@@ -470,7 +467,8 @@ fn scaling(scale: &Scale) {
                 ..Default::default()
             };
             let (app, _probe) = build_mpsoc_app(embera_bench::stream(frames, 0x578), &cfg);
-            let mut platform = Os21Platform::with_machine(mpsoc_sim::Machine::with_accelerators(n));
+            let mut platform =
+                Os21Platform::with_config(mpsoc_sim::MachineConfig::with_accelerators(n));
             let report = platform
                 .deploy(app.build().expect("valid app"))
                 .expect("deploy")

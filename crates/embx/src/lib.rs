@@ -15,8 +15,10 @@
 //! * a [`Transport`] owns SDRAM buffer space and the per-CPU doorbell
 //!   interrupt lines,
 //! * a [`DistributedObject`] is a receiver-side buffer in shared SDRAM
-//!   with an in-flight message queue; [`DistributedObject::send`] is the
-//!   asynchronous write (copy in, raise the destination CPU's doorbell),
+//!   with one in-flight queue of [`Envelope`]s — raw bytes, or whatever
+//!   typed message a runtime sends, queued as it is;
+//!   [`DistributedObject::send`] is the asynchronous write (charge the
+//!   copy, enqueue, raise the destination CPU's doorbell),
 //!   [`DistributedObject::receive`] the synchronous read,
 //! * transfer **costs** follow the machine cost model plus a software
 //!   per-byte path, with a mechanistic knee at twice the object's buffer
@@ -31,5 +33,5 @@ pub mod object;
 pub mod transport;
 
 pub use cost::EmbxCostConfig;
-pub use object::DistributedObject;
+pub use object::{DistributedObject, Envelope};
 pub use transport::Transport;

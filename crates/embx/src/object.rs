@@ -4,12 +4,44 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-use sim_kernel::EventId;
+use sim_kernel::{EventId, LockStep};
 
 use mpsoc_sim::{CpuId, IrqLine, Machine, RegionId, SdramBlock};
 
 use crate::cost::{charge_receive, charge_send, EmbxCostConfig};
+
+/// What a [`DistributedObject`] carries: the message of one `EMBX_Send`,
+/// queued as it is — the object never serialises it. The object needs
+/// three things from it: how long its wire image is, which is what the
+/// transfer is charged on; the head of that image, which it writes into
+/// its SDRAM slot window; and how many payload bytes it holds, for the
+/// object's queue gauge.
+pub trait Envelope {
+    /// Length of the wire image, bytes.
+    fn wire_len(&self) -> usize;
+
+    /// Payload bytes held, as counted by [`DistributedObject::queued_bytes`].
+    fn payload_len(&self) -> usize;
+
+    /// Overwrite `head` with the first `head.len()` bytes of the wire
+    /// image (never more than [`wire_len`](Envelope::wire_len)).
+    fn write_head(&self, head: &mut [u8]);
+}
+
+/// Raw bytes: EMBX's own `send` / `receive`. The wire image is the bytes.
+impl Envelope for Vec<u8> {
+    fn wire_len(&self) -> usize {
+        self.len()
+    }
+
+    fn payload_len(&self) -> usize {
+        self.len()
+    }
+
+    fn write_head(&self, head: &mut [u8]) {
+        head.copy_from_slice(&self[..head.len()]);
+    }
+}
 
 pub(crate) struct ObjectShared {
     pub(crate) name: String,
@@ -21,8 +53,10 @@ pub(crate) struct ObjectShared {
     pub(crate) cost: EmbxCostConfig,
 }
 
-struct ObjectState {
-    queue: VecDeque<Vec<u8>>,
+struct ObjectState<E> {
+    /// Envelopes sent and not yet received, oldest first: the object's
+    /// one queue.
+    queue: VecDeque<E>,
     /// Additional events notified on every send (lets a receiver block on
     /// "any of my objects" through one shared event).
     extra_notify: Vec<EventId>,
@@ -32,20 +66,26 @@ struct ObjectState {
 /// MPSoC implementation (paper §5.1: "The component provided interface
 /// is represented by a distributed object").
 ///
-/// `send` is asynchronous (enqueue + doorbell), `receive` synchronous
-/// (blocks in virtual time). The payload is carried in the object's
-/// queue, one copy per send; *timing* comes from the machine cost model.
-/// `send` also writes the payload's first slot window into the object's
-/// [`SdramBlock`], but no receive path takes its bytes from there: the
-/// deployed one ([`DistributedObject::try_receive_uncosted`]) never reads
-/// the block, and the blocking [`DistributedObject::receive`] reads it
-/// back only into a length check that cannot fail.
-pub struct DistributedObject {
+/// `send` is asynchronous (charge, enqueue, doorbell), `receive`
+/// synchronous (blocks in virtual time). The object is generic over the
+/// [`Envelope`] it carries — raw bytes for EMBX's own API, the runtime's
+/// typed message on the EMBera backend — and carries it in **one
+/// queue**: the envelope a send moves in is the envelope a receive hands
+/// out, with no copy and no second queue beside it. *Timing* comes from
+/// the machine cost model, charged on the envelope's wire length. A send
+/// becomes receivable once its sending half has been charged and before
+/// its doorbell rings, so a receiver that polls while the sender is
+/// still paying for the copy finds nothing yet.
+///
+/// `send` also writes the head of the wire image — its first slot
+/// window — into the object's [`SdramBlock`], but no receive takes its
+/// bytes from there.
+pub struct DistributedObject<E = Vec<u8>> {
     shared: Arc<ObjectShared>,
-    state: Arc<Mutex<ObjectState>>,
+    state: Arc<LockStep<ObjectState<E>>>,
 }
 
-impl Clone for DistributedObject {
+impl<E> Clone for DistributedObject<E> {
     fn clone(&self) -> Self {
         DistributedObject {
             shared: Arc::clone(&self.shared),
@@ -54,11 +94,11 @@ impl Clone for DistributedObject {
     }
 }
 
-impl DistributedObject {
+impl<E: Envelope> DistributedObject<E> {
     pub(crate) fn new(shared: ObjectShared) -> Self {
         DistributedObject {
             shared: Arc::new(shared),
-            state: Arc::new(Mutex::new(ObjectState {
+            state: Arc::new(LockStep::new(ObjectState {
                 queue: VecDeque::new(),
                 extra_notify: Vec::new(),
             })),
@@ -80,12 +120,13 @@ impl DistributedObject {
         self.shared.line
     }
 
-    /// `EMBX_Send`: asynchronously write `data` into the object from
+    /// `EMBX_Send`: asynchronously write `envelope` into the object from
     /// `task` (running on the sending CPU, whose local `src_region`
-    /// holds the payload). Charges the modeled transfer cost, enqueues a
-    /// copy of the bytes, raises the owner CPU's doorbell, and returns
-    /// the ns the send took.
-    pub fn send(&self, task: &os21::TaskCtx, src_region: RegionId, data: &[u8]) -> u64 {
+    /// holds the payload). Charges the modeled transfer cost, enqueues
+    /// the envelope, raises the owner CPU's doorbell, and returns the ns
+    /// the send took.
+    pub fn send(&self, task: &os21::TaskCtx, src_region: RegionId, envelope: E) -> u64 {
+        let bytes = envelope.wire_len();
         let ns = charge_send(
             &self.shared.machine,
             task,
@@ -93,53 +134,43 @@ impl DistributedObject {
             task.cpu(),
             src_region,
             self.shared.block.addr,
-            data.len() as u64,
+            bytes as u64,
         );
         // Write the first slot window into the SDRAM block (nothing on
-        // the receive side depends on it), then enqueue the payload.
-        let slot = self.shared.block.size as usize;
-        if slot > 0 {
-            let window = data.len().min(slot);
-            self.shared.block.write(0, &data[..window]);
-        }
-        let extra = {
-            let mut st = self.state.lock();
-            st.queue.push_back(data.to_vec());
-            st.extra_notify.clone()
-        };
+        // the receive side depends on it), then make the envelope
+        // receivable: the sending half is paid for, the doorbell not
+        // yet rung.
+        let window = bytes.min(self.shared.block.size as usize);
+        self.shared
+            .block
+            .write(0, window, |head| envelope.write_head(head));
+        self.state.with(|st| st.queue.push_back(envelope));
         self.shared.machine.interrupts().raise(task.sim(), self.shared.line);
-        task.sim().notify(self.shared.nonempty);
-        for e in extra {
-            task.sim().notify(e);
-        }
+        let sim = task.sim();
+        sim.notify(self.shared.nonempty);
+        self.state
+            .with(|st| st.extra_notify.iter().for_each(|&e| sim.notify(e)));
         ns
     }
 
-    /// `EMBX_Receive`: synchronously read the next message, blocking in
-    /// virtual time until one is available. Returns the payload and the
-    /// ns the receive took once data was available (waiting time is
-    /// excluded, matching how the paper instruments the primitive).
-    pub fn receive(&self, task: &os21::TaskCtx, dst_region: RegionId) -> (Vec<u8>, u64) {
-        let data = loop {
-            {
-                let mut st = self.state.lock();
-                if let Some(d) = st.queue.pop_front() {
-                    break d;
-                }
+    /// `EMBX_Receive`: synchronously read the next envelope, blocking in
+    /// virtual time until one is available. Returns it and the ns the
+    /// receive took once it was available (waiting time is excluded,
+    /// matching how the paper instruments the primitive).
+    pub fn receive(&self, task: &os21::TaskCtx, dst_region: RegionId) -> (E, u64) {
+        loop {
+            if let Some(received) = self.try_receive(task, dst_region) {
+                return received;
             }
             task.sim().wait(self.shared.nonempty);
-        };
-        // Read the slot window back from the SDRAM block; the payload
-        // returned is the queued copy.
-        let slot = self.shared.block.size as usize;
-        if slot > 0 && !data.is_empty() {
-            let window = data.len().min(slot);
-            let through_sdram = self.shared.block.read(0, window);
-            debug_assert!(
-                through_sdram.len() == window,
-                "SDRAM slot window mismatch"
-            );
         }
+    }
+
+    /// Non-blocking [`receive`](DistributedObject::receive): the next
+    /// envelope and the ns its receive took, or `None` with nothing
+    /// charged if the object is empty.
+    pub fn try_receive(&self, task: &os21::TaskCtx, dst_region: RegionId) -> Option<(E, u64)> {
+        let envelope = self.try_take()?;
         let ns = charge_receive(
             &self.shared.machine,
             task,
@@ -147,42 +178,35 @@ impl DistributedObject {
             task.cpu(),
             dst_region,
             self.shared.block.addr,
-            data.len() as u64,
+            envelope.wire_len() as u64,
         );
-        (data, ns)
+        Some((envelope, ns))
     }
 
-    /// Charge the receive-side transfer cost for `bytes` already popped
-    /// via [`DistributedObject::try_receive_uncosted`]. Returns the ns
-    /// consumed. Lets runtimes separate dequeueing from costing.
-    pub fn charge_receive_cost(
-        &self,
-        task: &os21::TaskCtx,
-        dst_region: RegionId,
-        bytes: u64,
-    ) -> u64 {
-        charge_receive(
-            &self.shared.machine,
-            task,
-            &self.shared.cost,
-            task.cpu(),
-            dst_region,
-            self.shared.block.addr,
-            bytes,
-        )
+    /// Take the next envelope without charging a receive: for traffic
+    /// that is not an application receive (the observation service's
+    /// poll, a restart discarding its backlog).
+    pub fn try_take(&self) -> Option<E> {
+        self.state.with(|st| st.queue.pop_front())
     }
 
-    /// Non-blocking receive of the payload only (no cost charged); used
-    /// by polling service loops.
-    pub fn try_receive_uncosted(&self) -> Option<Vec<u8>> {
-        self.state.lock().queue.pop_front()
+    /// Envelopes waiting in the object.
+    pub fn queued(&self) -> usize {
+        self.state.with(|st| st.queue.len())
+    }
+
+    /// Payload bytes waiting in the object ([`Envelope::payload_len`]
+    /// summed over its queue).
+    pub fn queued_bytes(&self) -> u64 {
+        self.state
+            .with(|st| st.queue.iter().map(|e| e.payload_len() as u64).sum())
     }
 
     /// Register an additional event to notify on every send. Used by the
     /// EMBera runtime so a component can block on one event covering all
     /// of its provided objects.
     pub fn add_extra_notify(&self, event: EventId) {
-        self.state.lock().extra_notify.push(event);
+        self.state.with(|st| st.extra_notify.push(event));
     }
 }
 
@@ -214,7 +238,7 @@ mod tests {
         let tx = obj.clone();
         rtos.spawn_task(&mut kernel, 0, "sender", 0, move |t| {
             let payload: Vec<u8> = (0..1000u32).map(|i| (i % 251) as u8).collect();
-            tx.send(&t, sdram, &payload);
+            tx.send(&t, sdram, payload);
         });
         let rx = obj.clone();
         let got = Arc::new(parking_lot::Mutex::new(Vec::new()));
@@ -241,7 +265,7 @@ mod tests {
         let tx = obj.clone();
         let sd = Arc::clone(&sender_done);
         rtos.spawn_task(&mut kernel, 0, "sender", 0, move |t| {
-            tx.send(&t, sdram, b"x");
+            tx.send(&t, sdram, b"x".to_vec());
             sd.store(t.now_ns(), Ordering::SeqCst);
         });
         let rx = obj.clone();
@@ -274,7 +298,7 @@ mod tests {
         rtos.spawn_task(&mut kernel, 0, "sender", 0, move |t| {
             for kb in [10u64, 20, 30, 40, 100, 125] {
                 let payload = vec![0u8; (kb * 1024) as usize];
-                let ns = tx.send(&t, sdram, &payload);
+                let ns = tx.send(&t, sdram, payload);
                 ts.lock().push((kb, ns));
             }
         });
@@ -323,7 +347,7 @@ mod tests {
         rtos.spawn_task(&mut kernel, 0, "st40_sender", 0, move |t| {
             for kb in sizes {
                 let p = vec![1u8; (kb * 1024) as usize];
-                tt.lock().push(tx.send(&t, sdram, &p));
+                tt.lock().push(tx.send(&t, sdram, p));
             }
         });
         let tx2 = to_st40.clone();
@@ -331,7 +355,7 @@ mod tests {
         rtos.spawn_task(&mut kernel, 2, "st231_sender", 0, move |t| {
             for kb in sizes {
                 let p = vec![2u8; (kb * 1024) as usize];
-                tt2.lock().push(tx2.send(&t, lmi2, &p));
+                tt2.lock().push(tx2.send(&t, lmi2, p));
             }
         });
         let rx = to_st231.clone();

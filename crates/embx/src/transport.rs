@@ -3,18 +3,17 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-use sim_kernel::Kernel;
+use sim_kernel::{Kernel, LockStep};
 
 use mpsoc_sim::{CpuId, IrqLine, Machine};
 
 use crate::cost::EmbxCostConfig;
-use crate::object::{DistributedObject, ObjectShared};
+use crate::object::{DistributedObject, Envelope, ObjectShared};
 
 struct TransportInner {
     machine: Machine,
     cost: EmbxCostConfig,
-    next_irq_line: Mutex<u32>,
+    next_irq_line: LockStep<u32>,
 }
 
 /// An EMBX transport (`EMBX_OpenTransport("shm")` in the real API).
@@ -31,7 +30,7 @@ impl Transport {
             inner: Arc::new(TransportInner {
                 machine,
                 cost: EmbxCostConfig::default(),
-                next_irq_line: Mutex::new(0),
+                next_irq_line: LockStep::new(0),
             }),
         }
     }
@@ -41,30 +40,30 @@ impl Transport {
         &self.inner.machine
     }
 
-    /// Create a distributed object owned (received) by `owner_cpu`.
-    /// Allocates the object's double-buffered slots from SDRAM and
-    /// registers a doorbell interrupt line on the owner CPU.
+    /// Create a distributed object owned (received) by `owner_cpu`,
+    /// carrying envelopes of type `E`. Allocates the object's
+    /// double-buffered slots from SDRAM and registers a doorbell
+    /// interrupt line on the owner CPU.
     ///
     /// Must be called before the simulation starts (the kernel allocates
     /// the wakeup events).
-    pub fn create_object(
+    pub fn create_object<E: Envelope>(
         &self,
         kernel: &Kernel,
         name: impl Into<String>,
         owner_cpu: CpuId,
-    ) -> Result<DistributedObject, String> {
+    ) -> Result<DistributedObject<E>, String> {
         let cfg = self.inner.cost;
         let buffer_bytes = cfg.slot_bytes * cfg.pipelined_slots;
         let block = self.inner.machine.sdram_alloc().alloc(buffer_bytes)?;
-        let line = {
-            let mut next = self.inner.next_irq_line.lock();
-            let l = IrqLine {
+        let line = self.inner.next_irq_line.with(|next| {
+            let line = IrqLine {
                 cpu: owner_cpu,
                 line: *next,
             };
             *next += 1;
-            l
-        };
+            line
+        });
         self.inner.machine.interrupts().register_line(kernel, line);
         let nonempty = kernel.alloc_event();
         Ok(DistributedObject::new(ObjectShared {
@@ -89,7 +88,7 @@ mod tests {
         let kernel = Kernel::new();
         let tp = Transport::open(machine.clone());
         let used_before = machine.sdram_alloc().used();
-        let obj = tp.create_object(&kernel, "fetch_to_idct1", 1).unwrap();
+        let obj: DistributedObject = tp.create_object(&kernel, "fetch_to_idct1", 1).unwrap();
         assert!(machine.sdram_alloc().used() > used_before);
         assert_eq!(obj.owner_cpu(), 1);
         assert_eq!(obj.name(), "fetch_to_idct1");
@@ -100,8 +99,8 @@ mod tests {
         let machine = Machine::sti7200();
         let kernel = Kernel::new();
         let tp = Transport::open(machine);
-        let a = tp.create_object(&kernel, "a", 1).unwrap();
-        let b = tp.create_object(&kernel, "b", 1).unwrap();
+        let a: DistributedObject = tp.create_object(&kernel, "a", 1).unwrap();
+        let b: DistributedObject = tp.create_object(&kernel, "b", 1).unwrap();
         assert_ne!(a.irq_line(), b.irq_line());
     }
 
@@ -112,6 +111,6 @@ mod tests {
         let machine = Machine::new(cfg);
         let kernel = Kernel::new();
         let tp = Transport::open(machine);
-        assert!(tp.create_object(&kernel, "x", 1).is_err());
+        assert!(tp.create_object::<Vec<u8>>(&kernel, "x", 1).is_err());
     }
 }

@@ -1,5 +1,5 @@
-//! Property-based tests of EMBX: payload byte-exactness through the
-//! simulated shared memory and cost-model monotonicity.
+//! Property-based tests of EMBX: payload byte-exactness through a
+//! distributed object and cost-model monotonicity.
 
 use std::sync::Arc;
 
@@ -23,7 +23,7 @@ fn round_trip(payloads: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
     let n = payloads.len();
     let tx = obj.clone();
     rtos.spawn_task(&mut kernel, 0, "sender", 0, move |t| {
-        for p in &payloads {
+        for p in payloads {
             tx.send(&t, sdram, p);
         }
     });

@@ -1,7 +1,7 @@
 //! Shared SDRAM bus with contention: transactions from different CPUs
 //! serialize, and a transaction issued while the bus is busy waits.
 
-use parking_lot::Mutex;
+use sim_kernel::LockStep;
 
 /// Statistics of bus usage.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -26,7 +26,7 @@ struct BusState {
 /// be modeled with simple `busy_until` bookkeeping: a transaction issued
 /// at virtual time `now` begins at `max(now, busy_until)`.
 pub struct Bus {
-    state: Mutex<BusState>,
+    state: LockStep<BusState>,
 }
 
 impl Default for Bus {
@@ -39,7 +39,7 @@ impl Bus {
     /// A fresh, idle bus.
     pub fn new() -> Self {
         Bus {
-            state: Mutex::new(BusState {
+            state: LockStep::new(BusState {
                 busy_until: 0,
                 stats: BusStats::default(),
             }),
@@ -50,24 +50,20 @@ impl Bus {
     /// Returns the total delay the issuing CPU observes (queueing wait +
     /// transfer time).
     pub fn transact(&self, now: u64, duration: u64) -> u64 {
-        let mut st = self.state.lock();
-        let start = st.busy_until.max(now);
-        let wait = start - now;
-        st.busy_until = start + duration;
-        st.stats.transactions += 1;
-        st.stats.busy_ns += duration;
-        st.stats.wait_ns += wait;
-        wait + duration
+        self.state.with(|st| {
+            let start = st.busy_until.max(now);
+            let wait = start - now;
+            st.busy_until = start + duration;
+            st.stats.transactions += 1;
+            st.stats.busy_ns += duration;
+            st.stats.wait_ns += wait;
+            wait + duration
+        })
     }
 
     /// Snapshot of usage statistics.
     pub fn stats(&self) -> BusStats {
-        self.state.lock().stats
-    }
-
-    /// Virtual time at which the bus next becomes idle.
-    pub fn busy_until(&self) -> u64 {
-        self.state.lock().busy_until
+        self.state.with(|st| st.stats)
     }
 }
 
@@ -102,14 +98,5 @@ mod tests {
         // Issued well after the first finished: no wait.
         assert_eq!(bus.transact(1_000, 50), 50);
         assert_eq!(bus.stats().wait_ns, 0);
-    }
-
-    #[test]
-    fn busy_until_tracks_schedule() {
-        let bus = Bus::new();
-        bus.transact(10, 5);
-        assert_eq!(bus.busy_until(), 15);
-        bus.transact(12, 5);
-        assert_eq!(bus.busy_until(), 20);
     }
 }

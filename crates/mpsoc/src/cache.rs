@@ -7,7 +7,7 @@
 //! through the cache, and the per-CPU miss counters are exported through
 //! the EMBera observation interface (experiment X1).
 
-use parking_lot::Mutex;
+use sim_kernel::LockStep;
 
 /// Geometry of an L1 cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,7 +71,12 @@ struct CacheState {
 /// A direct-mapped L1 data cache.
 pub struct L1Cache {
     cfg: CacheConfig,
-    state: Mutex<CacheState>,
+    /// `log2(line_bytes)`: an address's line number is `addr >> line_shift`.
+    line_shift: u32,
+    /// `log2(num_lines)`: a line number's tag is `line >> index_bits`, its
+    /// index the bits below.
+    index_bits: u32,
+    state: LockStep<CacheState>,
 }
 
 impl L1Cache {
@@ -82,9 +87,12 @@ impl L1Cache {
             cfg.size_bytes.is_multiple_of(cfg.line_bytes),
             "cache size must be a multiple of the line size"
         );
+        assert!(cfg.num_lines().is_power_of_two(), "line count must be 2^n");
         L1Cache {
             cfg,
-            state: Mutex::new(CacheState {
+            line_shift: cfg.line_bytes.trailing_zeros(),
+            index_bits: cfg.num_lines().trailing_zeros(),
+            state: LockStep::new(CacheState {
                 tags: vec![u64::MAX; cfg.num_lines() as usize],
                 stats: CacheStats::default(),
             }),
@@ -103,35 +111,29 @@ impl L1Cache {
         if len == 0 {
             return 0;
         }
-        let line = self.cfg.line_bytes as u64;
-        let nlines = self.cfg.num_lines() as u64;
-        let first = addr / line;
-        let last = (addr + len - 1) / line;
-        let mut st = self.state.lock();
-        let mut misses = 0;
-        for l in first..=last {
-            let idx = (l % nlines) as usize;
-            let tag = l / nlines;
-            if st.tags[idx] == tag {
-                st.stats.hits += 1;
-            } else {
-                st.tags[idx] = tag;
-                st.stats.misses += 1;
-                misses += 1;
+        let first = addr >> self.line_shift;
+        let last = (addr + len - 1) >> self.line_shift;
+        let index_mask = (1u64 << self.index_bits) - 1;
+        self.state.with(|st| {
+            let mut misses = 0;
+            for l in first..=last {
+                let idx = (l & index_mask) as usize;
+                let tag = l >> self.index_bits;
+                if st.tags[idx] == tag {
+                    st.stats.hits += 1;
+                } else {
+                    st.tags[idx] = tag;
+                    st.stats.misses += 1;
+                    misses += 1;
+                }
             }
-        }
-        misses
+            misses
+        })
     }
 
     /// Snapshot of counters.
     pub fn stats(&self) -> CacheStats {
-        self.state.lock().stats
-    }
-
-    /// Invalidate the whole cache (e.g. on context switch modeling).
-    pub fn flush(&self) {
-        let mut st = self.state.lock();
-        st.tags.fill(u64::MAX);
+        self.state.with(|st| st.stats)
     }
 }
 
@@ -178,14 +180,6 @@ mod tests {
         let before = c.stats().misses;
         c.access(0, 1024);
         assert_eq!(c.stats().misses, before, "second sweep must be all hits");
-    }
-
-    #[test]
-    fn flush_invalidates() {
-        let c = small();
-        c.access(0, 32);
-        c.flush();
-        assert_eq!(c.access(0, 32), 1);
     }
 
     #[test]

@@ -5,10 +5,7 @@
 //! doorbell on the destination CPU after updating a distributed object;
 //! the OS21 layer turns the doorbell into a task wakeup.
 
-use std::collections::HashMap;
-
-use parking_lot::Mutex;
-use sim_kernel::{EventId, Kernel, SimCtx};
+use sim_kernel::{EventId, Kernel, LockStep, SimCtx};
 
 use crate::config::CpuId;
 
@@ -21,50 +18,71 @@ pub struct IrqLine {
     pub line: u32,
 }
 
-struct IcState {
-    events: HashMap<IrqLine, EventId>,
-    /// Pending counts per line: an interrupt raised while nobody is
+/// A registered line: the event its waiters block on, and its latch.
+struct Line {
+    event: EventId,
+    /// Interrupts raised and not yet taken: one raised while nobody is
     /// waiting stays pending (level-triggered latch).
-    pending: HashMap<IrqLine, u64>,
+    pending: u64,
 }
 
-/// The interrupt controller. Cloneable handles share state.
+/// The interrupt controller.
 pub struct InterruptController {
-    state: Mutex<IcState>,
+    /// Registered lines, indexed `[cpu][line]`.
+    lines: LockStep<Vec<Vec<Option<Line>>>>,
 }
 
 impl InterruptController {
     /// A controller with no lines mapped yet; lines are created lazily.
     pub fn new() -> Self {
         InterruptController {
-            state: Mutex::new(IcState {
-                events: HashMap::new(),
-                pending: HashMap::new(),
-            }),
+            lines: LockStep::new(Vec::new()),
         }
     }
 
     /// Pre-register the kernel event for a line (call before simulation
     /// starts, from the kernel owner).
     pub fn register_line(&self, kernel: &Kernel, line: IrqLine) -> EventId {
-        let mut st = self.state.lock();
         let event = kernel.alloc_event();
-        st.events.insert(line, event);
-        st.pending.insert(line, 0);
+        self.lines.with(|lines| {
+            if lines.len() <= line.cpu {
+                lines.resize_with(line.cpu + 1, Vec::new);
+            }
+            let on_cpu = &mut lines[line.cpu];
+            let slot = line.line as usize;
+            if on_cpu.len() <= slot {
+                on_cpu.resize_with(slot + 1, || None);
+            }
+            on_cpu[slot] = Some(Line { event, pending: 0 });
+        });
         event
+    }
+
+    /// Run `f` on a registered line.
+    ///
+    /// # Panics
+    /// Panics if the line was never registered.
+    fn with_line<R>(&self, line: IrqLine, f: impl FnOnce(&mut Line) -> R) -> R {
+        self.lines.with(|lines| {
+            let registered = lines
+                .get_mut(line.cpu)
+                .and_then(|on_cpu| on_cpu.get_mut(line.line as usize))
+                .and_then(Option::as_mut);
+            f(registered.unwrap_or_else(|| panic!("IRQ line {line:?} not registered")))
+        })
     }
 
     /// Raise an interrupt on `line` from a running process. The latch is
     /// set and waiters are notified.
+    ///
+    /// # Panics
+    /// Panics if the line was never registered.
     pub fn raise(&self, ctx: &SimCtx, line: IrqLine) {
-        let event = {
-            let mut st = self.state.lock();
-            *st.pending.entry(line).or_insert(0) += 1;
-            st.events.get(&line).copied()
-        };
-        if let Some(e) = event {
-            ctx.notify(e);
-        }
+        let event = self.with_line(line, |l| {
+            l.pending += 1;
+            l.event
+        });
+        ctx.notify(event);
     }
 
     /// Block the calling process until an interrupt is pending on `line`,
@@ -73,21 +91,14 @@ impl InterruptController {
     /// # Panics
     /// Panics if the line was never registered.
     pub fn wait(&self, ctx: &SimCtx, line: IrqLine) {
-        let event = {
-            let st = self.state.lock();
-            *st.events
-                .get(&line)
-                .unwrap_or_else(|| panic!("IRQ line {line:?} not registered"))
-        };
-        loop {
-            {
-                let mut st = self.state.lock();
-                let pending = st.pending.entry(line).or_insert(0);
-                if *pending > 0 {
-                    *pending -= 1;
-                    return;
-                }
+        // Take a pending interrupt, or learn which event to wait on.
+        while let Some(event) = self.with_line(line, |l| {
+            if l.pending == 0 {
+                return Some(l.event);
             }
+            l.pending -= 1;
+            None
+        }) {
             ctx.wait(event);
         }
     }

@@ -29,6 +29,12 @@
 //! the model preserves is the *relationships* the paper reports: which
 //! CPU is slower at what, linear copy costs, and the EMBX chunking knee
 //! near 50 kB (Figure 8).
+//!
+//! The bus, the caches, the interrupt controller and the SDRAM blocks
+//! keep their state in [`sim_kernel::LockStep`] cells, unlocked: a
+//! [`Machine`] belongs to one simulation, touched only by the process its
+//! kernel runs (or by its owner before and after the run). Build one
+//! machine per run — `embera-os21` builds one per deployment.
 
 pub mod bus;
 pub mod cache;

@@ -1,6 +1,6 @@
 //! The composed machine: configuration + memory map + cost model + bus +
 //! interrupt controller + per-CPU caches, behind one cloneable handle
-//! shared by the RTOS and middleware layers.
+//! shared by the RTOS and middleware layers of one simulation.
 
 use std::sync::Arc;
 
@@ -9,7 +9,7 @@ use sim_kernel::SimCtx;
 use crate::bus::{Bus, BusStats};
 use crate::cache::{CacheStats, L1Cache};
 use crate::config::{CpuId, MachineConfig};
-use crate::cost::{ComputeClass, CostModel};
+use crate::cost::CostModel;
 use crate::interrupt::InterruptController;
 use crate::memory::{MemoryMap, RegionId, SdramAllocator};
 
@@ -22,7 +22,9 @@ struct MachineInner {
     dcaches: Vec<Option<L1Cache>>,
 }
 
-/// Cloneable handle to the simulated STi7200.
+/// Cloneable handle to the simulated STi7200. Its state starts idle and
+/// belongs to one simulation (see the [crate docs](crate)): its clones
+/// are that simulation's tasks' and its owner's.
 #[derive(Clone)]
 pub struct Machine {
     inner: Arc<MachineInner>,
@@ -64,11 +66,6 @@ impl Machine {
         Self::new(MachineConfig::sti7200_three_cpu())
     }
 
-    /// A scaled-up machine with `n` ST231 accelerators (scaling study).
-    pub fn with_accelerators(n: usize) -> Self {
-        Self::new(MachineConfig::with_accelerators(n))
-    }
-
     /// Machine configuration.
     pub fn config(&self) -> &MachineConfig {
         self.inner.cost.config()
@@ -106,16 +103,6 @@ impl Machine {
             .as_ref()
             .map(|c| c.stats())
             .unwrap_or_default()
-    }
-
-    /// Charge `cpu` with `ops` operations of `class`, advancing virtual
-    /// time. Returns the ns consumed.
-    pub fn compute(&self, ctx: &SimCtx, cpu: CpuId, class: ComputeClass, ops: u64) -> u64 {
-        let ns = self.inner.cost.compute_ns(cpu, class, ops);
-        if ns > 0 {
-            ctx.advance(ns);
-        }
-        ns
     }
 
     /// Charge `cpu` with a memory stream of `bytes` at synthetic address
@@ -173,19 +160,6 @@ mod tests {
         assert_eq!(m.config().num_cpus(), 5);
         assert_eq!(m.memory_map().regions().len(), 5);
         assert_eq!(m.bus_stats(), BusStats::default());
-    }
-
-    #[test]
-    fn compute_advances_clock() {
-        let m = Machine::sti7200();
-        let mut k = Kernel::new();
-        let m2 = m.clone();
-        k.spawn("p", move |ctx| {
-            let ns = m2.compute(&ctx, 1, ComputeClass::Dsp, 10_000);
-            assert_eq!(ctx.now(), ns);
-        });
-        k.run().unwrap();
-        assert!(k.now() > 0);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use sim_kernel::LockStep;
 
 use crate::config::{CpuId, MachineConfig};
 
@@ -117,24 +117,23 @@ pub struct SdramBlock {
     pub addr: u64,
     /// Size in bytes.
     pub size: u64,
-    data: Arc<Mutex<Vec<u8>>>,
+    data: Arc<LockStep<Vec<u8>>>,
 }
 
 impl SdramBlock {
-    /// Copy `src` into the block at `offset`.
+    /// Write `len` bytes into the block at `offset`: `fill` is handed
+    /// exactly those bytes of the block to overwrite.
     ///
     /// # Panics
     /// Panics if the write overruns the block.
-    pub fn write(&self, offset: u64, src: &[u8]) {
+    pub fn write(&self, offset: u64, len: usize, fill: impl FnOnce(&mut [u8])) {
         assert!(
-            offset + src.len() as u64 <= self.size,
-            "SDRAM block overrun: write of {} bytes at offset {} into block of {}",
-            src.len(),
-            offset,
+            offset + len as u64 <= self.size,
+            "SDRAM block overrun: write of {len} bytes at offset {offset} into block of {}",
             self.size
         );
-        let mut data = self.data.lock();
-        data[offset as usize..offset as usize + src.len()].copy_from_slice(src);
+        self.data
+            .with(|data| fill(&mut data[offset as usize..offset as usize + len]));
     }
 
     /// Read `len` bytes from the block at `offset`.
@@ -147,8 +146,8 @@ impl SdramBlock {
             "SDRAM block overrun: read of {len} bytes at offset {offset} from block of {}",
             self.size
         );
-        let data = self.data.lock();
-        data[offset as usize..offset as usize + len].to_vec()
+        self.data
+            .with(|data| data[offset as usize..offset as usize + len].to_vec())
     }
 }
 
@@ -169,7 +168,7 @@ impl std::fmt::Debug for SdramBlock {
 pub struct SdramAllocator {
     base: u64,
     size: u64,
-    next: Mutex<u64>,
+    next: LockStep<u64>,
 }
 
 impl SdramAllocator {
@@ -179,32 +178,33 @@ impl SdramAllocator {
         SdramAllocator {
             base: region.base,
             size: region.size,
-            next: Mutex::new(0),
+            next: LockStep::new(0),
         }
     }
 
     /// Allocate a block of `size` bytes, 64-byte aligned.
     pub fn alloc(&self, size: u64) -> Result<SdramBlock, String> {
-        let mut next = self.next.lock();
-        let aligned = (*next + 63) & !63;
-        if aligned + size > self.size {
-            return Err(format!(
-                "SDRAM exhausted: requested {size} bytes, {} remaining",
-                self.size - aligned
-            ));
-        }
-        let addr = self.base + aligned;
-        *next = aligned + size;
+        let aligned = self.next.with(|next| {
+            let aligned = (*next + 63) & !63;
+            if aligned + size > self.size {
+                return Err(format!(
+                    "SDRAM exhausted: requested {size} bytes, {} remaining",
+                    self.size - aligned
+                ));
+            }
+            *next = aligned + size;
+            Ok(aligned)
+        })?;
         Ok(SdramBlock {
-            addr,
+            addr: self.base + aligned,
             size,
-            data: Arc::new(Mutex::new(vec![0u8; size as usize])),
+            data: Arc::new(LockStep::new(vec![0u8; size as usize])),
         })
     }
 
     /// Bytes allocated so far.
     pub fn used(&self) -> u64 {
-        *self.next.lock()
+        self.next.with(|next| *next)
     }
 }
 
@@ -266,7 +266,7 @@ mod tests {
         let m = map();
         let alloc = SdramAllocator::new(&m);
         let blk = alloc.alloc(256).unwrap();
-        blk.write(10, b"hello mpsoc");
+        blk.write(10, 11, |d| d.copy_from_slice(b"hello mpsoc"));
         assert_eq!(blk.read(10, 11), b"hello mpsoc");
     }
 
@@ -276,6 +276,6 @@ mod tests {
         let m = map();
         let alloc = SdramAllocator::new(&m);
         let blk = alloc.alloc(8).unwrap();
-        blk.write(4, b"too long");
+        blk.write(4, 8, |d| d.copy_from_slice(b"too long"));
     }
 }

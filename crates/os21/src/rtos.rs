@@ -4,8 +4,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-use sim_kernel::{Kernel, Pid, Time};
+use sim_kernel::{Kernel, LockStep, Pid, Time};
 
 use mpsoc_sim::{CpuId, Machine};
 
@@ -34,7 +33,7 @@ struct RtosInner {
     machine: Machine,
     cpus: Vec<CpuSched>,
     /// Per-task accumulated CPU time, keyed by task name.
-    task_time: Mutex<HashMap<String, Arc<AtomicU64>>>,
+    task_time: LockStep<HashMap<String, Arc<AtomicU64>>>,
 }
 
 /// An OS21-like RTOS instance over a simulated machine.
@@ -57,7 +56,7 @@ impl Rtos {
                         busy_until: AtomicU64::new(0),
                     })
                     .collect(),
-                task_time: Mutex::new(HashMap::new()),
+                task_time: LockStep::default(),
             }),
         }
     }
@@ -89,8 +88,7 @@ impl Rtos {
         let cpu_time = Arc::new(AtomicU64::new(0));
         self.inner
             .task_time
-            .lock()
-            .insert(name.clone(), Arc::clone(&cpu_time));
+            .with(|table| table.insert(name.clone(), Arc::clone(&cpu_time)));
         let rtos = self.clone();
         let task_name = name.clone();
         // The CPU is this layer's business (`CpuSched` serializes the
@@ -112,9 +110,7 @@ impl Rtos {
     pub fn task_time_ns(&self, name: &str) -> Option<Time> {
         self.inner
             .task_time
-            .lock()
-            .get(name)
-            .map(|t| t.load(Ordering::Acquire))
+            .with(|table| table.get(name).map(|t| t.load(Ordering::Acquire)))
     }
 
     pub(crate) fn sched(&self, cpu: CpuId) -> &CpuSched {

@@ -3,15 +3,14 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex as HostMutex;
-use sim_kernel::EventId;
+use sim_kernel::{EventId, LockStep};
 
 use crate::task::TaskCtx;
 
 /// A counting semaphore between simulated tasks. Cloneable; clones share
 /// state.
 pub struct Semaphore {
-    count: Arc<HostMutex<i64>>,
+    count: Arc<LockStep<i64>>,
     event: EventId,
 }
 
@@ -33,7 +32,7 @@ impl Semaphore {
     /// Create from a raw event (for construction outside any task).
     pub fn with_event(event: EventId, initial: i64) -> Self {
         Semaphore {
-            count: Arc::new(HostMutex::new(initial)),
+            count: Arc::new(LockStep::new(initial)),
             event,
         }
     }
@@ -41,27 +40,31 @@ impl Semaphore {
     /// `semaphore_wait`: decrement, blocking in virtual time while the
     /// count is zero.
     pub fn wait(&self, task: &TaskCtx) {
-        loop {
-            {
-                let mut count = self.count.lock();
-                if *count > 0 {
-                    *count -= 1;
-                    return;
-                }
-            }
+        while !self.try_take() {
             task.sim().wait(self.event);
         }
     }
 
+    /// Decrement if the count is positive; whether it was.
+    fn try_take(&self) -> bool {
+        self.count.with(|count| {
+            let taken = *count > 0;
+            if taken {
+                *count -= 1;
+            }
+            taken
+        })
+    }
+
     /// `semaphore_signal`: increment and wake waiters.
     pub fn signal(&self, task: &TaskCtx) {
-        *self.count.lock() += 1;
+        self.count.with(|count| *count += 1);
         task.sim().notify(self.event);
     }
 
     /// Current count.
     pub fn count(&self) -> i64 {
-        *self.count.lock()
+        self.count.with(|count| *count)
     }
 }
 

@@ -130,7 +130,10 @@ impl TaskCtx {
     }
 
     fn account_cpu(&self, ns: Time) {
-        self.cpu_time.fetch_add(ns, Ordering::AcqRel);
+        // Only this task writes its counter, so a load and a store do
+        // what a read-modify-write would, without the locked instruction.
+        let spent = self.cpu_time.load(Ordering::Relaxed);
+        self.cpu_time.store(spent + ns, Ordering::Release);
     }
 }
 

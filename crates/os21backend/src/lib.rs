@@ -7,10 +7,16 @@
 //! pointers towards a distributed object. A connection between both
 //! interfaces is established using EMBX primitives."
 //!
-//! Deployment runs on the simulated STi7200 ([`mpsoc_sim::Machine`]):
-//! each component becomes an [`os21`] task pinned to a CPU, each
-//! provided interface an [`embx::DistributedObject`] in shared SDRAM,
-//! and every `ctx.send` an `EMBX_Send` with modeled transfer cost.
+//! Deployment runs on the simulated STi7200 ([`mpsoc_sim::Machine`], a
+//! fresh one per deployment): each component becomes an [`os21`] task
+//! pinned to a CPU, each provided interface an
+//! [`embx::DistributedObject`] in shared SDRAM, and every `ctx.send` an
+//! `EMBX_Send` with modeled transfer cost. The object carries the
+//! runtime's [`embera::Message`] itself in its one queue — the payload is
+//! neither copied nor serialised; the transfer is charged on the
+//! message's wire length ([`embera::Message::wire_size`]) — and a message
+//! becomes receivable once the sending half of its transfer has been
+//! charged, before the destination's doorbell rings.
 //!
 //! Timing comes from OS21's `time_now`/`task_time` equivalents over the
 //! virtual clock; memory observation uses the paper's Table 3 formula:

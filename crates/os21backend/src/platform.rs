@@ -3,13 +3,12 @@
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-use sim_kernel::{Kernel, KernelStats};
+use sim_kernel::{Kernel, KernelStats, LockStep};
 
 use embera::runtime::{self, Backend, Deployed, Flow, Wiring};
 use embera::{AppReport, AppSpec, ComponentSpec, EmberaError, Placement, Platform, RunningApp};
 use embx::Transport;
-use mpsoc_sim::{CpuId, Machine};
+use mpsoc_sim::{CpuId, Machine, MachineConfig};
 use os21::Rtos;
 
 use crate::transport::{AppShared, Endpoint, Os21Transport};
@@ -23,26 +22,26 @@ const TASK_DATA_BYTES: u64 = 60_000;
 const OBJECT_ACCOUNTED_BYTES: u64 = 25_000;
 
 /// The MPSoC platform (paper §5): deploys onto a simulated STi7200.
+///
+/// Every deployment runs on a machine of its own, built from the
+/// platform's configuration: one machine, one kernel. A run's bus, cache
+/// and interrupt state therefore start idle and belong to that run alone
+/// ([`Os21Running::machine`] reads them).
 pub struct Os21Platform {
-    machine: Machine,
+    config: MachineConfig,
 }
 
 impl Os21Platform {
     /// Platform over the 3-CPU STi7200 the paper's experiments used
     /// (§5.3: "the software toolset … supports only three processors").
     pub fn three_cpu() -> Self {
-        Self::with_machine(Machine::sti7200_three_cpu())
+        Self::with_config(MachineConfig::sti7200_three_cpu())
     }
 
-    /// Platform over an explicit machine.
-    pub fn with_machine(machine: Machine) -> Self {
-        Os21Platform { machine }
-    }
-
-    /// The simulated machine (for post-run hardware statistics such as
-    /// cache misses and bus contention).
-    pub fn machine(&self) -> &Machine {
-        &self.machine
+    /// Platform whose deployments run on machines built from `config`
+    /// (which [`Machine::new`] validates at each deployment).
+    pub fn with_config(config: MachineConfig) -> Self {
+        Os21Platform { config }
     }
 }
 
@@ -82,7 +81,6 @@ impl Backend for TaskBackend {
                 format!("{}::{}", spec.name, iface),
                 self.placements[component],
             )
-            .map(Endpoint::new)
             .map_err(EmberaError::Platform)
     }
 
@@ -97,9 +95,11 @@ impl Backend for TaskBackend {
         // One activity event per component; every provided object
         // notifies it, and shutdown notifies it too.
         let activity = self.kernel.alloc_event();
-        self.app.activity_events.lock().push(activity);
-        for ep in wiring.provided.values() {
-            ep.object.add_extra_notify(activity);
+        self.app
+            .activity_events
+            .with(|events| events.push(activity));
+        for inbox in wiring.provided.values() {
+            inbox.add_extra_notify(activity);
         }
         // Payload home region: the ST231's local memory, or SDRAM on
         // the ST40 (which has no LMI).
@@ -109,14 +109,13 @@ impl Backend for TaskBackend {
         let name = flow.name().to_string();
         self.rtos
             .spawn_task(&mut self.kernel, cpu, name, 0, move |task| {
-                flow.run(Os21Transport {
+                flow.run(Os21Transport::new(
                     task,
                     wiring,
                     local_region,
                     activity,
                     app,
-                    mem_cursor: 0,
-                });
+                ));
             });
         Ok(())
     }
@@ -129,7 +128,7 @@ impl Platform for Os21Platform {
         // Resolve placements: explicit CPUs must exist; `Any` lands on
         // the ST40 host (CPU 0), which is where the paper's I/O-ish and
         // auxiliary components live.
-        let ncpus = self.machine.config().num_cpus();
+        let ncpus = self.config.num_cpus();
         let mut placements = Vec::with_capacity(spec.components.len());
         for c in &spec.components {
             placements.push(match c.placement {
@@ -143,15 +142,16 @@ impl Platform for Os21Platform {
                 Placement::Any => 0,
             });
         }
+        let machine = Machine::new(self.config.clone());
         let mut backend = TaskBackend {
             kernel: Kernel::new(),
-            rtos: Rtos::new(self.machine.clone()),
-            transport: Transport::open(self.machine.clone()),
-            machine: self.machine.clone(),
+            rtos: Rtos::new(machine.clone()),
+            transport: Transport::open(machine.clone()),
+            machine,
             placements,
             app: Arc::new(AppShared {
                 shutdown: AtomicBool::new(false),
-                activity_events: Mutex::new(Vec::new()),
+                activity_events: LockStep::default(),
             }),
         };
         let deployed = runtime::deploy(&mut backend, spec)?;
@@ -165,7 +165,9 @@ impl Platform for Os21Platform {
 }
 
 impl Os21Running {
-    /// The simulated machine (cache/bus statistics).
+    /// The machine this deployment runs on: its bus and cache
+    /// statistics, read once [`Os21Running::wait_with_stats`] has run
+    /// the simulation (clone the handle first).
     pub fn machine(&self) -> &Machine {
         &self.machine
     }
@@ -198,9 +200,12 @@ impl RunningApp for Os21Running {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
     use bytes::Bytes;
     use embera::behavior::behavior_fn;
     use embera::{AppBuilder, ComponentSpec, ObserverConfig, Work, WorkClass};
+    use mjpeg::{build_mpsoc_app, synthesize_stream, MjpegAppConfig};
 
     fn simple_pipeline(n: u32) -> AppBuilder {
         let mut app = AppBuilder::new("sim-pipe");
@@ -318,5 +323,91 @@ mod tests {
         assert!(report.component("src").is_some());
         let first = &log.records()[0];
         assert!(!first.report.structure.interfaces.is_empty());
+    }
+
+    #[test]
+    fn every_deployment_starts_on_an_idle_machine() {
+        // The 8-frame Table-3 application, deployed three times on one
+        // platform: no run may wait out an earlier run's bus or find an
+        // earlier run's lines in its caches.
+        let mut platform = Os21Platform::three_cpu();
+        let runs: Vec<_> = (0..3)
+            .map(|_| {
+                let stream = synthesize_stream(8, 48, 24, 75, 0x578);
+                let cfg = MjpegAppConfig {
+                    idct_count: 2,
+                    ..MjpegAppConfig::default()
+                };
+                let (app, _probe) = build_mpsoc_app(stream, &cfg);
+                let running = platform.deploy(app.build().unwrap()).unwrap();
+                let machine = running.machine().clone();
+                let wall = running.wait().unwrap().wall_time_ns;
+                let caches: Vec<_> = (0..3).map(|cpu| machine.dcache_stats(cpu)).collect();
+                (wall, machine.bus_stats(), caches)
+            })
+            .collect();
+        assert!(runs[0].1.transactions > 0, "the run uses the bus");
+        assert_eq!(runs[1], runs[0], "second deployment");
+        assert_eq!(runs[2], runs[0], "third deployment");
+    }
+
+    #[test]
+    fn a_message_is_not_receivable_while_its_send_is_being_charged() {
+        // The ST40 sends 50 kB; its send is charged for milliseconds of
+        // virtual time. An ST231 receiver polling every microsecond
+        // meanwhile must not be handed the message before that send has
+        // returned.
+        const BYTES: usize = 50 * 1024;
+        let returned_at = Arc::new(AtomicU64::new(0));
+        let received_at = Arc::new(AtomicU64::new(0));
+        let polls = Arc::new(AtomicU64::new(0));
+        let mut app = AppBuilder::new("visibility");
+        let returned = Arc::clone(&returned_at);
+        app.add(
+            ComponentSpec::new(
+                "Sender",
+                behavior_fn(move |ctx| {
+                    ctx.send("out", Bytes::from(vec![0x5A; BYTES]))?;
+                    returned.store(ctx.now_ns(), Ordering::SeqCst);
+                    Ok(())
+                }),
+            )
+            .with_required("out")
+            .on_cpu(0),
+        );
+        let (received, polled) = (Arc::clone(&received_at), Arc::clone(&polls));
+        app.add(
+            ComponentSpec::new(
+                "Receiver",
+                behavior_fn(move |ctx| loop {
+                    if let Some(payload) = ctx.recv_timeout("in", 1_000)? {
+                        assert_eq!(payload.len(), BYTES);
+                        received.store(ctx.now_ns(), Ordering::SeqCst);
+                        return Ok(());
+                    }
+                    polled.fetch_add(1, Ordering::SeqCst);
+                }),
+            )
+            .with_provided("in")
+            .on_cpu(1),
+        );
+        app.connect(("Sender", "out"), ("Receiver", "in"));
+        Os21Platform::three_cpu()
+            .deploy(app.build().unwrap())
+            .unwrap()
+            .wait()
+            .unwrap();
+        let (returned, received) = (
+            returned_at.load(Ordering::SeqCst),
+            received_at.load(Ordering::SeqCst),
+        );
+        assert!(
+            polls.load(Ordering::SeqCst) > 1_000,
+            "the receiver polled while the send was charged"
+        );
+        assert!(
+            received >= returned,
+            "received at {received} ns, before the send returned at {returned} ns"
+        );
     }
 }

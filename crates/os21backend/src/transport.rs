@@ -1,37 +1,53 @@
-//! The MPSoC [`Transport`]: EMBX distributed objects with typed
-//! sidecars, virtual-time costs, and event-driven parking on the
-//! simulated kernel. All observation and `Ctx` logic lives in
+//! The MPSoC [`Transport`]: EMBX distributed objects carrying the
+//! runtime's messages, virtual-time costs, and event-driven parking on
+//! the simulated kernel. All observation and `Ctx` logic lives in
 //! [`embera::runtime::ComponentRuntime`]; this module only moves
 //! messages, charges costs, and waits.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-use sim_kernel::EventId;
+use sim_kernel::{EventId, LockStep};
 
-use embera::runtime::{Fifo, Transport, Wiring};
-use embera::{Message, ObsReply, Work, WorkClass, INTROSPECTION};
-use embx::DistributedObject;
+use embera::runtime::{Transport, Wiring};
+use embera::{ComponentStats, Message, ObsReply, Work, WorkClass, INTROSPECTION};
+use embx::{DistributedObject, Envelope};
 use mpsoc_sim::{ComputeClass, RegionId};
 use os21::TaskCtx;
 
-/// A provided-interface endpoint: the EMBX distributed object carrying
-/// the bytes plus a typed sidecar [`Fifo`] carrying the [`Message`]
-/// envelope. Both are pushed under the simulator's one-process-at-a-time
-/// guarantee, so they stay aligned — any misalignment is a runtime bug
-/// and panics rather than silently dropping a wire message.
-#[derive(Clone)]
-pub(crate) struct Endpoint {
-    pub(crate) object: DistributedObject,
-    pub(crate) side: Fifo,
-}
+/// A provided-interface endpoint: the EMBX distributed object that
+/// carries the interface's messages.
+pub(crate) type Endpoint = DistributedObject<Wire>;
 
-impl Endpoint {
-    pub(crate) fn new(object: DistributedObject) -> Self {
-        Endpoint {
-            object,
-            side: Fifo::new(0),
+/// A runtime [`Message`] as a distributed object carries it. The object
+/// queues the message itself; its wire image — what a transfer is
+/// charged on and what the object writes into its SDRAM slot window —
+/// is the payload, followed by the deadline's 8 little-endian bytes on a
+/// deadlined message, and [`Message::wire_size`] zero bytes for
+/// observation traffic.
+pub(crate) struct Wire(pub(crate) Message);
+
+impl Envelope for Wire {
+    fn wire_len(&self) -> usize {
+        self.0.wire_size()
+    }
+
+    fn payload_len(&self) -> usize {
+        self.0.data_len()
+    }
+
+    fn write_head(&self, head: &mut [u8]) {
+        match &self.0 {
+            Message::Data(payload) => head.copy_from_slice(&payload[..head.len()]),
+            Message::Deadlined {
+                payload,
+                deadline_ns,
+            } => {
+                let (body, deadline) = head.split_at_mut(head.len().min(payload.len()));
+                body.copy_from_slice(&payload[..body.len()]);
+                deadline.copy_from_slice(&deadline_ns.to_le_bytes()[..deadline.len()]);
+            }
+            _ => head.fill(0),
         }
     }
 }
@@ -41,23 +57,75 @@ pub(crate) struct AppShared {
     pub(crate) shutdown: AtomicBool,
     /// Activity events of every component, notified at shutdown so
     /// blocked service loops wake and exit.
-    pub(crate) activity_events: Mutex<Vec<EventId>>,
+    pub(crate) activity_events: LockStep<Vec<EventId>>,
 }
 
+/// The endpoint named `name` in `table`. A component has a handful of
+/// interfaces, so a scan of their names beats hashing the one asked for.
+fn find<'a>(table: &'a [(String, Endpoint)], name: &str) -> Option<&'a Endpoint> {
+    table
+        .iter()
+        .find_map(|(held, endpoint)| (held == name).then_some(endpoint))
+}
+
+/// One component's [`Transport`] on the simulated STi7200.
+///
+/// Its interfaces are resolved once, when it is built: the data
+/// provided interfaces and the routes are scanned by name, and the
+/// [`INTROSPECTION`] inbox, which the runtime polls at every
+/// communication point, is a field of its own.
 pub(crate) struct Os21Transport {
-    pub(crate) task: TaskCtx,
-    pub(crate) wiring: Wiring<Endpoint>,
+    task: TaskCtx,
+    /// The data provided interfaces.
+    provided: Vec<(String, Endpoint)>,
+    /// The [`INTROSPECTION`] provided interface.
+    obs: Option<Endpoint>,
+    /// Required interface → the connected peer's endpoint.
+    routes: Vec<(String, Endpoint)>,
+    stats: Arc<ComponentStats>,
     /// Region the component's payloads live in on its CPU (LMI for
     /// ST231, SDRAM for the ST40).
-    pub(crate) local_region: RegionId,
+    local_region: RegionId,
     /// Event notified whenever any of this component's objects receives
     /// a message (and at shutdown).
-    pub(crate) activity: EventId,
-    pub(crate) app: Arc<AppShared>,
+    activity: EventId,
+    app: Arc<AppShared>,
     /// Rolling cursor through the component's working set; compute
     /// memory traffic streams through it so the L1 model sees realistic
     /// (partially reused, partially fresh) addresses.
-    pub(crate) mem_cursor: u64,
+    mem_cursor: u64,
+}
+
+impl Os21Transport {
+    /// The transport of the component wired by `wiring`, running as
+    /// `task`.
+    pub(crate) fn new(
+        task: TaskCtx,
+        mut wiring: Wiring<Endpoint>,
+        local_region: RegionId,
+        activity: EventId,
+        app: Arc<AppShared>,
+    ) -> Self {
+        Os21Transport {
+            task,
+            obs: wiring.provided.remove(INTROSPECTION),
+            provided: wiring.provided.into_iter().collect(),
+            routes: wiring.routes.into_iter().collect(),
+            stats: wiring.stats,
+            local_region,
+            activity,
+            app,
+            mem_cursor: 0,
+        }
+    }
+
+    fn inbox(&self, provided: &str) -> Option<&Endpoint> {
+        if provided == INTROSPECTION {
+            self.obs.as_ref()
+        } else {
+            find(&self.provided, provided)
+        }
+    }
 }
 
 impl Transport for Os21Transport {
@@ -71,66 +139,45 @@ impl Transport for Os21Transport {
 
     fn request_shutdown(&mut self) {
         self.app.shutdown.store(true, Ordering::Release);
-        for e in self.app.activity_events.lock().iter() {
-            self.task.sim().notify(*e);
-        }
+        let sim = self.task.sim();
+        self.app
+            .activity_events
+            .with(|events| events.iter().for_each(|&e| sim.notify(e)));
     }
 
     fn has_route(&self, required: &str) -> bool {
-        self.wiring.routes.contains_key(required)
+        find(&self.routes, required).is_some()
     }
 
     fn has_inbox(&self, provided: &str) -> bool {
-        self.wiring.provided.contains_key(provided)
+        self.inbox(provided).is_some()
     }
 
     fn push(&mut self, required: &str, msg: Message) -> u64 {
-        // Bytes go through the distributed object (charging EMBX costs),
-        // the typed envelope through the sidecar.
-        let wire: Vec<u8> = match &msg {
-            Message::Data(b) => b.to_vec(),
-            Message::Deadlined {
-                payload,
-                deadline_ns,
-            } => {
-                let mut w = Vec::with_capacity(payload.len() + 8);
-                w.extend_from_slice(payload.as_ref());
-                w.extend_from_slice(&deadline_ns.to_le_bytes());
-                w
-            }
-            other => vec![0u8; other.wire_size()],
-        };
-        let ep = &self.wiring.routes[required];
-        ep.side.push(msg);
-        ep.object.send(&self.task, self.local_region, &wire)
+        let route =
+            find(&self.routes, required).expect("the runtime checks `has_route` before every push");
+        route.send(&self.task, self.local_region, Wire(msg))
     }
 
     fn try_pop(&mut self, provided: &str) -> Option<(Message, u64)> {
-        let ep = self.wiring.provided.get(provided)?;
-        let wire = ep.object.try_receive_uncosted()?;
-        let msg = ep
-            .side
-            .try_pop()
-            .expect("sidecar out of sync with distributed object");
-        // Charge the EMBX receive cost for the wire bytes. Introspection
-        // requests are drained by the runtime itself — the paper's
-        // observation service, not an application receive — so they are
-        // not charged against the component.
-        let ns = if provided == INTROSPECTION {
-            0
-        } else {
-            ep.object
-                .charge_receive_cost(&self.task, self.local_region, wire.len() as u64)
-        };
+        // Introspection requests are drained by the runtime itself — the
+        // paper's observation service, not an application receive — so
+        // they are not charged against the component.
+        if provided == INTROSPECTION {
+            return self.poll_obs().map(|msg| (msg, 0));
+        }
+        let inbox = find(&self.provided, provided)?;
+        let (Wire(msg), ns) = inbox.try_receive(&self.task, self.local_region)?;
         Some((msg, ns))
     }
 
+    fn poll_obs(&mut self) -> Option<Message> {
+        self.obs.as_ref()?.try_take().map(|Wire(msg)| msg)
+    }
+
     fn queued_bytes(&self) -> u64 {
-        self.wiring
-            .provided
-            .values()
-            .map(|ep| ep.side.queued_bytes())
-            .sum()
+        let provided = self.provided.iter().map(|(_, inbox)| inbox);
+        provided.chain(&self.obs).map(Endpoint::queued_bytes).sum()
     }
 
     fn park_recv(&mut self, _provided: &[&str], deadline_ns: Option<u64>) {
@@ -171,26 +218,23 @@ impl Transport for Os21Transport {
         if work.mem_bytes > 0 {
             // Walk the component's working set so the cache model sees a
             // mix of reuse and fresh lines instead of one hot address.
-            let machine = self.task.rtos().machine().clone();
-            let region = machine.memory_map().region(self.local_region);
-            let window = region.size.saturating_sub(work.mem_bytes).max(1);
             let cursor = self.mem_cursor;
             self.mem_cursor = cursor.wrapping_add(work.mem_bytes * 7 + 64);
+            let machine = self.task.rtos().machine();
+            let region = machine.memory_map().region(self.local_region);
+            let window = region.size.saturating_sub(work.mem_bytes).max(1);
             let addr = region.base + (cursor % window);
             self.task.mem_access(addr, work.mem_bytes);
         }
     }
 
     fn behavior_finished(&mut self) {
-        self.wiring.stats.set_cpu_time_ns(self.task.task_time());
+        self.stats.set_cpu_time_ns(self.task.task_time());
     }
 
     fn inbox_depth(&self, provided: &str) -> u64 {
-        self.wiring
-            .provided
-            .get(provided)
-            .map(|ep| ep.side.len() as u64)
-            .unwrap_or(0)
+        self.inbox(provided)
+            .map_or(0, |inbox| inbox.queued() as u64)
     }
 
     fn delay(&mut self, ns: u64) {
@@ -202,25 +246,60 @@ impl Transport for Os21Transport {
     }
 
     fn drain_inboxes(&mut self) {
-        for (iface, ep) in &self.wiring.provided {
-            if iface == INTROSPECTION {
-                continue;
-            }
-            // Keep the wire object and the typed sidecar aligned: pop
-            // both in lock-step until the endpoint is empty.
-            while ep.object.try_receive_uncosted().is_some() {
-                ep.side
-                    .try_pop()
-                    .expect("sidecar out of sync with distributed object");
-            }
+        for (_, inbox) in &self.provided {
+            while inbox.try_take().is_some() {}
         }
     }
 
     fn refine_reply(&mut self, reply: &mut ObsReply) {
         // Keep RTOS CPU-time fresh in OS-level replies.
-        self.wiring.stats.set_cpu_time_ns(self.task.task_time());
+        self.stats.set_cpu_time_ns(self.task.task_time());
         if let ObsReply::Full(r) = reply {
             r.os.cpu_time_ns = self.task.task_time();
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bytes::Bytes;
+    use embera::ObsRequest;
+
+    /// A message's wire image, materialised.
+    fn image(msg: &Message) -> Vec<u8> {
+        match msg {
+            Message::Data(payload) => payload.to_vec(),
+            Message::Deadlined {
+                payload,
+                deadline_ns,
+            } => [payload.as_ref(), &deadline_ns.to_le_bytes()].concat(),
+            other => vec![0; other.wire_size()],
+        }
+    }
+
+    #[test]
+    fn every_head_of_a_wire_is_the_head_of_its_image() {
+        let messages = [
+            Message::Data(Bytes::from_static(b"payload")),
+            Message::Deadlined {
+                payload: Bytes::from_static(b"abc"),
+                deadline_ns: 0x0102_0304_0506_0708,
+            },
+            Message::ObsRequest {
+                from: "observer".into(),
+                request: ObsRequest::Health,
+            },
+        ];
+        for msg in messages {
+            let image = image(&msg);
+            let wire = Wire(msg);
+            assert_eq!(wire.wire_len(), image.len());
+            for window in 0..=image.len() {
+                let mut head = vec![0xEE; window];
+                wire.write_head(&mut head);
+                assert_eq!(head, image[..window], "window {window}");
+            }
         }
     }
 }

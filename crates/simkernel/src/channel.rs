@@ -7,8 +7,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
+use crate::cell::LockStep;
 use crate::kernel::Kernel;
 use crate::process::{EventId, SimCtx};
 use crate::Time;
@@ -16,7 +15,7 @@ use crate::Time;
 /// Unbounded multi-producer multi-consumer FIFO channel between simulated
 /// processes. Cloning shares the underlying queue.
 pub struct SimChannel<T> {
-    inner: Arc<Mutex<VecDeque<T>>>,
+    inner: Arc<LockStep<VecDeque<T>>>,
     nonempty: EventId,
 }
 
@@ -34,21 +33,21 @@ impl<T> SimChannel<T> {
     /// outside any process, e.g. from the kernel owner).
     pub fn with_event(nonempty: EventId) -> Self {
         SimChannel {
-            inner: Arc::new(Mutex::new(VecDeque::new())),
+            inner: Arc::default(),
             nonempty,
         }
     }
 
     /// Enqueue an item and wake any waiting receivers. Never blocks.
     pub fn send(&self, ctx: &SimCtx, item: T) {
-        self.inner.lock().push_back(item);
+        self.inner.with(|q| q.push_back(item));
         ctx.notify(self.nonempty);
     }
 
     /// Dequeue an item, blocking in virtual time until one is available.
     pub fn recv(&self, ctx: &SimCtx) -> T {
         loop {
-            if let Some(item) = self.inner.lock().pop_front() {
+            if let Some(item) = self.inner.with(VecDeque::pop_front) {
                 return item;
             }
             ctx.wait(self.nonempty);
@@ -59,7 +58,7 @@ impl<T> SimChannel<T> {
     pub fn recv_timeout(&self, ctx: &SimCtx, dt: crate::Time) -> Option<T> {
         let deadline = ctx.now().saturating_add(dt);
         loop {
-            if let Some(item) = self.inner.lock().pop_front() {
+            if let Some(item) = self.inner.with(VecDeque::pop_front) {
                 return Some(item);
             }
             let now = ctx.now();
@@ -69,7 +68,7 @@ impl<T> SimChannel<T> {
             if !ctx.wait_timeout(self.nonempty, deadline - now) {
                 // Timed out: one final non-blocking check to avoid racing a
                 // same-instant send.
-                return self.inner.lock().pop_front();
+                return self.inner.with(VecDeque::pop_front);
             }
         }
     }
@@ -79,7 +78,7 @@ impl<T> SimChannel<T> {
 /// nanoseconds to arrive: an item sent at `t` becomes receivable at
 /// `t + latency`. A latency of `0` degrades to [`SimChannel`] semantics.
 pub struct LatentChannel<T> {
-    inner: Arc<Mutex<VecDeque<(Time, T)>>>,
+    inner: Arc<LockStep<VecDeque<(Time, T)>>>,
     nonempty: EventId,
     latency: Time,
 }
@@ -99,7 +98,7 @@ impl<T> LatentChannel<T> {
     /// wakeup event from the kernel.
     pub fn new(kernel: &mut Kernel, latency: Time) -> Self {
         LatentChannel {
-            inner: Arc::new(Mutex::new(VecDeque::new())),
+            inner: Arc::default(),
             nonempty: kernel.alloc_event(),
             latency,
         }
@@ -109,7 +108,7 @@ impl<T> LatentChannel<T> {
     /// schedule the receiver wakeup. Never blocks.
     pub fn send(&self, ctx: &SimCtx, item: T) {
         let deliver = ctx.now().saturating_add(self.latency);
-        self.inner.lock().push_back((deliver, item));
+        self.inner.with(|q| q.push_back((deliver, item)));
         if self.latency == 0 {
             ctx.notify(self.nonempty);
         } else {
@@ -121,13 +120,13 @@ impl<T> LatentChannel<T> {
     /// one's delivery time is reached.
     pub fn recv(&self, ctx: &SimCtx) -> T {
         loop {
-            {
-                let mut q = self.inner.lock();
-                if let Some(&(deliver, _)) = q.front() {
-                    if deliver <= ctx.now() {
-                        return q.pop_front().expect("peeked").1;
-                    }
-                }
+            let now = ctx.now();
+            let arrived = self.inner.with(|q| match q.front() {
+                Some(&(deliver, _)) if deliver <= now => q.pop_front(),
+                _ => None,
+            });
+            if let Some((_, item)) = arrived {
+                return item;
             }
             ctx.wait(self.nonempty);
         }
@@ -138,6 +137,7 @@ impl<T> LatentChannel<T> {
 mod tests {
     use super::*;
     use crate::Kernel;
+    use parking_lot::Mutex;
 
     #[test]
     fn channel_fifo_order() {

@@ -34,6 +34,17 @@
 //! semaphores, distributed objects and interrupt delivery from these
 //! primitives.
 //!
+//! ## Lock-step state
+//!
+//! Because only one process — or the kernel — runs at any instant, the
+//! state they share needs no lock. Every piece of it, here and in the
+//! layers above (a process's hand-off words, a channel's queue, the bus,
+//! the caches, an EMBX object's one message queue), lives in a
+//! [`LockStep`] cell: an unsynchronised cell lent to one closure at a
+//! time, whose documentation gives the ownership rule and why the fiber
+//! hand-off makes it sound on native fibers and on the thread-backed
+//! oracle alike.
+//!
 //! ## Example
 //!
 //! ```
@@ -53,11 +64,13 @@
 //! assert_eq!(kernel.now(), 100);
 //! ```
 
+pub mod cell;
 pub mod channel;
 pub mod error;
 pub mod kernel;
 pub mod process;
 
+pub use cell::LockStep;
 pub use channel::{LatentChannel, SimChannel};
 pub use error::{DeadlockInfo, SimError};
 pub use kernel::{Kernel, KernelStats, RunOutcome};

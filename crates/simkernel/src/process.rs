@@ -46,8 +46,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use embera_fiber::{fiber_yield, Fiber, Resume};
-use parking_lot::Mutex;
 
+use crate::cell::LockStep;
 use crate::Time;
 
 /// Stack of every simulated process, in bytes. Allocated uninitialized,
@@ -106,12 +106,11 @@ pub(crate) struct SpawnRequest {
 }
 
 /// Everything one process and the kernel pass each other at a switch,
-/// one instance per process. Only one side runs at a time, so the mutex
-/// is never contended; it is what lets the other side read the words
-/// safely when it is another host thread, as it is on the thread-fiber
-/// oracle, where every process body runs on a carrier thread of its own.
+/// one instance per process. Only one side runs at a time, and the
+/// switch between them is the hand-off that orders their accesses (see
+/// [`LockStep`]).
 #[derive(Default)]
-pub(crate) struct Link(Mutex<LinkState>);
+pub(crate) struct Link(LockStep<LinkState>);
 
 #[derive(Default)]
 struct LinkState {
@@ -161,38 +160,38 @@ impl Link {
         notifications: &mut VecDeque<(EventId, Time)>,
     ) -> Slice {
         debug_assert!(notifications.is_empty(), "undrained notifications");
-        {
-            let mut st = self.0.lock();
+        self.0.with(|st| {
             debug_assert!(st.go.is_none(), "double resume");
             st.go = Some(kind);
             st.run_ahead_bound = run_ahead_bound;
-        }
+        });
         let running = fiber
             .as_mut()
             .expect("dispatched a process whose body is over");
         if running.resume() == Resume::Finished {
             *fiber = None;
         }
-        let mut st = self.0.lock();
-        std::mem::swap(&mut st.notifications, notifications);
-        let reason = st.yielded.take();
-        Slice {
-            reason: reason.expect("process switched out without a yield reason"),
-            spawns: std::mem::take(&mut st.spawns),
-            ran_ahead: std::mem::take(&mut st.ran_ahead),
-        }
+        self.0.with(|st| {
+            std::mem::swap(&mut st.notifications, notifications);
+            let reason = st.yielded.take();
+            Slice {
+                reason: reason.expect("process switched out without a yield reason"),
+                spawns: std::mem::take(&mut st.spawns),
+                ran_ahead: std::mem::take(&mut st.ran_ahead),
+            }
+        })
     }
 
     /// Kernel-shutdown path: resume the process one last time so that it
     /// unwinds its own stack (or, if it never ran, drops its body unrun).
     pub(crate) fn kill(&self, mut fiber: Fiber) {
-        self.0.lock().go = Some(ResumeKind::Killed);
+        self.0.with(|st| st.go = Some(ResumeKind::Killed));
         fiber.resume();
     }
 
     /// Process side: take the kind of the resume that just switched us in.
     fn take_go(&self) -> ResumeKind {
-        let go = self.0.lock().go.take();
+        let go = self.0.with(|st| st.go.take());
         go.expect("process resumed without a resume kind")
     }
 
@@ -203,20 +202,22 @@ impl Link {
     /// sequence number, a timed delivery wins ties) and has no side
     /// effect of this slice to apply first. Counts the run-ahead.
     fn run_ahead(&self, target: Time) -> bool {
-        let mut st = self.0.lock();
-        let in_place =
-            target < st.run_ahead_bound && st.notifications.is_empty() && st.spawns.is_empty();
-        if in_place {
-            st.ran_ahead += 1;
-        }
-        in_place
+        self.0.with(|st| {
+            let in_place =
+                target < st.run_ahead_bound && st.notifications.is_empty() && st.spawns.is_empty();
+            if in_place {
+                st.ran_ahead += 1;
+            }
+            in_place
+        })
     }
 
     /// Process side: publish why we are about to switch out.
     fn set_yielded(&self, reason: YieldReason) {
-        let mut st = self.0.lock();
-        debug_assert!(st.yielded.is_none(), "double yield");
-        st.yielded = Some(reason);
+        self.0.with(|st| {
+            debug_assert!(st.yielded.is_none(), "double yield");
+            st.yielded = Some(reason);
+        });
     }
 }
 
@@ -224,7 +225,7 @@ impl Link {
 /// finished flags — the state behind [`SimCtx::join`].
 #[derive(Default)]
 pub(crate) struct Directory {
-    entries: Mutex<Vec<DirEntry>>,
+    entries: LockStep<Vec<DirEntry>>,
 }
 
 pub(crate) struct DirEntry {
@@ -235,26 +236,28 @@ pub(crate) struct DirEntry {
 impl Directory {
     /// Reserve the next pid, recording its completion event.
     pub(crate) fn reserve(&self, completion: EventId) -> Pid {
-        let mut entries = self.entries.lock();
-        entries.push(DirEntry {
-            finished: false,
-            completion,
-        });
-        entries.len() - 1
+        self.entries.with(|entries| {
+            entries.push(DirEntry {
+                finished: false,
+                completion,
+            });
+            entries.len() - 1
+        })
     }
 
     pub(crate) fn mark_finished(&self, pid: Pid) -> EventId {
-        let mut entries = self.entries.lock();
-        entries[pid].finished = true;
-        entries[pid].completion
+        self.entries.with(|entries| {
+            entries[pid].finished = true;
+            entries[pid].completion
+        })
     }
 
     pub(crate) fn is_finished(&self, pid: Pid) -> bool {
-        self.entries.lock()[pid].finished
+        self.entries.with(|entries| entries[pid].finished)
     }
 
     pub(crate) fn completion(&self, pid: Pid) -> EventId {
-        self.entries.lock()[pid].completion
+        self.entries.with(|entries| entries[pid].completion)
     }
 }
 
@@ -337,7 +340,9 @@ impl SimCtx {
     /// woken then: the latency-bearing form of [`SimCtx::notify`], and
     /// with `dt == 0` the same thing.
     pub fn notify_after(&self, event: EventId, dt: Time) {
-        self.link.0.lock().notifications.push_back((event, dt));
+        self.link
+            .0
+            .with(|st| st.notifications.push_back((event, dt)));
     }
 
     /// Let `dt` nanoseconds of virtual time pass: this process runs
@@ -399,11 +404,12 @@ impl SimCtx {
         F: FnOnce(SimCtx) + Send + 'static,
     {
         let pid = self.directory.reserve(self.alloc_event());
-        self.link.0.lock().spawns.push(SpawnRequest {
+        let request = SpawnRequest {
             name: name.into(),
             body: Box::new(body),
             pid,
-        });
+        };
+        self.link.0.with(|st| st.spawns.push(request));
         pid
     }
 

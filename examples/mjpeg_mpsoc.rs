@@ -27,14 +27,11 @@ fn main() {
         ..Default::default()
     };
     let (app, probe) = build_mpsoc_app(stream, &cfg);
-    let platform = Os21Platform::three_cpu();
-    let machine = platform.machine().clone();
-    let mut platform = platform;
-    let report = platform
+    let running = Os21Platform::three_cpu()
         .deploy(app.build().expect("valid app"))
-        .expect("deploy")
-        .wait()
-        .expect("run");
+        .expect("deploy");
+    let machine = running.machine().clone();
+    let report = running.wait().expect("run");
 
     println!(
         "  {} frames decoded ({} reassembled) in {:.3} s of virtual time\n",

@@ -753,7 +753,7 @@ fn mjpeg_worker_counts_agree_across_backends() {
         // The 3-worker SMP topology needs CPUs 0..=3; give the simulated
         // MPSoC one ST231 accelerator per IDCT worker.
         let os21 = run(&|spec| {
-            Os21Platform::with_machine(mpsoc_sim::Machine::with_accelerators(n))
+            Os21Platform::with_config(mpsoc_sim::MachineConfig::with_accelerators(n))
                 .deploy(spec)?
                 .wait()
         });
