@@ -75,13 +75,6 @@ impl AppSpec {
         self.components.iter().position(|c| c.name == name)
     }
 
-    /// The connection whose required side is `(component, interface)`.
-    pub fn connection_from(&self, component: &str, interface: &str) -> Option<&Connection> {
-        self.connections
-            .iter()
-            .find(|c| c.from.component == component && c.from.interface == interface)
-    }
-
     /// Render the component graph in GraphViz dot format: one node per
     /// component (observer dashed), one edge per connection (observation
     /// wiring dotted). Paste into `dot -Tsvg` to get the paper's
@@ -121,15 +114,6 @@ impl AppSpec {
         }
         out.push_str("}\n");
         out
-    }
-
-    /// Names of components excluding the observer tree.
-    pub fn application_components(&self) -> Vec<&str> {
-        self.components
-            .iter()
-            .map(|c| c.name.as_str())
-            .filter(|n| !is_observer_component(n))
-            .collect()
     }
 }
 
@@ -547,7 +531,6 @@ mod tests {
         assert_eq!(spec.components.len(), 2);
         assert_eq!(spec.connections.len(), 1);
         assert!(!spec.has_observer);
-        assert!(spec.connection_from("a", "out").is_some());
     }
 
     #[test]
@@ -619,7 +602,6 @@ mod tests {
         assert_eq!(obs.required, vec!["obs_a", "obs_b"]);
         // 1 data connection + 2 per observed component.
         assert_eq!(spec.connections.len(), 1 + 4);
-        assert_eq!(spec.application_components(), vec!["a", "b"]);
     }
 
     #[test]
@@ -663,7 +645,6 @@ mod tests {
         assert_eq!(r0.required, vec!["rollup", "obs_a", "obs_b"]);
         // 2 per member (4 members) + 1 rollup per region (2 regions).
         assert_eq!(spec.connections.len(), 4 * 2 + 2);
-        assert_eq!(spec.application_components(), vec!["a", "b", "c", "d"]);
     }
 
     #[test]

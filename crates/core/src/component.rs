@@ -51,8 +51,8 @@ pub struct ComponentSpec {
     /// (error or contained panic). `None` keeps the historical
     /// fail-fast semantics.
     pub restart: Option<RestartPolicy>,
-    /// Overload response: bounded-queue backpressure or load shedding
-    /// enforced by the runtime at this component's ingress/egress.
+    /// Overload response: load shedding enforced by the runtime at this
+    /// component's ingress.
     /// `None` keeps the historical unbounded semantics.
     pub overload: Option<OverloadPolicy>,
 }

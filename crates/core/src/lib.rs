@@ -88,7 +88,7 @@ pub use observer::{
     ObserverBehavior, ObserverConfig, RegionObserverBehavior, RootObserverBehavior, StallRecord,
     OBSERVER_NAME, REGION_OBSERVER_PREFIX, ROOT_REGION,
 };
-pub use overload::{OverloadKind, OverloadPolicy};
+pub use overload::OverloadPolicy;
 pub use platform::{AppReport, Platform, RunningApp};
 pub use pool::{BufferPool, PoolStats};
 pub use runtime::{ComponentRuntime, TraceConfig, TraceEventKind, TraceSink};

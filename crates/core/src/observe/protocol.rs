@@ -55,26 +55,3 @@ pub enum ObsReply {
     /// backend changes.
     Region(RegionSummary),
 }
-
-impl ObsReply {
-    /// Extract the full report if this is a [`ObsReply::Full`] reply.
-    pub fn into_full(self) -> Option<ObservationReport> {
-        match self {
-            ObsReply::Full(r) => Some(*r),
-            _ => None,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn into_full_extracts_only_full() {
-        let full = ObsReply::Full(Box::default());
-        assert!(full.into_full().is_some());
-        let os = ObsReply::Os(OsStats::default());
-        assert!(os.into_full().is_none());
-    }
-}

@@ -327,10 +327,6 @@ impl<P: Parker> Transport for HostTransport<P> {
         self.pool.as_ref()
     }
 
-    fn route_depth(&self, required: &str) -> Option<u64> {
-        self.routes.get(required).map(|mb| mb.len() as u64)
-    }
-
     fn inbox_depth(&self, provided: &str) -> u64 {
         self.inbox(provided).map_or(0, Inbox::depth) as u64
     }

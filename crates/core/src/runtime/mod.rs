@@ -115,7 +115,7 @@ use crate::message::Message;
 use crate::observe::engine::ObsEngine;
 use crate::observe::protocol::{ObsReply, ObsRequest};
 use crate::observe::stats::ComponentStats;
-use crate::overload::{OverloadKind, OverloadPolicy};
+use crate::overload::OverloadPolicy;
 use crate::supervise::{ComponentFaults, Escalation, FaultAction, FaultPlan, RestartPolicy};
 
 /// What a platform backend must provide to host components: message
@@ -211,8 +211,8 @@ pub trait Transport {
     fn behavior_finished(&mut self) {}
 
     /// Best-effort pause of this execution flow for `ns` (restart
-    /// backoff, injected message delays). Virtual-time backends advance
-    /// their clock; the default is a no-op.
+    /// backoff). Virtual-time backends advance their clock; the default
+    /// is a no-op.
     fn delay(&mut self, _ns: u64) {}
 
     /// Discard queued *data* messages on every provided interface
@@ -230,15 +230,6 @@ pub trait Transport {
     /// from it and recycle consumed payloads into it; `None` (the
     /// default) means plain allocation everywhere.
     fn payload_pool(&self) -> Option<&crate::pool::BufferPool> {
-        None
-    }
-
-    /// Messages currently queued at the *far end* of required interface
-    /// `required` — the peer mailbox's depth, which the
-    /// [`Block`](crate::OverloadKind::Block) egress policy bounds before
-    /// every send. `None` (the default) means the backend cannot observe
-    /// peer queues cheaply, and the policy is inert there.
-    fn route_depth(&self, _required: &str) -> Option<u64> {
         None
     }
 
@@ -266,7 +257,7 @@ pub struct ComponentRuntime<T: Transport> {
     /// (`None` — the overwhelmingly common case — costs one branch).
     faults: Option<ComponentFaults>,
     /// Overload response ([`crate::ComponentSpec::with_overload`]):
-    /// ingress shedding or egress backpressure enforced by this runtime.
+    /// ingress shedding enforced by this runtime.
     overload: Option<OverloadPolicy>,
 }
 
@@ -521,41 +512,39 @@ impl<T: Transport> ComponentRuntime<T> {
                 // the platform clock, so they are bit-for-bit
                 // reproducible on the deterministic inproc backend.
                 if msg.is_data() {
-                    if let Some(policy) = self.overload {
-                        match policy.kind {
-                            OverloadKind::DropOldest => {
-                                // Depth including the popped message
-                                // exceeds the bound: this message is the
-                                // oldest — shed it, keep the newest.
-                                if self.transport.inbox_depth(iface) >= policy.max_queue {
-                                    self.stats.record_shed();
-                                    self.stats.mark_progress();
-                                    self.emit(
-                                        self.trace_now(),
-                                        TraceEventKind::Shed,
-                                        0,
-                                        msg.data_len() as u64,
-                                    );
-                                    continue;
-                                }
-                            }
-                            OverloadKind::DeadlineDrop => {
-                                if let Some(deadline) = msg.deadline_ns() {
-                                    if self.transport.now_ns() >= deadline {
-                                        self.stats.record_expired();
-                                        self.stats.mark_progress();
-                                        self.emit(
-                                            self.trace_now(),
-                                            TraceEventKind::Shed,
-                                            1,
-                                            msg.data_len() as u64,
-                                        );
-                                        continue;
-                                    }
-                                }
-                            }
-                            OverloadKind::Block => {} // egress-side policy
+                    match self.overload {
+                        // Depth including the popped message exceeds the
+                        // bound: this message is the oldest — shed it,
+                        // keep the newest.
+                        Some(OverloadPolicy::DropOldest { max_queue })
+                            if self.transport.inbox_depth(iface) >= max_queue =>
+                        {
+                            self.stats.record_shed();
+                            self.stats.mark_progress();
+                            self.emit(
+                                self.trace_now(),
+                                TraceEventKind::Shed,
+                                0,
+                                msg.data_len() as u64,
+                            );
+                            continue;
                         }
+                        Some(OverloadPolicy::DeadlineDrop)
+                            if msg
+                                .deadline_ns()
+                                .is_some_and(|d| self.transport.now_ns() >= d) =>
+                        {
+                            self.stats.record_expired();
+                            self.stats.mark_progress();
+                            self.emit(
+                                self.trace_now(),
+                                TraceEventKind::Shed,
+                                1,
+                                msg.data_len() as u64,
+                            );
+                            continue;
+                        }
+                        _ => {}
                     }
                 }
                 if msg.is_data() {
@@ -690,30 +679,7 @@ impl<T: Transport> Ctx for RuntimeCtx<'_, T> {
                         rt.emit(rt.trace_now(), TraceEventKind::FaultInjected, 1, bytes);
                         msg = corrupt_data(msg);
                     }
-                    Some(FaultAction::Delay(ns)) => {
-                        rt.emit(rt.trace_now(), TraceEventKind::FaultInjected, 2, bytes);
-                        rt.transport.delay(ns);
-                    }
                     None => {}
-                }
-            }
-        }
-        // Overload egress backpressure: a Block policy bounds every
-        // destination mailbox this component sends into. Only effective
-        // on backends that can observe peer queue depth (`route_depth`);
-        // the rest keep the historical unbounded behavior.
-        if is_data {
-            if let Some(policy) = rt.overload {
-                if policy.kind == OverloadKind::Block {
-                    while !rt.transport.is_shutdown() {
-                        match rt.transport.route_depth(required) {
-                            Some(depth) if depth >= policy.max_queue => {
-                                rt.service_introspection();
-                                rt.transport.delay(policy.poll_ns);
-                            }
-                            _ => break,
-                        }
-                    }
                 }
             }
         }
@@ -1175,27 +1141,6 @@ mod tests {
         assert_eq!(stats.expired_messages(), 1);
         assert_eq!(stats.shed_messages(), 0);
         assert_eq!(stats.health(0).expired_messages, 1);
-    }
-
-    #[test]
-    fn block_policy_is_inert_without_route_depth() {
-        // Loopback's route_depth is None (the default): a Block policy
-        // must degrade to the historical unbounded send.
-        let mut t = Loopback::default();
-        t.routes.push("out".into());
-        t.inboxes.insert("out".into(), VecDeque::new());
-        let mut rt = runtime_with(t, &["out"]);
-        rt.set_overload_policy(Some(crate::OverloadPolicy::block(1)));
-        let mut b = behavior_fn(|ctx| {
-            for i in 0..4u8 {
-                ctx.send("out", Bytes::from(vec![i]))?;
-            }
-            for i in 0..4u8 {
-                assert_eq!(ctx.recv("out")?.as_ref(), &[i]);
-            }
-            Ok(())
-        });
-        rt.run_behavior(&mut b).unwrap();
     }
 
     #[test]

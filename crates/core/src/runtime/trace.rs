@@ -45,7 +45,7 @@ pub enum TraceEventKind {
     /// attempt number (1-based), `b` = backoff ns.
     Restart,
     /// The fault-injection plan fired; `a` = action code (0 drop,
-    /// 1 corrupt, 2 delay), `b` = payload bytes of the targeted message.
+    /// 1 corrupt), `b` = payload bytes of the targeted message.
     FaultInjected,
     /// An overload policy shed a message at component ingress; `a` =
     /// reason code (0 queue-bound drop-oldest, 1 deadline expired),

@@ -8,7 +8,7 @@
 //! [`RestartPolicy`] re-runs the behavior in place, every component
 //! failure of a run is aggregated into a [`FaultReport`] (no silent
 //! first-error truncation), and a [`FaultPlan`] lets tests inject
-//! message drops/corruption/delays and behavior panics at exact,
+//! message drops/corruption and behavior panics at exact,
 //! reproducible points — bit-for-bit deterministic on the
 //! `embera-inproc` logical-clock backend, best-effort elsewhere.
 
@@ -71,9 +71,6 @@ pub enum FaultAction {
     Drop,
     /// The payload's first byte is flipped (`^ 0xFF`) before delivery.
     Corrupt,
-    /// Delivery is preceded by a pause of the given ns (virtual time on
-    /// simulated backends, best-effort sleep on SMP).
-    Delay(u64),
 }
 
 /// One injected fault on a component's outgoing data messages.
@@ -150,24 +147,6 @@ impl FaultPlan {
             interface: interface.into(),
             nth,
             action: FaultAction::Corrupt,
-        });
-        self
-    }
-
-    /// Delay data message `nth` sent by `component` on `interface` by
-    /// `delay_ns`.
-    pub fn delay_message(
-        mut self,
-        component: impl Into<String>,
-        interface: impl Into<String>,
-        nth: u64,
-        delay_ns: u64,
-    ) -> Self {
-        self.message_faults.push(MessageFault {
-            component: component.into(),
-            interface: interface.into(),
-            nth,
-            action: FaultAction::Delay(delay_ns),
         });
         self
     }

@@ -915,16 +915,12 @@ struct ReorderBehavior {
 }
 
 impl ReorderBehavior {
-    /// Tolerant drain: poll lanes round-robin with an idle deadline and
-    /// stop after one full round of silence (or shutdown). Whatever is
-    /// still partially assembled then was lost upstream — count it.
-    ///
-    /// The silent round waits out the idle deadline once *per lane*. One
-    /// wait over all lanes ([`Ctx::recv_any`]) would end a run with a
-    /// lost frame lanes × sooner, but on the in-process backend each
-    /// idle wait is a jump of the logical clock, and the wall time and
-    /// trace digest recorded for the tolerant case of
-    /// `tests/mjpeg_golden.rs` count one jump per lane.
+    /// Tolerant drain: wait on all lanes at once with an idle deadline
+    /// and stop once they all stay silent that long, or at shutdown
+    /// (both end the wait with `None`). Each wait lists the lanes
+    /// starting after the one served last, so busy lanes are served
+    /// round-robin. Whatever is still partially assembled then was lost
+    /// upstream — count it.
     fn run_tolerant(
         &self,
         ctx: &mut dyn Ctx,
@@ -932,22 +928,10 @@ impl ReorderBehavior {
         wire: &Wire,
         in_ifaces: &[String],
     ) -> Result<(), EmberaError> {
-        'drain: loop {
-            let mut got_any = false;
-            for iface in in_ifaces {
-                match ctx.recv_timeout(iface, TOLERANT_IDLE_NS) {
-                    Ok(Some(msg)) => {
-                        got_any = true;
-                        asm.absorb(ctx, wire, &self.cfg.profile, msg)?;
-                    }
-                    Ok(None) => {}
-                    Err(EmberaError::Terminated) => break 'drain,
-                    Err(e) => return Err(e),
-                }
-            }
-            if !got_any {
-                break;
-            }
+        let mut order: Vec<&str> = in_ifaces.iter().map(String::as_str).collect();
+        while let Some((served, msg)) = ctx.recv_any(&order, Some(TOLERANT_IDLE_NS))? {
+            asm.absorb(ctx, wire, &self.cfg.profile, msg)?;
+            order.rotate_left(served + 1);
         }
         let leftover = asm.partial.len() as u64;
         if leftover > 0 {
@@ -1577,6 +1561,41 @@ mod tests {
             probe.checksum.load(Ordering::SeqCst),
             expected.checksum.load(Ordering::SeqCst)
         );
+    }
+
+    #[test]
+    fn tolerant_reorder_waits_out_one_idle_deadline_at_any_lane_count() {
+        // Frame 3 truncated: the tolerant run ends when every lane has
+        // been silent for `TOLERANT_IDLE_NS` — once, not once per lane.
+        // On inproc's serial logical clock the work is the same at every
+        // lane count, so the platform time must be too.
+        let mut stream = synthesize_stream(7, 48, 24, 75, 0x601D);
+        let data = &mut stream.frames[3].data;
+        data.truncate(data.len() / 4);
+        let walls: Vec<u64> = [1usize, 3, 6]
+            .into_iter()
+            .map(|idct_count| {
+                let cfg = MjpegAppConfig {
+                    idct_count,
+                    tolerate_corrupt_frames: true,
+                    ..MjpegAppConfig::default()
+                };
+                let (app, probe) = build_smp_app(stream.clone(), &cfg);
+                let report = embera_inproc::InprocPlatform::new()
+                    .deploy(app.build().unwrap())
+                    .unwrap()
+                    .wait()
+                    .unwrap();
+                assert_eq!(probe.frames_completed.load(Ordering::SeqCst), 5);
+                assert_eq!(probe.dropped_frames.load(Ordering::SeqCst), 1);
+                report.wall_time_ns
+            })
+            .collect();
+        assert!(
+            walls[0] > TOLERANT_IDLE_NS && walls[0] < 2 * TOLERANT_IDLE_NS,
+            "{walls:?}"
+        );
+        assert!(walls.iter().all(|&w| w == walls[0]), "{walls:?}");
     }
 
     #[test]
