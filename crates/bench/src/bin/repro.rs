@@ -878,18 +878,27 @@ impl FuzzRng {
 
 /// Run every fuzz target over one input; panics propagate to the
 /// caller's `catch_unwind`. Every byte-level parser that consumes
-/// untrusted or cross-component data: the JFIF container decoder and
-/// the batch wire format (header parse + per-block payload decode).
+/// untrusted or cross-component data: the JFIF container decoder, the
+/// Fetch stage's decode of an entropy-coded segment (the input taken as
+/// raw segment bits, decoded until the first error or 4 096 blocks),
+/// and the batch wire format (header parse + per-block payload decode).
 fn fuzz_targets(input: &[u8]) {
     let _ = mjpeg::decode_jfif(input);
-    let b = bytes::Bytes::copy_from_slice(input);
-    if let Ok(view) = mjpeg::BatchView::coeffs(&b) {
-        for i in 0..view.len() {
-            let (_f, _bi, payload) = view.block(i);
-            let _ = mjpeg::pipeline::coeffs_from_bytes(&payload);
+    let ftable = mjpeg::quant::fast_dequant_table(&mjpeg::quant::scaled_qtable(75));
+    let mut segment = mjpeg::codec::EntropyDecoder::new(input);
+    let mut coeffs = [0i32; 64];
+    for _ in 0..4096 {
+        if segment.next_block_scaled(&ftable, &mut coeffs).is_err() {
+            break;
         }
     }
-    if let Ok(view) = mjpeg::BatchView::pixels(&b) {
+    if let Ok(view) = mjpeg::BatchView::coeffs(input) {
+        for i in 0..view.len() {
+            let (_f, _bi, payload) = view.block(i);
+            let _ = mjpeg::pipeline::coeffs_from_bytes(payload);
+        }
+    }
+    if let Ok(view) = mjpeg::BatchView::pixels(input) {
         for i in 0..view.len() {
             let _ = view.block(i);
         }
@@ -897,9 +906,10 @@ fn fuzz_targets(input: &[u8]) {
 }
 
 /// `fuzz` — a bounded, deterministic fuzz loop over the byte-level
-/// parsers (`decode_jfif`, `BatchView`): a seeded corpus of valid
-/// artifacts is mutated (byte sets, bit flips, truncations, splices)
-/// for `--iters` iterations (default 2000) from `--seed` (default 1).
+/// parsers (`decode_jfif`, the Fetch entropy decode, `BatchView`): a
+/// seeded corpus of valid artifacts is mutated (byte sets, bit flips,
+/// truncations, splices) for `--iters` iterations (default 2000) from
+/// `--seed` (default 1).
 /// Every target must return `Ok`/`Err`, never panic. On a panic the
 /// failing input is written to `--replay-out` (default
 /// `fuzz_replay.bin`) and the exit is nonzero; `--replay <file>`
@@ -932,11 +942,13 @@ fn fuzz(args: &[String]) {
         mjpeg::pipeline::encode_coeff_batch(&[(0, 0, [3i32; 64]), (0, 1, [-7i32; 64])]).to_vec();
     let pixel_batch =
         mjpeg::pipeline::encode_pixel_batch(&[(1, 0, [128u8; 64]), (1, 1, [9u8; 64])]).to_vec();
+    let segment = mjpeg::synthesize_stream(1, 48, 24, 75, 1).frames[0].data.clone();
     let corpus: Vec<Vec<u8>> = vec![
         mjpeg::encode_jfif_gray(&gray, 24, 16, 75),
         mjpeg::encode_jfif_rgb(&rgb, 16, 8, 60),
         coeff_batch,
         pixel_batch,
+        segment,
     ];
 
     println!(

@@ -3,11 +3,16 @@
 //! The decode path is deliberately split along the paper's component
 //! boundaries (§3.2):
 //!
-//! 1. **Huffman algorithm + pixel reordering** (Fetch):
-//!    [`EntropyDecoder::next_block`] +
-//!    [`quant::dequantize_reorder`](crate::quant::dequantize_reorder),
+//! 1. **Huffman algorithm + pixel reordering** (Fetch): on the
+//!    reference kernel, the bit-serial [`EntropyDecoder::next_block`] +
+//!    [`quant::dequantize_reorder`](crate::quant::dequantize_reorder);
+//!    on the fast kernels, one table-driven pass,
+//!    [`EntropyDecoder::next_block_scaled`], that writes each
+//!    coefficient dequantized and AAN-prescaled to its natural-order
+//!    slot,
 //! 2. **IDCT** (IDCT components):
-//!    [`dct::idct_to_pixels`](crate::dct::idct_to_pixels),
+//!    [`dct::idct_to_pixels`](crate::dct::idct_to_pixels) or its fast
+//!    counterparts,
 //! 3. **reassembly** (Reorder): [`place_block`].
 
 use crate::bitstream::{BitReader, BitWriter, OutOfBits};
@@ -16,8 +21,8 @@ use crate::huffman::{
     category, put_magnitude, read_magnitude, HuffDecoder, HuffEncoder, HuffSpec,
 };
 use crate::quant::{
-    dequantize_reorder, dequantize_reorder_scaled, fast_dequant_table, quantize_zigzag,
-    scaled_qtable,
+    dequantize_reorder, dequantize_scaled, fast_dequant_table, quantize_zigzag, scaled_qtable,
+    ZIGZAG,
 };
 
 /// End-of-block marker symbol.
@@ -77,17 +82,54 @@ pub fn encode_quantized_block(
     dc
 }
 
+/// The one fast decode loop: decode one block with explicit tables and
+/// DC predictor, hand each coefficient that is not skipped by a run to
+/// `put` as `(zigzag index, value)`, and return the new predictor. Each
+/// symbol and its magnitude bits are one table probe where they fit
+/// ([`HuffDecoder::decode_coded`]). Values wrap to `i16` as
+/// [`decode_block_bitwise`]'s do, and every input — valid or not —
+/// decodes to the same coefficients, bit count and error.
+#[inline(always)]
+fn decode_block_into(
+    reader: &mut BitReader<'_>,
+    dc_dec: &HuffDecoder,
+    ac_dec: &HuffDecoder,
+    dc_pred: i32,
+    mut put: impl FnMut(usize, i16),
+) -> Result<i32, OutOfBits> {
+    let dc = dc_pred + dc_dec.decode_coded(reader, true)?.1;
+    put(0, dc as i16);
+    let mut k = 1usize;
+    while k < BLOCK_SIZE {
+        match ac_dec.decode_coded(reader, false)? {
+            (EOB, _) => break,
+            (ZRL, _) => k += 16,
+            (rs, value) => {
+                k += (rs >> 4) as usize;
+                if k >= BLOCK_SIZE {
+                    return Err(OutOfBits); // corrupt stream
+                }
+                put(k, value as i16);
+                k += 1;
+            }
+        }
+    }
+    Ok(dc)
+}
+
 /// Decode one block (zigzag order) with explicit tables and DC
-/// predictor; returns the coefficients and the new predictor. Uses the
-/// two-level LUT Huffman decoder; [`decode_block_bitwise`] is the
-/// bit-serial original.
+/// predictor; returns the coefficients and the new predictor. Runs the
+/// table-driven loop; [`decode_block_bitwise`] is the bit-serial
+/// original.
 pub fn decode_block_with(
     reader: &mut BitReader<'_>,
     dc_dec: &HuffDecoder,
     ac_dec: &HuffDecoder,
     dc_pred: i32,
 ) -> Result<([i16; BLOCK_SIZE], i32), OutOfBits> {
-    decode_block_mode(reader, dc_dec, ac_dec, dc_pred, true)
+    let mut zz = [0i16; BLOCK_SIZE];
+    let dc = decode_block_into(reader, dc_dec, ac_dec, dc_pred, |k, v| zz[k] = v)?;
+    Ok((zz, dc))
 }
 
 /// [`decode_block_with`] on the bit-at-a-time Huffman path — the
@@ -100,32 +142,14 @@ pub fn decode_block_bitwise(
     ac_dec: &HuffDecoder,
     dc_pred: i32,
 ) -> Result<([i16; BLOCK_SIZE], i32), OutOfBits> {
-    decode_block_mode(reader, dc_dec, ac_dec, dc_pred, false)
-}
-
-fn decode_block_mode(
-    reader: &mut BitReader<'_>,
-    dc_dec: &HuffDecoder,
-    ac_dec: &HuffDecoder,
-    dc_pred: i32,
-    fast: bool,
-) -> Result<([i16; BLOCK_SIZE], i32), OutOfBits> {
     let mut zz = [0i16; BLOCK_SIZE];
-    let cat = if fast {
-        dc_dec.decode_fast(reader)?
-    } else {
-        dc_dec.decode(reader)?
-    };
+    let cat = dc_dec.decode(reader)?;
     let diff = read_magnitude(reader, cat)?;
     let dc = dc_pred + diff;
     zz[0] = dc as i16;
     let mut k = 1usize;
     while k < BLOCK_SIZE {
-        let rs = if fast {
-            ac_dec.decode_fast(reader)?
-        } else {
-            ac_dec.decode(reader)?
-        };
+        let rs = ac_dec.decode(reader)?;
         if rs == EOB {
             break;
         }
@@ -185,8 +209,8 @@ impl BlockEncoder {
 }
 
 /// Decoder over an entropy-coded segment; yields zigzag-ordered
-/// quantized coefficient blocks. This plus dequantize/reorder is the
-/// paper's Fetch stage.
+/// quantized coefficient blocks, or — the fast kernels' Fetch stage in
+/// one pass — dequantized, AAN-prescaled natural-order ones.
 pub struct EntropyDecoder<'a> {
     dc_dec: &'static HuffDecoder,
     ac_dec: &'static HuffDecoder,
@@ -196,7 +220,7 @@ pub struct EntropyDecoder<'a> {
 }
 
 impl<'a> EntropyDecoder<'a> {
-    /// Decode over `data` with the table-driven fast Huffman path.
+    /// Decode over `data` with the table-driven loop.
     pub fn new(data: &'a [u8]) -> Self {
         Self::with_mode(data, true)
     }
@@ -221,15 +245,43 @@ impl<'a> EntropyDecoder<'a> {
 
     /// Decode the next block, in zigzag order.
     pub fn next_block(&mut self) -> Result<[i16; BLOCK_SIZE], OutOfBits> {
-        let (zz, dc) = decode_block_mode(
+        let (reader, dc_dec, ac_dec) = (&mut self.reader, self.dc_dec, self.ac_dec);
+        let (zz, dc) = if self.fast {
+            decode_block_with(reader, dc_dec, ac_dec, self.dc_pred)?
+        } else {
+            decode_block_bitwise(reader, dc_dec, ac_dec, self.dc_pred)?
+        };
+        self.dc_pred = dc;
+        Ok(zz)
+    }
+
+    /// Decode the next block into `out` as [`next_block`] followed by
+    /// [`dequantize_reorder_scaled`] with `ftable` would, in one pass:
+    /// the table-driven loop writes each coefficient once, multiplied by
+    /// the folded table, straight to its natural-order slot. It runs
+    /// whichever constructor made the decoder, since its output is the
+    /// bit-serial one. On `Err`, what `out` holds is unspecified.
+    ///
+    /// [`next_block`]: EntropyDecoder::next_block
+    /// [`dequantize_reorder_scaled`]: crate::quant::dequantize_reorder_scaled
+    pub fn next_block_scaled(
+        &mut self,
+        ftable: &[i32; BLOCK_SIZE],
+        out: &mut [i32; BLOCK_SIZE],
+    ) -> Result<(), OutOfBits> {
+        *out = [0; BLOCK_SIZE];
+        let put = |k: usize, v| {
+            let n = ZIGZAG[k];
+            out[n] = dequantize_scaled(v, ftable[n]);
+        };
+        self.dc_pred = decode_block_into(
             &mut self.reader,
             self.dc_dec,
             self.ac_dec,
             self.dc_pred,
-            self.fast,
+            put,
         )?;
-        self.dc_pred = dc;
-        Ok(zz)
+        Ok(())
     }
 
     /// Total bits consumed so far (drives the Fetch work annotation).
@@ -320,9 +372,9 @@ pub fn decode_frame_with(
             } else {
                 crate::dct::idct_scaled_to_pixels
             };
+            let mut coeffs = [0i32; BLOCK_SIZE];
             for bi in 0..nblocks {
-                let zz = dec.next_block()?;
-                let coeffs = dequantize_reorder_scaled(&zz, &ftable);
+                dec.next_block_scaled(&ftable, &mut coeffs)?;
                 let px = idct(&coeffs);
                 place_block(&mut frame, width, bi, &px);
             }

@@ -100,9 +100,28 @@ pub fn idct_to_pixels(coeffs: &[i32; BLOCK_SIZE]) -> [u8; BLOCK_SIZE] {
     let spatial = idct(&f);
     let mut out = [0u8; BLOCK_SIZE];
     for (dst, &v) in out.iter_mut().zip(spatial.iter()) {
-        *dst = (v + 128.0).round().clamp(0.0, 255.0) as u8;
+        *dst = round_to_pixel(v + 128.0);
     }
     out
+}
+
+/// `x.round().clamp(0.0, 255.0) as u8`, bit for bit (NaN gives 0),
+/// without `f32::round`, which baseline x86-64 compiles to a libm call:
+/// truncate, compare the remainder to ±0.5, clamp. The first clamp keeps
+/// the truncation exact and its ±1 in range.
+#[inline(always)]
+fn round_to_pixel(x: f32) -> u8 {
+    let x = x.clamp(-1.0, 256.0);
+    let t = x as i32;
+    let rem = x - t as f32;
+    let r = if rem >= 0.5 {
+        t + 1
+    } else if rem <= -0.5 {
+        t - 1
+    } else {
+        t
+    };
+    r.clamp(0, 255) as u8
 }
 
 /// Level-shift u8 pixels to centered f32 for the forward transform.
@@ -349,6 +368,47 @@ mod tests {
                     "trial {trial} pixel {i}: reference {a} vs fast {b}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn round_to_pixel_is_round_then_clamp() {
+        let oracle = |x: f32| x.round().clamp(0.0, 255.0) as u8;
+        let check = |x: f32| {
+            assert_eq!(
+                round_to_pixel(x),
+                oracle(x),
+                "x = {x:e} ({:#x})",
+                x.to_bits()
+            )
+        };
+        // Every half-integer in [-2048, 2048] and the ulps on both sides.
+        for h in -4096i32..=4096 {
+            let x = h as f32 * 0.5;
+            check(x);
+            check(f32::from_bits(x.to_bits().wrapping_add(1)));
+            check(f32::from_bits(x.to_bits().wrapping_sub(1)));
+        }
+        // A dense sweep over [-2048, 2048].
+        let mut x = -2048.0f32;
+        while x <= 2048.0 {
+            check(x);
+            x += 1.0 / 1024.0 + 1.0 / 3_000_000.0;
+        }
+        for x in [
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MAX,
+            f32::MIN,
+            f32::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            1e10,
+            -1e10,
+        ] {
+            check(x);
         }
     }
 

@@ -104,23 +104,43 @@ pub struct HuffEncoder {
     codes: Vec<(u16, u8)>, // indexed by symbol
 }
 
-/// Width of the primary decode LUT, bits. Annex-K tables put every code
-/// the hot path meets within 9 bits; longer codes (10–16 bits) take the
-/// two-level fallback.
-pub const LUT_BITS: u32 = 9;
+/// Width of the decode table, bits. Annex-K tables put every code the
+/// hot path meets within 9 bits, which leaves room for the magnitude of
+/// the common small coefficients in the same probe; longer codes (up to
+/// 16 bits) take the MAXCODE walk.
+pub const LUT_BITS: u32 = 10;
+// A table entry packs code and code-plus-magnitude lengths in 4 bits
+// each, and a resolved magnitude of at most LUT_BITS - 1 bits in an i16.
+const _: () = assert!(LUT_BITS <= 15);
 
-/// Decoder-side table (T.81 F.2.2.3 MINCODE/MAXCODE/VALPTR), plus a
-/// table-driven fast path: a single `LUT_BITS`-wide lookup resolving
-/// symbol and code length in one probe for all short codes.
+/// Decoder-side table (T.81 F.2.2.3 MINCODE/MAXCODE/VALPTR), plus the
+/// table of the fast decode loop: one `LUT_BITS`-wide probe resolves a
+/// short code's symbol and, when they fit the probe too, its magnitude
+/// bits.
 #[derive(Debug, Clone)]
 pub struct HuffDecoder {
     mincode: [i32; 17],
     maxcode: [i32; 17],
     valptr: [usize; 17],
     values: Vec<u8>,
-    /// Indexed by the next `LUT_BITS` bits of the stream; packs
-    /// `(code_length << 8) | symbol`, 0 = no code ≤ LUT_BITS long here.
-    lut: Vec<u16>,
+    /// Indexed by the next `LUT_BITS` bits of the stream. Packs, low to
+    /// high: bits 0–3 the code length (0 = no code ≤ `LUT_BITS` long
+    /// here), bits 4–7 code plus magnitude length when the magnitude of
+    /// category `symbol & 0x0F` fits the probe (0 = it does not), bits
+    /// 8–15 the symbol, bits 16–31 the magnitude's value (T.81 EXTEND).
+    lut: Vec<u32>,
+}
+
+/// T.81 F.2.1.2 EXTEND: the value of `cat` magnitude bits `raw`.
+fn extend(raw: i32, cat: u8) -> i32 {
+    if cat == 0 {
+        return 0;
+    }
+    if raw < 1 << (cat - 1) {
+        raw - (1 << cat) + 1
+    } else {
+        raw
+    }
 }
 
 /// Build canonical codes (Annex C): lengths in table order, codes count
@@ -183,9 +203,10 @@ impl HuffDecoder {
             }
             code <<= 1;
         }
-        // Primary LUT: every code of length ≤ LUT_BITS owns the
-        // 2^(LUT_BITS - len) slots sharing its prefix.
-        let mut lut = vec![0u16; 1 << LUT_BITS];
+        // Every code of length ≤ LUT_BITS owns the 2^(LUT_BITS - len)
+        // slots sharing its prefix; the slot's remaining bits are what
+        // follows the code, so where the magnitude fits they hold it.
+        let mut lut = vec![0u32; 1 << LUT_BITS];
         for (len, code, sym) in canonical_codes(spec) {
             if len as u32 <= LUT_BITS {
                 let shift = LUT_BITS - len as u32;
@@ -197,8 +218,14 @@ impl HuffDecoder {
                     debug_assert!(!spec.is_valid());
                     continue;
                 };
-                for slot in slots {
-                    *slot = ((len as u16) << 8) | sym as u16;
+                let cat = sym & 0x0F;
+                for (follow, slot) in slots.iter_mut().enumerate() {
+                    *slot = ((sym as u32) << 8) | len as u32;
+                    if cat as u32 <= shift {
+                        let raw = (follow >> (shift - cat as u32)) as i32;
+                        let value = extend(raw, cat) as i16 as u16;
+                        *slot |= ((value as u32) << 16) | ((len + cat) as u32) << 4;
+                    }
                 }
             }
         }
@@ -226,20 +253,46 @@ impl HuffDecoder {
         Err(OutOfBits)
     }
 
-    /// Decode one symbol via the primary LUT (one probe for codes up to
-    /// [`LUT_BITS`] long) with a MAXCODE-walk fallback for longer codes.
-    /// Produces the exact symbol stream and bit consumption of
-    /// [`HuffDecoder::decode`] on valid streams — the bit-at-a-time
-    /// procedure is kept as its property-test oracle.
-    pub fn decode_fast(&self, r: &mut BitReader<'_>) -> Result<u8, OutOfBits> {
-        let probe = r.peek(LUT_BITS);
-        let entry = self.lut[probe as usize];
-        if entry != 0 {
-            r.consume((entry >> 8) as u32)?;
-            return Ok(entry as u8);
+    /// Decode one symbol and the magnitude bits that follow it — the
+    /// step of the fast decode loop ([`crate::codec::decode_block_with`]).
+    /// The magnitude's category is `symbol` for a DC table (`dc`) and
+    /// `symbol & 0x0F` for an AC one. One table probe resolves both when
+    /// the code is at most [`LUT_BITS`] long and its magnitude fits the
+    /// probe too; otherwise the code comes from the table or the MAXCODE
+    /// walk and the magnitude from [`read_magnitude`]. Either way the
+    /// symbol, value and bits consumed are those of
+    /// [`HuffDecoder::decode`] followed by [`read_magnitude`], the
+    /// bit-serial oracle.
+    #[inline(always)]
+    pub(crate) fn decode_coded(
+        &self,
+        r: &mut BitReader<'_>,
+        dc: bool,
+    ) -> Result<(u8, i32), OutOfBits> {
+        let entry = self.lut[r.peek(LUT_BITS) as usize];
+        let sym = (entry >> 8) as u8;
+        let coded = (entry >> 4) & 0x0F;
+        // The table holds category `sym & 0x0F`, which is a DC symbol's
+        // category only below 16.
+        if coded != 0 && (!dc || sym < 16) {
+            r.consume(coded)?;
+            return Ok((sym, entry as i32 >> 16));
         }
-        // Long code (or garbage): compare the next 16 bits against each
-        // length's code window, longest-first peek done once.
+        let sym = match entry & 0x0F {
+            0 => self.decode_long(r)?,
+            len => {
+                r.consume(len)?;
+                sym
+            }
+        };
+        let cat = if dc { sym } else { sym & 0x0F };
+        Ok((sym, read_magnitude(r, cat)?))
+    }
+
+    /// A code longer than [`LUT_BITS`] (or garbage): compare the next 16
+    /// bits against each longer length's code window.
+    #[cold]
+    fn decode_long(&self, r: &mut BitReader<'_>) -> Result<u8, OutOfBits> {
         let window = r.peek(16) as i32;
         for len in (LUT_BITS as usize + 1)..=16 {
             let code = window >> (16 - len);
@@ -306,13 +359,7 @@ pub fn read_magnitude(r: &mut BitReader<'_>, cat: u8) -> Result<i32, OutOfBits> 
     if cat > 16 {
         return Err(OutOfBits);
     }
-    let raw = r.bits(cat as u32)? as i32;
-    let half = 1 << (cat - 1);
-    Ok(if raw < half {
-        raw - (1 << cat) + 1
-    } else {
-        raw
-    })
+    Ok(extend(r.bits(cat as u32)? as i32, cat))
 }
 
 #[cfg(test)]
@@ -349,28 +396,34 @@ mod tests {
 
     #[test]
     fn every_symbol_round_trips() {
-        for spec in [
-            HuffSpec::luma_dc(),
-            HuffSpec::luma_ac(),
-            HuffSpec::chroma_dc(),
-            HuffSpec::chroma_ac(),
+        for (spec, dc) in [
+            (HuffSpec::luma_dc(), true),
+            (HuffSpec::luma_ac(), false),
+            (HuffSpec::chroma_dc(), true),
+            (HuffSpec::chroma_ac(), false),
         ] {
+            let category_of = |sym: u8| if dc { sym } else { sym & 0x0F };
             let enc = HuffEncoder::new(&spec);
             let dec = HuffDecoder::new(&spec);
             let mut w = BitWriter::new();
-            for &sym in &spec.values {
+            for (i, &sym) in spec.values.iter().enumerate() {
                 enc.encode(&mut w, sym);
+                // Alternate the largest and the most negative value of
+                // the symbol's category.
+                let cat = category_of(sym) as u32;
+                w.put(if i % 2 == 0 { (1 << cat) - 1 } else { 0 }, cat);
             }
             let bytes = w.finish();
             let mut r = BitReader::new(&bytes);
             let mut rf = BitReader::new(&bytes);
             for &sym in &spec.values {
                 assert_eq!(dec.decode(&mut r).unwrap(), sym);
-                assert_eq!(dec.decode_fast(&mut rf).unwrap(), sym);
+                let value = read_magnitude(&mut r, category_of(sym)).unwrap();
+                assert_eq!(dec.decode_coded(&mut rf, dc).unwrap(), (sym, value));
                 assert_eq!(
                     r.bits_consumed(),
                     rf.bits_consumed(),
-                    "LUT decode must consume identical bits (symbol {sym:#x})"
+                    "table decode must consume identical bits (symbol {sym:#x})"
                 );
             }
         }
@@ -410,6 +463,6 @@ mod tests {
         let mut r = BitReader::new(&bytes);
         assert!(dec.decode(&mut r).is_err());
         let mut r = BitReader::new(&bytes);
-        assert!(dec.decode_fast(&mut r).is_err());
+        assert!(dec.decode_coded(&mut r, true).is_err());
     }
 }

@@ -19,7 +19,6 @@
 //! component knows its message budget from the stream length, so the
 //! communication counters contain data messages only.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -29,12 +28,11 @@ use embera::{
     AppBuilder, Behavior, BufferPool, ComponentSpec, Ctx, EmberaError, Message, Work, WorkClass,
 };
 
+use crate::bitstream::OutOfBits;
 use crate::codec::{place_block, EntropyDecoder};
 use crate::dct::{idct_scaled_to_pixels, idct_to_pixels, DctKind, BLOCK_SIZE};
 use crate::frame::{EncodedFrame, FrameHeader, MjpegStream};
-use crate::quant::{
-    dequantize_reorder, dequantize_reorder_scaled, fast_dequant_table, scaled_qtable,
-};
+use crate::quant::{dequantize_reorder, fast_dequant_table, scaled_qtable};
 
 /// Work-annotation profile: abstract operation counts per unit of codec
 /// work. Defaults are calibrated to the paper's self-described
@@ -210,11 +208,13 @@ pub fn decode_pixel_msg(b: &[u8]) -> Result<(u32, u32, [u8; BLOCK_SIZE]), Embera
 /// sized generously above any scheduling hiccup.
 const TOLERANT_IDLE_NS: u64 = 500_000_000;
 
-/// A parsed batch header over a refcounted message payload. Per-block
-/// accessors hand out [`Bytes`] views into the original buffer, so a
-/// consumer can split a batch into blocks without copying or allocating.
-pub struct BatchView {
-    data: Bytes,
+/// A parsed batch header over a borrowed message payload. Per-block
+/// accessors hand out slices of the original buffer, so a consumer can
+/// split a batch into blocks without copying, allocating or touching a
+/// reference count — and cannot give the message back to its pool while
+/// a view of it is alive.
+pub struct BatchView<'a> {
+    data: &'a [u8],
     count: usize,
     rec: usize,
     /// Offset of the first record: past the count of a batch, 0 for a
@@ -222,8 +222,8 @@ pub struct BatchView {
     first: usize,
 }
 
-impl BatchView {
-    fn parse(data: &Bytes, rec: usize, what: &str) -> Result<Self, EmberaError> {
+impl<'a> BatchView<'a> {
+    fn parse(data: &'a [u8], rec: usize, what: &str) -> Result<Self, EmberaError> {
         if data.len() < 4 {
             return Err(EmberaError::Platform(format!(
                 "bad {what} batch: {} bytes, need at least 4",
@@ -238,7 +238,7 @@ impl BatchView {
             )));
         }
         Ok(BatchView {
-            data: data.clone(),
+            data,
             count,
             rec,
             first: 4,
@@ -248,7 +248,7 @@ impl BatchView {
     /// The blocks of one pipeline message, whichever layout the
     /// pipeline runs: a counted batch, or — at one block per message,
     /// the paper's schedule — a bare record.
-    fn records(data: &Bytes, rec: usize, what: &str, counted: bool) -> Result<Self, EmberaError> {
+    fn records(data: &'a [u8], rec: usize, what: &str, counted: bool) -> Result<Self, EmberaError> {
         if counted {
             return Self::parse(data, rec, what);
         }
@@ -256,7 +256,7 @@ impl BatchView {
             return Err(bad_length(what, data.len()));
         }
         Ok(BatchView {
-            data: data.clone(),
+            data,
             count: 1,
             rec,
             first: 0,
@@ -264,12 +264,12 @@ impl BatchView {
     }
 
     /// Parse a coefficient batch (`count | count × (frame | block | 64 i32)`).
-    pub fn coeffs(data: &Bytes) -> Result<Self, EmberaError> {
+    pub fn coeffs(data: &'a [u8]) -> Result<Self, EmberaError> {
         Self::parse(data, COEFF_REC, "coefficient")
     }
 
     /// Parse a pixel batch (`count | count × (frame | block | 64 u8)`).
-    pub fn pixels(data: &Bytes) -> Result<Self, EmberaError> {
+    pub fn pixels(data: &'a [u8]) -> Result<Self, EmberaError> {
         Self::parse(data, PIXEL_REC, "pixel")
     }
 
@@ -284,13 +284,12 @@ impl BatchView {
         self.count == 0
     }
 
-    /// Frame index, block index, and zero-copy payload view of the i-th
-    /// record.
-    pub fn block(&self, i: usize) -> (u32, u32, Bytes) {
+    /// Frame index, block index, and payload of the i-th record.
+    pub fn block(&self, i: usize) -> (u32, u32, &'a [u8]) {
         assert!(i < self.count);
-        let off = self.first + i * self.rec;
-        let (frame, bi) = record_tags(&self.data[off..]);
-        (frame, bi, self.data.slice(off + 8..off + self.rec))
+        let rec = &self.data[self.first + i * self.rec..][..self.rec];
+        let (frame, bi) = record_tags(rec);
+        (frame, bi, &rec[8..])
     }
 }
 
@@ -365,8 +364,7 @@ impl Wire {
     }
 
     /// Give a fully consumed message buffer back to the pool (no-op
-    /// without one). Callers must drop any [`BatchView`] over the
-    /// message first, or the pool will refuse the still-shared buffer.
+    /// without one).
     fn recycle(&self, msg: Bytes) {
         if let Some(p) = &self.pool {
             p.recycle(msg);
@@ -476,8 +474,9 @@ enum Kernel {
     /// The paper's path: bit-serial Huffman decoder, plain quantizer
     /// steps, separable float IDCT.
     Reference([u16; BLOCK_SIZE]),
-    /// Two-level LUT Huffman decoder and the quantizer steps folded
-    /// with the AAN scales, for the integer butterflies (scalar or SIMD).
+    /// The table-driven decode loop, writing through the quantizer steps
+    /// folded with the AAN scales, for the integer butterflies (scalar
+    /// or SIMD).
     Fast([i32; BLOCK_SIZE]),
 }
 
@@ -497,11 +496,18 @@ impl Kernel {
         }
     }
 
-    fn dequantize(&self, zz: &[i16; BLOCK_SIZE]) -> [i32; BLOCK_SIZE] {
+    /// Decode the next block of `dec` into dequantized natural-order
+    /// coefficients.
+    fn next_block(
+        &self,
+        dec: &mut EntropyDecoder<'_>,
+        out: &mut [i32; BLOCK_SIZE],
+    ) -> Result<(), OutOfBits> {
         match self {
-            Kernel::Reference(q) => dequantize_reorder(zz, q),
-            Kernel::Fast(f) => dequantize_reorder_scaled(zz, f),
+            Kernel::Reference(q) => *out = dequantize_reorder(&dec.next_block()?, q),
+            Kernel::Fast(f) => dec.next_block_scaled(f, out)?,
         }
+        Ok(())
     }
 
     /// The inverse transform for coefficients `kind` dequantized.
@@ -556,20 +562,21 @@ impl FrameDecoder {
         frame: &EncodedFrame,
         label: u32,
         atomic: bool,
-        mut emit: impl FnMut(&mut dyn Ctx, u32, [i32; BLOCK_SIZE]) -> Result<(), EmberaError>,
+        mut emit: impl FnMut(&mut dyn Ctx, u32, &[i32; BLOCK_SIZE]) -> Result<(), EmberaError>,
     ) -> Result<bool, EmberaError> {
         self.file_management(ctx);
         let mut dec = self.kernel.entropy_decoder(&frame.data);
         let mut bits_before = 0u64;
-        let mut next = |bi: usize| {
-            let zz = dec
-                .next_block()
+        // Decode block `bi` into `coeffs`; the entropy bits it took.
+        let mut next = |bi: usize, coeffs: &mut [i32; BLOCK_SIZE]| {
+            self.kernel
+                .next_block(&mut dec, coeffs)
                 .map_err(|e| EmberaError::Platform(format!("frame {label} block {bi}: {e}")))?;
             let bits = dec.bits_consumed() - bits_before;
             bits_before = dec.bits_consumed();
-            Ok::<_, EmberaError>((bits, self.kernel.dequantize(&zz)))
+            Ok::<_, EmberaError>(bits)
         };
-        let mut forward = |ctx: &mut dyn Ctx, bi: usize, bits: u64, coeffs| {
+        let mut forward = |ctx: &mut dyn Ctx, bi: usize, bits: u64, coeffs: &[i32; BLOCK_SIZE]| {
             ctx.compute(
                 Work::ops(
                     WorkClass::Control,
@@ -581,16 +588,21 @@ impl FrameDecoder {
             emit(ctx, bi as u32, coeffs)
         };
         if atomic {
-            let Ok(whole) = (0..self.blocks).map(next).collect::<Result<Vec<_>, _>>() else {
+            let whole = (0..self.blocks).map(|bi| {
+                let mut coeffs = [0i32; BLOCK_SIZE];
+                next(bi, &mut coeffs).map(|bits| (bits, coeffs))
+            });
+            let Ok(whole) = whole.collect::<Result<Vec<_>, _>>() else {
                 return Ok(false);
             };
-            for (bi, (bits, coeffs)) in whole.into_iter().enumerate() {
-                forward(ctx, bi, bits, coeffs)?;
+            for (bi, (bits, coeffs)) in whole.iter().enumerate() {
+                forward(ctx, bi, *bits, coeffs)?;
             }
         } else {
+            let mut coeffs = [0i32; BLOCK_SIZE];
             for bi in 0..self.blocks {
-                let (bits, coeffs) = next(bi)?;
-                forward(ctx, bi, bits, coeffs)?;
+                let bits = next(bi, &mut coeffs)?;
+                forward(ctx, bi, bits, &coeffs)?;
             }
         }
         Ok(true)
@@ -661,10 +673,10 @@ impl BatchSender {
         ctx: &mut dyn Ctx,
         frame: u32,
         bi: u32,
-        coeffs: [i32; BLOCK_SIZE],
+        coeffs: &[i32; BLOCK_SIZE],
     ) -> Result<(), EmberaError> {
         let lane = bi as usize % self.active;
-        self.lanes[lane].push((frame, bi, coeffs));
+        self.lanes[lane].push((frame, bi, *coeffs));
         if self.lanes[lane].len() >= self.batch {
             self.flush_lane(ctx, lane)?;
         }
@@ -788,7 +800,7 @@ impl Behavior for IdctBehavior {
             if payload.is_empty() && matches!(self.end, LaneEnd::Sentinel) {
                 return ctx.send(LANE_OUT, payload);
             }
-            // Split the message into zero-copy block views, transform
+            // Split the message into borrowed block records, transform
             // each, and answer with one pixel message carrying the same
             // (frame, block) tags.
             let view = BatchView::records(&payload, COEFF_REC, "coefficient", self.counted)?;
@@ -803,14 +815,13 @@ impl Behavior for IdctBehavior {
             } else {
                 for i in 0..view.len() {
                     let (frame, bi, coeffs) = view.block(i);
-                    out.push((frame, bi, idct(&coeffs_from_bytes(&coeffs)?)));
+                    out.push((frame, bi, idct(&coeffs_from_bytes(coeffs)?)));
                 }
                 ctx.compute(
                     Work::ops(WorkClass::Dsp, self.profile.idct_ops_per_block * blocks)
                         .with_mem(BLOCK_SIZE as u64 * 5 * blocks),
                 );
             }
-            drop(view);
             send_under(ctx, LANE_OUT, wire.pixels(&out), deadline)?;
             wire.recycle(payload);
         }
@@ -827,12 +838,15 @@ impl Behavior for IdctBehavior {
 /// frame buffers go on a free list and are reused, so steady-state
 /// reassembly allocates nothing: every block of a frame is written
 /// exactly once before the frame folds, which is what makes the
-/// unzeroed reuse safe.
+/// unzeroed reuse safe. For the same reason only a few frames are in
+/// flight at once, so a frame is found by a scan of a short list, not
+/// by hashing its tag.
 struct Assembler {
     width: usize,
     height: usize,
     blocks: usize,
-    partial: HashMap<u32, (Vec<u8>, usize)>,
+    /// Frames in flight: tag, pixels, blocks placed so far.
+    partial: Vec<(u32, Vec<u8>, usize)>,
     /// Retired frame buffers for reuse.
     free: Vec<Vec<u8>>,
     probe: PipelineProbe,
@@ -844,25 +858,29 @@ impl Assembler {
             width,
             height,
             blocks: (width / 8) * (height / 8),
-            partial: HashMap::new(),
+            partial: Vec::with_capacity(4),
             free: Vec::new(),
             probe,
         }
     }
 
     fn add(&mut self, frame: u32, block: u32, pixels: &[u8; BLOCK_SIZE]) {
-        if !self.partial.contains_key(&frame) {
-            let buf = self
-                .free
-                .pop()
-                .unwrap_or_else(|| vec![0u8; self.width * self.height]);
-            self.partial.insert(frame, (buf, 0));
-        }
-        let entry = self.partial.get_mut(&frame).unwrap();
-        place_block(&mut entry.0, self.width, block as usize, pixels);
-        entry.1 += 1;
-        if entry.1 == self.blocks {
-            let (pixels, _) = self.partial.remove(&frame).unwrap();
+        let at = match self.partial.iter().position(|p| p.0 == frame) {
+            Some(at) => at,
+            None => {
+                let buf = self
+                    .free
+                    .pop()
+                    .unwrap_or_else(|| vec![0u8; self.width * self.height]);
+                self.partial.push((frame, buf, 0));
+                self.partial.len() - 1
+            }
+        };
+        let (_, buf, placed) = &mut self.partial[at];
+        place_block(buf, self.width, block as usize, pixels);
+        *placed += 1;
+        if *placed == self.blocks {
+            let (_, pixels, _) = self.partial.swap_remove(at);
             self.probe.fold_frame(&pixels);
             self.free.push(pixels);
         }
@@ -881,13 +899,14 @@ impl Assembler {
     ) -> Result<u64, EmberaError> {
         let view = BatchView::records(&msg, PIXEL_REC, "pixel", wire.counted)?;
         for i in 0..view.len() {
-            let (frame, bi, payload) = view.block(i);
-            let mut px = [0u8; BLOCK_SIZE];
-            px.copy_from_slice(&payload);
-            self.add(frame, bi, &px);
+            let (frame, bi, px) = view.block(i);
+            self.add(
+                frame,
+                bi,
+                px.try_into().expect("a pixel record holds one block"),
+            );
         }
         let blocks = view.len() as u64;
-        drop(view);
         wire.recycle(msg);
         ctx.compute(
             Work::ops(
@@ -1384,8 +1403,8 @@ mod tests {
         let (f0, bi0, p0) = view.block(0);
         let (f1, bi1, p1) = view.block(1);
         assert_eq!((f0, bi0, f1, bi1), (9, 4, 10, 7));
-        assert_eq!(coeffs_from_bytes(&p0).unwrap(), c0);
-        assert_eq!(coeffs_from_bytes(&p1).unwrap(), c1);
+        assert_eq!(coeffs_from_bytes(p0).unwrap(), c0);
+        assert_eq!(coeffs_from_bytes(p1).unwrap(), c1);
         // Zero-copy: the block views alias the batch buffer.
         assert_eq!(p0.as_ptr(), b[12..].as_ptr());
     }
@@ -1398,7 +1417,7 @@ mod tests {
         assert_eq!(view.len(), 1);
         let (f, bi, payload) = view.block(0);
         assert_eq!((f, bi), (3, 11));
-        assert_eq!(&payload[..], &px[..]);
+        assert_eq!(payload, &px[..]);
     }
 
     #[test]

@@ -114,13 +114,17 @@ pub fn dequantize_reorder_scaled(
     let mut out = [0i32; BLOCK_SIZE];
     for (k, &v) in zz.iter().enumerate() {
         let n = ZIGZAG[k];
-        // Valid baseline streams keep |zz·q| ≤ 2048, well inside i32
-        // after the 2^12 prescale; saturate rather than wrap on corrupt
-        // input.
-        let p = v as i64 * ftable[n] as i64;
-        out[n] = p.clamp(i32::MIN as i64, i32::MAX as i64) as i32;
+        out[n] = dequantize_scaled(v, ftable[n]);
     }
     out
+}
+
+/// One coefficient of [`dequantize_reorder_scaled`]. Valid baseline
+/// streams keep |zz·q| ≤ 2048, well inside i32 after the 2^12 prescale;
+/// saturate rather than wrap on corrupt input.
+#[inline(always)]
+pub(crate) fn dequantize_scaled(v: i16, f: i32) -> i32 {
+    (v as i64 * f as i64).clamp(i32::MIN as i64, i32::MAX as i64) as i32
 }
 
 #[cfg(test)]

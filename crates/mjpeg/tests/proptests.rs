@@ -236,6 +236,141 @@ proptest! {
     }
 }
 
+/// Blocks the fast-decode oracle runs at most: past a synthesized
+/// frame's last block the decoders run into its padding, and a mutated
+/// input may decode much further.
+const ORACLE_BLOCKS: usize = 4096;
+
+/// The table-driven Fetch decode against its oracle, block by block
+/// until both fail or [`ORACLE_BLOCKS`]: `next_block_scaled` must equal
+/// the bit-serial `decode_block_bitwise` + `dequantize_reorder_scaled`,
+/// and `next_block` the bit-serial zigzag block — same coefficients,
+/// same `bits_consumed`, and the first `Err` at the same block.
+fn assert_fast_decode_matches_oracle(data: &[u8], quality: u8) {
+    use mjpeg::codec::{decode_block_bitwise, EntropyDecoder};
+    use mjpeg::huffman::{luma_ac_decoder, luma_dc_decoder};
+    use mjpeg::quant::{dequantize_reorder_scaled, fast_dequant_table};
+
+    let ftable = fast_dequant_table(&scaled_qtable(quality));
+    let mut serial = BitReader::new(data);
+    let mut pred = 0;
+    let mut scaled = EntropyDecoder::new(data);
+    let mut zigzag = EntropyDecoder::new(data);
+    let mut out = [0i32; BLOCK_SIZE];
+    for block in 0..ORACLE_BLOCKS {
+        let got_scaled = scaled.next_block_scaled(&ftable, &mut out);
+        let got_zigzag = zigzag.next_block();
+        let Ok((zz, next_pred)) =
+            decode_block_bitwise(&mut serial, luma_dc_decoder(), luma_ac_decoder(), pred)
+        else {
+            assert!(
+                got_scaled.is_err() && got_zigzag.is_err(),
+                "block {block}: the oracle fails here, the fast decode does not"
+            );
+            return;
+        };
+        pred = next_pred;
+        assert!(
+            got_scaled.is_ok(),
+            "block {block}: the fast decode fails, the oracle does not"
+        );
+        assert_eq!(
+            out,
+            dequantize_reorder_scaled(&zz, &ftable),
+            "block {block}: coefficients"
+        );
+        assert_eq!(
+            scaled.bits_consumed(),
+            serial.bits_consumed(),
+            "block {block}: bits"
+        );
+        assert_eq!(got_zigzag, Ok(zz), "block {block}: zigzag coefficients");
+        assert_eq!(
+            zigzag.bits_consumed(),
+            serial.bits_consumed(),
+            "block {block}: bits"
+        );
+    }
+}
+
+/// One synthesized frame's entropy-coded segment.
+fn synthesized_segment(width: usize, height: usize, quality: u8, seed: u64) -> Vec<u8> {
+    let stream = mjpeg::synthesize_stream(1, width, height, quality, seed);
+    stream.frames[0].data.clone()
+}
+
+proptest! {
+    /// Synthesized frames at four qualities and both benchmark
+    /// geometries, as encoded and with bits flipped.
+    #[test]
+    fn fast_decode_matches_bit_serial_oracle(
+        quality in prop::sample::select(vec![10u8, 50, 75, 95]),
+        (width, height) in prop::sample::select(vec![(48usize, 24usize), (320, 240)]),
+        seed in 0u64..1_000,
+        flips in prop::collection::vec((0usize..usize::MAX, 0u32..8), 1..6),
+    ) {
+        let mut data = synthesized_segment(width, height, quality, seed);
+        assert_fast_decode_matches_oracle(&data, quality);
+        for &(at, bit) in &flips {
+            let at = at % data.len();
+            data[at] ^= 1 << bit;
+        }
+        assert_fast_decode_matches_oracle(&data, quality);
+    }
+}
+
+/// A short segment cut at every byte: the exhausted-input paths of the
+/// fast decode (zero-padded probe, a code or magnitude cut in two).
+#[test]
+fn fast_decode_matches_oracle_on_every_truncation() {
+    for quality in [10u8, 50, 75, 95] {
+        let data = synthesized_segment(48, 24, quality, 7);
+        for cut in 0..=data.len() {
+            assert_fast_decode_matches_oracle(&data[..cut], quality);
+        }
+    }
+}
+
+/// Runs of `0xFF` and of stuffed `0xFF 0x00` written at every offset
+/// around the reader's 32-bit refill boundary: the byte-wise unstuffing
+/// path in the middle of a probe.
+#[test]
+fn fast_decode_matches_oracle_around_ff_runs() {
+    let data = synthesized_segment(48, 24, 75, 11);
+    for pattern in [&[0xFFu8][..], &[0xFF, 0x00][..]] {
+        for run in 1..=6 {
+            for at in 0..16 {
+                let mut mutated = data.clone();
+                for (i, b) in pattern.iter().cycle().take(run * pattern.len()).enumerate() {
+                    if let Some(slot) = mutated.get_mut(at + i) {
+                        *slot = *b;
+                    }
+                }
+                assert_fast_decode_matches_oracle(&mutated, 75);
+            }
+        }
+    }
+}
+
+/// A DC predictor walking past `i16::MAX` (40 blocks of the largest
+/// DC difference, AC all zero): the zigzag value wraps as `dc as i16`
+/// does, and at quality 10 the prescaled product saturates at `i32`.
+#[test]
+fn fast_decode_matches_oracle_when_the_dc_predictor_wraps() {
+    let dc = HuffEncoder::new(&HuffSpec::luma_dc());
+    let ac = HuffEncoder::new(&HuffSpec::luma_ac());
+    let mut w = BitWriter::new();
+    for _ in 0..40 {
+        dc.encode(&mut w, 11);
+        put_magnitude(&mut w, 2047, 11);
+        ac.encode(&mut w, 0x00);
+    }
+    let data = w.finish();
+    for quality in [10u8, 75] {
+        assert_fast_decode_matches_oracle(&data, quality);
+    }
+}
+
 /// Deterministic saturation edges the random sampler might miss: a DC
 /// coefficient at either extreme with all-zero AC drives every output
 /// pixel to the clamp rails, where scalar and SIMD must still agree.
