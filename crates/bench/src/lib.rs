@@ -8,7 +8,6 @@ use embera_os21::Os21Platform;
 use embera_smp::SmpPlatform;
 use mjpeg::{build_mpsoc_app, build_smp_app, synthesize_stream, MjpegAppConfig, MjpegStream};
 
-pub mod fanio;
 pub mod loadgen;
 pub mod runner;
 

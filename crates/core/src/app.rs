@@ -5,7 +5,6 @@ use std::collections::{HashMap, HashSet};
 
 use crate::component::{ComponentSpec, INTROSPECTION};
 use crate::error::EmberaError;
-use crate::observe::topology::ObserverTopology;
 use crate::observer::{
     is_observer_component, ObservationLog, ObserverBehavior, ObserverConfig,
     RegionObserverBehavior, RootObserverBehavior, OBSERVER_NAME, REGION_OBSERVER_PREFIX,
@@ -238,7 +237,7 @@ impl AppBuilder {
         // Auto-wire the observer before validation so its connections are
         // checked like any other.
         let has_observer = self.observer.is_some();
-        if let Some(config) = self.observer.take() {
+        if let Some(mut config) = self.observer.take() {
             // The observer tree owns "Observer" and every "Observer.*"
             // name; a user component shadowing one would corrupt the
             // backends' application-completion accounting.
@@ -252,31 +251,33 @@ impl AppBuilder {
             }
             let targets: Vec<String> =
                 self.components.iter().map(|c| c.name.clone()).collect();
-            match config.topology.clone() {
-                ObserverTopology::Flat => {
-                    if config.actuate.is_some() {
+            match config.groups.take() {
+                None => {
+                    if config.actuate.is_some() || config.notify_done.is_some() {
                         return Err(EmberaError::Validation(
-                            "actuate requires a hierarchical observer topology \
-                             (the root observer streams region summaries)"
+                            "actuate and notify_done require grouped observers \
+                             (the root observer sends on them)"
                                 .into(),
                         ));
                     }
                     self.wire_flat_observer(targets, config)
                 }
-                ObserverTopology::Sharded { regions } => {
-                    let r = regions.clamp(1, targets.len().max(1));
-                    let per = targets.len().div_ceil(r).max(1);
-                    let groups: Vec<(String, Vec<String>)> = targets
-                        .chunks(per)
-                        .enumerate()
-                        .map(|(i, chunk)| (format!("region{i}"), chunk.to_vec()))
-                        .collect();
-                    self.wire_hierarchical_observer(groups, config)?;
-                }
-                ObserverTopology::Grouped { groups } => {
+                Some(groups) => {
+                    // A root waits for a summary from every region, and a
+                    // region without members never sends one.
+                    if groups.is_empty() {
+                        return Err(EmberaError::Validation(
+                            "grouped observers need at least one group".into(),
+                        ));
+                    }
                     let known: HashSet<&str> = targets.iter().map(|t| t.as_str()).collect();
                     let mut seen = HashSet::new();
                     for (label, members) in &groups {
+                        if members.is_empty() {
+                            return Err(EmberaError::Validation(format!(
+                                "observer group '{label}' has no members"
+                            )));
+                        }
                         for m in members {
                             if !known.contains(m.as_str()) {
                                 return Err(EmberaError::Validation(format!(
@@ -624,12 +625,15 @@ mod tests {
     }
 
     #[test]
-    fn sharded_observer_wires_regionals_and_root() {
+    fn grouped_observer_wires_regionals_and_root() {
         let mut b = AppBuilder::new("app");
         for n in ["a", "b", "c", "d"] {
             b.add(ComponentSpec::new(n, noop()));
         }
-        let _log = b.with_observer(ObserverConfig::default().sharded(2));
+        let _log = b.with_observer(ObserverConfig::default().grouped(vec![
+            ("left".into(), vec!["a".into(), "b".into()]),
+            ("right".into(), vec!["c".into(), "d".into()]),
+        ]));
         let spec = b.build().unwrap();
         assert!(spec.has_observer);
         // 4 app components + 2 regionals + root.
@@ -669,6 +673,19 @@ mod tests {
         ]));
         assert!(matches!(b.build(), Err(EmberaError::Validation(_))));
 
+        // No group, or a group without members: the root would wait for
+        // a summary that never comes.
+        let mut b = mk();
+        b.with_observer(ObserverConfig::default().grouped(vec![]));
+        assert!(matches!(b.build(), Err(EmberaError::Validation(_))));
+
+        let mut b = mk();
+        b.with_observer(ObserverConfig::default().grouped(vec![
+            ("g".into(), vec!["a".into()]),
+            ("empty".into(), vec![]),
+        ]));
+        assert!(matches!(b.build(), Err(EmberaError::Validation(_))));
+
         // Unlisted components are simply unobserved.
         let mut b = mk();
         b.with_observer(
@@ -693,15 +710,23 @@ mod tests {
 
     #[test]
     fn notify_done_target_must_be_unobserved() {
+        // The flat observer observes everything, the waiter included, and
+        // has no root to send the message: rejected.
+        let mut b = AppBuilder::new("app");
+        b.add(ComponentSpec::new("a", noop()));
+        b.add(ComponentSpec::new("waiter", noop()).with_provided("done"));
+        b.with_observer(ObserverConfig::default().notify_done("waiter", "done"));
+        assert!(matches!(b.build(), Err(EmberaError::Validation(_))));
+
+        // A group that lists the waiter: rejected.
         let mut b = AppBuilder::new("app");
         b.add(ComponentSpec::new("a", noop()));
         b.add(ComponentSpec::new("waiter", noop()).with_provided("done"));
         b.with_observer(
             ObserverConfig::default()
-                .sharded(1)
+                .grouped(vec![("g".into(), vec!["a".into(), "waiter".into()])])
                 .notify_done("waiter", "done"),
         );
-        // Sharded observes everything, including the waiter: rejected.
         assert!(matches!(b.build(), Err(EmberaError::Validation(_))));
 
         let mut b = AppBuilder::new("app");
@@ -725,7 +750,7 @@ mod tests {
 
     #[test]
     fn actuate_wires_root_to_controller() {
-        // Flat topology cannot actuate.
+        // The flat observer cannot actuate.
         let mut b = AppBuilder::new("app");
         b.add(ComponentSpec::new("a", noop()));
         b.add(ComponentSpec::new("ctl", noop()).with_provided("summaries"));
@@ -738,7 +763,7 @@ mod tests {
         b.add(ComponentSpec::new("ctl", noop()).with_provided("summaries"));
         b.with_observer(
             ObserverConfig::default()
-                .sharded(1)
+                .grouped(vec![("g".into(), vec!["a".into(), "ctl".into()])])
                 .actuate("ctl", "summaries"),
         );
         assert!(matches!(b.build(), Err(EmberaError::Validation(_))));

@@ -82,14 +82,13 @@ pub use observe::report::{
     OsStats, StructureInfo, TimingSnapshot,
 };
 pub use observe::stats::ComponentStats;
-pub use observe::topology::{ObserverTopology, RegionSummary, RollupTotals, SamplingPolicy};
+pub use observe::topology::{RegionSummary, RollupTotals};
 pub use observer::{
-    decode_region_summary, encode_region_summary, is_observer_component, ObservationLog,
-    ObserverBehavior, ObserverConfig, RegionObserverBehavior, RootObserverBehavior, StallRecord,
-    OBSERVER_NAME, REGION_OBSERVER_PREFIX, ROOT_REGION,
+    decode_region_summary, is_observer_component, ObservationLog, ObserverConfig, StallRecord,
+    OBSERVER_NAME,
 };
 pub use overload::OverloadPolicy;
 pub use platform::{AppReport, Platform, RunningApp};
 pub use pool::{BufferPool, PoolStats};
-pub use runtime::{ComponentRuntime, TraceConfig, TraceEventKind, TraceSink};
+pub use runtime::{TraceConfig, TraceEventKind, TraceSink};
 pub use supervise::{Escalation, FaultAction, FaultPlan, FaultReport, RestartPolicy};

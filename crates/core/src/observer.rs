@@ -11,14 +11,14 @@
 //! reads the target's statistics on the observer's side of the
 //! connection, or a reply message on `observations`.
 //!
-//! Observation can be arranged in two topologies
-//! ([`ObserverTopology`]): the paper's *flat* design — one observer
-//! polling every component — and a two-level *hierarchy* in which
-//! regional observers each poll a subset of components and roll
-//! [`RegionSummary`] aggregates up to a root observer. The flat design
-//! stays the default and is wiring-identical to the seed implementation
-//! for paper-parity runs; the hierarchy is what keeps observation
-//! affordable at 10k-component scale.
+//! By default one observer polls every component, the paper's design.
+//! An application that names groups of components
+//! ([`ObserverConfig::grouped`]) gets one regional observer per group
+//! instead, each polling its members and rolling a [`RegionSummary`] up
+//! to a root observer that can tell a waiting component the run is
+//! done ([`ObserverConfig::notify_done`]) or stream the summaries to a
+//! controller ([`ObserverConfig::actuate`]). Both polling observers run
+//! one loop, `Poller`: every round it asks every target once.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -31,21 +31,18 @@ use crate::message::Message;
 use crate::names::NameTable;
 use crate::observe::protocol::{ObsReply, ObsRequest};
 use crate::observe::report::{HealthState, ObservationReport};
-use crate::observe::topology::{
-    AdaptiveSampler, HealthSignature, ObserverTopology, RegionSummary, RollupTotals,
-    SamplingPolicy,
-};
+use crate::observe::topology::{RegionSummary, RollupTotals};
 
 /// Reserved name of the auto-wired (root) observer component.
 pub const OBSERVER_NAME: &str = "Observer";
 
 /// Name prefix of auto-wired regional observer components
 /// (`Observer.region0`, `Observer.region1`, …).
-pub const REGION_OBSERVER_PREFIX: &str = "Observer.region";
+pub(crate) const REGION_OBSERVER_PREFIX: &str = "Observer.region";
 
 /// Region label used by the flat observer's records (there is only one
 /// poller, the root itself).
-pub const ROOT_REGION: &str = "root";
+pub(crate) const ROOT_REGION: &str = "root";
 
 /// True for any auto-wired observer component — the root observer or a
 /// regional observer. Backends use this (instead of comparing against
@@ -70,10 +67,10 @@ pub struct ObservationRecord {
 /// progress for longer than the observer's configured deadline.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StallRecord {
-    /// Region whose observer detected the stall ([`ROOT_REGION`] for the
-    /// flat topology) — under the hierarchy, the poll timestamp that
-    /// tripped the watchdog is the *regional* observer's, so the stall
-    /// must stay attributable to the region that reported it.
+    /// Region whose observer detected the stall (`"root"` for the flat
+    /// observer) — under the hierarchy, the poll timestamp that tripped
+    /// the watchdog is the *regional* observer's, so the stall must stay
+    /// attributable to the region that reported it.
     pub region: String,
     /// The stalled component.
     pub component: String,
@@ -169,7 +166,7 @@ impl ObservationLog {
 
     /// Append a record, dropping the oldest one when
     /// [`LOG_CAPACITY`] are retained already.
-    pub fn push(&self, record: ObservationRecord) {
+    pub(crate) fn push(&self, record: ObservationRecord) {
         self.records.lock().push(record);
     }
 
@@ -290,28 +287,24 @@ pub struct ObserverConfig {
     /// progress for longer than this, a [`StallRecord`] is logged.
     /// 0 (default) disables the watchdog.
     pub watchdog_ns: u64,
-    /// How observers are arranged over the application
-    /// (default: [`ObserverTopology::Flat`], the paper's design).
-    pub topology: ObserverTopology,
-    /// Adaptive per-component sampling (`None` = poll every target every
-    /// round, the seed behavior). Meaningful with health-carrying
-    /// requests ([`ObsRequest::Health`] / [`ObsRequest::Full`]); without
-    /// health data every component looks quiet and simply backs off.
-    pub sampling: Option<SamplingPolicy>,
-    /// Hierarchical topologies only: `(component, provided_interface)`
-    /// the root observer sends one data message to once every region has
+    /// `(label, members)` per regional observer (`None`, the default:
+    /// one observer polls every component, the paper's design). A
+    /// component in no group is not observed.
+    pub groups: Option<Vec<(String, Vec<String>)>>,
+    /// Grouped observers only: `(component, provided_interface)` the
+    /// root observer sends one data message to once every region has
     /// reported all its members terminal. Lets an application component
     /// block until observation of the whole run has converged. The
-    /// target component must not itself be observed (use
-    /// [`ObserverTopology::Grouped`] and leave it out of every group).
+    /// target component must not itself be observed (leave it out of
+    /// every group).
     pub notify_done: Option<(String, String)>,
-    /// Hierarchical topologies only: `(component, provided_interface)`
-    /// the root observer streams every received [`RegionSummary`] to,
-    /// encoded with [`encode_region_summary`] — the observation→actuation
-    /// feed a controller component (e.g. an autoscaler) consumes. An
-    /// empty sentinel payload is sent when the root exits. Like
-    /// [`ObserverConfig::notify_done`], the target must not itself be
-    /// observed.
+    /// Grouped observers only: `(component, provided_interface)` the
+    /// root observer streams every received [`RegionSummary`] to, in the
+    /// encoding [`decode_region_summary`] reads — the
+    /// observation→actuation feed a controller component (e.g. an
+    /// autoscaler) consumes. An empty sentinel payload is sent when the
+    /// root exits. Like [`ObserverConfig::notify_done`], the target must
+    /// not itself be observed.
     pub actuate: Option<(String, String)>,
     pub(crate) log: ObservationLog,
 }
@@ -324,8 +317,7 @@ impl Default for ObserverConfig {
             reply_timeout_ns: 100_000_000, // 100 ms
             request: ObsRequest::Full,
             watchdog_ns: 0,
-            topology: ObserverTopology::Flat,
-            sampling: None,
+            groups: None,
             notify_done: None,
             actuate: None,
             log: ObservationLog::new(),
@@ -358,32 +350,12 @@ impl ObserverConfig {
         self
     }
 
-    /// Choose the observer topology.
-    pub fn topology(mut self, topology: ObserverTopology) -> Self {
-        self.topology = topology;
+    /// Observe through one regional observer per `(label, members)`
+    /// group, all rolling up to a root observer. Every group must name
+    /// at least one component, and a component at most one group.
+    pub fn grouped(mut self, groups: Vec<(String, Vec<String>)>) -> Self {
+        self.groups = Some(groups);
         self
-    }
-
-    /// Shorthand for a sharded two-level hierarchy with `regions`
-    /// regional observers.
-    pub fn sharded(self, regions: usize) -> Self {
-        self.topology(ObserverTopology::Sharded { regions })
-    }
-
-    /// Shorthand for an explicitly grouped two-level hierarchy.
-    pub fn grouped(self, groups: Vec<(String, Vec<String>)>) -> Self {
-        self.topology(ObserverTopology::Grouped { groups })
-    }
-
-    /// Set the adaptive sampling policy.
-    pub fn sampling(mut self, policy: SamplingPolicy) -> Self {
-        self.sampling = Some(policy);
-        self
-    }
-
-    /// Enable adaptive sampling with the default policy.
-    pub fn adaptive(self) -> Self {
-        self.sampling(SamplingPolicy::default())
     }
 
     /// Have the root observer send one data message to
@@ -421,7 +393,7 @@ impl ObserverConfig {
 /// queued_messages, shed_messages, expired_messages). Deliberately
 /// fixed-offset rather than self-describing: controller components parse
 /// it allocation-light inside their control loop.
-pub fn encode_region_summary(s: &RegionSummary) -> bytes::Bytes {
+pub(crate) fn encode_region_summary(s: &RegionSummary) -> bytes::Bytes {
     let label = s.region.as_bytes();
     let mut out = Vec::with_capacity(2 + label.len() + 11 * 8);
     out.extend_from_slice(&(label.len() as u16).to_le_bytes());
@@ -444,7 +416,11 @@ pub fn encode_region_summary(s: &RegionSummary) -> bytes::Bytes {
     bytes::Bytes::from(out)
 }
 
-/// Inverse of [`encode_region_summary`]; `None` on malformed input.
+/// Read one [`ObserverConfig::actuate`] payload:
+/// `label_len u16 | label bytes | 11 × u64` (components, round, polls,
+/// finished, faulted, stalled, total_sends, total_receives,
+/// queued_messages, shed_messages, expired_messages), little-endian.
+/// `None` on malformed input.
 pub fn decode_region_summary(buf: &[u8]) -> Option<RegionSummary> {
     if buf.len() < 2 {
         return None;
@@ -500,22 +476,6 @@ fn lift_reply(from: &str, reply: ObsReply) -> Option<ObservationReport> {
     Some(report)
 }
 
-/// The sampler's view of a report.
-fn health_signature(report: &ObservationReport) -> HealthSignature {
-    match &report.health {
-        Some(h) => HealthSignature {
-            terminal: matches!(h.state, HealthState::Faulted | HealthState::Finished),
-            restarts: h.restarts,
-            queued_messages: h.queued_messages,
-        },
-        None => HealthSignature {
-            terminal: false,
-            restarts: 0,
-            queued_messages: 0,
-        },
-    }
-}
-
 /// The shortest pause after a round in which the observer never waited
 /// for a reply, because the backend answered every poll in place. With
 /// a zero interval such an observer would not block at all, and on a
@@ -526,10 +486,9 @@ fn health_signature(report: &ObservationReport) -> HealthSignature {
 const IN_PLACE_MIN_PAUSE_NS: u64 = 1_000;
 
 /// The polling loop of the flat and the regional observer, written
-/// once: pace, fan the configured request out to every due target,
-/// take each reply — on the spot where the backend answers in place,
-/// off `observations` otherwise — through the watchdog, the adaptive
-/// sampler and into the log.
+/// once: pace, fan the configured request out to every target, take
+/// each reply — on the spot where the backend answers in place, off
+/// `observations` otherwise — through the watchdog and into the log.
 struct Poller<'a> {
     /// Label on this poller's stall records.
     region: &'a str,
@@ -538,7 +497,6 @@ struct Poller<'a> {
     /// `obs_<target>` per target, built once.
     ifaces: Vec<String>,
     index: NameTable<usize>,
-    sampler: AdaptiveSampler,
     /// Number of the round last started (0 before the first, too).
     round: u64,
     started: bool,
@@ -555,23 +513,22 @@ impl<'a> Poller<'a> {
             config,
             ifaces: targets.iter().map(|t| format!("obs_{t}")).collect(),
             index: NameTable::new(named.map(|(i, t)| (t.clone(), i))),
-            sampler: AdaptiveSampler::new(targets.len(), config.sampling),
             round: 0,
             started: false,
             waited: false,
         }
     }
 
-    /// Run the next round. `Ok(Some(polled))`: it ran, number
-    /// `self.round`, and asked `polled` targets; `seen` was called with
-    /// `(target index, report, stalled)` for each report of a known
-    /// target. `Ok(None)`: the observer is to exit — the application is
-    /// shutting down or the configured rounds are used up.
+    /// Run the next round. `Ok(true)`: it ran, number `self.round`, and
+    /// asked every target; `seen` was called with `(target index,
+    /// report, stalled)` for each report of a known target. `Ok(false)`:
+    /// the observer is to exit — the application is shutting down or the
+    /// configured rounds are used up.
     fn next_round(
         &mut self,
         ctx: &mut dyn Ctx,
         mut seen: impl FnMut(usize, &ObservationReport, bool),
-    ) -> Result<Option<usize>, EmberaError> {
+    ) -> Result<bool, EmberaError> {
         let config = self.config;
         if std::mem::replace(&mut self.started, true) {
             self.round += 1;
@@ -583,22 +540,21 @@ impl<'a> Poller<'a> {
             let _ = ctx.recv_message_timeout("observations", pause)?;
         }
         if ctx.should_stop() || config.max_rounds.is_some_and(|max| self.round >= max) {
-            return Ok(None);
+            return Ok(false);
         }
-        let due = self.sampler.due(self.round);
         // Replies still to come as messages: the polls the backend did
         // not answer in place.
         let mut pending = 0;
-        for &i in &due {
-            match ctx.observe(&self.ifaces[i], config.request)? {
-                Some(reply) => self.take(ctx, self.targets[i].as_str(), reply, &mut seen),
+        for (iface, target) in self.ifaces.iter().zip(self.targets) {
+            match ctx.observe(iface, config.request)? {
+                Some(reply) => self.take(ctx, target, reply, &mut seen),
                 None => pending += 1,
             }
         }
         self.waited = pending > 0;
         while pending > 0 {
             if ctx.should_stop() {
-                return Ok(None);
+                return Ok(false);
             }
             match ctx.recv_message_timeout("observations", config.reply_timeout_ns)? {
                 Some(Message::ObsReply { from, reply }) => {
@@ -609,12 +565,12 @@ impl<'a> Poller<'a> {
                 None => break, // target quiesced; move on
             }
         }
-        Ok(Some(due.len()))
+        Ok(true)
     }
 
-    /// One reply from component `from`: watchdog, sampler, log.
+    /// One reply from component `from`: watchdog, log.
     fn take(
-        &mut self,
+        &self,
         ctx: &mut dyn Ctx,
         from: &str,
         reply: ObsReply,
@@ -640,8 +596,6 @@ impl<'a> Poller<'a> {
             });
         }
         if let Some(&i) = self.index.get(&report.component) {
-            self.sampler
-                .observe(i, self.round, health_signature(&report));
             seen(i, &report, stalled.is_some());
         }
         self.config.log.push(ObservationRecord {
@@ -652,30 +606,25 @@ impl<'a> Poller<'a> {
     }
 }
 
-/// The flat observer behavior: each round, asks every due target's
+/// The flat observer behavior: each round, asks every target's
 /// observation interface for the configured [`ObsRequest`] and logs the
 /// replies.
-pub struct ObserverBehavior {
+pub(crate) struct ObserverBehavior {
     targets: Vec<String>,
     config: ObserverConfig,
 }
 
 impl ObserverBehavior {
     /// Observer over the given target components.
-    pub fn new(targets: Vec<String>, config: ObserverConfig) -> Self {
+    pub(crate) fn new(targets: Vec<String>, config: ObserverConfig) -> Self {
         ObserverBehavior { targets, config }
-    }
-
-    /// The log this observer fills.
-    pub fn log(&self) -> ObservationLog {
-        self.config.log.clone()
     }
 }
 
 impl Behavior for ObserverBehavior {
     fn run(&mut self, ctx: &mut dyn Ctx) -> Result<(), EmberaError> {
         let mut poller = Poller::new(ROOT_REGION, &self.targets, &self.config);
-        while poller.next_round(ctx, |_, _, _| {})?.is_some() {}
+        while poller.next_round(ctx, |_, _, _| {})? {}
         Ok(())
     }
 }
@@ -686,7 +635,7 @@ impl Behavior for ObserverBehavior {
 /// root. Exits on its own once every member has reached a terminal
 /// state — final counters are safe to collect because a finished
 /// component stays observable until the application shuts down.
-pub struct RegionObserverBehavior {
+pub(crate) struct RegionObserverBehavior {
     region: String,
     targets: Vec<String>,
     config: ObserverConfig,
@@ -694,7 +643,11 @@ pub struct RegionObserverBehavior {
 
 impl RegionObserverBehavior {
     /// Regional observer labeled `region` over the given members.
-    pub fn new(region: impl Into<String>, targets: Vec<String>, config: ObserverConfig) -> Self {
+    pub(crate) fn new(
+        region: impl Into<String>,
+        targets: Vec<String>,
+        config: ObserverConfig,
+    ) -> Self {
         RegionObserverBehavior {
             region: region.into(),
             targets,
@@ -710,9 +663,8 @@ impl Behavior for RegionObserverBehavior {
         let mut latest_health: Vec<Option<crate::observe::report::HealthInfo>> = vec![None; n];
         let mut latest_counters: Vec<(u64, u64)> = vec![(0, 0); n];
         let mut stalled: Vec<bool> = vec![false; n];
-        let mut polls: u64 = 0;
         loop {
-            let polled = poller.next_round(ctx, |i, report, stalled_now| {
+            let ran = poller.next_round(ctx, |i, report, stalled_now| {
                 if let Some(h) = &report.health {
                     latest_health[i] = Some(*h);
                 }
@@ -721,19 +673,16 @@ impl Behavior for RegionObserverBehavior {
                     latest_counters[i] = (report.app.total_sends, report.app.total_receives);
                 }
             })?;
-            let Some(polled) = polled else {
+            if !ran {
                 return Ok(());
-            };
-            polls += polled as u64;
-            if polled == 0 {
-                continue;
             }
             // Roll the region's state up to the root.
             let mut summary = RegionSummary {
                 region: self.region.clone(),
                 components: n as u64,
                 round: poller.round,
-                polls,
+                // Rounds 0..=round, each asking every member.
+                polls: n as u64 * (poller.round + 1),
                 ..Default::default()
             };
             for (i, h) in latest_health.iter().enumerate() {
@@ -773,20 +722,15 @@ impl Behavior for RegionObserverBehavior {
 /// in the shared log (see [`ObservationLog::rollup`]), and — once every
 /// region has reported all its members terminal — optionally notifies a
 /// designated application component and exits.
-pub struct RootObserverBehavior {
+pub(crate) struct RootObserverBehavior {
     regions: usize,
     config: ObserverConfig,
 }
 
 impl RootObserverBehavior {
     /// Root over `regions` regional observers.
-    pub fn new(regions: usize, config: ObserverConfig) -> Self {
+    pub(crate) fn new(regions: usize, config: ObserverConfig) -> Self {
         RootObserverBehavior { regions, config }
-    }
-
-    /// The log this observer fills.
-    pub fn log(&self) -> ObservationLog {
-        self.config.log.clone()
     }
 }
 
@@ -905,14 +849,15 @@ mod tests {
             .rounds(5)
             .interval_ns(42)
             .watchdog_ns(7)
-            .sharded(4)
-            .adaptive()
+            .grouped(vec![("g".into(), vec!["a".into()])])
             .notify_done("waiter", "done");
         assert_eq!(c.max_rounds, Some(5));
         assert_eq!(c.interval_ns, 42);
         assert_eq!(c.watchdog_ns, 7);
-        assert_eq!(c.topology, ObserverTopology::Sharded { regions: 4 });
-        assert!(c.sampling.is_some());
+        assert_eq!(
+            c.groups,
+            Some(vec![("g".to_string(), vec!["a".to_string()])])
+        );
         assert_eq!(
             c.notify_done,
             Some(("waiter".to_string(), "done".to_string()))

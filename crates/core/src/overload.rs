@@ -17,7 +17,7 @@
 //! deterministic inproc backend.
 //!
 //! Both policies act at ingress, in the shared
-//! [`ComponentRuntime`](crate::ComponentRuntime) and so identically on
+//! [`ComponentRuntime`](crate::runtime::ComponentRuntime) and so identically on
 //! every backend ([`OverloadPolicy::DropOldest`],
 //! [`OverloadPolicy::DeadlineDrop`]): they apply when the component pops
 //! a data message from one of its own provided interfaces. Drop-oldest

@@ -28,7 +28,7 @@ pub fn resolve_workers(workers: usize) -> usize {
 
 /// The M:N executor platform: components become fibers on a fixed
 /// work-stealing worker pool, so component count scales past OS thread
-/// limits (10 000+ components deploy and run).
+/// limits (10 000+ components deploy and run: `tests/ten_thousand.rs`).
 #[derive(Debug, Clone, Default)]
 pub struct ExecPlatform {
     /// Requested pool size; see [`resolve_workers`].

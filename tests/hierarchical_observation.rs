@@ -1,6 +1,6 @@
-//! Hierarchical observation end-to-end: deterministic adaptive-sampling
-//! schedules on the in-process backend (including under injected
-//! faults), and region attribution of watchdog stall records.
+//! Hierarchical observation end-to-end: deterministic schedules of the
+//! grouped observer tree on the in-process backend (including under
+//! injected faults), and region attribution of watchdog stall records.
 
 use bytes::Bytes;
 use embera::behavior::behavior_fn;
@@ -10,12 +10,12 @@ use embera_smp::SmpPlatform;
 use embera_trace::{EventKind, TraceCollector, TraceEvent};
 
 /// Run a traced source -> relay -> sink pipeline on inproc under a
-/// two-region adaptive observer tree and return the full sorted trace.
+/// two-region grouped observer tree and return the full sorted trace.
 /// The `waiter` is deployed *first* so its parked recv pulls the
 /// observer tree through the demand-driven scheduler while application
 /// components are still being started — observation interleaves with
 /// the run instead of trailing it.
-fn traced_adaptive_run(faults: Option<FaultPlan>) -> Vec<TraceEvent> {
+fn traced_grouped_run(faults: Option<FaultPlan>) -> Vec<TraceEvent> {
     const MSGS: u32 = 30;
     let collector = TraceCollector::new(1 << 14);
     let mut app = AppBuilder::new("adaptive-trace");
@@ -76,7 +76,6 @@ fn traced_adaptive_run(faults: Option<FaultPlan>) -> Vec<TraceEvent> {
                 ),
                 ("right".to_string(), vec!["sink".into()]),
             ])
-            .adaptive()
             .interval_ns(10_000)
             .notify_done("waiter", "done"),
     );
@@ -97,18 +96,17 @@ fn obs_served(trace: &[TraceEvent]) -> Vec<TraceEvent> {
 }
 
 #[test]
-fn adaptive_sampling_schedule_is_deterministic_on_inproc() {
+fn grouped_schedule_is_deterministic_on_inproc() {
     // Two identical runs must produce the *same* observation schedule:
-    // adaptive sampling is pure round-counter arithmetic over health
-    // replies, and on the logical-clock backend that makes the whole
-    // `ObsServed` event sequence — timestamps included — reproducible
-    // bit-for-bit.
-    let a = traced_adaptive_run(None);
-    let b = traced_adaptive_run(None);
+    // every round polls every member of the group, and on the
+    // logical-clock backend that makes the whole `ObsServed` event
+    // sequence — timestamps included — reproducible bit-for-bit.
+    let a = traced_grouped_run(None);
+    let b = traced_grouped_run(None);
     let (sa, sb) = (obs_served(&a), obs_served(&b));
     assert!(
         !sa.is_empty(),
-        "adaptive observation produced no ObsServed events"
+        "grouped observation produced no ObsServed events"
     );
     assert_eq!(sa, sb, "observation schedule varies between runs");
     // Not just the schedule: the complete interleaved trace is identical.
@@ -116,13 +114,13 @@ fn adaptive_sampling_schedule_is_deterministic_on_inproc() {
 }
 
 #[test]
-fn adaptive_sampling_stays_deterministic_under_injected_fault() {
+fn grouped_schedule_stays_deterministic_under_injected_fault() {
     // A corrupted message perturbs payloads without losing any (the
     // pipeline still completes); the fault counting lives in the shared
     // runtime, so two faulted runs must still agree event-for-event.
     let plan = || FaultPlan::new().corrupt_message("source", "out", 3);
-    let a = traced_adaptive_run(Some(plan()));
-    let b = traced_adaptive_run(Some(plan()));
+    let a = traced_grouped_run(Some(plan()));
+    let b = traced_grouped_run(Some(plan()));
     assert!(
         a.iter().any(|e| e.kind == EventKind::FaultInjected),
         "fault plan never fired"
