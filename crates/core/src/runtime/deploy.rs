@@ -191,23 +191,9 @@ impl Flow {
         &self.completion
     }
 
-    /// A second, policy-free runtime over the same engine and stats,
-    /// for backends that answer introspection from outside the
-    /// component's own flow.
-    pub fn servicer<T: Transport>(&self, transport: T) -> ComponentRuntime<T> {
-        ComponentRuntime::new(
-            transport,
-            self.engine.clone(),
-            None,
-            Arc::clone(&self.completion),
-        )
-    }
-
-    /// The component's runtime over `transport`, and its behavior.
-    pub fn into_runtime<T: Transport>(
-        self,
-        transport: T,
-    ) -> (ComponentRuntime<T>, Box<dyn Behavior>) {
+    /// Run the component on the current execution flow until the
+    /// application shuts down.
+    pub fn run<T: Transport>(self, transport: T) {
         let mut runtime =
             ComponentRuntime::new(transport, self.engine, self.trace, self.completion);
         runtime.set_restart_policy(self.restart);
@@ -215,14 +201,7 @@ impl Flow {
         if let Some(plan) = &self.faults {
             runtime.set_fault_plan(plan);
         }
-        (runtime, self.behavior)
-    }
-
-    /// Run the component on the current execution flow until the
-    /// application shuts down.
-    pub fn run<T: Transport>(self, transport: T) {
-        let (runtime, behavior) = self.into_runtime(transport);
-        runtime.run_to_completion(behavior);
+        runtime.run_to_completion(self.behavior);
     }
 }
 
@@ -245,7 +224,7 @@ pub trait Backend {
     fn memory_bytes(&self, spec: &ComponentSpec, has_observer: bool) -> u64;
 
     /// Give the component wired by `wiring` its execution flow (thread,
-    /// fiber, task, or a slot to be run later).
+    /// fiber or simulated task).
     fn spawn(&mut self, wiring: Wiring<Self::Endpoint>, flow: Flow) -> Result<(), EmberaError>;
 }
 

@@ -308,11 +308,10 @@ impl<P: Parker> Transport for HostTransport<P> {
         self.parker.park(deadline_ns);
     }
 
-    fn park_quiescent(&mut self) -> bool {
+    fn park_quiescent(&mut self) {
         // No poll interval: a push to the introspection mailbox (or
         // shutdown) wakes the component.
         self.parker.park(None);
-        true
     }
 
     fn delay(&mut self, ns: u64) {

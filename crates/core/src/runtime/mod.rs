@@ -18,14 +18,14 @@
 //! [`ComponentRuntime`] and therefore expose byte-for-byte identical
 //! observation semantics. `embera-os21` implements `Transport` over
 //! EMBX distributed objects and simulated-kernel event waits,
-//! `embera-inproc` over plain `VecDeque`s on a single thread; the two
-//! host backends — `embera-smp` (one thread per component) and
-//! `embera-exec` (fibers on a worker pool) — share one
-//! [`HostTransport`] over [`Fifo`] mailboxes and differ only in their
-//! [`Parker`]. Its steady-state send and receive take no
-//! application-wide lock (the payload pool is sharded by thread, a
-//! mailbox is shared by its two ends only) and hash no name with
-//! SipHash.
+//! `embera-inproc` over [`Fifo`] mailboxes and fibers that take turns
+//! on the calling thread under a logical clock; the two host backends
+//! — `embera-smp` (one thread per component) and `embera-exec` (fibers
+//! on a worker pool) — share one [`HostTransport`] over [`Fifo`]
+//! mailboxes and differ only in their [`Parker`]. Its steady-state
+//! send and receive take no application-wide lock (the payload pool is
+//! sharded by thread, a mailbox is shared by its two ends only) and
+//! hash no name with SipHash.
 //!
 //! # The waiting contract
 //!
@@ -57,7 +57,7 @@
 //! anything. Every other transport — the default — sends the
 //! [`Message::ObsRequest`] into the target's `introspection` mailbox,
 //! the target's runtime answers at its next communication point
-//! ([`ComponentRuntime::service_introspection`]) and the reply arrives
+//! (`ComponentRuntime::service_introspection`) and the reply arrives
 //! as a message. The simulated platforms keep that path on purpose:
 //! there the cost of observation traffic is part of what is measured.
 //! Either way the served poll is traced as
@@ -188,15 +188,15 @@ pub trait Transport {
     /// platform time — a timeout. May wake spuriously or early (see the
     /// module's waiting contract). `provided` names the interfaces the
     /// behavior is receiving on, in the order it scans them (one for
-    /// `recv`, several for [`Ctx::recv_any_message`]), for schedulers
-    /// that start their producers on demand; it is never empty.
+    /// `recv`, several for [`Ctx::recv_any_message`]), so that a backend
+    /// that diagnoses deadlocks can name the receive set; it is never
+    /// empty.
     fn park_recv(&mut self, provided: &[&str], deadline_ns: Option<u64>);
 
     /// Block in the post-behavior quiescent loop until there may be
-    /// introspection work or shutdown. Returning `false` ends the
-    /// quiescent service (for run-to-completion backends with no way to
-    /// wait); `true` lets the loop re-check.
-    fn park_quiescent(&mut self) -> bool;
+    /// introspection work or shutdown (spurious returns allowed: the
+    /// loop re-checks).
+    fn park_quiescent(&mut self);
 
     /// Account a completed [`Work`] annotation: advances virtual time on
     /// simulated backends; free (the default) where real code runs on
@@ -265,7 +265,7 @@ impl<T: Transport> ComponentRuntime<T> {
     /// Runtime for the component whose shared stats `engine` answers
     /// introspection over. Backends get theirs from the deploy skeleton
     /// ([`Flow`]).
-    pub fn new(
+    fn new(
         transport: T,
         engine: ObsEngine,
         trace: Option<Box<dyn TraceSink>>,
@@ -285,25 +285,25 @@ impl<T: Transport> ComponentRuntime<T> {
     }
 
     /// The component's name.
-    pub fn name(&self) -> &str {
+    fn name(&self) -> &str {
         self.stats.name()
     }
 
     /// Attach the component's restart policy
     /// ([`crate::ComponentSpec::restart`]).
-    pub fn set_restart_policy(&mut self, policy: Option<RestartPolicy>) {
+    fn set_restart_policy(&mut self, policy: Option<RestartPolicy>) {
         self.restart = policy;
     }
 
     /// Extract this component's slice of the application's
     /// fault-injection plan ([`crate::AppSpec::faults`](crate::AppSpec)).
-    pub fn set_fault_plan(&mut self, plan: &FaultPlan) {
+    fn set_fault_plan(&mut self, plan: &FaultPlan) {
         self.faults = plan.for_component(self.stats.name());
     }
 
     /// Attach the component's overload policy
     /// ([`crate::ComponentSpec::overload`]).
-    pub fn set_overload_policy(&mut self, policy: Option<OverloadPolicy>) {
+    fn set_overload_policy(&mut self, policy: Option<OverloadPolicy>) {
         self.overload = policy;
     }
 
@@ -328,7 +328,7 @@ impl<T: Transport> ComponentRuntime<T> {
     /// Called at every communication point and from the quiescent loop,
     /// so an observer can query a component that is blocked in `recv` or
     /// long since finished.
-    pub fn service_introspection(&mut self) {
+    fn service_introspection(&mut self) {
         while let Some(msg) = self.transport.poll_obs() {
             let Message::ObsRequest { from: _, request } = msg else {
                 continue; // stray traffic on the observation inbox
@@ -364,7 +364,7 @@ impl<T: Transport> ComponentRuntime<T> {
     /// A panic inside the behavior is caught and attributed as
     /// [`EmberaError::BehaviorPanic`] — it never unwinds into the
     /// backend's execution-flow machinery.
-    pub fn run_behavior(&mut self, behavior: &mut dyn Behavior) -> Result<(), EmberaError> {
+    fn run_behavior(&mut self, behavior: &mut dyn Behavior) -> Result<(), EmberaError> {
         self.stats.mark_started(self.transport.now_ns());
         self.emit(self.transport.now_ns(), TraceEventKind::BehaviorStart, 0, 0);
         let outcome = {
@@ -399,7 +399,7 @@ impl<T: Transport> ComponentRuntime<T> {
     /// component keeps answering introspection requests until the whole
     /// application terminates (paper §4.2 — finished components remain
     /// observable).
-    pub fn serve_quiescent(&mut self) {
+    fn serve_quiescent(&mut self) {
         while !self.transport.is_shutdown() {
             self.service_introspection();
             // Re-check before parking: a shutdown signalled while we were
@@ -408,9 +408,7 @@ impl<T: Transport> ComponentRuntime<T> {
             if self.transport.is_shutdown() {
                 break;
             }
-            if !self.transport.park_quiescent() {
-                break;
-            }
+            self.transport.park_quiescent();
         }
     }
 
@@ -418,7 +416,7 @@ impl<T: Transport> ComponentRuntime<T> {
     /// policy, if any), termination accounting, quiescent observation
     /// service, exit hook. This is what a backend runs in the
     /// component's thread/task/turn.
-    pub fn run_to_completion(mut self, mut behavior: Box<dyn Behavior>) {
+    fn run_to_completion(mut self, mut behavior: Box<dyn Behavior>) {
         let mut restarts: u32 = 0;
         let result = loop {
             let result = self.run_behavior(behavior.as_mut());
@@ -812,9 +810,8 @@ mod tests {
                 }
             };
         }
-        fn park_quiescent(&mut self) -> bool {
+        fn park_quiescent(&mut self) {
             self.shutdown = true;
-            true
         }
         fn inbox_depth(&self, provided: &str) -> u64 {
             self.inboxes

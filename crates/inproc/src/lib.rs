@@ -1,48 +1,45 @@
 //! # embera-inproc — the in-process deterministic backend for EMBera
 //!
-//! A third deployment target beside `embera-smp` (host threads) and
-//! `embera-os21` (simulated MPSoC): every component runs on the
-//! *calling* thread under a depth-first, demand-driven scheduler, with
-//! plain `VecDeque`s for mailboxes and a logical clock advanced by a
-//! fixed cost model. No OS threads, no simulator, no real time — two
-//! runs of the same application produce byte-identical reports, which
-//! makes this the backend of choice for unit tests and for debugging
-//! component logic under a debugger (one stack, no interleaving).
+//! A deployment target beside `embera-smp` (host threads), `embera-exec`
+//! (fibers on a worker pool) and `embera-os21` (simulated MPSoC): every
+//! component is a fiber that runs on the *calling* thread, one at a
+//! time, with [`Fifo`](embera::runtime::Fifo) mailboxes and a logical
+//! clock advanced by a fixed cost model. No worker threads, no
+//! simulator, no real time — two runs of the same application produce
+//! byte-identical reports, which makes this the backend of choice for
+//! unit tests and the determinism oracle of the others.
 //!
 //! The backend exists to demonstrate the runtime/transport split: it
 //! contributes only message movement and a scheduling policy, while all
 //! observation semantics — introspection service, statistics recording,
 //! the error contract, quiescent observability — come verbatim from
-//! [`embera::runtime::ComponentRuntime`]. `tests/conformance.rs` in the
-//! workspace root pins that the three backends are indistinguishable
-//! through the `Ctx` API.
+//! [`embera::runtime::ComponentRuntime`], whose flow body (quiescent
+//! loop included) each fiber runs as the other backends do.
+//! `tests/conformance.rs` in the workspace root pins that the four
+//! backends are indistinguishable through the `Ctx` API.
 //!
 //! ## Scheduling model
 //!
-//! Components start in deployment order. When a running component
-//! blocks in `recv`, the scheduler runs — *to completion* — a
-//! not-yet-started component that feeds the parked interface, then any
-//! other not-yet-started application component; pending introspection
-//! requests are answered between these steps, so a component blocked on
-//! an observation reply makes progress even while its target is
-//! mid-execution on the stack below. When nothing can produce a
-//! message, a timed receive jumps the clock to its deadline and a
-//! blocking receive is declared a deadlock (the application fails with
-//! a named [`EmberaError::Platform`](embera::EmberaError) error).
+//! [`RunningApp::wait`](embera::RunningApp::wait) is the scheduler loop.
+//! The run queue starts with every component in deployment order; the
+//! head runs until it parks — in a receive with nothing to take, or in
+//! the quiescent loop after its behavior returned — or its flow ends.
+//! A push into a parked component's mailbox, data or introspection,
+//! appends it to the queue, and so does shutdown, for every parked
+//! component. When the queue is empty, the parked component with the
+//! earliest deadline (ties: the lowest index) is woken and the clock
+//! jumps to that deadline. With no deadline armed either, nothing can
+//! ever run again: the lowest-index component parked in a receive is
+//! resumed to fail the application with a named
+//! [`EmberaError::Platform`](embera::EmberaError) deadlock and shut it
+//! down.
 //!
-//! ## Limitations (inherent to one stack)
-//!
-//! * A component started to unblock another runs to completion first —
-//!   behaviors must terminate or block in `recv` (a `while
-//!   !ctx.should_stop()` spin loop never yields and hangs the run).
-//! * Mutual request/response between two components is ordering
-//!   sensitive: deploy the component that *blocks first* before the one
-//!   that queries it. Pipelines (acyclic wait-for graphs) work in any
-//!   order.
-//! * The paper's polling observer degenerates: application components
-//!   typically run to completion before it starts, so it observes the
-//!   quiescent tail only. Direct introspection requests (the
-//!   conformance suite's pattern) are fully supported.
+//! So a polling observer sees components mid-run, as on every other
+//! backend, and request/response pairs work in either deployment order.
+//! With an unbounded polling observer, a stuck application runs until
+//! something stops it, as on smp, exec and os21, and the observer's
+//! watchdog is what reports it. A behavior that never reaches a
+//! communication point never yields, which is also true on os21.
 
 pub mod platform;
 mod transport;

@@ -1,20 +1,15 @@
 //! Deployment of EMBera applications onto the calling thread.
 
-use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
-use std::rc::Rc;
 use std::sync::Arc;
 
-use embera::runtime::{self, Backend, Deployed, Flow, Wiring};
-use embera::{
-    is_observer_component, AppReport, AppSpec, ComponentSpec, EmberaError, Platform, RunningApp,
-    INTROSPECTION,
-};
+use embera::runtime::{self, Backend, Deployed, Fifo, Flow, Wiring};
+use embera::{AppReport, AppSpec, ComponentSpec, EmberaError, Platform, RunningApp};
+use embera_fiber::{Fiber, Resume};
 
-use crate::transport::{start_component, InprocTransport, Queue, Servicer, Shared};
+use crate::transport::{InprocTransport, Shared};
 
 /// The in-process deterministic platform (see the crate docs for the
-/// scheduling model and its limitations).
+/// scheduling model).
 #[derive(Debug, Clone, Default)]
 pub struct InprocPlatform;
 
@@ -29,25 +24,27 @@ impl InprocPlatform {
 /// components run inside [`RunningApp::wait`] on the calling thread.
 pub struct InprocRunning {
     deployed: Deployed,
-    shared: Rc<Shared>,
+    shared: Arc<Shared>,
+    /// One per component, in deployment order.
+    fibers: Vec<Fiber>,
 }
 
-/// One scheduler slot and one introspection servicer per component,
-/// over shared `VecDeque` queues.
-struct SlotBackend {
-    shared: Rc<Shared>,
+/// One fiber per component over [`Fifo`] mailboxes owned by its index.
+struct FiberBackend {
+    shared: Arc<Shared>,
+    fibers: Vec<Fiber>,
 }
 
-impl Backend for SlotBackend {
-    type Endpoint = Queue;
+impl Backend for FiberBackend {
+    type Endpoint = Fifo;
 
     fn make_endpoint(
         &mut self,
-        _component: usize,
+        component: usize,
         _spec: &ComponentSpec,
         _iface: &str,
-    ) -> Result<Queue, EmberaError> {
-        Ok(Queue::default())
+    ) -> Result<Fifo, EmberaError> {
+        Ok(Fifo::new(component))
     }
 
     fn memory_bytes(&self, spec: &ComponentSpec, _has_observer: bool) -> u64 {
@@ -56,28 +53,16 @@ impl Backend for SlotBackend {
         spec.stack_bytes
     }
 
-    fn spawn(&mut self, wiring: Wiring<Queue>, flow: Flow) -> Result<(), EmberaError> {
-        let inbox = wiring.provided[INTROSPECTION].clone();
-        // Only the main flow accounts CPU time into the shared stats
-        // (the servicer would otherwise clobber it with its own).
-        let transport = |account_cpu, wiring| InprocTransport {
-            account_cpu,
+    fn spawn(&mut self, wiring: Wiring<Fifo>, flow: Flow) -> Result<(), EmberaError> {
+        let transport = InprocTransport {
             wiring,
             cpu_ns: 0,
-            shared: Rc::clone(&self.shared),
+            shared: Arc::clone(&self.shared),
             completion: Arc::clone(flow.completion()),
         };
-        let side = transport(false, wiring.clone());
-        self.shared.servicers.borrow_mut().push(Servicer {
-            inbox,
-            runtime: RefCell::new(flow.servicer(side)),
-        });
-        let main = transport(true, wiring);
-        let (runtime, behavior) = flow.into_runtime(main);
-        self.shared
-            .slots
-            .borrow_mut()
-            .push(Some((Box::new(runtime), behavior)));
+        let stack_bytes = flow.stack_bytes as usize;
+        self.fibers
+            .push(Fiber::spawn(stack_bytes, move || flow.run(transport)));
         Ok(())
     }
 }
@@ -86,52 +71,33 @@ impl Platform for InprocPlatform {
     type Running = InprocRunning;
 
     fn deploy(&mut self, spec: AppSpec) -> Result<InprocRunning, EmberaError> {
-        // Record who feeds which inbox for the demand-driven scheduler.
-        let mut producers: HashMap<(String, String), Vec<usize>> = HashMap::new();
-        for conn in &spec.connections {
-            if let Some(from_idx) = spec.component_index(&conn.from.component) {
-                producers
-                    .entry((conn.to.component.clone(), conn.to.interface.clone()))
-                    .or_default()
-                    .push(from_idx);
-            }
-        }
-        let observers: Vec<bool> = spec
-            .components
-            .iter()
-            .map(|c| is_observer_component(&c.name))
-            .collect();
-        let shared = Rc::new(Shared {
-            clock: Cell::new(0),
-            shutdown: Cell::new(false),
-            // Pre-size from the component count: every component pushes
-            // one slot and one servicer during deployment, so the
-            // scheduler tables never reallocate mid-run.
-            slots: RefCell::new(Vec::with_capacity(observers.len())),
-            servicers: RefCell::new(Vec::with_capacity(observers.len())),
-            producers,
-            observers,
-        });
-        let mut backend = SlotBackend {
-            shared: Rc::clone(&shared),
+        let components = spec.components.len();
+        let mut backend = FiberBackend {
+            shared: Arc::new(Shared::new(components)),
+            fibers: Vec::with_capacity(components),
         };
         let deployed = runtime::deploy(&mut backend, spec)?;
+        let FiberBackend { shared, fibers } = backend;
         // With no application components there is nothing to wait for —
         // start already shut down so an observer exits at once.
-        shared.shutdown.set(deployed.completion().remaining() == 0);
-        Ok(InprocRunning { deployed, shared })
+        if deployed.completion().remaining() == 0 {
+            shared.request_shutdown();
+        }
+        Ok(InprocRunning {
+            deployed,
+            shared,
+            fibers,
+        })
     }
 }
 
 impl RunningApp for InprocRunning {
-    fn wait(self) -> Result<AppReport, EmberaError> {
-        // Start components in deployment order; each nested park may
-        // have started later ones already, so re-scan after every run.
-        loop {
-            let next = self.shared.slots.borrow().iter().position(Option::is_some);
-            match next {
-                Some(i) => start_component(&self.shared, i),
-                None => break,
+    fn wait(mut self) -> Result<AppReport, EmberaError> {
+        // The scheduler loop: resume whoever is next until every fiber
+        // has returned.
+        while let Some(i) = self.shared.next() {
+            if self.fibers[i].resume() == Resume::Finished {
+                self.shared.finished(i);
             }
         }
         // Every behavior has returned, so this does not block.
@@ -139,12 +105,7 @@ impl RunningApp for InprocRunning {
             .deployed
             .completion()
             .wait_app_done()
-            .unwrap_or_else(|| self.shared.clock.get());
-        self.shared.shutdown.set(true);
-        // Slots and servicers hold transports that hold `shared` — clear
-        // them to break the Rc cycles before dropping.
-        self.shared.slots.borrow_mut().clear();
-        self.shared.servicers.borrow_mut().clear();
+            .unwrap_or_else(|| self.shared.now());
         self.deployed.report(wall_time_ns)
     }
 }
@@ -154,7 +115,7 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use embera::behavior::behavior_fn;
-    use embera::AppBuilder;
+    use embera::{AppBuilder, ObserverConfig};
 
     fn pipe_app() -> AppSpec {
         let mut app = AppBuilder::new("pipe");
@@ -200,8 +161,8 @@ mod tests {
 
     #[test]
     fn consumer_first_demand_starts_its_producer() {
-        // Same pipeline, consumer deployed first: its blocking recv must
-        // pull the producer in rather than deadlock.
+        // Same pipeline, consumer deployed first: it parks until the
+        // producer, next in the run queue, pushes and wakes it.
         let mut app = AppBuilder::new("pull");
         app.add(
             ComponentSpec::new("dst", behavior_fn(|ctx| ctx.recv("in").map(|_| ())))
@@ -256,6 +217,28 @@ mod tests {
             panic!()
         };
         assert!(msg.contains("deadlock") && msg.contains("alone"), "{msg}");
+    }
+
+    #[test]
+    fn deadlock_is_named_once_the_observer_stops_polling() {
+        // The observer's armed timer keeps the run alive: the deadlock is
+        // declared only after its last round.
+        let mut app = AppBuilder::new("stuck-observed");
+        app.add(
+            ComponentSpec::new("alone", behavior_fn(|ctx| ctx.recv("in").map(|_| ())))
+                .with_provided("in"),
+        );
+        let log = app.with_observer(ObserverConfig::default().interval_ns(1_000).rounds(3));
+        let err = InprocPlatform::new()
+            .deploy(app.build().unwrap())
+            .unwrap()
+            .wait()
+            .unwrap_err();
+        let EmberaError::Platform(msg) = err else {
+            panic!()
+        };
+        assert!(msg.contains("deadlock") && msg.contains("alone"), "{msg}");
+        assert_eq!(log.len(), 3);
     }
 
     #[test]

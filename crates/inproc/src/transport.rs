@@ -1,18 +1,18 @@
-//! The in-process [`Transport`]: `VecDeque` queues, a logical clock
-//! with a fixed deterministic cost model, and a depth-first
-//! demand-driven scheduler in place of parking. All observation and
-//! `Ctx` logic lives in [`embera::runtime::ComponentRuntime`]; this
-//! module only moves messages, advances the clock, and decides which
-//! component runs next.
+//! The in-process [`Transport`] and the run queue it parks on: [`Fifo`]
+//! mailboxes, a logical clock with a fixed deterministic cost model, and
+//! a park that yields the component's fiber back to the scheduler loop
+//! ([`Shared::next`]). All observation and `Ctx` logic lives in
+//! [`embera::runtime::ComponentRuntime`]; this module only moves
+//! messages, advances the clock, and decides which component runs next.
 
-use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, VecDeque};
-use std::rc::Rc;
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use embera::behavior::Behavior;
-use embera::runtime::{Completion, ComponentRuntime, Transport, Wiring};
+use embera::runtime::{Completion, Fifo, Transport, Wiring};
 use embera::{EmberaError, Message, Work, INTROSPECTION};
+use embera_fiber::fiber_yield;
+use parking_lot::Mutex;
 
 /// Deterministic cost model: a send is a queue push plus an envelope
 /// hand-over, a receive is a pop; both scale mildly with payload size.
@@ -21,122 +21,156 @@ use embera::{EmberaError, Message, Work, INTROSPECTION};
 pub(crate) const SEND_BASE_NS: u64 = 200;
 pub(crate) const RECV_BASE_NS: u64 = 100;
 
-/// One component's provided-interface queue.
-pub(crate) type Queue = Rc<RefCell<VecDeque<Message>>>;
-
-/// A deployed component that has not started yet: everything needed to
-/// run it. `None` once its behavior is on the stack (possibly parked in
-/// `recv`) or has returned.
-pub(crate) type Slot = Option<(Box<ComponentRuntime<InprocTransport>>, Box<dyn Behavior>)>;
-
-/// A per-component introspection servicer: a second [`ComponentRuntime`]
-/// over the same queues, engine and stats, used by the scheduler to
-/// answer observation requests addressed to a component that is
-/// mid-execution deeper on the stack (or long finished). This is the
-/// single-threaded equivalent of the other backends' "service at every
-/// communication point and while quiescent" guarantee.
-pub(crate) struct Servicer {
-    /// The component's introspection inbox, peeked to detect pending work.
-    pub(crate) inbox: Queue,
-    pub(crate) runtime: RefCell<ComponentRuntime<InprocTransport>>,
+/// Where a component's fiber is, as far as the scheduler cares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum State {
+    /// In the run queue, or the one running.
+    Runnable,
+    /// Yielded in `park_recv` (`recv`) or `park_quiescent`, until a
+    /// push to one of its mailboxes, a shutdown, or its deadline.
+    Parked { deadline: Option<u64>, recv: bool },
+    /// Resumed to report that the application is deadlocked.
+    Deadlocked,
+    /// Its flow returned.
+    Done,
 }
 
-/// Application-wide state shared by every transport clone.
+struct Sched {
+    /// Components to resume, in the order they became runnable.
+    queue: VecDeque<usize>,
+    state: Vec<State>,
+}
+
+/// Application-wide state, shared by every transport and the scheduler
+/// loop. Atomics and a mutex rather than cells: [`embera_fiber::Fiber`]
+/// bodies must be `Send`, and the thread-backed fiber oracle
+/// (`EMBERA_EXEC_FIBER=thread`) runs them on other threads — one at a
+/// time, so nothing here is ever contended. The atomics are `Relaxed`:
+/// they publish no other data, and the resume/yield hand-off between
+/// the scheduler and a fiber (a mutex on the thread oracle) orders
+/// every access to them.
 pub(crate) struct Shared {
     /// The logical clock, ns. Advanced only by the cost model and by
-    /// timed-receive deadline jumps — never by wall time.
-    pub(crate) clock: Cell<u64>,
-    pub(crate) shutdown: Cell<bool>,
-    /// One slot per component, in deployment order. Populated after
-    /// `Rc::new(Shared)` because slots hold transports that hold this.
-    pub(crate) slots: RefCell<Vec<Slot>>,
-    pub(crate) servicers: RefCell<Vec<Servicer>>,
-    /// `(consumer component, provided interface) -> producer slot
-    /// indices`, from the connection list: who can feed a parked recv.
-    pub(crate) producers: HashMap<(String, String), Vec<usize>>,
-    /// Per-slot observer flag (root or regional observer components),
-    /// excluded from demand-starts of unrelated components (a polling
-    /// loop would not return). Observers are still demand-started when
-    /// a parked component waits on an interface they feed — that is
-    /// what pulls the observer tree through on this backend.
-    pub(crate) observers: Vec<bool>,
+    /// timer wakes — never by wall time.
+    clock: AtomicU64,
+    shutdown: AtomicBool,
+    sched: Mutex<Sched>,
 }
 
-/// Run an unstarted component to completion on the current stack.
-/// No-op if it already started.
-pub(crate) fn start_component(shared: &Rc<Shared>, idx: usize) {
-    let Some((runtime, behavior)) = shared.slots.borrow_mut()[idx].take() else {
-        return;
-    };
-    // Depth-first: control returns only once this component's behavior
-    // has finished (its own parks recurse into the scheduler).
-    runtime.run_to_completion(behavior);
-}
-
-/// First not-yet-started component connected into `consumer`'s
-/// `provided` interface.
-fn next_unstarted_producer(shared: &Shared, consumer: &str, provided: &str) -> Option<usize> {
-    let producers = shared
-        .producers
-        .get(&(consumer.to_string(), provided.to_string()))?;
-    let slots = shared.slots.borrow();
-    producers.iter().copied().find(|&i| slots[i].is_some())
-}
-
-/// First not-yet-started application (non-observer) component.
-fn next_unstarted_app_component(shared: &Shared) -> Option<usize> {
-    let slots = shared.slots.borrow();
-    (0..slots.len()).find(|&i| !shared.observers[i] && slots[i].is_some())
-}
-
-/// Answer every pending introspection request in the application via
-/// the per-component servicers. Returns true if any request was
-/// answered (progress a parked component may be waiting on).
-fn pump_introspection(shared: &Shared) -> bool {
-    let mut progressed = false;
-    for s in shared.servicers.borrow().iter() {
-        let pending = !s.inbox.borrow().is_empty();
-        if pending {
-            s.runtime.borrow_mut().service_introspection();
-            progressed = true;
+impl Shared {
+    /// `components` components, all runnable in deployment order.
+    pub(crate) fn new(components: usize) -> Shared {
+        Shared {
+            clock: AtomicU64::new(0),
+            shutdown: AtomicBool::new(false),
+            sched: Mutex::new(Sched {
+                queue: (0..components).collect(),
+                state: vec![State::Runnable; components],
+            }),
         }
     }
-    progressed
+
+    pub(crate) fn now(&self) -> u64 {
+        self.clock.load(Ordering::Relaxed)
+    }
+
+    fn advance(&self, ns: u64) {
+        self.clock.fetch_add(ns, Ordering::Relaxed);
+    }
+
+    /// Make component `i` runnable if it is parked.
+    fn wake(&self, i: usize) {
+        let mut s = self.sched.lock();
+        if let State::Parked { .. } = s.state[i] {
+            s.state[i] = State::Runnable;
+            s.queue.push_back(i);
+        }
+    }
+
+    /// Set the shutdown flag and make every parked component runnable,
+    /// in index order.
+    pub(crate) fn request_shutdown(&self) {
+        self.shutdown.store(true, Ordering::Relaxed);
+        let mut s = self.sched.lock();
+        for i in 0..s.state.len() {
+            if let State::Parked { .. } = s.state[i] {
+                s.state[i] = State::Runnable;
+                s.queue.push_back(i);
+            }
+        }
+    }
+
+    /// Yield component `i`'s fiber until the scheduler resumes it.
+    /// Returns true when it was resumed to report a deadlock.
+    fn park(&self, i: usize, deadline: Option<u64>, recv: bool) -> bool {
+        self.sched.lock().state[i] = State::Parked { deadline, recv };
+        fiber_yield();
+        let mut s = self.sched.lock();
+        let deadlocked = s.state[i] == State::Deadlocked;
+        s.state[i] = State::Runnable;
+        deadlocked
+    }
+
+    /// Component `i`'s flow returned.
+    pub(crate) fn finished(&self, i: usize) {
+        self.sched.lock().state[i] = State::Done;
+    }
+
+    /// The component to resume next: the head of the run queue; else
+    /// the parked component with the earliest deadline (ties: lowest
+    /// index), with the clock moved up to that deadline; else — nothing
+    /// can ever wake anybody — the lowest-index component parked in a
+    /// receive, to report the deadlock. `None` once no fiber is left to
+    /// resume.
+    pub(crate) fn next(&self) -> Option<usize> {
+        let mut s = self.sched.lock();
+        if let Some(i) = s.queue.pop_front() {
+            return Some(i);
+        }
+        let parked = s.state.iter().enumerate().filter_map(|(i, st)| match *st {
+            State::Parked { deadline, recv } => Some((i, deadline, recv)),
+            _ => None,
+        });
+        let timer = parked.clone().filter_map(|(i, d, _)| Some((d?, i))).min();
+        if let Some((deadline, i)) = timer {
+            self.clock.fetch_max(deadline, Ordering::Relaxed);
+            s.state[i] = State::Runnable;
+            return Some(i);
+        }
+        let (i, ..) = parked.clone().find(|&(.., recv)| recv)?;
+        s.state[i] = State::Deadlocked;
+        Some(i)
+    }
 }
 
 pub(crate) struct InprocTransport {
-    /// True on the component's main runtime, false on its introspection
-    /// servicer: whether `charge` accounts CPU time into the stats.
-    pub(crate) account_cpu: bool,
-    pub(crate) wiring: Wiring<Queue>,
+    pub(crate) wiring: Wiring<Fifo>,
     /// Logical ns this component's own operations have consumed.
     pub(crate) cpu_ns: u64,
-    pub(crate) shared: Rc<Shared>,
+    pub(crate) shared: Arc<Shared>,
     /// Where a diagnosed deadlock is reported.
     pub(crate) completion: Arc<Completion>,
 }
 
 impl InprocTransport {
     fn charge(&mut self, ns: u64) {
-        self.shared.clock.set(self.shared.clock.get() + ns);
+        self.shared.advance(ns);
         self.cpu_ns += ns;
-        if self.account_cpu {
-            self.wiring.stats.set_cpu_time_ns(self.cpu_ns);
-        }
+        self.wiring.stats.set_cpu_time_ns(self.cpu_ns);
     }
 }
 
 impl Transport for InprocTransport {
     fn now_ns(&self) -> u64 {
-        self.shared.clock.get()
+        self.shared.now()
     }
 
     fn is_shutdown(&self) -> bool {
-        self.shared.shutdown.get()
+        self.shared.shutdown.load(Ordering::Relaxed)
     }
 
     fn request_shutdown(&mut self) {
-        self.shared.shutdown.set(true);
+        self.shared.request_shutdown();
     }
 
     fn has_route(&self, required: &str) -> bool {
@@ -149,18 +183,21 @@ impl Transport for InprocTransport {
 
     fn push(&mut self, required: &str, msg: Message) -> u64 {
         let ns = SEND_BASE_NS + msg.data_len() as u64 / 8;
-        self.charge(ns);
-        self.wiring.routes[required].borrow_mut().push_back(msg);
+        // An observation reply takes platform time, but it is the
+        // runtime's work, not the component's: not charged as CPU.
+        if required == INTROSPECTION {
+            self.shared.advance(ns);
+        } else {
+            self.charge(ns);
+        }
+        let route = &self.wiring.routes[required];
+        route.push(msg);
+        self.shared.wake(route.owner());
         ns
     }
 
     fn try_pop(&mut self, provided: &str) -> Option<(Message, u64)> {
-        let msg = self
-            .wiring
-            .provided
-            .get(provided)?
-            .borrow_mut()
-            .pop_front()?;
+        let msg = self.wiring.provided.get(provided)?.try_pop()?;
         // Introspection requests are drained by the runtime's observation
         // service, not the application — uncharged, as on the MPSoC
         // backend.
@@ -175,61 +212,26 @@ impl Transport for InprocTransport {
     }
 
     fn queued_bytes(&self) -> u64 {
-        self.wiring
-            .provided
-            .values()
-            .map(|q| q.borrow().iter().map(|m| m.data_len() as u64).sum::<u64>())
-            .sum()
+        self.wiring.provided.values().map(Fifo::queued_bytes).sum()
     }
 
     fn park_recv(&mut self, provided: &[&str], deadline_ns: Option<u64>) {
-        // 1. Demand-start: run a not-yet-started producer of a parked
-        //    interface to completion — of the first listed one that
-        //    still has such a producer.
-        let name = self.wiring.stats.name();
-        let unstarted = provided
-            .iter()
-            .find_map(|iface| next_unstarted_producer(&self.shared, name, iface));
-        if let Some(p) = unstarted {
-            start_component(&self.shared, p);
-            return;
-        }
-        // 2. Answer pending introspection anywhere — a component blocked
-        //    on an observation reply progresses even when its target is
-        //    running deeper on this very stack.
-        if pump_introspection(&self.shared) {
-            return;
-        }
-        // 3. Any other unstarted application component may transitively
-        //    unblock us.
-        if let Some(i) = next_unstarted_app_component(&self.shared) {
-            start_component(&self.shared, i);
-            return;
-        }
-        // 4. Nothing in the application can produce a message anymore.
-        match deadline_ns {
-            Some(d) => self.shared.clock.set(self.shared.clock.get().max(d)),
-            None => {
-                let name = self.wiring.stats.name();
-                self.completion.fail(
-                    name,
-                    EmberaError::Platform(format!(
-                        "deadlock: component '{name}' blocked in recv on '{}' with \
-                         no runnable producer (on embera-inproc, deploy a component \
-                         that blocks for a response before the component it queries)",
-                        provided.join("', '")
-                    )),
-                );
-                self.shared.shutdown.set(true);
-            }
+        if self.shared.park(self.wiring.index, deadline_ns, true) {
+            let name = self.wiring.stats.name();
+            self.completion.fail(
+                name,
+                EmberaError::Platform(format!(
+                    "deadlock: component '{name}' blocked in recv on '{}' with \
+                     no component runnable and no timer armed",
+                    provided.join("', '")
+                )),
+            );
+            self.shared.request_shutdown();
         }
     }
 
-    fn park_quiescent(&mut self) -> bool {
-        // Run-to-completion backend: quiescent observability is provided
-        // by this component's servicer (driven from other components'
-        // parks), not by a loop of its own — end the service here.
-        false
+    fn park_quiescent(&mut self) {
+        self.shared.park(self.wiring.index, None, false);
     }
 
     fn compute(&mut self, work: Work) {
@@ -244,21 +246,18 @@ impl Transport for InprocTransport {
     fn delay(&mut self, ns: u64) {
         // Pure latency: the logical clock advances, CPU accounting does
         // not (the component is waiting, not working).
-        self.shared.clock.set(self.shared.clock.get() + ns);
+        self.shared.advance(ns);
     }
 
     fn inbox_depth(&self, provided: &str) -> u64 {
-        self.wiring
-            .provided
-            .get(provided)
-            .map(|q| q.borrow().len() as u64)
-            .unwrap_or(0)
+        let inbox = self.wiring.provided.get(provided);
+        inbox.map_or(0, |q| q.len() as u64)
     }
 
     fn drain_inboxes(&mut self) {
         for (iface, q) in &self.wiring.provided {
             if iface != INTROSPECTION {
-                q.borrow_mut().clear();
+                while q.try_pop().is_some() {}
             }
         }
     }

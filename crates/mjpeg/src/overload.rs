@@ -94,9 +94,10 @@ pub enum Pacing {
     /// threaded backends. The mode benchmarks use.
     RealTime,
     /// Compute annotations: advances virtual time without parking, so
-    /// the run-to-completion inproc backend executes LoadGen first and
-    /// every downstream decision is made against a fully materialized,
-    /// deterministic queue state. The mode determinism tests use.
+    /// on the inproc backend LoadGen, first in the run queue, runs to
+    /// its end before any other stage and every downstream decision is
+    /// made against a fully materialized, deterministic queue state.
+    /// The mode determinism tests use.
     Virtual,
 }
 
@@ -566,10 +567,10 @@ impl Behavior for ScaleControllerBehavior {
     }
 }
 
-/// Build the overload harness application. Deployment order matters on
-/// the run-to-completion inproc backend: LoadGen first (so virtual-paced
-/// load materializes before Fetch drains), then the pipeline stages in
-/// flow order, the controller last.
+/// Build the overload harness application. Deployment order is the
+/// inproc backend's initial run queue: LoadGen first (it never parks
+/// under virtual pacing, so its load materializes before Fetch drains),
+/// then the pipeline stages in flow order, the controller last.
 pub fn build_overload_app(stream: MjpegStream, cfg: &OverloadConfig) -> (AppBuilder, OverloadProbe) {
     assert!(cfg.max_workers >= 1);
     assert!(stream.len() >= 2, "need a config frame plus payload frames");

@@ -198,12 +198,11 @@ impl Transport for Os21Transport {
         }
     }
 
-    fn park_quiescent(&mut self) -> bool {
+    fn park_quiescent(&mut self) {
         // Blocking is purely event-driven (no periodic timeouts): a
         // polling loop would generate virtual-time events forever and
         // mask real deadlocks from the kernel's detector.
         self.task.sim().wait(self.activity);
-        true
     }
 
     fn compute(&mut self, work: Work) {

@@ -92,9 +92,6 @@ fn blocking_recv_after_shutdown_is_terminated() {
     // hang), and the report must carry the *originating* error.
     for (backend, run) in backends() {
         let mut app = AppBuilder::new("failfast");
-        // On inproc, the component that blocks first must be deployed
-        // first (the scheduler then demand-starts the rest); the other
-        // backends are order-insensitive.
         app.add(
             ComponentSpec::new(
                 "waiter",
@@ -248,8 +245,6 @@ fn observe_in_place_equals_the_message_reply() {
         let collected = std::sync::Arc::new(std::sync::Mutex::new(Replies::new()));
         let sink = std::sync::Arc::clone(&collected);
         let mut app = AppBuilder::new("read-vs-message");
-        // First, so that on inproc its blocking receives demand-start
-        // the target.
         app.add(
             ComponentSpec::new(
                 "prober",
@@ -507,7 +502,6 @@ fn recv_any_delivers_in_listed_order_and_waits_on_the_whole_set() {
     const WAIT_NS: u64 = 2_000_000;
     for (backend, run) in backends() {
         let mut app = AppBuilder::new("recv-any");
-        // The component that blocks first comes first (inproc).
         app.add(
             ComponentSpec::new(
                 "cons",
@@ -841,8 +835,8 @@ fn observed_hierarchy_rolls_up_identical_counters_on_every_backend() {
             app.connect(("source", out.as_str()), (relay.as_str(), "in"));
             app.connect((relay.as_str(), "out"), ("sink", "in"));
         }
-        // Deployed after the pipeline: on inproc its parked recv is what
-        // demand-starts the observer tree once the application is done.
+        // Deployed after the pipeline, and kept waiting until the root
+        // observer has seen the whole run.
         app.add(
             ComponentSpec::new("waiter", behavior_fn(|ctx| ctx.recv("done").map(|_| ())))
                 .with_provided("done")
@@ -1069,5 +1063,137 @@ fn deadline_drop_shed_rollup_is_identical_on_every_backend() {
     let first = rollups[0].1;
     for (backend, r) in &rollups {
         assert_eq!(*r, first, "[{backend}] expiry rollup differs");
+    }
+}
+
+/// A producer that waits 1 ms on its own (never fed) `tick` inbox
+/// before each of its 5 sends, into `cons`'s `in`.
+fn paced_producer() -> ComponentSpec {
+    ComponentSpec::new(
+        "prod",
+        behavior_fn(|ctx| {
+            for i in 0..5u32 {
+                assert!(ctx.recv_timeout("tick", 1_000_000)?.is_none());
+                ctx.send("out", Bytes::copy_from_slice(&i.to_le_bytes()))?;
+            }
+            Ok(())
+        }),
+    )
+    .with_provided("tick")
+    .with_required("out")
+    .with_stack_bytes(1 << 20)
+    .on_cpu(1)
+}
+
+/// Takes the paced producer's 5 messages, in order.
+fn paced_consumer() -> ComponentSpec {
+    ComponentSpec::new(
+        "cons",
+        behavior_fn(|ctx| {
+            for i in 0..5u32 {
+                assert_eq!(ctx.recv("in")?.as_ref(), i.to_le_bytes());
+            }
+            Ok(())
+        }),
+    )
+    .with_provided("in")
+    .with_stack_bytes(1 << 20)
+    .on_cpu(0)
+}
+
+#[test]
+fn a_paced_producer_feeds_a_consumer_deployed_after_it() {
+    // The producer parks in a timed receive before its consumer has
+    // started: that is a wait, not a deadlock, on every backend.
+    for (backend, run) in backends() {
+        let mut app = AppBuilder::new("paced");
+        app.add(paced_producer());
+        app.add(paced_consumer());
+        app.connect(("prod", "out"), ("cons", "in"));
+        let report = run(app.build().unwrap()).unwrap_or_else(|e| panic!("[{backend}] {e}"));
+        assert_eq!(report.component("cons").unwrap().app.total_receives, 5, "[{backend}]");
+    }
+}
+
+#[test]
+fn request_response_works_in_either_deployment_order() {
+    // `client` asks, `server` answers, three times. Whichever of the two
+    // is deployed first blocks first; neither order may deadlock.
+    for server_first in [true, false] {
+        for (backend, run) in backends() {
+            let server = ComponentSpec::new(
+                "server",
+                behavior_fn(|ctx| {
+                    for _ in 0..3 {
+                        let req = ctx.recv("req")?;
+                        ctx.send("resp", Bytes::from([req.as_ref(), b"!"].concat()))?;
+                    }
+                    Ok(())
+                }),
+            )
+            .with_provided("req")
+            .with_required("resp")
+            .with_stack_bytes(1 << 20)
+            .on_cpu(0);
+            let client = ComponentSpec::new(
+                "client",
+                behavior_fn(|ctx| {
+                    for i in 0..3u8 {
+                        ctx.send("req", Bytes::from(vec![i]))?;
+                        assert_eq!(ctx.recv("resp")?.as_ref(), [i, b'!']);
+                    }
+                    Ok(())
+                }),
+            )
+            .with_provided("resp")
+            .with_required("req")
+            .with_stack_bytes(1 << 20)
+            .on_cpu(1);
+            let mut app = AppBuilder::new("request-response");
+            if server_first {
+                app.add(server);
+                app.add(client);
+            } else {
+                app.add(client);
+                app.add(server);
+            }
+            app.connect(("client", "req"), ("server", "req"));
+            app.connect(("server", "resp"), ("client", "resp"));
+            let report = run(app.build().unwrap())
+                .unwrap_or_else(|e| panic!("[{backend}] server first: {server_first}: {e}"));
+            assert_eq!(report.total_sends(), 6, "[{backend}] server first: {server_first}");
+            assert_eq!(report.total_receives(), 6, "[{backend}] server first: {server_first}");
+        }
+    }
+}
+
+#[test]
+fn a_polling_observer_sees_components_mid_run() {
+    // The paper's observer queries components while they run (§4.2):
+    // polling every 100 µs over a run of at least 5 ms, some reply must
+    // catch the consumer before it has finished.
+    for (backend, run) in backends() {
+        let mut app = AppBuilder::new("observed-mid-run");
+        app.add(paced_consumer());
+        app.add(paced_producer());
+        app.connect(("prod", "out"), ("cons", "in"));
+        let log = app.with_observer(
+            ObserverConfig::default()
+                .interval_ns(100_000)
+                .request(ObsRequest::Health),
+        );
+        run(app.build().unwrap()).unwrap_or_else(|e| panic!("[{backend}] {e}"));
+        let states: Vec<HealthState> = log
+            .records()
+            .iter()
+            .filter(|r| r.report.component == "cons")
+            .filter_map(|r| r.report.health.map(|h| h.state))
+            .collect();
+        assert!(
+            states
+                .iter()
+                .any(|s| matches!(s, HealthState::Running | HealthState::Blocked)),
+            "[{backend}] the consumer was only ever seen as {states:?}"
+        );
     }
 }

@@ -15,9 +15,6 @@ fn two_stage(
     dst: impl embera::Behavior + 'static,
 ) -> AppBuilder {
     let mut app = AppBuilder::new("fault");
-    // dst first: the inproc scheduler parks the receiver, then
-    // demand-starts the sender; the threaded backends are
-    // order-insensitive.
     app.add(
         ComponentSpec::new("dst", dst)
             .with_provided("in")

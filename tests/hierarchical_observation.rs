@@ -11,10 +11,10 @@ use embera_trace::{EventKind, TraceCollector, TraceEvent};
 
 /// Run a traced source -> relay -> sink pipeline on inproc under a
 /// two-region grouped observer tree and return the full sorted trace.
-/// The `waiter` is deployed *first* so its parked recv pulls the
-/// observer tree through the demand-driven scheduler while application
-/// components are still being started — observation interleaves with
-/// the run instead of trailing it.
+/// The `waiter` holds the application open until the root observer has
+/// seen every member terminal; the regional observers take their turns
+/// on the run queue beside the pipeline, so observation interleaves
+/// with the run instead of trailing it.
 fn traced_grouped_run(faults: Option<FaultPlan>) -> Vec<TraceEvent> {
     const MSGS: u32 = 30;
     let collector = TraceCollector::new(1 << 14);

@@ -23,6 +23,29 @@
 //! only the four `BehaviorEnd` events of the IDCTs and Reorder moved,
 //! each by −1 000 000 000 ns = 2 × `TOLERANT_IDLE_NS`; every other line
 //! and the event count (827) are as recorded.
+//!
+//! Two `trace` lines were re-derived, and argued, when the inproc
+//! backend stopped running each component to completion on one stack
+//! and made every component a fiber on a FIFO run queue; every other
+//! line of the two cases is as recorded:
+//!
+//! * `SMP_TOLERANT_TRUNCATED`: still 827 events and the same `wall`.
+//!   Only the `BehaviorEnd` events of IDCT_1/2/3 moved, from
+//!   507 850 940 to 501 434 240 / 502 045 190 / 502 656 140: each lane
+//!   now ends at its own idle deadline, timed from its own last receive,
+//!   instead of at the clock jump of Reorder's wait.
+//! * `OPEN_AUTOSCALE`: 3310 events became 3316. The first 3 263 (all
+//!   before 194 584 686 ns) are unchanged, and so is every event that is
+//!   neither `ObsServed` nor from `Observer`, `Observer.region0` or
+//!   `Observer.region1`. Six `ObsServed` events were added, one each for
+//!   LoadGen, Fetch, IDCT_1–3 and Reorder: these polls were answered by
+//!   an untraced second runtime before, and by each component's own
+//!   traced runtime now. The observer components' events keep their
+//!   (component, kind, a) multiset and are re-timed inside
+//!   [194 584 686, 194 588 910]; three `Recv` waits changed (Observer
+//!   1300 → 100, region0 500 → 2100, region1 900 → 1700). The last
+//!   event, ScaleController's `BehaviorEnd` at 194 589 622 (= `wall`),
+//!   is unchanged.
 
 use std::fmt::Write as _;
 use std::sync::atomic::Ordering;
@@ -329,9 +352,11 @@ fn open_loop_autoscale_walks_down() {
 }
 
 // ---------------------------------------------------------------------
-// Recorded at 6a399fb. Do not edit. One exception: the `wall` and
+// Recorded at 6a399fb. Do not edit. Exceptions: the `wall` and
 // `trace` lines of SMP_TOLERANT_TRUNCATED, re-derived when the run
-// stopped waiting the idle deadline once per lane (module docs).
+// stopped waiting the idle deadline once per lane, and the `trace`
+// lines of SMP_TOLERANT_TRUNCATED and OPEN_AUTOSCALE, re-derived when
+// inproc components became fibers on a run queue (module docs).
 // ---------------------------------------------------------------------
 
 const CLOSED_STREAM_FNV: u64 = 0xf0e5_6f21_2f63_5b00;
@@ -373,7 +398,7 @@ IDCT_1 cpu 610950 s 30 r 30 tx 2160 rx 7920\n\
 IDCT_2 cpu 610950 s 30 r 30 tx 2160 rx 7920\n\
 IDCT_3 cpu 610950 s 30 r 30 tx 2160 rx 7920\n\
 Reorder cpu 5194800 s 0 r 90 tx 0 rx 6480\n\
-trace 827 0x5c61989ab025c93d\n\
+trace 827 0x7ecf0f8cbd55010e\n\
 completed 5 dropped 1 checksum 0xfbf634023cec19cb\n\
 ";
 const MPSOC_DEFAULT: &str = "\
@@ -469,7 +494,7 @@ ScaleController cpu 712 s 2 r 3 tx 8 rx 193\n\
 Observer.region0 cpu 800 s 0 r 0 tx 0 rx 0\n\
 Observer.region1 cpu 1400 s 0 r 0 tx 0 rx 0\n\
 Observer cpu 824 s 3 r 0 tx 193 rx 0\n\
-trace 3310 0x96d114d904f9d5ce\n\
+trace 3316 0xdf216d9c328d9c97\n\
 injected 32 completed 32 expired 0 skipped 0 incomplete 0 shed 0 ingress_expired 0\n\
 latencies 32 0x752fd3e0d935340e\n\
 scale [2, 1]\n\

@@ -98,10 +98,11 @@ fn deadline_expiry_decisions_are_bit_for_bit_reproducible_on_inproc() {
 
 #[test]
 fn autoscale_decisions_are_bit_for_bit_reproducible_on_inproc() {
-    // The inproc demand scheduler drains queues as they fill, so the
-    // deterministic autoscale direction is *down*: quiet queues walk
-    // the worker count from 3 to the floor, one observation round per
-    // step, and that decision sequence must replay exactly.
+    // On inproc a stage parks only once its inbox is empty, so every
+    // turn drains the whole queue and the deterministic autoscale
+    // direction is *down*: quiet queues walk the worker count from 3
+    // to the floor, one observation round per step, and that decision
+    // sequence must replay exactly.
     let cfg = OverloadConfig {
         frames: 32,
         mean_gap_ns: 30_000,

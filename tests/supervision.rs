@@ -51,8 +51,6 @@ fn behavior_panic_is_contained_and_attributed_on_every_backend() {
     // carries the panic payload.
     for (backend, run) in backends() {
         let mut app = AppBuilder::new("contain");
-        // Deployed first so the inproc scheduler parks it before
-        // demand-starting the panicking peer.
         app.add(
             ComponentSpec::new(
                 "waiter",
@@ -541,9 +539,8 @@ fn restart_backoff_never_trips_the_watchdog() {
         let attempts = Arc::new(AtomicU32::new(0));
         let a = Arc::clone(&attempts);
         let mut app = AppBuilder::new("backoff-watchdog");
-        // Deployed first: on inproc its parked recv is what pulls the
-        // observer through the demand-driven scheduler *during* the
-        // run, so polls actually interleave with the backoff window.
+        // Holds the application open until the root observer has seen
+        // both members terminal, so the watchdog polls the whole run.
         app.add(
             ComponentSpec::new("waiter", behavior_fn(|ctx| ctx.recv("done").map(|_| ())))
                 .with_provided("done")
