@@ -82,6 +82,12 @@ pub trait Parker {
 
     /// Block this flow until woken or until `deadline_ns` (platform
     /// time; a lower bound) passes.
+    ///
+    /// A parker may give up its core before it blocks (`embera-smp`
+    /// yields once, so a producer sharing the core can run), but the
+    /// token contract holds across that hand-off: a `wake` that lands
+    /// during it must still end this park or the next. A timed park
+    /// whose deadline has passed by then may return without blocking.
     fn park(&mut self, deadline_ns: Option<u64>);
 
     /// A send — or an observation answered in place, which is a

@@ -8,6 +8,30 @@
 //! deposited while the owner runs makes its next `park` return at once,
 //! which is what makes push-then-unpark / check-then-park free of lost
 //! wakeups.
+//!
+//! A thread that found its inboxes empty hands its core off before it
+//! sleeps: `SmpParker::park` calls `yield_now` once, then parks. One
+//! block per message is one hand-off per message, and with more
+//! component threads than cores the producer is usually runnable right
+//! there; after the yield it runs on this core, and its next push finds
+//! the receiver still runnable, so neither side pays a futex wait, a
+//! futex wake or a cross-core wake-up. On a two-core guest that lifts
+//! `smp_paper` from ≈ 35k to ≈ 50k frames/s, and cuts the receivers'
+//! sleeps from 3.0 to 0.5 per frame (EXPERIMENTS.md "PR 34").
+//!
+//! The yield cannot lose a wake. Parking only starts after it: an
+//! `unpark` that lands during the yield finds the thread running and
+//! leaves the token, without a syscall, and the `park` that follows
+//! consumes it and returns. A timed park re-reads the clock after the
+//! yield and returns at once if its deadline has passed, leaving any
+//! token for the next park; the runtime re-checks inboxes, deadline and
+//! shutdown around every park either way.
+//!
+//! It is one yield, not a spin or a budget. Spinning on the inboxes
+//! before the park burns the core the producer needs (`smp_batched`
+//! ×0.81, `smp_openloop` p50 ×3.5), and a second yield bought nothing
+//! over the first. With nothing else runnable `yield_now` returns at
+//! once, so a lone receiver parks as it did before.
 
 use std::sync::atomic::{fence, AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -105,10 +129,16 @@ impl Parker for SmpParker {
     }
 
     fn park(&mut self, deadline_ns: Option<u64>) {
+        // Hand off first (module docs). A wake that lands meanwhile only
+        // leaves the token, which the park below consumes.
+        std::thread::yield_now();
         match deadline_ns {
-            Some(d) => std::thread::park_timeout(Duration::from_nanos(
-                d.saturating_sub(self.shared.now_ns()),
-            )),
+            Some(d) => {
+                let now = self.shared.now_ns();
+                if now < d {
+                    std::thread::park_timeout(Duration::from_nanos(d - now));
+                }
+            }
             None => std::thread::park(),
         }
     }
@@ -117,6 +147,7 @@ impl Parker for SmpParker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicU32;
     use std::sync::Barrier;
 
     #[test]
@@ -147,6 +178,70 @@ mod tests {
         parker.park(Some(parker.now_ns() + 5_000_000_000));
         h.join().unwrap();
         assert!(t0.elapsed() < Duration::from_secs(4), "missed the wakeup");
+    }
+
+    #[test]
+    fn timed_park_returns_at_a_deadline_passed_during_the_hand_off() {
+        let shared = SmpShared::new(1);
+        let mut parker = SmpParker::register(Arc::clone(&shared), 0);
+        let t0 = Instant::now();
+        for _ in 0..100 {
+            // Due by the time the yield returns.
+            parker.park(Some(parker.now_ns() + 1));
+        }
+        assert!(
+            t0.elapsed() < Duration::from_secs(1),
+            "a park past its deadline slept"
+        );
+        // Such a park leaves a deposited token for the next one.
+        parker.wake(0);
+        parker.park(Some(parker.now_ns()));
+        let t0 = Instant::now();
+        parker.park(Some(parker.now_ns() + 5_000_000_000));
+        assert!(t0.elapsed() < Duration::from_secs(4), "token was lost");
+        // A later deadline is still waited for.
+        let deadline = parker.now_ns() + 20_000_000;
+        parker.park(Some(deadline));
+        assert!(parker.now_ns() >= deadline, "woke before its deadline");
+    }
+
+    /// The owner announces each park, and a peer unparks it the moment
+    /// it sees the announcement: the wake lands before, during or after
+    /// the hand-off, and each park must still return long before its
+    /// deadline.
+    #[test]
+    fn wake_racing_the_hand_off_is_never_lost() {
+        const ROUNDS: u32 = if cfg!(debug_assertions) {
+            2_000
+        } else {
+            20_000
+        };
+        const DEADLINE_NS: u64 = 10_000_000_000;
+        let shared = SmpShared::new(1);
+        let announced = Arc::new(AtomicU32::new(0));
+        let peer = {
+            let (shared, announced) = (Arc::clone(&shared), Arc::clone(&announced));
+            std::thread::spawn(move || {
+                for round in 1..=ROUNDS {
+                    while announced.load(Ordering::SeqCst) < round {
+                        std::thread::yield_now();
+                    }
+                    shared.unpark(0);
+                }
+            })
+        };
+        let mut parker = SmpParker::register(Arc::clone(&shared), 0);
+        for round in 1..=ROUNDS {
+            announced.store(round, Ordering::SeqCst);
+            let start = parker.now_ns();
+            parker.park(Some(start + DEADLINE_NS));
+            let waited = parker.now_ns() - start;
+            assert!(
+                waited < DEADLINE_NS / 2,
+                "round {round}: park waited {waited} ns, the wake was lost"
+            );
+        }
+        peer.join().unwrap();
     }
 
     #[test]
