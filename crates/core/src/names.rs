@@ -1,12 +1,100 @@
-//! The name-keyed table behind every interface look-up of the runtime:
-//! a component's provided interfaces, its routes, its per-interface
-//! counters.
-//!
-//! Interface names are written by the application's author, so the
-//! flooding resistance of the standard `HashMap`'s SipHash buys nothing
-//! here while costing ~20 ns at every communication point. This table
-//! is filled once at deployment, never grows, and hashes a name with a
-//! few multiply-rotate rounds.
+//! The one table a component's interface names are resolved through:
+//! [`deploy`](crate::runtime::deploy) numbers every name a component
+//! declares or is wired with in an [`IfaceTable`], and below
+//! [`Ctx`](crate::Ctx) an interface is that [`IfaceId`]. The name → id
+//! look-up ([`NameTable`], also the observer's index of its targets) is
+//! filled once and hashes with a few multiply-rotate rounds: the names
+//! are the author's, so SipHash's flooding resistance buys nothing.
+
+use std::collections::HashSet;
+
+use crate::component::INTROSPECTION;
+
+/// One of a component's interfaces: the index of its slot in every
+/// per-interface `Vec` below [`Ctx`](crate::Ctx).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IfaceId(u32);
+
+impl IfaceId {
+    /// The implicit `introspection` pair, the same id in every table.
+    pub const INTROSPECTION: IfaceId = IfaceId(0);
+
+    /// The slot of this interface in a per-interface `Vec`.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// A component's interfaces, numbered at deployment: `introspection`,
+/// then the declared ones in the order [`AppStats`](crate::AppStats)
+/// reports them (required, then provided, a name that is both once),
+/// then any a hand-built [`AppSpec`](crate::AppSpec) wires without
+/// declaring. It records which ids have an inbox and which a route.
+pub struct IfaceTable {
+    ids: NameTable<IfaceId>,
+    names: Vec<String>,
+    /// Ids `1..=ends[0]` are declared required, `1..=ends[1]` declared.
+    ends: [usize; 2],
+    inbox: Vec<bool>,
+    route: Vec<bool>,
+}
+
+impl IfaceTable {
+    /// The table of a component declaring `provided` and `required`,
+    /// with connections from the `wired` names.
+    pub(crate) fn new(provided: &[String], required: &[String], wired: &[&str]) -> Self {
+        let provided: Vec<&str> = provided.iter().map(String::as_str).collect();
+        let required: Vec<&str> = required.iter().map(String::as_str).collect();
+        let (mut names, mut listed) = (vec![INTROSPECTION], HashSet::from([INTROSPECTION]));
+        let [required_end, declared_end, _] = [&required[..], &provided, wired].map(|group| {
+            names.extend(group.iter().filter(|name| listed.insert(**name)));
+            names.len() - 1
+        });
+        let ids = NameTable::new(names.iter().map(|n| n.to_string()).zip((0..).map(IfaceId)));
+        let flags = |set: &[&str]| {
+            let mut flags = vec![false; names.len()];
+            set.iter().for_each(|n| flags[ids.get(n).expect("listed").index()] = true);
+            flags
+        };
+        let inbox = flags(&[&provided[..], &[INTROSPECTION]].concat());
+        let route = flags(wired);
+        let names = names.into_iter().map(String::from).collect();
+        IfaceTable { ids, names, ends: [required_end, declared_end], inbox, route }
+    }
+
+    /// The id of interface `name`, if the component has one.
+    pub fn id(&self, name: &str) -> Option<IfaceId> {
+        self.ids.get(name).copied()
+    }
+
+    /// The name of interface `id`.
+    pub fn name(&self, id: IfaceId) -> &str {
+        &self.names[id.index()]
+    }
+
+    /// The length of a per-interface `Vec`.
+    pub(crate) fn len(&self) -> usize {
+        self.names.len()
+    }
+
+    pub(crate) fn has_inbox(&self, id: IfaceId) -> bool {
+        self.inbox[id.index()]
+    }
+
+    pub(crate) fn has_route(&self, id: IfaceId) -> bool {
+        self.route[id.index()]
+    }
+
+    /// Did the component declare `id` as a data required interface?
+    pub(crate) fn is_required(&self, id: IfaceId) -> bool {
+        (1..=self.ends[0]).contains(&id.index())
+    }
+
+    /// The declared interfaces, in report order.
+    pub(crate) fn declared(&self) -> impl Iterator<Item = (IfaceId, &str)> {
+        (1..=self.ends[1]).map(|i| (IfaceId(i as u32), &*self.names[i]))
+    }
+}
 
 /// Immutable set of names, each with a value: open addressing with
 /// linear probing, the entries themselves in the slots (a look-up that
@@ -80,21 +168,6 @@ impl<V> NameTable<V> {
         let held = self.slots[self.probe(name).ok()?].as_ref()?;
         Some(&held.value)
     }
-
-    pub(crate) fn get_mut(&mut self, name: &str) -> Option<&mut V> {
-        let held = self.slots[self.probe(name).ok()?].as_mut()?;
-        Some(&mut held.value)
-    }
-
-    /// The values, in no particular order.
-    pub(crate) fn values(&self) -> impl Iterator<Item = &V> {
-        self.slots.iter().flatten().map(|held| &held.value)
-    }
-
-    /// The values, mutably.
-    pub(crate) fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
-        self.slots.iter_mut().flatten().map(|held| &mut held.value)
-    }
 }
 
 #[cfg(test)]
@@ -114,18 +187,82 @@ mod tests {
         names
     }
 
+    /// How many names `t` holds.
+    fn held<V>(t: &NameTable<V>) -> usize {
+        t.slots.iter().flatten().count()
+    }
+
     #[test]
     fn first_of_two_equal_names_stays() {
-        let mut t = NameTable::new([("a", 1), ("b", 2), ("a", 3)].map(|(n, v)| (n.to_string(), v)));
-        *t.get_mut("a").unwrap() += 10;
-        t.values_mut().for_each(|v| *v += 100);
+        let t = NameTable::new([("a", 1), ("b", 2), ("a", 3)].map(|(n, v)| (n.to_string(), v)));
         assert_eq!(
             (t.get("a"), t.get("b"), t.get("c")),
-            (Some(&111), Some(&102), None)
+            (Some(&1), Some(&2), None)
         );
-        assert_eq!(t.values().count(), 2);
+        assert_eq!(held(&t), 2);
         let empty = NameTable::<u8>::new([]);
         assert_eq!(empty.get(""), None);
+    }
+
+    fn strings(names: &[&str]) -> Vec<String> {
+        names.iter().map(|n| n.to_string()).collect()
+    }
+
+    #[test]
+    fn ids_follow_the_report_order_after_the_reserved_introspection() {
+        let provided = strings(&["in", "loop", "x"]);
+        let required = strings(&["out", "loop", "y"]);
+        let t = IfaceTable::new(&provided, &required, &["out", "loop", "extra"]);
+        let names: Vec<&str> = (0..t.len()).map(|i| t.name(IfaceId(i as u32))).collect();
+        assert_eq!(
+            names,
+            [INTROSPECTION, "out", "loop", "y", "in", "x", "extra"]
+        );
+        assert_eq!(t.id(INTROSPECTION), Some(IfaceId::INTROSPECTION));
+        assert_eq!(IfaceId::INTROSPECTION.index(), 0);
+        // The counters report the declared ids, in id order.
+        let stats = crate::ComponentStats::new("c", &provided, &required);
+        let reported: Vec<String> = stats
+            .app_stats()
+            .interfaces
+            .into_iter()
+            .map(|e| e.interface)
+            .collect();
+        assert_eq!(reported, names[1..6]);
+        let declared: Vec<&str> = t.declared().map(|(_, name)| name).collect();
+        assert_eq!(declared, names[1..6]);
+        // Every component provides `introspection`; a route from it is a
+        // connection like any other.
+        assert!(t.has_inbox(IfaceId::INTROSPECTION) && !t.has_route(IfaceId::INTROSPECTION));
+        let observed = IfaceTable::new(&[], &[], &[INTROSPECTION]);
+        assert!(observed.has_route(IfaceId::INTROSPECTION) && observed.len() == 1);
+    }
+
+    #[test]
+    fn a_name_both_provided_and_required_is_one_id_with_an_inbox_and_a_route() {
+        let t = IfaceTable::new(&strings(&["loop"]), &strings(&["loop"]), &["loop"]);
+        let id = t.id("loop").expect("declared");
+        assert_eq!(t.len(), 2);
+        assert!(t.has_inbox(id) && t.has_route(id) && t.is_required(id));
+    }
+
+    #[test]
+    fn undeclared_unwired_and_wired_only_names() {
+        let t = IfaceTable::new(
+            &strings(&["in"]),
+            &strings(&["out", "loose"]),
+            &["out", "extra"],
+        );
+        assert_eq!(t.id("ghost"), None);
+        let loose = t.id("loose").expect("declared");
+        assert!(t.is_required(loose) && !t.has_route(loose) && !t.has_inbox(loose));
+        let input = t.id("in").expect("declared");
+        assert!(!t.is_required(input) && !t.has_route(input) && t.has_inbox(input));
+        // Wired by a hand-built `AppSpec` without being declared: routed,
+        // not declared, not reported.
+        let extra = t.id("extra").expect("wired");
+        assert!(t.has_route(extra) && !t.is_required(extra) && !t.has_inbox(extra));
+        assert_eq!(t.declared().count(), 3);
     }
 
     #[test]
@@ -154,7 +291,7 @@ mod tests {
             let names = declared(routes);
             let model: HashMap<String, usize> =
                 names.iter().cloned().zip(0..).collect();
-            let mut table = NameTable::new(names.iter().cloned().zip(0..));
+            let table = NameTable::new(names.iter().cloned().zip(0..));
             for (pick, undeclared) in picks {
                 let mut name = names[pick % names.len()].clone();
                 if undeclared {
@@ -162,9 +299,8 @@ mod tests {
                     name.push('x');
                 }
                 prop_assert_eq!(table.get(&name), model.get(&name));
-                prop_assert_eq!(table.get_mut(&name).map(|v| *v), model.get(&name).copied());
             }
-            prop_assert_eq!(table.values().count(), model.len());
+            prop_assert_eq!(held(&table), model.len());
         }
     }
 }

@@ -33,10 +33,9 @@
 //!
 //! Once the component is quiescent every snapshot is exact.
 
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::names::NameTable;
+use crate::names::{IfaceId, IfaceTable};
 use crate::observe::report::{
     AppStats, HealthInfo, HealthState, IfaceCounterSnapshot, MiddlewareStats, ObservationReport,
     OsStats, SizeBucket, StructureInfo, TimingSnapshot,
@@ -138,18 +137,13 @@ pub(crate) struct Queued {
 /// component runtime (writer) and observation consumers (readers).
 pub struct ComponentStats {
     name: String,
-    provided: Vec<String>,
-    required: Vec<String>,
-    /// The order [`AppStats::interfaces`] lists the interfaces in:
-    /// required then provided, a name that is both listed once, where
-    /// it first appears. Worked out once, here, so a report is one
-    /// pass over it.
-    report_order: Vec<String>,
+    /// Numbered in the order [`AppStats::interfaces`] lists them.
+    interfaces: IfaceTable,
     /// The Figure-5 listing, which never changes: built once, copied
     /// into each answer.
     structure: StructureInfo,
-    /// One per declared interface, provided or required.
-    counters: NameTable<IfaceAtomic>,
+    /// By [`IfaceId`], up to the last declared interface.
+    counters: Vec<IfaceAtomic>,
     send_timing: TimingAtomic,
     recv_timing: TimingAtomic,
     send_buckets: Vec<BucketAtomic>,
@@ -194,19 +188,23 @@ pub struct ComponentStats {
 impl ComponentStats {
     /// Stats for a component with the given data interfaces.
     pub fn new(name: impl Into<String>, provided: &[String], required: &[String]) -> Self {
-        let declared = provided.iter().chain(required).cloned();
-        let counters = NameTable::new(declared.map(|iface| (iface, IfaceAtomic::default())));
-        let mut listed = HashSet::with_capacity(provided.len() + required.len());
-        let report_order = required.iter().chain(provided);
-        let report_order = report_order.filter(|iface| listed.insert(iface.as_str()));
+        Self::wired(name, provided, required, &[])
+    }
+
+    /// [`ComponentStats::new`], connected through `wired`.
+    pub(crate) fn wired(
+        name: impl Into<String>,
+        provided: &[String],
+        required: &[String],
+        wired: &[&str],
+    ) -> Self {
+        let interfaces = IfaceTable::new(provided, required, wired);
         let name = name.into();
         ComponentStats {
             structure: StructureInfo::new(&name, provided, required),
             name,
-            provided: provided.to_vec(),
-            required: required.to_vec(),
-            report_order: report_order.cloned().collect(),
-            counters,
+            counters: (0..=interfaces.declared().count()).map(|_| Default::default()).collect(),
+            interfaces,
             send_timing: TimingAtomic::new(),
             recv_timing: TimingAtomic::new(),
             send_buckets: SIZE_BUCKET_BOUNDS
@@ -238,14 +236,9 @@ impl ComponentStats {
         &self.name
     }
 
-    /// The component's data provided interfaces.
-    pub fn provided(&self) -> &[String] {
-        &self.provided
-    }
-
-    /// The data required interfaces the component declared.
-    pub fn required(&self) -> &[String] {
-        &self.required
+    /// The component's interfaces, numbered.
+    pub fn interfaces(&self) -> &IfaceTable {
+        &self.interfaces
     }
 
     /// Record behavior start at platform time `now_ns`. Also clears the
@@ -436,7 +429,12 @@ impl ComponentStats {
 
     /// Record a data send of `bytes` over `iface` taking `dur_ns`.
     pub fn record_send(&self, iface: &str, bytes: u64, dur_ns: u64) {
-        if let Some(c) = self.counters.get(iface) {
+        self.record_send_on(self.interfaces.id(iface), bytes, dur_ns);
+    }
+
+    /// By id: `None`, or an undeclared id, counts in the totals only.
+    pub(crate) fn record_send_on(&self, iface: Option<IfaceId>, bytes: u64, dur_ns: u64) {
+        if let Some(c) = iface.and_then(|id| self.counters.get(id.index())) {
             c.sends.fetch_add(1, Ordering::Relaxed);
         }
         self.send_timing.record(dur_ns);
@@ -454,7 +452,12 @@ impl ComponentStats {
     /// Record a data receive of `bytes` from `iface` taking `dur_ns`
     /// (primitive execution time, not queue wait).
     pub fn record_receive(&self, iface: &str, bytes: u64, dur_ns: u64) {
-        if let Some(c) = self.counters.get(iface) {
+        self.record_receive_on(self.interfaces.id(iface), bytes, dur_ns);
+    }
+
+    /// By id, as [`ComponentStats::record_send_on`].
+    pub(crate) fn record_receive_on(&self, iface: Option<IfaceId>, bytes: u64, dur_ns: u64) {
+        if let Some(c) = iface.and_then(|id| self.counters.get(id.index())) {
             c.receives.fetch_add(1, Ordering::Relaxed);
         }
         self.recv_timing.record(dur_ns);
@@ -510,17 +513,17 @@ impl ComponentStats {
 
     /// Application-level snapshot (Table 2's counters).
     pub fn app_stats(&self) -> AppStats {
-        let mut interfaces = Vec::with_capacity(self.report_order.len());
+        let mut interfaces = Vec::with_capacity(self.counters.len() - 1);
         let mut total_sends = 0;
         let mut total_receives = 0;
-        for name in &self.report_order {
-            let c = self.counters.get(name).expect("a declared interface");
+        for (id, name) in self.interfaces.declared() {
+            let c = &self.counters[id.index()];
             let sends = c.sends.load(Ordering::Relaxed);
             let receives = c.receives.load(Ordering::Relaxed);
             total_sends += sends;
             total_receives += receives;
             interfaces.push(IfaceCounterSnapshot {
-                interface: name.clone(),
+                interface: name.to_string(),
                 sends,
                 receives,
             });

@@ -1,12 +1,13 @@
 //! The one deploy/wait skeleton shared by every backend.
 //!
 //! [`deploy`] does everything about bringing an [`AppSpec`] up that is
-//! not platform-specific: it builds the `(component, provided ∪
-//! introspection)` endpoint map, resolves required-interface routes
-//! (returning the one [`EmberaError::Validation`] for a connection
-//! whose end does not exist), creates each component's statistics and
-//! observation engine, hands every route that ends at a peer's
-//! `introspection` that peer's engine and data endpoints as well
+//! not platform-specific: it numbers each component's interfaces in an
+//! [`IfaceTable`](super::IfaceTable), builds their endpoints, resolves
+//! required-interface routes (returning the one
+//! [`EmberaError::Validation`] for a connection whose end does not
+//! exist), creates each component's statistics and observation engine,
+//! hands every route that ends at a peer's
+//! `introspection` that peer's engine and endpoints as well
 //! ([`Observed`]: what a backend that can answer a poll on the
 //! observer's side reads through), and threads the restart / overload / fault /
 //! trace configuration into its [`ComponentRuntime`]. [`Completion`]
@@ -38,7 +39,7 @@ use crate::observer::is_observer_component;
 use crate::overload::OverloadPolicy;
 use crate::platform::AppReport;
 use crate::pool::BufferPool;
-use crate::supervise::{fault_result, FaultPlan, RestartPolicy};
+use crate::supervise::{fault_result, ComponentFaults, RestartPolicy};
 
 struct CompletionState {
     /// Application (non-observer) components whose behavior has not
@@ -142,25 +143,25 @@ pub struct Observed<E> {
     /// The target's observation engine (its shared statistics and
     /// registered metrics).
     pub engine: ObsEngine,
-    /// Endpoints of the target's *data* provided interfaces: what its
-    /// queue gauges are computed from.
-    pub inboxes: Vec<E>,
+    /// The target's provided endpoints, by its ids (slot 0,
+    /// `introspection`, holds no data): what its queue gauges count.
+    pub inboxes: Vec<Option<E>>,
 }
 
 /// One component's resolved connections, over the backend's endpoint
-/// type.
+/// type; each `Vec` is indexed by [`IfaceId`](super::IfaceId).
 #[derive(Clone)]
 pub struct Wiring<E> {
     /// The component's index in deployment order.
     pub index: usize,
-    /// Endpoints of its provided interfaces (data + introspection).
-    pub provided: HashMap<String, E>,
-    /// Required interface → the connected peer's endpoint.
-    pub routes: HashMap<String, E>,
-    /// Required interface → the read handle of the peer, for every
-    /// route that ends at a peer's [`INTROSPECTION`].
-    pub observed: HashMap<String, Observed<E>>,
-    /// The component's statistics (named after it).
+    /// The endpoint of each provided interface (data + introspection).
+    pub provided: Vec<Option<E>>,
+    /// The connected peer's endpoint of each required interface.
+    pub routes: Vec<Option<E>>,
+    /// The read handle of the peer, for every route that ends at a
+    /// peer's [`INTROSPECTION`].
+    pub observed: Vec<Option<Observed<E>>>,
+    /// The component's statistics (named after it, with its table).
     pub stats: Arc<ComponentStats>,
     /// The application's payload pool ([`AppSpec::pool`]).
     pub pool: Option<BufferPool>,
@@ -175,7 +176,7 @@ pub struct Flow {
     trace: Option<Box<dyn TraceSink>>,
     restart: Option<RestartPolicy>,
     overload: Option<OverloadPolicy>,
-    faults: Option<Arc<FaultPlan>>,
+    faults: Option<ComponentFaults>,
     completion: Arc<Completion>,
     behavior: Box<dyn Behavior>,
 }
@@ -196,11 +197,9 @@ impl Flow {
     pub fn run<T: Transport>(self, transport: T) {
         let mut runtime =
             ComponentRuntime::new(transport, self.engine, self.trace, self.completion);
-        runtime.set_restart_policy(self.restart);
-        runtime.set_overload_policy(self.overload);
-        if let Some(plan) = &self.faults {
-            runtime.set_fault_plan(plan);
-        }
+        runtime.restart = self.restart;
+        runtime.overload = self.overload;
+        runtime.faults = self.faults;
         runtime.run_to_completion(self.behavior);
     }
 }
@@ -267,18 +266,24 @@ impl Deployed {
 /// Instantiate components, wire connections and launch execution flows
 /// on `backend` (the model's *deployment*, paper §4.1).
 pub fn deploy<B: Backend>(backend: &mut B, mut spec: AppSpec) -> Result<Deployed, EmberaError> {
+    let mut wired: HashMap<&str, Vec<&str>> = HashMap::new();
+    for conn in &spec.connections {
+        wired.entry(&conn.from.component).or_default().push(&conn.from.interface);
+    }
     let mut provided = Vec::with_capacity(spec.components.len());
     let mut engines = Vec::with_capacity(spec.components.len());
     for (i, c) in spec.components.iter_mut().enumerate() {
-        let mut inboxes = HashMap::with_capacity(c.provided.len() + 1);
+        let wired = wired.get(c.name.as_str()).map_or(&[][..], Vec::as_slice);
+        let stats = ComponentStats::wired(&c.name, &c.provided, &c.required, wired);
+        let mut inboxes = vec![None; stats.interfaces().len()];
         for iface in c.provided.iter().map(String::as_str).chain([INTROSPECTION]) {
-            inboxes.insert(iface.to_string(), backend.make_endpoint(i, c, iface)?);
+            let id = stats.interfaces().id(iface).expect("a provided interface");
+            inboxes[id.index()] = Some(backend.make_endpoint(i, c, iface)?);
         }
         provided.push(inboxes);
-        let stats = Arc::new(ComponentStats::new(&c.name, &c.provided, &c.required));
         stats.set_memory_bytes(backend.memory_bytes(c, spec.has_observer));
         let metrics = std::mem::take(&mut c.metrics);
-        engines.push(ObsEngine::with_metrics(stats, metrics));
+        engines.push(ObsEngine::with_metrics(Arc::new(stats), metrics));
     }
 
     let index_of: HashMap<&str, usize> = spec
@@ -287,10 +292,9 @@ pub fn deploy<B: Backend>(backend: &mut B, mut spec: AppSpec) -> Result<Deployed
         .enumerate()
         .map(|(i, c)| (c.name.as_str(), i))
         .collect();
-    let mut routes: Vec<HashMap<String, B::Endpoint>> =
-        spec.components.iter().map(|_| HashMap::new()).collect();
-    let mut observed: Vec<HashMap<String, Observed<B::Endpoint>>> =
-        spec.components.iter().map(|_| HashMap::new()).collect();
+    let table = |i: usize| engines[i].stats().interfaces();
+    let mut routes: Vec<_> = provided.iter().map(|p| vec![None; p.len()]).collect();
+    let mut observed: Vec<_> = provided.iter().map(|p| vec![None; p.len()]).collect();
     for conn in &spec.connections {
         let dangling = |end: &crate::app::Endpoint| {
             EmberaError::Validation(format!(
@@ -302,17 +306,15 @@ pub fn deploy<B: Backend>(backend: &mut B, mut spec: AppSpec) -> Result<Deployed
             .get(conn.from.component.as_str())
             .ok_or_else(|| dangling(&conn.from))?;
         let to = index_of.get(conn.to.component.as_str()).copied();
+        let endpoint = |to: usize, iface: &str| provided[to][table(to).id(iface)?.index()].clone();
         let target = to
-            .and_then(|to| provided[to].get(&conn.to.interface))
+            .and_then(|to| endpoint(to, &conn.to.interface))
             .ok_or_else(|| dangling(&conn.to))?;
-        routes[from].insert(conn.from.interface.clone(), target.clone());
+        let id = table(from).id(&conn.from.interface).expect("a wired interface");
+        routes[from][id.index()] = Some(target);
         if let (Some(to), INTROSPECTION) = (to, conn.to.interface.as_str()) {
-            let data = spec.components[to].provided.iter();
-            let handle = Observed {
-                engine: engines[to].clone(),
-                inboxes: data.map(|iface| provided[to][iface].clone()).collect(),
-            };
-            observed[from].insert(conn.from.interface.clone(), handle);
+            let (engine, inboxes) = (engines[to].clone(), provided[to].clone());
+            observed[from][id.index()] = Some(Observed { engine, inboxes });
         }
     }
 
@@ -322,7 +324,6 @@ pub fn deploy<B: Backend>(backend: &mut B, mut spec: AppSpec) -> Result<Deployed
             .filter(|c| !is_observer_component(&c.name))
             .count(),
     );
-    let faults = spec.faults.map(Arc::new);
     let wired = spec.components.into_iter().zip(provided).zip(routes);
     for (index, (((c, provided), routes), observed)) in wired.zip(observed).enumerate() {
         let engine = engines[index].clone();
@@ -340,7 +341,7 @@ pub fn deploy<B: Backend>(backend: &mut B, mut spec: AppSpec) -> Result<Deployed
             engine,
             restart: c.restart,
             overload: c.overload,
-            faults: faults.clone(),
+            faults: spec.faults.as_ref().and_then(|plan| plan.for_component(&c.name, table(index))),
             completion: Arc::clone(&completion),
             behavior: c.behavior,
         };
@@ -355,7 +356,103 @@ pub fn deploy<B: Backend>(backend: &mut B, mut spec: AppSpec) -> Result<Deployed
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    use bytes::Bytes;
+
     use super::*;
+    use crate::app::{Connection, Endpoint};
+    use crate::behavior::behavior_fn;
+    use crate::runtime::{Fifo, HostTransport, Parker};
+
+    /// Never blocks; one shutdown flag for the whole application.
+    struct FlagParker(Arc<AtomicBool>);
+
+    impl Parker for FlagParker {
+        fn now_ns(&self) -> u64 {
+            0
+        }
+        fn is_shutdown(&self) -> bool {
+            self.0.load(Ordering::SeqCst)
+        }
+        fn request_shutdown(&self) {
+            self.0.store(true, Ordering::SeqCst);
+        }
+        fn wake(&self, _owner: usize) {}
+        fn park(&mut self, _deadline_ns: Option<u64>) {}
+    }
+
+    /// Runs each component on the calling thread, to the end, as it is
+    /// spawned.
+    #[derive(Default)]
+    struct Inline(Arc<AtomicBool>);
+
+    impl Backend for Inline {
+        type Endpoint = Fifo;
+
+        fn make_endpoint(
+            &mut self,
+            component: usize,
+            _spec: &ComponentSpec,
+            _iface: &str,
+        ) -> Result<Fifo, EmberaError> {
+            Ok(Fifo::new(component))
+        }
+
+        fn memory_bytes(&self, _spec: &ComponentSpec, _has_observer: bool) -> u64 {
+            0
+        }
+
+        fn spawn(&mut self, wiring: Wiring<Fifo>, flow: Flow) -> Result<(), EmberaError> {
+            flow.run(HostTransport::new(wiring, FlagParker(Arc::clone(&self.0))));
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_hand_built_spec_sends_on_a_wired_name_it_never_declared() {
+        // `AppBuilder` rejects both an unbound and an undeclared required
+        // interface; a hand-built `AppSpec` deploys with them.
+        let sender = behavior_fn(|ctx| {
+            let ghost = ctx.send("ghost", Bytes::new());
+            assert!(matches!(ghost, Err(EmberaError::UnknownInterface { .. })));
+            let loose = ctx.send("loose", Bytes::new());
+            assert!(matches!(loose, Err(EmberaError::Disconnected { .. })));
+            ctx.send("extra", Bytes::from_static(b"abc"))
+        });
+        let receiver = behavior_fn(|ctx| {
+            assert_eq!(ctx.recv("in")?.as_ref(), b"abc");
+            Ok(())
+        });
+        let spec = AppSpec {
+            name: "hand-built".into(),
+            components: vec![
+                ComponentSpec::new("src", sender).with_required("loose"),
+                // Not waited for: the sender finishing completes the
+                // application, and this one then finds the message.
+                ComponentSpec::new(crate::OBSERVER_NAME, receiver).with_provided("in"),
+            ],
+            connections: vec![Connection {
+                from: Endpoint::new("src", "extra"),
+                to: Endpoint::new(crate::OBSERVER_NAME, "in"),
+            }],
+            has_observer: false,
+            trace: None,
+            faults: None,
+            pool: None,
+        };
+        let report = deploy(&mut Inline::default(), spec)
+            .and_then(|deployed| deployed.report(0))
+            .expect("no component failed");
+        let (src, dst) = (&report.components[0], &report.components[1]);
+        // Sent and timed, but only declared interfaces are listed.
+        assert_eq!(
+            (src.middleware.send.count, src.middleware.bytes_sent),
+            (1, 3)
+        );
+        assert_eq!((src.app.total_sends, src.app.interfaces.len()), (0, 1));
+        assert_eq!(dst.app.total_receives, 1);
+    }
 
     #[test]
     fn shutdown_is_requested_on_completion_or_escalation_only() {

@@ -11,9 +11,9 @@ use std::time::Instant;
 use super::deploy::{Observed, Wiring};
 use super::fifo::Fifo;
 use super::Transport;
-use crate::component::{ComponentSpec, INTROSPECTION};
+use crate::component::ComponentSpec;
 use crate::message::Message;
-use crate::names::NameTable;
+use crate::names::IfaceId;
 use crate::observe::protocol::{ObsReply, ObsRequest};
 use crate::observe::stats::{ComponentStats, Queued};
 use crate::pool::BufferPool;
@@ -119,21 +119,18 @@ impl Inbox {
 /// [`Transport`] over [`Fifo`] mailboxes, generic over the backend's
 /// [`Parker`].
 ///
-/// Interface names are resolved against two tables built once from the
-/// component's [`Wiring`] — one per direction, hashed without SipHash
-/// (see `NameTable`). The introspection inbox, which the runtime polls
-/// at every communication point, is not in a table but a field, so
-/// that poll resolves no name and touches no table.
+/// Every interface is an [`IfaceId`], the index of its slot in the
+/// `Vec`s taken over from the component's [`Wiring`]: a send, a
+/// receive and the poll of the introspection inbox at every
+/// communication point each index a slot and resolve no name.
 pub struct HostTransport<P: Parker> {
-    /// The data provided interfaces.
-    provided: NameTable<Inbox>,
-    /// The [`INTROSPECTION`] provided interface.
-    obs: Option<Inbox>,
-    /// Required interface → the connected peer's mailbox.
-    routes: NameTable<Fifo>,
-    /// Required interface connected to a peer's [`INTROSPECTION`] → what
-    /// that peer is read through ([`Transport::observe`]).
-    observed: NameTable<Observed<Fifo>>,
+    /// The provided interfaces, [`IfaceId::INTROSPECTION`] first.
+    inboxes: Vec<Option<Inbox>>,
+    /// The connected peer's mailbox of each required interface.
+    routes: Vec<Option<Fifo>>,
+    /// What the peer is read through ([`Transport::observe`]), for
+    /// each required interface connected to a peer's `introspection`.
+    observed: Vec<Option<Observed<Fifo>>>,
     /// This component's statistics: what its data stashes hold is
     /// published there, for whoever reads its queue gauges from outside
     /// ([`Transport::observe`] on an observer's transport).
@@ -149,28 +146,19 @@ pub struct HostTransport<P: Parker> {
 
 impl<P: Parker> HostTransport<P> {
     /// The transport of the component wired by `wiring`.
-    pub fn new(mut wiring: Wiring<Fifo>, parker: P) -> Self {
+    pub fn new(wiring: Wiring<Fifo>, parker: P) -> Self {
         let inbox = |fifo| Inbox {
             fifo,
             stash: VecDeque::with_capacity(DRAIN_BATCH),
         };
         HostTransport {
-            obs: wiring.provided.remove(INTROSPECTION).map(inbox),
-            provided: NameTable::new(wiring.provided.into_iter().map(|(k, f)| (k, inbox(f)))),
-            routes: NameTable::new(wiring.routes),
-            observed: NameTable::new(wiring.observed),
+            inboxes: wiring.provided.into_iter().map(|f| f.map(inbox)).collect(),
+            routes: wiring.routes,
+            observed: wiring.observed,
             stats: wiring.stats,
             scratch: Vec::with_capacity(DRAIN_BATCH),
             pool: wiring.pool,
             parker,
-        }
-    }
-
-    fn inbox(&self, provided: &str) -> Option<&Inbox> {
-        if provided == INTROSPECTION {
-            self.obs.as_ref()
-        } else {
-            self.provided.get(provided)
         }
     }
 
@@ -204,15 +192,7 @@ impl<P: Parker> Transport for HostTransport<P> {
         self.parker.request_shutdown();
     }
 
-    fn has_route(&self, required: &str) -> bool {
-        self.routes.get(required).is_some()
-    }
-
-    fn has_inbox(&self, provided: &str) -> bool {
-        self.inbox(provided).is_some()
-    }
-
-    fn push(&mut self, required: &str, msg: Message) -> u64 {
+    fn push(&mut self, required: IfaceId, msg: Message) -> u64 {
         let t0 = Instant::now();
         let msg = match msg {
             Message::Data(payload) => Message::Data(self.copy_payload(payload)),
@@ -225,10 +205,9 @@ impl<P: Parker> Transport for HostTransport<P> {
             },
             other => other,
         };
-        let route = self
-            .routes
-            .get(required)
-            .expect("the runtime checks `has_route` before every push");
+        let route = self.routes[required.index()]
+            .as_ref()
+            .expect("the runtime pushes only where its table has a route");
         route.push(msg);
         let cost = t0.elapsed().as_nanos() as u64;
         // Push-then-wake: the message is visible before the receiver is.
@@ -237,13 +216,10 @@ impl<P: Parker> Transport for HostTransport<P> {
         cost
     }
 
-    fn try_pop(&mut self, provided: &str) -> Option<(Message, u64)> {
+    fn try_pop(&mut self, provided: IfaceId) -> Option<(Message, u64)> {
+        let inbox = self.inboxes[provided.index()].as_mut()?;
         // Only data counts towards the queue gauges.
-        let (inbox, stats) = if provided == INTROSPECTION {
-            (self.obs.as_mut()?, None)
-        } else {
-            (self.provided.get_mut(provided)?, Some(&self.stats))
-        };
+        let stats = (provided != IfaceId::INTROSPECTION).then_some(&self.stats);
         let t0 = Instant::now();
         if let Some(m) = inbox.stash.pop_front() {
             if let Some(stats) = stats {
@@ -271,16 +247,15 @@ impl<P: Parker> Transport for HostTransport<P> {
 
     fn poll_obs(&mut self) -> Option<Message> {
         // This runs at every communication point and the common case is
-        // "no request pending", which costs no name look-up, no clock,
-        // no lock: an empty stash and one load of the mailbox's length.
-        // The stash comes first: a `recv` on the introspection inbox
-        // bulk-drains.
-        let inbox = self.obs.as_mut()?;
+        // "no request pending", which costs no clock and no lock: an
+        // empty stash and one load of the mailbox's length. The stash
+        // comes first: a `recv` on the introspection inbox bulk-drains.
+        let inbox = self.inboxes[IfaceId::INTROSPECTION.index()].as_mut()?;
         inbox.stash.pop_front().or_else(|| inbox.fifo.try_pop())
     }
 
-    fn observe(&mut self, required: &str, request: ObsRequest) -> Option<ObsReply> {
-        let target = self.observed.get(required)?;
+    fn observe(&mut self, required: IfaceId, request: ObsRequest) -> Option<ObsReply> {
+        let target = self.observed[required.index()].as_ref()?;
         // The target's gauges, as its own runtime would compute them
         // before answering — but from here, and written nowhere. The
         // mailboxes first, then what the target says it stashed: its
@@ -288,7 +263,7 @@ impl<P: Parker> Transport for HostTransport<P> {
         // from the one to the other is counted (twice, at worst), never
         // missed.
         let mut queued = Queued::default();
-        for inbox in &target.inboxes {
+        for inbox in target.inboxes.iter().skip(1).flatten() {
             queued.messages += inbox.len() as u64;
             queued.bytes += inbox.queued_bytes();
         }
@@ -307,10 +282,10 @@ impl<P: Parker> Transport for HostTransport<P> {
             let in_flight: u64 = inbox.stash.iter().map(|m| m.data_len() as u64).sum();
             inbox.fifo.queued_bytes() + in_flight
         };
-        self.provided.values().chain(&self.obs).map(of).sum()
+        self.inboxes.iter().flatten().map(of).sum()
     }
 
-    fn park_recv(&mut self, _provided: &[&str], deadline_ns: Option<u64>) {
+    fn park_recv(&mut self, _provided: &[IfaceId], deadline_ns: Option<u64>) {
         self.parker.park(deadline_ns);
     }
 
@@ -332,12 +307,15 @@ impl<P: Parker> Transport for HostTransport<P> {
         self.pool.as_ref()
     }
 
-    fn inbox_depth(&self, provided: &str) -> u64 {
-        self.inbox(provided).map_or(0, Inbox::depth) as u64
+    fn inbox_depth(&self, provided: IfaceId) -> u64 {
+        self.inboxes[provided.index()]
+            .as_ref()
+            .map_or(0, Inbox::depth) as u64
     }
 
     fn drain_inboxes(&mut self) {
-        for inbox in self.provided.values_mut() {
+        // Slot 0 is `introspection`, whose traffic a restart keeps.
+        for inbox in self.inboxes.iter_mut().skip(1).flatten() {
             for msg in inbox.stash.drain(..) {
                 self.stats.unstash(msg.data_len() as u64);
             }
@@ -348,8 +326,6 @@ impl<P: Parker> Transport for HostTransport<P> {
 
 #[cfg(test)]
 mod tests {
-    use std::collections::HashMap;
-
     use super::*;
 
     /// Never blocks: these tests drive the transport from one thread.
@@ -387,16 +363,21 @@ mod tests {
         let (data, obs) = (Fifo::new(0), Fifo::new(0));
         let wiring = Wiring {
             index: 0,
-            provided: HashMap::from([
-                ("in".to_string(), data.clone()),
-                (INTROSPECTION.to_string(), obs.clone()),
-            ]),
-            routes: HashMap::new(),
-            observed: HashMap::new(),
+            provided: vec![Some(obs.clone()), Some(data.clone())],
+            routes: vec![None, None],
+            observed: vec![None, None],
             stats: Arc::new(ComponentStats::new("c", &["in".to_string()], &[])),
             pool: None,
         };
         (HostTransport::new(wiring, NoParker), data, obs)
+    }
+
+    /// The id of `t`'s interface `name`.
+    fn id<P: Parker>(t: &HostTransport<P>, name: &str) -> IfaceId {
+        t.stats
+            .interfaces()
+            .id(name)
+            .expect("an interface of the component")
     }
 
     #[test]
@@ -407,10 +388,10 @@ mod tests {
         }
         // A `recv` on the introspection inbox drains all three into the
         // stash and hands out the first; the poll continues from there.
-        let first = t.try_pop(INTROSPECTION).map(|(msg, _cost)| msg);
+        let first = t.try_pop(IfaceId::INTROSPECTION).map(|(msg, _cost)| msg);
         assert_eq!(requester(first).as_deref(), Some("a"));
         assert!(obs.is_empty(), "the mailbox was drained in one go");
-        assert_eq!(t.inbox_depth(INTROSPECTION), 2);
+        assert_eq!(t.inbox_depth(IfaceId::INTROSPECTION), 2);
         obs.push(request("d"));
         for from in ["b", "c", "d"] {
             assert_eq!(requester(t.poll_obs()).as_deref(), Some(from));
@@ -426,64 +407,76 @@ mod tests {
         for payload in [b"1" as &'static [u8], b"22", b"333"] {
             data.push(Message::Data(bytes::Bytes::from_static(payload)));
         }
-        assert!(target.try_pop("in").is_some());
+        let data_in = id(&target, "in");
+        assert!(target.try_pop(data_in).is_some());
         assert!(data.is_empty(), "all three left the mailbox");
         // Stashed requests are no queued data.
         obs.push(request("a"));
         obs.push(request("b"));
-        assert!(target.try_pop(INTROSPECTION).is_some());
+        assert!(target.try_pop(IfaceId::INTROSPECTION).is_some());
         let stats = Arc::clone(&target.stats);
         stats.mark_started(0);
         // The observer: `obs_c` is wired to that component.
         let handle = Observed {
             engine: crate::observe::engine::ObsEngine::new(Arc::clone(&stats)),
-            inboxes: vec![data.clone()],
+            inboxes: vec![Some(obs.clone()), Some(data.clone())],
         };
         let wiring = Wiring {
             index: 1,
-            provided: HashMap::new(),
-            routes: HashMap::from([("obs_c".to_string(), Fifo::new(0))]),
-            observed: HashMap::from([("obs_c".to_string(), handle)]),
+            provided: vec![None, None],
+            routes: vec![None, Some(Fifo::new(0))],
+            observed: vec![None, Some(handle)],
             stats: Arc::new(ComponentStats::new("Observer", &[], &["obs_c".to_string()])),
             pool: None,
         };
         let mut observer = HostTransport::new(wiring, NoParker);
-        let Some(ObsReply::Health(health)) = observer.observe("obs_c", ObsRequest::Health) else {
+        let obs_c = id(&observer, "obs_c");
+        let Some(ObsReply::Health(health)) = observer.observe(obs_c, ObsRequest::Health) else {
             panic!("not answered in place");
         };
         assert_eq!((health.queued_messages, health.queued_bytes), (2, 5));
         // Nothing was written into the target's block on the way.
         assert_eq!(stats.health(0).queued_messages, 0);
         // The target's own count is the same number.
-        assert_eq!((target.inbox_depth("in"), target.queued_bytes()), (2, 5));
-        assert!(target.try_pop("in").is_some());
-        let Some(ObsReply::Full(report)) = observer.observe("obs_c", ObsRequest::Full) else {
+        assert_eq!((target.inbox_depth(data_in), target.queued_bytes()), (2, 5));
+        assert!(target.try_pop(data_in).is_some());
+        let Some(ObsReply::Full(report)) = observer.observe(obs_c, ObsRequest::Full) else {
             panic!("not answered in place");
         };
         assert_eq!(report.os.queued_bytes, 3);
         assert_eq!(report.health.unwrap().queued_messages, 1);
         // A restart that drains the mailboxes empties the stash too.
         target.drain_inboxes();
-        let Some(ObsReply::Health(health)) = observer.observe("obs_c", ObsRequest::Health) else {
+        let Some(ObsReply::Health(health)) = observer.observe(obs_c, ObsRequest::Health) else {
             panic!("not answered in place");
         };
         assert_eq!((health.queued_messages, health.queued_bytes), (0, 0));
         // Not a connection into an introspection interface: the
-        // runtime sends a message (and reports a wrong name).
-        assert!(observer.observe("in", ObsRequest::Health).is_none());
-        assert!(target.observe("obs_c", ObsRequest::Health).is_none());
+        // runtime sends a message.
+        assert!(observer
+            .observe(IfaceId::INTROSPECTION, ObsRequest::Health)
+            .is_none());
+        assert!(target.observe(data_in, ObsRequest::Health).is_none());
     }
 
     #[test]
     fn introspection_is_an_inbox_by_name_too_and_survives_a_drain() {
         let (mut t, data, obs) = transport();
-        assert!(t.has_inbox("in") && t.has_inbox(INTROSPECTION) && !t.has_inbox("out"));
+        let (data_in, ifaces) = (id(&t, "in"), t.stats.interfaces());
+        assert!(ifaces.has_inbox(data_in) && ifaces.has_inbox(IfaceId::INTROSPECTION));
+        assert!(ifaces.id("out").is_none());
         data.push(Message::Data(bytes::Bytes::from_static(b"12345")));
         obs.push(request("a"));
-        assert_eq!((t.inbox_depth("in"), t.inbox_depth(INTROSPECTION)), (1, 1));
+        let depths = |t: &HostTransport<NoParker>| {
+            (
+                t.inbox_depth(data_in),
+                t.inbox_depth(IfaceId::INTROSPECTION),
+            )
+        };
+        assert_eq!(depths(&t), (1, 1));
         assert_eq!(t.queued_bytes(), 5);
         t.drain_inboxes();
-        assert_eq!((t.inbox_depth("in"), t.inbox_depth(INTROSPECTION)), (0, 1));
+        assert_eq!(depths(&t), (0, 1));
         assert_eq!(requester(t.poll_obs()).as_deref(), Some("a"));
     }
 }

@@ -24,8 +24,11 @@
 //! on a worker pool) — share one [`HostTransport`] over [`Fifo`]
 //! mailboxes and differ only in their [`Parker`]. Its steady-state
 //! send and receive take no application-wide lock (the payload pool is
-//! sharded by thread, a mailbox is shared by its two ends only) and
-//! hash no name with SipHash.
+//! sharded by thread, a mailbox is shared by its two ends only).
+//!
+//! Interfaces are bound once, at deployment (§4.1): [`Ctx`] resolves a
+//! call's names in the component's [`IfaceTable`], and below it an
+//! interface is an [`IfaceId`], an index into a `Vec`.
 //!
 //! # The waiting contract
 //!
@@ -105,26 +108,27 @@ pub use fifo::Fifo;
 pub use host::{host_memory_bytes, HostTransport, Parker};
 pub use trace::{TraceConfig, TraceEventKind, TraceSink};
 
+pub use crate::names::{IfaceId, IfaceTable};
+
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use crate::behavior::{Behavior, Ctx, Work};
-use crate::component::INTROSPECTION;
 use crate::error::EmberaError;
 use crate::message::Message;
 use crate::observe::engine::ObsEngine;
 use crate::observe::protocol::{ObsReply, ObsRequest};
 use crate::observe::stats::ComponentStats;
 use crate::overload::OverloadPolicy;
-use crate::supervise::{ComponentFaults, Escalation, FaultAction, FaultPlan, RestartPolicy};
+use crate::supervise::{ComponentFaults, Escalation, FaultAction, RestartPolicy};
 
 /// What a platform backend must provide to host components: message
 /// movement with costs, time, shutdown visibility, and parking.
 ///
 /// All methods take `&mut self`: a transport belongs to exactly one
-/// component's execution flow. Interfaces are keyed by name — the
-/// transport resolves them to its own endpoint type (mailbox,
-/// distributed object, queue).
+/// component's execution flow. An interface is its [`IfaceId`]: the
+/// slot of the transport's own endpoint type (mailbox, distributed
+/// object, queue) in the [`Wiring`]'s `Vec`s.
 pub trait Transport {
     /// Current platform time, ns (monotonic; virtual on simulators).
     fn now_ns(&self) -> u64;
@@ -138,32 +142,25 @@ pub trait Transport {
     /// escalates ([`Completion`] decides); it may be called repeatedly.
     fn request_shutdown(&mut self);
 
-    /// Is this required interface connected to a peer?
-    fn has_route(&self, required: &str) -> bool;
-
-    /// Does this component own an inbox for this provided interface?
-    fn has_inbox(&self, provided: &str) -> bool;
-
     /// Deliver `msg` through the connected required interface `required`
-    /// (caller guarantees [`Transport::has_route`]). Returns the cost of
-    /// the send primitive in ns — what middleware-level observation
+    /// (the caller's table guarantees it has a route). Returns the cost
+    /// of the send primitive in ns — what middleware-level observation
     /// records.
-    fn push(&mut self, required: &str, msg: Message) -> u64;
+    fn push(&mut self, required: IfaceId, msg: Message) -> u64;
 
     /// Non-blocking take of the next message queued on provided
     /// interface `provided`, with the receive primitive's cost in ns.
-    fn try_pop(&mut self, provided: &str) -> Option<(Message, u64)>;
+    fn try_pop(&mut self, provided: IfaceId) -> Option<(Message, u64)>;
 
     /// Non-blocking take of the next introspection request, polled at
     /// every communication point. Equivalent to
-    /// `try_pop(INTROSPECTION)` minus the cost sample (observation
-    /// traffic is never recorded); backends may override it with a
-    /// cheaper clock-free path so the poll stays off the data plane's
-    /// critical path. [`HostTransport`] does: it keeps the
-    /// introspection inbox as a field, so its poll resolves no name
-    /// and, with nothing pending, is one load of the mailbox's length.
+    /// `try_pop(IfaceId::INTROSPECTION)` minus the cost sample
+    /// (observation traffic is never recorded); backends may override
+    /// it with a cheaper clock-free path so the poll stays off the data
+    /// plane's critical path. [`HostTransport`] does: with nothing
+    /// pending, its poll is one load of the mailbox's length.
     fn poll_obs(&mut self) -> Option<Message> {
-        self.try_pop(INTROSPECTION).map(|(msg, _cost)| msg)
+        self.try_pop(IfaceId::INTROSPECTION).map(|(msg, _cost)| msg)
     }
 
     /// Answer `request` on behalf of the component whose
@@ -173,9 +170,8 @@ pub trait Transport {
     /// clock. `None` — the default — means this transport cannot (the
     /// interface is not such a connection, or the backend's components
     /// share no memory, or observation traffic is something it models);
-    /// the runtime then sends the request as a message, which is also
-    /// where a wrong interface name gets its error.
-    fn observe(&mut self, _required: &str, _request: ObsRequest) -> Option<ObsReply> {
+    /// the runtime then sends the request as a message.
+    fn observe(&mut self, _required: IfaceId, _request: ObsRequest) -> Option<ObsReply> {
         None
     }
 
@@ -186,12 +182,12 @@ pub trait Transport {
     /// Block waiting for activity: a message on *any* of this
     /// component's inboxes, a shutdown, or — bounded by `deadline_ns` in
     /// platform time — a timeout. May wake spuriously or early (see the
-    /// module's waiting contract). `provided` names the interfaces the
+    /// module's waiting contract). `provided` lists the interfaces the
     /// behavior is receiving on, in the order it scans them (one for
     /// `recv`, several for [`Ctx::recv_any_message`]), so that a backend
     /// that diagnoses deadlocks can name the receive set; it is never
     /// empty.
-    fn park_recv(&mut self, provided: &[&str], deadline_ns: Option<u64>);
+    fn park_recv(&mut self, provided: &[IfaceId], deadline_ns: Option<u64>);
 
     /// Block in the post-behavior quiescent loop until there may be
     /// introspection work or shutdown (spurious returns allowed: the
@@ -237,7 +233,7 @@ pub trait Transport {
     /// `provided` — the per-inbox depth that queue-bound overload
     /// policies enforce against, and (summed over the data interfaces)
     /// the supervision layer's queue-depth gauge.
-    fn inbox_depth(&self, provided: &str) -> u64;
+    fn inbox_depth(&self, provided: IfaceId) -> u64;
 }
 
 /// The one per-component runtime shared by every backend: owns the
@@ -259,6 +255,8 @@ pub struct ComponentRuntime<T: Transport> {
     /// Overload response ([`crate::ComponentSpec::with_overload`]):
     /// ingress shedding enforced by this runtime.
     overload: Option<OverloadPolicy>,
+    /// The receive set in progress (kept: a receive allocates nothing).
+    lanes: Vec<IfaceId>,
 }
 
 impl<T: Transport> ComponentRuntime<T> {
@@ -281,30 +279,13 @@ impl<T: Transport> ComponentRuntime<T> {
             restart: None,
             faults: None,
             overload: None,
+            lanes: Vec::new(),
         }
     }
 
     /// The component's name.
     fn name(&self) -> &str {
         self.stats.name()
-    }
-
-    /// Attach the component's restart policy
-    /// ([`crate::ComponentSpec::restart`]).
-    fn set_restart_policy(&mut self, policy: Option<RestartPolicy>) {
-        self.restart = policy;
-    }
-
-    /// Extract this component's slice of the application's
-    /// fault-injection plan ([`crate::AppSpec::faults`](crate::AppSpec)).
-    fn set_fault_plan(&mut self, plan: &FaultPlan) {
-        self.faults = plan.for_component(self.stats.name());
-    }
-
-    /// Attach the component's overload policy
-    /// ([`crate::ComponentSpec::overload`]).
-    fn set_overload_policy(&mut self, policy: Option<OverloadPolicy>) {
-        self.overload = policy;
     }
 
     fn emit(&self, ts_ns: u64, kind: TraceEventKind, a: u64, b: u64) {
@@ -337,9 +318,9 @@ impl<T: Transport> ComponentRuntime<T> {
             let now = self.transport.now_ns();
             let mut reply = self.engine.answer(request, now);
             self.transport.refine_reply(&mut reply);
-            if self.transport.has_route(INTROSPECTION) {
+            if self.stats.interfaces().has_route(IfaceId::INTROSPECTION) {
                 self.transport.push(
-                    INTROSPECTION,
+                    IfaceId::INTROSPECTION,
                     Message::ObsReply {
                         from: self.name().to_string(),
                         reply: Box::new(reply),
@@ -354,9 +335,10 @@ impl<T: Transport> ComponentRuntime<T> {
 
     fn refresh_queued_gauge(&self) {
         self.stats.set_queued_bytes(self.transport.queued_bytes());
-        let depths = self.stats.provided().iter();
-        self.stats
-            .set_queued_messages(depths.map(|p| self.transport.inbox_depth(p)).sum());
+        let ifaces = self.stats.interfaces();
+        let data = ifaces.declared().filter(|&(id, _)| ifaces.has_inbox(id));
+        let depths = data.map(|(id, _)| self.transport.inbox_depth(id));
+        self.stats.set_queued_messages(depths.sum());
     }
 
     /// Run the behavior under this runtime's [`Ctx`]: lifecycle marks,
@@ -477,11 +459,16 @@ impl<T: Transport> ComponentRuntime<T> {
         provided: &[&str],
         deadline_ns: Option<u64>,
     ) -> Result<Option<(usize, Message)>, EmberaError> {
-        if let Some(unknown) = provided.iter().find(|p| !self.transport.has_inbox(p)) {
-            return Err(EmberaError::UnknownInterface {
-                component: self.name().to_string(),
-                interface: unknown.to_string(),
-            });
+        let ifaces = self.stats.interfaces();
+        self.lanes.clear();
+        for name in provided {
+            let Some(id) = ifaces.id(name).filter(|&id| ifaces.has_inbox(id)) else {
+                return Err(EmberaError::UnknownInterface {
+                    component: self.name().to_string(),
+                    interface: name.to_string(),
+                });
+            };
+            self.lanes.push(id);
         }
         if provided.is_empty() {
             return Ok(None); // nothing to wait for: not a wait
@@ -493,12 +480,12 @@ impl<T: Transport> ComponentRuntime<T> {
         loop {
             self.service_introspection();
             let transport = &mut self.transport;
-            let popped = provided.iter().enumerate().find_map(|(i, iface)| {
+            let popped = self.lanes.iter().enumerate().find_map(|(i, &iface)| {
                 let (msg, cost) = transport.try_pop(iface)?;
                 Some((i, msg, cost))
             });
             if let Some((lane, msg, cost)) = popped {
-                let iface = provided[lane];
+                let iface = self.lanes[lane];
                 if parked {
                     self.stats.set_blocked(false);
                     parked = false;
@@ -547,7 +534,7 @@ impl<T: Transport> ComponentRuntime<T> {
                 }
                 if msg.is_data() {
                     self.stats
-                        .record_receive(iface, msg.data_len() as u64, cost);
+                        .record_receive_on(Some(iface), msg.data_len() as u64, cost);
                     self.stats.mark_progress();
                 }
                 let t1 = self.trace_now();
@@ -591,8 +578,59 @@ impl<T: Transport> ComponentRuntime<T> {
                 parked = true;
                 self.stats.set_blocked(true);
             }
-            self.transport.park_recv(provided, deadline_ns);
+            self.transport.park_recv(&self.lanes, deadline_ns);
         }
+    }
+
+    /// The id a send on `required` goes through, by the error contract
+    /// (`Ok(None)`: `introspection` with no observer, a silent drop).
+    fn route(&self, required: &str) -> Result<Option<IfaceId>, EmberaError> {
+        let ifaces = self.stats.interfaces();
+        let declared = match ifaces.id(required) {
+            Some(id) if ifaces.has_route(id) => return Ok(Some(id)),
+            Some(IfaceId::INTROSPECTION) => return Ok(None),
+            id => id.is_some_and(|id| ifaces.is_required(id)),
+        };
+        let (component, interface) = (self.name().to_string(), required.to_string());
+        // Declared but unconnected, or never declared at all?
+        Err(if declared {
+            EmberaError::Disconnected { component, interface }
+        } else {
+            EmberaError::UnknownInterface { component, interface }
+        })
+    }
+
+    /// Send `msg` through `required`, which has a route.
+    fn send(&mut self, required: IfaceId, mut msg: Message) {
+        let is_data = msg.is_data();
+        let bytes = msg.data_len() as u64;
+        // Fault injection on outgoing data messages.
+        if is_data {
+            if let Some(faults) = self.faults.as_mut() {
+                match faults.on_send(required) {
+                    Some(FaultAction::Drop) => {
+                        self.emit(self.trace_now(), TraceEventKind::FaultInjected, 0, bytes);
+                        self.service_introspection();
+                        return; // never reaches the transport
+                    }
+                    Some(FaultAction::Corrupt) => {
+                        self.emit(self.trace_now(), TraceEventKind::FaultInjected, 1, bytes);
+                        msg = corrupt_data(msg);
+                    }
+                    None => {}
+                }
+            }
+        }
+        let t0 = self.trace_now();
+        self.emit(t0, TraceEventKind::SendStart, bytes, 0);
+        let cost = self.transport.push(required, msg);
+        if is_data {
+            self.stats.record_send_on(Some(required), bytes, cost);
+            self.stats.mark_progress();
+        }
+        let t1 = self.trace_now();
+        self.emit(t1, TraceEventKind::SendEnd, bytes, t1.saturating_sub(t0));
+        self.service_introspection();
     }
 }
 
@@ -643,54 +681,9 @@ impl<T: Transport> Ctx for RuntimeCtx<'_, T> {
     }
 
     fn send_message(&mut self, required: &str, msg: Message) -> Result<(), EmberaError> {
-        let rt = &mut *self.rt;
-        if !rt.transport.has_route(required) {
-            if required == INTROSPECTION {
-                return Ok(()); // no observer attached: drop silently
-            }
-            // Declared but unconnected, or never declared at all?
-            return Err(if rt.stats.required().iter().any(|r| r == required) {
-                EmberaError::Disconnected {
-                    component: rt.name().to_string(),
-                    interface: required.to_string(),
-                }
-            } else {
-                EmberaError::UnknownInterface {
-                    component: rt.name().to_string(),
-                    interface: required.to_string(),
-                }
-            });
+        if let Some(required) = self.rt.route(required)? {
+            self.rt.send(required, msg);
         }
-        let is_data = msg.is_data();
-        let bytes = msg.data_len() as u64;
-        let mut msg = msg;
-        // Fault injection on outgoing data messages.
-        if is_data {
-            if let Some(faults) = rt.faults.as_mut() {
-                match faults.on_send(required) {
-                    Some(FaultAction::Drop) => {
-                        rt.emit(rt.trace_now(), TraceEventKind::FaultInjected, 0, bytes);
-                        rt.service_introspection();
-                        return Ok(()); // never reaches the transport
-                    }
-                    Some(FaultAction::Corrupt) => {
-                        rt.emit(rt.trace_now(), TraceEventKind::FaultInjected, 1, bytes);
-                        msg = corrupt_data(msg);
-                    }
-                    None => {}
-                }
-            }
-        }
-        let t0 = rt.trace_now();
-        rt.emit(t0, TraceEventKind::SendStart, bytes, 0);
-        let cost = rt.transport.push(required, msg);
-        if is_data {
-            rt.stats.record_send(required, bytes, cost);
-            rt.stats.mark_progress();
-        }
-        let t1 = rt.trace_now();
-        rt.emit(t1, TraceEventKind::SendEnd, bytes, t1.saturating_sub(t0));
-        rt.service_introspection();
         Ok(())
     }
 
@@ -700,6 +693,9 @@ impl<T: Transport> Ctx for RuntimeCtx<'_, T> {
         request: ObsRequest,
     ) -> Result<Option<ObsReply>, EmberaError> {
         let rt = &mut *self.rt;
+        let Some(required) = rt.route(required)? else {
+            return Ok(None);
+        };
         if let Some(reply) = rt.transport.observe(required, request) {
             // Served here, so traced here: the target never saw it.
             rt.emit(rt.trace_now(), TraceEventKind::ObsServed, 1, 0);
@@ -709,7 +705,7 @@ impl<T: Transport> Ctx for RuntimeCtx<'_, T> {
             return Ok(Some(reply));
         }
         let from = rt.name().to_string();
-        self.send_message(required, Message::ObsRequest { from, request })?;
+        rt.send(required, Message::ObsRequest { from, request });
         Ok(None)
     }
 
@@ -748,6 +744,8 @@ impl<T: Transport> Ctx for RuntimeCtx<'_, T> {
 mod tests {
     use super::*;
     use crate::behavior::behavior_fn;
+    use crate::component::INTROSPECTION;
+    use crate::supervise::FaultPlan;
     use bytes::Bytes;
     use std::collections::{HashMap, VecDeque};
 
@@ -761,6 +759,16 @@ mod tests {
         route_to: HashMap<String, String>,
         clock: u64,
         shutdown: bool,
+        /// The component's statistics and interface table, once
+        /// `runtime_with` made them.
+        stats: Option<Arc<ComponentStats>>,
+    }
+
+    impl Loopback {
+        fn name(&self, id: IfaceId) -> String {
+            let stats = self.stats.as_ref().expect("made by `runtime_with`");
+            stats.interfaces().name(id).to_string()
+        }
     }
 
     impl Transport for Loopback {
@@ -773,24 +781,16 @@ mod tests {
         fn request_shutdown(&mut self) {
             self.shutdown = true;
         }
-        fn has_route(&self, required: &str) -> bool {
-            self.routes.iter().any(|r| r == required)
-        }
-        fn has_inbox(&self, provided: &str) -> bool {
-            self.inboxes.contains_key(provided)
-        }
-        fn push(&mut self, required: &str, msg: Message) -> u64 {
+        fn push(&mut self, required: IfaceId, msg: Message) -> u64 {
             self.clock += 10;
-            let target = self
-                .route_to
-                .get(required)
-                .cloned()
-                .unwrap_or_else(|| required.to_string());
+            let required = self.name(required);
+            let target = self.route_to.get(&required).cloned().unwrap_or(required);
             self.inboxes.entry(target).or_default().push_back(msg);
             10
         }
-        fn try_pop(&mut self, provided: &str) -> Option<(Message, u64)> {
-            let msg = self.inboxes.get_mut(provided)?.pop_front()?;
+        fn try_pop(&mut self, provided: IfaceId) -> Option<(Message, u64)> {
+            let provided = self.name(provided);
+            let msg = self.inboxes.get_mut(&provided)?.pop_front()?;
             self.clock += 5;
             Some((msg, 5))
         }
@@ -801,7 +801,7 @@ mod tests {
                 .map(|m| m.data_len() as u64)
                 .sum()
         }
-        fn park_recv(&mut self, _provided: &[&str], deadline_ns: Option<u64>) {
+        fn park_recv(&mut self, _provided: &[IfaceId], deadline_ns: Option<u64>) {
             self.clock = match deadline_ns {
                 Some(d) => self.clock.max(d),
                 None => {
@@ -813,9 +813,9 @@ mod tests {
         fn park_quiescent(&mut self) {
             self.shutdown = true;
         }
-        fn inbox_depth(&self, provided: &str) -> u64 {
+        fn inbox_depth(&self, provided: IfaceId) -> u64 {
             self.inboxes
-                .get(provided)
+                .get(&self.name(provided))
                 .map(|q| q.len() as u64)
                 .unwrap_or(0)
         }
@@ -824,13 +824,16 @@ mod tests {
         }
     }
 
-    fn runtime_with(transport: Loopback, required: &[&str]) -> ComponentRuntime<Loopback> {
+    fn runtime_with(mut transport: Loopback, required: &[&str]) -> ComponentRuntime<Loopback> {
         let declared: Vec<String> = transport.inboxes.keys().cloned().collect();
-        let stats = Arc::new(ComponentStats::new(
+        let routes: Vec<&str> = transport.routes.iter().map(String::as_str).collect();
+        let stats = Arc::new(ComponentStats::wired(
             "c",
             &declared,
             &required.iter().map(|s| s.to_string()).collect::<Vec<_>>(),
+            &routes,
         ));
+        transport.stats = Some(Arc::clone(&stats));
         ComponentRuntime::new(transport, ObsEngine::new(stats), None, Completion::new(1))
     }
 
@@ -978,10 +981,10 @@ mod tests {
     #[test]
     fn restart_policy_reruns_failed_behavior() {
         let mut rt = runtime_with(Loopback::default(), &[]);
-        rt.set_restart_policy(Some(RestartPolicy {
+        rt.restart = Some(RestartPolicy {
             max_restarts: 2,
             ..Default::default()
-        }));
+        });
         let stats = Arc::clone(&rt.stats);
         let completion = Arc::clone(&rt.completion);
         let mut attempts = 0u32;
@@ -1011,11 +1014,11 @@ mod tests {
         // complete the application.
         let mut rt = runtime_with(Loopback::default(), &[]);
         rt.completion = Completion::new(2);
-        rt.set_restart_policy(Some(RestartPolicy {
+        rt.restart = Some(RestartPolicy {
             max_restarts: 1,
             escalation: Escalation::OneForOne,
             ..Default::default()
-        }));
+        });
         let stats = Arc::clone(&rt.stats);
         let completion = Arc::clone(&rt.completion);
         rt.run_to_completion(Box::new(behavior_fn(|_| {
@@ -1043,7 +1046,7 @@ mod tests {
         let plan = FaultPlan::new()
             .drop_message("c", "out", 1)
             .corrupt_message("c", "out", 2);
-        rt.set_fault_plan(&plan);
+        rt.faults = plan.for_component("c", rt.stats.interfaces());
         let mut b = behavior_fn(|ctx| {
             for i in 0..3u8 {
                 ctx.send("out", Bytes::from(vec![i, 0x55]))?;
@@ -1070,7 +1073,8 @@ mod tests {
         t.routes.push("out".into());
         t.inboxes.insert("out".into(), VecDeque::new());
         let mut rt = runtime_with(t, &["out"]);
-        rt.set_fault_plan(&FaultPlan::new().panic_on_iteration("c", 1));
+        let plan = FaultPlan::new().panic_on_iteration("c", 1);
+        rt.faults = plan.for_component("c", rt.stats.interfaces());
         let completion = Arc::clone(&rt.completion);
         rt.run_to_completion(Box::new(behavior_fn(|ctx| {
             for _ in 0..3 {
@@ -1095,7 +1099,7 @@ mod tests {
         t.routes.push("out".into());
         t.inboxes.insert("out".into(), VecDeque::new());
         let mut rt = runtime_with(t, &["out"]);
-        rt.set_overload_policy(Some(crate::OverloadPolicy::drop_oldest(2)));
+        rt.overload = Some(crate::OverloadPolicy::drop_oldest(2));
         let stats = Arc::clone(&rt.stats);
         let mut b = behavior_fn(|ctx| {
             for i in 0..5u8 {
@@ -1122,7 +1126,7 @@ mod tests {
         t.routes.push("out".into());
         t.inboxes.insert("out".into(), VecDeque::new());
         let mut rt = runtime_with(t, &["out"]);
-        rt.set_overload_policy(Some(crate::OverloadPolicy::deadline_drop()));
+        rt.overload = Some(crate::OverloadPolicy::deadline_drop());
         let stats = Arc::clone(&rt.stats);
         let mut b = behavior_fn(|ctx| {
             // Loopback's clock advances on every send, so deadline 0 has
@@ -1145,12 +1149,16 @@ mod tests {
         let mut t = Loopback::default();
         t.inboxes.insert("in".into(), VecDeque::new());
         t.inboxes.insert(INTROSPECTION.to_string(), VecDeque::new());
-        t.inboxes.get_mut(INTROSPECTION).unwrap().push_back(Message::ObsRequest {
-            from: "tester".into(),
-            request: crate::ObsRequest::AppStats,
-        });
+        t.inboxes
+            .get_mut(INTROSPECTION)
+            .unwrap()
+            .push_back(Message::ObsRequest {
+                from: "tester".into(),
+                request: crate::ObsRequest::AppStats,
+            });
         t.routes.push(INTROSPECTION.to_string());
-        t.route_to.insert(INTROSPECTION.to_string(), "replies".into());
+        t.route_to
+            .insert(INTROSPECTION.to_string(), "replies".into());
         t.inboxes.insert("replies".into(), VecDeque::new());
         let mut rt = runtime_with(t, &[]);
         let mut b = behavior_fn(|ctx| {

@@ -12,10 +12,10 @@
 //! reproducible points — bit-for-bit deterministic on the
 //! `embera-inproc` logical-clock backend, best-effort elsewhere.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::error::EmberaError;
+use crate::names::{IfaceId, IfaceTable};
 
 /// What happens when a component exhausts its restart budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -165,20 +165,19 @@ impl FaultPlan {
         self.message_faults.is_empty() && self.panic_faults.is_empty()
     }
 
-    /// The runtime-local fault state for one component (`None` when the
-    /// plan holds nothing for it — the common, zero-overhead case).
-    pub(crate) fn for_component(&self, component: &str) -> Option<ComponentFaults> {
-        let mut sends: HashMap<String, IfaceFaults> = HashMap::new();
-        for f in self
-            .message_faults
-            .iter()
-            .filter(|f| f.component == component)
-        {
-            sends
-                .entry(f.interface.clone())
-                .or_default()
-                .faults
-                .push((f.nth, f.action));
+    /// The runtime-local fault state for one component, by the ids of
+    /// `ifaces` (`None` when the plan holds nothing for it — the common,
+    /// zero-overhead case; a name it does not have no send can reach).
+    pub(crate) fn for_component(
+        &self,
+        component: &str,
+        ifaces: &IfaceTable,
+    ) -> Option<ComponentFaults> {
+        let mut sends: Vec<_> = (0..ifaces.len()).map(|_| IfaceFaults::default()).collect();
+        for f in self.message_faults.iter().filter(|f| f.component == component) {
+            if let Some(id) = ifaces.id(&f.interface) {
+                sends[id.index()].faults.push((f.nth, f.action));
+            }
         }
         let panic_at = self
             .panic_faults
@@ -186,7 +185,7 @@ impl FaultPlan {
             .filter(|f| f.component == component)
             .map(|f| f.iteration)
             .min();
-        if sends.is_empty() && panic_at.is_none() {
+        if sends.iter().all(|s| s.faults.is_empty()) && panic_at.is_none() {
             return None;
         }
         Some(ComponentFaults {
@@ -206,7 +205,8 @@ pub(crate) struct IfaceFaults {
 
 /// Per-component fault state the runtime consults on its hot paths.
 pub(crate) struct ComponentFaults {
-    sends: HashMap<String, IfaceFaults>,
+    /// By [`IfaceId`].
+    sends: Vec<IfaceFaults>,
     panic_at: Option<u64>,
     /// Data receives seen so far (all interfaces).
     recvs: u64,
@@ -215,8 +215,8 @@ pub(crate) struct ComponentFaults {
 impl ComponentFaults {
     /// Advance the send counter for `interface`; returns the action to
     /// apply to this message, if any.
-    pub(crate) fn on_send(&mut self, interface: &str) -> Option<FaultAction> {
-        let state = self.sends.get_mut(interface)?;
+    pub(crate) fn on_send(&mut self, interface: IfaceId) -> Option<FaultAction> {
+        let state = &mut self.sends[interface.index()];
         let idx = state.count;
         state.count += 1;
         state
@@ -310,16 +310,18 @@ mod tests {
             .drop_message("a", "out", 3)
             .corrupt_message("b", "out", 0)
             .panic_on_iteration("a", 5);
-        let mut a = plan.for_component("a").unwrap();
-        assert!(plan.for_component("zzz").is_none());
+        let ifaces = IfaceTable::new(&[], &["out".into(), "other".into()], &[]);
+        let id = |name| ifaces.id(name).unwrap();
+        let mut a = plan.for_component("a", &ifaces).unwrap();
+        assert!(plan.for_component("zzz", &ifaces).is_none());
         // Sends 0..2 pass, 3 dropped.
-        assert_eq!(a.on_send("out"), None);
-        assert_eq!(a.on_send("out"), None);
-        assert_eq!(a.on_send("out"), None);
-        assert_eq!(a.on_send("out"), Some(FaultAction::Drop));
-        assert_eq!(a.on_send("out"), None);
+        assert_eq!(a.on_send(id("out")), None);
+        assert_eq!(a.on_send(id("out")), None);
+        assert_eq!(a.on_send(id("out")), None);
+        assert_eq!(a.on_send(id("out")), Some(FaultAction::Drop));
+        assert_eq!(a.on_send(id("out")), None);
         // Unlisted interface untouched.
-        assert_eq!(a.on_send("other"), None);
+        assert_eq!(a.on_send(id("other")), None);
         // Receives 0..4 pass, 5 panics.
         for _ in 0..5 {
             assert_eq!(a.on_recv(), None);

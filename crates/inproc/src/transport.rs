@@ -9,8 +9,8 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use embera::runtime::{Completion, Fifo, Transport, Wiring};
-use embera::{EmberaError, Message, Work, INTROSPECTION};
+use embera::runtime::{Completion, Fifo, IfaceId, Transport, Wiring};
+use embera::{EmberaError, Message, Work};
 use embera_fiber::fiber_yield;
 use parking_lot::Mutex;
 
@@ -173,35 +173,29 @@ impl Transport for InprocTransport {
         self.shared.request_shutdown();
     }
 
-    fn has_route(&self, required: &str) -> bool {
-        self.wiring.routes.contains_key(required)
-    }
-
-    fn has_inbox(&self, provided: &str) -> bool {
-        self.wiring.provided.contains_key(provided)
-    }
-
-    fn push(&mut self, required: &str, msg: Message) -> u64 {
+    fn push(&mut self, required: IfaceId, msg: Message) -> u64 {
         let ns = SEND_BASE_NS + msg.data_len() as u64 / 8;
         // An observation reply takes platform time, but it is the
         // runtime's work, not the component's: not charged as CPU.
-        if required == INTROSPECTION {
+        if required == IfaceId::INTROSPECTION {
             self.shared.advance(ns);
         } else {
             self.charge(ns);
         }
-        let route = &self.wiring.routes[required];
+        let route = self.wiring.routes[required.index()]
+            .as_ref()
+            .expect("the runtime pushes only where its table has a route");
         route.push(msg);
         self.shared.wake(route.owner());
         ns
     }
 
-    fn try_pop(&mut self, provided: &str) -> Option<(Message, u64)> {
-        let msg = self.wiring.provided.get(provided)?.try_pop()?;
+    fn try_pop(&mut self, provided: IfaceId) -> Option<(Message, u64)> {
+        let msg = self.wiring.provided[provided.index()].as_ref()?.try_pop()?;
         // Introspection requests are drained by the runtime's observation
         // service, not the application — uncharged, as on the MPSoC
         // backend.
-        let ns = if provided == INTROSPECTION {
+        let ns = if provided == IfaceId::INTROSPECTION {
             0
         } else {
             let ns = RECV_BASE_NS + msg.data_len() as u64 / 16;
@@ -212,12 +206,13 @@ impl Transport for InprocTransport {
     }
 
     fn queued_bytes(&self) -> u64 {
-        self.wiring.provided.values().map(Fifo::queued_bytes).sum()
+        self.wiring.provided.iter().flatten().map(Fifo::queued_bytes).sum()
     }
 
-    fn park_recv(&mut self, provided: &[&str], deadline_ns: Option<u64>) {
+    fn park_recv(&mut self, provided: &[IfaceId], deadline_ns: Option<u64>) {
         if self.shared.park(self.wiring.index, deadline_ns, true) {
-            let name = self.wiring.stats.name();
+            let (name, ifaces) = (self.wiring.stats.name(), self.wiring.stats.interfaces());
+            let provided: Vec<&str> = provided.iter().map(|&id| ifaces.name(id)).collect();
             self.completion.fail(
                 name,
                 EmberaError::Platform(format!(
@@ -249,16 +244,15 @@ impl Transport for InprocTransport {
         self.shared.advance(ns);
     }
 
-    fn inbox_depth(&self, provided: &str) -> u64 {
-        let inbox = self.wiring.provided.get(provided);
+    fn inbox_depth(&self, provided: IfaceId) -> u64 {
+        let inbox = self.wiring.provided[provided.index()].as_ref();
         inbox.map_or(0, |q| q.len() as u64)
     }
 
     fn drain_inboxes(&mut self) {
-        for (iface, q) in &self.wiring.provided {
-            if iface != INTROSPECTION {
-                while q.try_pop().is_some() {}
-            }
+        // Slot 0 is `introspection`, whose traffic a restart keeps.
+        for q in self.wiring.provided.iter().skip(1).flatten() {
+            while q.try_pop().is_some() {}
         }
     }
 }

@@ -98,7 +98,7 @@ impl Backend for TaskBackend {
         self.app
             .activity_events
             .with(|events| events.push(activity));
-        for inbox in wiring.provided.values() {
+        for inbox in wiring.provided.iter().flatten() {
             inbox.add_extra_notify(activity);
         }
         // Payload home region: the ST231's local memory, or SDRAM on

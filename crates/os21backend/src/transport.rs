@@ -9,8 +9,8 @@ use std::sync::Arc;
 
 use sim_kernel::{EventId, LockStep};
 
-use embera::runtime::{Transport, Wiring};
-use embera::{ComponentStats, Message, ObsReply, Work, WorkClass, INTROSPECTION};
+use embera::runtime::{IfaceId, Transport, Wiring};
+use embera::{ComponentStats, Message, ObsReply, Work, WorkClass};
 use embx::{DistributedObject, Envelope};
 use mpsoc_sim::{ComputeClass, RegionId};
 use os21::TaskCtx;
@@ -60,28 +60,18 @@ pub(crate) struct AppShared {
     pub(crate) activity_events: LockStep<Vec<EventId>>,
 }
 
-/// The endpoint named `name` in `table`. A component has a handful of
-/// interfaces, so a scan of their names beats hashing the one asked for.
-fn find<'a>(table: &'a [(String, Endpoint)], name: &str) -> Option<&'a Endpoint> {
-    table
-        .iter()
-        .find_map(|(held, endpoint)| (held == name).then_some(endpoint))
-}
-
 /// One component's [`Transport`] on the simulated STi7200.
 ///
-/// Its interfaces are resolved once, when it is built: the data
-/// provided interfaces and the routes are scanned by name, and the
-/// [`INTROSPECTION`] inbox, which the runtime polls at every
-/// communication point, is a field of its own.
+/// Every interface is an [`IfaceId`], the index of its slot in the
+/// `Vec`s taken over from the component's [`Wiring`], so a send, a
+/// receive and the poll of the introspection inbox at every
+/// communication point each index a slot and resolve no name.
 pub(crate) struct Os21Transport {
     task: TaskCtx,
-    /// The data provided interfaces.
-    provided: Vec<(String, Endpoint)>,
-    /// The [`INTROSPECTION`] provided interface.
-    obs: Option<Endpoint>,
-    /// Required interface → the connected peer's endpoint.
-    routes: Vec<(String, Endpoint)>,
+    /// The provided interfaces, [`IfaceId::INTROSPECTION`] first.
+    inboxes: Vec<Option<Endpoint>>,
+    /// The connected peer's endpoint of each required interface.
+    routes: Vec<Option<Endpoint>>,
     stats: Arc<ComponentStats>,
     /// Region the component's payloads live in on its CPU (LMI for
     /// ST231, SDRAM for the ST40).
@@ -101,29 +91,20 @@ impl Os21Transport {
     /// `task`.
     pub(crate) fn new(
         task: TaskCtx,
-        mut wiring: Wiring<Endpoint>,
+        wiring: Wiring<Endpoint>,
         local_region: RegionId,
         activity: EventId,
         app: Arc<AppShared>,
     ) -> Self {
         Os21Transport {
             task,
-            obs: wiring.provided.remove(INTROSPECTION),
-            provided: wiring.provided.into_iter().collect(),
-            routes: wiring.routes.into_iter().collect(),
+            inboxes: wiring.provided,
+            routes: wiring.routes,
             stats: wiring.stats,
             local_region,
             activity,
             app,
             mem_cursor: 0,
-        }
-    }
-
-    fn inbox(&self, provided: &str) -> Option<&Endpoint> {
-        if provided == INTROSPECTION {
-            self.obs.as_ref()
-        } else {
-            find(&self.provided, provided)
         }
     }
 }
@@ -145,42 +126,31 @@ impl Transport for Os21Transport {
             .with(|events| events.iter().for_each(|&e| sim.notify(e)));
     }
 
-    fn has_route(&self, required: &str) -> bool {
-        find(&self.routes, required).is_some()
-    }
-
-    fn has_inbox(&self, provided: &str) -> bool {
-        self.inbox(provided).is_some()
-    }
-
-    fn push(&mut self, required: &str, msg: Message) -> u64 {
-        let route =
-            find(&self.routes, required).expect("the runtime checks `has_route` before every push");
+    fn push(&mut self, required: IfaceId, msg: Message) -> u64 {
+        let route = self.routes[required.index()]
+            .as_ref()
+            .expect("the runtime pushes only where its table has a route");
         route.send(&self.task, self.local_region, Wire(msg))
     }
 
-    fn try_pop(&mut self, provided: &str) -> Option<(Message, u64)> {
+    fn try_pop(&mut self, provided: IfaceId) -> Option<(Message, u64)> {
+        let inbox = self.inboxes[provided.index()].as_ref()?;
         // Introspection requests are drained by the runtime itself — the
         // paper's observation service, not an application receive — so
         // they are not charged against the component.
-        if provided == INTROSPECTION {
-            return self.poll_obs().map(|msg| (msg, 0));
+        if provided == IfaceId::INTROSPECTION {
+            return inbox.try_take().map(|Wire(msg)| (msg, 0));
         }
-        let inbox = find(&self.provided, provided)?;
         let (Wire(msg), ns) = inbox.try_receive(&self.task, self.local_region)?;
         Some((msg, ns))
     }
 
-    fn poll_obs(&mut self) -> Option<Message> {
-        self.obs.as_ref()?.try_take().map(|Wire(msg)| msg)
-    }
-
     fn queued_bytes(&self) -> u64 {
-        let provided = self.provided.iter().map(|(_, inbox)| inbox);
-        provided.chain(&self.obs).map(Endpoint::queued_bytes).sum()
+        let inboxes = self.inboxes.iter().flatten();
+        inboxes.map(Endpoint::queued_bytes).sum()
     }
 
-    fn park_recv(&mut self, _provided: &[&str], deadline_ns: Option<u64>) {
+    fn park_recv(&mut self, _provided: &[IfaceId], deadline_ns: Option<u64>) {
         match deadline_ns {
             Some(d) => {
                 let now = self.task.now_ns();
@@ -231,9 +201,9 @@ impl Transport for Os21Transport {
         self.stats.set_cpu_time_ns(self.task.task_time());
     }
 
-    fn inbox_depth(&self, provided: &str) -> u64 {
-        self.inbox(provided)
-            .map_or(0, |inbox| inbox.queued() as u64)
+    fn inbox_depth(&self, provided: IfaceId) -> u64 {
+        let inbox = self.inboxes[provided.index()].as_ref();
+        inbox.map_or(0, |inbox| inbox.queued() as u64)
     }
 
     fn delay(&mut self, ns: u64) {
@@ -245,7 +215,8 @@ impl Transport for Os21Transport {
     }
 
     fn drain_inboxes(&mut self) {
-        for (_, inbox) in &self.provided {
+        // Slot 0 is `introspection`, whose traffic a restart keeps.
+        for inbox in self.inboxes.iter().skip(1).flatten() {
             while inbox.try_take().is_some() {}
         }
     }
