@@ -9,7 +9,7 @@ use crate::observer::{
     is_observer_component, ObservationLog, ObserverBehavior, ObserverConfig,
     RegionObserverBehavior, RootObserverBehavior, OBSERVER_NAME, REGION_OBSERVER_PREFIX,
 };
-use crate::runtime::TraceConfig;
+use crate::runtime::trace::TraceConfig;
 use crate::supervise::FaultPlan;
 
 /// One end of a connection.
@@ -55,7 +55,7 @@ pub struct AppSpec {
     pub has_observer: bool,
     /// Event-tracing opt-in: when set, every backend routes the
     /// components' runtime events (sends, receives, compute, lifecycle,
-    /// served observations) into sinks built by this configuration.
+    /// served observations) into rings registered on this configuration.
     pub trace: Option<TraceConfig>,
     /// Deterministic fault-injection plan applied by the shared
     /// component runtime on every backend (reproducible bit-for-bit on
@@ -171,7 +171,7 @@ impl AppBuilder {
     }
 
     /// Opt the application into event tracing: every deployed component
-    /// gets a sink from `config` and the runtime emits detailed events
+    /// gets a ring in `config` and the runtime emits detailed events
     /// (sends, receives, compute sections, lifecycle, served observation
     /// requests) on every backend — no behavior wrapping required.
     pub fn with_tracing(&mut self, config: TraceConfig) -> &mut Self {

@@ -22,12 +22,14 @@
 //! * **application** — component structure and communication counters.
 //!
 //! Applications are described platform-independently ([`AppBuilder`] →
-//! [`AppSpec`]) and deployed through a [`Platform`] implementation. Two
-//! backends exist in this workspace, mirroring the paper's two
+//! [`AppSpec`]) and deployed through a [`Platform`] implementation. Four
+//! backends exist in this workspace. Two mirror the paper's
 //! implementations: `embera-smp` (components as native threads with FIFO
 //! mailboxes — paper §4) and `embera-os21` (components as OS21 tasks
 //! communicating through EMBX distributed objects on the simulated
-//! STi7200 — paper §5).
+//! STi7200 — paper §5). `embera-exec` runs components as fibers on a
+//! small worker pool, and `embera-inproc` runs them one at a time on the
+//! calling thread under a logical clock, deterministically.
 //!
 //! ```
 //! use bytes::Bytes;
@@ -90,5 +92,5 @@ pub use observer::{
 pub use overload::OverloadPolicy;
 pub use platform::{AppReport, Platform, RunningApp};
 pub use pool::{BufferPool, PoolStats};
-pub use runtime::{TraceConfig, TraceEventKind, TraceSink};
+pub use runtime::trace::TraceConfig;
 pub use supervise::{Escalation, FaultAction, FaultPlan, FaultReport, RestartPolicy};

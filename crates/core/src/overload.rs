@@ -12,7 +12,7 @@
 //! [`HealthInfo::expired_messages`](crate::HealthInfo)), rolled up
 //! through regional observers into
 //! [`RollupTotals`](crate::RollupTotals), and emitted as a
-//! [`TraceEventKind::Shed`](crate::TraceEventKind) trace event — so the
+//! [`EventKind::Shed`](crate::runtime::trace::EventKind::Shed) trace event — so the
 //! shed decisions themselves are bit-for-bit reproducible on the
 //! deterministic inproc backend.
 //!

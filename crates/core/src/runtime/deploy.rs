@@ -28,7 +28,8 @@ use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
 
-use super::{ComponentRuntime, TraceSink, Transport};
+use super::trace::TraceWriter;
+use super::{ComponentRuntime, Transport};
 use crate::app::AppSpec;
 use crate::behavior::Behavior;
 use crate::component::{ComponentSpec, INTROSPECTION};
@@ -173,7 +174,7 @@ pub struct Flow {
     /// Requested stack size ([`ComponentSpec::stack_bytes`]).
     pub stack_bytes: u64,
     engine: ObsEngine,
-    trace: Option<Box<dyn TraceSink>>,
+    trace: Option<TraceWriter>,
     restart: Option<RestartPolicy>,
     overload: Option<OverloadPolicy>,
     faults: Option<ComponentFaults>,
@@ -337,7 +338,7 @@ pub fn deploy<B: Backend>(backend: &mut B, mut spec: AppSpec) -> Result<Deployed
         };
         let flow = Flow {
             stack_bytes: c.stack_bytes,
-            trace: spec.trace.as_ref().map(|t| t.sink_for(&c.name)),
+            trace: spec.trace.as_ref().map(|t| t.register(&c.name)),
             engine,
             restart: c.restart,
             overload: c.overload,

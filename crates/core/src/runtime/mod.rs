@@ -64,7 +64,7 @@
 //! as a message. The simulated platforms keep that path on purpose:
 //! there the cost of observation traffic is part of what is measured.
 //! Either way the served poll is traced as
-//! [`TraceEventKind::ObsServed`] — by the target's runtime for a
+//! [`trace::EventKind::ObsServed`] — by the target's runtime for a
 //! message, by the observer's for a read — and a component that is
 //! sent a `Message::ObsRequest` directly is answered as it always was.
 //!
@@ -101,12 +101,11 @@
 mod deploy;
 mod fifo;
 mod host;
-mod trace;
+pub mod trace;
 
 pub use deploy::{deploy, Backend, Completion, Deployed, Flow, Observed, Wiring};
 pub use fifo::Fifo;
 pub use host::{host_memory_bytes, HostTransport, Parker};
-pub use trace::{TraceConfig, TraceEventKind, TraceSink};
 
 pub use crate::names::{IfaceId, IfaceTable};
 
@@ -121,6 +120,7 @@ use crate::observe::protocol::{ObsReply, ObsRequest};
 use crate::observe::stats::ComponentStats;
 use crate::overload::OverloadPolicy;
 use crate::supervise::{ComponentFaults, Escalation, FaultAction, RestartPolicy};
+use trace::{EventKind, TraceWriter};
 
 /// What a platform backend must provide to host components: message
 /// movement with costs, time, shutdown visibility, and parking.
@@ -244,7 +244,7 @@ pub struct ComponentRuntime<T: Transport> {
     /// Also the component's name and declared interfaces.
     stats: Arc<ComponentStats>,
     engine: ObsEngine,
-    trace: Option<Box<dyn TraceSink>>,
+    trace: Option<TraceWriter>,
     /// The application's termination accounting.
     completion: Arc<Completion>,
     /// Supervision policy ([`crate::ComponentSpec::with_restart`]).
@@ -266,7 +266,7 @@ impl<T: Transport> ComponentRuntime<T> {
     fn new(
         transport: T,
         engine: ObsEngine,
-        trace: Option<Box<dyn TraceSink>>,
+        trace: Option<TraceWriter>,
         completion: Arc<Completion>,
     ) -> Self {
         let stats = Arc::clone(engine.stats());
@@ -288,9 +288,9 @@ impl<T: Transport> ComponentRuntime<T> {
         self.stats.name()
     }
 
-    fn emit(&self, ts_ns: u64, kind: TraceEventKind, a: u64, b: u64) {
-        if let Some(sink) = &self.trace {
-            sink.emit(ts_ns, kind, a, b);
+    fn emit(&self, ts_ns: u64, kind: EventKind, a: u64, b: u64) {
+        if let Some(writer) = &self.trace {
+            writer.emit(ts_ns, kind, a, b);
         }
     }
 
@@ -329,7 +329,7 @@ impl<T: Transport> ComponentRuntime<T> {
             }
             // With no observer connected the reply is dropped: nobody is
             // listening on the introspection required interface.
-            self.emit(now, TraceEventKind::ObsServed, 1, 0);
+            self.emit(now, EventKind::ObsServed, 1, 0);
         }
     }
 
@@ -348,7 +348,7 @@ impl<T: Transport> ComponentRuntime<T> {
     /// backend's execution-flow machinery.
     fn run_behavior(&mut self, behavior: &mut dyn Behavior) -> Result<(), EmberaError> {
         self.stats.mark_started(self.transport.now_ns());
-        self.emit(self.transport.now_ns(), TraceEventKind::BehaviorStart, 0, 0);
+        self.emit(self.transport.now_ns(), EventKind::BehaviorStart, 0, 0);
         let outcome = {
             let mut ctx = RuntimeCtx { rt: self };
             catch_unwind(AssertUnwindSafe(|| behavior.run(&mut ctx)))
@@ -361,11 +361,11 @@ impl<T: Transport> ComponentRuntime<T> {
             }),
         };
         if matches!(result, Err(EmberaError::BehaviorPanic { .. })) {
-            self.emit(self.transport.now_ns(), TraceEventKind::BehaviorPanic, 0, 0);
+            self.emit(self.transport.now_ns(), EventKind::BehaviorPanic, 0, 0);
         }
         self.emit(
             self.transport.now_ns(),
-            TraceEventKind::BehaviorEnd,
+            EventKind::BehaviorEnd,
             u64::from(result.is_err()),
             0,
         );
@@ -414,7 +414,7 @@ impl<T: Transport> ComponentRuntime<T> {
                     self.stats.mark_restarting();
                     self.emit(
                         self.transport.now_ns(),
-                        TraceEventKind::Restart,
+                        EventKind::Restart,
                         u64::from(restarts),
                         policy.backoff_ns,
                     );
@@ -506,12 +506,7 @@ impl<T: Transport> ComponentRuntime<T> {
                         {
                             self.stats.record_shed();
                             self.stats.mark_progress();
-                            self.emit(
-                                self.trace_now(),
-                                TraceEventKind::Shed,
-                                0,
-                                msg.data_len() as u64,
-                            );
+                            self.emit(self.trace_now(), EventKind::Shed, 0, msg.data_len() as u64);
                             continue;
                         }
                         Some(OverloadPolicy::DeadlineDrop)
@@ -521,12 +516,7 @@ impl<T: Transport> ComponentRuntime<T> {
                         {
                             self.stats.record_expired();
                             self.stats.mark_progress();
-                            self.emit(
-                                self.trace_now(),
-                                TraceEventKind::Shed,
-                                1,
-                                msg.data_len() as u64,
-                            );
+                            self.emit(self.trace_now(), EventKind::Shed, 1, msg.data_len() as u64);
                             continue;
                         }
                         _ => {}
@@ -540,7 +530,7 @@ impl<T: Transport> ComponentRuntime<T> {
                 let t1 = self.trace_now();
                 self.emit(
                     t1,
-                    TraceEventKind::Recv,
+                    EventKind::Recv,
                     msg.data_len() as u64,
                     t1.saturating_sub(t0),
                 );
@@ -609,12 +599,12 @@ impl<T: Transport> ComponentRuntime<T> {
             if let Some(faults) = self.faults.as_mut() {
                 match faults.on_send(required) {
                     Some(FaultAction::Drop) => {
-                        self.emit(self.trace_now(), TraceEventKind::FaultInjected, 0, bytes);
+                        self.emit(self.trace_now(), EventKind::FaultInjected, 0, bytes);
                         self.service_introspection();
                         return; // never reaches the transport
                     }
                     Some(FaultAction::Corrupt) => {
-                        self.emit(self.trace_now(), TraceEventKind::FaultInjected, 1, bytes);
+                        self.emit(self.trace_now(), EventKind::FaultInjected, 1, bytes);
                         msg = corrupt_data(msg);
                     }
                     None => {}
@@ -622,14 +612,14 @@ impl<T: Transport> ComponentRuntime<T> {
             }
         }
         let t0 = self.trace_now();
-        self.emit(t0, TraceEventKind::SendStart, bytes, 0);
+        self.emit(t0, EventKind::SendStart, bytes, 0);
         let cost = self.transport.push(required, msg);
         if is_data {
             self.stats.record_send_on(Some(required), bytes, cost);
             self.stats.mark_progress();
         }
         let t1 = self.trace_now();
-        self.emit(t1, TraceEventKind::SendEnd, bytes, t1.saturating_sub(t0));
+        self.emit(t1, EventKind::SendEnd, bytes, t1.saturating_sub(t0));
         self.service_introspection();
     }
 }
@@ -698,7 +688,7 @@ impl<T: Transport> Ctx for RuntimeCtx<'_, T> {
         };
         if let Some(reply) = rt.transport.observe(required, request) {
             // Served here, so traced here: the target never saw it.
-            rt.emit(rt.trace_now(), TraceEventKind::ObsServed, 1, 0);
+            rt.emit(rt.trace_now(), EventKind::ObsServed, 1, 0);
             // A communication point like a send: whoever observes this
             // component is answered now.
             rt.service_introspection();
@@ -724,7 +714,7 @@ impl<T: Transport> Ctx for RuntimeCtx<'_, T> {
         self.rt.stats.mark_progress();
         let t1 = self.rt.trace_now();
         self.rt
-            .emit(t1, TraceEventKind::Compute, work.ops, t1.saturating_sub(t0));
+            .emit(t1, EventKind::Compute, work.ops, t1.saturating_sub(t0));
     }
 
     fn now_ns(&self) -> u64 {

@@ -2,18 +2,18 @@
 
 use std::collections::HashMap;
 
-use crate::event::{EventKind, TraceEvent};
+use crate::{EventKind, TraceEvent};
 
 /// Per-component activity summary.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ComponentActivity {
     /// Component id.
     pub component: u32,
-    /// First and last event timestamps.
+    /// First event timestamp.
     pub first_ts: u64,
     /// Last event timestamp.
     pub last_ts: u64,
-    /// Number of sends / total send time.
+    /// Number of sends.
     pub sends: u64,
     /// Total time in send primitives, ns.
     pub send_ns: u64,
@@ -177,7 +177,6 @@ impl TimelineStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::TraceEvent;
 
     fn ev(ts: u64, c: u32, kind: EventKind, a: u64, b: u64) -> TraceEvent {
         TraceEvent::new(ts, c, kind, a, b)

@@ -1,133 +1,83 @@
-//! The trace collector: per-component rings feeding one global trace.
+//! The trace collector: an application's per-component rings read as one
+//! global, time-ordered trace.
 
-use std::sync::Arc;
+use embera::TraceConfig;
 
-use parking_lot::Mutex;
+use crate::TraceEvent;
 
-use crate::event::{EventKind, TraceEvent};
-use crate::ring::{Consumer, Producer, SpscRing};
-
-/// Default per-component ring capacity.
-pub const DEFAULT_RING_CAPACITY: usize = 64 * 1024;
-
-/// Producer handle given to one component (one producer per ring keeps
-/// the SPSC contract).
-pub struct TraceHandle {
-    component_id: u32,
-    producer: Producer<TraceEvent>,
-}
-
-impl TraceHandle {
-    /// Emit an event.
-    pub fn emit(&self, ts_ns: u64, kind: EventKind, a: u64, b: u64) {
-        self.producer
-            .push(TraceEvent::new(ts_ns, self.component_id, kind, a, b));
-    }
-
-    /// Component id this handle writes as.
-    pub fn component_id(&self) -> u32 {
-        self.component_id
-    }
-
-    /// Events dropped on this component's ring.
-    pub fn dropped(&self) -> u64 {
-        self.producer.dropped()
-    }
-}
-
-struct Registered {
-    name: String,
-    consumer: Consumer<TraceEvent>,
-}
-
-/// Collects traces from many components. Cloneable; clones share state.
-#[derive(Clone)]
+/// Collects the trace of one traced application. Cloneable; clones
+/// share the rings.
+#[derive(Clone, Default)]
 pub struct TraceCollector {
-    inner: Arc<Mutex<Vec<Registered>>>,
-    ring_capacity: usize,
-}
-
-impl Default for TraceCollector {
-    fn default() -> Self {
-        Self::new(DEFAULT_RING_CAPACITY)
-    }
+    config: TraceConfig,
 }
 
 impl TraceCollector {
     /// Collector whose component rings hold `ring_capacity` events.
     pub fn new(ring_capacity: usize) -> Self {
         TraceCollector {
-            inner: Arc::new(Mutex::new(Vec::new())),
-            ring_capacity,
+            config: TraceConfig::new(ring_capacity),
         }
     }
 
-    /// Register a component; returns its producer handle.
-    pub fn register(&self, name: impl Into<String>) -> TraceHandle {
-        let (producer, consumer) = SpscRing::new(self.ring_capacity).split();
-        let mut inner = self.inner.lock();
-        let component_id = inner.len() as u32;
-        inner.push(Registered {
-            name: name.into(),
-            consumer,
-        });
-        TraceHandle {
-            component_id,
-            producer,
-        }
+    /// The [`TraceConfig`] that registers each deployed component's ring
+    /// on this collector. Attach it with
+    /// [`AppBuilder::with_tracing`](embera::AppBuilder::with_tracing):
+    ///
+    /// ```
+    /// # use embera::AppBuilder;
+    /// # use embera_trace::TraceCollector;
+    /// let collector = TraceCollector::default();
+    /// let mut app = AppBuilder::new("traced");
+    /// app.with_tracing(collector.trace_config());
+    /// ```
+    pub fn trace_config(&self) -> TraceConfig {
+        self.config.clone()
     }
 
     /// Component name for an id.
     pub fn name_of(&self, id: u32) -> Option<String> {
-        self.inner.lock().get(id as usize).map(|r| r.name.clone())
+        self.names().into_iter().nth(id as usize)
     }
 
     /// All registered component names, id order.
     pub fn names(&self) -> Vec<String> {
-        self.inner.lock().iter().map(|r| r.name.clone()).collect()
+        self.config.names()
     }
 
-    /// Drain every ring and return the merged trace sorted by timestamp
-    /// (ties broken by component id for determinism).
+    /// Drain every ring and return the merged trace sorted by timestamp,
+    /// ties broken by component id, then by [`EventKind`](crate::EventKind)
+    /// order, for determinism.
     pub fn drain_sorted(&self) -> Vec<TraceEvent> {
-        let inner = self.inner.lock();
-        let mut all = Vec::new();
-        for r in inner.iter() {
-            all.extend(r.consumer.drain());
-        }
-        all.sort_by_key(|e| (e.ts_ns, e.component, kind_rank(e.kind)));
+        let mut all = self.config.drain();
+        all.sort_by_key(|e| (e.ts_ns, e.component, e.kind));
         all
     }
-}
 
-fn kind_rank(k: EventKind) -> u8 {
-    match k {
-        EventKind::BehaviorStart => 0,
-        EventKind::SendStart => 1,
-        EventKind::SendEnd => 2,
-        EventKind::Recv => 3,
-        EventKind::Compute => 4,
-        EventKind::ObsServed => 5,
-        EventKind::FaultInjected => 6,
-        EventKind::Shed => 7,
-        EventKind::BehaviorPanic => 8,
-        EventKind::Restart => 9,
-        EventKind::User(_) => 10,
-        EventKind::BehaviorEnd => 11,
+    /// Events lost so far because a component's ring was full, summed
+    /// over every ring.
+    pub fn dropped(&self) -> u64 {
+        self.config.dropped()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::EventKind;
+    use bytes::Bytes;
+    use embera::behavior::behavior_fn;
+    use embera::{AppBuilder, ComponentSpec, Platform, RunningApp};
+    use embera_smp::SmpPlatform;
 
     #[test]
     fn register_assigns_sequential_ids() {
         let c = TraceCollector::new(16);
-        let a = c.register("Fetch");
-        let b = c.register("IDCT_1");
-        assert_eq!(a.component_id(), 0);
-        assert_eq!(b.component_id(), 1);
+        let config = c.trace_config();
+        config.register("Fetch").emit(0, EventKind::Recv, 0, 0);
+        config.register("IDCT_1").emit(0, EventKind::Recv, 0, 0);
+        let ids: Vec<u32> = c.drain_sorted().iter().map(|e| e.component).collect();
+        assert_eq!(ids, vec![0, 1]);
         assert_eq!(c.names(), vec!["Fetch", "IDCT_1"]);
         assert_eq!(c.name_of(1).unwrap(), "IDCT_1");
         assert!(c.name_of(9).is_none());
@@ -136,8 +86,8 @@ mod tests {
     #[test]
     fn drain_merges_and_sorts_across_components() {
         let c = TraceCollector::new(16);
-        let a = c.register("a");
-        let b = c.register("b");
+        let a = c.trace_config().register("a");
+        let b = c.trace_config().register("b");
         b.emit(20, EventKind::Recv, 0, 0);
         a.emit(10, EventKind::SendStart, 5, 0);
         a.emit(30, EventKind::SendEnd, 5, 20);
@@ -149,10 +99,35 @@ mod tests {
     }
 
     #[test]
+    fn one_instant_of_one_component_drains_in_kind_order() {
+        use EventKind::*;
+        let rank_order = [
+            BehaviorStart,
+            SendStart,
+            SendEnd,
+            Recv,
+            Compute,
+            ObsServed,
+            FaultInjected,
+            Shed,
+            BehaviorPanic,
+            Restart,
+            BehaviorEnd,
+        ];
+        let c = TraceCollector::new(16);
+        let writer = c.trace_config().register("only");
+        for &kind in rank_order.iter().rev() {
+            writer.emit(7, kind, 0, 0);
+        }
+        let kinds: Vec<EventKind> = c.drain_sorted().iter().map(|e| e.kind).collect();
+        assert_eq!(kinds, rank_order);
+    }
+
+    #[test]
     fn concurrent_emission_from_threads() {
         let c = TraceCollector::new(8192);
         let handles: Vec<_> = (0..4)
-            .map(|i| c.register(format!("c{i}")))
+            .map(|i| c.trace_config().register(&format!("c{i}")))
             .map(|h| {
                 std::thread::spawn(move || {
                     for t in 0..1000u64 {
@@ -167,5 +142,77 @@ mod tests {
         let trace = c.drain_sorted();
         assert_eq!(trace.len(), 4000);
         assert!(trace.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
+    }
+
+    /// `src` sends `messages` payloads to `dst` on the thread backend,
+    /// traced into `collector`.
+    fn run_pair(collector: &TraceCollector, messages: usize) {
+        let mut app = AppBuilder::new("traced");
+        app.add(
+            ComponentSpec::new(
+                "src",
+                behavior_fn(move |ctx| {
+                    for _ in 0..messages {
+                        ctx.send("out", Bytes::from_static(b"payload"))?;
+                    }
+                    Ok(())
+                }),
+            )
+            .with_required("out")
+            .with_stack_bytes(1 << 20),
+        );
+        app.add(
+            ComponentSpec::new(
+                "dst",
+                behavior_fn(move |ctx| {
+                    for _ in 0..messages {
+                        ctx.recv("in")?;
+                    }
+                    Ok(())
+                }),
+            )
+            .with_provided("in")
+            .with_stack_bytes(1 << 20),
+        );
+        app.connect(("src", "out"), ("dst", "in"));
+        app.with_tracing(collector.trace_config());
+        SmpPlatform::new()
+            .deploy(app.build().unwrap())
+            .unwrap()
+            .wait()
+            .unwrap();
+    }
+
+    #[test]
+    fn first_class_tracing_captures_a_run() {
+        let collector = TraceCollector::default();
+        run_pair(&collector, 1);
+        let trace = collector.drain_sorted();
+        let count = |k: EventKind| trace.iter().filter(|e| e.kind == k).count();
+        // Two components, full lifecycle brackets each.
+        assert_eq!(count(EventKind::BehaviorStart), 2);
+        assert_eq!(count(EventKind::BehaviorEnd), 2);
+        // One data send, one data receive.
+        assert_eq!(count(EventKind::SendStart), 1);
+        assert_eq!(count(EventKind::SendEnd), 1);
+        assert_eq!(count(EventKind::Recv), 1);
+        // One ring per component, registered by name at deployment.
+        let mut names = collector.names();
+        names.sort();
+        assert_eq!(names, vec!["dst", "src"]);
+        assert_eq!(collector.dropped(), 0);
+    }
+
+    #[test]
+    fn full_rings_count_what_they_drop() {
+        let collector = TraceCollector::new(4);
+        let messages = 10;
+        run_pair(&collector, messages);
+        // Per component a start and an end; per message a send start,
+        // a send end and a receive.
+        let emitted = 2 * 2 + 3 * messages as u64;
+        let drained = collector.drain_sorted().len() as u64;
+        assert_eq!(drained, 2 * 4, "each 4-slot ring is full");
+        assert_eq!(drained + collector.dropped(), emitted);
     }
 }

@@ -1,24 +1,23 @@
 //! Line-oriented trace export and re-import.
 //!
 //! Format: `ts component kind a b`, one event per line, `kind` as a
-//! stable token (`user:<n>` for application events).
+//! stable token (`send_end`, `obs_served`, …).
 
-use crate::event::{EventKind, TraceEvent};
+use crate::{EventKind, TraceEvent};
 
-fn kind_token(k: EventKind) -> String {
+fn kind_token(k: EventKind) -> &'static str {
     match k {
-        EventKind::BehaviorStart => "behavior_start".into(),
-        EventKind::BehaviorEnd => "behavior_end".into(),
-        EventKind::SendStart => "send_start".into(),
-        EventKind::SendEnd => "send_end".into(),
-        EventKind::Recv => "recv".into(),
-        EventKind::Compute => "compute".into(),
-        EventKind::ObsServed => "obs_served".into(),
-        EventKind::BehaviorPanic => "behavior_panic".into(),
-        EventKind::Restart => "restart".into(),
-        EventKind::FaultInjected => "fault_injected".into(),
-        EventKind::Shed => "shed".into(),
-        EventKind::User(n) => format!("user:{n}"),
+        EventKind::BehaviorStart => "behavior_start",
+        EventKind::BehaviorEnd => "behavior_end",
+        EventKind::SendStart => "send_start",
+        EventKind::SendEnd => "send_end",
+        EventKind::Recv => "recv",
+        EventKind::Compute => "compute",
+        EventKind::ObsServed => "obs_served",
+        EventKind::BehaviorPanic => "behavior_panic",
+        EventKind::Restart => "restart",
+        EventKind::FaultInjected => "fault_injected",
+        EventKind::Shed => "shed",
     }
 }
 
@@ -35,13 +34,23 @@ fn parse_kind(tok: &str) -> Result<EventKind, String> {
         "restart" => EventKind::Restart,
         "fault_injected" => EventKind::FaultInjected,
         "shed" => EventKind::Shed,
-        other => {
-            let Some(n) = other.strip_prefix("user:") else {
-                return Err(format!("unknown event kind '{other}'"));
-            };
-            EventKind::User(n.parse().map_err(|e| format!("bad user id: {e}"))?)
-        }
+        other => return Err(format!("unknown event kind '{other}'")),
     })
+}
+
+/// `s` as the body of a JSON string: `"`, `\` and control characters
+/// escaped.
+fn json_escaped(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if c.is_control() => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 /// Serialize events to the text format.
@@ -94,8 +103,7 @@ pub fn to_chrome_json(events: &[TraceEvent], names: &[String]) -> String {
     let name_of = |id: u32| -> String {
         names
             .get(id as usize)
-            .cloned()
-            .unwrap_or_else(|| format!("component-{id}"))
+            .map_or_else(|| format!("component-{id}"), |name| json_escaped(name))
     };
     let mut out = String::from("[\n");
     let mut first = true;
@@ -111,7 +119,6 @@ pub fn to_chrome_json(events: &[TraceEvent], names: &[String]) -> String {
             EventKind::Restart => (format!("restart #{}", e.a), 0, true),
             EventKind::FaultInjected => ("fault_injected".to_string(), 0, true),
             EventKind::Shed => ("shed".to_string(), 0, true),
-            EventKind::User(n) => (format!("user:{n}"), e.b, e.b == 0),
             EventKind::SendStart => continue, // folded into SendEnd
         };
         if !first {
@@ -153,7 +160,6 @@ mod tests {
             TraceEvent::new(4, 1, EventKind::Recv, 10, 2),
             TraceEvent::new(5, 1, EventKind::Compute, 99, 3),
             TraceEvent::new(6, 1, EventKind::ObsServed, 0, 0),
-            TraceEvent::new(7, 1, EventKind::User(42), 1, 2),
             TraceEvent::new(8, 1, EventKind::BehaviorPanic, 0, 0),
             TraceEvent::new(9, 1, EventKind::Restart, 1, 1_000),
             TraceEvent::new(10, 0, EventKind::FaultInjected, 0, 64),
@@ -200,7 +206,29 @@ mod tests {
     fn malformed_lines_reported_with_number() {
         let err = from_text("1 0 recv 2\n").unwrap_err();
         assert!(err.contains("line 1"), "{err}");
-        let err = from_text("1 0 nope 2 3\n").unwrap_err();
-        assert!(err.contains("unknown event kind"), "{err}");
+        for unknown in ["1 0 nope 2 3\n", "1 0 user:7 2 3\n"] {
+            let err = from_text(unknown).unwrap_err();
+            assert!(err.contains("unknown event kind"), "{err}");
+        }
+    }
+
+    #[test]
+    fn chrome_export_escapes_component_names() {
+        let events = vec![
+            TraceEvent::new(1_000, 0, EventKind::BehaviorStart, 0, 0),
+            TraceEvent::new(5_000, 1, EventKind::SendEnd, 8, 1_000),
+            TraceEvent::new(6_000, 2, EventKind::Shed, 0, 8),
+        ];
+        let names = ["a\"b", "a\\b", "tab\there\n"].map(String::from);
+        let json = to_chrome_json(&events, &names);
+        assert!(json.contains(r#""cat": "a\"b""#), "{json}");
+        assert!(json.contains(r#""cat": "a\\b""#), "{json}");
+        assert!(json.contains(r#""cat": "tab\u0009here\u000a""#), "{json}");
+        // With the escapes taken out, the quotes of every object pair up.
+        for line in json.lines().filter(|l| l.contains('{')) {
+            let unescaped = line.replace("\\\\", "").replace("\\\"", "");
+            assert_eq!(unescaped.matches('"').count() % 2, 0, "{line}");
+        }
+        assert!(!json.chars().any(|c| c.is_control() && c != '\n'));
     }
 }

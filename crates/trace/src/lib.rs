@@ -1,4 +1,4 @@
-//! # embera-trace — event-trace support for EMBera
+//! # embera-trace — reading EMBera's event trace
 //!
 //! The paper closes with: "The current approach for observing is mainly
 //! based on collecting summarized information about the execution.
@@ -6,34 +6,28 @@
 //! application behavior. For this reason, we plan to implement an
 //! event-trace-support for collecting detailed events." (§6)
 //!
-//! This crate implements that announced extension:
+//! The writing side of that extension belongs to the runtime
+//! ([`embera::runtime::trace`]): one 32-byte [`TraceEvent`] record, one
+//! [`EventKind`] vocabulary, and one lock-free [`SpscRing`] per component,
+//! which the shared component runtime pushes into on every backend once
+//! an application opts in with
+//! [`AppBuilder::with_tracing`](embera::AppBuilder::with_tracing).
+//! Behaviors stay untouched, and the trace also holds runtime-internal
+//! events such as served introspection requests. This crate is the
+//! reading side, over that record:
 //!
-//! * [`TraceEvent`] — compact timestamped records of sends, receives,
-//!   compute sections and lifecycle transitions,
-//! * [`SpscRing`] — a bounded lock-free single-producer single-consumer
-//!   ring buffer, so tracing costs a few atomic operations per event and
-//!   never blocks the traced component,
-//! * [`TraceCollector`] — registers per-component rings and drains them
-//!   into a global, time-ordered trace,
-//! * [`sink`] — the bridge to the runtime's first-class tracing, the
-//!   one way a run is traced: a [`TraceCollector`] doubles as the
-//!   [`embera::TraceConfig`] sink factory (see
-//!   [`TraceCollector::trace_config`]), so tracing is a one-line
-//!   application opt-in that leaves behaviors untouched and also
-//!   captures runtime-internal events such as served introspection
-//!   requests,
-//! * [`analysis`] — timeline statistics: per-component activity spans,
-//!   communication matrix, utilization,
-//! * [`export`] — a line-oriented text format with round-trip parsing.
+//! * [`TraceCollector`] — hands out the application's
+//!   [`embera::TraceConfig`] ([`TraceCollector::trace_config`]) and
+//!   drains its rings into one global, time-ordered trace,
+//! * [`analysis`] — timeline statistics: per-component activity spans
+//!   and utilization, duration percentiles per event kind,
+//! * [`export`] — a line-oriented text format with round-trip parsing,
+//!   and the Chrome trace-event JSON format.
 
 pub mod analysis;
 pub mod collector;
-pub mod event;
 pub mod export;
-pub mod ring;
-pub mod sink;
 
 pub use analysis::{ComponentActivity, TimelineStats};
-pub use collector::{TraceCollector, TraceHandle};
-pub use event::{EventKind, TraceEvent};
-pub use ring::SpscRing;
+pub use collector::TraceCollector;
+pub use embera::runtime::trace::{EventKind, SpscRing, TraceEvent};

@@ -75,9 +75,11 @@ fn main() {
 
     let trace = collector.drain_sorted();
     println!(
-        "pipeline moved {MESSAGES} messages in {:.2} ms; captured {} trace events\n",
+        "pipeline moved {MESSAGES} messages in {:.2} ms; captured {} trace events, \
+         {} dropped on full rings\n",
         report.wall_time_ns as f64 / 1e6,
-        trace.len()
+        trace.len(),
+        collector.dropped()
     );
 
     let stats = TimelineStats::from_events(&trace);
