@@ -69,11 +69,6 @@ pub struct AppSpec {
 }
 
 impl AppSpec {
-    /// Find a component index by name.
-    pub fn component_index(&self, name: &str) -> Option<usize> {
-        self.components.iter().position(|c| c.name == name)
-    }
-
     /// Render the component graph in GraphViz dot format: one node per
     /// component (observer dashed), one edge per connection (observation
     /// wiring dotted). Paste into `dot -Tsvg` to get the paper's

@@ -58,19 +58,19 @@
 //! assert_eq!(spec.components.len(), 2);
 //! ```
 
-pub mod app;
+mod app;
 pub mod behavior;
-pub mod component;
-pub mod error;
-pub mod message;
+mod component;
+mod error;
+mod message;
 mod names;
 pub mod observe;
-pub mod observer;
-pub mod overload;
-pub mod platform;
-pub mod pool;
+mod observer;
+mod overload;
+mod platform;
+mod pool;
 pub mod runtime;
-pub mod supervise;
+mod supervise;
 
 pub use app::{AppBuilder, AppSpec, Connection, Endpoint};
 pub use behavior::{Behavior, Ctx, FnBehavior, Work, WorkClass};

@@ -11,9 +11,9 @@
 //! and communication counters). All information is gathered by the
 //! component *runtime* — "without modifying the application code".
 
-pub mod custom;
+pub(crate) mod custom;
 pub mod engine;
-pub mod protocol;
-pub mod report;
+pub(crate) mod protocol;
+pub(crate) mod report;
 pub mod stats;
-pub mod topology;
+pub(crate) mod topology;

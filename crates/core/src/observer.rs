@@ -149,7 +149,7 @@ impl Records {
 }
 
 /// Shared log of what the observer collected: the most recent
-/// [`LOG_CAPACITY`] records, the latest report of every component ever
+/// `LOG_CAPACITY` records, the latest report of every component ever
 /// seen, and every stall and region summary.
 #[derive(Clone, Default)]
 pub struct ObservationLog {

@@ -54,7 +54,7 @@
 
 mod executor;
 mod parker;
-pub mod platform;
+mod platform;
 
 pub use platform::{resolve_workers, ExecPlatform, ExecRunning};
 

@@ -44,11 +44,6 @@ impl BitWriter {
         }
         self.out
     }
-
-    /// Bits written so far (excluding padding).
-    pub fn bit_len(&self) -> u64 {
-        self.out.len() as u64 * 8 + self.nbits as u64
-    }
 }
 
 /// MSB-first bit reader that undoes byte stuffing.

@@ -59,16 +59,6 @@ pub fn synthesize_stream(
     MjpegStream { frames }
 }
 
-/// The paper's small input: 578 images (§4.3).
-pub fn paper_stream_578() -> MjpegStream {
-    synthesize_stream(578, DEFAULT_WIDTH, DEFAULT_HEIGHT, DEFAULT_QUALITY, 0x578)
-}
-
-/// The paper's large input: 3000 images (§4.3).
-pub fn paper_stream_3000() -> MjpegStream {
-    synthesize_stream(3000, DEFAULT_WIDTH, DEFAULT_HEIGHT, DEFAULT_QUALITY, 0x3000)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -28,9 +28,9 @@
 //! communication point and, after the behavior finishes, by a quiescent
 //! service loop — the application code is never modified (paper §4.2).
 
-pub mod mailbox;
+mod mailbox;
 mod parker;
-pub mod platform;
+mod platform;
 
 pub use mailbox::{Mailbox, MailboxKind};
 pub use platform::{SmpPlatform, SmpRunning};

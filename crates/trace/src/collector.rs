@@ -35,11 +35,6 @@ impl TraceCollector {
         self.config.clone()
     }
 
-    /// Component name for an id.
-    pub fn name_of(&self, id: u32) -> Option<String> {
-        self.names().into_iter().nth(id as usize)
-    }
-
     /// All registered component names, id order.
     pub fn names(&self) -> Vec<String> {
         self.config.names()
@@ -79,8 +74,6 @@ mod tests {
         let ids: Vec<u32> = c.drain_sorted().iter().map(|e| e.component).collect();
         assert_eq!(ids, vec![0, 1]);
         assert_eq!(c.names(), vec!["Fetch", "IDCT_1"]);
-        assert_eq!(c.name_of(1).unwrap(), "IDCT_1");
-        assert!(c.name_of(9).is_none());
     }
 
     #[test]

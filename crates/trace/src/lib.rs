@@ -25,7 +25,7 @@
 //!   and the Chrome trace-event JSON format.
 
 pub mod analysis;
-pub mod collector;
+mod collector;
 pub mod export;
 
 pub use analysis::{ComponentActivity, TimelineStats};

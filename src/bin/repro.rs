@@ -1,13 +1,13 @@
 //! `repro` — regenerate every table and figure of the EMBera paper.
 //!
 //! ```text
-//! cargo run --release -p embera-bench --bin repro -- all          # everything, reduced scale
-//! cargo run --release -p embera-bench --bin repro -- all --paper  # full 578/3000-frame streams
-//! cargo run --release -p embera-bench --bin repro -- table1|table2|figure4|figure5|table3|figure8
-//! cargo run --release -p embera-bench --bin repro -- cache|memseries|trace    # paper future work
-//! cargo run --release -p embera-bench --bin repro -- scaling|dot              # scaling study, graphs
-//! cargo run --release -p embera-bench --bin repro -- alloc-check [--backend smp|exec]  # steady-state allocation proof
-//! cargo run --release -p embera-bench --bin repro -- overload|fuzz            # conservation ledger, parser fuzz
+//! cargo run --release --bin repro -- all          # everything, reduced scale
+//! cargo run --release --bin repro -- all --paper  # full 578/3000-frame streams
+//! cargo run --release --bin repro -- table1|table2|figure4|figure5|table3|figure8
+//! cargo run --release --bin repro -- cache|memseries|trace    # paper future work
+//! cargo run --release --bin repro -- scaling|dot              # scaling study, graphs
+//! cargo run --release --bin repro -- alloc-check [--backend smp|exec]  # steady-state allocation proof
+//! cargo run --release --bin repro -- overload|fuzz            # conservation ledger, parser fuzz
 //! ```
 //!
 //! Reduced scale keeps the default run under a minute; `--paper` uses
@@ -15,17 +15,18 @@
 //! is measured by the `benchmark/` crate, not here.
 
 use embera::{ObserverConfig, OverloadPolicy, Platform, RunningApp};
-use embera_bench::loadgen::{overload_stream, run_overload_smp, OverloadOutcome};
-use embera_bench::runner;
-use embera_bench::{
-    run_mjpeg_stream_on, run_mpsoc_mjpeg, run_smp_mjpeg, stream, BenchBackend, FIGURE4_SIZES_KB,
-    FIGURE8_SIZES_KB, HEIGHT, WIDTH,
-};
 use embera_os21::Os21Platform;
+use embera_repro::loadgen::{overload_stream, run_overload_smp, OverloadOutcome};
+use embera_repro::runner;
 use embera_repro::stats::linear_fit;
 use embera_repro::sweep::{mpsoc_send_sweep, smp_send_sweep, MpsocSender};
 use embera_repro::tables::{format_table1, format_table2, format_table3, table3_ratio};
+use embera_repro::{
+    run_mjpeg_stream_on, run_mpsoc_mjpeg, run_smp_mjpeg, stream, BenchBackend, FIGURE4_SIZES_KB,
+    FIGURE8_SIZES_KB,
+};
 use embera_smp::SmpPlatform;
+use mjpeg::workload::{DEFAULT_HEIGHT, DEFAULT_WIDTH};
 use mjpeg::{
     build_mpsoc_app, build_smp_app, ArrivalProcess, AutoscaleConfig, DctKind, MjpegAppConfig,
     OverloadConfig, Pacing,
@@ -466,7 +467,7 @@ fn scaling(scale: &Scale) {
                 profile,
                 ..Default::default()
             };
-            let (app, _probe) = build_mpsoc_app(embera_bench::stream(frames, 0x578), &cfg);
+            let (app, _probe) = build_mpsoc_app(stream(frames, 0x578), &cfg);
             let mut platform =
                 Os21Platform::with_config(mpsoc_sim::MachineConfig::with_accelerators(n));
             let report = platform
@@ -563,7 +564,7 @@ fn alloc_check(scale: &Scale, args: &[String]) {
     // forwarded. A base run shorter than that only ever flushes
     // stream-end remainders, so the 2x run's first full batches would
     // be booked as marginal cost: that is warm-up, not a leak.
-    let blocks_per_frame = WIDTH * HEIGHT / mjpeg::dct::BLOCK_SIZE;
+    let blocks_per_frame = DEFAULT_WIDTH * DEFAULT_HEIGHT / mjpeg::dct::BLOCK_SIZE;
     let lane_batch_frames = (cfg.blocks_per_msg * cfg.idct_count).div_ceil(blocks_per_frame);
     let frames = arg_count(args, "--frames")
         .map_or(scale.small, |n| n as usize)
@@ -756,7 +757,7 @@ fn overload(scale: &Scale, args: &[String]) {
     //    sub-saturation loads), so they tolerate co-scheduling; default
     //    is still 1 job because the >=1.2x cells are CPU-bound and their
     //    latency tails would share the machine.
-    let jobs = runner::resolve_jobs(args, 1);
+    let jobs = arg_count(args, "--jobs").unwrap_or(1).max(1) as usize;
     let loads = [0.5f64, 0.8, 1.2, 2.0];
     let autoscale_cfg = AutoscaleConfig {
         high_queue: 6,
@@ -942,7 +943,7 @@ fn fuzz(args: &[String]) {
         mjpeg::pipeline::encode_coeff_batch(&[(0, 0, [3i32; 64]), (0, 1, [-7i32; 64])]).to_vec();
     let pixel_batch =
         mjpeg::pipeline::encode_pixel_batch(&[(1, 0, [128u8; 64]), (1, 1, [9u8; 64])]).to_vec();
-    let segment = mjpeg::synthesize_stream(1, 48, 24, 75, 1).frames[0].data.clone();
+    let segment = stream(1, 1).frames[0].data.clone();
     let corpus: Vec<Vec<u8>> = vec![
         mjpeg::encode_jfif_gray(&gray, 24, 16, 75),
         mjpeg::encode_jfif_rgb(&rgb, 16, 8, 60),

@@ -21,17 +21,6 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// The `--jobs N` argument, or `default` when absent/unparseable.
-/// Always at least 1.
-pub fn resolve_jobs(args: &[String], default: usize) -> usize {
-    args.iter()
-        .position(|a| a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-        .max(1)
-}
-
 /// Run `count` independent cells on up to `jobs` worker threads and
 /// return the results in cell-index order.
 ///
@@ -108,14 +97,5 @@ mod tests {
     fn zero_cells_is_empty() {
         let out: Vec<u8> = run_cells(4, 0, |_| unreachable!("no cells to run"));
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn resolve_jobs_parses_and_defaults() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(resolve_jobs(&args(&["--jobs", "3"]), 8), 3);
-        assert_eq!(resolve_jobs(&args(&["--frames", "9"]), 8), 8);
-        assert_eq!(resolve_jobs(&args(&["--jobs", "0"]), 8), 1);
-        assert_eq!(resolve_jobs(&args(&["--jobs"]), 2), 2);
     }
 }

@@ -37,15 +37,6 @@ pub fn linear_fit(points: &[(f64, f64)]) -> LinearFit {
     LinearFit { a, b, r2 }
 }
 
-/// Arithmetic mean; 0 for an empty slice.
-pub fn mean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        0.0
-    } else {
-        values.iter().sum::<f64>() / values.len() as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -72,11 +63,5 @@ mod tests {
         let f = linear_fit(&pts);
         assert!(f.b.abs() < 1e-9);
         assert_eq!(f.r2, 1.0);
-    }
-
-    #[test]
-    fn mean_handles_empty() {
-        assert_eq!(mean(&[]), 0.0);
-        assert_eq!(mean(&[2.0, 4.0]), 3.0);
     }
 }

@@ -8,8 +8,8 @@ use embera::behavior::behavior_fn;
 use embera::{
     AppBuilder, AppSpec, ComponentSpec, FaultPlan, ObserverConfig, Platform, Work, WorkClass,
 };
-use embera_bench::runner;
 use embera_os21::Os21Platform;
+use embera_repro::runner;
 use sim_kernel::KernelStats;
 
 /// Deploy on the simulated three-CPU STi7200 and return everything

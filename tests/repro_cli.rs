@@ -41,6 +41,8 @@ fn unknown_flags_and_unparseable_values_are_usage_errors() {
         &["alloc-check", "--backend", "gpu"],
         &["table1", "--frames", "13"],
         &["table1", "table2"],
+        &["overload", "--jobs", "x"],
+        &["overload", "--jobs"],
     ] {
         let out = repro(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
@@ -50,6 +52,59 @@ fn unknown_flags_and_unparseable_values_are_usage_errors() {
             "{args:?}: {out:?}"
         );
     }
+}
+
+/// The lines of `text`, each with its runs of blanks collapsed to one
+/// space, so a table row compares independent of column widths.
+fn rows(text: &str) -> Vec<String> {
+    text.lines()
+        .map(|l| l.split_whitespace().collect::<Vec<_>>().join(" "))
+        .collect()
+}
+
+#[test]
+fn table2_and_figure5_print_the_paper_counts() {
+    let out = repro(&["table2"]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let text = stdout(&out);
+    let table = rows(&text);
+    for row in [
+        "Fetch 1026 0 5382 0",
+        "IDCT_1 342 342 1794 1794",
+        "IDCT_2 342 342 1794 1794",
+        "IDCT_3 342 342 1794 1794",
+        "Reorder 0 1026 0 5382",
+    ] {
+        assert!(table.iter().any(|l| l == row), "no row {row:?} in:\n{text}");
+    }
+    assert!(
+        table
+            .iter()
+            .any(|l| l.starts_with("structure check:") && l.ends_with("= 1026 / 5382")),
+        "{text}"
+    );
+
+    let out = repro(&["figure5"]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let text = stdout(&out);
+    let listing = rows(&text);
+    let interfaces: Vec<&str> = listing
+        .iter()
+        .map(String::as_str)
+        .skip_while(|l| *l != "[Interface] [Type]")
+        .skip(1)
+        .take_while(|l| !l.is_empty())
+        .collect();
+    assert_eq!(
+        interfaces,
+        [
+            "introspection provided",
+            "_fetchIdct1 provided",
+            "introspection required",
+            "idctReorder required",
+        ],
+        "{text}"
+    );
 }
 
 #[test]
