@@ -71,6 +71,7 @@ mod platform;
 mod pool;
 pub mod runtime;
 mod supervise;
+pub mod sync;
 
 pub use app::{AppBuilder, AppSpec, Connection, Endpoint};
 pub use behavior::{Behavior, Ctx, FnBehavior, Work, WorkClass};

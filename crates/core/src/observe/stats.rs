@@ -33,13 +33,12 @@
 //!
 //! Once the component is quiescent every snapshot is exact.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use crate::names::{IfaceId, IfaceTable};
 use crate::observe::report::{
     AppStats, HealthInfo, HealthState, IfaceCounterSnapshot, MiddlewareStats, ObservationReport,
     OsStats, SizeBucket, StructureInfo, TimingSnapshot,
 };
+use crate::sync::{AtomicU64, Ordering};
 
 /// Supervision flag bits (`ComponentStats::flags`).
 const FLAG_BLOCKED: u64 = 1;

@@ -23,8 +23,6 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use crate::behavior::{Behavior, Ctx};
 use crate::error::EmberaError;
 use crate::message::Message;
@@ -32,6 +30,7 @@ use crate::names::NameTable;
 use crate::observe::protocol::{ObsReply, ObsRequest};
 use crate::observe::report::{HealthState, ObservationReport};
 use crate::observe::topology::{RegionSummary, RollupTotals};
+use crate::sync::Mutex;
 
 /// Reserved name of the auto-wired (root) observer component.
 pub const OBSERVER_NAME: &str = "Observer";

@@ -22,11 +22,11 @@
 //! so a thread whose shard has run dry moves up to half of another
 //! shard over in one go before the pool allocates anything.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use parking_lot::Mutex;
+
+use crate::sync::{AtomicU64, AtomicUsize, Mutex, Ordering};
 
 /// Counters describing a pool's lifetime behavior (all monotonically
 /// increasing except `free`).

@@ -26,8 +26,6 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
-
 use super::trace::TraceWriter;
 use super::{ComponentRuntime, Transport};
 use crate::app::AppSpec;
@@ -41,6 +39,7 @@ use crate::overload::OverloadPolicy;
 use crate::platform::AppReport;
 use crate::pool::BufferPool;
 use crate::supervise::{fault_result, ComponentFaults, RestartPolicy};
+use crate::sync::{Condvar, Mutex};
 
 struct CompletionState {
     /// Application (non-observer) components whose behavior has not
@@ -128,7 +127,7 @@ impl Completion {
     pub fn wait_app_done(&self) -> Option<u64> {
         let mut st = self.state.lock();
         while st.remaining > 0 {
-            self.done.wait(&mut st);
+            st = self.done.wait(st);
         }
         st.app_done_ns
     }

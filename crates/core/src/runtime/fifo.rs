@@ -34,12 +34,10 @@
 //! [`owner`]: Fifo::owner
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use crate::message::Message;
+use crate::sync::{AtomicU64, AtomicUsize, Mutex, Ordering};
 
 /// Initial capacity, allocated once. The executor's cooperative send
 /// yield bounds each sender's streak to 32, so a few concurrent senders

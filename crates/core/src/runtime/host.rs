@@ -6,7 +6,6 @@
 
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Instant;
 
 use super::deploy::{Observed, Wiring};
 use super::fifo::Fifo;
@@ -17,6 +16,7 @@ use crate::names::IfaceId;
 use crate::observe::protocol::{ObsReply, ObsRequest};
 use crate::observe::stats::{ComponentStats, Queued};
 use crate::pool::BufferPool;
+use crate::sync::Instant;
 
 /// How many messages a single `recv` may drain from the mailbox ahead of
 /// the behavior asking for them. Small: enough to amortize the lock over

@@ -25,10 +25,9 @@
 use std::cell::UnsafeCell;
 use std::fmt;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use crate::sync::{AtomicU64, AtomicUsize, Mutex, Ordering};
 
 /// What a [`TraceEvent`] reports. Declared in tie-break order: events of
 /// one component at one timestamp sort by kind, so a behavior's start

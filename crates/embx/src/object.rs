@@ -241,15 +241,15 @@ mod tests {
             tx.send(&t, sdram, payload);
         });
         let rx = obj.clone();
-        let got = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let got = Arc::new(std::sync::Mutex::new(Vec::new()));
         let g = Arc::clone(&got);
         rtos.spawn_task(&mut kernel, 1, "receiver", 0, move |t| {
             let (data, _) = rx.receive(&t, lmi1);
-            *g.lock() = data;
+            *g.lock().unwrap() = data;
         });
         kernel.run().unwrap();
         let expected: Vec<u8> = (0..1000u32).map(|i| (i % 251) as u8).collect();
-        assert_eq!(*got.lock(), expected);
+        assert_eq!(*got.lock().unwrap(), expected);
     }
 
     #[test]
@@ -291,7 +291,7 @@ mod tests {
         let obj = tp.create_object(&kernel, "o", 1).unwrap();
         let machine = tp.machine().clone();
         let sdram = machine.memory_map().sdram();
-        let times = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let times = Arc::new(std::sync::Mutex::new(Vec::new()));
 
         let tx = obj.clone();
         let ts = Arc::clone(&times);
@@ -299,7 +299,7 @@ mod tests {
             for kb in [10u64, 20, 30, 40, 100, 125] {
                 let payload = vec![0u8; (kb * 1024) as usize];
                 let ns = tx.send(&t, sdram, payload);
-                ts.lock().push((kb, ns));
+                ts.lock().unwrap().push((kb, ns));
             }
         });
         // Drain so the kernel terminates cleanly.
@@ -311,7 +311,7 @@ mod tests {
             }
         });
         kernel.run().unwrap();
-        let times = times.lock().clone();
+        let times = times.lock().unwrap().clone();
         let per_kb = |i: usize, j: usize| {
             (times[j].1 - times[i].1) as f64 / (times[j].0 - times[i].0) as f64
         };
@@ -338,8 +338,8 @@ mod tests {
         let sdram = machine.memory_map().sdram();
         let lmi2 = machine.memory_map().local_of(2).unwrap();
 
-        let st40_times = Arc::new(parking_lot::Mutex::new(Vec::new()));
-        let st231_times = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let st40_times = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let st231_times = Arc::new(std::sync::Mutex::new(Vec::new()));
         let sizes = [25u64, 50, 100, 200];
 
         let tx = to_st231.clone();
@@ -347,7 +347,7 @@ mod tests {
         rtos.spawn_task(&mut kernel, 0, "st40_sender", 0, move |t| {
             for kb in sizes {
                 let p = vec![1u8; (kb * 1024) as usize];
-                tt.lock().push(tx.send(&t, sdram, p));
+                tt.lock().unwrap().push(tx.send(&t, sdram, p));
             }
         });
         let tx2 = to_st40.clone();
@@ -355,7 +355,7 @@ mod tests {
         rtos.spawn_task(&mut kernel, 2, "st231_sender", 0, move |t| {
             for kb in sizes {
                 let p = vec![2u8; (kb * 1024) as usize];
-                tt2.lock().push(tx2.send(&t, lmi2, p));
+                tt2.lock().unwrap().push(tx2.send(&t, lmi2, p));
             }
         });
         let rx = to_st231.clone();
@@ -372,8 +372,8 @@ mod tests {
             }
         });
         kernel.run().unwrap();
-        let a = st40_times.lock().clone();
-        let b = st231_times.lock().clone();
+        let a = st40_times.lock().unwrap().clone();
+        let b = st231_times.lock().unwrap().clone();
         for i in 0..sizes.len() {
             assert!(
                 b[i] < a[i],

@@ -1,9 +1,8 @@
 //! Property-based tests of EMBX: payload byte-exactness through a
 //! distributed object and cost-model monotonicity.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use proptest::prelude::*;
 
 use embx::{EmbxCostConfig, Transport};
@@ -32,11 +31,11 @@ fn round_trip(payloads: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
     rtos.spawn_task(&mut kernel, 1, "receiver", 0, move |t| {
         for _ in 0..n {
             let (data, _) = obj.receive(&t, lmi1);
-            r.lock().push(data);
+            r.lock().unwrap().push(data);
         }
     });
     kernel.run().unwrap();
-    let out = received.lock().clone();
+    let out = received.lock().unwrap().clone();
     out
 }
 

@@ -43,12 +43,13 @@
 //! bounds (exactly like the thread backend's timeout slices): a fully
 //! busy pool fires them as soon as a worker runs dry.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
+use embera::sync::{
+    AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Condvar, Instant, Mutex, Ordering,
+};
 use embera_fiber::{fiber_yield, on_fiber, Fiber, Resume};
-use parking_lot::{Condvar, Mutex};
 
 pub(crate) const QUEUED: u8 = 0;
 pub(crate) const RUNNING: u8 = 1;
@@ -344,13 +345,13 @@ pub(crate) fn worker_loop(
         {
             let mut g = shared.sleep_lock.lock();
             if shared.queued.load(Ordering::SeqCst) == 0 && !shared.all_done() {
-                match deadline {
+                g = match deadline {
                     Some(d) => {
                         let until = shared.epoch + Duration::from_nanos(d);
-                        shared.sleep_cv.wait_until(&mut g, until);
+                        shared.sleep_cv.wait_until(g, until)
                     }
-                    None => shared.sleep_cv.wait(&mut g),
-                }
+                    None => shared.sleep_cv.wait(g),
+                };
             }
         }
         shared.sleepers.fetch_sub(1, Ordering::SeqCst);

@@ -2,13 +2,11 @@
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
-
-use parking_lot::Mutex;
 
 use embera::runtime::{
     self, host_memory_bytes, Backend, Deployed, Fifo, Flow, HostTransport, Wiring,
 };
+use embera::sync::{Instant, Mutex};
 use embera::{AppReport, AppSpec, ComponentSpec, EmberaError, Platform, RunningApp};
 use embera_fiber::Fiber;
 

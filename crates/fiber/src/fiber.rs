@@ -7,9 +7,7 @@
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
-
-use parking_lot::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Smallest stack a fiber may get. Parking, introspection service and
 /// panic formatting all happen on the fiber stack, so tiny requested
@@ -345,6 +343,14 @@ struct ThreadShared {
     to_worker: Condvar,
 }
 
+impl ThreadShared {
+    /// The hand-off state; a poisoned lock is recovered, as every lock
+    /// in the workspace is.
+    fn lock(&self) -> MutexGuard<'_, ThreadState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 /// One parked OS thread per fiber; `resume` and `fiber_yield` hand the
 /// single logical thread of control back and forth through a condvar.
 /// Heavy (defeats the M:N point) but portable and race-equivalent to the
@@ -371,17 +377,13 @@ impl ThreadFiber {
         std::thread::Builder::new()
             .name("embera:fiber".into())
             .spawn(move || {
-                {
-                    let mut st = thread_shared.state.lock();
-                    while !st.run {
-                        thread_shared.to_fiber.wait(&mut st);
-                    }
-                }
+                let st = thread_shared.lock();
+                drop(thread_shared.to_fiber.wait_while(st, |st| !st.run));
                 let ptr: *const ThreadShared = &*thread_shared;
                 let prev = ACTIVE.replace(Active::Thread(ptr));
                 let _ = catch_unwind(AssertUnwindSafe(f));
                 ACTIVE.set(prev);
-                let mut st = thread_shared.state.lock();
+                let mut st = thread_shared.lock();
                 st.finished = true;
                 thread_shared.to_worker.notify_one();
             })
@@ -390,13 +392,13 @@ impl ThreadFiber {
     }
 
     fn resume(&mut self) -> Resume {
-        let mut st = self.shared.state.lock();
+        let mut st = self.shared.lock();
         assert!(!st.finished, "resumed a finished fiber");
         st.run = true;
         self.shared.to_fiber.notify_one();
-        while !(st.yielded || st.finished) {
-            self.shared.to_worker.wait(&mut st);
-        }
+        let to_worker = &self.shared.to_worker;
+        let st = to_worker.wait_while(st, |st| !(st.yielded || st.finished));
+        let mut st = st.unwrap_or_else(PoisonError::into_inner);
         st.yielded = false;
         if st.finished {
             Resume::Finished
@@ -407,13 +409,11 @@ impl ThreadFiber {
 
     fn yield_from(shared: *const ThreadShared) {
         let shared = unsafe { &*shared };
-        let mut st = shared.state.lock();
+        let mut st = shared.lock();
         st.run = false;
         st.yielded = true;
         shared.to_worker.notify_one();
-        while !st.run {
-            shared.to_fiber.wait(&mut st);
-        }
+        drop(shared.to_fiber.wait_while(st, |st| !st.run));
     }
 }
 
@@ -438,18 +438,18 @@ mod tests {
         let log = Arc::new(Mutex::new(Vec::new()));
         let l = Arc::clone(&log);
         let mut f = Fiber::spawn(MIN_STACK_BYTES, move || {
-            l.lock().push("a");
+            l.lock().unwrap().push("a");
             fiber_yield();
-            l.lock().push("b");
+            l.lock().unwrap().push("b");
             fiber_yield();
-            l.lock().push("c");
+            l.lock().unwrap().push("c");
         });
         assert_eq!(f.resume(), Resume::Yielded);
-        log.lock().push("w1");
+        log.lock().unwrap().push("w1");
         assert_eq!(f.resume(), Resume::Yielded);
-        log.lock().push("w2");
+        log.lock().unwrap().push("w2");
         assert_eq!(f.resume(), Resume::Finished);
-        assert_eq!(*log.lock(), vec!["a", "w1", "b", "w2", "c"]);
+        assert_eq!(*log.lock().unwrap(), vec!["a", "w1", "b", "w2", "c"]);
     }
 
     #[test]

@@ -6,13 +6,12 @@
 //! messages, advances the clock, and decides which component runs next.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use embera::runtime::{Completion, Fifo, IfaceId, Transport, Wiring};
+use embera::sync::{AtomicBool, AtomicU64, Mutex, Ordering};
 use embera::{EmberaError, Message, Work};
 use embera_fiber::fiber_yield;
-use parking_lot::Mutex;
 
 /// Deterministic cost model: a send is a queue push plus an envelope
 /// hand-over, a receive is a pop; both scale mildly with payload size.

@@ -45,15 +45,17 @@
 //! included.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use bytes::Bytes;
 
+use embera::sync::{AtomicU64, Mutex, Ordering};
 use embera::{
     AppBuilder, Behavior, ComponentSpec, Ctx, EmberaError, ObserverConfig, OverloadPolicy, Work,
     WorkClass,
 };
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
 
 use crate::dct::{DctKind, BLOCK_SIZE};
 use crate::frame::MjpegStream;
@@ -207,49 +209,37 @@ pub struct OverloadProbe {
 impl OverloadProbe {
     /// Completed-frame latencies, ns, in fold order.
     pub fn latencies(&self) -> Vec<u64> {
-        self.latencies.lock().unwrap().clone()
+        self.latencies.lock().clone()
     }
 
     /// Controller retargets, in order.
     pub fn scale_history(&self) -> Vec<u32> {
-        self.scale_history.lock().unwrap().clone()
+        self.scale_history.lock().clone()
     }
 }
 
 // ---------------------------------------------------------------------
-// Arrival sampling: a vendored splitmix64 stream (no external RNG crate)
-// with exponential and log-normal transforms hand-rolled from f64 math.
+// Arrival sampling: the workspace's seeded `StdRng` (splitmix64, the
+// seed is the state) with exponential and log-normal transforms
+// hand-rolled from f64 math.
 // ---------------------------------------------------------------------
 
-/// Minimal splitmix64, the same generator the bench crate vendors.
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in (0, 1]: never 0, so `ln` stays finite.
-    fn next_unit(&mut self) -> f64 {
-        (((self.next_u64() >> 11) + 1) as f64) / (1u64 << 53) as f64
-    }
+/// Uniform in (0, 1]: never 0, so `ln` stays finite.
+fn next_unit(rng: &mut StdRng) -> f64 {
+    (((rng.next_u64() >> 11) + 1) as f64) / (1u64 << 53) as f64
 }
 
 /// Sample the next inter-arrival gap, ns.
-fn sample_gap(rng: &mut SplitMix64, arrival: ArrivalProcess, mean_gap_ns: u64) -> u64 {
+fn sample_gap(rng: &mut StdRng, arrival: ArrivalProcess, mean_gap_ns: u64) -> u64 {
     let mean = mean_gap_ns as f64;
     let gap = match arrival {
         ArrivalProcess::Periodic => mean,
-        ArrivalProcess::Poisson => -mean * rng.next_unit().ln(),
+        ArrivalProcess::Poisson => -mean * next_unit(rng).ln(),
         ArrivalProcess::LogNormal { sigma } => {
             // Box-Muller standard normal; μ chosen so the log-normal's
             // *mean* is `mean` (μ = ln(mean) − σ²/2).
-            let u1 = rng.next_unit();
-            let u2 = rng.next_unit();
+            let u1 = next_unit(rng);
+            let u2 = next_unit(rng);
             let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
             (mean.ln() - sigma * sigma / 2.0 + sigma * z).exp()
         }
@@ -290,7 +280,7 @@ struct LoadGenBehavior {
 impl Behavior for LoadGenBehavior {
     fn run(&mut self, ctx: &mut dyn Ctx) -> Result<(), EmberaError> {
         let cfg = &self.cfg;
-        let mut rng = SplitMix64(cfg.seed);
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
         let cycle = self.stream_frames - 1;
         // Absolute arrival schedule: each wait targets the *cumulative*
         // arrival time, so timer overshoot on one gap is recovered on
@@ -426,7 +416,6 @@ impl ReorderJudgeBehavior {
         self.probe
             .latencies
             .lock()
-            .unwrap()
             .push(now.saturating_sub(arrival));
     }
 
@@ -557,11 +546,7 @@ impl Behavior for ScaleControllerBehavior {
                     "scale",
                     Bytes::from((target as u32).to_le_bytes().to_vec()),
                 )?;
-                self.probe
-                    .scale_history
-                    .lock()
-                    .unwrap()
-                    .push(target as u32);
+                self.probe.scale_history.lock().push(target as u32);
             }
         }
     }
@@ -703,8 +688,8 @@ mod tests {
             ArrivalProcess::Poisson,
             ArrivalProcess::LogNormal { sigma: 0.5 },
         ] {
-            let mut a = SplitMix64(42);
-            let mut b = SplitMix64(42);
+            let mut a = StdRng::seed_from_u64(42);
+            let mut b = StdRng::seed_from_u64(42);
             let ga: Vec<u64> = (0..64).map(|_| sample_gap(&mut a, arrival, 1_000)).collect();
             let gb: Vec<u64> = (0..64).map(|_| sample_gap(&mut b, arrival, 1_000)).collect();
             assert_eq!(ga, gb, "{arrival:?} not deterministic");

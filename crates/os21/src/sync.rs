@@ -122,8 +122,8 @@ mod tests {
         let mut kernel = Kernel::new();
         let rtos = Rtos::new(Machine::sti7200());
         let sem = Semaphore::with_event(kernel.alloc_event(), 1);
-        let order: Arc<parking_lot::Mutex<Vec<(u64, u64)>>> =
-            Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let order: Arc<std::sync::Mutex<Vec<(u64, u64)>>> =
+            Arc::new(std::sync::Mutex::new(Vec::new()));
         for name in ["a", "b"] {
             let s = sem.clone();
             let o = Arc::clone(&order);
@@ -131,12 +131,12 @@ mod tests {
                 s.wait(&t);
                 let start = t.now_ns();
                 t.delay(100);
-                o.lock().push((start, t.now_ns()));
+                o.lock().unwrap().push((start, t.now_ns()));
                 s.signal(&t);
             });
         }
         kernel.run().unwrap();
-        let spans = order.lock().clone();
+        let spans = order.lock().unwrap().clone();
         assert_eq!(spans.len(), 2);
         // Sections must not overlap.
         assert!(spans[1].0 >= spans[0].1 || spans[0].0 >= spans[1].1);

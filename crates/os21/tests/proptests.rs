@@ -1,9 +1,8 @@
 //! Property-based tests of the RTOS primitives under arbitrary
 //! schedules.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use proptest::prelude::*;
 
 use mpsoc_sim::Machine;
@@ -26,7 +25,7 @@ proptest! {
         rtos.spawn_task(&mut kernel, 0, "waiter", 0, move |t| {
             for _ in 0..k {
                 s.wait(&t);
-                w.lock().push(t.now_ns());
+                w.lock().unwrap().push(t.now_ns());
             }
         });
         for (i, d) in delays.iter().copied().enumerate() {
@@ -41,7 +40,7 @@ proptest! {
         // The j-th wake-up happens at the j-th smallest signal time.
         let mut signal_times = delays;
         signal_times.sort_unstable();
-        prop_assert_eq!(woke.lock().clone(), signal_times);
+        prop_assert_eq!(woke.lock().unwrap().clone(), signal_times);
     }
 
     #[test]

@@ -137,7 +137,7 @@ impl<T> LatentChannel<T> {
 mod tests {
     use super::*;
     use crate::Kernel;
-    use parking_lot::Mutex;
+    use std::sync::Mutex;
 
     #[test]
     fn channel_fifo_order() {
@@ -154,11 +154,11 @@ mod tests {
         let out2 = Arc::clone(&out);
         k.spawn("consumer", move |ctx| {
             for _ in 0..100 {
-                out2.lock().push(ch.recv(&ctx));
+                out2.lock().unwrap().push(ch.recv(&ctx));
             }
         });
         k.run().unwrap();
-        assert_eq!(*out.lock(), (0..100).collect::<Vec<_>>());
+        assert_eq!(*out.lock().unwrap(), (0..100).collect::<Vec<_>>());
     }
 
     #[test]
@@ -219,10 +219,10 @@ mod tests {
         let out2 = Arc::clone(&out);
         k.spawn("c", move |ctx| {
             for _ in 0..50 {
-                out2.lock().push(ch.recv(&ctx));
+                out2.lock().unwrap().push(ch.recv(&ctx));
             }
         });
         k.run().unwrap();
-        assert_eq!(*out.lock(), (0..50).collect::<Vec<_>>());
+        assert_eq!(*out.lock().unwrap(), (0..50).collect::<Vec<_>>());
     }
 }

@@ -775,16 +775,16 @@ mod tests {
     #[test]
     fn same_time_events_dispatch_in_fifo_order() {
         let mut k = Kernel::new();
-        let order = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let order = Arc::new(std::sync::Mutex::new(Vec::new()));
         for i in 0..8 {
             let o = Arc::clone(&order);
             k.spawn(format!("p{i}"), move |ctx| {
                 ctx.advance(10);
-                o.lock().push(i);
+                o.lock().unwrap().push(i);
             });
         }
         k.run().unwrap();
-        assert_eq!(*order.lock(), (0..8).collect::<Vec<_>>());
+        assert_eq!(*order.lock().unwrap(), (0..8).collect::<Vec<_>>());
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //! far beyond what host threads allow, a fixed stack per process, and
 //! processes that change host thread when their kernel does.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use sim_kernel::{Kernel, KernelStats, LatentChannel, Pid, RunOutcome, Time, PROCESS_STACK_BYTES};
 
 /// True when processes run on the assembly switch, false on the
@@ -31,7 +30,7 @@ fn token_ring(procs: usize, laps: usize) -> (Vec<(Pid, Time)>, Time, KernelStats
                 if i != 0 || lap != 0 {
                     ctx.wait(mine);
                 }
-                order.lock().push((ctx.pid(), ctx.now()));
+                order.lock().unwrap().push((ctx.pid(), ctx.now()));
                 ctx.advance(3);
                 ctx.notify(next);
             }
@@ -41,7 +40,7 @@ fn token_ring(procs: usize, laps: usize) -> (Vec<(Pid, Time)>, Time, KernelStats
         });
     }
     kernel.run().unwrap();
-    let order = std::mem::take(&mut *order.lock());
+    let order = std::mem::take(&mut *order.lock().unwrap());
     (order, kernel.now(), kernel.stats())
 }
 
@@ -82,12 +81,12 @@ fn process_can_use_half_its_stack() {
     kernel.spawn("deep", move |ctx| {
         let marker = 0u8;
         let top = std::hint::black_box(&marker) as *const u8 as usize;
-        *reached.lock() = recurse_until(&ctx, top, PROCESS_STACK_BYTES / 2);
+        *reached.lock().unwrap() = recurse_until(&ctx, top, PROCESS_STACK_BYTES / 2);
         ctx.advance(1);
     });
     kernel.run().unwrap();
     assert_eq!(kernel.now(), 2);
-    assert!(*depth.lock() > 1);
+    assert!(*depth.lock().unwrap() > 1);
 }
 
 #[test]
@@ -113,7 +112,7 @@ fn a_kernel_moved_between_threads_mid_run_matches_an_unmoved_one() {
                 next.send(&ctx, HOPS);
                 for _ in 0..HOPS {
                     let remaining = inbox.recv(&ctx);
-                    log.lock().push((ctx.now(), remaining));
+                    log.lock().unwrap().push((ctx.now(), remaining));
                     ctx.advance(250);
                     if remaining > 1 {
                         next.send(&ctx, remaining - 1);
@@ -125,7 +124,7 @@ fn a_kernel_moved_between_threads_mid_run_matches_an_unmoved_one() {
         (
             kernel.now(),
             kernel.stats().events_dispatched,
-            logs.iter().map(|l| l.lock().clone()).collect(),
+            logs.iter().map(|l| l.lock().unwrap().clone()).collect(),
         )
     }
     let unmoved = ring(|mut kernel| {

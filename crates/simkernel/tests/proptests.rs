@@ -2,9 +2,8 @@
 //! monotonicity, and channel FIFO order under arbitrary schedules.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use proptest::prelude::*;
 
 use sim_kernel::{Kernel, KernelStats, SimChannel, Time};
@@ -34,7 +33,7 @@ fn drive_workload(delays: &[Vec<u64>], drive: impl FnOnce(&mut Kernel)) -> (Kern
         kernel.spawn(format!("w{i}"), move |ctx| {
             for (step, d) in seq.into_iter().enumerate() {
                 ctx.advance(d + 1);
-                log.lock().push((i, ctx.now()));
+                log.lock().unwrap().push((i, ctx.now()));
                 if step % 2 == 0 {
                     ctx.notify(event);
                 } else {
@@ -54,7 +53,7 @@ fn drive_workload(delays: &[Vec<u64>], drive: impl FnOnce(&mut Kernel)) -> (Kern
         }
     });
     drive(&mut kernel);
-    let log = std::mem::take(&mut *log.lock());
+    let log = std::mem::take(&mut *log.lock().unwrap());
     (kernel, log)
 }
 
@@ -139,11 +138,11 @@ proptest! {
         let n = gaps.len();
         kernel.spawn("consumer", move |ctx| {
             for _ in 0..n {
-                r.lock().push(ch.recv(&ctx));
+                r.lock().unwrap().push(ch.recv(&ctx));
             }
         });
         kernel.run().unwrap();
-        let received = received.lock().clone();
+        let received = received.lock().unwrap().clone();
         prop_assert_eq!(received, (0..n).collect::<Vec<_>>());
     }
 }

@@ -7,20 +7,19 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use sim_kernel::{EventId, Kernel, KernelStats, RunOutcome, SimChannel, SimCtx, SimError, Time};
 
 /// `(who, when)` in the order the processes got there.
 type Log = Arc<Mutex<Vec<(&'static str, Time)>>>;
 
 fn record(log: &Log, who: &'static str, ctx: &SimCtx) {
-    log.lock().push((who, ctx.now()));
+    log.lock().unwrap().push((who, ctx.now()));
 }
 
 fn taken(log: &Log) -> Vec<(&'static str, Time)> {
-    std::mem::take(&mut *log.lock())
+    std::mem::take(&mut *log.lock().unwrap())
 }
 
 #[test]
@@ -235,7 +234,7 @@ struct Mixed {
 
 impl Mixed {
     fn log(&self, ctx: &SimCtx, what: u64) {
-        self.log.lock().push((ctx.now(), ctx.pid() as u64, what));
+        self.log.lock().unwrap().push((ctx.now(), ctx.pid() as u64, what));
     }
 
     /// One worker: `STEPS` seeded choices among every `SimCtx`
@@ -330,7 +329,7 @@ fn mixed_workload(seed: u64) -> (u64, KernelStats, Kernel) {
 
     let stats = kernel.stats();
     let mut digest = Fnv::new();
-    for &(time, pid, what) in mixed.log.lock().iter() {
+    for &(time, pid, what) in mixed.log.lock().unwrap().iter() {
         digest.word(time);
         digest.word(pid);
         digest.word(what);

@@ -19,7 +19,7 @@
 //! * blocking → one parker per component: a push to *any* of its
 //!   mailboxes (or shutdown) unparks it, so a blocked or finished
 //!   component serves introspection without a polling interval,
-//! * `gettimeofday` timestamps → a monotonic epoch ([`std::time::Instant`]),
+//! * `gettimeofday` timestamps → a monotonic epoch ([`embera::sync::Instant`]),
 //! * memory observation → the paper's formula: configured stack size
 //!   plus a per-provided-interface footprint (see
 //!   [`embera::runtime::host_memory_bytes`]).

@@ -33,12 +33,13 @@
 //! over the first. With nothing else runnable `yield_now` returns at
 //! once, so a lone receiver parks as it did before.
 
-use std::sync::atomic::{fence, AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::thread::Thread;
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
 use embera::runtime::Parker;
+use embera::sync::{
+    current, fence, park, park_timeout, yield_now, AtomicBool, Instant, OnceLock, Ordering, Thread,
+};
 
 /// Application-wide state of one SMP deployment.
 pub(crate) struct SmpShared {
@@ -104,7 +105,7 @@ impl SmpParker {
     /// before it first looks at a mailbox or the shutdown flag.
     pub(crate) fn register(shared: Arc<SmpShared>, me: usize) -> Self {
         shared.threads[me]
-            .set(std::thread::current())
+            .set(current())
             .expect("one thread per component");
         fence(Ordering::SeqCst);
         SmpParker { shared }
@@ -131,15 +132,15 @@ impl Parker for SmpParker {
     fn park(&mut self, deadline_ns: Option<u64>) {
         // Hand off first (module docs). A wake that lands meanwhile only
         // leaves the token, which the park below consumes.
-        std::thread::yield_now();
+        yield_now();
         match deadline_ns {
             Some(d) => {
                 let now = self.shared.now_ns();
                 if now < d {
-                    std::thread::park_timeout(Duration::from_nanos(d - now));
+                    park_timeout(Duration::from_nanos(d - now));
                 }
             }
-            None => std::thread::park(),
+            None => park(),
         }
     }
 }

@@ -31,6 +31,8 @@ use mjpeg::{
     build_mpsoc_app, build_smp_app, ArrivalProcess, AutoscaleConfig, DctKind, MjpegAppConfig,
     OverloadConfig, Pacing,
 };
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
 
 struct Scale {
     small: usize,
@@ -860,21 +862,10 @@ fn overload(scale: &Scale, args: &[String]) {
 // PR 8: bounded fuzz loop over the byte-level parsers.
 // ---------------------------------------------------------------------
 
-/// Deterministic splitmix64 for the fuzz mutation stream.
-struct FuzzRng(u64);
-
-impl FuzzRng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n.max(1) as u64) as usize
-    }
+/// A draw below `n` from the fuzz mutation stream: a modulo, so every
+/// seed replays the mutations it always did.
+fn below(rng: &mut StdRng, n: usize) -> usize {
+    (rng.next_u64() % n.max(1) as u64) as usize
 }
 
 /// Run every fuzz target over one input; panics propagate to the
@@ -956,38 +947,38 @@ fn fuzz(args: &[String]) {
         "=== fuzz — {} corpus entries, {iters} iterations, seed {seed} ===",
         corpus.len()
     );
-    let mut rng = FuzzRng(seed);
+    let mut rng = StdRng::seed_from_u64(seed);
     // Silence the default panic hook: a caught fuzz panic is a recorded
     // finding, not console noise (the hook is restored after the loop).
     let saved_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     let mut failure: Option<(u64, Vec<u8>)> = None;
     for iter in 0..iters {
-        let mut input = corpus[rng.below(corpus.len())].clone();
-        for _ in 0..1 + rng.below(4) {
+        let mut input = corpus[below(&mut rng, corpus.len())].clone();
+        for _ in 0..1 + below(&mut rng, 4) {
             if input.is_empty() {
                 break;
             }
-            match rng.below(5) {
+            match below(&mut rng, 5) {
                 0 => {
-                    let i = rng.below(input.len());
-                    input[i] = rng.next() as u8;
+                    let i = below(&mut rng, input.len());
+                    input[i] = rng.next_u64() as u8;
                 }
                 1 => {
-                    let i = rng.below(input.len());
-                    input[i] ^= 1 << rng.below(8);
+                    let i = below(&mut rng, input.len());
+                    input[i] ^= 1 << below(&mut rng, 8);
                 }
-                2 => input.truncate(rng.below(input.len() + 1)),
+                2 => input.truncate(below(&mut rng, input.len() + 1)),
                 3 => {
                     // Splice a slice of the input over another offset.
-                    let src = rng.below(input.len());
-                    let dst = rng.below(input.len());
-                    let len = rng.below(16).min(input.len() - src.max(dst));
+                    let src = below(&mut rng, input.len());
+                    let dst = below(&mut rng, input.len());
+                    let len = below(&mut rng, 16).min(input.len() - src.max(dst));
                     input.copy_within(src..src + len, dst);
                 }
                 _ => {
-                    let i = rng.below(input.len() + 1);
-                    input.insert(i, rng.next() as u8);
+                    let i = below(&mut rng, input.len() + 1);
+                    input.insert(i, rng.next_u64() as u8);
                 }
             }
         }
