@@ -197,6 +197,12 @@ pub trait Ctx {
     /// Receive a data payload from a provided interface (the paper's
     /// `receive` primitive). Deadlined payloads are accepted; the
     /// deadline is stripped (use [`Ctx::recv_message`] to see it).
+    ///
+    /// On an smp or exec application without a payload pool the payload
+    /// shares its storage with the copy the sender's transport keeps to
+    /// copy a later send into, until that send reuses or lets go of it:
+    /// [`Bytes::is_unique`] on it is false and [`Bytes::try_mut`]
+    /// `None`. The bytes never change while any handle to them is held.
     fn recv(&mut self, provided: &str) -> Result<Bytes, EmberaError> {
         data_payload(self.recv_message(provided)?, provided)
     }

@@ -2,9 +2,13 @@
 //! messaging.
 //!
 //! The paper's mailbox transport copies every payload at the send
-//! primitive (the Figure 4 copy). Without a pool each copy is a fresh
-//! heap allocation; with one, buffers cycle between senders, the
-//! transport, and receivers: a sender serializes into a pooled buffer,
+//! primitive (the Figure 4 copy). Without a pool the host transport
+//! copies into a buffer it sent on the same route before, once the
+//! receiver has dropped it, and allocates only while the receiver holds
+//! them all; the receiver's payload shares its storage with the copy the
+//! sender keeps, so [`Bytes::is_unique`] on it is false. With a pool,
+//! buffers cycle between senders, the transport, and receivers, and no
+//! handle outlives its use: a sender serializes into a pooled buffer,
 //! the transport draws a second pooled buffer for its copy and recycles
 //! the sender's, and the receiver recycles the transport's once the
 //! message is consumed. After a short warm-up the working set is

@@ -7,6 +7,8 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+use bytes::Bytes;
+
 use super::deploy::{Observed, Wiring};
 use super::fifo::Fifo;
 use super::Transport;
@@ -116,6 +118,50 @@ impl Inbox {
     }
 }
 
+/// The copies one required interface sent without a pool, oldest first:
+/// a send copies into the oldest once its receiver has let go of it, so
+/// the paper's copy costs no allocation here and no free on the
+/// receiver's thread.
+#[derive(Default)]
+struct Sent(VecDeque<Bytes>);
+
+impl Sent {
+    /// `payload` copied for `route`, into the oldest kept copy when that
+    /// one is free and large enough, else into a fresh buffer; a clone
+    /// of the result is kept.
+    ///
+    /// Free is [`Bytes::try_mut`] — `Arc::get_mut`, whose acquire pairs
+    /// with the release of the receiver's drop, so the rewrite cannot
+    /// race what the receiver did with it. A copy still held counts
+    /// against what the receiver can still hold from this route: the
+    /// mailbox, a drained stash and the payload its behavior is reading.
+    /// Held copies beyond that are let go, and their receiver frees
+    /// them.
+    fn copy(&mut self, payload: &[u8], route: &Fifo) -> Bytes {
+        let mut reused = None;
+        if let Some(oldest) = self.0.front_mut() {
+            match oldest.try_mut() {
+                Some(storage) if storage.len() >= payload.len() => {
+                    storage[..payload.len()].copy_from_slice(payload);
+                    oldest.reset_view(payload.len());
+                    reused = self.0.pop_front();
+                }
+                // Free but too small: freed here, on the sending thread.
+                Some(_) => drop(self.0.pop_front()),
+                None => {
+                    let holdable = route.len() + DRAIN_BATCH + 1;
+                    while self.0.len() >= holdable {
+                        self.0.pop_front();
+                    }
+                }
+            }
+        }
+        let copy = reused.unwrap_or_else(|| Bytes::copy_from_slice(payload));
+        self.0.push_back(copy.clone());
+        copy
+    }
+}
+
 /// [`Transport`] over [`Fifo`] mailboxes, generic over the backend's
 /// [`Parker`].
 ///
@@ -128,6 +174,8 @@ pub struct HostTransport<P: Parker> {
     inboxes: Vec<Option<Inbox>>,
     /// The connected peer's mailbox of each required interface.
     routes: Vec<Option<Fifo>>,
+    /// What each required interface sent without a pool.
+    sent: Vec<Sent>,
     /// What the peer is read through ([`Transport::observe`]), for
     /// each required interface connected to a peer's `introspection`.
     observed: Vec<Option<Observed<Fifo>>>,
@@ -153,6 +201,7 @@ impl<P: Parker> HostTransport<P> {
         };
         HostTransport {
             inboxes: wiring.provided.into_iter().map(|f| f.map(inbox)).collect(),
+            sent: wiring.routes.iter().map(|_| Sent::default()).collect(),
             routes: wiring.routes,
             observed: wiring.observed,
             stats: wiring.stats,
@@ -166,17 +215,30 @@ impl<P: Parker> HostTransport<P> {
     /// copy is what makes Figure 4 linear in message size. A refcounted
     /// clone would hide it, so materialize a real copy. With a pool
     /// attached the copy lands in a recycled buffer and the sender's
-    /// original goes back on the free list — same copy, no allocation.
-    fn copy_payload(&self, payload: bytes::Bytes) -> bytes::Bytes {
+    /// original goes back on the free list. Without one it lands in a
+    /// copy this route sent before, once its receiver has dropped it
+    /// ([`Sent::copy`]). Either way: same copy, no allocation in steady
+    /// state. Without a pool the receiver's payload therefore shares its
+    /// storage with the copy kept here, until a later send reuses or
+    /// lets go of that copy: [`Bytes::is_unique`] on the receiver's
+    /// handle is false and [`Bytes::try_mut`] `None`.
+    fn copy_payload(&mut self, required: IfaceId, payload: Bytes) -> Bytes {
         match &self.pool {
             Some(pool) => {
                 let copied = pool.take_from(payload.as_ref());
                 pool.recycle(payload);
                 copied
             }
-            None => bytes::Bytes::copy_from_slice(payload.as_ref()),
+            None => self.sent[required.index()].copy(&payload, route(&self.routes, required)),
         }
     }
+}
+
+/// The mailbox a send on `required` goes to.
+fn route(routes: &[Option<Fifo>], required: IfaceId) -> &Fifo {
+    routes[required.index()]
+        .as_ref()
+        .expect("the runtime pushes only where its table has a route")
 }
 
 impl<P: Parker> Transport for HostTransport<P> {
@@ -195,19 +257,17 @@ impl<P: Parker> Transport for HostTransport<P> {
     fn push(&mut self, required: IfaceId, msg: Message) -> u64 {
         let t0 = Instant::now();
         let msg = match msg {
-            Message::Data(payload) => Message::Data(self.copy_payload(payload)),
+            Message::Data(payload) => Message::Data(self.copy_payload(required, payload)),
             Message::Deadlined {
                 payload,
                 deadline_ns,
             } => Message::Deadlined {
-                payload: self.copy_payload(payload),
+                payload: self.copy_payload(required, payload),
                 deadline_ns,
             },
             other => other,
         };
-        let route = self.routes[required.index()]
-            .as_ref()
-            .expect("the runtime pushes only where its table has a route");
+        let route = route(&self.routes, required);
         route.push(msg);
         let cost = t0.elapsed().as_nanos() as u64;
         // Push-then-wake: the message is visible before the receiver is.
@@ -220,13 +280,15 @@ impl<P: Parker> Transport for HostTransport<P> {
         let inbox = self.inboxes[provided.index()].as_mut()?;
         // Only data counts towards the queue gauges.
         let stats = (provided != IfaceId::INTROSPECTION).then_some(&self.stats);
-        let t0 = Instant::now();
+        // A hand-out from the stash reads no clock and costs 0 ns: the
+        // drain that filled the stash carries the time the mailbox ran.
         if let Some(m) = inbox.stash.pop_front() {
             if let Some(stats) = stats {
                 stats.unstash(m.data_len() as u64);
             }
-            return Some((m, t0.elapsed().as_nanos() as u64));
+            return Some((m, 0));
         }
+        let t0 = Instant::now();
         self.scratch.clear();
         let stashing = |messages, bytes| {
             if let Some(stats) = stats {
@@ -378,6 +440,108 @@ mod tests {
             .interfaces()
             .id(name)
             .expect("an interface of the component")
+    }
+
+    /// A component requiring `out`, the receiving end of its route, and
+    /// the id of `out`.
+    fn sender() -> (HostTransport<NoParker>, Fifo, IfaceId) {
+        let route = Fifo::new(1);
+        let wiring = Wiring {
+            index: 0,
+            provided: vec![None, None],
+            routes: vec![None, Some(route.clone())],
+            observed: vec![None, None],
+            stats: Arc::new(ComponentStats::new("c", &[], &["out".to_string()])),
+            pool: None,
+        };
+        let t = HostTransport::new(wiring, NoParker);
+        let out = id(&t, "out");
+        (t, route, out)
+    }
+
+    fn send(t: &mut HostTransport<NoParker>, out: IfaceId, payload: &[u8]) {
+        t.push(out, Message::Data(Bytes::copy_from_slice(payload)));
+    }
+
+    fn received(route: &Fifo) -> Bytes {
+        match route.try_pop() {
+            Some(Message::Data(payload)) => payload,
+            other => panic!("expected a payload, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_copy_the_receiver_dropped_is_reused() {
+        let (mut t, route, out) = sender();
+        send(&mut t, out, b"first");
+        let first = received(&route);
+        let at = first.as_ptr();
+        drop(first);
+        send(&mut t, out, b"two");
+        let second = received(&route);
+        assert_eq!(second.as_ptr(), at, "the send allocated instead");
+        assert_eq!(&second[..], b"two");
+        // The kept copy shares the storage until a later send takes it.
+        assert!(!second.is_unique());
+    }
+
+    #[test]
+    fn a_payload_the_receiver_holds_is_never_written() {
+        let (mut t, route, out) = sender();
+        send(&mut t, out, b"held");
+        let held = received(&route);
+        for i in 0..10 * DRAIN_BATCH as u32 {
+            send(&mut t, out, &i.to_le_bytes());
+            let other = received(&route);
+            assert_ne!(other.as_ptr(), held.as_ptr());
+            assert_eq!(&other[..], i.to_le_bytes());
+        }
+        assert_eq!(&held[..], b"held");
+        // Held past what the receiver could hold from the route, it was
+        // let go: its receiver frees it.
+        assert!(held.is_unique());
+    }
+
+    #[test]
+    fn a_receiver_that_keeps_every_payload_bounds_the_kept_copies() {
+        let (mut t, route, out) = sender();
+        let mut kept_by_receiver = Vec::new();
+        for i in 0..100u32 {
+            send(&mut t, out, &i.to_le_bytes());
+            // Every third message waits in the mailbox a while longer.
+            if i % 3 != 0 {
+                kept_by_receiver.push(received(&route));
+            }
+            let kept = t.sent[out.index()].0.len();
+            assert!(
+                kept <= route.len() + DRAIN_BATCH + 1,
+                "{kept} kept at send {i}"
+            );
+        }
+        while !route.is_empty() {
+            kept_by_receiver.push(received(&route));
+        }
+        let mut values: Vec<u32> = kept_by_receiver
+            .iter()
+            .map(|p| u32::from_le_bytes(p[..].try_into().unwrap()))
+            .collect();
+        values.sort_unstable();
+        assert_eq!(values, (0..100).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_larger_payload_gets_a_fresh_buffer_and_a_smaller_one_reuses() {
+        let (mut t, route, out) = sender();
+        send(&mut t, out, b"ab");
+        drop(received(&route));
+        send(&mut t, out, b"abcdefgh");
+        let large = received(&route);
+        assert_eq!((&large[..], large.storage_len()), (&b"abcdefgh"[..], 8));
+        let at = large.as_ptr();
+        drop(large);
+        send(&mut t, out, b"xyz");
+        let small = received(&route);
+        assert_eq!((&small[..], small.as_ptr()), (&b"xyz"[..], at));
     }
 
     #[test]

@@ -150,6 +150,11 @@ pub trait Transport {
 
     /// Non-blocking take of the next message queued on provided
     /// interface `provided`, with the receive primitive's cost in ns.
+    /// A transport that drains several messages in one primitive charges
+    /// its measured time to the message that ran it and 0 ns to each one
+    /// it later hands out of the drained batch, reading no clock for
+    /// those ([`HostTransport`] does): summed over the messages, the
+    /// receive time is the time the mailbox primitive ran.
     fn try_pop(&mut self, provided: IfaceId) -> Option<(Message, u64)>;
 
     /// Non-blocking take of the next introspection request, polled at

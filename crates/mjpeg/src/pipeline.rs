@@ -311,13 +311,19 @@ pub fn coeffs_from_bytes(b: &[u8]) -> Result<[i32; BLOCK_SIZE], EmberaError> {
 
 /// One stage's end of the wire: which layout the pipeline's messages
 /// have, and where the buffers of the ones it sends come from — the
-/// application's payload pool where the backend has one, a reused
-/// scratch buffer and one allocation per message otherwise.
+/// application's payload pool where the backend has one, otherwise the
+/// last message it built once the transport has dropped it, or a reused
+/// scratch buffer and one allocation per message.
 struct Wire {
     /// `count | records` when set; a bare record per message otherwise.
     counted: bool,
     pool: Option<BufferPool>,
     scratch: Vec<u8>,
+    /// Without a pool: the last message built, rewritten in place by the
+    /// next one once nothing else holds it (a transport that copies at
+    /// the send lets go of it there; one that moves the message lets go
+    /// of it when its receiver does).
+    last: Option<Bytes>,
 }
 
 impl Wire {
@@ -326,21 +332,30 @@ impl Wire {
             counted,
             pool: ctx.payload_pool(),
             scratch: Vec::new(),
+            last: None,
         }
     }
 
     /// A message of `len` bytes produced by `write`. The pooled path
     /// serializes straight into the pool-owned buffer: no scratch
-    /// staging, no extra memcpy pass.
+    /// staging, no extra memcpy pass. So does the unpooled one when the
+    /// last message is free ([`Bytes::try_mut`]) and large enough.
     fn message(&mut self, len: usize, write: impl FnOnce(&mut [u8])) -> Bytes {
-        match &self.pool {
-            Some(pool) => pool.take_with(len, write),
-            None => {
-                self.scratch.resize(len, 0);
-                write(&mut self.scratch);
-                Bytes::copy_from_slice(&self.scratch)
+        if let Some(pool) = &self.pool {
+            return pool.take_with(len, write);
+        }
+        if let Some(last) = self.last.as_mut() {
+            if let Some(storage) = last.try_mut().filter(|s| s.len() >= len) {
+                write(&mut storage[..len]);
+                last.reset_view(len);
+                return last.clone();
             }
         }
+        self.scratch.resize(len, 0);
+        write(&mut self.scratch);
+        let msg = Bytes::copy_from_slice(&self.scratch);
+        self.last = Some(msg.clone());
+        msg
     }
 
     fn coeffs(&mut self, blocks: &[CoeffBlock]) -> Bytes {
@@ -1097,7 +1112,9 @@ pub struct MjpegAppConfig {
     /// Attach a shared payload [`BufferPool`] sized to the configured
     /// batch so steady-state messaging allocates nothing on backends
     /// that support pooling (the threaded SMP transport). Default off:
-    /// identical behavior, one heap allocation per serialized message.
+    /// identical behavior; a stage then serializes into the last message
+    /// it built, and a host transport copies into a copy it sent before,
+    /// once nothing holds them (allocating when something does).
     pub payload_pool: bool,
     /// Graceful degradation for the SMP pipeline: a corrupt frame is
     /// skipped by Fetch (counted on [`PipelineProbe::dropped_frames`]),
@@ -1336,6 +1353,29 @@ mod tests {
         }
         let b = encode_pixel_msg(3, 17, &px);
         assert_eq!(decode_pixel_msg(&b).unwrap(), (3, 17, px));
+    }
+
+    #[test]
+    fn wire_rewrites_its_last_message_only_once_the_transport_dropped_it() {
+        let mut wire = Wire {
+            counted: false,
+            pool: None,
+            scratch: Vec::new(),
+            last: None,
+        };
+        let block = |frame: u32| (frame, 0, [frame as i32; BLOCK_SIZE]);
+        // A transport that moves messages still holds the first one.
+        let held = wire.coeffs(&[block(1)]);
+        let second = wire.coeffs(&[block(2)]);
+        assert_ne!(held.as_ptr(), second.as_ptr());
+        assert_eq!(decode_coeff_msg(&held).unwrap(), block(1));
+        // One that copies at the send drops it: the next is built in it.
+        let at = second.as_ptr();
+        drop(second);
+        let third = wire.coeffs(&[block(3)]);
+        assert_eq!(third.as_ptr(), at);
+        assert_eq!(decode_coeff_msg(&third).unwrap(), block(3));
+        assert_eq!(decode_coeff_msg(&held).unwrap(), block(1));
     }
 
     #[test]
