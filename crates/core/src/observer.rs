@@ -276,8 +276,6 @@ pub struct ObserverConfig {
     pub interval_ns: u64,
     /// Stop after this many rounds (`None` = run until app shutdown).
     pub max_rounds: Option<u64>,
-    /// Per-reply receive deadline within a round, ns.
-    pub reply_timeout_ns: u64,
     /// What to ask each round — the paper's §6 "how to select the events
     /// to be observed". Default: [`ObsRequest::Full`]. Narrower requests
     /// (e.g. only [`ObsRequest::AppStats`]) reduce observation traffic.
@@ -313,7 +311,6 @@ impl Default for ObserverConfig {
         ObserverConfig {
             interval_ns: 1_000_000, // 1 ms between rounds
             max_rounds: None,
-            reply_timeout_ns: 100_000_000, // 100 ms
             request: ObsRequest::Full,
             watchdog_ns: 0,
             groups: None,
@@ -484,6 +481,10 @@ fn lift_reply(from: &str, reply: ObsReply) -> Option<ObservationReport> {
 /// use.
 const IN_PLACE_MIN_PAUSE_NS: u64 = 1_000;
 
+/// How long an observer waits for its next reply before it moves on to
+/// its next round (flat, regional) or re-checks for shutdown (root).
+const REPLY_TIMEOUT_NS: u64 = 100_000_000;
+
 /// The polling loop of the flat and the regional observer, written
 /// once: pace, fan the configured request out to every target, take
 /// each reply — on the spot where the backend answers in place, off
@@ -555,7 +556,7 @@ impl<'a> Poller<'a> {
             if ctx.should_stop() {
                 return Ok(false);
             }
-            match ctx.recv_message_timeout("observations", config.reply_timeout_ns)? {
+            match ctx.recv_message_timeout("observations", REPLY_TIMEOUT_NS)? {
                 Some(Message::ObsReply { from, reply }) => {
                     self.take(ctx, &from, *reply, &mut seen);
                     pending -= 1;
@@ -740,7 +741,7 @@ impl Behavior for RootObserverBehavior {
             if ctx.should_stop() {
                 return Ok(());
             }
-            match ctx.recv_message_timeout("regions", self.config.reply_timeout_ns)? {
+            match ctx.recv_message_timeout("regions", REPLY_TIMEOUT_NS)? {
                 Some(Message::ObsReply { reply, .. }) => {
                     if let ObsReply::Region(summary) = *reply {
                         self.config.log.push_summary(summary.clone());

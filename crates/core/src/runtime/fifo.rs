@@ -137,14 +137,9 @@ impl Fifo {
     }
 
     /// Drain up to `max` queued messages into `out` (appended in FIFO
-    /// order) under one lock acquisition. Returns how many were
-    /// appended; never blocks.
-    pub fn pop_many(&self, out: &mut Vec<Message>, max: usize) -> usize {
-        self.pop_batch(out, max, |_, _| {})
-    }
-
-    /// [`Fifo::pop_many`] for an owner that hands the first drained
-    /// message to its behavior at once and stashes the rest:
+    /// order) under one lock acquisition, for an owner that hands the
+    /// first drained message to its behavior at once and stashes the
+    /// rest. Returns how many were appended; never blocks.
     /// `stashing(messages, payload bytes)` is called for that rest
     /// (when there is one) while the queue is still locked, so what it
     /// stores is visible — `Release` on the length, `Acquire` in
@@ -228,17 +223,17 @@ mod tests {
         }
         assert_eq!(mb.queued_bytes(), 10);
         let mut out = Vec::new();
-        assert_eq!(mb.pop_many(&mut out, 3), 3);
+        assert_eq!(mb.pop_batch(&mut out, 3, |_, _| {}), 3);
         assert_eq!(out.len(), 3);
         assert_eq!(&payload(out[0].clone())[..], b"1");
         assert_eq!(&payload(out[2].clone())[..], b"333");
         assert_eq!(mb.queued_bytes(), 4);
         // Appends after existing contents, drains the remainder.
-        assert_eq!(mb.pop_many(&mut out, 16), 1);
+        assert_eq!(mb.pop_batch(&mut out, 16, |_, _| {}), 1);
         assert_eq!(&payload(out[3].clone())[..], b"4444");
         assert_eq!(mb.queued_bytes(), 0);
-        assert_eq!(mb.pop_many(&mut out, 16), 0);
-        assert_eq!(mb.pop_many(&mut out, 0), 0);
+        assert_eq!(mb.pop_batch(&mut out, 16, |_, _| {}), 0);
+        assert_eq!(mb.pop_batch(&mut out, 0, |_, _| {}), 0);
     }
 
     #[test]
@@ -366,7 +361,7 @@ mod tests {
                     popped += 1;
                 } else {
                     out.clear();
-                    assert_eq!(mb.pop_many(&mut out, seen), seen);
+                    assert_eq!(mb.pop_batch(&mut out, seen, |_, _| {}), seen);
                     popped += seen;
                 }
                 assert_eq!(mb.queued_bytes() % 3, 0);

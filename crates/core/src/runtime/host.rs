@@ -101,7 +101,7 @@ pub trait Parker {
 }
 
 /// One provided interface: its mailbox, and the messages drained from
-/// it in bulk (one lock per batch via [`Fifo::pop_many`]) but not yet
+/// it in bulk (one lock per batch via [`Fifo::pop_batch`]) but not yet
 /// handed to the behavior. The stash is allocated once at its final
 /// capacity (it is only refilled when empty), so the hot receive path
 /// never grows it.
@@ -302,7 +302,7 @@ impl<P: Parker> Transport for HostTransport<P> {
             return None;
         }
         let mut drained = self.scratch.drain(..);
-        let first = drained.next().expect("pop_many reported non-zero drain");
+        let first = drained.next().expect("pop_batch reported non-zero drain");
         inbox.stash.extend(drained);
         Some((first, t0.elapsed().as_nanos() as u64))
     }

@@ -17,7 +17,7 @@
 //! is signalled. All four backends run behaviors through the same
 //! [`ComponentRuntime`] and therefore expose byte-for-byte identical
 //! observation semantics. `embera-os21` implements `Transport` over
-//! EMBX distributed objects and simulated-kernel event waits,
+//! its own EMBX-like distributed objects and simulated doorbell waits,
 //! `embera-inproc` over [`Fifo`] mailboxes and fibers that take turns
 //! on the calling thread under a logical clock; the two host backends
 //! — `embera-smp` (one thread per component) and `embera-exec` (fibers

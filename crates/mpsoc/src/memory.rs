@@ -2,8 +2,6 @@
 //! the shared SDRAM block, and a bump allocator for SDRAM used by EMBX
 //! distributed objects.
 
-use std::sync::Arc;
-
 use sim_kernel::LockStep;
 
 use crate::config::{CpuId, MachineConfig};
@@ -106,58 +104,16 @@ impl MemoryMap {
     }
 }
 
-/// A block of simulated SDRAM handed out by the [`SdramAllocator`].
-///
-/// The block carries both a synthetic address (for the cache/cost models)
-/// and real backing storage (EMBX writes the head of every payload into
-/// it; messages themselves travel in the object's queue).
-#[derive(Clone)]
+/// A block of simulated SDRAM handed out by the [`SdramAllocator`]: a
+/// synthetic address range the cache and cost models place traffic at.
+/// It holds no bytes; a distributed object's messages travel in the
+/// object's queue.
+#[derive(Debug, Clone, Copy)]
 pub struct SdramBlock {
     /// Synthetic start address inside the SDRAM region.
     pub addr: u64,
     /// Size in bytes.
     pub size: u64,
-    data: Arc<LockStep<Vec<u8>>>,
-}
-
-impl SdramBlock {
-    /// Write `len` bytes into the block at `offset`: `fill` is handed
-    /// exactly those bytes of the block to overwrite.
-    ///
-    /// # Panics
-    /// Panics if the write overruns the block.
-    pub fn write(&self, offset: u64, len: usize, fill: impl FnOnce(&mut [u8])) {
-        assert!(
-            offset + len as u64 <= self.size,
-            "SDRAM block overrun: write of {len} bytes at offset {offset} into block of {}",
-            self.size
-        );
-        self.data
-            .with(|data| fill(&mut data[offset as usize..offset as usize + len]));
-    }
-
-    /// Read `len` bytes from the block at `offset`.
-    ///
-    /// # Panics
-    /// Panics if the read overruns the block.
-    pub fn read(&self, offset: u64, len: usize) -> Vec<u8> {
-        assert!(
-            offset + len as u64 <= self.size,
-            "SDRAM block overrun: read of {len} bytes at offset {offset} from block of {}",
-            self.size
-        );
-        self.data
-            .with(|data| data[offset as usize..offset as usize + len].to_vec())
-    }
-}
-
-impl std::fmt::Debug for SdramBlock {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SdramBlock")
-            .field("addr", &format_args!("{:#x}", self.addr))
-            .field("size", &self.size)
-            .finish()
-    }
 }
 
 /// Bump allocator over the SDRAM region. EMBX distributed objects and the
@@ -198,7 +154,6 @@ impl SdramAllocator {
         Ok(SdramBlock {
             addr: self.base + aligned,
             size,
-            data: Arc::new(LockStep::new(vec![0u8; size as usize])),
         })
     }
 
@@ -259,23 +214,5 @@ mod tests {
         let alloc = SdramAllocator::new(&m);
         assert!(alloc.alloc(1000).is_ok());
         assert!(alloc.alloc(1000).is_err());
-    }
-
-    #[test]
-    fn sdram_block_data_round_trips() {
-        let m = map();
-        let alloc = SdramAllocator::new(&m);
-        let blk = alloc.alloc(256).unwrap();
-        blk.write(10, 11, |d| d.copy_from_slice(b"hello mpsoc"));
-        assert_eq!(blk.read(10, 11), b"hello mpsoc");
-    }
-
-    #[test]
-    #[should_panic(expected = "overrun")]
-    fn sdram_block_write_overrun_panics() {
-        let m = map();
-        let alloc = SdramAllocator::new(&m);
-        let blk = alloc.alloc(8).unwrap();
-        blk.write(4, 8, |d| d.copy_from_slice(b"too long"));
     }
 }

@@ -9,14 +9,16 @@
 //!
 //! Deployment runs on the simulated STi7200 ([`mpsoc_sim::Machine`], a
 //! fresh one per deployment): each component becomes an [`os21`] task
-//! pinned to a CPU, each provided interface an
-//! [`embx::DistributedObject`] in shared SDRAM, and every `ctx.send` an
+//! pinned to a CPU, each provided interface a distributed object (an
+//! EMBX-like endpoint in shared SDRAM), and every `ctx.send` an
 //! `EMBX_Send` with modeled transfer cost. The object carries the
 //! runtime's [`embera::Message`] itself in its one queue — the payload is
 //! neither copied nor serialised; the transfer is charged on the
 //! message's wire length ([`embera::Message::wire_size`]) — and a message
 //! becomes receivable once the sending half of its transfer has been
-//! charged, before the destination's doorbell rings.
+//! charged, before the receiving component's doorbell rings. Each
+//! component has one doorbell, an interrupt line on its CPU: a send
+//! raises it, and the component's task parks on it.
 //!
 //! Timing comes from OS21's `time_now`/`task_time` equivalents over the
 //! virtual clock; memory observation uses the paper's Table 3 formula:
@@ -37,6 +39,8 @@
 //! detection for the components it observes — use a bounded
 //! `ObserverConfig::rounds` when diagnosing stuck pipelines.
 
+mod cost;
+mod object;
 pub mod platform;
 mod transport;
 

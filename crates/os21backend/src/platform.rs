@@ -3,15 +3,16 @@
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
-use sim_kernel::{Kernel, KernelStats, LockStep};
+use sim_kernel::{Kernel, KernelStats};
 
 use embera::runtime::{self, Backend, Deployed, Flow, Wiring};
 use embera::{AppReport, AppSpec, ComponentSpec, EmberaError, Placement, Platform, RunningApp};
-use embx::Transport;
-use mpsoc_sim::{CpuId, Machine, MachineConfig};
+use mpsoc_sim::{IrqLine, Machine, MachineConfig};
 use os21::Rtos;
 
-use crate::transport::{AppShared, Endpoint, Os21Transport};
+use crate::cost::KNEE_BYTES;
+use crate::object::DistributedObject;
+use crate::transport::{AppShared, Os21Transport};
 
 /// Accounted per-task memory, bytes — the paper's "60 kB for the task
 /// data and component structure" (Table 3 discussion).
@@ -59,29 +60,26 @@ pub struct Os21Running {
 struct TaskBackend {
     kernel: Kernel,
     rtos: Rtos,
-    transport: Transport,
     machine: Machine,
-    /// CPU of each component, in deployment order.
-    placements: Vec<CpuId>,
+    /// Doorbell line of each component, in deployment order, on the
+    /// CPU the component is placed on.
+    doorbells: Vec<IrqLine>,
     app: Arc<AppShared>,
 }
 
 impl Backend for TaskBackend {
-    type Endpoint = Endpoint;
+    type Endpoint = DistributedObject;
 
     fn make_endpoint(
         &mut self,
         component: usize,
-        spec: &ComponentSpec,
-        iface: &str,
-    ) -> Result<Endpoint, EmberaError> {
-        self.transport
-            .create_object(
-                &self.kernel,
-                format!("{}::{}", spec.name, iface),
-                self.placements[component],
-            )
-            .map_err(EmberaError::Platform)
+        _spec: &ComponentSpec,
+        _iface: &str,
+    ) -> Result<DistributedObject, EmberaError> {
+        // The object's double-buffered slots, in shared SDRAM.
+        let block = self.machine.sdram_alloc().alloc(KNEE_BYTES);
+        let block = block.map_err(EmberaError::Platform)?;
+        Ok(DistributedObject::new(block, self.doorbells[component]))
     }
 
     fn memory_bytes(&self, spec: &ComponentSpec, _has_observer: bool) -> u64 {
@@ -90,17 +88,9 @@ impl Backend for TaskBackend {
         TASK_DATA_BYTES + spec.provided.len() as u64 * OBJECT_ACCOUNTED_BYTES
     }
 
-    fn spawn(&mut self, wiring: Wiring<Endpoint>, flow: Flow) -> Result<(), EmberaError> {
-        let cpu = self.placements[wiring.index];
-        // One activity event per component; every provided object
-        // notifies it, and shutdown notifies it too.
-        let activity = self.kernel.alloc_event();
-        self.app
-            .activity_events
-            .with(|events| events.push(activity));
-        for inbox in wiring.provided.iter().flatten() {
-            inbox.add_extra_notify(activity);
-        }
+    fn spawn(&mut self, wiring: Wiring<DistributedObject>, flow: Flow) -> Result<(), EmberaError> {
+        let cpu = self.doorbells[wiring.index].cpu;
+        let doorbell = self.app.doorbells[wiring.index];
         // Payload home region: the ST231's local memory, or SDRAM on
         // the ST40 (which has no LMI).
         let map = self.machine.memory_map();
@@ -113,7 +103,7 @@ impl Backend for TaskBackend {
                     task,
                     wiring,
                     local_region,
-                    activity,
+                    doorbell,
                     app,
                 ));
             });
@@ -127,11 +117,13 @@ impl Platform for Os21Platform {
     fn deploy(&mut self, spec: AppSpec) -> Result<Os21Running, EmberaError> {
         // Resolve placements: explicit CPUs must exist; `Any` lands on
         // the ST40 host (CPU 0), which is where the paper's I/O-ish and
-        // auxiliary components live.
+        // auxiliary components live. Component `i` gets doorbell line
+        // `i` on its CPU: every send to one of its objects raises it,
+        // and its task parks on the line's event.
         let ncpus = self.config.num_cpus();
-        let mut placements = Vec::with_capacity(spec.components.len());
-        for c in &spec.components {
-            placements.push(match c.placement {
+        let mut doorbells = Vec::with_capacity(spec.components.len());
+        for (line, c) in (0..).zip(&spec.components) {
+            let cpu = match c.placement {
                 Placement::Cpu(cpu) if cpu >= ncpus => {
                     return Err(EmberaError::Validation(format!(
                         "component '{}' placed on CPU {cpu}, machine has {ncpus}",
@@ -140,19 +132,22 @@ impl Platform for Os21Platform {
                 }
                 Placement::Cpu(cpu) => cpu,
                 Placement::Any => 0,
-            });
+            };
+            doorbells.push(IrqLine { cpu, line });
         }
         let machine = Machine::new(self.config.clone());
+        let kernel = Kernel::new();
+        let register = |&line| machine.interrupts().register_line(&kernel, line);
+        let app = Arc::new(AppShared {
+            shutdown: AtomicBool::new(false),
+            doorbells: doorbells.iter().map(register).collect(),
+        });
         let mut backend = TaskBackend {
-            kernel: Kernel::new(),
+            kernel,
             rtos: Rtos::new(machine.clone()),
-            transport: Transport::open(machine.clone()),
             machine,
-            placements,
-            app: Arc::new(AppShared {
-                shutdown: AtomicBool::new(false),
-                activity_events: LockStep::default(),
-            }),
+            doorbells,
+            app,
         };
         let deployed = runtime::deploy(&mut backend, spec)?;
         Ok(Os21Running {

@@ -7,57 +7,21 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use sim_kernel::{EventId, LockStep};
+use sim_kernel::EventId;
 
 use embera::runtime::{IfaceId, Transport, Wiring};
 use embera::{ComponentStats, Message, ObsReply, Work, WorkClass};
-use embx::{DistributedObject, Envelope};
 use mpsoc_sim::{ComputeClass, RegionId};
 use os21::TaskCtx;
 
-/// A provided-interface endpoint: the EMBX distributed object that
-/// carries the interface's messages.
-pub(crate) type Endpoint = DistributedObject<Wire>;
-
-/// A runtime [`Message`] as a distributed object carries it. The object
-/// queues the message itself; its wire image — what a transfer is
-/// charged on and what the object writes into its SDRAM slot window —
-/// is the payload, followed by the deadline's 8 little-endian bytes on a
-/// deadlined message, and [`Message::wire_size`] zero bytes for
-/// observation traffic.
-pub(crate) struct Wire(pub(crate) Message);
-
-impl Envelope for Wire {
-    fn wire_len(&self) -> usize {
-        self.0.wire_size()
-    }
-
-    fn payload_len(&self) -> usize {
-        self.0.data_len()
-    }
-
-    fn write_head(&self, head: &mut [u8]) {
-        match &self.0 {
-            Message::Data(payload) => head.copy_from_slice(&payload[..head.len()]),
-            Message::Deadlined {
-                payload,
-                deadline_ns,
-            } => {
-                let (body, deadline) = head.split_at_mut(head.len().min(payload.len()));
-                body.copy_from_slice(&payload[..body.len()]);
-                deadline.copy_from_slice(&deadline_ns.to_le_bytes()[..deadline.len()]);
-            }
-            _ => head.fill(0),
-        }
-    }
-}
+use crate::object::DistributedObject;
 
 /// Shared application-level state on the MPSoC backend.
 pub(crate) struct AppShared {
     pub(crate) shutdown: AtomicBool,
-    /// Activity events of every component, notified at shutdown so
-    /// blocked service loops wake and exit.
-    pub(crate) activity_events: LockStep<Vec<EventId>>,
+    /// The doorbell event of every component, in deployment order,
+    /// notified at shutdown so blocked service loops wake and exit.
+    pub(crate) doorbells: Vec<EventId>,
 }
 
 /// One component's [`Transport`] on the simulated STi7200.
@@ -69,16 +33,16 @@ pub(crate) struct AppShared {
 pub(crate) struct Os21Transport {
     task: TaskCtx,
     /// The provided interfaces, [`IfaceId::INTROSPECTION`] first.
-    inboxes: Vec<Option<Endpoint>>,
+    inboxes: Vec<Option<DistributedObject>>,
     /// The connected peer's endpoint of each required interface.
-    routes: Vec<Option<Endpoint>>,
+    routes: Vec<Option<DistributedObject>>,
     stats: Arc<ComponentStats>,
     /// Region the component's payloads live in on its CPU (LMI for
     /// ST231, SDRAM for the ST40).
     local_region: RegionId,
-    /// Event notified whenever any of this component's objects receives
-    /// a message (and at shutdown).
-    activity: EventId,
+    /// The event of the component's doorbell line: raised by every send
+    /// to one of its objects, notified at shutdown.
+    doorbell: EventId,
     app: Arc<AppShared>,
     /// Rolling cursor through the component's working set; compute
     /// memory traffic streams through it so the L1 model sees realistic
@@ -91,9 +55,9 @@ impl Os21Transport {
     /// `task`.
     pub(crate) fn new(
         task: TaskCtx,
-        wiring: Wiring<Endpoint>,
+        wiring: Wiring<DistributedObject>,
         local_region: RegionId,
-        activity: EventId,
+        doorbell: EventId,
         app: Arc<AppShared>,
     ) -> Self {
         Os21Transport {
@@ -102,7 +66,7 @@ impl Os21Transport {
             routes: wiring.routes,
             stats: wiring.stats,
             local_region,
-            activity,
+            doorbell,
             app,
             mem_cursor: 0,
         }
@@ -121,16 +85,14 @@ impl Transport for Os21Transport {
     fn request_shutdown(&mut self) {
         self.app.shutdown.store(true, Ordering::Release);
         let sim = self.task.sim();
-        self.app
-            .activity_events
-            .with(|events| events.iter().for_each(|&e| sim.notify(e)));
+        self.app.doorbells.iter().for_each(|&e| sim.notify(e));
     }
 
     fn push(&mut self, required: IfaceId, msg: Message) -> u64 {
         let route = self.routes[required.index()]
             .as_ref()
             .expect("the runtime pushes only where its table has a route");
-        route.send(&self.task, self.local_region, Wire(msg))
+        route.send(&self.task, self.local_region, msg)
     }
 
     fn try_pop(&mut self, provided: IfaceId) -> Option<(Message, u64)> {
@@ -139,15 +101,14 @@ impl Transport for Os21Transport {
         // paper's observation service, not an application receive — so
         // they are not charged against the component.
         if provided == IfaceId::INTROSPECTION {
-            return inbox.try_take().map(|Wire(msg)| (msg, 0));
+            return inbox.try_take().map(|msg| (msg, 0));
         }
-        let (Wire(msg), ns) = inbox.try_receive(&self.task, self.local_region)?;
-        Some((msg, ns))
+        inbox.try_receive(&self.task, self.local_region)
     }
 
     fn queued_bytes(&self) -> u64 {
         let inboxes = self.inboxes.iter().flatten();
-        inboxes.map(Endpoint::queued_bytes).sum()
+        inboxes.map(DistributedObject::queued_bytes).sum()
     }
 
     fn park_recv(&mut self, _provided: &[IfaceId], deadline_ns: Option<u64>) {
@@ -155,7 +116,7 @@ impl Transport for Os21Transport {
             Some(d) => {
                 let now = self.task.now_ns();
                 if d > now {
-                    self.task.sim().wait_timeout(self.activity, d - now);
+                    self.task.sim().wait_timeout(self.doorbell, d - now);
                 }
             }
             None => {
@@ -163,7 +124,7 @@ impl Transport for Os21Transport {
                 // component or by application shutdown. A genuinely
                 // stuck receive leaves the kernel with no events,
                 // surfacing as a named deadlock.
-                self.task.sim().wait(self.activity);
+                self.task.sim().wait(self.doorbell);
             }
         }
     }
@@ -172,7 +133,7 @@ impl Transport for Os21Transport {
         // Blocking is purely event-driven (no periodic timeouts): a
         // polling loop would generate virtual-time events forever and
         // mask real deadlocks from the kernel's detector.
-        self.task.sim().wait(self.activity);
+        self.task.sim().wait(self.doorbell);
     }
 
     fn compute(&mut self, work: Work) {
@@ -207,10 +168,10 @@ impl Transport for Os21Transport {
     }
 
     fn delay(&mut self, ns: u64) {
-        // Best-effort backoff in virtual time. The activity event may
+        // Best-effort backoff in virtual time. The doorbell may
         // cut the wait short; the restart still happens after it.
         if ns > 0 {
-            self.task.sim().wait_timeout(self.activity, ns);
+            self.task.sim().wait_timeout(self.doorbell, ns);
         }
     }
 
@@ -232,44 +193,70 @@ impl Transport for Os21Transport {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use bytes::Bytes;
-    use embera::ObsRequest;
+    use embera::behavior::behavior_fn;
+    use embera::{AppBuilder, ComponentSpec, EmberaError, Platform, RunningApp};
+    use mpsoc_sim::MachineConfig;
 
-    /// A message's wire image, materialised.
-    fn image(msg: &Message) -> Vec<u8> {
-        match msg {
-            Message::Data(payload) => payload.to_vec(),
-            Message::Deadlined {
-                payload,
-                deadline_ns,
-            } => [payload.as_ref(), &deadline_ns.to_le_bytes()].concat(),
-            other => vec![0; other.wire_size()],
-        }
+    use crate::cost::KNEE_BYTES;
+    use crate::Os21Platform;
+
+    /// `Src` on the ST40 sends one message to each of `Dst`'s two
+    /// provided interfaces on an ST231.
+    fn two_inbox_app() -> AppBuilder {
+        let mut app = AppBuilder::new("objects");
+        app.add(
+            ComponentSpec::new(
+                "Src",
+                behavior_fn(|ctx| {
+                    ctx.send("a", Bytes::from_static(b"to a"))?;
+                    ctx.send("b", Bytes::from_static(b"to b"))
+                }),
+            )
+            .with_required("a")
+            .with_required("b")
+            .on_cpu(0),
+        );
+        app.add(
+            ComponentSpec::new(
+                "Dst",
+                behavior_fn(|ctx| {
+                    assert_eq!(ctx.recv("a")?.as_ref(), b"to a");
+                    assert_eq!(ctx.recv("b")?.as_ref(), b"to b");
+                    Ok(())
+                }),
+            )
+            .with_provided("a")
+            .with_provided("b")
+            .on_cpu(1),
+        );
+        app.connect(("Src", "a"), ("Dst", "a"));
+        app.connect(("Src", "b"), ("Dst", "b"));
+        app
     }
 
     #[test]
-    fn every_head_of_a_wire_is_the_head_of_its_image() {
-        let messages = [
-            Message::Data(Bytes::from_static(b"payload")),
-            Message::Deadlined {
-                payload: Bytes::from_static(b"abc"),
-                deadline_ns: 0x0102_0304_0506_0708,
-            },
-            Message::ObsRequest {
-                from: "observer".into(),
-                request: ObsRequest::Health,
-            },
-        ];
-        for msg in messages {
-            let image = image(&msg);
-            let wire = Wire(msg);
-            assert_eq!(wire.wire_len(), image.len());
-            for window in 0..=image.len() {
-                let mut head = vec![0xEE; window];
-                wire.write_head(&mut head);
-                assert_eq!(head, image[..window], "window {window}");
-            }
+    fn create_object_allocates_sdram_and_registers() {
+        // One SDRAM block per provided interface, introspection
+        // included; a send rings a registered doorbell (an unregistered
+        // line panics).
+        let running = Os21Platform::three_cpu()
+            .deploy(two_inbox_app().build().unwrap())
+            .unwrap();
+        let objects = 1 + 3; // `Src`'s introspection; `Dst`'s a, b, introspection
+        assert_eq!(running.machine().sdram_alloc().used(), objects * KNEE_BYTES);
+        let report = running.wait().unwrap();
+        assert_eq!(report.component("Dst").unwrap().app.total_receives, 2);
+    }
+
+    #[test]
+    fn sdram_exhaustion_propagates_as_error() {
+        let mut cfg = MachineConfig::sti7200_three_cpu();
+        cfg.sdram_size = 1024; // far below one object's slots
+        match Os21Platform::with_config(cfg).deploy(two_inbox_app().build().unwrap()) {
+            Err(EmberaError::Platform(msg)) => assert!(msg.contains("SDRAM exhausted"), "{msg}"),
+            Err(other) => panic!("wrong error: {other}"),
+            Ok(_) => panic!("expected SDRAM exhaustion"),
         }
     }
 }

@@ -4,7 +4,7 @@
 //! cargo run --release --bin repro -- all          # everything, reduced scale
 //! cargo run --release --bin repro -- all --paper  # full 578/3000-frame streams
 //! cargo run --release --bin repro -- table1|table2|figure4|figure5|table3|figure8
-//! cargo run --release --bin repro -- cache|memseries|trace    # paper future work
+//! cargo run --release --bin repro -- cache|memseries          # paper future work
 //! cargo run --release --bin repro -- scaling|dot              # scaling study, graphs
 //! cargo run --release --bin repro -- alloc-check [--backend smp|exec]  # steady-state allocation proof
 //! cargo run --release --bin repro -- overload|fuzz            # conservation ledger, parser fuzz
@@ -149,7 +149,6 @@ const COMMANDS: &[Command] = &[
     Command { name: "figure8", help: "Figure 8: STi7200 send time vs message size", run: |s, _| figure8(s), flags: &[], smoke_args: &[] },
     Command { name: "cache", help: "X1: cache-miss observation (future work)", run: |s, _| cache(s), flags: &[], smoke_args: &[] },
     Command { name: "memseries", help: "X2: memory evolution over execution", run: |s, _| memseries(s), flags: &[], smoke_args: &[] },
-    Command { name: "trace", help: "X3: event-trace support demo", run: |_, _| trace_demo(), flags: &[], smoke_args: &[] },
     Command { name: "scaling", help: "S1: accelerator scaling study", run: |s, _| scaling(s), flags: &[], smoke_args: &[] },
     Command { name: "dot", help: "GraphViz graphs of the paper's deployments", run: |_, _| dot(), flags: &[], smoke_args: &[] },
     Command { name: "alloc-check", help: "steady-state allocation proof, exit 1 if it fails", run: alloc_check, flags: &[("--frames", Value::Count), ("--backend", Value::Backend), ("--workers", Value::Count)], smoke_args: &[] },
@@ -594,54 +593,6 @@ fn alloc_check(scale: &Scale, args: &[String]) {
     }
     println!("steady state is allocation-free in the pooled configuration");
     println!();
-}
-
-fn trace_demo() {
-    println!("=== X3 (paper section 6 future work) — event trace support ===");
-    use bytes::Bytes;
-    use embera::behavior::behavior_fn;
-    use embera::{AppBuilder, ComponentSpec};
-    use embera_trace::{analysis::TimelineStats, TraceCollector};
-
-    let collector = TraceCollector::default();
-    let mut app = AppBuilder::new("traced");
-    app.add(
-        ComponentSpec::new(
-            "src",
-            behavior_fn(|ctx| {
-                for i in 0..5_000u32 {
-                    ctx.send("out", Bytes::from(vec![i as u8; 256]))?;
-                }
-                Ok(())
-            }),
-        )
-        .with_required("out"),
-    );
-    app.add(
-        ComponentSpec::new(
-            "dst",
-            behavior_fn(|ctx| {
-                for _ in 0..5_000 {
-                    ctx.recv("in")?;
-                }
-                Ok(())
-            }),
-        )
-        .with_provided("in"),
-    );
-    app.connect(("src", "out"), ("dst", "in"));
-    app.with_tracing(collector.trace_config());
-    SmpPlatform::new()
-        .deploy(app.build().expect("valid app"))
-        .expect("deploy")
-        .wait()
-        .expect("run");
-    let trace = collector.drain_sorted();
-    println!("captured {} events", trace.len());
-    println!(
-        "{}",
-        TimelineStats::from_events(&trace).format_table(&collector.names())
-    );
 }
 
 // ---------------------------------------------------------------------

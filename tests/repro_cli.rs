@@ -116,7 +116,7 @@ fn help_lists_exactly_the_surviving_commands() {
         .lines()
         .filter_map(|l| l.strip_prefix("  ")?.split_whitespace().next())
         .collect();
-    let expected = "table1 table2 figure4 figure5 table3 figure8 cache memseries trace scaling \
+    let expected = "table1 table2 figure4 figure5 table3 figure8 cache memseries scaling \
                     dot alloc-check overload fuzz all help";
     assert_eq!(listed, expected.split_whitespace().collect::<Vec<_>>());
 }
