@@ -1,4 +1,8 @@
-//! Block-level encode/decode and whole-frame helpers.
+//! Grayscale entropy-coded segments: the encoder that makes every
+//! workload's input ([`BlockEncoder`], [`encode_frame`]), the decoder,
+//! and whole-frame helpers. A segment is bare Annex-K luminance Huffman
+//! code with no file markers around it; its geometry and quality travel
+//! next to it in a [`FrameHeader`](crate::frame::FrameHeader).
 //!
 //! The decode path is deliberately split along the paper's component
 //! boundaries (§3.2):
@@ -30,25 +34,9 @@ const EOB: u8 = 0x00;
 /// Zero-run-of-16 marker symbol.
 const ZRL: u8 = 0xF0;
 
-/// Encode one 8×8 pixel block into `writer` with explicit tables and DC
-/// predictor — the generic form shared by the grayscale encoder and the
-/// interleaved-color JFIF encoder. Returns the block's quantized DC.
-pub fn encode_block_with(
-    writer: &mut BitWriter,
-    dc_enc: &HuffEncoder,
-    ac_enc: &HuffEncoder,
-    qtable: &[u16; BLOCK_SIZE],
-    dc_pred: i32,
-    pixels: &[u8; BLOCK_SIZE],
-) -> i32 {
-    let coeffs = fdct(&pixels_to_centered(pixels));
-    let zz = quantize_zigzag(&coeffs, qtable);
-    encode_quantized_block(writer, dc_enc, ac_enc, dc_pred, &zz)
-}
-
-/// Entropy-code an already-quantized zigzag block (the emission half of
-/// [`encode_block_with`]).
-pub fn encode_quantized_block(
+/// Entropy-code an already-quantized zigzag block; returns its DC, the
+/// next block's predictor.
+fn encode_quantized_block(
     writer: &mut BitWriter,
     dc_enc: &HuffEncoder,
     ac_enc: &HuffEncoder,
@@ -121,7 +109,7 @@ fn decode_block_into(
 /// predictor; returns the coefficients and the new predictor. Runs the
 /// table-driven loop; [`decode_block_bitwise`] is the bit-serial
 /// original.
-pub fn decode_block_with(
+fn decode_block_with(
     reader: &mut BitReader<'_>,
     dc_dec: &HuffDecoder,
     ac_dec: &HuffDecoder,
@@ -132,9 +120,11 @@ pub fn decode_block_with(
     Ok((zz, dc))
 }
 
-/// [`decode_block_with`] on the bit-at-a-time Huffman path — the
-/// unoptimized decoder the paper's workload models, kept both as the
-/// property-test oracle and as the honest "before" of the benchmark
+/// Decode one block (zigzag order) with explicit tables and DC
+/// predictor on the bit-at-a-time Huffman path; returns the
+/// coefficients and the new predictor. This is the unoptimized decoder
+/// the paper's workload models, kept both as the property-test oracle
+/// of the table-driven loop and as the honest "before" of the benchmark
 /// baseline.
 pub fn decode_block_bitwise(
     reader: &mut BitReader<'_>,
@@ -192,14 +182,10 @@ impl BlockEncoder {
 
     /// Encode one 8×8 pixel block (row-major).
     pub fn push_block(&mut self, pixels: &[u8; BLOCK_SIZE]) {
-        self.dc_pred = encode_block_with(
-            &mut self.writer,
-            &self.dc_enc,
-            &self.ac_enc,
-            &self.qtable,
-            self.dc_pred,
-            pixels,
-        );
+        let coeffs = fdct(&pixels_to_centered(pixels));
+        let zz = quantize_zigzag(&coeffs, &self.qtable);
+        self.dc_pred =
+            encode_quantized_block(&mut self.writer, &self.dc_enc, &self.ac_enc, self.dc_pred, &zz);
     }
 
     /// Finish and return the entropy-coded segment.

@@ -1,7 +1,8 @@
-//! The Motion-JPEG stream container: "a stream of independent and
-//! individually encoded JPEG images" (paper §3.2), with a minimal
-//! length-prefixed framing so the Fetch component can do real "file
-//! management".
+//! The Motion-JPEG stream: "a stream of independent and individually
+//! encoded JPEG images" (paper §3.2), held in memory as one
+//! entropy-coded segment per frame. No pipeline reads or writes it as a
+//! file; [`MjpegStream::to_bytes`] exists so a test can fingerprint its
+//! input.
 
 use crate::dct::N;
 
@@ -39,15 +40,13 @@ pub struct MjpegStream {
     pub frames: Vec<EncodedFrame>,
 }
 
-const MAGIC: &[u8; 4] = b"MJPG";
-
 impl MjpegStream {
-    /// Serialize to the container format:
+    /// Every header field and segment byte, in order:
     /// `"MJPG" | u32 frame count | per frame: u16 w | u16 h | u8 q |
-    /// u32 len | data`.
+    /// u32 len | data` — what `mjpeg_golden` hashes to pin its input.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
+        out.extend_from_slice(b"MJPG");
         out.extend_from_slice(&(self.frames.len() as u32).to_le_bytes());
         for f in &self.frames {
             out.extend_from_slice(&f.header.width.to_le_bytes());
@@ -57,43 +56,6 @@ impl MjpegStream {
             out.extend_from_slice(&f.data);
         }
         out
-    }
-
-    /// Parse the container format.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8], String> {
-            if *pos + n > bytes.len() {
-                return Err(format!("truncated stream at offset {pos:?}"));
-            }
-            let s = &bytes[*pos..*pos + n];
-            *pos += n;
-            Ok(s)
-        };
-        if take(&mut pos, 4)? != MAGIC {
-            return Err("bad magic".into());
-        }
-        let count = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
-        let mut frames = Vec::with_capacity(count);
-        for _ in 0..count {
-            let width = u16::from_le_bytes(take(&mut pos, 2)?.try_into().unwrap());
-            let height = u16::from_le_bytes(take(&mut pos, 2)?.try_into().unwrap());
-            let quality = take(&mut pos, 1)?[0];
-            let len = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
-            let data = take(&mut pos, len)?.to_vec();
-            frames.push(EncodedFrame {
-                header: FrameHeader {
-                    width,
-                    height,
-                    quality,
-                },
-                data,
-            });
-        }
-        if pos != bytes.len() {
-            return Err(format!("{} trailing bytes", bytes.len() - pos));
-        }
-        Ok(MjpegStream { frames })
     }
 
     /// Number of frames.
@@ -110,61 +72,6 @@ impl MjpegStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample() -> MjpegStream {
-        MjpegStream {
-            frames: vec![
-                EncodedFrame {
-                    header: FrameHeader {
-                        width: 48,
-                        height: 24,
-                        quality: 75,
-                    },
-                    data: vec![1, 2, 3, 4],
-                },
-                EncodedFrame {
-                    header: FrameHeader {
-                        width: 48,
-                        height: 24,
-                        quality: 75,
-                    },
-                    data: vec![9; 100],
-                },
-            ],
-        }
-    }
-
-    #[test]
-    fn container_round_trips() {
-        let s = sample();
-        let bytes = s.to_bytes();
-        assert_eq!(MjpegStream::from_bytes(&bytes).unwrap(), s);
-    }
-
-    #[test]
-    fn bad_magic_rejected() {
-        let mut bytes = sample().to_bytes();
-        bytes[0] = b'X';
-        assert!(MjpegStream::from_bytes(&bytes).is_err());
-    }
-
-    #[test]
-    fn truncation_rejected() {
-        let bytes = sample().to_bytes();
-        for cut in [3, 7, 10, bytes.len() - 1] {
-            assert!(
-                MjpegStream::from_bytes(&bytes[..cut]).is_err(),
-                "cut at {cut} must fail"
-            );
-        }
-    }
-
-    #[test]
-    fn trailing_garbage_rejected() {
-        let mut bytes = sample().to_bytes();
-        bytes.push(0);
-        assert!(MjpegStream::from_bytes(&bytes).is_err());
-    }
 
     #[test]
     fn blocks_per_frame_geometry() {

@@ -45,36 +45,6 @@ impl HuffSpec {
         }
     }
 
-    /// Annex K.3.3.1: chrominance DC coefficient differences.
-    pub fn chroma_dc() -> Self {
-        HuffSpec {
-            bits: [0, 3, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0],
-            values: (0..=11).collect(),
-        }
-    }
-
-    /// Annex K.3.3.2: chrominance AC coefficients.
-    pub fn chroma_ac() -> Self {
-        HuffSpec {
-            bits: [0, 2, 1, 2, 4, 4, 3, 4, 7, 5, 4, 4, 0, 1, 2, 0x77],
-            values: vec![
-                0x00, 0x01, 0x02, 0x03, 0x11, 0x04, 0x05, 0x21, 0x31, 0x06, 0x12, 0x41, 0x51,
-                0x07, 0x61, 0x71, 0x13, 0x22, 0x32, 0x81, 0x08, 0x14, 0x42, 0x91, 0xa1, 0xb1,
-                0xc1, 0x09, 0x23, 0x33, 0x52, 0xf0, 0x15, 0x62, 0x72, 0xd1, 0x0a, 0x16, 0x24,
-                0x34, 0xe1, 0x25, 0xf1, 0x17, 0x18, 0x19, 0x1a, 0x26, 0x27, 0x28, 0x29, 0x2a,
-                0x35, 0x36, 0x37, 0x38, 0x39, 0x3a, 0x43, 0x44, 0x45, 0x46, 0x47, 0x48, 0x49,
-                0x4a, 0x53, 0x54, 0x55, 0x56, 0x57, 0x58, 0x59, 0x5a, 0x63, 0x64, 0x65, 0x66,
-                0x67, 0x68, 0x69, 0x6a, 0x73, 0x74, 0x75, 0x76, 0x77, 0x78, 0x79, 0x7a, 0x82,
-                0x83, 0x84, 0x85, 0x86, 0x87, 0x88, 0x89, 0x8a, 0x92, 0x93, 0x94, 0x95, 0x96,
-                0x97, 0x98, 0x99, 0x9a, 0xa2, 0xa3, 0xa4, 0xa5, 0xa6, 0xa7, 0xa8, 0xa9, 0xaa,
-                0xb2, 0xb3, 0xb4, 0xb5, 0xb6, 0xb7, 0xb8, 0xb9, 0xba, 0xc2, 0xc3, 0xc4, 0xc5,
-                0xc6, 0xc7, 0xc8, 0xc9, 0xca, 0xd2, 0xd3, 0xd4, 0xd5, 0xd6, 0xd7, 0xd8, 0xd9,
-                0xda, 0xe2, 0xe3, 0xe4, 0xe5, 0xe6, 0xe7, 0xe8, 0xe9, 0xea, 0xf2, 0xf3, 0xf4,
-                0xf5, 0xf6, 0xf7, 0xf8, 0xf9, 0xfa,
-            ],
-        }
-    }
-
     /// Total number of codes.
     pub fn num_codes(&self) -> usize {
         self.bits.iter().map(|&b| b as usize).sum()
@@ -83,9 +53,9 @@ impl HuffSpec {
     /// Whether the spec describes a realizable prefix code: the
     /// canonical code counter must never exceed the code space at any
     /// length (Kraft inequality for the Annex-C construction) and there
-    /// must be exactly one symbol per code. Untrusted `DHT` segments
-    /// can violate both; building a decoder from such a spec would
-    /// index past the primary LUT.
+    /// must be exactly one symbol per code. The fields are public, so a
+    /// hand-built spec can violate both; [`HuffDecoder::new`] skips the
+    /// codes of such a spec that would run past its primary LUT.
     pub fn is_valid(&self) -> bool {
         let mut code: u32 = 0;
         for (len_idx, &count) in self.bits.iter().enumerate() {
@@ -254,7 +224,8 @@ impl HuffDecoder {
     }
 
     /// Decode one symbol and the magnitude bits that follow it — the
-    /// step of the fast decode loop ([`crate::codec::decode_block_with`]).
+    /// step of the fast decode loop behind
+    /// [`EntropyDecoder`](crate::codec::EntropyDecoder).
     /// The magnitude's category is `symbol` for a DC table (`dc`) and
     /// `symbol & 0x0F` for an AC one. One table probe resolves both when
     /// the code is at most [`LUT_BITS`] long and its magnitude fits the
@@ -368,12 +339,7 @@ mod tests {
 
     #[test]
     fn annex_k_tables_are_well_formed() {
-        for spec in [
-            HuffSpec::luma_dc(),
-            HuffSpec::luma_ac(),
-            HuffSpec::chroma_dc(),
-            HuffSpec::chroma_ac(),
-        ] {
+        for spec in [HuffSpec::luma_dc(), HuffSpec::luma_ac()] {
             assert_eq!(
                 spec.num_codes(),
                 spec.values.len(),
@@ -390,18 +356,11 @@ mod tests {
         }
         assert_eq!(HuffSpec::luma_ac().num_codes(), 162);
         assert_eq!(HuffSpec::luma_dc().num_codes(), 12);
-        assert_eq!(HuffSpec::chroma_ac().num_codes(), 162);
-        assert_eq!(HuffSpec::chroma_dc().num_codes(), 12);
     }
 
     #[test]
     fn every_symbol_round_trips() {
-        for (spec, dc) in [
-            (HuffSpec::luma_dc(), true),
-            (HuffSpec::luma_ac(), false),
-            (HuffSpec::chroma_dc(), true),
-            (HuffSpec::chroma_ac(), false),
-        ] {
+        for (spec, dc) in [(HuffSpec::luma_dc(), true), (HuffSpec::luma_ac(), false)] {
             let category_of = |sym: u8| if dc { sym } else { sym & 0x0F };
             let enc = HuffEncoder::new(&spec);
             let dec = HuffDecoder::new(&spec);
@@ -464,5 +423,29 @@ mod tests {
         assert!(dec.decode(&mut r).is_err());
         let mut r = BitReader::new(&bytes);
         assert!(dec.decode_coded(&mut r, true).is_err());
+    }
+
+    #[test]
+    fn oversubscribed_spec_is_invalid_and_decodes_without_panic() {
+        // `HuffSpec`'s fields are public, so a caller can build a table
+        // whose canonical code counter runs past the code space: here
+        // the 12 DC symbols all claim a 1-bit code, where only two
+        // exist. `is_valid` must say so, and the decoder built from it
+        // anyway must stay inside its LUT.
+        let spec = HuffSpec {
+            bits: [12, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+            values: (0..=11).collect(),
+        };
+        assert!(!spec.is_valid());
+        let dec = HuffDecoder::new(&spec);
+        let bytes = [0x00, 0x5A, 0xFF, 0x00, 0xA5, 0x3C];
+        for dc in [true, false] {
+            let mut r = BitReader::new(&bytes);
+            while dec.decode_coded(&mut r, dc).is_ok() {}
+            let mut r = BitReader::new(&bytes);
+            while dec.decode(&mut r).is_ok() {}
+        }
+        assert!(HuffSpec::luma_dc().is_valid());
+        assert!(HuffSpec::luma_ac().is_valid());
     }
 }

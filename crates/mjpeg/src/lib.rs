@@ -11,13 +11,15 @@
 //! The original input files are unavailable, so this crate provides the
 //! whole path from scratch:
 //!
-//! * a **baseline JPEG codec** (8×8 FDCT/IDCT, Annex-K quantization and
-//!   Huffman tables with IJG quality scaling, zigzag ordering, bit-level
-//!   entropy coding with 0xFF stuffing) — [`codec`], [`dct`], [`quant`],
+//! * a **baseline JPEG codec** for grayscale entropy-coded segments
+//!   (8×8 FDCT/IDCT, the Annex-K luminance quantization and Huffman
+//!   tables with IJG quality scaling, zigzag ordering, bit-level entropy
+//!   coding with 0xFF stuffing) — [`codec`], [`dct`], [`quant`],
 //!   [`huffman`], [`bitstream`]. The encoder is the reference float
 //!   path only — it produces every workload's input; the fast integer
-//!   and SIMD kernels exist on the decode side;
-//! * a **Motion-JPEG stream** container and a deterministic synthetic
+//!   and SIMD kernels exist on the decode side. There is no file
+//!   format: no pipeline reads or writes a `.jpg` file;
+//! * an in-memory **Motion-JPEG stream** and a deterministic synthetic
 //!   video generator — [`frame`], [`workload`]. The default geometry is
 //!   48×24 grayscale = **18 blocks per image**, matching the paper's
 //!   Table 2 counts (10 386 sends = 18 × 577; the paper's numbers imply
@@ -39,7 +41,6 @@ pub mod color;
 pub mod dct;
 pub mod frame;
 pub mod huffman;
-pub mod jfif;
 pub mod overload;
 pub mod pipeline;
 pub mod quant;
@@ -48,7 +49,6 @@ pub mod workload;
 
 pub use codec::{decode_frame, decode_frame_with, encode_frame};
 pub use dct::DctKind;
-pub use jfif::{decode_jfif, encode_jfif_gray, encode_jfif_rgb, JfifImage, JfifPixels};
 pub use frame::{FrameHeader, MjpegStream};
 pub use pipeline::{
     build_mpsoc_app, build_smp_app, pipeline_pool, BatchView, MjpegAppConfig, WorkProfile,

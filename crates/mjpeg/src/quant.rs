@@ -1,5 +1,5 @@
-//! Quantization tables (ITU-T T.81 Annex K.1), IJG quality scaling, and
-//! zigzag coefficient ordering.
+//! The luminance quantization table (ITU-T T.81 Annex K.1), IJG quality
+//! scaling, and zigzag coefficient ordering.
 
 use crate::dct::BLOCK_SIZE;
 
@@ -15,18 +15,6 @@ pub const LUMA_QTABLE: [u16; BLOCK_SIZE] = [
     72, 92, 95, 98, 112, 100, 103, 99,
 ];
 
-/// Annex K.2 chrominance quantization table, natural (row-major) order.
-pub const CHROMA_QTABLE: [u16; BLOCK_SIZE] = [
-    17, 18, 24, 47, 99, 99, 99, 99, //
-    18, 21, 26, 66, 99, 99, 99, 99, //
-    24, 26, 56, 99, 99, 99, 99, 99, //
-    47, 66, 99, 99, 99, 99, 99, 99, //
-    99, 99, 99, 99, 99, 99, 99, 99, //
-    99, 99, 99, 99, 99, 99, 99, 99, //
-    99, 99, 99, 99, 99, 99, 99, 99, //
-    99, 99, 99, 99, 99, 99, 99, 99,
-];
-
 /// Zigzag scan order: `ZIGZAG[k]` is the natural-order index of the k-th
 /// coefficient in scan order (T.81 Figure 5).
 pub const ZIGZAG: [usize; BLOCK_SIZE] = [
@@ -40,23 +28,14 @@ pub const ZIGZAG: [usize; BLOCK_SIZE] = [
     53, 60, 61, 54, 47, 55, 62, 63,
 ];
 
-/// Scale the base table for a quality factor in [1, 100] using the IJG
-/// formula (quality 50 = base table; higher = finer quantization).
+/// Scale the luminance base table for a quality factor in [1, 100]
+/// using the IJG formula (quality 50 = base table; higher = finer
+/// quantization).
 pub fn scaled_qtable(quality: u8) -> [u16; BLOCK_SIZE] {
-    scale_base_table(&LUMA_QTABLE, quality)
-}
-
-/// Scale the chrominance base table for a quality factor.
-pub fn scaled_qtable_chroma(quality: u8) -> [u16; BLOCK_SIZE] {
-    scale_base_table(&CHROMA_QTABLE, quality)
-}
-
-/// IJG quality scaling of an arbitrary base table.
-pub fn scale_base_table(base: &[u16; BLOCK_SIZE], quality: u8) -> [u16; BLOCK_SIZE] {
     let q = quality.clamp(1, 100) as i32;
     let scale = if q < 50 { 5000 / q } else { 200 - 2 * q };
     let mut out = [0u16; BLOCK_SIZE];
-    for (dst, &b) in out.iter_mut().zip(base.iter()) {
+    for (dst, &b) in out.iter_mut().zip(LUMA_QTABLE.iter()) {
         let v = (b as i32 * scale + 50) / 100;
         *dst = v.clamp(1, 255) as u16;
     }

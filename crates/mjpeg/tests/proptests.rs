@@ -122,33 +122,6 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    #[test]
-    fn jfif_round_trips_arbitrary_geometry_and_dri(
-        w in 8usize..40,
-        h in 8usize..40,
-        quality in 40u8..=95,
-        dri in prop::sample::select(vec![0u16, 1, 2, 5, 1000]),
-        seed in 0u64..u64::MAX,
-    ) {
-        let mut x = seed | 1;
-        let img: Vec<u8> = (0..w * h)
-            .map(|i| {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                let noise = ((x >> 40) & 0x1F) as i32;
-                (((i % w) * 180 / w) as i32 + 40 + noise).clamp(0, 255) as u8
-            })
-            .collect();
-        let file = mjpeg::jfif::encode_jfif_gray_dri(&img, w, h, quality, dri);
-        let decoded = mjpeg::jfif::decode_jfif(&file).unwrap();
-        prop_assert_eq!(decoded.width, w);
-        prop_assert_eq!(decoded.height, h);
-        let mjpeg::jfif::JfifPixels::Gray(px) = decoded.pixels else {
-            return Err(TestCaseError::fail("expected gray"));
-        };
-        let p = psnr(&img, &px);
-        prop_assert!(p > 20.0, "PSNR {} at q{} dri{} {}x{}", p, quality, dri, w, h);
-    }
-
     /// The fixed-point AAN inverse DCT stays within ±1 gray level of the
     /// reference float path on arbitrary dequantized coefficients in the
     /// baseline-JPEG range.

@@ -36,8 +36,8 @@ pub struct CpuConfig {
     pub kind: CpuKind,
     /// Clock frequency in Hz.
     pub freq_hz: u64,
-    /// L1 data-cache model (None disables cache simulation for this CPU).
-    pub dcache: Option<CacheConfig>,
+    /// L1 data-cache model.
+    pub dcache: CacheConfig,
 }
 
 impl CpuConfig {
@@ -77,14 +77,14 @@ impl MachineConfig {
             name: "ST40".to_string(),
             kind: CpuKind::St40,
             freq_hz: 450_000_000,
-            dcache: Some(CacheConfig::st40_l1d()),
+            dcache: CacheConfig::st40_l1d(),
         }];
         for i in 1..=4 {
             cpus.push(CpuConfig {
                 name: format!("ST231_{i}"),
                 kind: CpuKind::St231,
                 freq_hz: 400_000_000,
-                dcache: Some(CacheConfig::st231_l1d()),
+                dcache: CacheConfig::st231_l1d(),
             });
         }
         MachineConfig {
@@ -110,7 +110,7 @@ impl MachineConfig {
                 name: format!("ST231_{i}"),
                 kind: CpuKind::St231,
                 freq_hz: 400_000_000,
-                dcache: Some(CacheConfig::st231_l1d()),
+                dcache: CacheConfig::st231_l1d(),
             });
         }
         cfg

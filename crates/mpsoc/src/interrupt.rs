@@ -3,7 +3,8 @@
 //! The STi7200's CPUs "communicate by using one shared block of memory
 //! associated with one interruption controller" (paper §5). EMBX raises a
 //! doorbell on the destination CPU after updating a distributed object;
-//! the OS21 layer turns the doorbell into a task wakeup.
+//! the receiving task waits on the line's event. A line latches nothing:
+//! the task checks its object before it waits.
 
 use sim_kernel::{EventId, Kernel, LockStep, SimCtx};
 
@@ -18,18 +19,10 @@ pub struct IrqLine {
     pub line: u32,
 }
 
-/// A registered line: the event its waiters block on, and its latch.
-struct Line {
-    event: EventId,
-    /// Interrupts raised and not yet taken: one raised while nobody is
-    /// waiting stays pending (level-triggered latch).
-    pending: u64,
-}
-
 /// The interrupt controller.
 pub struct InterruptController {
-    /// Registered lines, indexed `[cpu][line]`.
-    lines: LockStep<Vec<Vec<Option<Line>>>>,
+    /// The event of each registered line, indexed `[cpu][line]`.
+    lines: LockStep<Vec<Vec<Option<EventId>>>>,
 }
 
 impl InterruptController {
@@ -41,7 +34,8 @@ impl InterruptController {
     }
 
     /// Pre-register the kernel event for a line (call before simulation
-    /// starts, from the kernel owner).
+    /// starts, from the kernel owner). A handler waits on the returned
+    /// event; [`InterruptController::raise`] notifies it.
     pub fn register_line(&self, kernel: &Kernel, line: IrqLine) -> EventId {
         let event = kernel.alloc_event();
         self.lines.with(|lines| {
@@ -51,56 +45,29 @@ impl InterruptController {
             let on_cpu = &mut lines[line.cpu];
             let slot = line.line as usize;
             if on_cpu.len() <= slot {
-                on_cpu.resize_with(slot + 1, || None);
+                on_cpu.resize(slot + 1, None);
             }
-            on_cpu[slot] = Some(Line { event, pending: 0 });
+            on_cpu[slot] = Some(event);
         });
         event
     }
 
-    /// Run `f` on a registered line.
-    ///
-    /// # Panics
-    /// Panics if the line was never registered.
-    fn with_line<R>(&self, line: IrqLine, f: impl FnOnce(&mut Line) -> R) -> R {
-        self.lines.with(|lines| {
-            let registered = lines
-                .get_mut(line.cpu)
-                .and_then(|on_cpu| on_cpu.get_mut(line.line as usize))
-                .and_then(Option::as_mut);
-            f(registered.unwrap_or_else(|| panic!("IRQ line {line:?} not registered")))
-        })
-    }
-
-    /// Raise an interrupt on `line` from a running process. The latch is
-    /// set and waiters are notified.
+    /// Raise an interrupt on `line` from a running process: notify the
+    /// line's event, waking whatever waits on it. A raise with no waiter
+    /// is lost, as any kernel notification is.
     ///
     /// # Panics
     /// Panics if the line was never registered.
     pub fn raise(&self, ctx: &SimCtx, line: IrqLine) {
-        let event = self.with_line(line, |l| {
-            l.pending += 1;
-            l.event
+        let event = self.lines.with(|lines| {
+            lines
+                .get(line.cpu)
+                .and_then(|on_cpu| on_cpu.get(line.line as usize))
+                .copied()
+                .flatten()
+                .unwrap_or_else(|| panic!("IRQ line {line:?} not registered"))
         });
         ctx.notify(event);
-    }
-
-    /// Block the calling process until an interrupt is pending on `line`,
-    /// then consume one pending interrupt.
-    ///
-    /// # Panics
-    /// Panics if the line was never registered.
-    pub fn wait(&self, ctx: &SimCtx, line: IrqLine) {
-        // Take a pending interrupt, or learn which event to wait on.
-        while let Some(event) = self.with_line(line, |l| {
-            if l.pending == 0 {
-                return Some(l.event);
-            }
-            l.pending -= 1;
-            None
-        }) {
-            ctx.wait(event);
-        }
     }
 }
 
@@ -121,13 +88,12 @@ mod tests {
         let mut k = Kernel::new();
         let ic = Arc::new(InterruptController::new());
         let line = IrqLine { cpu: 1, line: 0 };
-        ic.register_line(&k, line);
+        let event = ic.register_line(&k, line);
         let woke_at = Arc::new(AtomicU64::new(0));
 
-        let ic2 = Arc::clone(&ic);
         let w = Arc::clone(&woke_at);
         k.spawn("handler", move |ctx| {
-            ic2.wait(&ctx, line);
+            ctx.wait(event);
             w.store(ctx.now(), Ordering::SeqCst);
         });
         let ic3 = Arc::clone(&ic);
@@ -137,52 +103,5 @@ mod tests {
         });
         k.run().unwrap();
         assert_eq!(woke_at.load(Ordering::SeqCst), 500);
-    }
-
-    #[test]
-    fn interrupt_raised_before_wait_is_latched() {
-        let mut k = Kernel::new();
-        let ic = Arc::new(InterruptController::new());
-        let line = IrqLine { cpu: 0, line: 3 };
-        ic.register_line(&k, line);
-
-        let ic2 = Arc::clone(&ic);
-        k.spawn("raiser", move |ctx| {
-            ic2.raise(&ctx, line);
-        });
-        let ic3 = Arc::clone(&ic);
-        k.spawn("late_handler", move |ctx| {
-            ctx.advance(1_000);
-            ic3.wait(&ctx, line); // must not deadlock: latch holds it
-        });
-        k.run().unwrap();
-    }
-
-    #[test]
-    fn multiple_raises_accumulate() {
-        let mut k = Kernel::new();
-        let ic = Arc::new(InterruptController::new());
-        let line = IrqLine { cpu: 2, line: 1 };
-        ic.register_line(&k, line);
-
-        let ic2 = Arc::clone(&ic);
-        k.spawn("raiser", move |ctx| {
-            for _ in 0..3 {
-                ic2.raise(&ctx, line);
-                ctx.advance(1);
-            }
-        });
-        let ic3 = Arc::clone(&ic);
-        let count = Arc::new(AtomicU64::new(0));
-        let c = Arc::clone(&count);
-        k.spawn("handler", move |ctx| {
-            ctx.advance(100);
-            for _ in 0..3 {
-                ic3.wait(&ctx, line);
-                c.fetch_add(1, Ordering::SeqCst);
-            }
-        });
-        k.run().unwrap();
-        assert_eq!(count.load(Ordering::SeqCst), 3);
     }
 }

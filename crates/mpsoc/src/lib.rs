@@ -19,10 +19,10 @@
 //!   computing which needs fast memory access"; the ST40 "is mainly
 //!   designed to access peripherals" — paper §5.4),
 //! * a shared **bus** serializing SDRAM transactions (contention),
-//! * an **interrupt controller** with per-CPU doorbell lines (EMBX uses
-//!   one shared memory block "associated with one interruption
-//!   controller" — paper §5),
-//! * optional per-CPU **L1 cache models** with miss counters — these back
+//! * an **interrupt controller** with per-CPU doorbell lines, each a
+//!   kernel event (EMBX uses one shared memory block "associated with
+//!   one interruption controller" — paper §5),
+//! * a per-CPU **L1 data-cache model** with miss counters — these back
 //!   the paper's announced future work of observing cache misses (§6).
 //!
 //! Absolute cycle counts are calibrated, not measured from silicon; what

@@ -19,7 +19,7 @@ struct MachineInner {
     bus: Bus,
     ic: InterruptController,
     sdram_alloc: SdramAllocator,
-    dcaches: Vec<Option<L1Cache>>,
+    dcaches: Vec<L1Cache>,
 }
 
 /// Cloneable handle to the simulated STi7200. Its state starts idle and
@@ -39,11 +39,7 @@ impl Machine {
         cfg.validate().expect("invalid machine configuration");
         let map = MemoryMap::from_config(&cfg);
         let sdram_alloc = SdramAllocator::new(&map);
-        let dcaches = cfg
-            .cpus
-            .iter()
-            .map(|c| c.dcache.map(L1Cache::new))
-            .collect();
+        let dcaches = cfg.cpus.iter().map(|c| L1Cache::new(c.dcache)).collect();
         Machine {
             inner: Arc::new(MachineInner {
                 cost: CostModel::new(cfg),
@@ -96,13 +92,9 @@ impl Machine {
         self.inner.bus.stats()
     }
 
-    /// L1 D-cache statistics of `cpu` (zeros if the CPU has no cache
-    /// model).
+    /// L1 D-cache statistics of `cpu`.
     pub fn dcache_stats(&self, cpu: CpuId) -> CacheStats {
-        self.inner.dcaches[cpu]
-            .as_ref()
-            .map(|c| c.stats())
-            .unwrap_or_default()
+        self.inner.dcaches[cpu].stats()
     }
 
     /// Charge `cpu` with a memory stream of `bytes` at synthetic address
@@ -139,8 +131,8 @@ impl Machine {
             // (the CPU stalls behind arbitration).
             ns = ns.max(total);
         }
-        if let (Some(addr), Some(cache)) = (addr, self.inner.dcaches[cpu].as_ref()) {
-            cache.access(addr, bytes);
+        if let Some(addr) = addr {
+            self.inner.dcaches[cpu].access(addr, bytes);
         }
         if ns > 0 {
             ctx.advance(ns);

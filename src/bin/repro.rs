@@ -821,12 +821,11 @@ fn below(rng: &mut StdRng, n: usize) -> usize {
 
 /// Run every fuzz target over one input; panics propagate to the
 /// caller's `catch_unwind`. Every byte-level parser that consumes
-/// untrusted or cross-component data: the JFIF container decoder, the
-/// Fetch stage's decode of an entropy-coded segment (the input taken as
-/// raw segment bits, decoded until the first error or 4 096 blocks),
-/// and the batch wire format (header parse + per-block payload decode).
+/// cross-component data: the Fetch stage's decode of an entropy-coded
+/// segment (the input taken as raw segment bits, decoded until the
+/// first error or 4 096 blocks), and the batch wire format (header
+/// parse + per-block payload decode).
 fn fuzz_targets(input: &[u8]) {
-    let _ = mjpeg::decode_jfif(input);
     let ftable = mjpeg::quant::fast_dequant_table(&mjpeg::quant::scaled_qtable(75));
     let mut segment = mjpeg::codec::EntropyDecoder::new(input);
     let mut coeffs = [0i32; 64];
@@ -849,7 +848,7 @@ fn fuzz_targets(input: &[u8]) {
 }
 
 /// `fuzz` — a bounded, deterministic fuzz loop over the byte-level
-/// parsers (`decode_jfif`, the Fetch entropy decode, `BatchView`): a
+/// parsers (the Fetch entropy decode, `BatchView`): a
 /// seeded corpus of valid artifacts is mutated (byte sets, bit flips,
 /// truncations, splices) for `--iters` iterations (default 2000) from
 /// `--seed` (default 1).
@@ -877,21 +876,11 @@ fn fuzz(args: &[String]) {
     let replay_out = arg_value(args, "--replay-out").unwrap_or("fuzz_replay.bin");
 
     // Corpus: valid artifacts of every target format, so mutations
-    // explore deep parser states instead of bouncing off the magic
-    // bytes.
-    let gray: Vec<u8> = (0..24usize * 16).map(|i| (i * 7) as u8).collect();
-    let rgb: Vec<u8> = (0..16usize * 8 * 3).map(|i| (i * 13) as u8).collect();
-    let coeff_batch =
-        mjpeg::pipeline::encode_coeff_batch(&[(0, 0, [3i32; 64]), (0, 1, [-7i32; 64])]).to_vec();
-    let pixel_batch =
-        mjpeg::pipeline::encode_pixel_batch(&[(1, 0, [128u8; 64]), (1, 1, [9u8; 64])]).to_vec();
-    let segment = stream(1, 1).frames[0].data.clone();
+    // explore deep parser states instead of bouncing off the headers.
     let corpus: Vec<Vec<u8>> = vec![
-        mjpeg::encode_jfif_gray(&gray, 24, 16, 75),
-        mjpeg::encode_jfif_rgb(&rgb, 16, 8, 60),
-        coeff_batch,
-        pixel_batch,
-        segment,
+        mjpeg::pipeline::encode_coeff_batch(&[(0, 0, [3i32; 64]), (0, 1, [-7i32; 64])]).to_vec(),
+        mjpeg::pipeline::encode_pixel_batch(&[(1, 0, [128u8; 64]), (1, 1, [9u8; 64])]).to_vec(),
+        stream(1, 1).frames[0].data.clone(),
     ];
 
     println!(
