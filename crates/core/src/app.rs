@@ -244,8 +244,7 @@ impl AppBuilder {
                     )));
                 }
             }
-            let targets: Vec<String> =
-                self.components.iter().map(|c| c.name.clone()).collect();
+            let targets: Vec<String> = self.components.iter().map(|c| c.name.clone()).collect();
             match config.groups.take() {
                 None => {
                     if config.actuate.is_some() || config.notify_done.is_some() {
@@ -552,7 +551,11 @@ mod tests {
     fn double_binding_of_required_interface_rejected() {
         let mut b = AppBuilder::new("app");
         b.add(ComponentSpec::new("a", noop()).with_required("out"));
-        b.add(ComponentSpec::new("b", noop()).with_provided("in1").with_provided("in2"));
+        b.add(
+            ComponentSpec::new("b", noop())
+                .with_provided("in1")
+                .with_provided("in2"),
+        );
         b.connect(("a", "out"), ("b", "in1"));
         b.connect(("a", "out"), ("b", "in2"));
         assert!(b.build().is_err());
@@ -655,10 +658,9 @@ mod tests {
             b
         };
         let mut b = mk();
-        b.with_observer(ObserverConfig::default().grouped(vec![(
-            "g".into(),
-            vec!["a".into(), "nope".into()],
-        )]));
+        b.with_observer(
+            ObserverConfig::default().grouped(vec![("g".into(), vec!["a".into(), "nope".into()])]),
+        );
         assert!(matches!(b.build(), Err(EmberaError::Validation(_))));
 
         let mut b = mk();
@@ -683,9 +685,7 @@ mod tests {
 
         // Unlisted components are simply unobserved.
         let mut b = mk();
-        b.with_observer(
-            ObserverConfig::default().grouped(vec![("g".into(), vec!["a".into()])]),
-        );
+        b.with_observer(ObserverConfig::default().grouped(vec![("g".into(), vec!["a".into()])]));
         let spec = b.build().unwrap();
         assert_eq!(spec.components.len(), 4); // a, b, regional, root
     }

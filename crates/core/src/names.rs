@@ -53,13 +53,20 @@ impl IfaceTable {
         let ids = NameTable::new(names.iter().map(|n| n.to_string()).zip((0..).map(IfaceId)));
         let flags = |set: &[&str]| {
             let mut flags = vec![false; names.len()];
-            set.iter().for_each(|n| flags[ids.get(n).expect("listed").index()] = true);
+            set.iter()
+                .for_each(|n| flags[ids.get(n).expect("listed").index()] = true);
             flags
         };
         let inbox = flags(&[&provided[..], &[INTROSPECTION]].concat());
         let route = flags(wired);
         let names = names.into_iter().map(String::from).collect();
-        IfaceTable { ids, names, ends: [required_end, declared_end], inbox, route }
+        IfaceTable {
+            ids,
+            names,
+            ends: [required_end, declared_end],
+            inbox,
+            route,
+        }
     }
 
     /// The id of interface `name`, if the component has one.

@@ -86,10 +86,8 @@ mod tests {
 
     #[test]
     fn sample_all_preserves_registration_order() {
-        let sources: Vec<Arc<dyn MetricSource>> = vec![
-            FnMetric::new("a", || 1.0),
-            FnMetric::new("b", || 2.0),
-        ];
+        let sources: Vec<Arc<dyn MetricSource>> =
+            vec![FnMetric::new("a", || 1.0), FnMetric::new("b", || 2.0)];
         let metrics = sample_all(&sources);
         assert_eq!(metrics.len(), 2);
         assert_eq!(metrics[0].name, "a");

@@ -130,11 +130,7 @@ pub struct StructureInfo {
 
 impl StructureInfo {
     /// Build the listing for a component with the given data interfaces.
-    pub fn new(
-        component: impl Into<String>,
-        provided: &[String],
-        required: &[String],
-    ) -> Self {
+    pub fn new(component: impl Into<String>, provided: &[String], required: &[String]) -> Self {
         let mut interfaces = Vec::with_capacity(provided.len() + required.len() + 2);
         interfaces.push(InterfaceEntry {
             name: crate::component::INTROSPECTION.to_string(),

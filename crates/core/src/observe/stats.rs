@@ -46,14 +46,8 @@ const FLAG_FAULTED: u64 = 1 << 1;
 const FLAG_RESTARTING: u64 = 1 << 2;
 
 /// Message-size bucket boundaries (bytes) for send-timing histograms.
-pub const SIZE_BUCKET_BOUNDS: [u64; 6] = [
-    1024,
-    4 * 1024,
-    16 * 1024,
-    64 * 1024,
-    256 * 1024,
-    u64::MAX,
-];
+pub const SIZE_BUCKET_BOUNDS: [u64; 6] =
+    [1024, 4 * 1024, 16 * 1024, 64 * 1024, 256 * 1024, u64::MAX];
 
 #[derive(Default)]
 struct TimingAtomic {
@@ -202,7 +196,9 @@ impl ComponentStats {
         ComponentStats {
             structure: StructureInfo::new(&name, provided, required),
             name,
-            counters: (0..=interfaces.declared().count()).map(|_| Default::default()).collect(),
+            counters: (0..=interfaces.declared().count())
+                .map(|_| Default::default())
+                .collect(),
             interfaces,
             send_timing: TimingAtomic::new(),
             recv_timing: TimingAtomic::new(),

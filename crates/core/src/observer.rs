@@ -367,11 +367,7 @@ impl ObserverConfig {
 
     /// Have the root observer stream every region summary it receives to
     /// `(component, interface)`, closing the observation→actuation loop.
-    pub fn actuate(
-        mut self,
-        component: impl Into<String>,
-        interface: impl Into<String>,
-    ) -> Self {
+    pub fn actuate(mut self, component: impl Into<String>, interface: impl Into<String>) -> Self {
         self.actuate = Some((component.into(), interface.into()));
         self
     }
@@ -751,8 +747,7 @@ impl Behavior for RootObserverBehavior {
                             ctx.send("actuate", encode_region_summary(&summary))?;
                         }
                         latest.insert(summary.region.clone(), summary);
-                        if latest.len() >= self.regions
-                            && latest.values().all(|s| s.all_terminal())
+                        if latest.len() >= self.regions && latest.values().all(|s| s.all_terminal())
                         {
                             if self.config.actuate.is_some() {
                                 // Empty sentinel: the controller's exit

@@ -268,7 +268,10 @@ impl Deployed {
 pub fn deploy<B: Backend>(backend: &mut B, mut spec: AppSpec) -> Result<Deployed, EmberaError> {
     let mut wired: HashMap<&str, Vec<&str>> = HashMap::new();
     for conn in &spec.connections {
-        wired.entry(&conn.from.component).or_default().push(&conn.from.interface);
+        wired
+            .entry(&conn.from.component)
+            .or_default()
+            .push(&conn.from.interface);
     }
     let mut provided = Vec::with_capacity(spec.components.len());
     let mut engines = Vec::with_capacity(spec.components.len());
@@ -310,7 +313,9 @@ pub fn deploy<B: Backend>(backend: &mut B, mut spec: AppSpec) -> Result<Deployed
         let target = to
             .and_then(|to| endpoint(to, &conn.to.interface))
             .ok_or_else(|| dangling(&conn.to))?;
-        let id = table(from).id(&conn.from.interface).expect("a wired interface");
+        let id = table(from)
+            .id(&conn.from.interface)
+            .expect("a wired interface");
         routes[from][id.index()] = Some(target);
         if let (Some(to), INTROSPECTION) = (to, conn.to.interface.as_str()) {
             let (engine, inboxes) = (engines[to].clone(), provided[to].clone());
@@ -341,7 +346,10 @@ pub fn deploy<B: Backend>(backend: &mut B, mut spec: AppSpec) -> Result<Deployed
             engine,
             restart: c.restart,
             overload: c.overload,
-            faults: spec.faults.as_ref().and_then(|plan| plan.for_component(&c.name, table(index))),
+            faults: spec
+                .faults
+                .as_ref()
+                .and_then(|plan| plan.for_component(&c.name, table(index))),
             completion: Arc::clone(&completion),
             behavior: c.behavior,
         };

@@ -589,9 +589,15 @@ impl<T: Transport> ComponentRuntime<T> {
         let (component, interface) = (self.name().to_string(), required.to_string());
         // Declared but unconnected, or never declared at all?
         Err(if declared {
-            EmberaError::Disconnected { component, interface }
+            EmberaError::Disconnected {
+                component,
+                interface,
+            }
         } else {
-            EmberaError::UnknownInterface { component, interface }
+            EmberaError::UnknownInterface {
+                component,
+                interface,
+            }
         })
     }
 

@@ -174,7 +174,11 @@ impl FaultPlan {
         ifaces: &IfaceTable,
     ) -> Option<ComponentFaults> {
         let mut sends: Vec<_> = (0..ifaces.len()).map(|_| IfaceFaults::default()).collect();
-        for f in self.message_faults.iter().filter(|f| f.component == component) {
+        for f in self
+            .message_faults
+            .iter()
+            .filter(|f| f.component == component)
+        {
             if let Some(id) = ifaces.id(&f.interface) {
                 sends[id.index()].faults.push((f.nth, f.action));
             }

@@ -12,10 +12,16 @@ enum Op {
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (0usize..3, 0u64..1_000_000, 0u64..10_000)
-            .prop_map(|(iface, bytes, dur)| Op::Send { iface, bytes, dur }),
-        (0usize..3, 0u64..1_000_000, 0u64..10_000)
-            .prop_map(|(iface, bytes, dur)| Op::Recv { iface, bytes, dur }),
+        (0usize..3, 0u64..1_000_000, 0u64..10_000).prop_map(|(iface, bytes, dur)| Op::Send {
+            iface,
+            bytes,
+            dur
+        }),
+        (0usize..3, 0u64..1_000_000, 0u64..10_000).prop_map(|(iface, bytes, dur)| Op::Recv {
+            iface,
+            bytes,
+            dur
+        }),
     ]
 }
 

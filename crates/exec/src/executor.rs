@@ -205,7 +205,9 @@ impl ExecShared {
     /// shared runtime re-checks around every park.
     pub(crate) fn park(&self, id: usize) {
         debug_assert!(on_fiber(), "park outside a fiber");
-        self.tasks[id].yield_kind.store(YIELD_PARK, Ordering::Relaxed);
+        self.tasks[id]
+            .yield_kind
+            .store(YIELD_PARK, Ordering::Relaxed);
         fiber_yield();
     }
 
@@ -213,7 +215,9 @@ impl ExecShared {
     /// point for long send bursts).
     pub(crate) fn yield_coop(&self, id: usize) {
         debug_assert!(on_fiber(), "yield outside a fiber");
-        self.tasks[id].yield_kind.store(YIELD_COOP, Ordering::Relaxed);
+        self.tasks[id]
+            .yield_kind
+            .store(YIELD_COOP, Ordering::Relaxed);
         fiber_yield();
     }
 
@@ -369,9 +373,10 @@ fn run_task(
 ) {
     let cell = &shared.tasks[id];
     cell.state.store(RUNNING, Ordering::SeqCst);
-    let mut fiber = fibers[id].lock().take().unwrap_or_else(|| {
-        panic!("task '{}' scheduled on two workers at once", cell.name)
-    });
+    let mut fiber = fibers[id]
+        .lock()
+        .take()
+        .unwrap_or_else(|| panic!("task '{}' scheduled on two workers at once", cell.name));
     match fiber.resume() {
         Resume::Finished => {
             cell.state.store(FINISHED, Ordering::SeqCst);

@@ -170,10 +170,7 @@ mod tests {
                     let t0 = ctx.now_ns();
                     let got = ctx.recv_timeout("in", 20_000_000)?;
                     assert!(got.is_none(), "nothing was ever sent");
-                    assert!(
-                        ctx.now_ns() - t0 >= 20_000_000,
-                        "deadline is a lower bound"
-                    );
+                    assert!(ctx.now_ns() - t0 >= 20_000_000, "deadline is a lower bound");
                     Ok(())
                 }),
             )
@@ -220,7 +217,10 @@ mod tests {
                 .with_required("out")
                 .with_stack_bytes(128 * 1024),
             );
-            app.connect(("src", format!("out{i}").as_str()), (format!("relay{i}").as_str(), "in"));
+            app.connect(
+                ("src", format!("out{i}").as_str()),
+                (format!("relay{i}").as_str(), "in"),
+            );
             app.connect((format!("relay{i}").as_str(), "out"), ("sink", "in"));
         }
         let sink = ComponentSpec::new(

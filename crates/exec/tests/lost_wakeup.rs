@@ -22,7 +22,11 @@ use embera_exec::ExecPlatform;
 
 /// Round trips per ping-pong app. Every round parks both components
 /// once, so this is also the number of race windows exercised.
-const ROUNDS: u32 = if cfg!(debug_assertions) { 2_000 } else { 20_000 };
+const ROUNDS: u32 = if cfg!(debug_assertions) {
+    2_000
+} else {
+    20_000
+};
 
 /// Fresh-deploy repetitions (the deploy/teardown edges have their own
 /// races: initial QUEUED wakes, shutdown wake-all).
@@ -130,7 +134,11 @@ fn ping_pong_never_strands_on_one_worker() {
 #[test]
 fn fan_in_burst_never_strands_the_consumer() {
     const PRODUCERS: usize = 8;
-    let msgs: u32 = if cfg!(debug_assertions) { 2_000 } else { 10_000 };
+    let msgs: u32 = if cfg!(debug_assertions) {
+        2_000
+    } else {
+        10_000
+    };
     with_watchdog("fan_in_burst", 120, move || {
         let mut app = AppBuilder::new("burst");
         for p in 0..PRODUCERS {

@@ -205,7 +205,12 @@ impl Transport for InprocTransport {
     }
 
     fn queued_bytes(&self) -> u64 {
-        self.wiring.provided.iter().flatten().map(Fifo::queued_bytes).sum()
+        self.wiring
+            .provided
+            .iter()
+            .flatten()
+            .map(Fifo::queued_bytes)
+            .sum()
     }
 
     fn park_recv(&mut self, provided: &[IfaceId], deadline_ns: Option<u64>) {

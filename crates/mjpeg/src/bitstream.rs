@@ -19,7 +19,10 @@ impl BitWriter {
     /// Append the low `n` bits of `value`, MSB first (n ≤ 24).
     pub fn put(&mut self, value: u32, n: u32) {
         debug_assert!(n <= 24);
-        debug_assert!(value < (1u32 << n) || n == 0, "value {value} overflows {n} bits");
+        debug_assert!(
+            value < (1u32 << n) || n == 0,
+            "value {value} overflows {n} bits"
+        );
         if n == 0 {
             return;
         }
@@ -93,9 +96,7 @@ impl<'a> BitReader<'a> {
             // Bulk path: pull four bytes at once when none is 0xFF (no
             // unstuffing decisions needed in the window).
             if self.nbits <= 32 && self.pos + 4 <= self.data.len() {
-                let w = u32::from_be_bytes(
-                    self.data[self.pos..self.pos + 4].try_into().unwrap(),
-                );
+                let w = u32::from_be_bytes(self.data[self.pos..self.pos + 4].try_into().unwrap());
                 // Any byte equal to 0xFF ⇔ any byte of !w equal to 0.
                 let t = !w;
                 if t.wrapping_sub(0x0101_0101) & !t & 0x8080_8080 == 0 {
@@ -268,7 +269,9 @@ mod tests {
     fn unstuffing_works_across_bulk_and_byte_paths() {
         // Mix plain runs (bulk 32-bit path) with 0xFF bytes (byte path).
         let mut w = BitWriter::new();
-        let vals: Vec<u32> = (0..64).map(|i| if i % 7 == 0 { 0xFF } else { i * 3 }).collect();
+        let vals: Vec<u32> = (0..64)
+            .map(|i| if i % 7 == 0 { 0xFF } else { i * 3 })
+            .collect();
         for &v in &vals {
             w.put(v & 0xFF, 8);
         }

@@ -21,9 +21,7 @@
 
 use crate::bitstream::{BitReader, BitWriter, OutOfBits};
 use crate::dct::{fdct, pixels_to_centered, DctKind, BLOCK_SIZE, N};
-use crate::huffman::{
-    category, put_magnitude, read_magnitude, HuffDecoder, HuffEncoder, HuffSpec,
-};
+use crate::huffman::{category, put_magnitude, read_magnitude, HuffDecoder, HuffEncoder, HuffSpec};
 use crate::quant::{
     dequantize_reorder, dequantize_scaled, fast_dequant_table, quantize_zigzag, scaled_qtable,
     ZIGZAG,
@@ -184,8 +182,13 @@ impl BlockEncoder {
     pub fn push_block(&mut self, pixels: &[u8; BLOCK_SIZE]) {
         let coeffs = fdct(&pixels_to_centered(pixels));
         let zz = quantize_zigzag(&coeffs, &self.qtable);
-        self.dc_pred =
-            encode_quantized_block(&mut self.writer, &self.dc_enc, &self.ac_enc, self.dc_pred, &zz);
+        self.dc_pred = encode_quantized_block(
+            &mut self.writer,
+            &self.dc_enc,
+            &self.ac_enc,
+            self.dc_pred,
+            &zz,
+        );
     }
 
     /// Finish and return the entropy-coded segment.
@@ -300,7 +303,10 @@ pub fn place_block(frame: &mut [u8], width: usize, bi: usize, block: &[u8; BLOCK
 /// assert!(psnr(&image, &decoded) > 25.0);
 /// ```
 pub fn encode_frame(pixels: &[u8], width: usize, height: usize, quality: u8) -> Vec<u8> {
-    assert!(width.is_multiple_of(N) && height.is_multiple_of(N), "dimensions must be 8-aligned");
+    assert!(
+        width.is_multiple_of(N) && height.is_multiple_of(N),
+        "dimensions must be 8-aligned"
+    );
     assert_eq!(pixels.len(), width * height);
     let mut enc = BlockEncoder::new(quality);
     for by in (0..height).step_by(N) {

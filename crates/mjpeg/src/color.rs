@@ -80,10 +80,7 @@ unsafe fn sse2_ycbcr4(y: &[u8], cb: &[u8], cr: &[u8], out: &mut [u8]) {
     let round_clamp_exact = |v: __m128| -> [i32; 4] {
         let half = _mm_set1_pd(0.5);
         let lo = _mm_cvttpd_epi32(_mm_add_pd(_mm_cvtps_pd(v), half));
-        let hi = _mm_cvttpd_epi32(_mm_add_pd(
-            _mm_cvtps_pd(_mm_movehl_ps(v, v)),
-            half,
-        ));
+        let hi = _mm_cvttpd_epi32(_mm_add_pd(_mm_cvtps_pd(_mm_movehl_ps(v, v)), half));
         let q = _mm_unpacklo_epi64(lo, hi);
         let q = _mm_max_epi16(q, _mm_setzero_si128());
         let q = _mm_min_epi16(q, _mm_set1_epi32(255));
@@ -91,7 +88,11 @@ unsafe fn sse2_ycbcr4(y: &[u8], cb: &[u8], cr: &[u8], out: &mut [u8]) {
         _mm_storeu_si128(lanes.as_mut_ptr() as *mut __m128i, q);
         lanes
     };
-    let (rr, gg, bb) = (round_clamp_exact(r), round_clamp_exact(g), round_clamp_exact(b));
+    let (rr, gg, bb) = (
+        round_clamp_exact(r),
+        round_clamp_exact(g),
+        round_clamp_exact(b),
+    );
     for k in 0..4 {
         out[3 * k] = rr[k] as u8;
         out[3 * k + 1] = gg[k] as u8;
@@ -119,7 +120,9 @@ mod tests {
         let mut cb = vec![0u8; 1031];
         let mut cr = vec![0u8; 1031];
         for i in 0..y.len() {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             y[i] = (x >> 40) as u8;
             cb[i] = (x >> 48) as u8;
             cr[i] = (x >> 56) as u8;

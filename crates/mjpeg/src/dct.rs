@@ -280,8 +280,7 @@ pub fn idct_fast_to_pixels(coeffs: &[i32; BLOCK_SIZE]) -> [u8; BLOCK_SIZE] {
         let mut t = [0i32; BLOCK_SIZE];
         for v in 0..N {
             for u in 0..N {
-                t[v * N + u] =
-                    (aan[u] * aan[v] * (1u32 << AAN_FRAC_BITS) as f64).round() as i32;
+                t[v * N + u] = (aan[u] * aan[v] * (1u32 << AAN_FRAC_BITS) as f64).round() as i32;
             }
         }
         t
@@ -357,7 +356,9 @@ mod tests {
         for trial in 0..200 {
             let mut c = [0i32; BLOCK_SIZE];
             for v in c.iter_mut() {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
                 *v = ((x >> 33) as i32 % 2048) - 1024;
             }
             let reference = idct_to_pixels(&c);

@@ -24,6 +24,7 @@ impl HuffSpec {
     }
 
     /// Annex K.3.3.2: luminance AC coefficients.
+    #[rustfmt::skip]
     pub fn luma_ac() -> Self {
         HuffSpec {
             bits: [0, 2, 1, 3, 3, 2, 4, 3, 5, 5, 4, 4, 0, 0, 1, 0x7d],

@@ -50,11 +50,11 @@ pub mod workload;
 pub use codec::{decode_frame, decode_frame_with, encode_frame};
 pub use dct::DctKind;
 pub use frame::{FrameHeader, MjpegStream};
-pub use pipeline::{
-    build_mpsoc_app, build_smp_app, pipeline_pool, BatchView, MjpegAppConfig, WorkProfile,
-};
 pub use overload::{
     build_overload_app, ArrivalProcess, AutoscaleConfig, OverloadConfig, OverloadProbe, Pacing,
+};
+pub use pipeline::{
+    build_mpsoc_app, build_smp_app, pipeline_pool, BatchView, MjpegAppConfig, WorkProfile,
 };
 pub use simd::{active_level, SimdLevel};
 pub use workload::synthesize_stream;

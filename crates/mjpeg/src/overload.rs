@@ -296,9 +296,7 @@ impl Behavior for LoadGenBehavior {
                     // the expected timeout, shutdown drains out the
                     // same way. Behind schedule: inject immediately.
                     let now = ctx.now_ns();
-                    if next > now
-                        && ctx.recv_message_timeout(TICK_IFACE, next - now)?.is_some()
-                    {
+                    if next > now && ctx.recv_message_timeout(TICK_IFACE, next - now)?.is_some() {
                         return Err(EmberaError::Platform(
                             "unexpected message on LoadGen pacing interface".into(),
                         ));
@@ -542,10 +540,7 @@ impl Behavior for ScaleControllerBehavior {
             }
             if target != self.active {
                 self.active = target;
-                ctx.send(
-                    "scale",
-                    Bytes::from((target as u32).to_le_bytes().to_vec()),
-                )?;
+                ctx.send("scale", Bytes::from((target as u32).to_le_bytes().to_vec()))?;
                 self.probe.scale_history.lock().push(target as u32);
             }
         }
@@ -556,7 +551,10 @@ impl Behavior for ScaleControllerBehavior {
 /// inproc backend's initial run queue: LoadGen first (it never parks
 /// under virtual pacing, so its load materializes before Fetch drains),
 /// then the pipeline stages in flow order, the controller last.
-pub fn build_overload_app(stream: MjpegStream, cfg: &OverloadConfig) -> (AppBuilder, OverloadProbe) {
+pub fn build_overload_app(
+    stream: MjpegStream,
+    cfg: &OverloadConfig,
+) -> (AppBuilder, OverloadProbe) {
     assert!(cfg.max_workers >= 1);
     assert!(stream.len() >= 2, "need a config frame plus payload frames");
     let probe = OverloadProbe::default();
@@ -636,9 +634,7 @@ pub fn build_overload_app(stream: MjpegStream, cfg: &OverloadConfig) -> (AppBuil
         app.connect(("ScaleController", "scale"), ("Fetch", SCALE_IFACE));
         // Two regions: the ingest side and the worker/judge side; the
         // controller itself stays unobserved (actuation-target rule).
-        let workers: Vec<String> = (1..=cfg.max_workers)
-            .map(|k| format!("IDCT_{k}"))
-            .collect();
+        let workers: Vec<String> = (1..=cfg.max_workers).map(|k| format!("IDCT_{k}")).collect();
         let mut worker_group = workers.clone();
         worker_group.push("Reorder".to_string());
         app.with_observer(
@@ -690,8 +686,12 @@ mod tests {
         ] {
             let mut a = StdRng::seed_from_u64(42);
             let mut b = StdRng::seed_from_u64(42);
-            let ga: Vec<u64> = (0..64).map(|_| sample_gap(&mut a, arrival, 1_000)).collect();
-            let gb: Vec<u64> = (0..64).map(|_| sample_gap(&mut b, arrival, 1_000)).collect();
+            let ga: Vec<u64> = (0..64)
+                .map(|_| sample_gap(&mut a, arrival, 1_000))
+                .collect();
+            let gb: Vec<u64> = (0..64)
+                .map(|_| sample_gap(&mut b, arrival, 1_000))
+                .collect();
             assert_eq!(ga, gb, "{arrival:?} not deterministic");
             let mean = ga.iter().sum::<u64>() / ga.len() as u64;
             assert!(
@@ -762,7 +762,10 @@ mod tests {
         let health = report.component("Fetch").unwrap().health.as_ref().unwrap();
         assert_eq!(health.expired_messages, 10);
         assert_eq!(probe.completed.load(Ordering::SeqCst), 0);
-        assert_eq!(probe.injected.load(Ordering::SeqCst), health.expired_messages);
+        assert_eq!(
+            probe.injected.load(Ordering::SeqCst),
+            health.expired_messages
+        );
     }
 
     #[test]

@@ -728,8 +728,7 @@ impl Behavior for FetchBehavior {
         let decoder = FrameDecoder::new(config_frame.header, cfg.kernel, cfg.profile);
         // Frame 0: configuration probe — read geometry, prime tables.
         decoder.file_management(ctx);
-        let mut sender =
-            BatchSender::new(&*ctx, cfg.idct_count, cfg.blocks_per_msg, cfg.counted());
+        let mut sender = BatchSender::new(&*ctx, cfg.idct_count, cfg.blocks_per_msg, cfg.counted());
         for (t, frame) in self.stream.frames.iter().enumerate().skip(1) {
             let t = t as u32;
             let forwarded = decoder.decode(
@@ -1480,14 +1479,22 @@ mod tests {
         // frame, so batch=6 folds them into one message per lane-frame.
         let stream = small_stream(9);
         let (ref_app, ref_probe) = build_smp_app(stream.clone(), &MjpegAppConfig::default());
-        SmpPlatform::new().deploy(ref_app.build().unwrap()).unwrap().wait().unwrap();
+        SmpPlatform::new()
+            .deploy(ref_app.build().unwrap())
+            .unwrap()
+            .wait()
+            .unwrap();
 
         let cfg = MjpegAppConfig {
             blocks_per_msg: 6,
             ..MjpegAppConfig::default()
         };
         let (app, probe) = build_smp_app(stream, &cfg);
-        let report = SmpPlatform::new().deploy(app.build().unwrap()).unwrap().wait().unwrap();
+        let report = SmpPlatform::new()
+            .deploy(app.build().unwrap())
+            .unwrap()
+            .wait()
+            .unwrap();
         assert_eq!(probe.frames_completed.load(Ordering::SeqCst), 8);
         assert_eq!(
             probe.checksum.load(Ordering::SeqCst),
@@ -1520,7 +1527,11 @@ mod tests {
             ..MjpegAppConfig::default()
         };
         let (app, probe) = build_smp_app(stream, &cfg);
-        let report = SmpPlatform::new().deploy(app.build().unwrap()).unwrap().wait().unwrap();
+        let report = SmpPlatform::new()
+            .deploy(app.build().unwrap())
+            .unwrap()
+            .wait()
+            .unwrap();
         assert_eq!(
             probe.checksum.load(Ordering::SeqCst),
             expected.checksum.load(Ordering::SeqCst)
@@ -1547,7 +1558,11 @@ mod tests {
             ..MjpegAppConfig::default()
         };
         let (app, probe) = build_smp_app(stream, &cfg);
-        SmpPlatform::new().deploy(app.build().unwrap()).unwrap().wait().unwrap();
+        SmpPlatform::new()
+            .deploy(app.build().unwrap())
+            .unwrap()
+            .wait()
+            .unwrap();
         assert_eq!(
             probe.checksum.load(Ordering::SeqCst),
             expected.checksum.load(Ordering::SeqCst)
@@ -1563,7 +1578,11 @@ mod tests {
             ..MjpegAppConfig::default()
         };
         let (app, probe) = build_mpsoc_app(small_stream(7), &cfg);
-        let report = SmpPlatform::new().deploy(app.build().unwrap()).unwrap().wait().unwrap();
+        let report = SmpPlatform::new()
+            .deploy(app.build().unwrap())
+            .unwrap()
+            .wait()
+            .unwrap();
         assert_eq!(probe.frames_completed.load(Ordering::SeqCst), 6);
         // Each lane holds 9 blocks per frame: exactly one batch each.
         assert_eq!(
@@ -1583,14 +1602,22 @@ mod tests {
         // same checksum, same Table 2 message counts at batch size 1.
         let stream = small_stream(11);
         let (ref_app, ref_probe) = build_smp_app(stream.clone(), &MjpegAppConfig::default());
-        SmpPlatform::new().deploy(ref_app.build().unwrap()).unwrap().wait().unwrap();
+        SmpPlatform::new()
+            .deploy(ref_app.build().unwrap())
+            .unwrap()
+            .wait()
+            .unwrap();
 
         let cfg = MjpegAppConfig {
             payload_pool: true,
             ..MjpegAppConfig::default()
         };
         let (app, probe) = build_smp_app(stream, &cfg);
-        let report = SmpPlatform::new().deploy(app.build().unwrap()).unwrap().wait().unwrap();
+        let report = SmpPlatform::new()
+            .deploy(app.build().unwrap())
+            .unwrap()
+            .wait()
+            .unwrap();
         assert_eq!(probe.frames_completed.load(Ordering::SeqCst), 10);
         assert_eq!(
             probe.checksum.load(Ordering::SeqCst),
@@ -1665,7 +1692,11 @@ mod tests {
         // and without pooled payloads.
         let stream = small_stream(7);
         let (ref_app, ref_probe) = build_smp_app(stream.clone(), &MjpegAppConfig::default());
-        SmpPlatform::new().deploy(ref_app.build().unwrap()).unwrap().wait().unwrap();
+        SmpPlatform::new()
+            .deploy(ref_app.build().unwrap())
+            .unwrap()
+            .wait()
+            .unwrap();
         for n in [1usize, 2, 4, 6] {
             for batch in [1usize, 18, 72, 288] {
                 for pooled in [false, true] {
@@ -1676,7 +1707,11 @@ mod tests {
                         ..MjpegAppConfig::default()
                     };
                     let (app, probe) = build_smp_app(stream.clone(), &cfg);
-                    SmpPlatform::new().deploy(app.build().unwrap()).unwrap().wait().unwrap();
+                    SmpPlatform::new()
+                        .deploy(app.build().unwrap())
+                        .unwrap()
+                        .wait()
+                        .unwrap();
                     assert_eq!(probe.frames_completed.load(Ordering::SeqCst), 6, "{cfg:?}");
                     assert_eq!(
                         probe.checksum.load(Ordering::SeqCst),
@@ -1701,10 +1736,7 @@ mod tests {
             .wait()
             .unwrap();
         let fwd = (n - 1) as u64;
-        assert_eq!(
-            report.component("Fetch").unwrap().app.total_sends,
-            18 * fwd
-        );
+        assert_eq!(report.component("Fetch").unwrap().app.total_sends, 18 * fwd);
         assert_eq!(report.component("Fetch").unwrap().app.total_receives, 0);
         for k in 1..=3 {
             let r = report.component(&format!("IDCT_{k}")).unwrap();

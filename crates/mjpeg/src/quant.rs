@@ -43,7 +43,10 @@ pub fn scaled_qtable(quality: u8) -> [u16; BLOCK_SIZE] {
 }
 
 /// Quantize natural-order DCT coefficients and emit them in zigzag order.
-pub fn quantize_zigzag(coeffs: &[f32; BLOCK_SIZE], qtable: &[u16; BLOCK_SIZE]) -> [i16; BLOCK_SIZE] {
+pub fn quantize_zigzag(
+    coeffs: &[f32; BLOCK_SIZE],
+    qtable: &[u16; BLOCK_SIZE],
+) -> [i16; BLOCK_SIZE] {
     let mut out = [0i16; BLOCK_SIZE];
     for (k, dst) in out.iter_mut().enumerate() {
         let n = ZIGZAG[k];
@@ -76,8 +79,7 @@ pub fn fast_dequant_table(qtable: &[u16; BLOCK_SIZE]) -> [i32; BLOCK_SIZE] {
     for v in 0..8 {
         for u in 0..8 {
             let n = v * 8 + u;
-            let s = qtable[n] as f64 * aan[u] * aan[v]
-                * (1u32 << crate::dct::AAN_FRAC_BITS) as f64;
+            let s = qtable[n] as f64 * aan[u] * aan[v] * (1u32 << crate::dct::AAN_FRAC_BITS) as f64;
             out[n] = s.round() as i32;
         }
     }

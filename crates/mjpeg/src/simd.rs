@@ -403,7 +403,9 @@ mod tests {
             .map(|_| {
                 let mut c = [0i32; BLOCK_SIZE];
                 for v in c.iter_mut() {
-                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    x = x
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
                     *v = ((x >> 33) as i32 % (2 * range)) - range;
                 }
                 c

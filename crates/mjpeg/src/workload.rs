@@ -53,7 +53,12 @@ pub fn synthesize_stream(
     let frames = (0..frames)
         .map(|t| EncodedFrame {
             header,
-            data: encode_frame(&render_frame(t, width, height, &mut rng), width, height, quality),
+            data: encode_frame(
+                &render_frame(t, width, height, &mut rng),
+                width,
+                height,
+                quality,
+            ),
         })
         .collect();
     MjpegStream { frames }

@@ -350,7 +350,15 @@ fn fast_decode_matches_oracle_when_the_dc_predictor_wraps() {
 #[test]
 fn simd_idct_saturation_edges_match_scalar() {
     use mjpeg::dct::BLOCK_SIZE;
-    for dc in [i32::MIN / 2, -(1 << 24), -8192, 0, 8192, 1 << 24, i32::MAX / 2] {
+    for dc in [
+        i32::MIN / 2,
+        -(1 << 24),
+        -8192,
+        0,
+        8192,
+        1 << 24,
+        i32::MAX / 2,
+    ] {
         let mut c = [0i32; BLOCK_SIZE];
         c[0] = dc;
         assert_eq!(

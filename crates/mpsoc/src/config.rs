@@ -45,9 +45,7 @@ impl CpuConfig {
     /// cost computations stay in integer arithmetic: `cycles * 1e9 / freq`.
     pub fn cycles_to_ns(&self, cycles: u64) -> u64 {
         // Round up: a partial cycle still occupies the pipeline.
-        cycles
-            .saturating_mul(1_000_000_000)
-            .div_ceil(self.freq_hz)
+        cycles.saturating_mul(1_000_000_000).div_ceil(self.freq_hz)
     }
 }
 
@@ -89,11 +87,11 @@ impl MachineConfig {
         }
         MachineConfig {
             cpus,
-            local_mem_size: 1 << 20,       // 1 MB (paper §5.4: "1 MB for MPSoC")
-            sdram_size: 2 << 30,           // 2 GB external SDRAM
+            local_mem_size: 1 << 20, // 1 MB (paper §5.4: "1 MB for MPSoC")
+            sdram_size: 2 << 30,     // 2 GB external SDRAM
             bus_burst_bytes: 32,
-            bus_burst_ns: 75,              // SDRAM burst latency
-            interrupt_ns: 12_000,          // doorbell raise + handler entry
+            bus_burst_ns: 75,     // SDRAM burst latency
+            interrupt_ns: 12_000, // doorbell raise + handler entry
         }
     }
 

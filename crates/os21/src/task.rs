@@ -149,7 +149,7 @@ mod tests {
         let rtos = Rtos::new(Machine::sti7200());
         rtos.spawn_task(&mut kernel, 1, "t", 0, |t| {
             t.delay(1_000_000_000); // 1 virtual second
-            // ST231 runs at 400 MHz: 1 s = 400M ticks.
+                                    // ST231 runs at 400 MHz: 1 s = 400M ticks.
             assert_eq!(t.time_now(), 400_000_000);
         });
         rtos.spawn_task(&mut kernel, 0, "h", 0, |t| {

@@ -497,7 +497,10 @@ impl Kernel {
         let now = self.now();
         match slice.reason {
             YieldReason::Advance(dt) => {
-                self.push(now.saturating_add(dt), QueueItem::Resume(pid, ResumeKind::Scheduled));
+                self.push(
+                    now.saturating_add(dt),
+                    QueueItem::Resume(pid, ResumeKind::Scheduled),
+                );
             }
             YieldReason::Wait(event) => {
                 let epoch = self.procs[pid].wait_epoch;

@@ -182,7 +182,10 @@ fn no_running_ahead_of_a_kernel_that_is_going_away() {
     });
     assert!(matches!(kernel.run(), Err(SimError::Deadlock(_))));
     drop(kernel);
-    assert!(caught.load(Ordering::SeqCst), "the kill unwind was not seen");
+    assert!(
+        caught.load(Ordering::SeqCst),
+        "the kill unwind was not seen"
+    );
     assert!(
         !survived.load(Ordering::SeqCst),
         "advanced in place after the kernel was gone"
@@ -234,7 +237,10 @@ struct Mixed {
 
 impl Mixed {
     fn log(&self, ctx: &SimCtx, what: u64) {
-        self.log.lock().unwrap().push((ctx.now(), ctx.pid() as u64, what));
+        self.log
+            .lock()
+            .unwrap()
+            .push((ctx.now(), ctx.pid() as u64, what));
     }
 
     /// One worker: `STEPS` seeded choices among every `SimCtx`

@@ -108,13 +108,13 @@ impl TimelineStats {
         for e in events {
             min_ts = min_ts.min(e.ts_ns);
             max_ts = max_ts.max(e.ts_ns);
-            let c = components.entry(e.component).or_insert_with(|| {
-                ComponentActivity {
+            let c = components
+                .entry(e.component)
+                .or_insert_with(|| ComponentActivity {
                     component: e.component,
                     first_ts: u64::MAX,
                     ..Default::default()
-                }
-            });
+                });
             c.first_ts = c.first_ts.min(e.ts_ns);
             c.last_ts = c.last_ts.max(e.ts_ns);
             match e.kind {

@@ -196,10 +196,7 @@ mod tests {
         // SendStart events are folded away.
         assert!(!json.contains("send_start"));
         // Balanced braces (crude JSON sanity).
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count()
-        );
+        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
     #[test]

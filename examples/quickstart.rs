@@ -54,11 +54,19 @@ fn main() {
         .wait()
         .expect("run");
 
-    println!("\napplication '{}' finished in {:.2} ms", report.app_name, report.wall_time_ns as f64 / 1e6);
+    println!(
+        "\napplication '{}' finished in {:.2} ms",
+        report.app_name,
+        report.wall_time_ns as f64 / 1e6
+    );
     println!("observer collected {} live reports\n", log.len());
     for r in &report.components {
         println!("component [{}]", r.component);
-        println!("  OS:        exec {:>10} us, memory {:>9} bytes", r.os.exec_time_ns / 1_000, r.os.memory_bytes);
+        println!(
+            "  OS:        exec {:>10} us, memory {:>9} bytes",
+            r.os.exec_time_ns / 1_000,
+            r.os.memory_bytes
+        );
         println!(
             "  middleware: {} sends (mean {} ns), {} receives (mean {} ns)",
             r.middleware.send.count,

@@ -93,5 +93,8 @@ fn main() {
     // Round-trip through the text format to show it parses back.
     let parsed = export::from_text(&export::to_text(&trace)).expect("trace re-parses");
     assert_eq!(parsed.len(), trace.len());
-    println!("\ntrace round-tripped through the text format ({} events)", parsed.len());
+    println!(
+        "\ntrace round-tripped through the text format ({} events)",
+        parsed.len()
+    );
 }

@@ -69,12 +69,7 @@ unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
         std::alloc::System.alloc_zeroed(layout)
     }
 
-    unsafe fn realloc(
-        &self,
-        ptr: *mut u8,
-        layout: std::alloc::Layout,
-        new_size: usize,
-    ) -> *mut u8 {
+    unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new_size: usize) -> *mut u8 {
         ALLOC_COUNT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         std::alloc::System.realloc(ptr, layout, new_size)
     }
@@ -141,19 +136,111 @@ struct Command {
 const SMOKE_DIR: &str = "target/smoke";
 
 const COMMANDS: &[Command] = &[
-    Command { name: "table1", help: "Table 1: SMP execution time and memory", run: |s, _| table1_and_2(s, true, false), flags: &[], smoke_args: &[] },
-    Command { name: "table2", help: "Table 2: communication operation counts", run: |s, _| table1_and_2(s, false, true), flags: &[], smoke_args: &[] },
-    Command { name: "figure4", help: "Figure 4: SMP send time vs message size", run: |s, _| figure4(s), flags: &[], smoke_args: &[] },
-    Command { name: "figure5", help: "Figure 5: interfaces of component IDCT_1", run: |s, _| figure5(s), flags: &[], smoke_args: &[] },
-    Command { name: "table3", help: "Table 3: simulated STi7200 time and memory", run: |s, _| table3(s), flags: &[], smoke_args: &[] },
-    Command { name: "figure8", help: "Figure 8: STi7200 send time vs message size", run: |s, _| figure8(s), flags: &[], smoke_args: &[] },
-    Command { name: "cache", help: "X1: cache-miss observation (future work)", run: |s, _| cache(s), flags: &[], smoke_args: &[] },
-    Command { name: "memseries", help: "X2: memory evolution over execution", run: |s, _| memseries(s), flags: &[], smoke_args: &[] },
-    Command { name: "scaling", help: "S1: accelerator scaling study", run: |s, _| scaling(s), flags: &[], smoke_args: &[] },
-    Command { name: "dot", help: "GraphViz graphs of the paper's deployments", run: |_, _| dot(), flags: &[], smoke_args: &[] },
-    Command { name: "alloc-check", help: "steady-state allocation proof, exit 1 if it fails", run: alloc_check, flags: &[("--frames", Value::Count), ("--backend", Value::Backend), ("--workers", Value::Count)], smoke_args: &[] },
-    Command { name: "overload", help: "open-loop overload curves, exit 1 if the shed ledger is off", run: overload, flags: &[("--frames", Value::Count), ("--jobs", Value::Count)], smoke_args: &["--frames", "32"] },
-    Command { name: "fuzz", help: "bounded deterministic fuzz of the byte-level parsers", run: |_, a| fuzz(a), flags: &[("--iters", Value::Count), ("--seed", Value::Count), ("--replay", Value::Path), ("--replay-out", Value::Path)], smoke_args: &["--iters", "200", "--replay-out", "target/smoke/fuzz_replay.bin"] },
+    Command {
+        name: "table1",
+        help: "Table 1: SMP execution time and memory",
+        run: |s, _| table1_and_2(s, true, false),
+        flags: &[],
+        smoke_args: &[],
+    },
+    Command {
+        name: "table2",
+        help: "Table 2: communication operation counts",
+        run: |s, _| table1_and_2(s, false, true),
+        flags: &[],
+        smoke_args: &[],
+    },
+    Command {
+        name: "figure4",
+        help: "Figure 4: SMP send time vs message size",
+        run: |s, _| figure4(s),
+        flags: &[],
+        smoke_args: &[],
+    },
+    Command {
+        name: "figure5",
+        help: "Figure 5: interfaces of component IDCT_1",
+        run: |s, _| figure5(s),
+        flags: &[],
+        smoke_args: &[],
+    },
+    Command {
+        name: "table3",
+        help: "Table 3: simulated STi7200 time and memory",
+        run: |s, _| table3(s),
+        flags: &[],
+        smoke_args: &[],
+    },
+    Command {
+        name: "figure8",
+        help: "Figure 8: STi7200 send time vs message size",
+        run: |s, _| figure8(s),
+        flags: &[],
+        smoke_args: &[],
+    },
+    Command {
+        name: "cache",
+        help: "X1: cache-miss observation (future work)",
+        run: |s, _| cache(s),
+        flags: &[],
+        smoke_args: &[],
+    },
+    Command {
+        name: "memseries",
+        help: "X2: memory evolution over execution",
+        run: |s, _| memseries(s),
+        flags: &[],
+        smoke_args: &[],
+    },
+    Command {
+        name: "scaling",
+        help: "S1: accelerator scaling study",
+        run: |s, _| scaling(s),
+        flags: &[],
+        smoke_args: &[],
+    },
+    Command {
+        name: "dot",
+        help: "GraphViz graphs of the paper's deployments",
+        run: |_, _| dot(),
+        flags: &[],
+        smoke_args: &[],
+    },
+    Command {
+        name: "alloc-check",
+        help: "steady-state allocation proof, exit 1 if it fails",
+        run: alloc_check,
+        flags: &[
+            ("--frames", Value::Count),
+            ("--backend", Value::Backend),
+            ("--workers", Value::Count),
+        ],
+        smoke_args: &[],
+    },
+    Command {
+        name: "overload",
+        help: "open-loop overload curves, exit 1 if the shed ledger is off",
+        run: overload,
+        flags: &[("--frames", Value::Count), ("--jobs", Value::Count)],
+        smoke_args: &["--frames", "32"],
+    },
+    Command {
+        name: "fuzz",
+        help: "bounded deterministic fuzz of the byte-level parsers",
+        run: |_, a| fuzz(a),
+        flags: &[
+            ("--iters", Value::Count),
+            ("--seed", Value::Count),
+            ("--replay", Value::Path),
+            ("--replay-out", Value::Path),
+        ],
+        smoke_args: &[
+            "--iters",
+            "200",
+            "--replay-out",
+            "target/smoke/fuzz_replay.bin",
+        ],
+    },
 ];
 
 fn print_command_list(out: &mut dyn std::io::Write) {
@@ -166,7 +253,11 @@ fn print_command_list(out: &mut dyn std::io::Write) {
             .collect();
         let _ = writeln!(out, "  {:<16} {}{flags}", c.name, c.help);
     }
-    let _ = writeln!(out, "  {:<16} every command above in its cheap smoke form", "all");
+    let _ = writeln!(
+        out,
+        "  {:<16} every command above in its cheap smoke form",
+        "all"
+    );
     let _ = writeln!(out, "  {:<16} this listing", "help");
 }
 
@@ -293,7 +384,11 @@ fn figure4(scale: &Scale) {
     let points = smp_send_sweep(&sizes, scale.sweep_iters * 4);
     println!("size (kB)   mean send (us)");
     for p in &points {
-        println!("{:>8}   {:>13.2}", p.size_bytes / 1024, p.mean_send_ns / 1e3);
+        println!(
+            "{:>8}   {:>13.2}",
+            p.size_bytes / 1024,
+            p.mean_send_ns / 1e3
+        );
     }
     let fit = linear_fit(
         &points
@@ -450,7 +545,10 @@ fn scaling(scale: &Scale) {
     println!(" this sweep shows where the pipeline and the shared bus stop scaling)\n");
     let frames = scale.small.min(40);
     for (label, profile) in [
-        ("paper workload (Fetch-Reorder-bound)", mjpeg::WorkProfile::default()),
+        (
+            "paper workload (Fetch-Reorder-bound)",
+            mjpeg::WorkProfile::default(),
+        ),
         (
             "IDCT-bound workload (200x DSP per block)",
             mjpeg::WorkProfile {
@@ -670,17 +768,30 @@ fn overload(scale: &Scale, args: &[String]) {
         pacing: Pacing::RealTime,
         ..OverloadConfig::default()
     };
-    println!("=== overload — open-loop robustness curves, {frames} frames/run, 72-block frames ===");
+    println!(
+        "=== overload — open-loop robustness curves, {frames} frames/run, 72-block frames ==="
+    );
 
     // 1. Capacity calibration: back-to-back injection (no pacing) on the
     //    fixed 2-worker pipeline; completed/wall is the service rate.
     let calib = run_overload_smp(
         base.clone(),
-        &cfg(0, ArrivalProcess::Periodic, GENEROUS_NS, None, None, fixed_workers, fixed_workers),
+        &cfg(
+            0,
+            ArrivalProcess::Periodic,
+            GENEROUS_NS,
+            None,
+            None,
+            fixed_workers,
+            fixed_workers,
+        ),
     );
     assert_eq!(calib.completed, frames, "calibration run dropped frames");
     let capacity_fps = calib.completed as f64 / calib.wall_s;
-    println!("calibrated capacity: {capacity_fps:.0} frames/s ({:.4} s for {frames})", calib.wall_s);
+    println!(
+        "calibrated capacity: {capacity_fps:.0} frames/s ({:.4} s for {frames})",
+        calib.wall_s
+    );
     let gap_for = |x: f64| (1e9 / (capacity_fps * x)) as u64;
 
     // 2. Low-load latency reference at 0.5×: the p99 every curve is
@@ -792,8 +903,7 @@ fn overload(scale: &Scale, args: &[String]) {
     };
     let dd_top = at(OverloadMode::DeadlineDrop, top);
     let none_top = at(OverloadMode::NoPolicy, top);
-    let dd_bounded = dd_top.completed > 0
-        && (dd_top.p99_ns as f64) <= 5.0 * p99_low as f64;
+    let dd_bounded = dd_top.completed > 0 && (dd_top.p99_ns as f64) <= 5.0 * p99_low as f64;
     let none_degrades = (none_top.p99_ns as f64) > 5.0 * p99_low as f64;
     let autoscale_completes = loads
         .iter()

@@ -19,7 +19,11 @@ pub struct SweepPoint {
 }
 
 fn mean_send_ns(report: &embera::AppReport) -> f64 {
-    let s = &report.component("Sender").expect("sender report").middleware.send;
+    let s = &report
+        .component("Sender")
+        .expect("sender report")
+        .middleware
+        .send;
     if s.count == 0 {
         0.0
     } else {
@@ -87,12 +91,7 @@ pub fn mpsoc_send_sweep(
         .collect()
 }
 
-fn sweep_app_placed(
-    size: usize,
-    iterations: u32,
-    send_cpu: usize,
-    recv_cpu: usize,
-) -> AppBuilder {
+fn sweep_app_placed(size: usize, iterations: u32, send_cpu: usize, recv_cpu: usize) -> AppBuilder {
     let mut app = AppBuilder::new(format!("send-sweep-{size}"));
     app.add(
         ComponentSpec::new(
@@ -151,9 +150,7 @@ mod tests {
                     .map(|p| (p.size_bytes as f64, p.mean_send_ns))
                     .collect::<Vec<_>>(),
             );
-            if fit.b > 0.0
-                && points.last().unwrap().mean_send_ns > points[0].mean_send_ns * 1.5
-            {
+            if fit.b > 0.0 && points.last().unwrap().mean_send_ns > points[0].mean_send_ns * 1.5 {
                 return;
             }
             eprintln!("sweep attempt {attempt} too noisy: {points:?}");

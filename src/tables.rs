@@ -12,7 +12,8 @@ use embera::AppReport;
 pub fn format_table1(report_small: &AppReport, report_large: &AppReport) -> String {
     let mut out = String::from("Component      Time578 (us)  Time3000 (us)  Mem (kB)\n");
     for name in ["Fetch", "IDCT_1", "IDCT_2", "IDCT_3", "Reorder"] {
-        let (Some(small), Some(large)) = (report_small.component(name), report_large.component(name))
+        let (Some(small), Some(large)) =
+            (report_small.component(name), report_large.component(name))
         else {
             continue;
         };
@@ -30,10 +31,10 @@ pub fn format_table1(report_small: &AppReport, report_large: &AppReport) -> Stri
 /// Render Table 2 (paper §4.4): "MJPEG Components Communication
 /// Operations Performed".
 pub fn format_table2(report_small: &AppReport, report_large: &AppReport) -> String {
-    let mut out =
-        String::from("Component      send578  receive578  send3000  receive3000\n");
+    let mut out = String::from("Component      send578  receive578  send3000  receive3000\n");
     for name in ["Fetch", "IDCT_1", "IDCT_2", "IDCT_3", "Reorder"] {
-        let (Some(small), Some(large)) = (report_small.component(name), report_large.component(name))
+        let (Some(small), Some(large)) =
+            (report_small.component(name), report_large.component(name))
         else {
             continue;
         };

@@ -179,7 +179,11 @@ fn introspection_answered_while_blocked_in_recv() {
         // message counts.
         let blocked = report.component("blocked").unwrap();
         assert_eq!(blocked.app.total_receives, 1, "[{backend}]");
-        assert_eq!(report.component("prober").unwrap().app.total_sends, 1, "[{backend}]");
+        assert_eq!(
+            report.component("prober").unwrap().app.total_sends,
+            1,
+            "[{backend}]"
+        );
     }
 }
 
@@ -726,7 +730,10 @@ fn mjpeg_worker_counts_agree_across_backends() {
             for k in 1..=n {
                 let share = ((k - 1) as u64..18).step_by(n).count() as u64 * fwd;
                 let r = report.component(&format!("IDCT_{k}")).unwrap();
-                assert_eq!(r.app.total_receives, share, "{n} workers: IDCT_{k} receives");
+                assert_eq!(
+                    r.app.total_receives, share,
+                    "{n} workers: IDCT_{k} receives"
+                );
                 assert_eq!(r.app.total_sends, share, "{n} workers: IDCT_{k} sends");
             }
             assert_eq!(
@@ -968,7 +975,11 @@ fn timed_recv_under_shutdown_drains_queued_then_reports_none() {
 fn gated_overload_rollup(
     run: RunFn,
     policy: OverloadPolicy,
-    send: impl Fn(&mut dyn embera::behavior::Ctx) -> Result<(), EmberaError> + Send + Sync + Clone + 'static,
+    send: impl Fn(&mut dyn embera::behavior::Ctx) -> Result<(), EmberaError>
+        + Send
+        + Sync
+        + Clone
+        + 'static,
 ) -> (u64, u64, u64) {
     let mut app = AppBuilder::new("gated-overload");
     app.add(
@@ -1111,7 +1122,11 @@ fn a_paced_producer_feeds_a_consumer_deployed_after_it() {
         app.add(paced_consumer());
         app.connect(("prod", "out"), ("cons", "in"));
         let report = run(app.build().unwrap()).unwrap_or_else(|e| panic!("[{backend}] {e}"));
-        assert_eq!(report.component("cons").unwrap().app.total_receives, 5, "[{backend}]");
+        assert_eq!(
+            report.component("cons").unwrap().app.total_receives,
+            5,
+            "[{backend}]"
+        );
     }
 }
 
@@ -1161,8 +1176,16 @@ fn request_response_works_in_either_deployment_order() {
             app.connect(("server", "resp"), ("client", "resp"));
             let report = run(app.build().unwrap())
                 .unwrap_or_else(|e| panic!("[{backend}] server first: {server_first}: {e}"));
-            assert_eq!(report.total_sends(), 6, "[{backend}] server first: {server_first}");
-            assert_eq!(report.total_receives(), 6, "[{backend}] server first: {server_first}");
+            assert_eq!(
+                report.total_sends(),
+                6,
+                "[{backend}] server first: {server_first}"
+            );
+            assert_eq!(
+                report.total_receives(),
+                6,
+                "[{backend}] server first: {server_first}"
+            );
         }
     }
 }

@@ -10,17 +10,26 @@ use mjpeg::{build_smp_app, synthesize_stream, MjpegAppConfig};
 
 #[test]
 fn mjpeg_app_dot_graph_matches_paper_topology() {
-    let (mut app, _) = build_smp_app(synthesize_stream(2, 48, 24, 75, 1), &MjpegAppConfig::default());
+    let (mut app, _) = build_smp_app(
+        synthesize_stream(2, 48, 24, 75, 1),
+        &MjpegAppConfig::default(),
+    );
     let _log = app.with_observer(ObserverConfig::default());
     let dot = app.build().unwrap().to_dot();
     // Paper Figure 1 topology: Fetch feeds three IDCTs, which feed Reorder.
     for k in 1..=3 {
         assert!(dot.contains(&format!("\"Fetch\" -> \"IDCT_{k}\"")), "{dot}");
-        assert!(dot.contains(&format!("\"IDCT_{k}\" -> \"Reorder\"")), "{dot}");
+        assert!(
+            dot.contains(&format!("\"IDCT_{k}\" -> \"Reorder\"")),
+            "{dot}"
+        );
     }
     // Observer wiring present and visually distinguished.
     assert!(dot.contains("\"Observer\" [label=\"Observer\", style=dashed]"));
-    assert!(dot.matches("style=dotted").count() >= 10, "2 dotted edges per observed component");
+    assert!(
+        dot.matches("style=dotted").count() >= 10,
+        "2 dotted edges per observed component"
+    );
 }
 
 #[test]

@@ -70,7 +70,10 @@ fn behavior_error_is_attributed_on_mpsoc() {
     let EmberaError::Platform(msg) = err else {
         panic!("wrong error kind");
     };
-    assert!(msg.contains("src") && msg.contains("injected fault"), "{msg}");
+    assert!(
+        msg.contains("src") && msg.contains("injected fault"),
+        "{msg}"
+    );
 }
 
 #[test]
@@ -92,7 +95,10 @@ fn behavior_error_is_attributed_on_inproc() {
     let EmberaError::Platform(msg) = err else {
         panic!("wrong error kind");
     };
-    assert!(msg.contains("src") && msg.contains("injected fault"), "{msg}");
+    assert!(
+        msg.contains("src") && msg.contains("injected fault"),
+        "{msg}"
+    );
 }
 
 #[test]
@@ -115,7 +121,10 @@ fn stuck_receiver_on_mpsoc_is_diagnosed_as_deadlock() {
         panic!("wrong error kind");
     };
     assert!(msg.contains("deadlock"), "{msg}");
-    assert!(msg.contains("dst"), "blocked component must be named: {msg}");
+    assert!(
+        msg.contains("dst"),
+        "blocked component must be named: {msg}"
+    );
 }
 
 #[test]
@@ -138,7 +147,10 @@ fn stuck_receiver_on_inproc_is_diagnosed_as_deadlock() {
         panic!("wrong error kind");
     };
     assert!(msg.contains("deadlock"), "{msg}");
-    assert!(msg.contains("dst"), "blocked component must be named: {msg}");
+    assert!(
+        msg.contains("dst"),
+        "blocked component must be named: {msg}"
+    );
 }
 
 #[test]
@@ -196,14 +208,12 @@ fn unknown_interface_access_is_reported() {
     ];
     for run in runs {
         let app = two_stage(
-            behavior_fn(|ctx| {
-                match ctx.recv_timeout("no_such_iface", 1_000) {
-                    Err(EmberaError::UnknownInterface { interface, .. }) => {
-                        assert_eq!(interface, "no_such_iface");
-                        Ok(())
-                    }
-                    other => panic!("expected UnknownInterface, got {other:?}"),
+            behavior_fn(|ctx| match ctx.recv_timeout("no_such_iface", 1_000) {
+                Err(EmberaError::UnknownInterface { interface, .. }) => {
+                    assert_eq!(interface, "no_such_iface");
+                    Ok(())
                 }
+                other => panic!("expected UnknownInterface, got {other:?}"),
             }),
             behavior_fn(|ctx| {
                 let _ = ctx.recv_timeout("in", 1_000)?;
@@ -256,6 +266,9 @@ fn multiple_faults_aggregate_in_deterministic_order_on_inproc() {
     assert!(msg.contains("[2 components faulted:"), "{msg}");
     assert!(msg.contains("alpha: platform error: first fault"), "{msg}");
     assert!(msg.contains("beta: platform error: second fault"), "{msg}");
-    assert!(!msg.contains("gamma"), "healthy component listed as faulted: {msg}");
+    assert!(
+        !msg.contains("gamma"),
+        "healthy component listed as faulted: {msg}"
+    );
     assert_eq!(run(), msg, "aggregated report must be reproducible");
 }

@@ -70,10 +70,7 @@ fn traced_grouped_run(faults: Option<FaultPlan>) -> Vec<TraceEvent> {
     let _log = app.with_observer(
         ObserverConfig::default()
             .grouped(vec![
-                (
-                    "left".to_string(),
-                    vec!["source".into(), "relay".into()],
-                ),
+                ("left".to_string(), vec!["source".into(), "relay".into()]),
                 ("right".to_string(), vec!["sink".into()]),
             ])
             .interval_ns(10_000)

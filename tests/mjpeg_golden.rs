@@ -192,7 +192,10 @@ fn check(case: &str, actual: String, expected: &str) {
 
 #[test]
 fn streams_are_the_recorded_input() {
-    assert_eq!(fnv(FNV_OFFSET, &closed_stream().to_bytes()), CLOSED_STREAM_FNV);
+    assert_eq!(
+        fnv(FNV_OFFSET, &closed_stream().to_bytes()),
+        CLOSED_STREAM_FNV
+    );
     assert_eq!(fnv(FNV_OFFSET, &open_stream().to_bytes()), OPEN_STREAM_FNV);
 }
 
@@ -280,7 +283,11 @@ fn open_loop_tight_budget_skips_late_blocks() {
         deadline_budget_ns: 40_000_000,
         ..open_cfg()
     };
-    check("open loop, tight budget", overload_on_inproc(&cfg), OPEN_TIGHT);
+    check(
+        "open loop, tight budget",
+        overload_on_inproc(&cfg),
+        OPEN_TIGHT,
+    );
 }
 
 #[test]
@@ -291,7 +298,11 @@ fn open_loop_budget_the_judge_splits() {
         deadline_budget_ns: 140_000_000,
         ..open_cfg()
     };
-    check("open loop, judge splits", overload_on_inproc(&cfg), OPEN_JUDGE_SPLITS);
+    check(
+        "open loop, judge splits",
+        overload_on_inproc(&cfg),
+        OPEN_JUDGE_SPLITS,
+    );
 }
 
 #[test]
@@ -309,7 +320,11 @@ fn open_loop_drop_oldest() {
         fetch_policy: Some(OverloadPolicy::drop_oldest(3)),
         ..open_cfg()
     };
-    check("open loop, drop_oldest(3)", overload_on_inproc(&cfg), OPEN_DROP_OLDEST);
+    check(
+        "open loop, drop_oldest(3)",
+        overload_on_inproc(&cfg),
+        OPEN_DROP_OLDEST,
+    );
 }
 
 #[test]
@@ -348,7 +363,11 @@ fn open_loop_autoscale_walks_down() {
         pacing: Pacing::Virtual,
         ..OverloadConfig::default()
     };
-    check("open loop, autoscale", overload_on_inproc(&cfg), OPEN_AUTOSCALE);
+    check(
+        "open loop, autoscale",
+        overload_on_inproc(&cfg),
+        OPEN_AUTOSCALE,
+    );
 }
 
 // ---------------------------------------------------------------------

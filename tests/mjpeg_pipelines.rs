@@ -78,8 +78,14 @@ fn smp_pipeline_idcts_are_load_balanced() {
             idct.app.total_receives
         })
         .collect();
-    let (min, max) = (received.iter().min().unwrap(), received.iter().max().unwrap());
-    assert!(*min > 0 && max - min <= 1, "lanes are dealt equal shares: {received:?}");
+    let (min, max) = (
+        received.iter().min().unwrap(),
+        received.iter().max().unwrap(),
+    );
+    assert!(
+        *min > 0 && max - min <= 1,
+        "lanes are dealt equal shares: {received:?}"
+    );
 
     let lanes = idcts_on_inproc(31);
     assert!(
@@ -118,7 +124,6 @@ fn mpsoc_pipeline_decodes_and_matches_reference() {
     );
 }
 
-
 // PipelineProbe::fold_frame is private; recompute its FNV fold here.
 fn fold(probe: &mjpeg::pipeline::PipelineProbe, pixels: &[u8]) {
     let mut h = probe.checksum.load(Ordering::Acquire);
@@ -149,8 +154,14 @@ fn mpsoc_table3_shapes_hold() {
         .unwrap();
     let fr = report.component("Fetch-Reorder").unwrap();
     let idct = report.component("IDCT_1").unwrap();
-    assert_eq!(fr.os.memory_bytes, 110_000, "60 kB task + 2 x 25 kB objects");
-    assert_eq!(idct.os.memory_bytes, 85_000, "60 kB task + 1 x 25 kB object");
+    assert_eq!(
+        fr.os.memory_bytes, 110_000,
+        "60 kB task + 2 x 25 kB objects"
+    );
+    assert_eq!(
+        idct.os.memory_bytes, 85_000,
+        "60 kB task + 1 x 25 kB object"
+    );
     let ratio = embera_repro::tables::table3_ratio(&report);
     assert!(
         (6.0..20.0).contains(&ratio),

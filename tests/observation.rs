@@ -88,7 +88,10 @@ fn observer_collects_multi_level_reports_without_code_changes() {
         .expect("worker observed");
     // All three observation levels populated (paper §4.2).
     assert!(worker.os.memory_bytes > 0, "OS level: memory");
-    assert!(worker.middleware.send.count > 0, "middleware level: send timing");
+    assert!(
+        worker.middleware.send.count > 0,
+        "middleware level: send timing"
+    );
     assert!(worker.app.total_sends > 0, "application level: counters");
     assert!(
         worker
@@ -233,7 +236,10 @@ fn observer_works_on_simulated_mpsoc_mjpeg() {
         .find(|r| r.component == "Fetch-Reorder")
         .expect("Fetch-Reorder observed");
     assert!(fr.app.total_sends > 0);
-    assert!(fr.os.cpu_time_ns > 0, "RTOS task_time surfaced via observation");
+    assert!(
+        fr.os.cpu_time_ns > 0,
+        "RTOS task_time surfaced via observation"
+    );
 }
 
 #[test]
@@ -340,5 +346,8 @@ fn observer_request_selection_narrows_traffic() {
     let last = worker_records.last().unwrap();
     assert!(last.report.app.total_sends > 0, "app level present");
     assert_eq!(last.report.os.memory_bytes, 0, "OS level not requested");
-    assert!(last.report.structure.interfaces.is_empty(), "structure not requested");
+    assert!(
+        last.report.structure.interfaces.is_empty(),
+        "structure not requested"
+    );
 }

@@ -7,9 +7,7 @@
 use embera::{FaultPlan, OverloadPolicy, Platform, RunningApp};
 use embera_inproc::InprocPlatform;
 use embera_trace::{EventKind, TraceCollector, TraceEvent};
-use mjpeg::{
-    build_overload_app, ArrivalProcess, AutoscaleConfig, OverloadConfig, Pacing,
-};
+use mjpeg::{build_overload_app, ArrivalProcess, AutoscaleConfig, OverloadConfig, Pacing};
 
 /// One traced overload run on inproc; virtual pacing keeps the offered
 /// schedule on the logical clock, so wall time never leaks into the

@@ -136,11 +136,18 @@ fn exhausted_restart_budget_escalates_with_the_last_error() {
             .with_stack_bytes(1 << 20),
         );
         let err = run(app.build().unwrap()).unwrap_err();
-        assert_eq!(attempts.load(Ordering::SeqCst), 3, "[{backend}] 1 run + 2 restarts");
+        assert_eq!(
+            attempts.load(Ordering::SeqCst),
+            3,
+            "[{backend}] 1 run + 2 restarts"
+        );
         let EmberaError::Platform(msg) = err else {
             panic!("[{backend}] wrong error kind");
         };
-        assert!(msg.contains("doomed") && msg.contains("always broken"), "[{backend}] {msg}");
+        assert!(
+            msg.contains("doomed") && msg.contains("always broken"),
+            "[{backend}] {msg}"
+        );
     }
 }
 
@@ -200,12 +207,19 @@ fn one_for_one_contains_failure_while_peers_complete() {
         let EmberaError::Platform(msg) = err else {
             panic!("[{backend}] wrong error kind");
         };
-        assert!(msg.contains("doomed") && msg.contains("contained fault"), "[{backend}] {msg}");
+        assert!(
+            msg.contains("doomed") && msg.contains("contained fault"),
+            "[{backend}] {msg}"
+        );
         assert!(
             !msg.contains("worker") && !msg.contains("sink"),
             "[{backend}] healthy components must not appear as failures: {msg}"
         );
-        assert_eq!(done.load(Ordering::SeqCst), 1, "[{backend}] worker finished its stream");
+        assert_eq!(
+            done.load(Ordering::SeqCst),
+            1,
+            "[{backend}] worker finished its stream"
+        );
     }
 }
 
@@ -403,7 +417,11 @@ fn injected_drop_and_corrupt_are_deterministic_on_inproc() {
     );
     // A dropped message never reaches the transport: 4 sends, 4 receives.
     assert_eq!((sends, receives), (4, 4));
-    assert_eq!(run(), (seen, sends, receives), "fault runs must be reproducible");
+    assert_eq!(
+        run(),
+        (seen, sends, receives),
+        "fault runs must be reproducible"
+    );
 }
 
 #[test]
@@ -447,7 +465,10 @@ fn injected_panic_fires_at_exact_receive_iteration() {
         let EmberaError::Platform(msg) = err else {
             panic!("[{backend}] wrong error kind");
         };
-        assert!(msg.contains("dst") && msg.contains("panicked"), "[{backend}] {msg}");
+        assert!(
+            msg.contains("dst") && msg.contains("panicked"),
+            "[{backend}] {msg}"
+        );
         assert!(msg.contains("iteration 2"), "[{backend}] {msg}");
         // Receives 0 and 1 were delivered before the injected panic.
         assert_eq!(received.lock().unwrap().len(), 2, "[{backend}]");
@@ -522,7 +543,11 @@ fn mjpeg_idct_panic_recovery_is_deterministic_on_inproc() {
     assert_eq!(dropped, 1);
     assert_eq!(completed, 6);
     assert_ne!(checksum, 0);
-    assert_eq!(run(), first, "logical-clock replay must be bit-for-bit identical");
+    assert_eq!(
+        run(),
+        first,
+        "logical-clock replay must be bit-for-bit identical"
+    );
 }
 
 #[test]
