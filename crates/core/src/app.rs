@@ -62,9 +62,9 @@ pub struct AppSpec {
     /// `embera-inproc`).
     pub faults: Option<FaultPlan>,
     /// Shared payload buffer pool for zero-allocation steady-state
-    /// messaging ([`AppBuilder::with_buffer_pool`]). Backends that
-    /// support it draw their send-side payload copies from the pool and
-    /// expose it to behaviors through `Ctx::payload_pool`.
+    /// messaging ([`AppBuilder::with_buffer_pool`]). Every backend
+    /// exposes it to behaviors through `Ctx::payload_pool`; the host
+    /// backends also draw their send-side payload copies from it.
     pub pool: Option<crate::pool::BufferPool>,
 }
 
@@ -182,10 +182,10 @@ impl AppBuilder {
         self
     }
 
-    /// Attach a shared payload buffer pool. Backends that support it
-    /// (currently `embera-smp`) serve their send-primitive payload
-    /// copies from the pool and hand it to behaviors through
-    /// `Ctx::payload_pool`, making steady-state messaging allocation
+    /// Attach a shared payload buffer pool. Every backend hands it to
+    /// behaviors through `Ctx::payload_pool`; the host backends
+    /// (`embera-smp`, `embera-exec`) also serve their send-primitive
+    /// payload copies from it, making steady-state messaging allocation
     /// free once the pool is warm.
     pub fn with_buffer_pool(&mut self, pool: crate::pool::BufferPool) -> &mut Self {
         self.pool = Some(pool);
@@ -207,23 +207,6 @@ impl AppBuilder {
             .find(|c| c.name == name)
             .unwrap_or_else(|| panic!("restart_component: no component named '{name}'"));
         c.restart = Some(policy);
-        self
-    }
-
-    /// Attach an overload policy to an already-added component — the
-    /// overload hook for components created by application builders.
-    /// Panics if no component with that name has been added.
-    pub fn overload_component(
-        &mut self,
-        name: &str,
-        policy: crate::overload::OverloadPolicy,
-    ) -> &mut Self {
-        let c = self
-            .components
-            .iter_mut()
-            .find(|c| c.name == name)
-            .unwrap_or_else(|| panic!("overload_component: no component named '{name}'"));
-        c.overload = Some(policy);
         self
     }
 
@@ -313,18 +296,23 @@ impl AppBuilder {
             observer = observer.with_required(format!("obs_{t}"));
         }
         for t in &targets {
-            // Observer asks through obs_<t> -> t.introspection, and t
-            // answers through t.introspection -> Observer.observations.
-            self.connections.push(Connection {
-                from: Endpoint::new(OBSERVER_NAME, format!("obs_{t}")),
-                to: Endpoint::new(t.clone(), INTROSPECTION),
-            });
-            self.connections.push(Connection {
-                from: Endpoint::new(t.clone(), INTROSPECTION),
-                to: Endpoint::new(OBSERVER_NAME, "observations"),
-            });
+            self.wire_observed(OBSERVER_NAME, t);
         }
         self.components.push(observer);
+    }
+
+    /// `observer` asks through `obs_<member>` → `member.introspection`,
+    /// and `member` answers through `member.introspection` →
+    /// `observer.observations`.
+    fn wire_observed(&mut self, observer: &str, member: &str) {
+        self.connections.push(Connection {
+            from: Endpoint::new(observer, format!("obs_{member}")),
+            to: Endpoint::new(member, INTROSPECTION),
+        });
+        self.connections.push(Connection {
+            from: Endpoint::new(member, INTROSPECTION),
+            to: Endpoint::new(observer, "observations"),
+        });
     }
 
     /// Two-level hierarchy: one regional observer per group (each wired
@@ -369,14 +357,7 @@ impl AppBuilder {
                 regional = regional.with_required(format!("obs_{m}"));
             }
             for m in members {
-                self.connections.push(Connection {
-                    from: Endpoint::new(name.clone(), format!("obs_{m}")),
-                    to: Endpoint::new(m.clone(), INTROSPECTION),
-                });
-                self.connections.push(Connection {
-                    from: Endpoint::new(m.clone(), INTROSPECTION),
-                    to: Endpoint::new(name.clone(), "observations"),
-                });
+                self.wire_observed(&name, m);
             }
             self.connections.push(Connection {
                 from: Endpoint::new(name, "rollup"),

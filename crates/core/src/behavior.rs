@@ -133,9 +133,10 @@ pub trait Ctx {
     fn should_stop(&self) -> bool;
 
     /// The application's shared payload buffer pool, when one is
-    /// attached and the backend supports it (clones share the free
-    /// list). Behaviors that serialize messages query this once at
-    /// start-up; `None` (the default) means plain allocation.
+    /// attached ([`crate::AppBuilder::with_buffer_pool`]), on every
+    /// backend (clones share the free list). Behaviors that serialize
+    /// messages query this once at start-up; `None` (the default)
+    /// means plain allocation.
     fn payload_pool(&self) -> Option<crate::pool::BufferPool> {
         None
     }

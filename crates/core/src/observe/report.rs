@@ -14,8 +14,9 @@ pub struct OsStats {
     /// the structures of its provided interfaces (the paper's formula:
     /// `pthread_attr_getstacksize` + `sizeof` of the interfaces).
     pub memory_bytes: u64,
-    /// CPU time actually consumed (only meaningful on the RTOS backend,
-    /// where OS21's `task_time` provides it; 0 elsewhere).
+    /// CPU time the component consumed, ns: OS21's `task_time` on the
+    /// MPSoC backend, the logical CPU time its own operations charged on
+    /// `embera-inproc`; 0 on the host backends, which do not measure it.
     pub cpu_time_ns: u64,
     /// Bytes of message payload currently queued in the component's
     /// provided-interface mailboxes — the dynamic part of the memory
@@ -44,26 +45,6 @@ impl TimingSnapshot {
     }
 }
 
-/// One message-size histogram bucket of primitive timings.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SizeBucket {
-    /// Inclusive lower bound of the bucket, bytes.
-    pub lo: u64,
-    /// Exclusive upper bound (u64::MAX for the last bucket).
-    pub hi: u64,
-    /// Operations in the bucket.
-    pub count: u64,
-    /// Total duration of those operations, ns.
-    pub total_ns: u64,
-}
-
-impl SizeBucket {
-    /// Mean duration per operation in this bucket.
-    pub fn mean_ns(&self) -> u64 {
-        self.total_ns.checked_div(self.count).unwrap_or(0)
-    }
-}
-
 /// Middleware-level observation (paper §4.2): "information about the
 /// execution time of send and receive operations by instrumenting send
 /// and receive primitives".
@@ -74,9 +55,6 @@ pub struct MiddlewareStats {
     /// Timing of the `receive` primitive (excluding blocking waits; the
     /// paper instruments the primitive's execution, not queue idleness).
     pub recv: TimingSnapshot,
-    /// Send timings bucketed by message size (basis for Figure 4-style
-    /// analyses).
-    pub send_by_size: Vec<SizeBucket>,
     /// Total data bytes sent.
     pub bytes_sent: u64,
     /// Total data bytes received.
@@ -290,18 +268,6 @@ mod tests {
             max_ns: 40,
         };
         assert_eq!(t.mean_ns(), 25);
-    }
-
-    #[test]
-    fn size_bucket_mean() {
-        let b = SizeBucket {
-            lo: 0,
-            hi: 1024,
-            count: 2,
-            total_ns: 10,
-        };
-        assert_eq!(b.mean_ns(), 5);
-        assert_eq!(SizeBucket::default().mean_ns(), 0);
     }
 
     #[test]

@@ -36,7 +36,7 @@
 use crate::names::{IfaceId, IfaceTable};
 use crate::observe::report::{
     AppStats, HealthInfo, HealthState, IfaceCounterSnapshot, MiddlewareStats, ObservationReport,
-    OsStats, SizeBucket, StructureInfo, TimingSnapshot,
+    OsStats, StructureInfo, TimingSnapshot,
 };
 use crate::sync::{AtomicU64, Ordering};
 
@@ -44,10 +44,6 @@ use crate::sync::{AtomicU64, Ordering};
 const FLAG_BLOCKED: u64 = 1;
 const FLAG_FAULTED: u64 = 1 << 1;
 const FLAG_RESTARTING: u64 = 1 << 2;
-
-/// Message-size bucket boundaries (bytes) for send-timing histograms.
-pub const SIZE_BUCKET_BOUNDS: [u64; 6] =
-    [1024, 4 * 1024, 16 * 1024, 64 * 1024, 256 * 1024, u64::MAX];
 
 #[derive(Default)]
 struct TimingAtomic {
@@ -97,23 +93,6 @@ struct IfaceAtomic {
     receives: AtomicU64,
 }
 
-#[derive(Default)]
-struct BucketAtomic {
-    count: AtomicU64,
-    total_ns: AtomicU64,
-}
-
-/// Lifecycle state of a component.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LifeState {
-    /// Created but not yet started.
-    Created,
-    /// Behavior running.
-    Running,
-    /// Behavior finished (runtime may still serve observation).
-    Finished,
-}
-
 /// Occupation of a component's data mailboxes at one instant: what the
 /// queue gauges of a report ([`HealthInfo::queued_messages`],
 /// [`HealthInfo::queued_bytes`], [`OsStats::queued_bytes`]) are filled
@@ -139,7 +118,6 @@ pub struct ComponentStats {
     counters: Vec<IfaceAtomic>,
     send_timing: TimingAtomic,
     recv_timing: TimingAtomic,
-    send_buckets: Vec<BucketAtomic>,
     bytes_sent: AtomicU64,
     bytes_received: AtomicU64,
     /// `u64::MAX` = not yet started/finished.
@@ -202,10 +180,6 @@ impl ComponentStats {
             interfaces,
             send_timing: TimingAtomic::new(),
             recv_timing: TimingAtomic::new(),
-            send_buckets: SIZE_BUCKET_BOUNDS
-                .iter()
-                .map(|_| BucketAtomic::default())
-                .collect(),
             bytes_sent: AtomicU64::new(0),
             bytes_received: AtomicU64::new(0),
             started_ns: AtomicU64::new(u64::MAX),
@@ -251,24 +225,14 @@ impl ComponentStats {
         self.finished_ns.store(now_ns, Ordering::Release);
     }
 
-    /// Current lifecycle state.
-    pub fn state(&self) -> LifeState {
-        if self.finished_ns.load(Ordering::Acquire) != u64::MAX {
-            LifeState::Finished
-        } else if self.started_ns.load(Ordering::Acquire) != u64::MAX {
-            LifeState::Running
-        } else {
-            LifeState::Created
-        }
-    }
-
     /// Set the component's accounted memory (stack + provided-interface
     /// structures; the backend computes the paper's formula).
     pub fn set_memory_bytes(&self, bytes: u64) {
         self.memory_bytes.store(bytes, Ordering::Release);
     }
 
-    /// Set accumulated CPU time (RTOS backend only).
+    /// Set accumulated CPU time, where the backend charges it (OS21's
+    /// `task_time` on the MPSoC backend, logical CPU time on inproc).
     pub fn set_cpu_time_ns(&self, ns: u64) {
         self.cpu_time_ns.store(ns, Ordering::Release);
     }
@@ -403,13 +367,14 @@ impl ComponentStats {
             HealthState::Restarting
         } else if flags & FLAG_FAULTED != 0 {
             HealthState::Faulted
+        } else if self.finished_ns.load(Ordering::Acquire) != u64::MAX {
+            HealthState::Finished
+        } else if self.started_ns.load(Ordering::Acquire) == u64::MAX {
+            HealthState::Created
+        } else if flags & FLAG_BLOCKED != 0 {
+            HealthState::Blocked
         } else {
-            match self.state() {
-                LifeState::Finished => HealthState::Finished,
-                LifeState::Running if flags & FLAG_BLOCKED != 0 => HealthState::Blocked,
-                LifeState::Running => HealthState::Running,
-                LifeState::Created => HealthState::Created,
-            }
+            HealthState::Running
         };
         HealthInfo {
             state,
@@ -434,14 +399,6 @@ impl ComponentStats {
         }
         self.send_timing.record(dur_ns);
         self.bytes_sent.fetch_add(bytes, Ordering::Relaxed);
-        let idx = SIZE_BUCKET_BOUNDS
-            .iter()
-            .position(|&b| bytes < b)
-            .unwrap_or(SIZE_BUCKET_BOUNDS.len() - 1);
-        self.send_buckets[idx].count.fetch_add(1, Ordering::Relaxed);
-        self.send_buckets[idx]
-            .total_ns
-            .fetch_add(dur_ns, Ordering::Relaxed);
     }
 
     /// Record a data receive of `bytes` from `iface` taking `dur_ns`
@@ -486,21 +443,9 @@ impl ComponentStats {
 
     /// Middleware-level snapshot.
     pub fn middleware_stats(&self) -> MiddlewareStats {
-        let mut send_by_size = Vec::with_capacity(SIZE_BUCKET_BOUNDS.len());
-        let mut lo = 0u64;
-        for (i, &hi) in SIZE_BUCKET_BOUNDS.iter().enumerate() {
-            send_by_size.push(SizeBucket {
-                lo,
-                hi,
-                count: self.send_buckets[i].count.load(Ordering::Relaxed),
-                total_ns: self.send_buckets[i].total_ns.load(Ordering::Relaxed),
-            });
-            lo = hi;
-        }
         MiddlewareStats {
             send: self.send_timing.snapshot(),
             recv: self.recv_timing.snapshot(),
-            send_by_size,
             bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
             bytes_received: self.bytes_received.load(Ordering::Relaxed),
         }
@@ -570,13 +515,13 @@ mod tests {
     #[test]
     fn lifecycle_and_exec_time() {
         let s = stats();
-        assert_eq!(s.state(), LifeState::Created);
+        assert_eq!(s.health(0).state, HealthState::Created);
         assert_eq!(s.os_stats(100).exec_time_ns, 0);
         s.mark_started(1_000);
-        assert_eq!(s.state(), LifeState::Running);
+        assert_eq!(s.health(1_000).state, HealthState::Running);
         assert_eq!(s.os_stats(1_500).exec_time_ns, 500);
         s.mark_finished(3_000);
-        assert_eq!(s.state(), LifeState::Finished);
+        assert_eq!(s.health(3_000).state, HealthState::Finished);
         assert_eq!(s.os_stats(99_999).exec_time_ns, 2_000);
     }
 
@@ -611,20 +556,6 @@ mod tests {
         assert_eq!(mw.recv.count, 0);
         assert_eq!(mw.recv.min_ns, 0);
         assert_eq!(mw.bytes_sent, 20);
-    }
-
-    #[test]
-    fn size_buckets_partition_sends() {
-        let s = stats();
-        s.record_send("idctReorder", 100, 1); // < 1 KiB
-        s.record_send("idctReorder", 2048, 1); // 1-4 KiB
-        s.record_send("idctReorder", 1 << 20, 1); // >= 256 KiB
-        let mw = s.middleware_stats();
-        assert_eq!(mw.send_by_size[0].count, 1);
-        assert_eq!(mw.send_by_size[1].count, 1);
-        assert_eq!(mw.send_by_size[5].count, 1);
-        let total: u64 = mw.send_by_size.iter().map(|b| b.count).sum();
-        assert_eq!(total, 3, "every send falls in exactly one bucket");
     }
 
     #[test]

@@ -26,8 +26,7 @@
 //! [`Message::Deadlined`](crate::Message) envelope has already expired.
 
 /// How a component responds to overload. Attach with
-/// [`ComponentSpec::with_overload`](crate::ComponentSpec::with_overload)
-/// or [`AppBuilder::overload_component`](crate::AppBuilder::overload_component).
+/// [`ComponentSpec::with_overload`](crate::ComponentSpec::with_overload).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OverloadPolicy {
     /// Bounded-queue shedding: while the queue (the popped data message

@@ -9,11 +9,12 @@
 //! hands every route that ends at a peer's
 //! `introspection` that peer's engine and endpoints as well
 //! ([`Observed`]: what a backend that can answer a poll on the
-//! observer's side reads through), and threads the restart / overload / fault /
-//! trace configuration into its [`ComponentRuntime`]. [`Completion`]
-//! owns the error list, the count of unfinished application components
-//! and the fail-fast vs contained decision; [`Deployed::report`] folds
-//! them into the final [`AppReport`].
+//! observer's side reads through), and threads the restart / overload /
+//! fault / trace configuration and the payload pool into its
+//! [`ComponentRuntime`]. [`Completion`] owns the error list, the count
+//! of unfinished application components and the fail-fast vs contained
+//! decision; [`Deployed::report`] folds them into the final
+//! [`AppReport`].
 //!
 //! What a backend supplies ([`Backend`]): how to *make an endpoint*,
 //! how to account memory, and how to *spawn a flow* — inside which it
@@ -177,6 +178,7 @@ pub struct Flow {
     restart: Option<RestartPolicy>,
     overload: Option<OverloadPolicy>,
     faults: Option<ComponentFaults>,
+    pool: Option<BufferPool>,
     completion: Arc<Completion>,
     behavior: Box<dyn Behavior>,
 }
@@ -200,6 +202,7 @@ impl Flow {
         runtime.restart = self.restart;
         runtime.overload = self.overload;
         runtime.faults = self.faults;
+        runtime.pool = self.pool;
         runtime.run_to_completion(self.behavior);
     }
 }
@@ -239,11 +242,6 @@ impl Deployed {
     /// The application's termination accounting.
     pub fn completion(&self) -> &Arc<Completion> {
         &self.completion
-    }
-
-    /// Every component's observation engine, in component order.
-    pub fn engines(&self) -> &[ObsEngine] {
-        &self.engines
     }
 
     /// The application has terminated: aggregate every originating
@@ -350,6 +348,7 @@ pub fn deploy<B: Backend>(backend: &mut B, mut spec: AppSpec) -> Result<Deployed
                 .faults
                 .as_ref()
                 .and_then(|plan| plan.for_component(&c.name, table(index))),
+            pool: spec.pool.clone(),
             completion: Arc::clone(&completion),
             behavior: c.behavior,
         };

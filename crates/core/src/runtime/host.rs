@@ -365,24 +365,10 @@ impl<P: Parker> Transport for HostTransport<P> {
         }
     }
 
-    fn payload_pool(&self) -> Option<&BufferPool> {
-        self.pool.as_ref()
-    }
-
     fn inbox_depth(&self, provided: IfaceId) -> u64 {
         self.inboxes[provided.index()]
             .as_ref()
             .map_or(0, Inbox::depth) as u64
-    }
-
-    fn drain_inboxes(&mut self) {
-        // Slot 0 is `introspection`, whose traffic a restart keeps.
-        for inbox in self.inboxes.iter_mut().skip(1).flatten() {
-            for msg in inbox.stash.drain(..) {
-                self.stats.unstash(msg.data_len() as u64);
-            }
-            while inbox.fifo.try_pop().is_some() {}
-        }
     }
 }
 
@@ -609,12 +595,6 @@ mod tests {
         };
         assert_eq!(report.os.queued_bytes, 3);
         assert_eq!(report.health.unwrap().queued_messages, 1);
-        // A restart that drains the mailboxes empties the stash too.
-        target.drain_inboxes();
-        let Some(ObsReply::Health(health)) = observer.observe(obs_c, ObsRequest::Health) else {
-            panic!("not answered in place");
-        };
-        assert_eq!((health.queued_messages, health.queued_bytes), (0, 0));
         // Not a connection into an introspection interface: the
         // runtime sends a message.
         assert!(observer
@@ -624,7 +604,7 @@ mod tests {
     }
 
     #[test]
-    fn introspection_is_an_inbox_by_name_too_and_survives_a_drain() {
+    fn introspection_is_an_inbox_by_name_too() {
         let (mut t, data, obs) = transport();
         let (data_in, ifaces) = (id(&t, "in"), t.stats.interfaces());
         assert!(ifaces.has_inbox(data_in) && ifaces.has_inbox(IfaceId::INTROSPECTION));
@@ -639,8 +619,6 @@ mod tests {
         };
         assert_eq!(depths(&t), (1, 1));
         assert_eq!(t.queued_bytes(), 5);
-        t.drain_inboxes();
-        assert_eq!(depths(&t), (0, 1));
         assert_eq!(requester(t.poll_obs()).as_deref(), Some("a"));
     }
 }

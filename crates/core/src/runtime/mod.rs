@@ -26,6 +26,13 @@
 //! send and receive take no application-wide lock (the payload pool is
 //! sharded by thread, a mailbox is shared by its two ends only).
 //!
+//! What is the same on every backend stays out of [`Transport`]: the
+//! runtime itself holds the application's payload pool (what
+//! [`Ctx::payload_pool`] returns) and the restart policy. A backend
+//! that measures CPU time stores it into the component's
+//! [`ComponentStats`] where it charges it, so an observation reply
+//! and the final report read the value at their stamp.
+//!
 //! Interfaces are bound once, at deployment (§4.1): [`Ctx`] resolves a
 //! call's names in the component's [`IfaceTable`], and below it an
 //! interface is an [`IfaceId`], an index into a `Vec`.
@@ -119,6 +126,7 @@ use crate::observe::engine::ObsEngine;
 use crate::observe::protocol::{ObsReply, ObsRequest};
 use crate::observe::stats::ComponentStats;
 use crate::overload::OverloadPolicy;
+use crate::pool::BufferPool;
 use crate::supervise::{ComponentFaults, Escalation, FaultAction, RestartPolicy};
 use trace::{EventKind, TraceWriter};
 
@@ -201,38 +209,15 @@ pub trait Transport {
 
     /// Account a completed [`Work`] annotation: advances virtual time on
     /// simulated backends; free (the default) where real code runs on
-    /// real silicon.
+    /// real silicon. A backend that measures CPU time stores it into
+    /// the component's statistics where it charges it, here and in
+    /// `push` and `try_pop`, so every reply reads a current value.
     fn compute(&mut self, _work: Work) {}
-
-    /// The behavior returned for good (restarts exhausted or not
-    /// applicable): platform-side bookkeeping such as marking a
-    /// scheduler slot or sampling the task's CPU time. Errors and the
-    /// shutdown decision are the runtime's business, not the
-    /// transport's.
-    fn behavior_finished(&mut self) {}
 
     /// Best-effort pause of this execution flow for `ns` (restart
     /// backoff). Virtual-time backends advance their clock; the default
     /// is a no-op.
     fn delay(&mut self, _ns: u64) {}
-
-    /// Discard queued *data* messages on every provided interface
-    /// (restart with [`RestartPolicy::drain_mailboxes`]); introspection
-    /// traffic is preserved. The default is a no-op.
-    fn drain_inboxes(&mut self) {}
-
-    /// Last-moment patch of an outgoing introspection reply with data
-    /// only the platform knows (e.g. RTOS per-task CPU time).
-    fn refine_reply(&mut self, _reply: &mut ObsReply) {}
-
-    /// The application's shared payload [`crate::BufferPool`], when one was
-    /// attached ([`crate::AppBuilder::with_buffer_pool`]) and this
-    /// backend threads it through. Behaviors draw serialization buffers
-    /// from it and recycle consumed payloads into it; `None` (the
-    /// default) means plain allocation everywhere.
-    fn payload_pool(&self) -> Option<&crate::pool::BufferPool> {
-        None
-    }
 
     /// Messages currently queued on this component's provided interface
     /// `provided` — the per-inbox depth that queue-bound overload
@@ -262,6 +247,8 @@ pub struct ComponentRuntime<T: Transport> {
     overload: Option<OverloadPolicy>,
     /// The receive set in progress (kept: a receive allocates nothing).
     lanes: Vec<IfaceId>,
+    /// The application's payload pool ([`crate::AppSpec::pool`]).
+    pool: Option<BufferPool>,
 }
 
 impl<T: Transport> ComponentRuntime<T> {
@@ -285,6 +272,7 @@ impl<T: Transport> ComponentRuntime<T> {
             faults: None,
             overload: None,
             lanes: Vec::new(),
+            pool: None,
         }
     }
 
@@ -321,8 +309,7 @@ impl<T: Transport> ComponentRuntime<T> {
             };
             self.refresh_queued_gauge();
             let now = self.transport.now_ns();
-            let mut reply = self.engine.answer(request, now);
-            self.transport.refine_reply(&mut reply);
+            let reply = self.engine.answer(request, now);
             if self.stats.interfaces().has_route(IfaceId::INTROSPECTION) {
                 self.transport.push(
                     IfaceId::INTROSPECTION,
@@ -423,9 +410,6 @@ impl<T: Transport> ComponentRuntime<T> {
                         u64::from(restarts),
                         policy.backoff_ns,
                     );
-                    if policy.drain_mailboxes {
-                        self.transport.drain_inboxes();
-                    }
                     if policy.backoff_ns > 0 {
                         self.transport.delay(policy.backoff_ns);
                     }
@@ -441,7 +425,6 @@ impl<T: Transport> ComponentRuntime<T> {
             (Some(e), Some(policy)) if policy.escalation == Escalation::OneForOne
                 && !matches!(e, EmberaError::Terminated)
         );
-        self.transport.behavior_finished();
         let now = self.transport.now_ns();
         if self
             .completion
@@ -736,8 +719,8 @@ impl<T: Transport> Ctx for RuntimeCtx<'_, T> {
         self.rt.transport.is_shutdown()
     }
 
-    fn payload_pool(&self) -> Option<crate::pool::BufferPool> {
-        self.rt.transport.payload_pool().cloned()
+    fn payload_pool(&self) -> Option<BufferPool> {
+        self.rt.pool.clone()
     }
 }
 

@@ -36,7 +36,8 @@ pub enum Escalation {
 /// When the behavior returns an error (including a contained panic), the
 /// runtime re-runs it in place — same execution flow, same mailboxes —
 /// up to `max_restarts` times, pausing `backoff_ns` between attempts.
-/// `Terminated` never triggers a restart: it means the application is
+/// What was queued on its interfaces stays queued: the re-run resumes
+/// the backlog. `Terminated` never triggers a restart: it means the application is
 /// already shutting down.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RestartPolicy {
@@ -47,10 +48,6 @@ pub struct RestartPolicy {
     pub backoff_ns: u64,
     /// What to do once `max_restarts` is exhausted.
     pub escalation: Escalation,
-    /// True discards messages queued on the component's data provided
-    /// interfaces before the re-run; false (default) preserves them so
-    /// the restarted behavior resumes the backlog.
-    pub drain_mailboxes: bool,
 }
 
 impl Default for RestartPolicy {
@@ -59,7 +56,6 @@ impl Default for RestartPolicy {
             max_restarts: 1,
             backoff_ns: 0,
             escalation: Escalation::Escalate,
-            drain_mailboxes: false,
         }
     }
 }
@@ -373,6 +369,5 @@ mod tests {
         let p = RestartPolicy::default();
         assert_eq!(p.max_restarts, 1);
         assert_eq!(p.escalation, Escalation::Escalate);
-        assert!(!p.drain_mailboxes);
     }
 }

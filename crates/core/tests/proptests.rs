@@ -65,11 +65,6 @@ proptest! {
         prop_assert_eq!(mw.send.max_ns, max_send);
         prop_assert_eq!(mw.bytes_sent, bytes_sent);
         prop_assert!(mw.send.min_ns <= mw.send.max_ns);
-        // Histogram buckets partition all sends.
-        let bucket_total: u64 = mw.send_by_size.iter().map(|b| b.count).sum();
-        prop_assert_eq!(bucket_total, sends);
-        let bucket_ns: u64 = mw.send_by_size.iter().map(|b| b.total_ns).sum();
-        prop_assert_eq!(bucket_ns, send_ns);
     }
 
     #[test]

@@ -252,11 +252,4 @@ impl Transport for InprocTransport {
         let inbox = self.wiring.provided[provided.index()].as_ref();
         inbox.map_or(0, |q| q.len() as u64)
     }
-
-    fn drain_inboxes(&mut self) {
-        // Slot 0 is `introspection`, whose traffic a restart keeps.
-        for q in self.wiring.provided.iter().skip(1).flatten() {
-            while q.try_pop().is_some() {}
-        }
-    }
 }

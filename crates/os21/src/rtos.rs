@@ -1,10 +1,9 @@
-//! The RTOS instance: per-CPU cooperative scheduling and the task table.
+//! The RTOS instance: per-CPU cooperative scheduling.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
-use sim_kernel::{Kernel, LockStep, Pid, Time};
+use sim_kernel::{Kernel, Pid};
 
 use mpsoc_sim::{CpuId, Machine};
 
@@ -32,8 +31,6 @@ pub(crate) struct CpuSched {
 struct RtosInner {
     machine: Machine,
     cpus: Vec<CpuSched>,
-    /// Per-task accumulated CPU time, keyed by task name.
-    task_time: LockStep<HashMap<String, Arc<AtomicU64>>>,
 }
 
 /// An OS21-like RTOS instance over a simulated machine.
@@ -56,7 +53,6 @@ impl Rtos {
                         busy_until: AtomicU64::new(0),
                     })
                     .collect(),
-                task_time: LockStep::default(),
             }),
         }
     }
@@ -85,16 +81,12 @@ impl Rtos {
             "CPU {cpu} out of range (machine has {})",
             self.inner.cpus.len()
         );
-        let cpu_time = Arc::new(AtomicU64::new(0));
-        self.inner
-            .task_time
-            .with(|table| table.insert(name.clone(), Arc::clone(&cpu_time)));
         let rtos = self.clone();
         let task_name = name.clone();
         // The CPU is this layer's business (`CpuSched` serializes the
         // compute of same-CPU tasks); to the kernel a task is a process.
         let pid = kernel.spawn(name.clone(), move |ctx| {
-            let tctx = TaskCtx::new(ctx, rtos, cpu, task_name, cpu_time);
+            let tctx = TaskCtx::new(ctx, rtos, cpu, task_name);
             body(tctx);
         });
         TaskInfo {
@@ -103,14 +95,6 @@ impl Rtos {
             priority,
             pid,
         }
-    }
-
-    /// Accumulated CPU time (ns) of a task, by name — the external view
-    /// of OS21's `task_time` (used by observers outside the task).
-    pub fn task_time_ns(&self, name: &str) -> Option<Time> {
-        self.inner
-            .task_time
-            .with(|table| table.get(name).map(|t| t.load(Ordering::Acquire)))
     }
 
     pub(crate) fn sched(&self, cpu: CpuId) -> &CpuSched {
@@ -122,6 +106,7 @@ impl Rtos {
 mod tests {
     use super::*;
     use mpsoc_sim::ComputeClass;
+    use std::sync::atomic::Ordering;
 
     #[test]
     fn same_cpu_compute_serializes() {
@@ -186,12 +171,15 @@ mod tests {
     fn task_time_accumulates_only_compute() {
         let mut kernel = Kernel::new();
         let rtos = Rtos::new(Machine::sti7200());
-        rtos.spawn_task(&mut kernel, 1, "worker", 0, |t| {
+        let spent = Arc::new(AtomicU64::new(0));
+        let seen = Arc::clone(&spent);
+        rtos.spawn_task(&mut kernel, 1, "worker", 0, move |t| {
             t.delay(1_000_000); // sleep: not CPU time
             t.compute(ComputeClass::Control, 10_000);
+            seen.store(t.task_time(), Ordering::SeqCst);
         });
         kernel.run().unwrap();
-        let cpu_time = rtos.task_time_ns("worker").unwrap();
+        let cpu_time = spent.load(Ordering::SeqCst);
         assert!(cpu_time > 0);
         assert!(
             cpu_time < kernel.now(),

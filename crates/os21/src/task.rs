@@ -1,7 +1,6 @@
 //! Task context: the OS21-flavoured API a task body runs against.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use sim_kernel::{SimCtx, Time};
 
@@ -16,23 +15,17 @@ pub struct TaskCtx {
     rtos: Rtos,
     cpu: CpuId,
     name: String,
-    cpu_time: Arc<AtomicU64>,
+    cpu_time: AtomicU64,
 }
 
 impl TaskCtx {
-    pub(crate) fn new(
-        sim: SimCtx,
-        rtos: Rtos,
-        cpu: CpuId,
-        name: String,
-        cpu_time: Arc<AtomicU64>,
-    ) -> Self {
+    pub(crate) fn new(sim: SimCtx, rtos: Rtos, cpu: CpuId, name: String) -> Self {
         TaskCtx {
             sim,
             rtos,
             cpu,
             name,
-            cpu_time,
+            cpu_time: AtomicU64::new(0),
         }
     }
 

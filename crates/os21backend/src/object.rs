@@ -83,7 +83,7 @@ impl DistributedObject {
 
     /// Take the next message without charging a receive: for traffic
     /// that is not an application receive (the observation service's
-    /// poll, a restart discarding its backlog).
+    /// poll).
     pub(crate) fn try_take(&self) -> Option<Message> {
         self.queue.with(|queue| queue.pop_front())
     }

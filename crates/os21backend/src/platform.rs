@@ -52,7 +52,6 @@ pub struct Os21Running {
     deployed: Deployed,
     kernel: Kernel,
     machine: Machine,
-    rtos: Rtos,
 }
 
 /// One OS21 task per component, one EMBX distributed object per
@@ -154,7 +153,6 @@ impl Platform for Os21Platform {
             deployed,
             kernel: backend.kernel,
             machine: backend.machine,
-            rtos: backend.rtos,
         })
     }
 }
@@ -174,12 +172,6 @@ impl Os21Running {
         self.kernel
             .run()
             .map_err(|e| EmberaError::Platform(e.to_string()))?;
-        // Fold in final RTOS CPU time.
-        for e in self.deployed.engines() {
-            if let Some(t) = self.rtos.task_time_ns(e.stats().name()) {
-                e.stats().set_cpu_time_ns(t);
-            }
-        }
         let stats = self.kernel.stats();
         let report = self.deployed.report(self.kernel.now())?;
         Ok((report, stats))
@@ -199,7 +191,10 @@ mod tests {
 
     use bytes::Bytes;
     use embera::behavior::behavior_fn;
-    use embera::{AppBuilder, ComponentSpec, ObserverConfig, Work, WorkClass};
+    use embera::{
+        AppBuilder, ComponentSpec, Message, ObsReply, ObsRequest, ObserverConfig, Work, WorkClass,
+        INTROSPECTION,
+    };
     use mjpeg::{build_mpsoc_app, synthesize_stream, MjpegAppConfig};
 
     fn simple_pipeline(n: u32) -> AppBuilder {
@@ -300,6 +295,77 @@ mod tests {
         let dst = report.component("dst").unwrap();
         assert!(dst.os.cpu_time_ns > 0, "DSP work must accrue CPU time");
         assert!(dst.os.exec_time_ns >= dst.os.cpu_time_ns);
+    }
+
+    #[test]
+    fn an_os_stats_reply_reads_the_cpu_time_charged_before_it() {
+        // The target computes, then waits; a hand-written observer asks
+        // it for `OsStats` and then for `Full`, in one round. The first
+        // reply reads exactly the compute's CPU time (one that patched
+        // CPU time into `Full` replies only answered 0 here), and each
+        // later one also counts the replies the task sent before it.
+        const OPS: u64 = 1_000_000;
+        let compute_ns = Machine::new(MachineConfig::sti7200_three_cpu())
+            .cost()
+            .compute_ns(1, mpsoc_sim::ComputeClass::Dsp, OPS);
+        let replies = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let sink = Arc::clone(&replies);
+        let mut app = AppBuilder::new("cpu-time-at-the-stamp");
+        app.add(
+            ComponentSpec::new(
+                "target",
+                behavior_fn(|ctx| {
+                    ctx.compute(Work::ops(WorkClass::Dsp, OPS));
+                    ctx.recv("go").map(drop)
+                }),
+            )
+            .with_provided("go")
+            .on_cpu(1),
+        );
+        app.add(
+            ComponentSpec::new(
+                "prober",
+                behavior_fn(move |ctx| {
+                    // Long past the target's compute.
+                    assert!(ctx.recv_timeout("replies", 10 * compute_ns)?.is_none());
+                    for request in [ObsRequest::OsStats, ObsRequest::Full] {
+                        assert!(ctx.observe("ask", request)?.is_none(), "sent as a message");
+                    }
+                    for _ in 0..2 {
+                        match ctx.recv_message("replies")? {
+                            Message::ObsReply { reply, .. } => sink.lock().unwrap().push(*reply),
+                            other => panic!("expected a reply, got {other:?}"),
+                        }
+                    }
+                    ctx.send("go", Bytes::new())
+                }),
+            )
+            .with_required("ask")
+            .with_required("go")
+            .with_provided("replies")
+            .on_cpu(0),
+        );
+        app.connect(("prober", "ask"), ("target", INTROSPECTION));
+        app.connect(("target", INTROSPECTION), ("prober", "replies"));
+        app.connect(("prober", "go"), ("target", "go"));
+        let report = Os21Platform::three_cpu()
+            .deploy(app.build().unwrap())
+            .unwrap()
+            .wait()
+            .unwrap();
+        let replies = replies.lock().unwrap();
+        let [ObsReply::Os(os), ObsReply::Full(full)] = &replies[..] else {
+            panic!("expected an OsStats and a Full reply, got {replies:?}");
+        };
+        assert_eq!(os.cpu_time_ns, compute_ns);
+        // Stamped after the OsStats reply was sent, an EMBX send the
+        // task paid for.
+        assert!(full.os.cpu_time_ns > os.cpu_time_ns);
+        let target = report.component("target").unwrap();
+        assert!(
+            target.os.cpu_time_ns > full.os.cpu_time_ns,
+            "it received `go`"
+        );
     }
 
     #[test]

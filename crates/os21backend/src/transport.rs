@@ -10,7 +10,7 @@ use std::sync::Arc;
 use sim_kernel::EventId;
 
 use embera::runtime::{IfaceId, Transport, Wiring};
-use embera::{ComponentStats, Message, ObsReply, Work, WorkClass};
+use embera::{ComponentStats, Message, Work, WorkClass};
 use mpsoc_sim::{ComputeClass, RegionId};
 use os21::TaskCtx;
 
@@ -71,6 +71,12 @@ impl Os21Transport {
             mem_cursor: 0,
         }
     }
+
+    /// OS21's `task_time()`, stored where the task is charged: an
+    /// observation reply and the final report read it current.
+    fn publish_cpu_time(&self) {
+        self.stats.set_cpu_time_ns(self.task.task_time());
+    }
 }
 
 impl Transport for Os21Transport {
@@ -92,7 +98,9 @@ impl Transport for Os21Transport {
         let route = self.routes[required.index()]
             .as_ref()
             .expect("the runtime pushes only where its table has a route");
-        route.send(&self.task, self.local_region, msg)
+        let ns = route.send(&self.task, self.local_region, msg);
+        self.publish_cpu_time();
+        ns
     }
 
     fn try_pop(&mut self, provided: IfaceId) -> Option<(Message, u64)> {
@@ -103,7 +111,9 @@ impl Transport for Os21Transport {
         if provided == IfaceId::INTROSPECTION {
             return inbox.try_take().map(|msg| (msg, 0));
         }
-        inbox.try_receive(&self.task, self.local_region)
+        let received = inbox.try_receive(&self.task, self.local_region)?;
+        self.publish_cpu_time();
+        Some(received)
     }
 
     fn queued_bytes(&self) -> u64 {
@@ -156,10 +166,7 @@ impl Transport for Os21Transport {
             let addr = region.base + (cursor % window);
             self.task.mem_access(addr, work.mem_bytes);
         }
-    }
-
-    fn behavior_finished(&mut self) {
-        self.stats.set_cpu_time_ns(self.task.task_time());
+        self.publish_cpu_time();
     }
 
     fn inbox_depth(&self, provided: IfaceId) -> u64 {
@@ -172,21 +179,6 @@ impl Transport for Os21Transport {
         // cut the wait short; the restart still happens after it.
         if ns > 0 {
             self.task.sim().wait_timeout(self.doorbell, ns);
-        }
-    }
-
-    fn drain_inboxes(&mut self) {
-        // Slot 0 is `introspection`, whose traffic a restart keeps.
-        for inbox in self.inboxes.iter().skip(1).flatten() {
-            while inbox.try_take().is_some() {}
-        }
-    }
-
-    fn refine_reply(&mut self, reply: &mut ObsReply) {
-        // Keep RTOS CPU-time fresh in OS-level replies.
-        self.stats.set_cpu_time_ns(self.task.task_time());
-        if let ObsReply::Full(r) = reply {
-            r.os.cpu_time_ns = self.task.task_time();
         }
     }
 }

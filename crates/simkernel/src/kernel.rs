@@ -12,8 +12,7 @@
 //! the same simulation the same schedule.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -97,68 +96,45 @@ struct TimedEntry {
     event: EventId,
 }
 
-/// Multiply-shift hasher for [`EventId`] keys: one multiply, the high
-/// half shifted down onto the low so that both the bucket index and the
-/// tag bits the table takes from either end are mixed. The ids are a
-/// counter the kernel itself hands out, so there is no crafted key to
-/// defend against and SipHash bought nothing.
-#[derive(Default)]
-struct EventIdHasher(u64);
-
-impl Hasher for EventIdHasher {
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("an EventId hashes as one u64");
-    }
-
-    fn write_u64(&mut self, id: u64) {
-        let h = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = h ^ (h >> 32);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// Who waits on which event, in registration order — which, with one
 /// queue, is the `(time, seq)` order of the dispatches that registered
-/// them. A notification drains the event's whole waiter list; the
-/// emptied vectors go round through a small free list so the
+/// them. Indexed by [`EventId`], a dense counter
+/// ([`Kernel::alloc_event`]). A notification drains the event's list
+/// and puts it back empty, so each slot keeps its capacity and the
 /// wait→notify cycle of a semaphore or a channel allocates nothing in
 /// steady state.
 #[derive(Default)]
-struct Waiters {
-    by_event: HashMap<EventId, Vec<Pid>, BuildHasherDefault<EventIdHasher>>,
-    free: Vec<Vec<Pid>>,
-}
+struct Waiters(Vec<Vec<Pid>>);
 
 impl Waiters {
-    /// Emptied waiter vectors kept for reuse.
-    const FREE_LISTS: usize = 32;
-
     fn register(&mut self, event: EventId, pid: Pid) {
-        self.by_event
-            .entry(event)
-            .or_insert_with(|| self.free.pop().unwrap_or_default())
-            .push(pid);
+        let slot = event.0 as usize;
+        if slot >= self.0.len() {
+            self.0.resize_with(slot + 1, Vec::new);
+        }
+        self.0[slot].push(pid);
     }
 
-    /// Take back the drained waiter vector of a delivered event.
-    fn recycle(&mut self, mut waiters: Vec<Pid>) {
-        if self.free.len() < Self::FREE_LISTS {
-            waiters.clear();
-            self.free.push(waiters);
+    /// The waiters of `event`, leaving its slot empty until
+    /// [`Waiters::put_back`].
+    fn take(&mut self, event: EventId) -> Vec<Pid> {
+        self.0
+            .get_mut(event.0 as usize)
+            .map(std::mem::take)
+            .unwrap_or_default()
+    }
+
+    /// Return the drained list of `event` to its slot.
+    fn put_back(&mut self, event: EventId, drained: Vec<Pid>) {
+        if let Some(slot) = self.0.get_mut(event.0 as usize) {
+            *slot = drained;
         }
     }
 
     /// Withdraw `pid`'s registration on `event` (its timeout fired).
     fn cancel(&mut self, event: EventId, pid: Pid) {
-        if let Some(waiters) = self.by_event.get_mut(&event) {
+        if let Some(waiters) = self.0.get_mut(event.0 as usize) {
             waiters.retain(|&w| w != pid);
-            if waiters.is_empty() {
-                let emptied = self.by_event.remove(&event).expect("just seen");
-                self.recycle(emptied);
-            }
         }
     }
 }
@@ -323,18 +299,17 @@ impl Kernel {
     }
 
     fn deliver_notification(&mut self, event: EventId) {
-        if let Some(mut waiters) = self.waiters.by_event.remove(&event) {
-            let now = self.now();
-            for pid in waiters.drain(..) {
-                // The waiter's epoch advances so stale timeout checks
-                // become no-ops.
-                self.procs[pid].wait_epoch += 1;
-                self.procs[pid].state = ProcState::Runnable;
-                self.stats.notifications_delivered += 1;
-                self.push(now, QueueItem::Resume(pid, ResumeKind::Notified));
-            }
-            self.waiters.recycle(waiters);
+        let mut waiters = self.waiters.take(event);
+        let now = self.now();
+        for pid in waiters.drain(..) {
+            // The waiter's epoch advances so stale timeout checks
+            // become no-ops.
+            self.procs[pid].wait_epoch += 1;
+            self.procs[pid].state = ProcState::Runnable;
+            self.stats.notifications_delivered += 1;
+            self.push(now, QueueItem::Resume(pid, ResumeKind::Notified));
         }
+        self.waiters.put_back(event, waiters);
     }
 
     /// Apply what the slice `pid` just ran left behind: the notifications

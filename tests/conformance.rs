@@ -207,7 +207,6 @@ fn timeless(mut reply: ObsReply) -> ObsReply {
         for timing in [&mut mw.send, &mut mw.recv] {
             (timing.total_ns, timing.min_ns, timing.max_ns) = (0, 0, 0);
         }
-        mw.send_by_size.iter_mut().for_each(|b| b.total_ns = 0);
     }
     match &mut reply {
         ObsReply::Os(o) => os(o),
