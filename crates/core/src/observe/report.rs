@@ -14,9 +14,10 @@ pub struct OsStats {
     /// the structures of its provided interfaces (the paper's formula:
     /// `pthread_attr_getstacksize` + `sizeof` of the interfaces).
     pub memory_bytes: u64,
-    /// CPU time the component consumed, ns: OS21's `task_time` on the
-    /// MPSoC backend, the logical CPU time its own operations charged on
-    /// `embera-inproc`; 0 on the host backends, which do not measure it.
+    /// CPU time the component's own operations consumed, ns: OS21's
+    /// `task_time` on the MPSoC backend, logical CPU time on
+    /// `embera-inproc`, 0 on the host backends, which do not measure it.
+    /// What its runtime's observation replies were charged is not in it.
     pub cpu_time_ns: u64,
     /// Bytes of message payload currently queued in the component's
     /// provided-interface mailboxes — the dynamic part of the memory

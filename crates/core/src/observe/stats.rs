@@ -154,6 +154,10 @@ pub struct ComponentStats {
     /// Deadlined messages shed at ingress because their deadline had
     /// already expired.
     expired_messages: AtomicU64,
+    /// The part of `cpu_time_ns` the transport charged for the runtime's
+    /// observation replies ([`ComponentStats::uncharged`]). Last, so no
+    /// field the data path writes moves.
+    obs_cpu_ns: AtomicU64,
 }
 
 impl ComponentStats {
@@ -197,6 +201,7 @@ impl ComponentStats {
             restarts: AtomicU64::new(0),
             shed_messages: AtomicU64::new(0),
             expired_messages: AtomicU64::new(0),
+            obs_cpu_ns: AtomicU64::new(0),
         }
     }
 
@@ -235,6 +240,17 @@ impl ComponentStats {
     /// `task_time` on the MPSoC backend, logical CPU time on inproc).
     pub fn set_cpu_time_ns(&self, ns: u64) {
         self.cpu_time_ns.store(ns, Ordering::Release);
+    }
+
+    /// Run `work`, done by the runtime on the component's behalf on its
+    /// own flow, and keep the CPU time the transport charged for it out
+    /// of every report: counted after that time was stored (`Release`).
+    pub(crate) fn uncharged<R>(&self, work: impl FnOnce() -> R) -> R {
+        let before = self.cpu_time_ns.load(Ordering::Relaxed);
+        let result = work();
+        let spent = self.cpu_time_ns.load(Ordering::Relaxed) - before;
+        self.obs_cpu_ns.fetch_add(spent, Ordering::Release);
+        result
     }
 
     /// Update the queued-payload gauge (runtime-maintained).
@@ -433,10 +449,12 @@ impl ComponentStats {
         } else {
             finished.saturating_sub(started)
         };
+        // First: a reader that sees a reply's share also sees its time.
+        let obs_cpu = self.obs_cpu_ns.load(Ordering::Acquire);
         OsStats {
             exec_time_ns,
             memory_bytes: self.memory_bytes.load(Ordering::Acquire),
-            cpu_time_ns: self.cpu_time_ns.load(Ordering::Acquire),
+            cpu_time_ns: self.cpu_time_ns.load(Ordering::Acquire) - obs_cpu,
             queued_bytes: queued.bytes,
         }
     }

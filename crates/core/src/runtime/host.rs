@@ -357,14 +357,6 @@ impl<P: Parker> Transport for HostTransport<P> {
         self.parker.park(None);
     }
 
-    fn delay(&mut self, ns: u64) {
-        let target = self.parker.now_ns().saturating_add(ns);
-        // Spurious wakes (a message arriving mid-backoff) just re-park.
-        while self.parker.now_ns() < target && !self.parker.is_shutdown() {
-            self.parker.park(Some(target));
-        }
-    }
-
     fn inbox_depth(&self, provided: IfaceId) -> u64 {
         self.inboxes[provided.index()]
             .as_ref()

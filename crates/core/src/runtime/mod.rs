@@ -28,10 +28,12 @@
 //!
 //! What is the same on every backend stays out of [`Transport`]: the
 //! runtime itself holds the application's payload pool (what
-//! [`Ctx::payload_pool`] returns) and the restart policy. A backend
-//! that measures CPU time stores it into the component's
-//! [`ComponentStats`] where it charges it, so an observation reply
-//! and the final report read the value at their stamp.
+//! [`Ctx::payload_pool`] returns), the restart policy and its pause (a
+//! timed [`Transport::park_recv`] on no interface). A backend that
+//! measures CPU time stores it into the component's [`ComponentStats`]
+//! where it charges it, so an observation reply and the final report
+//! read the value at their stamp; what a reply's own push was charged
+//! the runtime keeps out of that value, on every backend alike.
 //!
 //! Interfaces are bound once, at deployment (§4.1): [`Ctx`] resolves a
 //! call's names in the component's [`IfaceTable`], and below it an
@@ -130,8 +132,10 @@ use crate::pool::BufferPool;
 use crate::supervise::{ComponentFaults, Escalation, FaultAction, RestartPolicy};
 use trace::{EventKind, TraceWriter};
 
-/// What a platform backend must provide to host components: message
-/// movement with costs, time, shutdown visibility, and parking.
+/// What a platform backend must provide to host components, in twelve
+/// methods: message movement with costs, time, shutdown visibility, and
+/// parking. Whose time a cost is, and how long a restart pauses, the
+/// runtime decides alike for every backend, not a transport.
 ///
 /// All methods take `&mut self`: a transport belongs to exactly one
 /// component's execution flow. An interface is its [`IfaceId`]: the
@@ -198,8 +202,9 @@ pub trait Transport {
     /// module's waiting contract). `provided` lists the interfaces the
     /// behavior is receiving on, in the order it scans them (one for
     /// `recv`, several for [`Ctx::recv_any_message`]), so that a backend
-    /// that diagnoses deadlocks can name the receive set; it is never
-    /// empty.
+    /// that diagnoses deadlocks can name the receive set. It is empty
+    /// only for the runtime's restart backoff, which always passes a
+    /// deadline.
     fn park_recv(&mut self, provided: &[IfaceId], deadline_ns: Option<u64>);
 
     /// Block in the post-behavior quiescent loop until there may be
@@ -213,11 +218,6 @@ pub trait Transport {
     /// the component's statistics where it charges it, here and in
     /// `push` and `try_pop`, so every reply reads a current value.
     fn compute(&mut self, _work: Work) {}
-
-    /// Best-effort pause of this execution flow for `ns` (restart
-    /// backoff). Virtual-time backends advance their clock; the default
-    /// is a no-op.
-    fn delay(&mut self, _ns: u64) {}
 
     /// Messages currently queued on this component's provided interface
     /// `provided` — the per-inbox depth that queue-bound overload
@@ -311,13 +311,15 @@ impl<T: Transport> ComponentRuntime<T> {
             let now = self.transport.now_ns();
             let reply = self.engine.answer(request, now);
             if self.stats.interfaces().has_route(IfaceId::INTROSPECTION) {
-                self.transport.push(
-                    IfaceId::INTROSPECTION,
-                    Message::ObsReply {
-                        from: self.name().to_string(),
-                        reply: Box::new(reply),
-                    },
-                );
+                let reply = Message::ObsReply {
+                    from: self.name().to_string(),
+                    reply: Box::new(reply),
+                };
+                // The reply takes platform time, but it is the runtime's
+                // work, not the component's: none of it is its CPU time.
+                let transport = &mut self.transport;
+                self.stats
+                    .uncharged(|| transport.push(IfaceId::INTROSPECTION, reply));
             }
             // With no observer connected the reply is dropped: nobody is
             // listening on the introspection required interface.
@@ -386,6 +388,17 @@ impl<T: Transport> ComponentRuntime<T> {
         }
     }
 
+    /// Restart backoff: wait `ns` of platform time, answering polls as a
+    /// blocked `recv` does, until it has passed or the application shuts
+    /// down. A park may return early; only the clock ends the pause.
+    fn pause(&mut self, ns: u64) {
+        let until = self.transport.now_ns().saturating_add(ns);
+        while self.transport.now_ns() < until && !self.transport.is_shutdown() {
+            self.service_introspection();
+            self.transport.park_recv(&[], Some(until));
+        }
+    }
+
     /// Full execution-flow body: behavior (re-run under the restart
     /// policy, if any), termination accounting, quiescent observation
     /// service, exit hook. This is what a backend runs in the
@@ -410,9 +423,7 @@ impl<T: Transport> ComponentRuntime<T> {
                         u64::from(restarts),
                         policy.backoff_ns,
                     );
-                    if policy.backoff_ns > 0 {
-                        self.transport.delay(policy.backoff_ns);
-                    }
+                    self.pause(policy.backoff_ns);
                 }
                 _ => break result,
             }

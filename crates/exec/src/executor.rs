@@ -37,9 +37,10 @@
 //!
 //! ## Timers
 //!
-//! `recv_timeout`/`delay` arm a per-task deadline; armed task ids sit in
-//! one shared list. Idle workers fire due deadlines before sleeping and
-//! sleep no longer than the earliest armed deadline. Deadlines are lower
+//! Timed parks (a timed receive, the restart pause) arm a per-task
+//! deadline; armed task ids sit in one shared list. Idle workers fire
+//! due deadlines before sleeping and sleep no longer than the earliest
+//! armed deadline. Deadlines are lower
 //! bounds (exactly like the thread backend's timeout slices): a fully
 //! busy pool fires them as soon as a worker runs dry.
 

@@ -73,10 +73,6 @@ impl Shared {
         self.clock.load(Ordering::Relaxed)
     }
 
-    fn advance(&self, ns: u64) {
-        self.clock.fetch_add(ns, Ordering::Relaxed);
-    }
-
     /// Make component `i` runnable if it is parked.
     fn wake(&self, i: usize) {
         let mut s = self.sched.lock();
@@ -153,7 +149,7 @@ pub(crate) struct InprocTransport {
 
 impl InprocTransport {
     fn charge(&mut self, ns: u64) {
-        self.shared.advance(ns);
+        self.shared.clock.fetch_add(ns, Ordering::Relaxed);
         self.cpu_ns += ns;
         self.wiring.stats.set_cpu_time_ns(self.cpu_ns);
     }
@@ -174,13 +170,7 @@ impl Transport for InprocTransport {
 
     fn push(&mut self, required: IfaceId, msg: Message) -> u64 {
         let ns = SEND_BASE_NS + msg.data_len() as u64 / 8;
-        // An observation reply takes platform time, but it is the
-        // runtime's work, not the component's: not charged as CPU.
-        if required == IfaceId::INTROSPECTION {
-            self.shared.advance(ns);
-        } else {
-            self.charge(ns);
-        }
+        self.charge(ns);
         let route = self.wiring.routes[required.index()]
             .as_ref()
             .expect("the runtime pushes only where its table has a route");
@@ -240,12 +230,6 @@ impl Transport for InprocTransport {
         if ns > 0 {
             self.charge(ns);
         }
-    }
-
-    fn delay(&mut self, ns: u64) {
-        // Pure latency: the logical clock advances, CPU accounting does
-        // not (the component is waiting, not working).
-        self.shared.advance(ns);
     }
 
     fn inbox_depth(&self, provided: IfaceId) -> u64 {

@@ -173,14 +173,6 @@ impl Transport for Os21Transport {
         let inbox = self.inboxes[provided.index()].as_ref();
         inbox.map_or(0, |inbox| inbox.queued() as u64)
     }
-
-    fn delay(&mut self, ns: u64) {
-        // Best-effort backoff in virtual time. The doorbell may
-        // cut the wait short; the restart still happens after it.
-        if ns > 0 {
-            self.task.sim().wait_timeout(self.doorbell, ns);
-        }
-    }
 }
 
 #[cfg(test)]

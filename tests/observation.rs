@@ -7,6 +7,7 @@ use embera::behavior::behavior_fn;
 use embera::{
     AppBuilder, Behavior, ComponentSpec, Ctx, EmberaError, ObserverConfig, Platform, RunningApp,
 };
+use embera_inproc::InprocPlatform;
 use embera_os21::Os21Platform;
 use embera_smp::SmpPlatform;
 use mjpeg::{build_smp_app, synthesize_stream, MjpegAppConfig};
@@ -240,6 +241,42 @@ fn observer_works_on_simulated_mpsoc_mjpeg() {
         fr.os.cpu_time_ns > 0,
         "RTOS task_time surfaced via observation"
     );
+}
+
+#[test]
+fn observation_costs_an_inproc_table1_run_no_cpu_time() {
+    // The runtime, not the component, answers a poll: a reply takes
+    // logical time, but none of it is the component's CPU time. On the
+    // run queue the pipeline finishes before the observer's first turn,
+    // so `holder` keeps the application open for 20 rounds of the
+    // default flat observer, answered from the quiescent loop.
+    let run = |observed: bool| {
+        let stream = synthesize_stream(41, 48, 24, 75, 0x5EED);
+        let (mut app, _probe) = build_smp_app(stream, &MjpegAppConfig::default());
+        app.add(
+            ComponentSpec::new(
+                "holder",
+                behavior_fn(|ctx| ctx.recv_timeout("never", 20_000_000).map(drop)),
+            )
+            .with_provided("never"),
+        );
+        let log = observed.then(|| app.with_observer(ObserverConfig::default()));
+        let report = InprocPlatform::new()
+            .deploy(app.build().unwrap())
+            .unwrap()
+            .wait()
+            .unwrap();
+        let cpu: Vec<(String, u64)> = ["Fetch", "IDCT_1", "IDCT_2", "IDCT_3", "Reorder"]
+            .iter()
+            .map(|&n| (n.to_string(), report.component(n).unwrap().os.cpu_time_ns))
+            .collect();
+        (cpu, log.map_or(0, |log| log.len()))
+    };
+    let (unobserved, _) = run(false);
+    let (observed, replies) = run(true);
+    assert!(replies >= 20 * unobserved.len(), "{replies} replies");
+    assert!(unobserved.iter().all(|(_, ns)| *ns > 0), "{unobserved:?}");
+    assert_eq!(observed, unobserved);
 }
 
 #[test]

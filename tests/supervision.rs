@@ -16,6 +16,7 @@ use embera_exec::ExecPlatform;
 use embera_inproc::InprocPlatform;
 use embera_os21::Os21Platform;
 use embera_smp::SmpPlatform;
+use embera_trace::{EventKind, TraceCollector};
 use mjpeg::{build_smp_app, synthesize_stream, MjpegAppConfig};
 
 type RunFn = fn(AppSpec) -> Result<AppReport, EmberaError>;
@@ -559,11 +560,16 @@ fn restart_backoff_never_trips_the_watchdog() {
     // deadline (10 ms), so any leak of the backoff pause into the
     // stall predicate would fire many records. A genuinely stuck
     // sibling pins that the watchdog itself is armed and firing in the
-    // very same run.
+    // very same run. The pause itself is the whole backoff in platform
+    // time, though the observer's polls reach the restarting component
+    // every 2 ms.
+    const BACKOFF_NS: u64 = 100_000_000;
     let scenario = |run: RunFn, backend: &str| {
         let attempts = Arc::new(AtomicU32::new(0));
         let a = Arc::clone(&attempts);
+        let collector = TraceCollector::new(1 << 14);
         let mut app = AppBuilder::new("backoff-watchdog");
+        app.with_tracing(collector.trace_config());
         // Holds the application open until the root observer has seen
         // both members terminal, so the watchdog polls the whole run.
         app.add(
@@ -598,7 +604,7 @@ fn restart_backoff_never_trips_the_watchdog() {
             )
             .with_restart(RestartPolicy {
                 max_restarts: 1,
-                backoff_ns: 100_000_000,
+                backoff_ns: BACKOFF_NS,
                 ..RestartPolicy::default()
             })
             .with_stack_bytes(1 << 20)
@@ -629,7 +635,21 @@ fn restart_backoff_never_trips_the_watchdog() {
             stalls.iter().all(|s| s.component != "flaky"),
             "[{backend}] false stall during restart backoff: {stalls:?}"
         );
+        let flaky = collector.names().iter().position(|n| n == "flaky").unwrap() as u32;
+        let mut events = collector.drain_sorted().into_iter();
+        let restart = events
+            .find(|e| e.component == flaky && e.kind == EventKind::Restart)
+            .unwrap_or_else(|| panic!("[{backend}] no Restart event"));
+        let rerun = events
+            .find(|e| e.component == flaky && e.kind == EventKind::BehaviorStart)
+            .unwrap_or_else(|| panic!("[{backend}] no BehaviorStart after the Restart"));
+        assert!(
+            rerun.ts_ns - restart.ts_ns >= BACKOFF_NS,
+            "[{backend}] re-run {} ns after the restart, inside the {BACKOFF_NS} ns backoff",
+            rerun.ts_ns - restart.ts_ns
+        );
     };
-    scenario(|spec| SmpPlatform::new().deploy(spec)?.wait(), "smp");
-    scenario(|spec| InprocPlatform::new().deploy(spec)?.wait(), "inproc");
+    for (backend, run) in backends() {
+        scenario(run, backend);
+    }
 }
