@@ -17,9 +17,9 @@ pub const INTROSPECTION: &str = "introspection";
 /// Where a component should be deployed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Placement {
-    /// The platform chooses (SMP: any core; MPSoC backend rejects this —
-    /// every component must name its CPU, as in the paper's one binary
-    /// per CPU deployment, §5.1).
+    /// The platform chooses (SMP: any core). The MPSoC backend puts it
+    /// on CPU 0, the ST40 host, so an auto-wired observer shares that
+    /// CPU with whatever is pinned there (Fetch-Reorder in Table 3).
     Any,
     /// Pin to a specific CPU.
     Cpu(usize),

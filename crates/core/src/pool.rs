@@ -11,9 +11,13 @@
 //! handle outlives its use: a sender serializes into a pooled buffer,
 //! the transport draws a second pooled buffer for its copy and recycles
 //! the sender's, and the receiver recycles the transport's once the
-//! message is consumed. After a short warm-up the working set is
-//! constant and the hot path performs **zero** heap allocations — the
-//! `bench` crate proves this with a counting global allocator.
+//! message is consumed. The working set is what is in flight at once:
+//! while that stays within what [`BufferPool::prewarm`] stocked, the
+//! hot path performs **zero** heap allocations (`repro alloc-check`
+//! counts them with a counting global allocator). Mailboxes are
+//! unbounded, so a producer that runs ahead takes more buffers than
+//! were stocked, and the pool grows ([`PoolStats::grown`]) to the
+//! deepest in-flight mark the run reaches.
 //!
 //! Recycling is safe by construction: a buffer is only reclaimed when
 //! its [`Bytes`] handle is *unique* (no clones or zero-copy slices

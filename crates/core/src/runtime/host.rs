@@ -121,7 +121,10 @@ impl Inbox {
 /// The copies one required interface sent without a pool, oldest first:
 /// a send copies into the oldest once its receiver has let go of it, so
 /// the paper's copy costs no allocation here and no free on the
-/// receiver's thread.
+/// receiver's thread while that receiver keeps up. The deque is sized
+/// once, at the first copy, for what a receiver with an empty mailbox
+/// can hold; it grows only while the route is deeper than that. An
+/// interface that never sends without a pool allocates nothing here.
 #[derive(Default)]
 struct Sent(VecDeque<Bytes>);
 
@@ -157,6 +160,9 @@ impl Sent {
             }
         }
         let copy = reused.unwrap_or_else(|| Bytes::copy_from_slice(payload));
+        if self.0.capacity() == 0 {
+            self.0.reserve_exact(DRAIN_BATCH + 1);
+        }
         self.0.push_back(copy.clone());
         copy
     }

@@ -34,8 +34,16 @@
 //! [`EmberaError::Platform`](embera::EmberaError) deadlock and shut it
 //! down.
 //!
-//! So a polling observer sees components mid-run, as on every other
-//! backend, and request/response pairs work in either deployment order.
+//! So request/response pairs work in either deployment order. A polling
+//! observer, though, sees components mid-run only if it gets a turn
+//! while they run. A flat observer is deployed after the components, so
+//! its first turn comes once every component ahead of it has parked: a
+//! pipeline whose stages keep each other runnable and never wait on a
+//! deadline (the paper's Table 1 MJPEG pipeline) finishes before the
+//! first poll. A test that wants to observe such a run keeps the
+//! application open with a component parked in a timed receive nobody
+//! feeds, as `holder` does in the workspace's `tests/observation.rs`,
+//! and the polls are answered from the quiescent loop.
 //! With an unbounded polling observer, a stuck application runs until
 //! something stops it, as on smp, exec and os21, and the observer's
 //! watchdog is what reports it. A behavior that never reaches a

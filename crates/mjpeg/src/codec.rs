@@ -7,25 +7,23 @@
 //! The decode path is deliberately split along the paper's component
 //! boundaries (§3.2):
 //!
-//! 1. **Huffman algorithm + pixel reordering** (Fetch): on the
-//!    reference kernel, the bit-serial [`EntropyDecoder::next_block`] +
-//!    [`quant::dequantize_reorder`](crate::quant::dequantize_reorder);
-//!    on the fast kernels, one table-driven pass,
-//!    [`EntropyDecoder::next_block_scaled`], that writes each
-//!    coefficient dequantized and AAN-prescaled to its natural-order
-//!    slot,
-//! 2. **IDCT** (IDCT components):
-//!    [`dct::idct_to_pixels`](crate::dct::idct_to_pixels) or its fast
-//!    counterparts,
+//! 1. **Huffman algorithm + pixel reordering** (Fetch): one
+//!    table-driven pass, [`EntropyDecoder::next_block_scaled`], that
+//!    writes each coefficient to its natural-order slot, multiplied by
+//!    the kind's [`DctKind::dequant_table`] entry there,
+//! 2. **IDCT** (IDCT components): the kind's [`DctKind::transform`],
 //! 3. **reassembly** (Reorder): [`place_block`].
+//!
+//! Every kind and every caller decodes with that one loop.
+//! [`decode_block_bitwise`] is the bit-serial original, kept as the
+//! oracle the property tests hold the loop to; the cost of the paper's
+//! unoptimized decoder is modelled by the Fetch work annotation, not
+//! run.
 
 use crate::bitstream::{BitReader, BitWriter, OutOfBits};
 use crate::dct::{fdct, pixels_to_centered, DctKind, BLOCK_SIZE, N};
 use crate::huffman::{category, put_magnitude, read_magnitude, HuffDecoder, HuffEncoder, HuffSpec};
-use crate::quant::{
-    dequantize_reorder, dequantize_scaled, fast_dequant_table, quantize_zigzag, scaled_qtable,
-    ZIGZAG,
-};
+use crate::quant::{dequantize_scaled, quantize_zigzag, scaled_qtable, ZIGZAG};
 
 /// End-of-block marker symbol.
 const EOB: u8 = 0x00;
@@ -104,26 +102,10 @@ fn decode_block_into(
 }
 
 /// Decode one block (zigzag order) with explicit tables and DC
-/// predictor; returns the coefficients and the new predictor. Runs the
-/// table-driven loop; [`decode_block_bitwise`] is the bit-serial
-/// original.
-fn decode_block_with(
-    reader: &mut BitReader<'_>,
-    dc_dec: &HuffDecoder,
-    ac_dec: &HuffDecoder,
-    dc_pred: i32,
-) -> Result<([i16; BLOCK_SIZE], i32), OutOfBits> {
-    let mut zz = [0i16; BLOCK_SIZE];
-    let dc = decode_block_into(reader, dc_dec, ac_dec, dc_pred, |k, v| zz[k] = v)?;
-    Ok((zz, dc))
-}
-
-/// Decode one block (zigzag order) with explicit tables and DC
 /// predictor on the bit-at-a-time Huffman path; returns the
 /// coefficients and the new predictor. This is the unoptimized decoder
-/// the paper's workload models, kept both as the property-test oracle
-/// of the table-driven loop and as the honest "before" of the benchmark
-/// baseline.
+/// the paper's workload models, kept as the oracle the property tests
+/// hold the table-driven loop to; no decode path runs it.
 pub fn decode_block_bitwise(
     reader: &mut BitReader<'_>,
     dc_dec: &HuffDecoder,
@@ -197,30 +179,19 @@ impl BlockEncoder {
     }
 }
 
-/// Decoder over an entropy-coded segment; yields zigzag-ordered
-/// quantized coefficient blocks, or — the fast kernels' Fetch stage in
-/// one pass — dequantized, AAN-prescaled natural-order ones.
+/// Decoder over an entropy-coded segment with the table-driven loop;
+/// yields zigzag-ordered quantized coefficient blocks, or — Fetch's
+/// stage in one pass — dequantized natural-order ones.
 pub struct EntropyDecoder<'a> {
     dc_dec: &'static HuffDecoder,
     ac_dec: &'static HuffDecoder,
     reader: BitReader<'a>,
     dc_pred: i32,
-    fast: bool,
 }
 
 impl<'a> EntropyDecoder<'a> {
-    /// Decode over `data` with the table-driven loop.
+    /// Decode over `data`.
     pub fn new(data: &'a [u8]) -> Self {
-        Self::with_mode(data, true)
-    }
-
-    /// Decode over `data` with the original bit-at-a-time Huffman path
-    /// (the paper's unoptimized decoder).
-    pub fn reference(data: &'a [u8]) -> Self {
-        Self::with_mode(data, false)
-    }
-
-    fn with_mode(data: &'a [u8], fast: bool) -> Self {
         EntropyDecoder {
             // Shared static tables: constructing a decoder is free, so a
             // per-frame EntropyDecoder costs no allocation.
@@ -228,40 +199,42 @@ impl<'a> EntropyDecoder<'a> {
             ac_dec: crate::huffman::luma_ac_decoder(),
             reader: BitReader::new(data),
             dc_pred: 0,
-            fast,
         }
     }
 
     /// Decode the next block, in zigzag order.
     pub fn next_block(&mut self) -> Result<[i16; BLOCK_SIZE], OutOfBits> {
-        let (reader, dc_dec, ac_dec) = (&mut self.reader, self.dc_dec, self.ac_dec);
-        let (zz, dc) = if self.fast {
-            decode_block_with(reader, dc_dec, ac_dec, self.dc_pred)?
-        } else {
-            decode_block_bitwise(reader, dc_dec, ac_dec, self.dc_pred)?
-        };
-        self.dc_pred = dc;
+        let mut zz = [0i16; BLOCK_SIZE];
+        self.dc_pred = decode_block_into(
+            &mut self.reader,
+            self.dc_dec,
+            self.ac_dec,
+            self.dc_pred,
+            |k, v| zz[k] = v,
+        )?;
         Ok(zz)
     }
 
     /// Decode the next block into `out` as [`next_block`] followed by
-    /// [`dequantize_reorder_scaled`] with `ftable` would, in one pass:
-    /// the table-driven loop writes each coefficient once, multiplied by
-    /// the folded table, straight to its natural-order slot. It runs
-    /// whichever constructor made the decoder, since its output is the
-    /// bit-serial one. On `Err`, what `out` holds is unspecified.
+    /// [`dequantize_reorder_scaled`] with `table` would, in one pass:
+    /// the loop writes each coefficient once, multiplied by the table,
+    /// straight to its natural-order slot. `table` is a
+    /// [`DctKind::dequant_table`]; for [`DctKind::ReferenceFloat`]'s the
+    /// result is [`dequantize_reorder`]'s. On `Err`, what `out` holds is
+    /// unspecified.
     ///
     /// [`next_block`]: EntropyDecoder::next_block
     /// [`dequantize_reorder_scaled`]: crate::quant::dequantize_reorder_scaled
+    /// [`dequantize_reorder`]: crate::quant::dequantize_reorder
     pub fn next_block_scaled(
         &mut self,
-        ftable: &[i32; BLOCK_SIZE],
+        table: &[i32; BLOCK_SIZE],
         out: &mut [i32; BLOCK_SIZE],
     ) -> Result<(), OutOfBits> {
         *out = [0; BLOCK_SIZE];
         let put = |k: usize, v| {
             let n = ZIGZAG[k];
-            out[n] = dequantize_scaled(v, ftable[n]);
+            out[n] = dequantize_scaled(v, table[n]);
         };
         self.dc_pred = decode_block_into(
             &mut self.reader,
@@ -333,9 +306,9 @@ pub fn decode_frame(
     decode_frame_with(data, width, height, quality, DctKind::ReferenceFloat)
 }
 
-/// [`decode_frame`] with an explicit DCT kernel. With
-/// [`DctKind::FastAan`] the dequantization multiplies by the folded
-/// AAN-scaled table and the integer butterflies run — output pixels are
+/// [`decode_frame`] with an explicit DCT kernel: the decode loop
+/// multiplies by `kind`'s [`DctKind::dequant_table`] and `kind`'s
+/// [`DctKind::transform`] runs. With the fast kinds output pixels are
 /// within ±1 level of the reference float path.
 pub fn decode_frame_with(
     data: &[u8],
@@ -344,33 +317,14 @@ pub fn decode_frame_with(
     quality: u8,
     kind: DctKind,
 ) -> Result<Vec<u8>, OutOfBits> {
-    let qtable = scaled_qtable(quality);
-    let nblocks = (width / N) * (height / N);
+    let table = kind.dequant_table(quality);
+    let idct = kind.transform();
     let mut dec = EntropyDecoder::new(data);
     let mut frame = vec![0u8; width * height];
-    match kind {
-        DctKind::ReferenceFloat => {
-            for bi in 0..nblocks {
-                let zz = dec.next_block()?;
-                let coeffs = dequantize_reorder(&zz, &qtable);
-                let px = crate::dct::idct_to_pixels(&coeffs);
-                place_block(&mut frame, width, bi, &px);
-            }
-        }
-        DctKind::FastAan | DctKind::FastSimd => {
-            let ftable = fast_dequant_table(&qtable);
-            let idct: fn(&[i32; BLOCK_SIZE]) -> [u8; BLOCK_SIZE] = if kind == DctKind::FastSimd {
-                crate::simd::idct_scaled_to_pixels_simd
-            } else {
-                crate::dct::idct_scaled_to_pixels
-            };
-            let mut coeffs = [0i32; BLOCK_SIZE];
-            for bi in 0..nblocks {
-                dec.next_block_scaled(&ftable, &mut coeffs)?;
-                let px = idct(&coeffs);
-                place_block(&mut frame, width, bi, &px);
-            }
-        }
+    let mut coeffs = [0i32; BLOCK_SIZE];
+    for bi in 0..(width / N) * (height / N) {
+        dec.next_block_scaled(&table, &mut coeffs)?;
+        place_block(&mut frame, width, bi, &idct(&coeffs));
     }
     Ok(frame)
 }
@@ -397,6 +351,7 @@ pub fn psnr(a: &[u8], b: &[u8]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::quant::dequantize_reorder;
 
     fn test_image(width: usize, height: usize) -> Vec<u8> {
         let mut px = vec![0u8; width * height];

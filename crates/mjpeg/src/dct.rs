@@ -149,12 +149,17 @@ pub fn pixels_to_centered(pixels: &[u8; BLOCK_SIZE]) -> [f32; BLOCK_SIZE] {
 /// dequantization tables.
 pub const AAN_FRAC_BITS: u32 = 12;
 
-/// Which DCT kernel a decode path runs (the encoder is the float
-/// reference only).
+/// Which inverse transform a decode path runs (the encoder is the float
+/// reference only). Every kind decodes with the same entropy loop,
+/// [`EntropyDecoder::next_block_scaled`](crate::codec::EntropyDecoder::next_block_scaled);
+/// a kind is the dequantization table that loop multiplies by
+/// ([`DctKind::dequant_table`]) and the transform that reads its output
+/// ([`DctKind::transform`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DctKind {
-    /// The exact separable float transform (the seed implementation,
-    /// kept as the correctness oracle).
+    /// The plain quantizer steps and the exact separable float
+    /// transform (the seed implementation, kept as the correctness
+    /// oracle).
     #[default]
     ReferenceFloat,
     /// Fixed-point AAN butterflies with scales folded into quantization.
@@ -163,6 +168,30 @@ pub enum DctKind {
     /// ([`crate::simd`]); bit-exact with [`DctKind::FastAan`], falling
     /// back to it where no vector unit is available.
     FastSimd,
+}
+
+impl DctKind {
+    /// The natural-order table the decode loop multiplies each quantized
+    /// coefficient by at `quality`: the quantizer steps for
+    /// [`DctKind::ReferenceFloat`], the steps folded with the AAN scales
+    /// ([`crate::quant::fast_dequant_table`]) for the fast kinds.
+    pub fn dequant_table(self, quality: u8) -> [i32; BLOCK_SIZE] {
+        let qtable = crate::quant::scaled_qtable(quality);
+        match self {
+            DctKind::ReferenceFloat => qtable.map(i32::from),
+            DctKind::FastAan | DctKind::FastSimd => crate::quant::fast_dequant_table(&qtable),
+        }
+    }
+
+    /// The inverse transform for coefficients dequantized with
+    /// [`DctKind::dequant_table`].
+    pub fn transform(self) -> fn(&[i32; BLOCK_SIZE]) -> [u8; BLOCK_SIZE] {
+        match self {
+            DctKind::ReferenceFloat => idct_to_pixels,
+            DctKind::FastAan => idct_scaled_to_pixels,
+            DctKind::FastSimd => crate::simd::idct_scaled_to_pixels_simd,
+        }
+    }
 }
 
 /// AAN per-frequency scale factors: `aan[0] = 1`, `aan[k] =

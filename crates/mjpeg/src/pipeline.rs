@@ -5,8 +5,9 @@
 //! Fetch and Reorder functionalities merged on the general-purpose ST40.
 //! The open-loop harness ([`crate::overload`]) is a third assembly of
 //! the same parts: everything the three share — the frame decode, the
-//! kernel selection, the per-lane batching, the IDCT lane, the wire
-//! formats and their reader, the lane wiring — is written once, here.
+//! per-lane batching, the IDCT lane, the wire formats and their reader,
+//! the lane wiring — is written once, here; what a [`DctKind`] selects
+//! is written once on the kind.
 //!
 //! Two structural details reproduce the paper's Table 2 exactly:
 //!
@@ -28,11 +29,9 @@ use embera::{
     AppBuilder, Behavior, BufferPool, ComponentSpec, Ctx, EmberaError, Message, Work, WorkClass,
 };
 
-use crate::bitstream::OutOfBits;
 use crate::codec::{place_block, EntropyDecoder};
-use crate::dct::{idct_scaled_to_pixels, idct_to_pixels, DctKind, BLOCK_SIZE};
+use crate::dct::{DctKind, BLOCK_SIZE};
 use crate::frame::{EncodedFrame, FrameHeader, MjpegStream};
-use crate::quant::{dequantize_reorder, fast_dequant_table, scaled_qtable};
 
 /// Work-annotation profile: abstract operation counts per unit of codec
 /// work. Defaults are calibrated to the paper's self-described
@@ -42,7 +41,8 @@ use crate::quant::{dequantize_reorder, fast_dequant_table, scaled_qtable};
 /// Fetch-Reorder : IDCT execution-time ratio to the paper's ~10-12×.
 #[derive(Debug, Clone, Copy)]
 pub struct WorkProfile {
-    /// Control ops per entropy-coded bit (naive bit-serial Huffman).
+    /// Control ops per entropy-coded bit: the paper's naive bit-serial
+    /// Huffman decoder, whichever loop the host runs.
     pub huffman_ops_per_bit: u64,
     /// Control ops per coefficient for dequantize + zigzag reorder.
     pub dequant_ops_per_coeff: u64,
@@ -482,63 +482,11 @@ impl PipelineProbe {
     }
 }
 
-/// Everything a pipeline selects by [`DctKind`], in one place: the
-/// entropy decoder, the dequantization table and the inverse transform
-/// that belongs to it.
-enum Kernel {
-    /// The paper's path: bit-serial Huffman decoder, plain quantizer
-    /// steps, separable float IDCT.
-    Reference([u16; BLOCK_SIZE]),
-    /// The table-driven decode loop, writing through the quantizer steps
-    /// folded with the AAN scales, for the integer butterflies (scalar
-    /// or SIMD).
-    Fast([i32; BLOCK_SIZE]),
-}
-
-impl Kernel {
-    fn new(kind: DctKind, quality: u8) -> Self {
-        let qtable = scaled_qtable(quality);
-        match kind {
-            DctKind::ReferenceFloat => Kernel::Reference(qtable),
-            DctKind::FastAan | DctKind::FastSimd => Kernel::Fast(fast_dequant_table(&qtable)),
-        }
-    }
-
-    fn entropy_decoder<'a>(&self, data: &'a [u8]) -> EntropyDecoder<'a> {
-        match self {
-            Kernel::Reference(_) => EntropyDecoder::reference(data),
-            Kernel::Fast(_) => EntropyDecoder::new(data),
-        }
-    }
-
-    /// Decode the next block of `dec` into dequantized natural-order
-    /// coefficients.
-    fn next_block(
-        &self,
-        dec: &mut EntropyDecoder<'_>,
-        out: &mut [i32; BLOCK_SIZE],
-    ) -> Result<(), OutOfBits> {
-        match self {
-            Kernel::Reference(q) => *out = dequantize_reorder(&dec.next_block()?, q),
-            Kernel::Fast(f) => dec.next_block_scaled(f, out)?,
-        }
-        Ok(())
-    }
-
-    /// The inverse transform for coefficients `kind` dequantized.
-    fn idct(kind: DctKind) -> fn(&[i32; BLOCK_SIZE]) -> [u8; BLOCK_SIZE] {
-        match kind {
-            DctKind::ReferenceFloat => idct_to_pixels,
-            DctKind::FastAan => idct_scaled_to_pixels,
-            DctKind::FastSimd => crate::simd::idct_scaled_to_pixels_simd,
-        }
-    }
-}
-
 /// The Fetch work every assembly shares: "file management, Huffman
 /// decoding and pixel reordering" (§3.2) of one frame at a time.
 pub(crate) struct FrameDecoder {
-    kernel: Kernel,
+    /// The kind's dequantization table at the stream's quality.
+    table: [i32; BLOCK_SIZE],
     blocks: usize,
     profile: WorkProfile,
 }
@@ -547,7 +495,7 @@ impl FrameDecoder {
     /// Decoder for a stream whose configuration frame reads `header`.
     pub(crate) fn new(header: FrameHeader, kind: DctKind, profile: WorkProfile) -> Self {
         FrameDecoder {
-            kernel: Kernel::new(kind, header.quality),
+            table: kind.dequant_table(header.quality),
             blocks: header.blocks(),
             profile,
         }
@@ -580,12 +528,11 @@ impl FrameDecoder {
         mut emit: impl FnMut(&mut dyn Ctx, u32, &[i32; BLOCK_SIZE]) -> Result<(), EmberaError>,
     ) -> Result<bool, EmberaError> {
         self.file_management(ctx);
-        let mut dec = self.kernel.entropy_decoder(&frame.data);
+        let mut dec = EntropyDecoder::new(&frame.data);
         let mut bits_before = 0u64;
         // Decode block `bi` into `coeffs`; the entropy bits it took.
         let mut next = |bi: usize, coeffs: &mut [i32; BLOCK_SIZE]| {
-            self.kernel
-                .next_block(&mut dec, coeffs)
+            dec.next_block_scaled(&self.table, coeffs)
                 .map_err(|e| EmberaError::Platform(format!("frame {label} block {bi}: {e}")))?;
             let bits = dec.bits_consumed() - bits_before;
             bits_before = dec.bits_consumed();
@@ -790,7 +737,7 @@ const LANE_OUT: &str = "idctReorder";
 impl Behavior for IdctBehavior {
     fn run(&mut self, ctx: &mut dyn Ctx) -> Result<(), EmberaError> {
         let in_iface = format!("_fetchIdct{}", self.lane);
-        let idct = Kernel::idct(self.kernel);
+        let idct = self.kernel.transform();
         let mut wire = Wire::new(&*ctx, self.counted);
         let mut out: Vec<PixelBlock> = Vec::new();
         let mut received = 0u64;
@@ -1102,11 +1049,13 @@ pub struct MjpegAppConfig {
     /// preserves the paper's exact send-count structure (Table 2); larger
     /// batches amortize per-message cost for throughput runs.
     pub blocks_per_msg: usize,
-    /// Which (I)DCT kernel the pipeline runs. The reference float kernel
-    /// is the default; [`DctKind::FastAan`] selects the fixed-point AAN
-    /// fast path with dequantization folded into prescaled tables;
+    /// Which dequantization table Fetch decodes with and which inverse
+    /// transform the IDCT lanes run ([`DctKind`]); the entropy decode
+    /// is the same for every kind. The reference float kernel is the
+    /// default; [`DctKind::FastAan`] selects the fixed-point AAN fast
+    /// path with dequantization folded into prescaled tables;
     /// [`DctKind::FastSimd`] adds runtime-detected SSE2/AVX2 vectors on
-    /// top of the same arithmetic.
+    /// top of the same arithmetic. No kind changes a work annotation.
     pub kernel: DctKind,
     /// Attach a shared payload [`BufferPool`] sized to the configured
     /// batch so steady-state messaging allocates nothing on backends

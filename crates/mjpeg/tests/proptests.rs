@@ -184,7 +184,7 @@ proptest! {
 
     /// The two-level LUT Huffman decoder produces exactly the same
     /// quantized blocks — and consumes exactly the same bits — as the
-    /// bit-serial reference decoder on any encodable image.
+    /// bit-serial `decode_block_bitwise` on any encodable image.
     #[test]
     fn lut_huffman_decode_is_bit_identical_to_reference(
         seed in 0u64..10_000,
@@ -199,10 +199,18 @@ proptest! {
         }
         let data = mjpeg::codec::encode_frame(&img, w, h, quality);
         let mut lut = mjpeg::codec::EntropyDecoder::new(&data);
-        let mut bitwise = mjpeg::codec::EntropyDecoder::reference(&data);
+        let mut bitwise = BitReader::new(&data);
+        let mut pred = 0;
         for block in 0..(w / 8) * (h / 8) {
             let a = lut.next_block().unwrap();
-            let b = bitwise.next_block().unwrap();
+            let (b, next_pred) = mjpeg::codec::decode_block_bitwise(
+                &mut bitwise,
+                mjpeg::huffman::luma_dc_decoder(),
+                mjpeg::huffman::luma_ac_decoder(),
+                pred,
+            )
+            .unwrap();
+            pred = next_pred;
             prop_assert_eq!(&a[..], &b[..], "block {} differs", block);
             prop_assert_eq!(lut.bits_consumed(), bitwise.bits_consumed());
         }

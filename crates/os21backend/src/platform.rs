@@ -286,6 +286,33 @@ mod tests {
     }
 
     #[test]
+    fn an_unplaced_component_runs_on_the_st40() {
+        // `Placement::Any` is CPU 0: the same work costs what it costs
+        // on the ST40, not what it costs on an ST231.
+        let cpu_time = |placement: Placement| {
+            let mut spec = ComponentSpec::new(
+                "w",
+                behavior_fn(|ctx| {
+                    ctx.compute(Work::ops(WorkClass::Dsp, 100_000));
+                    Ok(())
+                }),
+            );
+            spec.placement = placement;
+            let mut app = AppBuilder::new("placed");
+            app.add(spec);
+            let report = Os21Platform::three_cpu()
+                .deploy(app.build().unwrap())
+                .unwrap()
+                .wait()
+                .unwrap();
+            report.component("w").unwrap().os.cpu_time_ns
+        };
+        let any = cpu_time(Placement::Any);
+        assert_eq!(any, cpu_time(Placement::Cpu(0)));
+        assert_ne!(any, cpu_time(Placement::Cpu(1)));
+    }
+
+    #[test]
     fn cpu_time_reported_for_compute_heavy_component() {
         let report = Os21Platform::three_cpu()
             .deploy(simple_pipeline(20).build().unwrap())

@@ -645,9 +645,17 @@ fn marginal_allocs(
 
 /// `alloc-check` — prove the pooled pipeline decodes in steady state
 /// with **zero** heap allocations, via the counting global allocator;
-/// exits 1 if it does not. `--frames N` overrides the base stream
-/// length; `--backend smp|exec` selects the execution backend
-/// (`--workers N` sizes the executor pool, `0` = auto).
+/// exits 1 if it does not. The proof holds while the peak in flight
+/// stays within the `prewarm(256)` each counted run stocks: mailboxes
+/// are unbounded, and a long enough run lets Fetch run far enough ahead
+/// that the pool grows (on smp, `--frames 1600` does). The unpooled
+/// line is printed, not gated: a send allocates a fresh copy whenever
+/// the oldest copy it kept is still held, i.e. whenever the producer
+/// has run ahead of the route's receiver, so it reads a noisy fraction
+/// of an allocation per extra frame. `--frames N` overrides the base
+/// stream length;
+/// `--backend smp|exec` selects the execution backend (`--workers N`
+/// sizes the executor pool, `0` = auto).
 fn alloc_check(scale: &Scale, args: &[String]) {
     let backend = arg_value(args, "--backend").map_or(BenchBackend::Smp, |s| {
         BenchBackend::parse(s).expect("main checked the backend name")
@@ -936,7 +944,7 @@ fn below(rng: &mut StdRng, n: usize) -> usize {
 /// first error or 4 096 blocks), and the batch wire format (header
 /// parse + per-block payload decode).
 fn fuzz_targets(input: &[u8]) {
-    let ftable = mjpeg::quant::fast_dequant_table(&mjpeg::quant::scaled_qtable(75));
+    let ftable = mjpeg::DctKind::FastAan.dequant_table(75);
     let mut segment = mjpeg::codec::EntropyDecoder::new(input);
     let mut coeffs = [0i32; 64];
     for _ in 0..4096 {

@@ -5,12 +5,13 @@
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use embera::behavior::behavior_fn;
 use embera::{
     AppBuilder, AppReport, AppSpec, ComponentSpec, EmberaError, Escalation, FaultPlan,
-    ObserverConfig, Platform, RestartPolicy, RunningApp,
+    ObservationLog, ObserverConfig, Platform, RestartPolicy, RunningApp,
 };
 use embera_exec::ExecPlatform;
 use embera_inproc::InprocPlatform;
@@ -224,13 +225,23 @@ fn one_for_one_contains_failure_while_peers_complete() {
     }
 }
 
-#[test]
-fn watchdog_flags_component_without_progress() {
-    // `stuck` parks in a timed receive on an interface nobody feeds; the
-    // observer's watchdog must log the stall while the healthy `ticker`
-    // keeps making progress and stays off the stall list.
-    let mut app = AppBuilder::new("stalled");
-    app.add(
+/// Observer poll interval of the stall scenario.
+const STALL_INTERVAL_NS: u64 = 5_000_000;
+/// Watchdog window of the stall scenario.
+const STALL_WATCHDOG_NS: u64 = 30_000_000;
+
+/// The stall scenario, run once on `run`: `stuck` parks in a timed
+/// receive on an interface nobody feeds, `ticker` sends to `pump` every
+/// 2 ms. `pinned` puts the three components on CPUs 0, 1 and 2. Returns
+/// the observer's log and the largest real gap `ticker` left between
+/// two sends (from its start to its first send counting as one),
+/// measured on the host clock.
+fn stall_scenario(name: &str, pinned: bool, run: RunFn) -> (ObservationLog, Duration) {
+    let place = |spec: ComponentSpec, cpu: usize| if pinned { spec.on_cpu(cpu) } else { spec };
+    let largest_gap = Arc::new(Mutex::new(Duration::ZERO));
+    let gap = Arc::clone(&largest_gap);
+    let mut app = AppBuilder::new(name);
+    app.add(place(
         ComponentSpec::new(
             "stuck",
             behavior_fn(|ctx| {
@@ -239,25 +250,30 @@ fn watchdog_flags_component_without_progress() {
             }),
         )
         .with_provided("in")
-        .with_stack_bytes(1 << 20)
-        .on_cpu(0),
-    );
-    app.add(
+        .with_stack_bytes(1 << 20),
+        0,
+    ));
+    app.add(place(
         ComponentSpec::new(
             "ticker",
-            behavior_fn(|ctx| {
+            behavior_fn(move |ctx| {
+                let (mut last, mut largest) = (Instant::now(), Duration::ZERO);
                 for i in 0..40u32 {
                     std::thread::sleep(std::time::Duration::from_millis(2));
+                    let now = Instant::now();
+                    largest = largest.max(now - last);
+                    last = now;
                     ctx.send("out", Bytes::copy_from_slice(&i.to_le_bytes()))?;
                 }
+                *gap.lock().unwrap() = largest;
                 Ok(())
             }),
         )
         .with_required("out")
-        .with_stack_bytes(1 << 20)
-        .on_cpu(1),
-    );
-    app.add(
+        .with_stack_bytes(1 << 20),
+        1,
+    ));
+    app.add(place(
         ComponentSpec::new(
             "pump",
             behavior_fn(|ctx| {
@@ -268,24 +284,53 @@ fn watchdog_flags_component_without_progress() {
             }),
         )
         .with_provided("in")
-        .with_stack_bytes(1 << 20)
-        .on_cpu(2),
-    );
+        .with_stack_bytes(1 << 20),
+        2,
+    ));
     app.connect(("ticker", "out"), ("pump", "in"));
     let log = app.with_observer(
         ObserverConfig::default()
-            .interval_ns(5_000_000)
-            .watchdog_ns(30_000_000),
+            .interval_ns(STALL_INTERVAL_NS)
+            .watchdog_ns(STALL_WATCHDOG_NS),
     );
-    SmpPlatform::new()
-        .deploy(app.build().unwrap())
-        .unwrap()
-        .wait()
-        .unwrap();
-    let stalled = log.stalled_components();
-    assert!(stalled.contains(&"stuck".to_string()), "{stalled:?}");
-    assert!(!stalled.contains(&"ticker".to_string()), "{stalled:?}");
-    assert!(!log.stalls().is_empty());
+    run(app.build().unwrap()).unwrap();
+    let largest = *largest_gap.lock().unwrap();
+    (log, largest)
+}
+
+/// The watchdog's contract: a component without progress for the
+/// window is flagged, one that makes progress is not. `ticker` makes
+/// progress only if the host lets it: a run counts only if its largest
+/// gap between sends stayed below the window less one poll interval,
+/// which is what the watchdog can tell from a stall. The scenario runs
+/// up to three times until one run counts.
+fn assert_watchdog_contract(name: &str, pinned: bool, run: RunFn) {
+    let bound = Duration::from_nanos(STALL_WATCHDOG_NS - STALL_INTERVAL_NS);
+    let mut gaps = Vec::new();
+    for _ in 0..3 {
+        let (log, gap) = stall_scenario(name, pinned, run);
+        if gap >= bound {
+            gaps.push(gap);
+            continue;
+        }
+        let stalled = log.stalled_components();
+        assert!(stalled.contains(&"stuck".to_string()), "{stalled:?}");
+        assert!(!stalled.contains(&"ticker".to_string()), "{stalled:?}");
+        assert!(!log.stalls().is_empty());
+        return;
+    }
+    panic!("the host stalled `ticker` in every run: largest gaps {gaps:?}, bound {bound:?}");
+}
+
+#[test]
+fn watchdog_flags_component_without_progress() {
+    // `stuck` is a parked thread; the observer's watchdog must log the
+    // stall while the healthy `ticker` keeps making progress and stays
+    // off the stall list.
+    fn smp(spec: AppSpec) -> Result<AppReport, EmberaError> {
+        SmpPlatform::new().deploy(spec)?.wait()
+    }
+    assert_watchdog_contract("stalled", true, smp);
 }
 
 #[test]
@@ -294,60 +339,10 @@ fn watchdog_flags_component_without_progress_on_exec() {
     // rather than a parked thread, and the observer (itself a fiber on
     // the same 2-worker pool) must still see its progress counter frozen
     // while `ticker` stays healthy.
-    let mut app = AppBuilder::new("stalled-exec");
-    app.add(
-        ComponentSpec::new(
-            "stuck",
-            behavior_fn(|ctx| {
-                let _ = ctx.recv_timeout("in", 200_000_000)?;
-                Ok(())
-            }),
-        )
-        .with_provided("in")
-        .with_stack_bytes(1 << 20),
-    );
-    app.add(
-        ComponentSpec::new(
-            "ticker",
-            behavior_fn(|ctx| {
-                for i in 0..40u32 {
-                    std::thread::sleep(std::time::Duration::from_millis(2));
-                    ctx.send("out", Bytes::copy_from_slice(&i.to_le_bytes()))?;
-                }
-                Ok(())
-            }),
-        )
-        .with_required("out")
-        .with_stack_bytes(1 << 20),
-    );
-    app.add(
-        ComponentSpec::new(
-            "pump",
-            behavior_fn(|ctx| {
-                for _ in 0..40u32 {
-                    ctx.recv("in")?;
-                }
-                Ok(())
-            }),
-        )
-        .with_provided("in")
-        .with_stack_bytes(1 << 20),
-    );
-    app.connect(("ticker", "out"), ("pump", "in"));
-    let log = app.with_observer(
-        ObserverConfig::default()
-            .interval_ns(5_000_000)
-            .watchdog_ns(30_000_000),
-    );
-    ExecPlatform::with_workers(2)
-        .deploy(app.build().unwrap())
-        .unwrap()
-        .wait()
-        .unwrap();
-    let stalled = log.stalled_components();
-    assert!(stalled.contains(&"stuck".to_string()), "{stalled:?}");
-    assert!(!stalled.contains(&"ticker".to_string()), "{stalled:?}");
-    assert!(!log.stalls().is_empty());
+    fn exec(spec: AppSpec) -> Result<AppReport, EmberaError> {
+        ExecPlatform::with_workers(2).deploy(spec)?.wait()
+    }
+    assert_watchdog_contract("stalled-exec", false, exec);
 }
 
 /// Pipeline used by the message-fault tests: src sends 5 tagged
